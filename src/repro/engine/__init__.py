@@ -2,14 +2,16 @@
 
 Scale-out machinery for the paper's dispersed model: exact sketch merging
 over key-disjoint partitions (:mod:`repro.engine.merge`), hash-sharded
-batch ingestion of unaggregated streams (:mod:`repro.engine.sharded`),
+batch ingestion of unaggregated streams with incremental per-shard
+finalization (:mod:`repro.engine.sharded`),
 batch query answering over the resulting summaries on the vectorized
 kernel fast path (:mod:`repro.engine.queries`), and the multicore
 execution layer — injectable serial/thread/process executors with
 shared-memory payload handoff — that runs shard pipelines, store
 compaction, and multi-namespace query serving across cores
-(:mod:`repro.engine.parallel`).  The vectorized per-sampler ingestion hot
-path lives on :meth:`repro.sampling.bottomk.BottomKStreamSampler.process_batch`.
+(:mod:`repro.engine.parallel`).  Every sharded result is tested
+bit-identical to :class:`repro.sampling.bottomk.BottomKStreamSampler`, the
+one-pass sampler over an already aggregated stream.
 """
 
 from repro.engine.merge import merge_bottomk, merge_poisson

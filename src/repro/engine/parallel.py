@@ -2,8 +2,9 @@
 
 The paper's summaries are *mergeable over key-disjoint partitions by
 construction* (Sections 4, 7), which makes shard-level parallelism free:
-each shard of a :class:`~repro.engine.sharded.ShardedSummarizer` can be
-aggregated and bottom-k-sampled in its own process, and the parent's exact
+each shard of a :class:`~repro.engine.sharded.ShardedSummarizer` can fold
+its pending events into its aggregated table in its own process, and the
+parent's exact
 :func:`~repro.engine.merge.merge_bottomk` reduction reproduces the serial
 result bit for bit.  This module supplies the machinery:
 
@@ -23,12 +24,14 @@ result bit for bit.  This module supplies the machinery:
 * **shared-memory handoff** — :func:`ship_arrays` / :func:`open_arrays`
   move numeric numpy buffers to worker processes through
   :mod:`multiprocessing.shared_memory` segments instead of pickling the
-  payload bytes: the parent packs each shard's ``(keys, weights)`` buffers
-  into one segment, the worker maps them back as zero-copy views, and only
-  a tiny descriptor dict crosses the pipe;
+  payload bytes: the parent packs each shard's pending ``(keys, weights)``
+  chunks and its aggregated table into one segment, the worker maps them
+  back as zero-copy views, and only a descriptor dict and the shard's
+  ``k + 1`` entries cross the pipe — and only the fold's delta (touched
+  keys, their new totals, the new entries) comes back;
 * **worker entry points** — module-level functions (picklable under any
-  start method) for the three parallel pipelines: per-shard aggregate +
-  sample (:func:`sample_shard_task`), per-bucket compaction merge
+  start method) for the three parallel pipelines: per-shard fold
+  (:func:`fold_shard_task`), per-bucket compaction merge
   (:func:`compact_group_task`), and per-namespace query serving
   (:func:`serve_namespace_task`).
 
@@ -59,6 +62,7 @@ __all__ = [
     "ship_arrays",
     "ship_chunks",
     "open_arrays",
+    "fold_shard_task",
     "sample_shard_task",
     "compact_group_task",
     "serve_namespace_task",
@@ -114,17 +118,17 @@ class Executor:
         self,
         fn: Callable[[Any], Any],
         items: Iterable[Any],
-        on_result: Callable[[int], None] | None = None,
+        on_result: Callable[[int, Any], None] | None = None,
     ) -> list:
         """Apply ``fn`` to every item; results in input order.
 
         At most ``queue_depth`` tasks are in flight: the next item is drawn
         from ``items`` only once a slot frees up, and the oldest future is
-        awaited first so results stream back in order.  ``on_result(index)``
-        fires as each result is collected — callers that stage per-task
-        resources (e.g. shared-memory segments) release them there, so live
-        staging is bounded by the backpressure window rather than the whole
-        task list.
+        awaited first so results stream back in order.
+        ``on_result(index, result)`` fires as each result is collected —
+        callers that stage per-task resources (e.g. shared-memory
+        segments) release them there, so live staging is bounded by the
+        backpressure window rather than the whole task list.
         """
         iterator = iter(items)
         in_flight: deque = deque()
@@ -143,7 +147,7 @@ class Executor:
                     return results
                 results.append(in_flight.popleft().result())
                 if on_result is not None:
-                    on_result(len(results) - 1)
+                    on_result(len(results) - 1, results[-1])
         finally:
             for future in in_flight:
                 future.cancel()
@@ -411,63 +415,63 @@ def open_arrays(descriptor: dict) -> tuple["dict[str, np.ndarray]", Any]:
 
     with _untracked_shm_attach():
         shm = shared_memory.SharedMemory(name=descriptor["shm"])
-    arrays = {
+    return _segment_views(descriptor["arrays"], shm), shm
+
+
+def _segment_views(layout: dict, shm: Any) -> "dict[str, np.ndarray]":
+    """Zero-copy array views over a segment, per its descriptor layout."""
+    return {
         name: np.ndarray(
             tuple(spec["shape"]),
             dtype=np.dtype(spec["dtype"]),
             buffer=shm.buf,
             offset=spec["offset"],
         )
-        for name, spec in descriptor["arrays"].items()
+        for name, spec in layout.items()
     }
-    return arrays, shm
 
 
-def ship_chunks(chunks: "list[tuple[np.ndarray, np.ndarray]]") -> tuple[dict, Any]:
+def ship_chunks(
+    chunks: "list[tuple[np.ndarray, np.ndarray]]",
+    table: "tuple[np.ndarray, np.ndarray] | None" = None,
+) -> tuple[dict, Any]:
     """Concatenate one shard's chunks straight into a shared segment.
 
     Like ``ship_arrays({"keys": concat, "weights": concat})`` but without
     the intermediate concatenated copies: the segment is sized up front
     and each chunk is copied into its slice exactly once.  All chunk key
     arrays must share one fixed-width dtype (the caller's eligibility
-    check); weights are float64 by construction.
+    check); weights are float64 by construction.  ``table`` — the shard's
+    aggregated ``(keys, totals)`` — rides along as ``table_keys`` /
+    ``table_totals``: one copy into the segment, never pickled.
     """
     from multiprocessing import shared_memory
 
-    key_dtype = chunks[0][0].dtype
     total = sum(len(chunk_keys) for chunk_keys, _ in chunks)
-    keys_nbytes = total * key_dtype.itemsize
-    weights_offset = keys_nbytes + (-keys_nbytes % _SHM_ALIGN)
-    descriptor = {
-        "arrays": {
-            "keys": {
-                "dtype": key_dtype.str,
-                "shape": [total],
-                "offset": 0,
-            },
-            "weights": {
-                "dtype": "<f8",
-                "shape": [total],
-                "offset": weights_offset,
-            },
-        },
-    }
-    shm = shared_memory.SharedMemory(
-        create=True, size=max(weights_offset + total * 8, 1)
-    )
-    descriptor["shm"] = shm.name
-    keys_view = np.ndarray(total, dtype=key_dtype, buffer=shm.buf, offset=0)
-    weights_view = np.ndarray(
-        total, dtype="<f8", buffer=shm.buf, offset=weights_offset
-    )
+    shapes = {"keys": (chunks[0][0].dtype, total), "weights": ("<f8", total)}
+    if table is not None:
+        shapes["table_keys"] = (table[0].dtype, len(table[0]))
+        shapes["table_totals"] = ("<f8", len(table[1]))
+    layout: dict[str, dict] = {}
+    offset = 0
+    for name, (dtype, length) in shapes.items():
+        offset += -offset % _SHM_ALIGN
+        layout[name] = {
+            "dtype": np.dtype(dtype).str, "shape": [length], "offset": offset,
+        }
+        offset += length * np.dtype(dtype).itemsize
+    shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
+    views = _segment_views(layout, shm)
     position = 0
     for chunk_keys, chunk_weights in chunks:
         end = position + len(chunk_keys)
-        keys_view[position:end] = chunk_keys
-        weights_view[position:end] = chunk_weights
+        views["keys"][position:end] = chunk_keys
+        views["weights"][position:end] = chunk_weights
         position = end
-    del keys_view, weights_view
-    return descriptor, shm
+    if table is not None:
+        views["table_keys"][:], views["table_totals"][:] = table
+    del views
+    return {"shm": shm.name, "arrays": layout}, shm
 
 
 def release_shipment(shm: Any) -> None:
@@ -482,7 +486,7 @@ def release_shipment(shm: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# worker entry point: per-shard aggregate + sample
+# worker entry point: per-shard fold
 # ---------------------------------------------------------------------------
 
 
@@ -490,11 +494,11 @@ def release_shipment(shm: Any) -> None:
 class ShardTask:
     """One (assignment, shard) unit of finalization work.
 
-    ``payload`` is one of:
+    ``payload`` holds the shard's pending events, as one of:
 
     * ``("chunks", [(keys, weights), ...])`` — in-memory chunk list
-      (serial/thread executors, or object-dtype keys under processes,
-      where the chunks are pickled as-is);
+      (serial and thread executors; pickled as-is, state included, if
+      sent to a process — the summarizer folds such shards itself);
     * ``("shm", descriptor)`` — concatenated ``keys``/``weights`` buffers
       shipped through shared memory (numeric keys under processes).
 
@@ -502,77 +506,84 @@ class ShardTask:
     concatenates its chunks before ``np.unique`` anyway, so handing the
     worker the pre-concatenated arrays reproduces the serial result bit
     for bit.
+
+    ``state`` is the :class:`~repro.engine.sharded.ShardState` the events
+    fold onto (``None``: an empty shard).  In the shared-memory form its
+    table rides in the segment (``table_keys`` / ``table_totals``) and
+    ``state`` carries only the ``k + 1`` entries, so what is pickled to a
+    worker is O(k) and what comes back — a
+    :class:`~repro.engine.sharded.ShardDelta` — is O(touched keys).
     """
 
     k: int
     family: Any
     hasher: Any
     payload: tuple
+    state: Any = None
 
 
-def _sample_chunks(k: int, family, hasher, chunks: list) -> Any:
-    """Aggregate one shard's chunks and bottom-k sample them (serial core).
+def fold_shard_task(task: ShardTask):
+    """Worker entry: the delta of folding the payload onto the state."""
+    from repro.engine.sharded import ShardState
 
-    This is the single source of truth for shard finalization: every
-    executor mode funnels through it, which is what makes parallel output
-    bit-identical to serial output by construction.
-    """
-    from repro.engine.sharded import _ShardBuffer
-    from repro.sampling.bottomk import BottomKStreamSampler
-
-    buffer = _ShardBuffer()
-    buffer.chunks = list(chunks)
-    keys, totals = buffer.aggregated()
-    sampler = BottomKStreamSampler(k, family, hasher)
-    if len(totals):
-        sampler.process_batch(keys, totals)
-    return sampler.sketch()
-
-
-def sample_shard_task(task: ShardTask):
-    """Worker entry: materialize the payload and run the serial core."""
+    state = task.state if task.state is not None else ShardState()
     form, payload = task.payload
     if form == "chunks":
-        return _sample_chunks(task.k, task.family, task.hasher, payload)
+        return state.delta(task.k, task.family, task.hasher, payload)
     if form != "shm":
         raise ValueError(f"unknown shard payload form {form!r}")
     arrays, shm = open_arrays(payload)
+    chunks = [(arrays["keys"], arrays["weights"])]
+    if "table_keys" in arrays:
+        state = ShardState(
+            arrays["table_keys"], arrays["table_totals"], state.entries
+        )
     try:
-        chunks = [(arrays["keys"], arrays["weights"])]
-        return _sample_chunks(task.k, task.family, task.hasher, chunks)
+        # np.unique and the gathers in delta copy, so nothing in the
+        # returned delta aliases the segment.
+        return state.delta(task.k, task.family, task.hasher, chunks)
     finally:
-        del arrays
+        del arrays, chunks, state
         shm.close()
+
+
+def sample_shard_task(task: ShardTask):
+    """The bottom-k sketch of a shard after :func:`fold_shard_task`."""
+    return fold_shard_task(task).entries.sketch(task.k)
 
 
 def build_shard_tasks(
     k: int,
     family,
     hasher,
-    buffers: "list[tuple[str, int, Any]]",
+    shards: list,
     cross_process: bool,
 ) -> Iterator[tuple[ShardTask, Any]]:
     """Yield ``(task, shm_handle)`` pairs for a finalization run, lazily.
 
-    ``buffers`` holds ``(assignment, shard_index, _ShardBuffer)`` triples.
-    Payloads are built one at a time as the executor's backpressure window
-    admits them: under a process executor, numeric single-dtype shards are
-    concatenated once in the parent and shipped via shared memory (the
-    handle is yielded so the caller can release the segment after the
-    map completes); everything else rides the chunk-list form.
+    ``shards`` holds the summarizer's stale shards (``state`` + ``pending``
+    chunks).  Payloads are built one at a time as the executor's
+    backpressure window admits them: under a process executor, a shard
+    whose fold stays numeric has its pending chunks concatenated once in
+    the parent and shipped, with its table, via shared memory (the handle
+    is yielded so the caller can release the segment once the result
+    lands); everything else rides the chunk-list form.
     """
-    from repro.engine.sharded import vectorized_aggregation_eligible
+    from repro.engine.sharded import ShardState
 
-    for _name, _shard, buffer in buffers:
-        chunks = buffer.chunks
+    for shard in shards:
+        state, chunks = shard.state, shard.pending
         shm = None
-        # Ship pre-concatenated only when the serial aggregation path
-        # would concatenate too (same predicate, shared so it can't drift).
-        if cross_process and chunks and vectorized_aggregation_eligible(chunks):
-            descriptor, shm = ship_chunks(chunks)
-            yield ShardTask(k, family, hasher, ("shm", descriptor)), shm
-            continue
-        yield ShardTask(k, family, hasher, ("chunks", chunks)), shm
+        payload = ("chunks", chunks)
+        # Ship pre-concatenated only when the fold would concatenate too
+        # (same predicate, shared so it can't drift).
+        if cross_process and chunks and state.stays_numeric(chunks):
+            descriptor, shm = ship_chunks(
+                chunks, state.chunk() if len(state) else None
+            )
+            payload = ("shm", descriptor)
+            state = ShardState(entries=state.entries)
+        yield ShardTask(k, family, hasher, payload, state), shm
 
 
 # ---------------------------------------------------------------------------

@@ -9,29 +9,46 @@ dense weight matrix.
 The pipeline per assignment:
 
 1. **partition** — every batch is hash-partitioned by key across
-   ``n_shards`` buffers (:func:`shard_indices`), so all occurrences of a
+   ``n_shards`` shards (:func:`shard_indices`), so all occurrences of a
    key land in the same shard and shards are key-disjoint by construction;
-2. **aggregate** — at finalization each shard sums per-key weights
-   (vectorized ``np.unique`` + ``np.add.at`` for numeric keys), the
-   pre-aggregation step bottom-k sampling requires;
-3. **sample** — each shard runs a
-   :class:`~repro.sampling.bottomk.BottomKStreamSampler` over its
-   aggregated keys via the vectorized batch path, with *one shared hasher*
-   across all shards and assignments (the dispersed-coordination device of
-   Section 4);
+   a shard only queues the batch slice as *pending*;
+2. **fold** — at finalization each shard folds just its pending events
+   into its :class:`ShardState`: an aggregated table (unique keys +
+   running per-key totals, the pre-aggregation bottom-k sampling
+   requires) and the table's ``k + 1`` smallest-rank entries.  The pending
+   events are aggregated (vectorized ``np.unique`` for numeric keys), each
+   touched key's running sum is continued in arrival order from its stored
+   total (``np.add.at``), and only the touched keys are re-ranked, with
+   *one shared hasher* across all shards and assignments (the
+   dispersed-coordination device of Section 4);
+3. **select** — the shard's new bottom-(k+1) is taken from *(old entries
+   not touched) ∪ (touched keys)*.  This is exact: weights are
+   non-negative and ranks are non-increasing in the weight at a fixed seed
+   (see :class:`~repro.ranks.families.RankFamily`), so an untouched key
+   outside the old ``k + 1`` can never enter the new one.  Folded events
+   are dropped — the table *is* the buffer — so a query after new data
+   sorts, hashes and ranks O(new events) (plus one array copy of each
+   touched shard's table, which is replaced, never written into), and
+   memory is O(distinct keys + pending events), not O(events);
 4. **merge** — shard sketches are combined exactly with
    :func:`~repro.engine.merge.merge_bottomk`, and per-assignment merged
    sketches are assembled into the union summary with
    :func:`~repro.core.summary.build_summary_from_sketches`.
 
-Every step is deterministic given the hasher salt, so two deployments that
-never communicate — different shard counts, different batch boundaries,
-different event order — produce the *same* summary for the same totals.
+Every step is deterministic given the hasher salt — rank ties (a ~2⁻⁵³
+event) are broken by key within a shard (by seed where keys cannot be
+ordered) and by shard index in the merge, never by arrival — so two
+deployments that never communicate — different shard counts, different
+batch boundaries, different event order, different moments of
+finalization — produce the *same* summary for the same totals.  (Totals
+are float sums in arrival order, so "the same totals" means the same
+per-key event order.)
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+import math
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,12 +62,13 @@ from repro.ranks.hashing import (
     _MASK64,
     KeyHasher,
     _key_to_int,
+    _object_array,
     as_key_array,
     key_array_to_uint64,
     splitmix64,
     splitmix64_array,
 )
-from repro.sampling.bottomk import BottomKSketch, aggregate_stream
+from repro.sampling.bottomk import BottomKSketch
 
 __all__ = ["shard_indices", "ShardedSummarizer"]
 
@@ -86,66 +104,292 @@ def shard_indices(keys, n_shards: int, salt: int = 0) -> np.ndarray:
     return (hashed % np.uint64(n_shards)).astype(np.int64)
 
 
-def vectorized_aggregation_eligible(
-    chunks: "list[tuple[np.ndarray, np.ndarray]]",
-) -> bool:
-    """True when a chunk list takes the concatenate-then-unique path.
+def _smallest(ranks: np.ndarray, tiebreak: np.ndarray, limit: int) -> np.ndarray:
+    """Indices of the ``limit`` smallest ``(rank, tiebreak)`` pairs, ascending.
 
-    One numeric dtype guarantees the concatenation never lossily promotes
-    keys (e.g. large int64 ids to float64).  This predicate is shared with
-    the shared-memory shipping eligibility check in
-    :mod:`repro.engine.parallel`: pre-concatenating a shard's chunks for a
-    worker is bit-identical to serial aggregation precisely when the
-    serial path would concatenate them too, so the two checks must never
-    drift apart.
+    Ties at the cut are all kept for the final sort, so the selection is a
+    function of the pairs alone, never of their order in the input.
     """
-    dtypes = {chunk_keys.dtype for chunk_keys, _ in chunks}
-    return len(dtypes) == 1 and next(iter(dtypes)).kind in "biuf"
+    if len(ranks) > limit:
+        cut = np.partition(ranks, limit - 1)[limit - 1]
+        pool = np.flatnonzero(ranks <= cut)
+    else:
+        pool = np.arange(len(ranks))
+    return pool[np.lexsort((tiebreak[pool], ranks[pool]))[:limit]]
 
 
-class _ShardBuffer:
-    """Raw (keys, weights) chunks destined for one shard sampler."""
+_NO_KEYS = np.empty(0, dtype=np.int64)
+_NO_FLOATS = np.empty(0)
 
-    __slots__ = ("chunks",)
+
+class ShardEntries(NamedTuple):
+    """A shard's ``k + 1`` positive-total keys of smallest rank, ascending.
+
+    The k sample entries plus the key that sets the threshold.  Ties in
+    rank are broken by key in a numeric table and by seed in a generic one
+    (whose keys need not be orderable).
+    """
+
+    keys: np.ndarray = _NO_KEYS
+    ranks: np.ndarray = _NO_FLOATS
+    weights: np.ndarray = _NO_FLOATS
+    seeds: np.ndarray = _NO_FLOATS
+
+    def sketch(self, k: int) -> BottomKSketch:
+        """The shard's bottom-k sketch, as a stream sampler would emit it."""
+        held = len(self.ranks)
+        return BottomKSketch(
+            k=k,
+            keys=self.keys[:k].astype(object),
+            ranks=self.ranks[:k],
+            weights=self.weights[:k],
+            kth_rank=float(self.ranks[k - 1]) if held >= k else math.inf,
+            threshold=float(self.ranks[k]) if held > k else math.inf,
+            seeds=self.seeds[:k],
+        )
+
+
+class ShardDelta(NamedTuple):
+    """What folding some events changes in a shard: O(touched keys).
+
+    ``touched`` are the distinct keys the events carried and ``sums`` their
+    new running totals (zero totals included); ``entries`` is the shard's
+    new bottom-(k+1).  ``touched`` is sorted, in the table's dtype, when
+    the fold stayed numeric, and an object array of Python keys in
+    first-arrival order when it went generic.  ``at`` places the touched
+    keys in the numeric table the delta was computed against (their
+    ``np.searchsorted`` positions; ``None`` when that table was empty or
+    the fold went generic), so applying the delta need not search again.
+    This is all a worker process sends back; the table stays in the
+    parent.
+    """
+
+    touched: np.ndarray
+    sums: np.ndarray
+    entries: ShardEntries
+    at: "np.ndarray | None" = None
+
+
+class ShardState:
+    """Everything one (assignment, shard) keeps of the events it has folded.
+
+    The aggregated table comes in two forms:
+
+    * **numeric** — ``keys`` is a sorted array of the unique keys (one
+      numeric dtype) and ``totals`` the aligned running sums;
+    * **generic** (strings, tuples, mixed dtypes) — ``keys`` is ``None``
+      and ``totals`` a ``dict`` from key to running sum, in first-arrival
+      order.  A numeric table turns generic, once, when a chunk of another
+      dtype arrives.
+
+    A fold is two steps: :meth:`delta` reads the table and computes what
+    the pending events change, :meth:`apply` builds the state after the
+    change.  Nothing is written before :meth:`apply`, so a fold that fails
+    or is interrupted leaves the shard as it was.  Numeric-form arrays are
+    never written after construction — :meth:`apply` builds new ones — so
+    a checkpoint snapshot may share them.  A generic table's dict is
+    updated in place and copied out by :meth:`chunk`.
+    """
+
+    __slots__ = ("keys", "totals", "entries")
+
+    def __init__(
+        self,
+        keys: "np.ndarray | None" = _NO_KEYS,
+        totals: "np.ndarray | dict" = _NO_FLOATS,
+        entries: ShardEntries = ShardEntries(),
+    ) -> None:
+        self.keys = keys
+        self.totals = totals
+        self.entries = entries
+
+    def __len__(self) -> int:
+        """Distinct keys in the table."""
+        return len(self.totals)
+
+    def chunk(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table as one pre-aggregated ``(keys, totals)`` chunk.
+
+        Folding it onto an empty state restores the table exactly
+        (``0 + T == T``), which is how a checkpoint carries it.
+        """
+        if self.keys is not None:
+            return self.keys, self.totals
+        return _object_array(list(self.totals)), np.fromiter(
+            self.totals.values(), dtype=float, count=len(self.totals)
+        )
+
+    def stays_numeric(
+        self, chunks: "list[tuple[np.ndarray, np.ndarray]]"
+    ) -> bool:
+        """One numeric dtype across the table and ``chunks``?
+
+        One dtype guarantees that concatenating the chunks never lossily
+        promotes keys (e.g. large int64 ids to float64).  Decides the form
+        of the fold, and with it whether a process executor can ship the
+        shard through shared memory — pre-concatenating the chunks for a
+        worker is bit-identical precisely when the fold would concatenate
+        them too, so both ask this one predicate.
+        """
+        if self.keys is None:
+            return False
+        dtypes = {chunk_keys.dtype for chunk_keys, _ in chunks}
+        if len(self):
+            dtypes.add(self.keys.dtype)
+        return len(dtypes) == 1 and dtypes.pop().kind in "biuf"
+
+    def _as_dict(self) -> dict:
+        """The table in generic form (the dict itself, if already generic)."""
+        if self.keys is None:
+            return self.totals
+        return dict(zip(self.keys.tolist(), self.totals.tolist()))
+
+    def delta(
+        self,
+        k: int,
+        family: RankFamily,
+        hasher: KeyHasher,
+        chunks: "list[tuple[np.ndarray, np.ndarray]]",
+    ) -> ShardDelta:
+        """What also aggregating ``chunks`` (arrival order) changes.
+
+        Continues each touched key's sum from its stored total with the
+        same float additions a one-shot aggregation performs, re-ranks the
+        touched keys only, and selects the new bottom-(k+1) from the
+        untouched old entries plus the touched keys.  The single source of
+        truth for shard finalization: every executor mode maps this over
+        shards, which is what makes their output bit-identical.
+        """
+        old = self.entries
+        chunks = [chunk for chunk in chunks if len(chunk[0])]
+        if not chunks:
+            return ShardDelta(_NO_KEYS, _NO_FLOATS, old)
+        numeric = self.stays_numeric(chunks)
+        at = None
+        if numeric:
+            touched, sums, at = self._continue_numeric(chunks)
+            untouched = ~_member(
+                touched, old.keys, np.searchsorted(touched, old.keys)
+            )
+            ranked = touched
+        else:
+            running = self._continue_generic(chunks)
+            untouched = np.fromiter(
+                (key not in running for key in old.keys.tolist()),
+                dtype=bool, count=len(old.keys),
+            )
+            touched = _object_array(list(running))
+            sums = np.fromiter(
+                running.values(), dtype=float, count=len(running)
+            )
+            # The key forms process_batch would sample: one canonical
+            # array for hashing, Python natives in the entries.
+            ranked = as_key_array(list(running))
+        live = np.flatnonzero(sums > 0.0)
+        ranked, weights = ranked[live], sums[live]
+        seeds = hasher.hash_array(ranked)
+        if not numeric:
+            ranked = ranked.astype(object)
+        # No concatenation with an empty array of another dtype: int64
+        # beside uint64 would promote the keys to float64.
+        kept = old.keys[untouched]
+        keys = np.concatenate([kept, ranked]) if len(kept) else ranked
+        ranks = np.concatenate([
+            old.ranks[untouched], family.ranks_array(weights, seeds)
+        ])
+        weights = np.concatenate([old.weights[untouched], weights])
+        seeds = np.concatenate([old.seeds[untouched], seeds])
+        best = _smallest(ranks, keys if numeric else seeds, k + 1)
+        return ShardDelta(
+            touched, sums,
+            ShardEntries(keys[best], ranks[best], weights[best], seeds[best]),
+            at,
+        )
+
+    def _continue_numeric(self, chunks):
+        """``(touched keys, their new totals, their table positions)``."""
+        if len(chunks) == 1:
+            (keys, weights), = chunks
+        else:
+            keys = np.concatenate([chunk_keys for chunk_keys, _ in chunks])
+            weights = np.concatenate([chunk_w for _, chunk_w in chunks])
+        touched, inverse = np.unique(keys, return_inverse=True)
+        size = len(self.keys)
+        if size:
+            at = np.searchsorted(self.keys, touched)
+            slot = np.minimum(at, size - 1)
+            sums = np.where(self.keys[slot] == touched, self.totals[slot], 0.0)
+        else:
+            at, sums = None, np.zeros(len(touched))
+        np.add.at(sums, inverse, weights)
+        return touched, sums, at
+
+    def _continue_generic(self, chunks) -> dict:
+        """Dict-form twin of :meth:`_continue_numeric`: touched key -> new
+        total, in first-arrival order."""
+        stored = self._as_dict()
+        running: dict = {}
+        for chunk_keys, chunk_weights in chunks:
+            for key, weight in zip(chunk_keys.tolist(), chunk_weights.tolist()):
+                total = running.get(key)
+                if total is None:
+                    total = stored.get(key, 0.0)
+                running[key] = total + weight
+        return running
+
+    def apply(self, delta: ShardDelta) -> "ShardState":
+        """The state after ``delta``, which was computed against this one."""
+        touched, sums, entries, at = delta
+        if len(touched) == 0:
+            return self
+        if self.keys is None or touched.dtype.hasobject:
+            totals = self._as_dict()
+            totals.update(zip(touched.tolist(), sums.tolist()))
+            return ShardState(None, totals, entries)
+        size = len(self.keys)
+        if size == 0:
+            return ShardState(touched, sums, entries)
+        fresh = ~_member(self.keys, touched, at)
+        n_fresh = int(np.count_nonzero(fresh))
+        if n_fresh == 0:
+            totals = self.totals.copy()
+            totals[at] = sums
+            return ShardState(self.keys, totals, entries)
+        # Merge the sorted fresh keys into the sorted table: a touched key
+        # lands after the old keys below it and the fresh keys before it.
+        dest = at + np.cumsum(fresh) - fresh
+        old = np.ones(size + n_fresh, dtype=bool)
+        old[dest[fresh]] = False
+        keys = np.empty(size + n_fresh, dtype=self.keys.dtype)
+        keys[old] = self.keys
+        keys[dest[fresh]] = touched[fresh]
+        totals = np.empty(size + n_fresh)
+        totals[old] = self.totals
+        totals[dest] = sums
+        return ShardState(keys, totals, entries)
+
+
+def _member(
+    haystack: np.ndarray, needles: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """Membership of ``needles`` in the sorted, non-empty ``haystack``,
+    given their ``np.searchsorted`` positions ``at``."""
+    return haystack[np.minimum(at, len(haystack) - 1)] == needles
+
+
+class _Shard:
+    """One shard's folded state plus the chunks that arrived since."""
+
+    __slots__ = ("state", "pending")
 
     def __init__(self) -> None:
-        self.chunks: list[tuple[np.ndarray, np.ndarray]] = []
+        self.state = ShardState()
+        self.pending: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def append(self, keys: np.ndarray, weights: np.ndarray) -> None:
-        if len(keys):
-            self.chunks.append((keys, weights))
-
-    def aggregated(self) -> tuple[np.ndarray | list, np.ndarray]:
-        """Per-key total weights over all buffered chunks.
-
-        Chunks sharing one numeric key dtype take a vectorized
-        ``np.unique`` + ``np.add.at`` path (a single dtype guarantees the
-        concatenation never lossily promotes keys, e.g. large int64 ids to
-        float64); anything else falls back to
-        :func:`~repro.sampling.bottomk.aggregate_stream`.  Both sum a
-        key's occurrences in arrival order, so totals are bit-identical.
-        """
-        if not self.chunks:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        if vectorized_aggregation_eligible(self.chunks):
-            keys = np.concatenate([ck for ck, _ in self.chunks])
-            weights = np.concatenate([cw for _, cw in self.chunks])
-            uniq, first, inverse = np.unique(
-                keys, return_index=True, return_inverse=True
-            )
-            totals = np.zeros(len(uniq))
-            np.add.at(totals, inverse, weights)
-            # Present keys in first-arrival order, matching the dict path.
-            arrival = np.argsort(first, kind="stable")
-            return uniq[arrival], totals[arrival]
-        totals_by_key = aggregate_stream(
-            (key, float(weight))
-            for chunk_keys, chunk_weights in self.chunks
-            for key, weight in zip(chunk_keys.tolist(), chunk_weights.tolist())
-        )
-        return list(totals_by_key), np.fromiter(
-            totals_by_key.values(), dtype=float, count=len(totals_by_key)
-        )
+    def chunks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Table chunk (if any) then pending chunks: the checkpoint form."""
+        table = [self.state.chunk()] if len(self.state) else []
+        return table + self.pending
 
 
 class ShardedSummarizer:
@@ -167,8 +411,8 @@ class ShardedSummarizer:
     partition_salt:
         extra salt for shard placement (does not affect the summary).
     executor:
-        execution mode for finalization (aggregation + sampling of the
-        key-disjoint shards): ``None``/"serial" (default, inline),
+        execution mode for finalization (folding the pending events of
+        the key-disjoint shards): ``None``/"serial" (default, inline),
         a spec string like ``"thread:4"`` or ``"process:4:16"``, or an
         :class:`~repro.engine.parallel.Executor` instance (caller-owned,
         reused across finalizations).  Because shards are key-disjoint
@@ -207,17 +451,19 @@ class ShardedSummarizer:
         self.hasher = hasher if hasher is not None else KeyHasher(0)
         self.partition_salt = partition_salt
         self.executor = executor
-        self._buffers: dict[str, list[_ShardBuffer]] = {
-            name: [_ShardBuffer() for _ in range(n_shards)]
+        self._shards: dict[str, list[_Shard]] = {
+            name: [_Shard() for _ in range(n_shards)]
             for name in self.assignments
         }
+        # Rows held over all shards: table keys + pending events.
+        self._rows = 0
         # Finalized per-assignment merged sketches, recomputed lazily after
-        # every ingest (aggregation + sampling is O(buffered events)).
+        # every ingest (folding the pending events is O(new events)).
         self._sketch_cache: dict[str, BottomKSketch] | None = None
 
-    def _shards_for(self, assignment: str) -> list[_ShardBuffer]:
+    def _shards_for(self, assignment: str) -> list[_Shard]:
         try:
-            return self._buffers[assignment]
+            return self._shards[assignment]
         except KeyError:
             known = ", ".join(self.assignments)
             raise ValueError(
@@ -280,13 +526,13 @@ class ShardedSummarizer:
         """Feed one key batch carrying weights for several assignments.
 
         Equivalent to calling :meth:`ingest` once per assignment with the
-        same ``keys`` (bit-identical buffered chunks), but the partition —
+        same ``keys`` (bit-identical pending chunks), but the partition —
         hash, stable sort, key gather — is computed once and shared, which
         matters when every event updates all assignments (e.g. bytes and
         packet-count weights of one flow record).
         """
         names = list(weights_by_assignment)
-        buffers_by_name = {name: self._shards_for(name) for name in names}
+        shards_by_name = {name: self._shards_for(name) for name in names}
         keys = as_key_array(keys)
         checked = {
             name: self._checked_weights(keys, weights_by_assignment[name])
@@ -295,28 +541,31 @@ class ShardedSummarizer:
         if len(keys) == 0 or not names:
             return
         self._sketch_cache = None
+        self._rows += len(keys) * len(names)
         if self.n_shards == 1:
             # Copy: the multi-shard path copies via gather indexing; without
             # one here a caller refilling a preallocated batch buffer would
-            # retroactively corrupt every buffered chunk.  One key copy is
+            # retroactively corrupt every pending chunk.  One key copy is
             # shared across assignments, like sorted_keys below.
             keys = keys.copy()
             for name in names:
-                buffers_by_name[name][0].append(keys, checked[name].copy())
+                shards_by_name[name][0].pending.append(
+                    (keys, checked[name].copy())
+                )
             return
         order, bounds = self._partition_order(keys)
         sorted_keys = keys[order]
         for name in names:
             sorted_weights = checked[name][order]
-            buffers = buffers_by_name[name]
+            shards = shards_by_name[name]
             for shard in range(self.n_shards):
                 lo, hi = bounds[shard], bounds[shard + 1]
                 if hi > lo:
                     # Slices view the per-batch copies made above, so later
                     # caller mutation of the ingested arrays cannot reach
                     # them.
-                    buffers[shard].append(
-                        sorted_keys[lo:hi], sorted_weights[lo:hi]
+                    shards[shard].pending.append(
+                        (sorted_keys[lo:hi], sorted_weights[lo:hi])
                     )
 
     def ingest_stream(
@@ -334,58 +583,80 @@ class ShardedSummarizer:
     def _merged_sketches(self) -> dict[str, BottomKSketch]:
         """Finalized per-assignment sketches, cached until the next ingest.
 
-        These are internal state: callers go through :meth:`sketches`,
-        which hands out defensive copies.
+        Folds every shard that has pending chunks (shards without are
+        already current), then merges the shard sketches.  These are
+        internal state: callers go through :meth:`sketches`, which hands
+        out defensive copies.
         """
         if self._sketch_cache is None:
-            from repro.engine.parallel import (
-                build_shard_tasks,
-                executor_scope,
-                release_shipment,
-                sample_shard_task,
-            )
+            from repro.engine.parallel import SerialExecutor, executor_scope
 
-            buffers = [
-                (name, shard, buffer)
+            stale = [
+                shard
                 for name in self.assignments
-                for shard, buffer in enumerate(self._buffers[name])
+                for shard in self._shards[name]
+                if shard.pending
             ]
-            shipments: list = []
             with executor_scope(self.executor) as executor:
-
-                def tasks():
-                    for task, shm in build_shard_tasks(
-                        self.k, self.family, self.hasher, buffers,
-                        executor.cross_process,
-                    ):
-                        shipments.append(shm)
-                        yield task
-
-                def release(index: int) -> None:
-                    # Free each task's segment as its result lands, so
-                    # live shared memory is bounded by the backpressure
-                    # window, not the full buffered dataset.
-                    if index < len(shipments):
-                        release_shipment(shipments[index])
-                        shipments[index] = None
-
-                try:
-                    sketches = executor.map(
-                        sample_shard_task, tasks(), on_result=release
-                    )
-                finally:
-                    for shm in shipments:
-                        release_shipment(shm)
-            per_assignment: dict[str, list[BottomKSketch]] = {
-                name: [] for name in self.assignments
-            }
-            for (name, _shard, _buffer), sketch in zip(buffers, sketches):
-                per_assignment[name].append(sketch)
+                if executor.cross_process:
+                    # Only numeric shards ship through shared memory.
+                    # Pickling Python-object keys and a dict table to a
+                    # worker costs more than the dict fold it would
+                    # offload, so those shards fold here.
+                    self._fold(SerialExecutor(), [
+                        shard for shard in stale
+                        if not shard.state.stays_numeric(shard.pending)
+                    ])
+                    stale = [shard for shard in stale if shard.pending]
+                self._fold(executor, stale)
             self._sketch_cache = {
-                name: merge_bottomk(*shard_sketches)
-                for name, shard_sketches in per_assignment.items()
+                name: merge_bottomk(
+                    *(shard.state.entries.sketch(self.k) for shard in shards)
+                )
+                for name, shards in self._shards.items()
             }
         return self._sketch_cache
+
+    def _fold(self, executor, stale: "list[_Shard]") -> None:
+        """Fold the pending chunks of ``stale`` shards into their states.
+
+        The executor maps :meth:`ShardState.delta` over the shards; each
+        delta is applied here as it lands, so the shard's pending chunks
+        (and its staged segment) are released then — the peak holds one
+        shard's old and new table, not every shard's, and live shared
+        memory is bounded by the backpressure window.
+        """
+        from repro.engine.parallel import (
+            build_shard_tasks,
+            fold_shard_task,
+            release_shipment,
+        )
+
+        shipments: list = []
+
+        def tasks():
+            for task, shm in build_shard_tasks(
+                self.k, self.family, self.hasher, stale,
+                executor.cross_process,
+            ):
+                shipments.append(shm)
+                yield task
+
+        def adopt(index: int, delta: ShardDelta) -> None:
+            release_shipment(shipments[index])
+            shipments[index] = None
+            shard = stale[index]
+            held = len(shard.state) + sum(
+                len(chunk_keys) for chunk_keys, _ in shard.pending
+            )
+            shard.state, shard.pending = shard.state.apply(delta), []
+            self._rows += len(shard.state) - held
+
+        try:
+            executor.map(fold_shard_task, tasks(), on_result=adopt)
+        finally:
+            for shm in shipments:
+                release_shipment(shm)
 
     def sketches(self) -> dict[str, BottomKSketch]:
         """Aggregate, sample, and merge: one bottom-k sketch per assignment.
@@ -437,11 +708,15 @@ class ShardedSummarizer:
     def checkpoint_state(self) -> "SummarizerCheckpoint":
         """Freeze the summarizer for :mod:`repro.store.checkpoint`.
 
-        Captures configuration, coordination salts, and every buffered raw
-        chunk in arrival order.  Restoring (:meth:`from_checkpoint`) and
-        finishing the stream is bit-identical to never having stopped.
-        Chunk arrays are shared, not copied: the summarizer only ever
-        appends new chunks, so the snapshot stays valid while it lives.
+        Captures configuration, coordination salts, and per shard its
+        aggregated table as one pre-aggregated ``(keys, totals)`` chunk
+        followed by the pending raw chunks in arrival order.  Restoring
+        (:meth:`from_checkpoint`) and finishing the stream is bit-identical
+        to never having stopped (folding the table chunk first gives
+        ``0 + T == T``, then every later addition is the same).  Chunk
+        arrays are shared, not copied: the summarizer only ever appends
+        chunks and replaces — never writes into — a table's arrays, so the
+        snapshot stays valid while it lives.
         """
         from repro.store.codec import SummarizerCheckpoint
 
@@ -458,8 +733,8 @@ class ShardedSummarizer:
             hasher_salt=self.hasher.salt,
             partition_salt=self.partition_salt,
             chunks={
-                name: [list(buffer.chunks) for buffer in buffers]
-                for name, buffers in self._buffers.items()
+                name: [shard.chunks() for shard in shards]
+                for name, shards in self._shards.items()
             },
         )
 
@@ -472,7 +747,7 @@ class ShardedSummarizer:
         """Rebuild a summarizer from a checkpoint snapshot.
 
         The restored instance has the same configuration, salts, and
-        buffered chunks (in arrival order), so continuing the stream
+        chunks (pending, in checkpoint order), so continuing the stream
         produces summaries bit-identical to an uninterrupted run.  The
         executor is runtime configuration, not stream state: it is never
         captured in a checkpoint, and the restored summarizer may finalize
@@ -488,10 +763,13 @@ class ShardedSummarizer:
             executor=executor,
         )
         for name in restored.assignments:
-            for shard, chunk_list in enumerate(state.chunks[name]):
-                restored._buffers[name][shard].chunks = [
+            for shard, chunk_list in zip(
+                restored._shards[name], state.chunks[name]
+            ):
+                shard.pending = [
                     (keys, weights) for keys, weights in chunk_list
                 ]
+        restored._rows = state.buffered_events
         return restored
 
     def save_checkpoint(self, path) -> int:
@@ -511,18 +789,18 @@ class ShardedSummarizer:
 
     @property
     def buffered_events(self) -> int:
-        """Raw events currently buffered, summed over all assignments.
+        """Rows held, summed over all assignments and shards: aggregated
+        keys plus not-yet-folded events.  O(1).
 
-        A diagnostics counter (service status endpoints, ``__repr__``):
-        zero means finalization would produce empty sketches, which is the
-        signal the live-window layer uses to skip writing empty bundles.
+        Before the first finalization this is the raw event count; a fold
+        replaces the events it aggregates by their distinct keys.  A
+        checkpoint → resume cycle preserves it (the table travels as one
+        row per key).  A diagnostics counter (service status endpoints,
+        ``__repr__``): zero means nothing was ever ingested and
+        finalization would produce empty sketches, which is the signal the
+        live-window layer uses to skip writing empty bundles.
         """
-        return sum(
-            len(chunk_keys)
-            for buffers in self._buffers.values()
-            for buffer in buffers
-            for chunk_keys, _ in buffer.chunks
-        )
+        return self._rows
 
     def __repr__(self) -> str:
         return (

@@ -35,6 +35,16 @@ class RankFamily(ABC):
     Subclasses implement the CDF and inverse CDF; everything else in the
     library (samplers, estimators) is written against this interface, so EXP
     and IPPS ranks are interchangeable throughout.
+
+    Invariant every family must keep, in IEEE arithmetic and not only on
+    paper: at a fixed seed ``u``, ``ranks_array(w, u)`` is non-increasing
+    in ``w`` — a key whose weight grows never gets a larger rank.  Both
+    families here divide a seed-only numerator by ``w``, and a correctly
+    rounded division is monotone in its divisor.  The engine's incremental
+    finalization rests on it (an untouched key outside a shard's ``k + 1``
+    smallest ranks can never enter them when other keys' totals grow), as
+    does :meth:`~repro.sampling.bottomk.BottomKSketch.scaled` (a uniform
+    factor preserves rank order).
     """
 
     #: short identifier used in experiment configs and reports

@@ -218,9 +218,7 @@ class QueryPlanner:
                 live = None
                 live_events = 0
                 if self._live_in_window(window.bucket, since, until):
-                    live = manager.live_bundle(namespace)
-                    if live is not None:
-                        live_events = window.events
+                    _bucket, live_events, live = manager.live_view(namespace)
             key = (namespace, version, since, until)
             cached = self._engine_cache_get(key)
             if cached is not None:

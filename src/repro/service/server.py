@@ -113,6 +113,7 @@ class SummaryService(HttpServerBase):
             executor=config.executor,
             clock=clock,
             metrics=self.metrics,
+            tracer=self.tracer,
         )
         self.planner = QueryPlanner(
             self.manager,

@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.obs import default_registry
+from repro.obs import default_registry, default_tracer
 from repro.service.config import NamespaceConfig
 from repro.store.store import (
     BUNDLE_KINDS,
@@ -70,14 +70,19 @@ LIVE_PART = "live"
 class LiveWindow:
     """One namespace's in-memory summarizer plus its current bucket.
 
-    ``events`` mirrors the summarizer's ``buffered_events`` (raw buffered
-    rows summed over assignments); zero means rotation has nothing to
-    publish.
+    ``events`` is the summarizer's ``buffered_events``: the rows it holds
+    — aggregated keys plus not-yet-folded events, summed over assignments
+    — so it counts raw events until the window's first query or flush and
+    distinct keys after one, identically before and after a checkpoint →
+    resume.  Zero means rotation has nothing to publish.
     """
 
     summarizer: object
     bucket: str
-    events: int = 0
+
+    @property
+    def events(self) -> int:
+        return self.summarizer.buffered_events
 
 
 class LiveWindowManager:
@@ -114,6 +119,7 @@ class LiveWindowManager:
         executor: "str | None | object" = None,
         clock: Callable[[], float] = time.time,
         metrics=None,
+        tracer=None,
     ) -> None:
         self.store = store
         self.granularity = granularity
@@ -122,6 +128,7 @@ class LiveWindowManager:
         self._metrics = (
             metrics if metrics is not None else default_registry()
         )
+        self._tracer = tracer if tracer is not None else default_tracer()
         self._ingest_events = self._metrics.counter(
             "repro_ingest_events_total",
             "Events applied to live windows, by namespace.",
@@ -131,6 +138,11 @@ class LiveWindowManager:
             "repro_ingest_apply_seconds",
             "Latency of applying one ingest batch to its live window.",
             labelnames=("namespace",),
+        )
+        self._live_finalize_seconds = self._metrics.histogram(
+            "repro_live_finalize_seconds",
+            "Latency of building a live window's sketch bundle (folding "
+            "its new events).",
         )
         self._rotations = self._metrics.counter(
             "repro_window_rotations_total",
@@ -267,11 +279,7 @@ class LiveWindowManager:
             self.store.remove(
                 entry.namespace, entry.bucket, entry.part, missing_ok=True
             )
-        return LiveWindow(
-            summarizer=summarizer,
-            bucket=entries[-1].bucket,
-            events=summarizer.buffered_events,
-        )
+        return LiveWindow(summarizer=summarizer, bucket=entries[-1].bucket)
 
     # -- introspection --------------------------------------------------------
 
@@ -329,12 +337,12 @@ class LiveWindowManager:
             }
 
     def live_bundle(self, namespace: str):
-        """The live window's sketch bundle, or ``None`` when it is empty."""
-        with self._lock:
-            window = self._window(namespace)
-            if window.events == 0:
-                return None
-            return window.summarizer.sketch_bundle()
+        """The bundle of :meth:`live_view` alone.
+
+        Kept for the frozen benchmark probe (``benchmarks/perf``), its
+        last caller; new code reads :meth:`live_view`.
+        """
+        return self.live_view(namespace)[2]
 
     def live_view(self, namespace: str) -> tuple[str, int, "object | None"]:
         """Atomic ``(bucket, events, bundle)`` snapshot of the live window.
@@ -343,13 +351,22 @@ class LiveWindowManager:
         ``None`` when the window is empty) is guaranteed to belong to the
         returned bucket — the invariant the query planner's temporal
         snapshot needs when it decides which windows the live data falls
-        into.
+        into.  Building the bundle is where the window's pending events
+        are folded, so it runs under a ``live-finalize`` span and the
+        ``repro_live_finalize_seconds`` histogram; an empty window builds
+        nothing and records nothing.
         """
         with self._lock:
             window = self._window(namespace)
-            bundle = (
-                window.summarizer.sketch_bundle() if window.events else None
-            )
+            if not window.events:
+                return window.bucket, 0, None
+            started = time.perf_counter()
+            with self._tracer.span("live-finalize", namespace=namespace):
+                bundle = window.summarizer.sketch_bundle()
+            if self._metrics.enabled:
+                self._live_finalize_seconds.observe(
+                    time.perf_counter() - started
+                )
             return window.bucket, window.events, bundle
 
     # -- mutation -------------------------------------------------------------
@@ -380,10 +397,6 @@ class LiveWindowManager:
                 self._ingest_seconds.observe(
                     time.perf_counter() - started, namespace=namespace
                 )
-            # Derived, not accumulated: stays consistent with what a
-            # checkpoint/resume cycle reconstructs (raw buffered rows,
-            # summed over assignments).
-            window.events = window.summarizer.buffered_events
             ingest_seq = self.store.runtime.record_ingest(namespace, count)
             window_seq, _ = self._live_seqs[namespace]
             self._live_seqs[namespace] = (window_seq, ingest_seq)

@@ -224,13 +224,15 @@ class SummarizerCheckpoint:
     """Snapshot of a :class:`~repro.engine.ShardedSummarizer` mid-ingestion.
 
     Captures the full configuration (so re-hashing stays coordinated) plus
-    every buffered raw-event chunk per (assignment, shard) in arrival
+    every chunk a shard holds per (assignment, shard): its aggregated
+    table as one pre-aggregated ``(keys, totals)`` chunk, if it has folded
+    any events, then the raw-event chunks that arrived since, in arrival
     order.  Restoring and finishing the stream is therefore bit-identical
     to never having been interrupted: aggregation order, shard placement,
     and rank seeds are all reproduced exactly.
 
     ``chunks[assignment][shard]`` is the list of ``(keys, weights)`` array
-    pairs buffered for that shard sampler.
+    pairs held for that shard.
     """
 
     k: int
@@ -256,6 +258,9 @@ class SummarizerCheckpoint:
 
     @property
     def buffered_events(self) -> int:
+        """Rows held: aggregated keys plus not-yet-folded events, summed
+        over assignments — what ``ShardedSummarizer.buffered_events``
+        reported at the snapshot and reports again after a restore."""
         return sum(
             len(keys)
             for shards in self.chunks.values()

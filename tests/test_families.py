@@ -60,6 +60,27 @@ class TestFamilyContract:
         lo, hi = sorted((w1, w2))
         assert family.rank(hi, u) <= family.rank(lo, u)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @given(
+        base=st.lists(
+            st.floats(min_value=0.0, allow_nan=False), min_size=1, max_size=40
+        ),
+        u=st.floats(min_value=2.0**-65, max_value=1.0 - 2.0**-53),
+    )
+    @settings(max_examples=200)
+    def test_ranks_array_non_increasing_in_weight(self, family, base, u):
+        """The IEEE form of the contract, over the whole float range:
+        zeros, denormals (rank overflows to inf), neighbouring floats,
+        totals that overflowed to inf.  Incremental shard finalization and
+        ``BottomKSketch.scaled`` both rest on it."""
+        base = np.array(base)
+        grid = np.unique(np.concatenate(
+            [base, np.nextafter(base, np.inf), np.nextafter(base, 0.0)]
+        ))
+        ranks = family.ranks_array(grid, np.full(len(grid), u))
+        assert not np.isnan(ranks).any()
+        assert (ranks[1:] <= ranks[:-1]).all()
+
     def test_zero_weight_never_sampled(self, family):
         assert family.rank(0.0, 0.5) == math.inf
         assert family.cdf(0.0, 100.0) == 0.0

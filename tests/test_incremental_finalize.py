@@ -1,0 +1,371 @@
+"""Incremental shard finalization: folding is invisible in the output.
+
+A :class:`ShardedSummarizer` folds only the events that arrived since its
+last finalization into per-shard aggregated tables.  The contract pinned
+here: *when* it folds — after every batch, never, across a checkpoint →
+resume, under any executor — changes nothing.  The sketches are
+``BottomKSketch.equals`` (bit for bit) to a one-shot summarizer fed the
+same events and to one ``BottomKStreamSampler`` over ``aggregate_stream``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import ProcessExecutor, ShardedSummarizer, ThreadExecutor
+from repro.ranks.families import ExponentialRanks, IppsRanks
+from repro.ranks.hashing import KeyHasher
+from repro.sampling.bottomk import BottomKStreamSampler, aggregate_stream
+from repro.store.codec import decode, encode
+
+FAMILIES = {"ipps": IppsRanks(), "exp": ExponentialRanks()}
+NAMES = ["h1", "h2"]
+
+# Zero weights are legal (recorded, never sampled); positive ones stay in
+# a range where u/w cannot overflow to an inf rank shared by several keys.
+weights = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e6))
+
+KEY_KINDS = {
+    "int": lambda ids: np.array(ids, dtype=np.int64),
+    "float": lambda ids: np.array(ids, dtype=float) + 0.5,
+    # ids a float64 cannot hold: any promotion on the way corrupts them
+    "uint64": lambda ids: np.array(ids, dtype=np.uint64) + np.uint64(2**63),
+    "str": lambda ids: [f"key-{i}" for i in ids],
+}
+
+
+def _mixed(ids, flavour):
+    """One batch of a mixed-dtype stream: the same logical key arrives as
+    int, as integral float, inside an object batch — and beside strings."""
+    if flavour == 0:
+        return np.array(ids, dtype=np.int64)
+    if flavour == 1:
+        return np.array(ids, dtype=float)  # integral floats == the ints
+    if flavour == 2:
+        return [f"key-{i}" if i % 3 == 0 else i for i in ids] + [("t", 1)]
+    return np.array(ids, dtype=float) / 2.0  # halves: ints and x.5
+
+
+@st.composite
+def batches(draw, kind):
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=30))
+    if kind == "mixed":
+        keys = _mixed(ids, draw(st.integers(0, 3)))
+    else:
+        keys = KEY_KINDS[kind](ids)
+    n = len(keys)
+    names = draw(st.sampled_from([["h1"], ["h2"], NAMES]))
+    return keys, {
+        name: np.array(draw(st.lists(weights, min_size=n, max_size=n)))
+        for name in names
+    }
+
+
+@st.composite
+def scripts(draw):
+    """Ingest batches interleaved with finalizations and resumes."""
+    kind = draw(st.sampled_from([*KEY_KINDS, "mixed"]))
+    steps = []
+    for _ in range(draw(st.integers(1, 7))):
+        steps.append(("ingest", draw(batches(kind))))
+        extra = draw(st.sampled_from(["none", "none", "summary", "resume"]))
+        if extra != "none":
+            steps.append((extra, None))
+    return steps
+
+
+@pytest.fixture(scope="module")
+def executors():
+    pools = {
+        "serial": None,
+        "thread:2": ThreadExecutor(workers=2),
+        "process:2": ProcessExecutor(workers=2),
+    }
+    yield pools
+    for pool in pools.values():
+        if pool is not None:
+            pool.close()
+
+
+def feed(engine, keys, by_name):
+    """One batch through ``ingest`` (one assignment) or ``ingest_multi``."""
+    if len(by_name) == 1:
+        ((name, batch_weights),) = by_name.items()
+        engine.ingest(name, keys, batch_weights)
+    else:
+        engine.ingest_multi(keys, by_name)
+
+
+def stream_reference(events, k, family, salt):
+    """One sampler per assignment over the aggregated stream so far."""
+    out = {}
+    for name in NAMES:
+        sampler = BottomKStreamSampler(k, family, KeyHasher(salt))
+        totals = aggregate_stream(events[name])
+        if totals:
+            keys = np.empty(len(totals), dtype=object)
+            for pos, key in enumerate(totals):
+                keys[pos] = key
+            sampler.process_batch(
+                keys, np.fromiter(totals.values(), dtype=float)
+            )
+        out[name] = sampler.sketch()
+    return out
+
+
+def assert_equal_sketches(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].equals(want[name]), name
+
+
+class TestInterleavings:
+    @given(
+        script=scripts(),
+        k=st.integers(1, 6),
+        n_shards=st.integers(1, 6),
+        family=st.sampled_from(sorted(FAMILIES)),
+        salt=st.integers(0, 2**32),
+        mode=st.sampled_from(["serial", "thread:2", "process:2"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_interleaving_equals_one_shot(
+        self, script, k, n_shards, family, salt, mode, executors
+    ):
+        fam = FAMILIES[family]
+
+        def fresh(executor=None):
+            return ShardedSummarizer(
+                k, NAMES, n_shards=n_shards, family=fam,
+                hasher=KeyHasher(salt), executor=executor,
+            )
+
+        folding, one_shot = fresh(executors[mode]), fresh()
+        events = {name: [] for name in NAMES}
+        for step, batch in script:
+            if step == "ingest":
+                keys, by_name = batch
+                feed(folding, keys, by_name)
+                feed(one_shot, keys, by_name)
+                listed = keys.tolist() if isinstance(keys, np.ndarray) else keys
+                for name, batch_weights in by_name.items():
+                    events[name].extend(zip(listed, batch_weights.tolist()))
+            elif step == "summary":
+                folding.summary()
+                assert_equal_sketches(
+                    folding.sketches(), stream_reference(events, k, fam, salt)
+                )
+            else:
+                rows = folding.buffered_events
+                folding = ShardedSummarizer.from_checkpoint(
+                    decode(encode(folding.checkpoint_state())),
+                    executor=executors[mode],
+                )
+                assert folding.buffered_events == rows
+        final = folding.sketches()
+        assert_equal_sketches(final, one_shot.sketches())
+        assert_equal_sketches(final, stream_reference(events, k, fam, salt))
+        assert folding.summary().equals(one_shot.summary())
+
+
+def summarizer(k=2, n_shards=1, **kwargs):
+    return ShardedSummarizer(
+        k, ["a"], n_shards=n_shards, hasher=KeyHasher(3), **kwargs
+    )
+
+
+def one_shot_sketch(batches_, **kwargs):
+    engine = summarizer(**kwargs)
+    for keys, batch_weights in batches_:
+        engine.ingest("a", keys, batch_weights)
+    return engine.sketches()["a"]
+
+
+def folded_sketch(batches_, **kwargs):
+    engine = summarizer(**kwargs)
+    for keys, batch_weights in batches_:
+        engine.ingest("a", keys, batch_weights)
+        engine.summary()
+    return engine.sketches()["a"]
+
+
+class TestEntryMovement:
+    """The moves of the stored k+1 entries, one at a time (one shard)."""
+
+    keys = np.arange(12)
+
+    def ranked(self, batch_weights):
+        """Keys of a one-shot k=12 sketch: every positive key, by rank."""
+        return one_shot_sketch([(self.keys, batch_weights)], k=12).keys.tolist()
+
+    def test_key_grows_from_outside_the_sample_into_it(self):
+        base = np.ones(12)
+        last = self.ranked(base)[-1]  # far outside the stored k+1 = 3
+        grow = (np.array([last]), np.array([1e9]))
+        script = [(self.keys, base), grow]
+        got = folded_sketch(script)
+        assert last in got
+        assert got.equals(one_shot_sketch(script))
+
+    def test_threshold_key_is_carried_and_promoted(self):
+        """The (k+1)-th entry sets the threshold while untouched — other
+        keys overtaking it can only push it out, ranks never grow — and
+        joins the sample, counted once, when its own total grows."""
+        base = np.ones(12)
+        order = self.ranked(base)
+        threshold_key, outsider = order[2], order[5]
+        script = [(self.keys, base)]
+        assert folded_sketch(script).threshold == one_shot_sketch(
+            script, k=3
+        ).ranks[2]
+        promoted = script + [(np.array([threshold_key]), np.array([1e9]))]
+        got = folded_sketch(promoted)
+        assert got.keys.tolist()[0] == threshold_key
+        assert got.equals(one_shot_sketch(promoted))
+        displaced = script + [(np.array([outsider]), np.array([1e9]))]
+        got = folded_sketch(displaced)
+        assert threshold_key not in got
+        assert got.equals(one_shot_sketch(displaced))
+
+    def test_fewer_than_k_keys_and_zero_totals(self):
+        script = [
+            (np.array([1, 2, 3]), np.array([0.0, 2.0, 0.0])),
+            (np.array([3, 4]), np.array([0.0, 0.0])),
+            (np.array([1]), np.array([5.0])),  # a zero total turns positive
+        ]
+        got = folded_sketch(script, k=8, n_shards=3)
+        assert sorted(got.keys.tolist()) == [1, 2]
+        assert got.threshold == np.inf and got.kth_rank == np.inf
+        assert got.equals(one_shot_sketch(script, k=8, n_shards=3))
+
+    def test_numeric_table_turns_generic_once(self):
+        script = [
+            (np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0])),
+            (np.array([2.0, 2.5]), np.array([1.0, 1.0])),
+            (["x", 3], np.array([4.0, 1.0])),
+        ]
+        got = folded_sketch(script, k=3)
+        assert got.equals(one_shot_sketch(script, k=3))
+        state = summarizer(k=3)
+        for keys, batch_weights in script:
+            state.ingest("a", keys, batch_weights)
+            state.summary()
+        table = state._shards["a"][0].state
+        assert table.keys is None
+        assert table.totals == {1: 1.0, 2: 3.0, 3: 4.0, 2.5: 1.0, "x": 4.0}
+
+
+class _OneSeed(KeyHasher):
+    """Every key hashes to the same seed: equal weights tie in rank."""
+
+    def hash_array(self, keys):
+        return np.full(len(keys), 0.5)
+
+
+class TestRankTies:
+    @given(order=st.permutations(list(range(10))), cut=st.integers(0, 10))
+    @settings(max_examples=25, deadline=None)
+    def test_ties_break_by_key_not_by_arrival(self, order, cut):
+        engine = ShardedSummarizer(3, ["a"], n_shards=1, hasher=_OneSeed(0))
+        keys = np.array(order)
+        engine.ingest("a", keys[:cut], np.ones(cut))
+        engine.summary()
+        engine.ingest("a", keys[cut:], np.ones(10 - cut))
+        sketch = engine.sketches()["a"]
+        assert sketch.keys.tolist() == [0, 1, 2]
+        assert sketch.kth_rank == sketch.threshold == 0.5
+
+
+class TestSnapshotIsolation:
+    """checkpoint_state() shares arrays; a later fold must not reach them."""
+
+    @pytest.mark.parametrize("kind", ["int", "str"])
+    @pytest.mark.parametrize("later_ids", [60, 120], ids=["known", "fresh"])
+    def test_snapshot_restores_the_earlier_summary(self, kind, later_ids):
+        """Take a snapshot of a folded window, ingest more — totals of
+        known keys only, or fresh keys too — finalize, and restore."""
+        make = KEY_KINDS[kind]
+        rng = np.random.default_rng(4)
+        engine = ShardedSummarizer(
+            8, NAMES, n_shards=3, hasher=KeyHasher(9)
+        )
+        first = make(list(range(60)) + rng.integers(0, 60, 140).tolist())
+        engine.ingest_multi(first, {n: rng.pareto(1.3, 200) for n in NAMES})
+        earlier = engine.summary()  # folds: the snapshot holds a table
+        snapshot = engine.checkpoint_state()
+        wire = encode(snapshot)
+        second = make(rng.integers(0, later_ids, 300).tolist())
+        engine.ingest_multi(second, {n: rng.pareto(1.3, 300) for n in NAMES})
+        later = engine.summary()
+        assert not later.equals(earlier)
+        assert encode(snapshot) == wire
+        assert snapshot.restore().summary().equals(earlier)
+
+
+class _FailsOnce(KeyHasher):
+    """Raises on the first hash after being armed — mid-fold, after the
+    pending events were aggregated."""
+
+    armed = False
+
+    def hash_array(self, keys):
+        if self.armed:
+            self.armed = False
+            raise RuntimeError("boom")
+        return super().hash_array(keys)
+
+
+class TestFailedFoldIsRetrySafe:
+    """A fold that raises leaves the shard as it was, pending included."""
+
+    @pytest.mark.parametrize("kind", ["int", "str", "mixed"])
+    @pytest.mark.parametrize("mode", ["serial", "thread:2"])
+    def test_retry_after_a_failing_fold_counts_nothing_twice(
+        self, kind, mode, executors
+    ):
+        make = KEY_KINDS.get(kind, lambda ids: _mixed(ids, 2))
+        rng = np.random.default_rng(6)
+        first = (make(rng.integers(0, 30, 80).tolist()), rng.pareto(1.3, 80))
+        second = (make(rng.integers(0, 50, 80).tolist()), rng.pareto(1.3, 80))
+        if kind == "mixed":  # _mixed appends one tuple key
+            first = (first[0], np.append(first[1], 1.0))
+            second = (second[0], np.append(second[1], 1.0))
+        hasher = _FailsOnce(3)
+        engine = ShardedSummarizer(
+            4, ["a"], n_shards=2, hasher=hasher, executor=executors[mode]
+        )
+        engine.ingest("a", *first)
+        engine.summary()  # the failing fold below lands on a table
+        engine.ingest("a", *second)
+        rows = engine.buffered_events
+        hasher.armed = True
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.summary()
+        assert engine.buffered_events <= rows  # a shard may have landed
+        got = engine.sketches()["a"]
+        assert got.equals(one_shot_sketch([first, second], k=4, n_shards=2))
+
+
+class TestBufferedEvents:
+    @pytest.mark.parametrize("kind", ["int", "str"])
+    def test_rows_held_across_fold_and_resume(self, kind):
+        make = KEY_KINDS[kind]
+        engine = ShardedSummarizer(4, NAMES, n_shards=3, hasher=KeyHasher(1))
+        keys = make([1, 2, 2, 3, 3, 3])
+        engine.ingest_multi(keys, {n: np.ones(6) for n in NAMES})
+        assert engine.buffered_events == 12  # raw events, both assignments
+        engine.summary()
+        assert engine.buffered_events == 6  # 3 distinct keys each
+        engine.ingest("h1", make([3, 4]), np.ones(2))
+        assert engine.buffered_events == 8  # + 2 pending events
+        state = engine.checkpoint_state()
+        assert state.buffered_events == 8
+        resumed = decode(encode(state)).restore()
+        assert resumed.buffered_events == 8
+        for each in (engine, resumed):
+            each.summary()
+            assert each.buffered_events == 7  # h1 gained key 4
+        assert ShardedSummarizer(4, NAMES).buffered_events == 0

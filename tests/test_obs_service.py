@@ -100,6 +100,7 @@ class TestServiceMetrics:
         assert samples[
             ("repro_query_plan_seconds_count", (("namespace", "web"),))
         ] >= 1
+        assert samples[("repro_live_finalize_seconds_count", ())] >= 1
         assert samples[
             ("repro_result_cache_lookups_total", (("outcome", "miss"),))
         ] >= 1
@@ -148,11 +149,17 @@ class TestServiceTracing:
         for span in spans:
             by_name.setdefault(span["name"], []).append(span)
         root = by_name["POST /query"][0]
-        for child_name in ("parse", "plan", "cache-probe", "engine-build"):
+        for child_name in (
+            "parse", "plan", "cache-probe", "live-finalize", "engine-build"
+        ):
             child = by_name[child_name][0]
             assert child["trace"] == root["trace"]
             assert child["parent"] is not None
         assert by_name["plan"][0]["parent"] == root["span"]
+        # folding the live window is its own child of plan, beside (not
+        # inside) engine-build
+        assert by_name["live-finalize"][0]["parent"] == by_name["plan"][0]["span"]
+        assert by_name["engine-build"][0]["parent"] == by_name["plan"][0]["span"]
         assert by_name["ingest-apply"][0]["tags"]["events"] == len(keys)
 
     def test_error_body_and_service_error_carry_trace(self, service):
@@ -310,6 +317,11 @@ class TestClusterObservability:
             assert all(
                 span["parent"] is not None for span in joined
             ), "the worker span is a child of the slot-fetch span"
+            assert any(
+                span["name"] == "live-finalize"
+                and span["trace"] == root["trace"]
+                for span in worker_spans
+            ), f"worker {worker_id} must show its live-window fold"
 
         # -- both layers expose parseable Prometheus text
         coordinator_samples = parse_prometheus_text(

@@ -121,7 +121,7 @@ def offline_span_engine(manager, span_lo, span_hi, decay_s, anchor):
         scales.append(
             1.0 if decay_s is None else decay_factor(lo, anchor, decay_s)
         )
-    live = manager.live_bundle("web")
+    live = manager.live_view("web")[2]
     if live is not None:
         lo, hi = bucket_bounds(window.bucket)
         if not (hi <= span_lo or lo >= span_hi):
