@@ -36,23 +36,38 @@ import numpy as np
 from repro.sampling.bottomk import BottomKSketch
 from repro.sampling.poisson import PoissonSketch
 
-__all__ = ["merge_bottomk", "merge_poisson"]
+__all__ = [
+    "merge_bottomk",
+    "merge_poisson",
+    "disjoint_union",
+    "refuse_duplicates",
+]
 
 _INF = math.inf
 
 
-def _check_disjoint(sketches) -> None:
+def refuse_duplicates(seen: set, keys) -> None:
+    """Raise the merges' duplicate-key ``ValueError`` for a key in ``seen``."""
+    if not seen.isdisjoint(keys):
+        raise ValueError(
+            f"key {next(iter(seen.intersection(keys)))!r} is present in more "
+            "than one sketch; merging requires key-disjoint partitions "
+            "(aggregate per key before sampling, or partition the stream by "
+            "key)"
+        )
+
+
+def disjoint_union(key_sets) -> set:
+    """Union of the parts' key sets, refusing a key two parts share."""
     seen: set = set()
-    for sk in sketches:
-        members = set(sk.keys.tolist())
-        overlap = seen.intersection(members)
-        if overlap:
-            raise ValueError(
-                f"key {next(iter(overlap))!r} is present in more than one "
-                "sketch; merging requires key-disjoint partitions (aggregate "
-                "per key before sampling, or partition the stream by key)"
-            )
-        seen |= members
+    for members in key_sets:
+        refuse_duplicates(seen, members)
+        seen.update(members)
+    return seen
+
+
+def _check_disjoint(sketches) -> None:
+    disjoint_union(sk.keys.tolist() for sk in sketches)
 
 
 def _concat_entries(sketches):
@@ -72,14 +87,18 @@ def _concat_entries(sketches):
     return keys, ranks, weights, seeds
 
 
-def merge_bottomk(*sketches: BottomKSketch) -> BottomKSketch:
+def merge_bottomk(
+    *sketches: BottomKSketch, disjoint: bool = False
+) -> BottomKSketch:
     """Exactly merge bottom-k sketches of key-disjoint partitions.
 
     All sketches must share ``k``.  The result equals the sketch a single
     :class:`~repro.sampling.bottomk.BottomKStreamSampler` (same family,
     same hasher) would produce over the concatenated partitions — including
     ``kth_rank`` and ``threshold``, so rank-conditioning estimators apply
-    to merged sketches unchanged.
+    to merged sketches unchanged.  ``disjoint=True`` is a caller's word
+    that it already refused duplicate keys (:func:`disjoint_union` over
+    the parts' key sets), so the merge does not build those sets again.
 
     >>> from repro.sampling.bottomk import bottomk_from_ranks
     >>> r = np.array([0.3, 0.1, 0.7, 0.2])
@@ -101,7 +120,8 @@ def merge_bottomk(*sketches: BottomKSketch) -> BottomKSketch:
     for sk in sketches:
         if sk.k != k:
             raise ValueError(f"sketch sizes differ: got k={sk.k}, expected {k}")
-    _check_disjoint(sketches)
+    if not disjoint:
+        _check_disjoint(sketches)
     keys, ranks, weights, seeds = _concat_entries(sketches)
     order = np.argsort(ranks, kind="stable")
     sample = order[: min(k, len(order))]
@@ -124,12 +144,14 @@ def merge_bottomk(*sketches: BottomKSketch) -> BottomKSketch:
     )
 
 
-def merge_poisson(*sketches: PoissonSketch) -> PoissonSketch:
+def merge_poisson(
+    *sketches: PoissonSketch, disjoint: bool = False
+) -> PoissonSketch:
     """Exactly merge Poisson-τ sketches of key-disjoint partitions.
 
     All sketches must share τ (inclusion below a *fixed* threshold is what
     makes the Poisson union a plain concatenation); entries are re-sorted
-    by rank.
+    by rank.  ``disjoint`` as for :func:`merge_bottomk`.
     """
     if not sketches:
         raise ValueError("need at least one sketch to merge")
@@ -139,7 +161,8 @@ def merge_poisson(*sketches: PoissonSketch) -> PoissonSketch:
             raise ValueError(
                 f"Poisson thresholds differ: got tau={sk.tau}, expected {tau}"
             )
-    _check_disjoint(sketches)
+    if not disjoint:
+        _check_disjoint(sketches)
     keys, ranks, weights, seeds = _concat_entries(sketches)
     order = np.argsort(ranks, kind="stable")
     return PoissonSketch(

@@ -62,7 +62,7 @@ from typing import Callable, Sequence
 
 from repro.core.aggregates import AggregationSpec
 from repro.core.predicates import key_in
-from repro.engine.queries import ESTIMATORS, QueryEngine, jaccard_from_summary
+from repro.engine.queries import QueryEngine, jaccard_from_summary
 from repro.obs import bind_parent, current_span
 from repro.ranks.hashing import _key_to_int, splitmix64
 from repro.service.client import ServiceClient, ServiceError
@@ -73,15 +73,11 @@ from repro.service.httpbase import (
     query_request_from_params,
 )
 from repro.service.jsonutil import sanitize_non_finite
+from repro.service.planner import check_query
 from repro.service.cluster.repair import RepairPlanner
 from repro.service.cluster.topology import ClusterTopology, slot_namespace
 
 __all__ = ["CoordinatorConfig", "CoordinatorService", "CoordinatorThread"]
-
-#: aggregate functions the coordinator serves (the worker set, minus the
-#: temporal forms that need per-bucket partials rather than one merged
-#: bundle per slot)
-FUNCTIONS = ("single", "min", "max", "l1", "lth_largest")
 
 _STALE_META = "cluster_stale"
 _DEGRADED_META = "cluster_degraded"
@@ -931,19 +927,8 @@ class CoordinatorService(HttpServerBase):
         since, until = request.get("since"), request.get("until")
         if kind == "estimate":
             function = request.get("function")
-            if function not in FUNCTIONS:
-                raise _HttpError(
-                    400,
-                    f"unknown function {function!r}; known: "
-                    f"{', '.join(FUNCTIONS)}",
-                )
             estimator = request.get("estimator", "auto")
-            if estimator not in ESTIMATORS:
-                raise _HttpError(
-                    400,
-                    f"unknown estimator {estimator!r}; known: "
-                    f"{', '.join(ESTIMATORS)}",
-                )
+            check_query(function, estimator)  # ValueError: a 400
             ell = request.get("ell")
             keys = request.get("keys")
             return (

@@ -1,33 +1,41 @@
 """Query planning over live windows merged with stored buckets.
 
-:class:`QueryPlanner` answers service queries as **merge live view +
-stored buckets**: it selects the namespace's sketch-bundle artifacts
+:class:`QueryPlanner` answers service queries as **merge(stored partial,
+live view)**: it selects the namespace's sketch-bundle artifacts
 (optionally restricted to an inclusive ``since``/``until`` bucket window),
-adds the in-memory live-window bundle when the window is non-empty and in
-range, merges everything with the exact bundle-merge primitive, and routes
-the request through the vectorized
+takes their exact merge from the stored-partial memo, merges the in-memory
+live-window bundle on top when the window is non-empty and in range, and
+routes the request through the vectorized
 :class:`~repro.engine.queries.QueryEngine` — so a service answer is
 bit-identical to an offline engine run over the equivalently merged
-summaries.
+summaries (stored parts first in entry order, the live window last).
 
-Two version-keyed caches sit in front of the work:
+Three caches sit in front of the work, each invalidated by its key — a
+stale entry can never be served, because its key names a state that no
+longer exists:
 
-* **engines** — an in-memory LRU of merged :class:`QueryEngine` per
-  ``(namespace, version, window)``; repeated queries against an unchanged
-  namespace share decoded summary views and kernel caches;
-* **results** — final estimates keyed by the full request signature plus
-  the version token, held in the store's **persistent runtime tier**
-  (:class:`~repro.store.runtime.RuntimeStore`): a hot query costs one
-  SQLite row lookup, hit counts accumulate across requests, and because
-  both halves of the version token survive a clean shutdown, a restarted
-  daemon answers previously served queries straight from the cache —
-  bit-identically, without rebuilding an engine (JSON float round-trips
-  are exact, and NumPy scalars are coerced losslessly on the way in).
+===============  ====================================  ==================
+cache            key                                   invalidated by
+===============  ====================================  ==================
+engines          ``(namespace, version, since,         every ingest,
+(LRU, memory)    until)`` — the full                   rotation and store
+                 :meth:`LiveWindowManager.version`     mutation
+stored partials  ``(namespace, bundle_rev, entry       ``bundle_rev`` only:
+(LRU, memory)    paths)`` — ``store.bundle_version``   flush, rotation,
+                                                       compaction, import,
+                                                       remove — **not**
+                                                       ingest
+results          request signature + the full          every ingest,
+(runtime.sqlite, version                               rotation and store
+persistent)                                            mutation; survives
+                                                       a clean restart
+===============  ====================================  ==================
 
-Both keys embed :meth:`LiveWindowManager.version`, which moves on every
-ingest, rotation, and query-servable store mutation — cache invalidation
-is automatic and exact (a stale entry can never be served, because its
-key names a version that no longer exists).
+The stored-partial memo is what a fresh query under ingest lives on: the
+merge of the stored buckets is a pure function of the store's bundle
+revision, so it is built once per revision and every later plan, window
+and ``GET /bundle`` merges one cached :class:`StoredPartial` with the live
+window.  Entries of a superseded revision are dropped on the next insert.
 """
 
 from __future__ import annotations
@@ -36,25 +44,105 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from typing import Sequence
+from dataclasses import dataclass
+from itertools import groupby
+from typing import NamedTuple, Sequence
 
 from repro.core.aggregates import AggregationSpec
 from repro.obs import default_registry, default_tracer
 from repro.core.predicates import key_in
+from repro.engine.merge import disjoint_union, refuse_duplicates
 from repro.engine.queries import ESTIMATORS, QueryEngine, jaccard_from_summary
 from repro.service.jsonutil import sanitize_non_finite
 from repro.service.temporal import decay_factor, parse_duration, resolve_windows
 from repro.service.windows import LIVE_PART, LiveWindowManager
 from repro.store.store import bucket_bounds
 
-__all__ = ["QueryPlanner"]
+__all__ = ["QueryPlanner", "StoredPartial", "check_query", "view_bundles"]
 
 #: aggregate functions the service exposes
 FUNCTIONS = ("single", "min", "max", "l1", "lth_largest")
 
 
+def check_query(function: str, estimator: str) -> None:
+    """``ValueError`` for a function or estimator the service does not know."""
+    if function not in FUNCTIONS:
+        raise ValueError(
+            f"unknown function {function!r}; known: {', '.join(FUNCTIONS)}"
+        )
+    if estimator not in ESTIMATORS:
+        raise ValueError(
+            f"unknown estimator {estimator!r}; known: {', '.join(ESTIMATORS)}"
+        )
+
+
+@dataclass(frozen=True)
+class StoredPartial:
+    """The exact merge of some stored entries — one memo value.
+
+    ``sample_keys`` keeps, per assignment, every key any part sampled: a
+    superset of the merged sketches' keys, because a merge drops all but
+    the k smallest ranks.  A later merge checks against it, so a key that
+    recurs in a part still raises the merges' duplicate-key ``ValueError``
+    even when an earlier merge no longer carries it.
+    """
+
+    bundle: object  # SketchBundle, parts merged in entry order
+    sample_keys: dict
+    entries: int
+
+    @classmethod
+    def leaf(cls, bundle) -> "StoredPartial":
+        return cls(bundle, {
+            name: set(sk.keys.tolist()) for name, sk in bundle.sketches.items()
+        }, 1)
+
+    @classmethod
+    def merged(cls, parts: "Sequence[StoredPartial]") -> "StoredPartial":
+        # the unions are the duplicate-key check, built once and kept
+        sample_keys = {
+            name: disjoint_union(
+                part.sample_keys[name]
+                for part in parts if name in part.sample_keys
+            )
+            for name in dict.fromkeys(n for p in parts for n in p.sample_keys)
+        }
+        bundle = parts[0].bundle.merge(
+            *(part.bundle for part in parts[1:]), disjoint=True
+        )
+        return cls(bundle, sample_keys, sum(part.entries for part in parts))
+
+    def refuse_duplicates(self, live) -> None:
+        """Raise if the live bundle sampled a key a stored part sampled."""
+        for name, sketch in live.sketches.items():
+            if name in self.sample_keys:
+                refuse_duplicates(self.sample_keys[name], sketch.keys.tolist())
+
+
+def view_bundles(stored: "StoredPartial | None", live) -> list:
+    """The view's bundles in merge order (stored first, the live window
+    last), refused if they share a sample key; empty when both are absent."""
+    bundles = [] if stored is None else [stored.bundle]
+    if live is not None:
+        if stored is not None:
+            stored.refuse_duplicates(live)
+        bundles.append(live)
+    return bundles
+
+
+class _Snapshot(NamedTuple):
+    """One consistent read of a namespace under the manager lock."""
+
+    version: str
+    bundle_rev: str
+    entries: list  # stored entries, the live window's own flush masked
+    live: object  # the live bundle; None when empty or out of the window
+    live_bucket: str
+    live_events: int
+
+
 class QueryPlanner:
-    """Merged live + stored query answering with version-keyed caching."""
+    """Merged live + stored query answering behind revision-keyed caches."""
 
     def __init__(
         self,
@@ -85,23 +173,26 @@ class QueryPlanner:
             "Persistent result-cache probes, by outcome.",
             labelnames=("outcome",),
         )
+        self._partial_lookups = self._metrics.counter(
+            "repro_stored_partial_lookups_total",
+            "Stored-side memo lookups of a query view, by outcome (hit, "
+            "build).",
+            labelnames=("outcome",),
+        )
         self.max_cached_engines = max(1, max_cached_engines)
         self.max_cached_results = max(1, max_cached_results)
         self.max_cached_partials = max(1, max_cached_partials)
         self._engines: OrderedDict[tuple, tuple[QueryEngine, dict]] = (
             OrderedDict()
         )
-        # Partial-merge frontier: per-(namespace, version, bucket) merged
-        # *undecayed* bundles.  Overlapping sliding windows share these —
-        # each bucket is loaded from disk and merged once per version,
-        # then every window that covers it pays only a cheap k-sized
-        # scale + merge instead of a decode.  Version-keyed like the
-        # engine cache, so invalidation is automatic and exact.
-        self._partials: OrderedDict[tuple, object] = OrderedDict()
+        # (namespace, bundle_rev, entry paths) -> StoredPartial, and the
+        # revision each namespace's memo entries belong to
+        self._partials: OrderedDict[tuple, StoredPartial] = OrderedDict()
+        self._partial_revs: dict[str, str] = {}
         self._runtime = manager.store.runtime
         # Serializes planner cache mutation and engine kernel runs among
         # query threads.  Deliberately NOT the manager's lock: ingestion
-        # only contends with the short plan() snapshot, never with kernel
+        # only contends with the short snapshot, never with kernel
         # computation.
         self._lock = threading.RLock()
         self.stats = {
@@ -132,8 +223,9 @@ class QueryPlanner:
                 self._engines.popitem(last=False)
             return engine, sources
 
+    @staticmethod
     def _live_in_window(
-        self, bucket: str, since: str | None, until: str | None
+        bucket: str, since: str | None, until: str | None
     ) -> bool:
         if since is None and until is None:
             return True
@@ -143,6 +235,171 @@ class QueryPlanner:
         if until is not None and lo >= bucket_bounds(until)[1]:
             return False
         return True
+
+    def _snapshot(
+        self, namespace: str, since: str | None, until: str | None
+    ) -> _Snapshot:
+        """Version, entry selection and live bundle, read together.
+
+        Everything downstream is consistent with the one returned
+        version.  The manager lock is held for this read only — never
+        across disk loads, merges or engine builds — and never together
+        with the planner lock.
+        """
+        manager = self.manager
+        with manager.lock:
+            version = manager.version(namespace)  # KeyError when unknown
+            entries = manager.store.bundle_entries(
+                namespace, since=since, until=until
+            )
+            window = manager._window(namespace)
+            if window.events:
+                # The live view supersedes the window's own flush
+                # artifact (same events, published for crash durability):
+                # serving both would double-count every key.
+                entries = [
+                    entry
+                    for entry in entries
+                    if not (
+                        entry.bucket == window.bucket
+                        and entry.part == LIVE_PART
+                    )
+                ]
+            live, live_events = None, 0
+            if self._live_in_window(window.bucket, since, until):
+                _bucket, live_events, live = manager.live_view(namespace)
+            return _Snapshot(
+                version, manager.store.bundle_version(namespace), entries,
+                live, window.bucket, live_events,
+            )
+
+    def _stable(self, namespace: str, attempt):
+        """``attempt()``, re-run while the store moves under it.
+
+        A mid-build ``FileNotFoundError`` means the store mutated the
+        snapshotted artifacts away (moving the version with them); the
+        attempt takes a fresh snapshot and tries again.
+        """
+        for _attempt in range(8):
+            try:
+                return attempt()
+            except FileNotFoundError:
+                continue
+        raise RuntimeError(
+            f"could not plan a stable view of namespace {namespace!r}: the "
+            "store kept mutating the selected artifacts away between "
+            "snapshot and load"
+        )
+
+    @staticmethod
+    def _no_data(namespace, since, until) -> LookupError:
+        window = f" in window [{since or '-'}, {until or '-'}]"
+        return LookupError(
+            f"no data for namespace {namespace!r}"
+            + (window if since or until else "")
+        )
+
+    def _stored_partial(
+        self, namespace: str, bundle_rev: str, entries: list
+    ) -> tuple:
+        """``(partial, outcome)``: the exact merge of ``entries``, memoized
+        per bundle revision; ``outcome`` is ``"hit"`` or ``"build"``.
+
+        A bucket's partial is the merge of its entries, each loaded from
+        disk; a selection's is the merge of its buckets' partials
+        (consecutive same-bucket runs, so parts stay in entry order) —
+        both under the one key shape, so overlapping selections and
+        sliding windows share the buckets they cover.  Loads and merges
+        run outside the planner lock; a ``FileNotFoundError`` propagates
+        so the caller re-snapshots.
+        """
+        key = (namespace, bundle_rev, tuple(entry.path for entry in entries))
+        partial, outcome = self._partial_get(key), "hit"
+        if partial is None:
+            runs = [
+                list(run) for _bucket, run in
+                groupby(entries, key=lambda entry: entry.bucket)
+            ]
+            if len(runs) == 1:
+                parts = [
+                    StoredPartial.leaf(self.manager.store.load(entry))
+                    for entry in entries
+                ]
+            else:
+                parts = [
+                    self._stored_partial(namespace, bundle_rev, run)[0]
+                    for run in runs
+                ]
+            partial, outcome = self._partial_put(
+                key,
+                parts[0] if len(parts) == 1 else StoredPartial.merged(parts),
+            )
+        return partial, outcome
+
+    def _partial_get(self, key: tuple) -> "StoredPartial | None":
+        with self._lock:
+            partial = self._partials.get(key)
+            if partial is not None:
+                self._partials.move_to_end(key)
+                self.stats["partial_hits"] += 1
+            return partial
+
+    def _partial_put(self, key: tuple, partial: StoredPartial) -> tuple:
+        """Insert unless a concurrent build won: ``(cached, outcome)``."""
+        namespace, bundle_rev = key[0], key[1]
+        with self._lock:
+            cached = self._partial_get(key)
+            if cached is not None:
+                return cached, "hit"
+            self.stats["partial_builds"] += 1
+            # a build that outlived its revision can never hit: not kept
+            if bundle_rev == self.manager.store.bundle_version(namespace):
+                if self._partial_revs.get(namespace) != bundle_rev:
+                    self._partial_revs[namespace] = bundle_rev
+                    for stale in [
+                        k for k in self._partials
+                        if k[0] == namespace and k[1] != bundle_rev
+                    ]:
+                        del self._partials[stale]
+                self._partials[key] = partial
+                while len(self._partials) > self.max_cached_partials:
+                    self._partials.popitem(last=False)
+            return partial, "build"
+
+    def view(
+        self,
+        namespace: str,
+        since: str | None = None,
+        until: str | None = None,
+    ) -> tuple:
+        """``(stored, live, version, sources)`` of one consistent snapshot.
+
+        ``stored`` is the selection's :class:`StoredPartial` (``None``
+        without stored entries), ``live`` the live-window bundle (``None``
+        when empty or outside the window); :func:`view_bundles` puts them
+        in merge order.  ``sources`` counts the stored *entries* and live
+        events behind them.  What :meth:`plan` builds its engine from and
+        the worker's ``GET /bundle`` encodes.
+        """
+        def attempt():
+            snap = self._snapshot(namespace, since, until)
+            stored = None
+            if snap.entries:
+                with self._tracer.span(
+                    "stored-partial", entries=len(snap.entries)
+                ) as span:
+                    stored, outcome = self._stored_partial(
+                        namespace, snap.bundle_rev, snap.entries
+                    )
+                    span.annotate(outcome=outcome)
+                if self._metrics.enabled:
+                    self._partial_lookups.inc(outcome=outcome)
+            return stored, snap.live, snap.version, {
+                "stored_entries": len(snap.entries),
+                "live_events": snap.live_events,
+            }
+
+        return self._stable(namespace, attempt)
 
     def plan(
         self,
@@ -157,19 +414,8 @@ class QueryPlanner:
         ``KeyError`` for an unknown namespace and ``LookupError`` when the
         selection holds no data at all.
 
-        The manager lock is held only for short sections — a version
-        read on the cache-hit path, and the snapshot (version, entry
-        selection, live-window bundle as a defensive copy) on a miss —
-        never across the disk loads and the engine build, so an
-        engine-cache miss cannot stall ingestion or rotation.  The
-        manager and planner locks are never held together either, so a
-        query thread stuck behind a long kernel run under the planner
-        lock cannot transitively block ingestion.  The snapshot reads
-        its own fresh version (the probe's version is only a cache key,
-        not a consistency claim), so no version re-check loop is needed;
-        only a mid-build FileNotFoundError — the store mutated the
-        snapshotted artifacts away, moving the version with them —
-        triggers a re-snapshot and retry.
+        An engine-cache miss cannot stall ingestion or rotation (see
+        :meth:`_snapshot`); the view reads its own fresh version.
         """
         started = time.perf_counter()
         try:
@@ -184,207 +430,117 @@ class QueryPlanner:
     def _plan(
         self, namespace: str, since: str | None, until: str | None
     ) -> tuple[QueryEngine, str, dict]:
-        manager = self.manager
-        for _attempt in range(8):
-            with manager.lock:
-                version = manager.version(namespace)  # KeyError when unknown
-            key = (namespace, version, since, until)
-            cached = self._engine_cache_get(key)
-            if cached is not None:
-                engine, sources = cached
-                return engine, version, sources
-            with manager.lock:
-                # Snapshot keyed to a fresh version: everything below is
-                # consistent with THIS read, whatever moved since the
-                # probe above.
-                version = manager.version(namespace)
-                entries = manager.store.bundle_entries(
-                    namespace, since=since, until=until
-                )
-                window = manager._window(namespace)
-                if window.events:
-                    # The live view supersedes the window's own flush
-                    # artifact (same events, published for crash
-                    # durability): serving both would double-count every
-                    # key.
-                    entries = [
-                        entry
-                        for entry in entries
-                        if not (
-                            entry.bucket == window.bucket
-                            and entry.part == LIVE_PART
-                        )
-                    ]
-                live = None
-                live_events = 0
-                if self._live_in_window(window.bucket, since, until):
-                    _bucket, live_events, live = manager.live_view(namespace)
-            key = (namespace, version, since, until)
-            cached = self._engine_cache_get(key)
-            if cached is not None:
-                engine, sources = cached
-                return engine, version, sources
-            try:
-                bundles = [manager.store.load(entry) for entry in entries]
-            except FileNotFoundError:
-                continue  # store moved under us; version changed with it
-            if live is not None:
-                bundles.append(live)
-            if not bundles:
-                raise LookupError(
-                    f"no data for namespace {namespace!r}"
-                    + (
-                        f" in window [{since or '-'}, {until or '-'}]"
-                        if since or until
-                        else ""
-                    )
-                )
-            build_started = time.perf_counter()
-            with self._tracer.span(
-                "engine-build", namespace=namespace, bundles=len(bundles)
-            ):
-                engine = QueryEngine.from_bundles(bundles)
-            if self._metrics.enabled:
-                self._engine_build_seconds.observe(
-                    time.perf_counter() - build_started
-                )
-            sources = {
-                "stored_entries": len(entries),
-                "live_events": live_events,
-                "union_keys": engine.summary.n_union,
-            }
-            engine, sources = self._engine_cache_put(key, engine, sources)
-            return engine, version, sources
-        raise RuntimeError(
-            f"could not plan a stable view of namespace {namespace!r}: the "
-            "store kept mutating the selected artifacts away between "
-            "snapshot and load"
+        with self.manager.lock:
+            version = self.manager.version(namespace)  # KeyError if unknown
+        cached = self._engine_cache_get((namespace, version, since, until))
+        if cached is not None:
+            return cached[0], version, cached[1]
+        stored, live, version, sources = self.view(namespace, since, until)
+        bundles = view_bundles(stored, live)
+        if not bundles:
+            raise self._no_data(namespace, since, until)
+        build_started = time.perf_counter()
+        with self._tracer.span(
+            "engine-build", namespace=namespace, bundles=len(bundles)
+        ):
+            engine = QueryEngine.from_bundles(bundles)
+        if self._metrics.enabled:
+            self._engine_build_seconds.observe(
+                time.perf_counter() - build_started
+            )
+        sources["union_keys"] = engine.summary.n_union
+        engine, sources = self._engine_cache_put(
+            (namespace, version, since, until), engine, sources
         )
+        return engine, version, sources
 
     # -- temporal planning ----------------------------------------------------
 
-    def _bucket_partial(self, namespace: str, version: str, bucket: str,
-                        entries: list):
-        """Merged undecayed bundle of one bucket, frontier-cached.
-
-        The reuse unit of sliding-window queries: loaded from disk and
-        merged at most once per ``(namespace, version, bucket)``, then
-        shared by every window that covers the bucket.  Loads happen
-        outside the planner lock (same discipline as :meth:`plan`); a
-        ``FileNotFoundError`` propagates so the caller re-snapshots.
-        """
-        key = (namespace, version, bucket)
-        with self._lock:
-            cached = self._partials.get(key)
-            if cached is not None:
-                self._partials.move_to_end(key)
-                self.stats["partial_hits"] += 1
-                return cached
-        bundles = [self.manager.store.load(entry) for entry in entries]
-        merged = bundles[0].merge(*bundles[1:])
-        with self._lock:
-            cached = self._partials.get(key)
-            if cached is not None:
-                self._partials.move_to_end(key)
-                self.stats["partial_hits"] += 1
-                return cached
-            self._partials[key] = merged
-            self.stats["partial_builds"] += 1
-            while len(self._partials) > self.max_cached_partials:
-                self._partials.popitem(last=False)
-        return merged
-
-    def _temporal_snapshot(
-        self, namespace: str, since: str | None, until: str | None
-    ) -> tuple:
-        """Atomic (version, entries-by-bucket, live view) snapshot.
-
-        Mirrors :meth:`plan`'s snapshot discipline: version, entry
-        selection, and the live bundle are read together under the
-        manager lock (with the live view superseding its own flush
-        artifact), so everything downstream is consistent with the one
-        returned version.
-        """
-        manager = self.manager
-        with manager.lock:
-            version = manager.version(namespace)  # KeyError when unknown
-            entries = manager.store.bundle_entries(
-                namespace, since=since, until=until
-            )
-            live_bucket, events, bundle = manager.live_view(namespace)
-            if events:
-                entries = [
-                    entry
-                    for entry in entries
-                    if not (
-                        entry.bucket == live_bucket
-                        and entry.part == LIVE_PART
-                    )
-                ]
-            live = None
-            live_events = 0
-            if bundle is not None and self._live_in_window(
-                live_bucket, since, until
-            ):
-                live = bundle
-                live_events = events
+    def _temporal_snapshot(self, namespace, since, until) -> tuple:
+        """``(frame, data span)``; a frame is ``(snapshot, entries by
+        bucket, bucket bounds)`` — what :meth:`_span_answer` selects from."""
+        snap = self._snapshot(namespace, since, until)
         by_bucket: dict[str, list] = {}
-        for entry in entries:
+        for entry in snap.entries:
             by_bucket.setdefault(entry.bucket, []).append(entry)
-        return version, by_bucket, live, live_bucket, live_events
+        bounds = {bucket: bucket_bounds(bucket) for bucket in by_bucket}
+        spans = list(bounds.values())
+        if snap.live is not None:
+            spans.append(bucket_bounds(snap.live_bucket))
+        if not spans:
+            raise self._no_data(namespace, since, until)
+        span = min(lo for lo, _hi in spans), max(hi for _lo, hi in spans)
+        return (snap, by_bucket, bounds), span
 
-    def _engine_for_span(
-        self, namespace, version, by_bucket, bounds, live, live_bucket,
-        live_events, span_lo, span_hi, decay_s, anchor,
-    ):
-        """Decay-scaled merged engine over one half-open time span.
+    @staticmethod
+    def _evaluate(engine, spec, estimator, predicate) -> dict:
+        return {
+            "estimate": engine.estimate(
+                spec, estimator=estimator, predicate=predicate
+            ),
+            "estimator": (
+                engine.default_estimator(spec)
+                if estimator == "auto"
+                else estimator
+            ),
+        }
 
-        Selects the snapshot's buckets whose :func:`bucket_bounds` span
-        intersects ``[span_lo, span_hi)``, scales each bucket's frontier
+    def _span_answer(
+        self, namespace, frame, span_lo, span_hi, decay_s, anchor,
+        spec, estimator, predicate,
+    ) -> "dict | None":
+        """Decay-scaled estimate over one half-open time span.
+
+        Selects the frame's buckets whose :func:`bucket_bounds` span
+        intersects ``[span_lo, span_hi)``, scales each bucket's stored
         partial by its decay factor (age measured from the bucket start
-        to ``anchor``), merges, and builds the engine.  Returns
-        ``(engine, stored_entries, live_events)`` — ``engine`` is ``None``
-        for a span with no data.
+        to ``anchor``), merges, builds the engine and evaluates:
+        ``{"estimate", "estimator", "sources"}``, or ``None`` for a span
+        with no data.
         """
+        snap, by_bucket, bounds = frame
+
+        def overlaps(lo, hi) -> bool:
+            return not (hi <= span_lo or lo >= span_hi)
+
+        def scale(start) -> float:
+            if decay_s is None:
+                return 1.0
+            return decay_factor(start, anchor, decay_s)
+
+        live = snap.live
+        if live is not None:
+            live_lo, live_hi = bucket_bounds(snap.live_bucket)
+            if not overlaps(live_lo, live_hi):
+                live = None
         bundles = []
         scales = []
         n_entries = 0
         for bucket in sorted(by_bucket):
-            lo, hi = bounds[bucket]
-            if hi <= span_lo or lo >= span_hi:
+            if not overlaps(*bounds[bucket]):
                 continue
-            bundles.append(
-                self._bucket_partial(namespace, version, bucket,
-                                     by_bucket[bucket])
+            partial, _outcome = self._stored_partial(
+                namespace, snap.bundle_rev, by_bucket[bucket]
             )
-            scales.append(
-                1.0 if decay_s is None else decay_factor(lo, anchor, decay_s)
-            )
-            n_entries += len(by_bucket[bucket])
-        span_live_events = 0
+            if live is not None:
+                partial.refuse_duplicates(live)
+            bundles.append(partial.bundle)
+            scales.append(scale(bounds[bucket][0]))
+            n_entries += partial.entries
         if live is not None:
-            lo, hi = bucket_bounds(live_bucket)
-            if not (hi <= span_lo or lo >= span_hi):
-                bundles.append(live)
-                scales.append(
-                    1.0 if decay_s is None
-                    else decay_factor(lo, anchor, decay_s)
-                )
-                span_live_events = live_events
+            bundles.append(live)
+            scales.append(scale(live_lo))
         if not bundles:
-            return None, 0, 0
-        engine = QueryEngine.from_bundles(bundles, scales=scales)
-        return engine, n_entries, span_live_events
-
-    @staticmethod
-    def _data_span(bounds: dict, live_bucket, live) -> "tuple | None":
-        """Union span of the snapshot's buckets (and the live window)."""
-        spans = list(bounds.values())
-        if live is not None:
-            spans.append(bucket_bounds(live_bucket))
-        if not spans:
             return None
-        return min(lo for lo, _hi in spans), max(hi for _lo, hi in spans)
+        engine = QueryEngine.from_bundles(bundles, scales=scales)
+        return {
+            **self._evaluate(engine, spec, estimator, predicate),
+            "sources": {
+                "stored_entries": n_entries,
+                "live_events": snap.live_events if live is not None else 0,
+                "union_keys": engine.summary.n_union,
+            },
+        }
 
     def window_series(
         self,
@@ -406,24 +562,16 @@ class QueryPlanner:
         Resolves ``window``/``step`` (duration specs, e.g. ``"15m"`` /
         ``"1m"``) against the selected data's
         :func:`~repro.store.store.bucket_bounds` span into concrete
-        half-open windows, and answers each from the partial-merge
-        frontier — per-bucket merges are shared across overlapping
-        windows instead of rebuilding from disk per window.  ``decay``
-        (a half-life duration) applies exponential time decay *per
-        window*, anchored at that window's end, via the exact
+        half-open windows, and answers each from the stored-partial memo
+        — per-bucket merges are shared across overlapping windows (and
+        survive ingest) instead of rebuilding from disk per window.
+        ``decay`` (a half-life duration) applies exponential time decay
+        *per window*, anchored at that window's end, via the exact
         rank-scaling transform.  Windows with no data report
         ``estimate: null`` with ``"empty": true``.  Results are
         version-cached like every other answer.
         """
-        if function not in FUNCTIONS:
-            raise ValueError(
-                f"unknown function {function!r}; known: "
-                f"{', '.join(FUNCTIONS)}"
-            )
-        if estimator not in ESTIMATORS:
-            raise ValueError(
-                f"unknown estimator {estimator!r}; known: {ESTIMATORS}"
-            )
+        check_query(function, estimator)
         window_s = parse_duration(window)
         step_s = window_s if step is None else parse_duration(step)
         decay_s = None if decay is None else parse_duration(decay)
@@ -432,10 +580,10 @@ class QueryPlanner:
         key_sel = None if keys is None else tuple(sorted(map(repr, keys)))
         predicate = None if keys is None else key_in(keys)
         spec = AggregationSpec(function, names, ell=ell)
-        for _attempt in range(8):
-            version, by_bucket, live, live_bucket, live_events = (
-                self._temporal_snapshot(namespace, since, until)
-            )
+
+        def attempt() -> dict:
+            frame, span = self._temporal_snapshot(namespace, since, until)
+            version = frame[0].version
             cache_key = (
                 "window_series", namespace, version, since, until,
                 function, names, estimator, ell, key_sel,
@@ -444,51 +592,23 @@ class QueryPlanner:
             hit = self._probe(cache_key)
             if hit is not None:
                 return hit
-            bounds = {bucket: bucket_bounds(bucket) for bucket in by_bucket}
-            span = self._data_span(bounds, live_bucket, live)
-            if span is None:
-                raise LookupError(
-                    f"no data for namespace {namespace!r}"
-                    + (
-                        f" in window [{since or '-'}, {until or '-'}]"
-                        if since or until
-                        else ""
-                    )
-                )
-            windows = resolve_windows(
-                span[0], span[1], window_s, step_s, anchor_ts
-            )
             rows = []
             resolved = estimator
-            try:
-                for w_lo, w_hi in windows:
-                    engine, n_entries, w_live = self._engine_for_span(
-                        namespace, version, by_bucket, bounds, live,
-                        live_bucket, live_events, w_lo, w_hi, decay_s, w_hi,
-                    )
-                    row = {
-                        "start": w_lo.isoformat(),
-                        "end": w_hi.isoformat(),
-                    }
-                    if engine is None:
-                        row.update(estimate=None, empty=True)
-                    else:
-                        if estimator == "auto":
-                            resolved = engine.default_estimator(spec)
-                        row.update(
-                            estimate=engine.estimate(
-                                spec, estimator=estimator,
-                                predicate=predicate,
-                            ),
-                            sources={
-                                "stored_entries": n_entries,
-                                "live_events": w_live,
-                                "union_keys": engine.summary.n_union,
-                            },
-                        )
-                    rows.append(row)
-            except FileNotFoundError:
-                continue  # store moved under us; version changed with it
+            for w_lo, w_hi in resolve_windows(
+                span[0], span[1], window_s, step_s, anchor_ts
+            ):
+                answer = self._span_answer(
+                    namespace, frame, w_lo, w_hi, decay_s, w_hi,
+                    spec, estimator, predicate,
+                )
+                if answer is None:
+                    answer = {"estimate": None, "empty": True}
+                else:
+                    resolved = answer.pop("estimator")
+                rows.append({
+                    "start": w_lo.isoformat(), "end": w_hi.isoformat(),
+                    **answer,
+                })
             with self._lock:
                 self.stats["window_queries"] += 1
             result = {
@@ -502,14 +622,9 @@ class QueryPlanner:
                 "namespace": namespace,
                 "version": version,
             }
-            return self._cached(
-                cache_key, namespace, version, lambda: result
-            )
-        raise RuntimeError(
-            f"could not plan a stable windowed view of namespace "
-            f"{namespace!r}: the store kept mutating the selected "
-            "artifacts away between snapshot and load"
-        )
+            return self._cached(cache_key, namespace, version, lambda: result)
+
+        return self._stable(namespace, attempt)
 
     def _decayed_estimate(
         self, namespace, function, names, estimator, ell, keys, key_sel,
@@ -524,21 +639,10 @@ class QueryPlanner:
         """
         predicate = None if keys is None else key_in(keys)
         spec = AggregationSpec(function, names, ell=ell)
-        for _attempt in range(8):
-            version, by_bucket, live, live_bucket, live_events = (
-                self._temporal_snapshot(namespace, since, until)
-            )
-            bounds = {bucket: bucket_bounds(bucket) for bucket in by_bucket}
-            span = self._data_span(bounds, live_bucket, live)
-            if span is None:
-                raise LookupError(
-                    f"no data for namespace {namespace!r}"
-                    + (
-                        f" in window [{since or '-'}, {until or '-'}]"
-                        if since or until
-                        else ""
-                    )
-                )
+
+        def attempt() -> dict:
+            frame, span = self._temporal_snapshot(namespace, since, until)
+            version = frame[0].version
             anchor = (
                 anchor_ts if anchor_ts is not None else span[1].timestamp()
             )
@@ -549,43 +653,24 @@ class QueryPlanner:
             hit = self._probe(cache_key)
             if hit is not None:
                 return hit
-            try:
-                engine, n_entries, live_n = self._engine_for_span(
-                    namespace, version, by_bucket, bounds, live, live_bucket,
-                    live_events, span[0], span[1], decay_s, anchor,
-                )
-            except FileNotFoundError:
-                continue  # store moved under us; version changed with it
-            resolved = (
-                engine.default_estimator(spec)
-                if estimator == "auto"
-                else estimator
+            answer = self._span_answer(
+                namespace, frame, span[0], span[1], decay_s, anchor,
+                spec, estimator, predicate,
             )
             result = {
-                "estimate": engine.estimate(
-                    spec, estimator=estimator, predicate=predicate
-                ),
-                "estimator": resolved,
+                "estimate": answer["estimate"],
+                "estimator": answer["estimator"],
                 "function": function,
                 "assignments": list(names),
                 "namespace": namespace,
                 "version": version,
                 "decay_s": decay_s,
                 "anchor": anchor,
-                "sources": {
-                    "stored_entries": n_entries,
-                    "live_events": live_n,
-                    "union_keys": engine.summary.n_union,
-                },
+                "sources": answer["sources"],
             }
-            return self._cached(
-                cache_key, namespace, version, lambda: result
-            )
-        raise RuntimeError(
-            f"could not plan a stable decayed view of namespace "
-            f"{namespace!r}: the store kept mutating the selected "
-            "artifacts away between snapshot and load"
-        )
+            return self._cached(cache_key, namespace, version, lambda: result)
+
+        return self._stable(namespace, attempt)
 
     # -- answering ------------------------------------------------------------
 
@@ -633,6 +718,29 @@ class QueryPlanner:
             self.stats["misses"] += 1
         return {**result, "cached": False}
 
+    def _served(self, namespace, since, until, key_for, compute) -> dict:
+        """Probe at the current version; on a miss, plan and compute.
+
+        ``key_for(version)`` is the result-cache key.  The first probe is
+        the fast path — a previously served answer, possibly from an earlier
+        daemon run, needs no engine at all; the second (in :meth:`_cached`)
+        is keyed on the version the plan actually read.
+        """
+        with self.manager.lock:
+            version = self.manager.version(namespace)  # KeyError if unknown
+        hit = self._probe(key_for(version))
+        if hit is not None:
+            return hit
+        engine, version, sources = self.plan(namespace, since, until)
+        with self._lock:
+            return self._cached(
+                key_for(version), namespace, version,
+                lambda: {
+                    **compute(engine), "namespace": namespace,
+                    "version": version, "sources": sources,
+                },
+            )
+
     def estimate(
         self,
         namespace: str,
@@ -655,15 +763,7 @@ class QueryPlanner:
         bucket by its age at ``anchor`` (default: the end of the
         selected data span) via the exact rank-scaling transform.
         """
-        if function not in FUNCTIONS:
-            raise ValueError(
-                f"unknown function {function!r}; known: "
-                f"{', '.join(FUNCTIONS)}"
-            )
-        if estimator not in ESTIMATORS:
-            raise ValueError(
-                f"unknown estimator {estimator!r}; known: {ESTIMATORS}"
-            )
+        check_query(function, estimator)
         names = tuple(assignments)
         key_sel = None if keys is None else tuple(sorted(map(repr, keys)))
         if decay is not None:
@@ -672,54 +772,22 @@ class QueryPlanner:
                 since, until, parse_duration(decay),
                 None if anchor is None else float(anchor),
             )
-        # Fast path: a previously served answer — possibly from an
-        # earlier daemon run — needs no engine at all.
-        with self.manager.lock:
-            version = self.manager.version(namespace)  # KeyError if unknown
-        hit = self._probe((
-            "estimate", namespace, version, since, until,
-            function, names, estimator, ell, key_sel,
-        ))
-        if hit is not None:
-            return hit
-        engine, version, sources = self.plan(namespace, since, until)
-        with self._lock:
-            return self._answer_estimate(
-                engine, version, sources, namespace, function, names,
-                estimator, ell, keys, key_sel, since, until,
-            )
 
-    def _answer_estimate(
-        self, engine, version, sources, namespace, function, names,
-        estimator, ell, keys, key_sel, since, until,
-    ) -> dict:
-        cache_key = (
-            "estimate", namespace, version, since, until,
-            function, names, estimator, ell, key_sel,
-        )
-
-        def compute() -> dict:
-            spec = AggregationSpec(function, names, ell=ell)
-            predicate = None if keys is None else key_in(keys)
-            value = engine.estimate(
-                spec, estimator=estimator, predicate=predicate
-            )
-            resolved = (
-                engine.default_estimator(spec)
-                if estimator == "auto"
-                else estimator
-            )
-            return {
-                "estimate": value,
-                "estimator": resolved,
+        return self._served(
+            namespace, since, until,
+            lambda version: (
+                "estimate", namespace, version, since, until,
+                function, names, estimator, ell, key_sel,
+            ),
+            lambda engine: {
+                **self._evaluate(
+                    engine, AggregationSpec(function, names, ell=ell),
+                    estimator, None if keys is None else key_in(keys),
+                ),
                 "function": function,
                 "assignments": list(names),
-                "namespace": namespace,
-                "version": version,
-                "sources": sources,
-            }
-
-        return self._cached(cache_key, namespace, version, compute)
+            },
+        )
 
     def jaccard(
         self,
@@ -731,37 +799,16 @@ class QueryPlanner:
     ) -> dict:
         """Weighted Jaccard ratio over the merged live + stored view."""
         names = tuple(assignments)
-        with self.manager.lock:
-            version = self.manager.version(namespace)  # KeyError if unknown
-        hit = self._probe((
-            "jaccard", namespace, version, since, until, names, variant,
-        ))
-        if hit is not None:
-            return hit
-        engine, version, sources = self.plan(namespace, since, until)
-        with self._lock:
-            return self._answer_jaccard(
-                engine, version, sources, namespace, names, variant,
-                since, until,
-            )
-
-    def _answer_jaccard(
-        self, engine, version, sources, namespace, names, variant,
-        since, until,
-    ) -> dict:
-        cache_key = (
-            "jaccard", namespace, version, since, until, names, variant,
-        )
-
-        def compute() -> dict:
-            value = jaccard_from_summary(engine.summary, names, variant)
-            return {
-                "estimate": value,
+        return self._served(
+            namespace, since, until,
+            lambda version: (
+                "jaccard", namespace, version, since, until, names, variant,
+            ),
+            lambda engine: {
+                "estimate": jaccard_from_summary(
+                    engine.summary, names, variant
+                ),
                 "estimator": f"jaccard-{variant}",
                 "assignments": list(names),
-                "namespace": namespace,
-                "version": version,
-                "sources": sources,
-            }
-
-        return self._cached(cache_key, namespace, version, compute)
+            },
+        )

@@ -74,10 +74,9 @@ from repro.service.httpbase import (
     query_request_from_params,
 )
 from repro.service.jsonutil import restore_non_finite
-from repro.service.planner import FUNCTIONS, QueryPlanner
+from repro.service.planner import QueryPlanner, check_query, view_bundles
 from repro.service.temporal import parse_duration
-from repro.service.windows import LIVE_PART, LiveWindowManager
-from repro.engine.queries import ESTIMATORS
+from repro.service.windows import LiveWindowManager
 from repro.store.codec import encode
 from repro.store.store import SummaryStore
 
@@ -574,18 +573,7 @@ class SummaryService(HttpServerBase):
             function = request.get("function")
             if not function:
                 raise _HttpError(400, "estimate query needs a 'function'")
-            if function not in FUNCTIONS:
-                raise _HttpError(
-                    400,
-                    f"unknown function {function!r}; known: "
-                    f"{', '.join(FUNCTIONS)}",
-                )
-            if request.get("estimator", "auto") not in ESTIMATORS:
-                raise _HttpError(
-                    400,
-                    f"unknown estimator {request['estimator']!r}; known: "
-                    f"{', '.join(ESTIMATORS)}",
-                )
+            check_query(function, request.get("estimator", "auto"))  # 400s
             # Duration specs are parsed eagerly so a watch registration
             # with a bad spec is a 400 now, not an error row later.
             for field in ("window", "step", "decay"):
@@ -797,59 +785,24 @@ class SummaryService(HttpServerBase):
     # -- sketch-bundle transport (cluster) ------------------------------------
 
     def _merged_bundle_blob(self, namespace, since, until):
-        """Codec-encode the merged live+stored view of one namespace.
+        """Codec-encode the planner's :meth:`~QueryPlanner.view` — the
+        snapshot a query plans from, stored side out of the same memo.
 
-        Same snapshot discipline as :meth:`QueryPlanner.plan`: version +
-        entry selection + live bundle are read together under the manager
-        lock, disk loads happen outside it, and a mid-load
-        ``FileNotFoundError`` (the store mutated the snapshotted
-        artifacts away) re-snapshots.  Returns ``(blob | None, version,
-        entry_count)`` — ``None`` when the selection holds no data.
+        Returns ``(blob | None, version, sources)``: ``None`` when the
+        selection holds no data; stored entries plus the live window.
         """
-        manager = self.manager
-        for _attempt in range(8):
-            with manager.lock:
-                version = manager.version(namespace)  # KeyError when unknown
-                entries = manager.store.bundle_entries(
-                    namespace, since=since, until=until
-                )
-                bucket, events, live = manager.live_view(namespace)
-                if events:
-                    # The live view supersedes the window's own flush
-                    # artifact (same events, published for durability):
-                    # shipping both would double-count every key.
-                    entries = [
-                        entry
-                        for entry in entries
-                        if not (
-                            entry.bucket == bucket
-                            and entry.part == LIVE_PART
-                        )
-                    ]
-                if live is not None and not self.planner._live_in_window(
-                    bucket, since, until
-                ):
-                    live = None
-            try:
-                bundles = [manager.store.load(entry) for entry in entries]
-            except FileNotFoundError:
-                continue  # store moved under us; version changed with it
-            if live is not None:
-                bundles.append(live)
-            if not bundles:
-                return None, version, 0
-            with self.tracer.span(
-                "merge", namespace=namespace, sources=len(bundles)
-            ):
-                merged = bundles[0].merge(*bundles[1:])
-            with self.tracer.span("encode", namespace=namespace):
-                blob = encode(merged)
-            return blob, version, len(bundles)
-        raise RuntimeError(
-            f"could not snapshot a stable bundle of namespace "
-            f"{namespace!r}: the store kept mutating the selected "
-            "artifacts away between snapshot and load"
+        stored, live, version, sources = self.planner.view(
+            namespace, since, until
         )
+        bundles = view_bundles(stored, live)
+        if not bundles:
+            return None, version, 0
+        count = sources["stored_entries"] + (live is not None)
+        with self.tracer.span("merge", namespace=namespace, sources=count):
+            merged = bundles[0].merge(*bundles[1:])
+        with self.tracer.span("encode", namespace=namespace):
+            blob = encode(merged)
+        return blob, version, count
 
     def _require_namespace(self, params) -> str:
         namespace = params.get("namespace")

@@ -137,14 +137,18 @@ class SketchBundle:
             and self.method_name == other.method_name
         )
 
-    def merge(self, *others: "SketchBundle") -> "SketchBundle":
+    def merge(
+        self, *others: "SketchBundle", disjoint: bool = False
+    ) -> "SketchBundle":
         """Exact merge over key-disjoint bundles (union of assignments).
 
         Per assignment, the present sketches are merged with the exact
         :func:`~repro.engine.merge.merge_bottomk` /
         :func:`~repro.engine.merge.merge_poisson` primitives — which raise
         on duplicate keys, the signal that the inputs were not a
-        key-disjoint partition.  Assignments keep first-encounter order.
+        key-disjoint partition, unless the caller passes ``disjoint=True``
+        for having refused them already.  Assignments keep
+        first-encounter order.
         """
         from repro.engine.merge import merge_bottomk, merge_poisson
 
@@ -162,7 +166,10 @@ class SketchBundle:
         for bundle in (self, *others):
             for name, sk in bundle.sketches.items():
                 grouped.setdefault(name, []).append(sk)
-        merged = {name: merge_one(*parts) for name, parts in grouped.items()}
+        merged = {
+            name: merge_one(*parts, disjoint=disjoint)
+            for name, parts in grouped.items()
+        }
         return SketchBundle(
             kind=self.kind,
             sketches=merged,

@@ -220,7 +220,6 @@ class StoreEntry:
 
 #: entry kinds that participate in rollups and query serving
 BUNDLE_KINDS = ("bottomk", "poisson")
-_BUNDLE_KINDS = BUNDLE_KINDS  # backwards-compatible alias
 
 #: part name of a service live-window checkpoint.  Its presence marks a
 #: bucket whose bundle may still be *re-published* (the stopped service
@@ -935,7 +934,7 @@ class SummaryStore:
                 excluded.add(coarsen_bucket(entry.bucket, to))
         groups: dict[str, list[StoreEntry]] = {}
         for entry in self.entries(namespace):
-            if entry.kind not in _BUNDLE_KINDS:
+            if entry.kind not in BUNDLE_KINDS:
                 continue
             if GRANULARITIES.index(entry.granularity) > GRANULARITIES.index(to):
                 continue  # already coarser than the target
