@@ -174,7 +174,7 @@ class ServiceClient:
         headers: dict,
         idempotent: bool,
         timeout: float | None = None,
-        namespace: str | None = None,
+        namespace: "str | Sequence[str] | None" = None,
     ) -> tuple[int, "http.client.HTTPMessage", bytes]:
         """One HTTP exchange with the retry policy; returns the raw reply.
 
@@ -182,8 +182,9 @@ class ServiceClient:
         call only (per-verb override: a heartbeat probe wants 2s, a big
         bundle fetch may want 120s) by checking out a connection built
         with that timeout — no shared state changes, so overlapping
-        calls from other threads are undisturbed.  ``namespace`` only
-        feeds slot matching in an installed fault plan.
+        calls from other threads are undisturbed.  ``namespace`` (one,
+        or an ingest frame's several) only feeds slot matching in an
+        installed fault plan.
         """
         effective = self.timeout if timeout is None else timeout
         # Propagate the caller's active span: a coordinator answering a
@@ -263,6 +264,11 @@ class ServiceClient:
             method, path, payload, headers, idempotent, timeout,
             namespace=namespace,
         )
+        return self._json_reply(status, data)
+
+    @staticmethod
+    def _json_reply(status: int, data: bytes) -> dict:
+        """Decode a JSON reply body; a status >= 400 raises."""
         try:
             decoded = json.loads(data) if data else {}
         except json.JSONDecodeError:
@@ -346,6 +352,24 @@ class ServiceClient:
             },
             "sync": sync,
         })
+
+    def ingest_frame(
+        self, frame: bytes, namespaces: Sequence[str] = ()
+    ) -> dict:
+        """POST one codec-encoded ingest frame
+        (:func:`repro.store.codec.encode_event_batch`): several
+        namespaces' events in one request, accepted or refused whole.
+
+        Never retried, like :meth:`ingest`.  ``namespaces`` — the
+        frame's section namespaces — only feeds slot matching in an
+        installed fault plan.
+        """
+        status, _headers, data = self._raw_request(
+            "POST", "/ingest", frame,
+            {"Content-Type": "application/octet-stream"}, False,
+            namespace=tuple(namespaces),
+        )
+        return self._json_reply(status, data)
 
     def estimate(
         self,
@@ -563,13 +587,7 @@ class ServiceClient:
             "POST", f"/bundle?{urlencode(params)}", blob,
             {"Content-Type": "application/octet-stream"}, False, timeout,
         )
-        try:
-            decoded = json.loads(data) if data else {}
-        except json.JSONDecodeError:
-            decoded = {"error": data.decode("utf-8", "replace")}
-        if status >= 400:
-            raise ServiceError(status, decoded)
-        return decoded
+        return self._json_reply(status, data)
 
     # -- cluster coordinator verbs ---------------------------------------------
 

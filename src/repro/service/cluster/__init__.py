@@ -35,6 +35,7 @@ from repro.service.cluster.repair import RepairPlanner
 from repro.service.cluster.topology import (
     ClusterTopology,
     parse_slot_namespace,
+    partition_by_slot,
     slot_for_key,
     slot_namespace,
     slot_namespace_configs,
@@ -50,6 +51,7 @@ __all__ = [
     "CoordinatorThread",
     "RepairPlanner",
     "parse_slot_namespace",
+    "partition_by_slot",
     "slot_for_key",
     "slot_namespace",
     "slot_namespace_configs",

@@ -2,10 +2,14 @@
 
 :class:`ClusterClient` owns one :class:`~repro.service.client.ServiceClient`
 per worker and routes each ingest batch by key slot: the batch is split
-into per-slot sub-batches (preserving stream order within each slot —
-``np.flatnonzero`` walks indices in ascending order), and every sub-batch
-is delivered to *all* of the slot's HRW owners under the slot namespace
-(``web`` slot 3 → ``web--s003``).
+into per-slot sub-batches with the shared stable partition
+(:func:`~repro.service.cluster.topology.partition_by_slot` — one sort,
+stream order kept within each slot), and every sub-batch is delivered to
+*all* of the slot's HRW owners under the slot namespace (``web`` slot 3
+→ ``web--s003``).  Delivery is one JSON ``POST /ingest`` per (slot,
+owner): the refresh-and-re-route rule below is per (slot, owner), unlike
+the coordinator, which coalesces a batch into one binary frame per owner
+worker.
 
 Replicas therefore see identical, identically-ordered event feeds.
 Because every per-key update the engine applies is a plain float sum in
@@ -36,7 +40,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.cluster.topology import ClusterTopology, slot_namespace
+from repro.service.cluster.topology import (
+    ClusterTopology,
+    partition_by_slot,
+    slot_namespace,
+)
 
 __all__ = ["ClusterClient", "ClusterError"]
 
@@ -192,14 +200,23 @@ class ClusterClient:
 
     # -- routing ---------------------------------------------------------------
 
+    def _partition(self, keys: Sequence) -> dict[int, np.ndarray]:
+        """Slot → ascending event indices, for the slots the batch hits."""
+        order, bounds = partition_by_slot(
+            self.topology.slots_for_keys(list(keys)), self.topology.n_slots
+        )
+        return {
+            slot: order[bounds[slot]:bounds[slot + 1]]
+            for slot in np.flatnonzero(np.diff(bounds)).tolist()
+        }
+
     def plan_batch(
         self, namespace: str, keys: Sequence
     ) -> dict[int, list[int]]:
         """Slot → ascending event indices for one batch (stream order)."""
-        slots = self.topology.slots_for_keys(list(keys))
         return {
-            int(slot): np.flatnonzero(slots == slot).tolist()
-            for slot in np.unique(slots)
+            slot: indices.tolist()
+            for slot, indices in self._partition(keys).items()
         }
 
     def ingest(
@@ -218,9 +235,12 @@ class ClusterClient:
         slots).
         """
         keys = list(keys)
-        weights = {name: list(values) for name, values in weights.items()}
+        weights = {
+            name: np.asarray(values, dtype=float)
+            for name, values in weights.items()
+        }
         for name, values in weights.items():
-            if len(values) != len(keys):
+            if values.shape != (len(keys),):
                 raise ValueError(
                     f"weights[{name!r}] has {len(values)} values for "
                     f"{len(keys)} keys"
@@ -233,11 +253,14 @@ class ClusterClient:
         refreshes_left = (
             self.max_refreshes if self._coordinator is not None else 0
         )
-        plan = self.plan_batch(namespace, keys)
-        for slot, indices in sorted(plan.items()):
-            sub_keys = [keys[i] for i in indices]
+        plan = self._partition(keys)
+        # an object array gathers each slot's keys as the values given
+        key_array = np.empty(len(keys), dtype=object)
+        key_array[:] = keys
+        for slot, indices in plan.items():  # ascending slot order
+            sub_keys = key_array[indices].tolist()
             sub_weights = {
-                name: [values[i] for i in indices]
+                name: values[indices].tolist()
                 for name, values in weights.items()
             }
             target = slot_namespace(namespace, slot)

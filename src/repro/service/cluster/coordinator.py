@@ -33,6 +33,22 @@ tier keyed on the **version vector** — the sorted per-slot
 an unchanged cluster costs one SQLite lookup, and any ingest, rotation,
 or failover that changes which data would be merged changes the key.
 
+**Routed ingest.**  ``POST /ingest`` validates the whole client batch
+with the worker's own validator (a bad batch is a 400/413 with nothing
+sent), partitions it once by slot, encodes each slot's section once,
+and sends every owner worker **one** codec ``event_batch`` frame
+holding, in ascending slot order, the sections of all the slots it owns
+— all owners concurrently, batches serialized by the cluster lock.  A
+worker accepts or refuses its frame whole, so per routed batch each
+worker has one outcome: *ack*, *refused* (it answered 400/404/413/429/
+503 and applied nothing) or *unknown* (anything else: it may have
+applied some of it).  The staleness rule, persisted before the reply:
+per slot, once any owner acked, every owner that did not goes stale
+(reply 200 with ``missed_replicas``); a slot no owner acked makes the
+reply a 502 naming applied and unapplied slots, and only its
+unknown-outcome owners go stale — copies that all refused still agree.
+Unknown-outcome workers are also marked dead.
+
 **Handoff.**  Joins and leaves move slots (rendezvous hashing moves only
 the slots whose top-``replication`` set actually changed).  A worker
 gaining a slot receives the slot's store artifacts from a healthy
@@ -60,22 +76,30 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.core.aggregates import AggregationSpec
 from repro.core.predicates import key_in
 from repro.engine.queries import QueryEngine, jaccard_from_summary
 from repro.obs import bind_parent, current_span
-from repro.ranks.hashing import _key_to_int, splitmix64
+from repro.ranks.hashing import _key_to_int, as_key_array, splitmix64
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.config import NamespaceConfig
+from repro.service.config import MAX_BATCH_EVENTS, NamespaceConfig
 from repro.service.httpbase import (
     HttpServerBase,
     _HttpError,
     query_request_from_params,
+    validate_ingest_batch,
 )
 from repro.service.jsonutil import sanitize_non_finite
 from repro.service.planner import check_query
 from repro.service.cluster.repair import RepairPlanner
-from repro.service.cluster.topology import ClusterTopology, slot_namespace
+from repro.service.cluster.topology import (
+    ClusterTopology,
+    partition_by_slot,
+    slot_namespace,
+)
+from repro.store.codec import encode_event_batch, encode_event_section
 
 __all__ = ["CoordinatorConfig", "CoordinatorService", "CoordinatorThread"]
 
@@ -85,6 +109,13 @@ _DEGRADED_META = "cluster_degraded"
 #: transport-level failures while talking to a worker: the worker may be
 #: dead, unreachable, or mid-crash — route around it
 _UNREACHABLE = (OSError, ConnectionError)
+
+#: replies with which a worker refuses an ingest frame *whole*: it
+#: validated (400/404/413) or tried to queue (429/503) and applied nothing
+_REFUSALS = frozenset({400, 404, 413, 429, 503})
+
+#: concurrent frame deliveries per routed batch (bounded fan-out)
+_DELIVERY_FANOUT = 16
 
 
 @dataclass(frozen=True)
@@ -241,8 +272,9 @@ class CoordinatorService(HttpServerBase):
                              register (synchronous: when it returns, the
                              worker is a serving owner of its slots)
         POST /cluster/leave  {"worker_id"} — handoff away, then deregister
-        POST /ingest         same body as the worker endpoint; routed by
-                             key slot to every owner replica
+        POST /ingest         same JSON body as the worker endpoint;
+                             validated whole, then one binary frame per
+                             owner worker, owners in parallel
         POST /query          estimate/jaccard over the exact merge of
         GET  /query?...      per-slot worker bundles (version-vector
                              cached; partial answers marked, never cached)
@@ -279,6 +311,11 @@ class CoordinatorService(HttpServerBase):
         self._slot_fetch_seconds = self.metrics.histogram(
             "repro_cluster_slot_fetch_seconds",
             "Latency of fetching one slot bundle from a worker.",
+            labelnames=("worker",),
+        )
+        self._delivery_seconds = self.metrics.histogram(
+            "repro_cluster_ingest_delivery_seconds",
+            "Latency of delivering one ingest frame to a worker.",
             labelnames=("worker",),
         )
         self._merge_seconds = self.metrics.histogram(
@@ -732,109 +769,169 @@ class CoordinatorService(HttpServerBase):
     # -- ingest routing -------------------------------------------------------
 
     def _route_ingest(self, payload: dict) -> dict:
-        namespace = payload.get("namespace")
-        if namespace not in self.namespaces:
-            raise _HttpError(
-                404,
-                f"unknown namespace {namespace!r}; known: "
-                f"{', '.join(self.namespaces)}",
-            )
-        keys = payload.get("keys")
-        weights = payload.get("weights")
-        if not isinstance(keys, list) or not isinstance(weights, dict):
-            raise _HttpError(
-                400,
-                "ingest body needs 'keys' (list) and 'weights' "
-                "(assignment -> list of numbers)",
-            )
-        for name, values in weights.items():
-            if not isinstance(values, list) or len(values) != len(keys):
-                raise _HttpError(
-                    400,
-                    f"weights[{name!r}] must be a list of {len(keys)} "
-                    "numbers (one per key)",
-                )
+        """Validate once, partition once, one frame per owner worker.
+
+        Nothing is sent until the whole client batch has passed the
+        worker's own validator.  Each slot's section is encoded once
+        and rides in the frame of every owner; a worker accepts or
+        refuses its frame whole, so every slot it owns shares its
+        outcome.  Batches are serialized by ``_cluster_lock``: every
+        replica of a slot sees the identical, identically ordered feed.
+        """
+        namespace, keys = payload.get("namespace"), payload.get("keys")
+        weights = validate_ingest_batch(
+            self.namespaces, namespace, keys, payload.get("weights"),
+            MAX_BATCH_EVENTS,
+        )
         sync = bool(payload.get("sync", False))
         if not keys:
             return {"ok": True, "events": 0, "slots": 0, "deliveries": 0}
+        key_array = as_key_array(keys)  # a NaN key is a ValueError: 400
+        order, bounds = partition_by_slot(
+            self.topology.slots_for_keys(key_array), self.topology.n_slots
+        )
+        key_array = key_array[order]
+        weights = {name: values[order] for name, values in weights.items()}
+        counts = np.diff(bounds)  # events per slot
+        #: slot -> (worker-side namespace, encoded section)
+        sections: dict[int, tuple[str, bytes]] = {}
+        for slot in np.flatnonzero(counts).tolist():
+            lo, hi = bounds[slot], bounds[slot + 1]
+            target_ns = slot_namespace(namespace, slot)
+            sections[slot] = (target_ns, encode_event_section(
+                target_ns,
+                key_array[lo:hi],
+                {name: values[lo:hi] for name, values in weights.items()},
+            ))
         with self._cluster_lock:
             worker_ids = self._member_ids(self._worker_rows())
             if not worker_ids:
                 raise _HttpError(503, "cluster has no workers")
-            slots = self.topology.slots_for_keys(keys)
-            deliveries, failed = 0, []
-            for slot in sorted({int(s) for s in slots}):
-                indices = [i for i, s in enumerate(slots) if int(s) == slot]
-                sub_keys = [keys[i] for i in indices]
-                sub_weights = {
-                    name: [values[i] for i in indices]
-                    for name, values in weights.items()
-                }
-                target_ns = slot_namespace(namespace, slot)
-                delivered = False
-                owners = self._owners(slot, worker_ids)
-                for position, owner in enumerate(owners):
-                    try:
-                        self._clients[owner].ingest(
-                            target_ns, sub_keys, sub_weights, sync=sync
-                        )
-                    except _UNREACHABLE:
-                        # this owner's copy just missed a delivery: it
-                        # can no longer serve the slot exactly
-                        self.runtime.cluster_mark(
-                            owner, alive=False, now=self.clock()
-                        )
-                        self._stale.setdefault(owner, set()).add(slot)
-                        failed.append({"worker": owner, "slot": slot})
-                        continue
-                    except ServiceError as err:
-                        # A server answered and refused (429 queue full,
-                        # 503 stopping ...).  If a replica earlier in the
-                        # loop already applied the sub-batch, the
-                        # rejecting owner — and every owner the abort
-                        # skips — now under-counts the slot and must not
-                        # serve or hand it off; with nothing applied yet
-                        # the copies still agree and stay usable.
-                        if delivered:
-                            for behind in owners[position:]:
-                                self._stale.setdefault(
-                                    behind, set()
-                                ).add(slot)
-                        if delivered or failed:
-                            self._save_health_meta()
-                        raise _HttpError(
-                            502,
-                            f"worker {owner!r} rejected slot {slot} of "
-                            f"{namespace!r}: {err}" + (
-                                "; a replica already applied the "
-                                "sub-batch — the rejecting and "
-                                "undelivered owners are marked stale"
-                                if delivered else ""
-                            ),
-                        ) from err
-                    delivered = True
-                    deliveries += 1
-                if not delivered:
-                    self._save_health_meta()
-                    raise _HttpError(
-                        502,
-                        f"no owner of slot {slot} reachable; batch "
-                        "partially applied (earlier slots landed) — the "
-                        "affected workers are marked stale",
-                    )
-            if failed:
-                self._save_health_meta()
+            owners = {
+                slot: self._owners(slot, worker_ids) for slot in sections
+            }
+            frames: dict[str, list[int]] = {}  # ascending slots per owner
+            for slot, slot_owners in owners.items():
+                for owner in slot_owners:
+                    frames.setdefault(owner, []).append(slot)
+            outcomes = self._deliver_frames(frames, sections, counts, sync)
+            missed, unapplied = self._settle_ingest(owners, outcomes)
+        if unapplied:
+            applied = sorted(set(sections) - set(unapplied))
+            raise _HttpError(
+                502,
+                f"no owner applied slots {unapplied} of {namespace!r} "
+                f"(applied slots: {applied}); owners whose outcome is "
+                "unknown are marked stale — " + "; ".join(
+                    f"{worker}: {outcome}" + (f" ({detail})" if detail else "")
+                    for worker, (outcome, detail) in sorted(outcomes.items())
+                ),
+            )
         self.stats["ingest_batches"] += 1
         self.stats["ingested_events"] += len(keys)
         result = {
             "ok": True,
             "events": len(keys),
-            "slots": len({int(s) for s in slots}),
-            "deliveries": deliveries,
+            "slots": len(sections),
+            "deliveries": sum(
+                len(slots) for worker, slots in frames.items()
+                if outcomes[worker][0] == "ack"
+            ),
         }
-        if failed:
-            result["missed_replicas"] = failed
+        if missed:
+            result["missed_replicas"] = missed
         return result
+
+    def _deliver_frames(
+        self, frames: dict, sections: dict, counts: np.ndarray, sync: bool
+    ) -> dict[str, tuple[str, str | None]]:
+        """Send every owner its frame, all owners concurrently.
+
+        Returns ``worker -> (outcome, detail)`` with outcome ``"ack"``
+        (applied, or queued when not ``sync``), ``"refused"`` (the
+        worker answered 400/404/413/429/503: it applied nothing) or
+        ``"unknown"`` (transport failure or any other reply: it may
+        have applied some or all of the frame).
+        """
+        parent = current_span()
+
+        def deliver(item) -> tuple[str, str | None]:
+            worker, slots = item
+            parts = [sections[slot] for slot in slots]
+            frame = encode_event_batch(parts, sync)
+            started = time.perf_counter()
+            detail = None
+            # the worker sees this span's ID in X-Repro-Trace and hangs
+            # its request and ingest-apply spans under it
+            with self.tracer.span(
+                "deliver", parent=parent, worker=worker, slots=slots,
+                events=int(counts[slots].sum()),
+                bytes=len(frame),
+            ) as span:
+                try:
+                    self._clients[worker].ingest_frame(
+                        frame, [name for name, _ in parts]
+                    )
+                    outcome = "ack"
+                except ServiceError as err:
+                    refused = err.status in _REFUSALS
+                    outcome = "refused" if refused else "unknown"
+                    detail = str(err)
+                except Exception as err:  # one owner must not sink the rest
+                    outcome, detail = "unknown", str(err) or type(err).__name__
+                span.annotate(outcome=outcome)
+            if self.metrics.enabled:
+                self._delivery_seconds.observe(
+                    time.perf_counter() - started, worker=worker
+                )
+            return outcome, detail
+
+        items = sorted(frames.items())
+        if len(items) == 1:
+            results = [deliver(items[0])]
+        else:
+            with ThreadPoolExecutor(
+                max_workers=min(len(items), _DELIVERY_FANOUT),
+                thread_name_prefix="repro-deliver",
+            ) as pool:
+                results = list(pool.map(deliver, items))
+        return {worker: result for (worker, _), result in zip(items, results)}
+
+    def _settle_ingest(
+        self, owners: dict, outcomes: dict
+    ) -> tuple[list[dict], list[int]]:
+        """Apply the staleness rule to one routed batch's outcomes and
+        persist it (call under ``_cluster_lock``, before replying).
+
+        Per slot: once any owner acked, every owner that did not — it
+        refused, or its outcome is unknown — under-counts the slot and
+        goes stale.  A slot nobody acked is *unapplied*: owners that
+        refused still agree with each other and stay usable; only an
+        owner whose outcome is unknown (it may have applied the slot)
+        goes stale.  Unknown-outcome workers are also marked dead.
+        Returns ``(missed_replicas, unapplied_slots)``.
+        """
+        missed, unapplied, changed = [], [], False
+        for slot in sorted(owners):
+            applied = any(outcomes[o][0] == "ack" for o in owners[slot])
+            if not applied:
+                unapplied.append(slot)
+            for owner in owners[slot]:
+                outcome = outcomes[owner][0]
+                if outcome == "ack" or (not applied and outcome == "refused"):
+                    continue
+                self._stale.setdefault(owner, set()).add(slot)
+                changed = True
+                if applied:
+                    missed.append({"worker": owner, "slot": slot})
+        for worker, (outcome, _detail) in outcomes.items():
+            if outcome == "unknown":
+                self.runtime.cluster_mark(
+                    worker, alive=False, now=self.clock()
+                )
+        if changed:
+            self._save_health_meta()
+        return missed, unapplied
 
     # -- query plane ----------------------------------------------------------
 

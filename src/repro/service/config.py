@@ -23,7 +23,12 @@ from dataclasses import dataclass, replace
 
 from repro.store.store import GRANULARITIES
 
-__all__ = ["NamespaceConfig", "ServiceConfig"]
+__all__ = ["MAX_BATCH_EVENTS", "NamespaceConfig", "ServiceConfig"]
+
+#: default cap on the events of one ingest batch — a worker's
+#: ``max_batch_events`` default, and what a coordinator (which cannot see
+#: its workers' configs) holds a client batch to before routing it
+MAX_BATCH_EVENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ class ServiceConfig:
     #: max ingest batches queued before the server answers 429
     ingest_queue_batches: int = 64
     #: max events accepted in one ingest batch
-    max_batch_events: int = 100_000
+    max_batch_events: int = MAX_BATCH_EVENTS
     #: max HTTP request body bytes
     max_body_bytes: int = 32 << 20
     #: planner result-cache capacity (entries)

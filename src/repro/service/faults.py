@@ -35,6 +35,7 @@ import json
 import threading
 import urllib.parse
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.ranks.hashing import _MASK64, splitmix64
 from repro.service.cluster.topology import parse_slot_namespace
@@ -55,7 +56,8 @@ class FaultRule:
     ``None`` fields match anything.  ``verb`` matches the request path
     (query string stripped), ``scope`` the label the plan was installed
     under (a worker id, ``"client"``, ...), ``slot`` the key slot parsed
-    from the request's slot namespace (``web--s003`` → 3).  ``start`` /
+    from the request's slot namespace (``web--s003`` → 3; an ingest
+    frame matches when *any* of its sections is that slot).  ``start`` /
     ``stop`` bound the *matching-request* window the rule may fire in
     (0-based, half-open), ``limit`` caps total fires, ``probability``
     gates each eligible match through the seeded Bernoulli draw.
@@ -143,15 +145,18 @@ class FaultPlan:
     # -- matching -------------------------------------------------------------
 
     @staticmethod
-    def _request_slot(path: str, namespace: str | None) -> int | None:
+    def _request_slots(path: str, namespace) -> tuple[int, ...]:
+        """The key slots a request touches: one for a slot namespace,
+        one per section for an ingest frame, none otherwise."""
         if namespace is None:
             query = urllib.parse.urlsplit(path).query
             values = urllib.parse.parse_qs(query).get("namespace")
             namespace = values[-1] if values else None
         if namespace is None:
-            return None
-        parsed = parse_slot_namespace(namespace)
-        return None if parsed is None else parsed[1]
+            return ()
+        names = (namespace,) if isinstance(namespace, str) else namespace
+        parsed = (parse_slot_namespace(name) for name in names)
+        return tuple(hit[1] for hit in parsed if hit is not None)
 
     @property
     def wants_namespace(self) -> bool:
@@ -171,21 +176,25 @@ class FaultPlan:
         scope: str,
         method: str,
         path: str,
-        namespace: str | None = None,
+        namespace: "str | Sequence[str] | None" = None,
     ) -> FaultDecision | None:
         """The fault (if any) to inject into one request attempt.
 
-        First matching rule that fires wins.  Deterministic in the
-        sequence of calls: no clocks, no global randomness.
+        ``namespace`` is the request's namespace — or, for an ingest
+        frame, the namespaces of all its sections.  First matching rule
+        that fires wins.  Deterministic in the sequence of calls: no
+        clocks, no global randomness.
         """
         if not self.rules:
             return None
         plain = path.split("?", 1)[0]
-        slot = (
-            self._request_slot(path, namespace)
+        slots = (
+            self._request_slots(path, namespace)
             if self.wants_namespace
-            else None
+            else ()
         )
+        # the witness keeps its one-slot shape for one-namespace requests
+        slot = slots[0] if len(slots) == 1 else (list(slots) or None)
         with self._lock:
             for index, rule in enumerate(self.rules):
                 if rule.scope is not None and rule.scope != scope:
@@ -194,7 +203,7 @@ class FaultPlan:
                     continue
                 if rule.verb is not None and rule.verb != plain:
                     continue
-                if rule.slot is not None and rule.slot != slot:
+                if rule.slot is not None and rule.slot not in slots:
                     continue
                 seq = self._matches[index]
                 self._matches[index] += 1

@@ -22,12 +22,16 @@ from dataclasses import dataclass, field
 
 import json
 
+import numpy as np
+
 from repro.obs import MetricsRegistry, Tracer
 from repro.service.jsonutil import dumps_strict, sanitize_non_finite
+from repro.store.codec import MAGIC, event_batch_namespaces
 
 __all__ = [
     "BinaryResponse", "HttpServerBase", "_HttpError",
     "coerce_query_key", "query_request_from_params",
+    "validate_ingest_batch",
 ]
 
 _MAX_LINE = 16 * 1024
@@ -91,6 +95,83 @@ def query_request_from_params(params: dict) -> dict:
     if "ell" in request:
         request["ell"] = int(request["ell"])
     return request
+
+
+def validate_ingest_batch(
+    configs, namespace, keys, weights, max_events: int
+) -> dict:
+    """The one check an ingest batch passes before anything is applied.
+
+    Shared by the worker's JSON and frame paths and by the coordinator
+    (which must refuse a bad client batch *before* routing any of it).
+    ``configs`` maps namespace name to its ``NamespaceConfig``; ``keys``
+    is a JSON list, or what an ingest frame decoded to (a numeric array
+    or a list of key values).  Returns the weights as validated float
+    arrays; every failure is an :class:`_HttpError` (404 unknown
+    namespace, 413 too many events, 400 otherwise).
+    """
+    if namespace not in configs:
+        raise _HttpError(
+            404,
+            f"unknown namespace {namespace!r}; known: "
+            f"{', '.join(configs)}",
+        )
+    if not isinstance(keys, (list, np.ndarray)) or not isinstance(
+        weights, dict
+    ):
+        raise _HttpError(
+            400,
+            "ingest body needs 'keys' (list) and 'weights' "
+            "(assignment -> list of numbers)",
+        )
+    if len(keys) > max_events:
+        raise _HttpError(
+            413,
+            f"batch of {len(keys)} events exceeds max_batch_events="
+            f"{max_events}; split the batch",
+        )
+    known = set(configs[namespace].assignments)
+    unknown = set(weights) - known
+    if unknown:
+        raise _HttpError(
+            400,
+            f"unknown assignments {sorted(unknown)} for namespace "
+            f"{namespace!r}; known: {sorted(known)}",
+        )
+    # Validate fully before acknowledging: an async batch that is
+    # queued and later fails to apply would be a 200 for data that
+    # silently never lands, breaking the accepted => applied contract.
+    if isinstance(keys, list) and not all(
+        isinstance(key, (str, int, float)) for key in keys
+    ):
+        raise _HttpError(
+            400, "keys must be strings or numbers (no null/objects)"
+        )
+    checked = {}
+    for name, values in weights.items():
+        if not isinstance(values, (list, np.ndarray)) or len(values) != len(
+            keys
+        ):
+            raise _HttpError(
+                400,
+                f"weights[{name!r}] must be a list of {len(keys)} "
+                "numbers (one per key)",
+            )
+        try:
+            arr = np.asarray(values, dtype=float)
+        except (ValueError, TypeError):
+            raise _HttpError(
+                400, f"weights[{name!r}] must be numbers"
+            ) from None
+        if arr.ndim != 1:
+            raise _HttpError(400, f"weights[{name!r}] must be numbers")
+        if not bool(np.all(np.isfinite(arr) & (arr >= 0.0))):
+            raise _HttpError(
+                400,
+                f"weights[{name!r}] must be finite and non-negative",
+            )
+        checked[name] = arr
+    return checked
 
 
 @dataclass
@@ -216,10 +297,14 @@ class HttpServerBase:
         namespace = params.get("namespace")
         if namespace is None and plan.wants_namespace and body:
             # slot-scoped rules need the namespace; POST bodies carry it
+            # (an ingest frame names one per section in its header)
             with contextlib.suppress(Exception):
-                payload = json.loads(body)
-                if isinstance(payload, dict):
-                    namespace = payload.get("namespace")
+                if body[:4] == MAGIC:
+                    namespace = event_batch_namespaces(body)
+                else:
+                    payload = json.loads(body)
+                    if isinstance(payload, dict):
+                        namespace = payload.get("namespace")
         decision = plan.decide(
             self._fault_scope, method, path, namespace=namespace
         )

@@ -31,6 +31,10 @@ Endpoints (JSON unless noted)::
     GET  /trace/recent       most recent finished spans, newest first
     POST /ingest             {"namespace", "keys": [...],
                               "weights": {assignment: [...]}, "sync": bool}
+                             — or a codec ``event_batch`` frame (binary,
+                             recognised by its magic): several namespaces'
+                             events in one request, accepted or refused
+                             whole (the coordinator's routed-ingest feed)
     POST /query              {"namespace", "kind": "estimate"|"jaccard", ...}
     GET  /query?...          the same, query-string encoded (curl-able)
     GET  /bundle?...         codec-encoded SketchBundle partials (binary):
@@ -63,21 +67,21 @@ import threading
 import time
 from typing import Callable
 
-import numpy as np
-
 from repro.obs import bind_parent, current_span
+from repro.ranks.hashing import as_key_array
 from repro.service.config import ServiceConfig
 from repro.service.httpbase import (
     BinaryResponse,
     HttpServerBase,
     _HttpError,
     query_request_from_params,
+    validate_ingest_batch,
 )
 from repro.service.jsonutil import restore_non_finite
 from repro.service.planner import QueryPlanner, check_query, view_bundles
 from repro.service.temporal import parse_duration
 from repro.service.windows import LiveWindowManager
-from repro.store.codec import encode
+from repro.store.codec import MAGIC, decode_event_batch, encode
 from repro.store.store import SummaryStore
 
 __all__ = ["SummaryService", "ServiceThread"]
@@ -259,9 +263,14 @@ class SummaryService(HttpServerBase):
                     self.store.runtime.add_counter("ingest_errors", 1)
                     self.stats["last_error"] = f"ingest: {err}"
                     if future is not None and not future.done():
-                        future.set_exception(
-                            _HttpError(400, f"ingest failed: {err}")
-                        )
+                        # A frame was validated whole, so a failure here
+                        # is the server's and may have landed some
+                        # sections: 500, never one of the refusal
+                        # statuses that promise nothing was applied.
+                        future.set_exception(_HttpError(
+                            500 if batch["frame"] else 400,
+                            f"ingest failed: {err}",
+                        ))
                 else:
                     self.stats["ingest_batches"] += 1
                     self.stats["ingested_events"] += result["events"]
@@ -271,17 +280,23 @@ class SummaryService(HttpServerBase):
                 self._queue.task_done()
 
     def _apply_batch(self, batch: dict) -> dict:
-        # weights were converted and validated at accept time; the span
-        # is a trace root — the accepting request may long be answered
-        # (async ingest) by the time the worker applies the batch
+        # Weights were converted and validated at accept time.  A JSON
+        # batch's span is a trace root — the accepting request may long
+        # be answered (async ingest) by the time the worker applies the
+        # batch; a frame's span hangs under the request span that
+        # carried it, which the sender's X-Repro-Trace parented.
+        sections = batch["sections"]
+        tags = {} if batch["frame"] else {"namespace": sections[0][0]}
         with self.tracer.span(
-            "ingest-apply", namespace=batch["namespace"]
+            "ingest-apply", parent=batch["span"], sections=len(sections),
+            **tags,
         ) as span:
-            result = self.manager.ingest(
-                batch["namespace"], batch["keys"], batch["weights"]
-            )
-            span.annotate(events=result["events"])
-            return result
+            for namespace, keys, weights in sections:
+                result = self.manager.ingest(namespace, keys, weights)
+            events = sum(len(keys) for _, keys, _ in sections)
+            span.annotate(events=events)
+            # one section: the window's bucket and version ride along
+            return {**result, "events": events}
 
     async def _ticker(self) -> None:
         """Rotate on bucket boundaries; compact on the configured cadence;
@@ -383,6 +398,8 @@ class SummaryService(HttpServerBase):
         if path == "/status" and method == "GET":
             return await self._handle_status()
         if path == "/ingest" and method == "POST":
+            if body[:4] == MAGIC:
+                return await self._handle_ingest_frame(body)
             return await self._handle_ingest(self._json_body(body))
         if path == "/query" and method in ("GET", "POST"):
             request = (
@@ -466,64 +483,64 @@ class SummaryService(HttpServerBase):
         return 200, await loop.run_in_executor(None, snapshot)
 
     async def _handle_ingest(self, payload: dict):
-        namespace = payload.get("namespace")
-        if namespace not in self.manager.configs:
-            raise _HttpError(
-                404,
-                f"unknown namespace {namespace!r}; known: "
-                f"{', '.join(self.manager.configs)}",
-            )
-        keys = payload.get("keys")
-        weights = payload.get("weights")
-        if not isinstance(keys, list) or not isinstance(weights, dict):
-            raise _HttpError(
-                400,
-                "ingest body needs 'keys' (list) and 'weights' "
-                "(assignment -> list of numbers)",
-            )
-        if len(keys) > self.config.max_batch_events:
+        namespace, keys = payload.get("namespace"), payload.get("keys")
+        checked = validate_ingest_batch(
+            self.manager.configs, namespace, keys, payload.get("weights"),
+            self.config.max_batch_events,
+        )
+        result = await self._enqueue(
+            [(namespace, keys, checked)], bool(payload.get("sync", False))
+        )
+        if result is None:
+            return 200, {"ok": True, "queued": len(keys), "applied": False}
+        return 200, {
+            "ok": True,
+            "queued": len(keys),
+            "applied": True,
+            **result,
+        }
+
+    async def _handle_ingest_frame(self, body: bytes):
+        """One ``event_batch`` frame: every section is validated before
+        anything is queued, the frame takes one queue slot, and its
+        sections apply in frame order — so any refusal (400, 404, 413,
+        429, 503) provably applied nothing on this worker."""
+        frame = decode_event_batch(body)  # CodecError is a ValueError: 400
+        if frame.events > self.config.max_batch_events:
             raise _HttpError(
                 413,
-                f"batch of {len(keys)} events exceeds max_batch_events="
+                f"frame of {frame.events} events exceeds max_batch_events="
                 f"{self.config.max_batch_events}; split the batch",
             )
-        known = set(self.manager.configs[namespace].assignments)
-        unknown = set(weights) - known
-        if unknown:
-            raise _HttpError(
-                400,
-                f"unknown assignments {sorted(unknown)} for namespace "
-                f"{namespace!r}; known: {sorted(known)}",
+        sections = [
+            (
+                section.namespace,
+                # normalised now, not at apply time: a NaN key must
+                # refuse the frame, not fail it between two sections
+                as_key_array(section.keys),
+                validate_ingest_batch(
+                    self.manager.configs, section.namespace, section.keys,
+                    section.weights, self.config.max_batch_events,
+                ),
             )
-        # Validate fully before acknowledging: an async batch that is
-        # queued and later fails to apply would be a 200 for data that
-        # silently never lands, breaking the accepted => applied contract.
-        if not all(isinstance(key, (str, int, float)) for key in keys):
-            raise _HttpError(
-                400, "keys must be strings or numbers (no null/objects)"
-            )
-        checked = {}
-        for name, values in weights.items():
-            if not isinstance(values, list) or len(values) != len(keys):
-                raise _HttpError(
-                    400,
-                    f"weights[{name!r}] must be a list of {len(keys)} "
-                    "numbers (one per key)",
-                )
-            try:
-                arr = np.asarray(values, dtype=float)
-            except (ValueError, TypeError):
-                raise _HttpError(
-                    400, f"weights[{name!r}] must be numbers"
-                ) from None
-            if not bool(np.all(np.isfinite(arr) & (arr >= 0.0))):
-                raise _HttpError(
-                    400,
-                    f"weights[{name!r}] must be finite and non-negative",
-                )
-            checked[name] = arr
-        batch = {"namespace": namespace, "keys": keys, "weights": checked}
-        sync = bool(payload.get("sync", False))
+            for section in frame.sections
+        ]
+        result = await self._enqueue(sections, frame.sync, frame=True)
+        reply = {
+            "ok": True, "queued": frame.events, "sections": len(sections),
+            "applied": result is not None,
+        }
+        if result is not None:
+            reply["events"] = result["events"]
+        return 200, reply
+
+    async def _enqueue(self, sections: list, sync: bool, frame=False):
+        """Queue validated ``(namespace, keys, weights)`` sections as one
+        batch; ``sync`` waits for (and returns) the apply result."""
+        batch = {
+            "sections": sections, "frame": frame,
+            "span": current_span() if frame else None,
+        }
         future = (
             asyncio.get_running_loop().create_future() if sync else None
         )
@@ -541,15 +558,7 @@ class SummaryService(HttpServerBase):
                 f"ingest queue full ({self.config.ingest_queue_batches} "
                 "batches queued); retry with backoff",
             ) from None
-        if future is None:
-            return 200, {"ok": True, "queued": len(keys), "applied": False}
-        result = await future
-        return 200, {
-            "ok": True,
-            "queued": len(keys),
-            "applied": True,
-            **result,
-        }
+        return None if future is None else await future
 
     _query_from_params = staticmethod(query_request_from_params)
 

@@ -36,6 +36,13 @@ Key arrays are stored raw when their dtype allows (ints, floats, bools,
 fixed-width str/bytes) and otherwise element-wise with a tagged packing
 that covers every key type the hash layer accepts (int of any magnitude,
 float, str, bytes, bool, and arbitrarily nested tuples).
+
+The same layout carries **ingest frames** (kind ``event_batch``): the
+header names the section namespaces in order and each ``part<i>`` buffer
+is a nested ``event_section`` blob — raw numeric or tag-packed ``keys``
+plus one ``<f8`` ``w<j>`` buffer per assignment.  Frames arrive from the
+network, so :func:`decode_event_batch` checks the CRC and believes no
+count the bytes cannot back.
 """
 
 from __future__ import annotations
@@ -60,10 +67,16 @@ __all__ = [
     "UnsupportedFormatError",
     "FORMAT_VERSION",
     "MAGIC",
+    "EventBatch",
+    "EventSection",
     "SketchBundle",
     "SummarizerCheckpoint",
     "encode",
     "decode",
+    "encode_event_section",
+    "encode_event_batch",
+    "decode_event_batch",
+    "event_batch_namespaces",
     "write_file",
     "read_file",
     "atomic_write_bytes",
@@ -282,6 +295,33 @@ class SummarizerCheckpoint:
         return ShardedSummarizer.from_checkpoint(self)
 
 
+@dataclass(frozen=True)
+class EventSection:
+    """One namespace's share of an ingest frame.
+
+    ``keys`` is a numeric array (stored raw) or the list of Python key
+    values a tag-packed buffer held; every ``weights`` array is ``<f8``
+    and as long as ``keys``.  Decoded arrays are read-only views into
+    the frame's bytes.
+    """
+
+    namespace: str
+    keys: "np.ndarray | list"
+    weights: dict[str, np.ndarray]
+
+
+@dataclass(frozen=True)
+class EventBatch:
+    """A decoded ingest frame: sections in frame order, plus ``sync``."""
+
+    sections: tuple[EventSection, ...]
+    sync: bool
+
+    @property
+    def events(self) -> int:
+        return sum(len(section.keys) for section in self.sections)
+
+
 # ---------------------------------------------------------------------------
 # tagged key packing (object arrays, lists, and sets of key identifiers)
 # ---------------------------------------------------------------------------
@@ -377,6 +417,8 @@ def _unpack_keys(buf: memoryview, count: int) -> list[Hashable]:
         # unpack_from past the end of the buffer: the blob lied about its
         # key count or was cut mid-entry
         raise CodecError("truncated key buffer") from None
+    except (UnicodeDecodeError, RecursionError) as err:
+        raise CodecError(f"corrupt key buffer: {err}") from None
     if pos != len(buf):
         raise CodecError(
             f"key buffer has {len(buf) - pos} trailing bytes after "
@@ -500,35 +542,48 @@ class _BlobReader:
             raise CodecError("truncated header")
         try:
             header = json.loads(view[_HEADER_PREFIX.size : head_end].tobytes())
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # bad JSON, or bytes that are not UTF-8
             raise CodecError(f"corrupt header JSON: {err}") from None
-        self.kind: str = header["kind"]
-        self.meta: dict[str, Any] = header["meta"]
-        self.arrays: dict[str, dict[str, Any]] = header["arrays"]
+        try:
+            self.kind: str = header["kind"]
+            self.meta: dict[str, Any] = header["meta"]
+            self.arrays: dict[str, dict[str, Any]] = header["arrays"]
+            crc = header["crc32"]
+        except (KeyError, TypeError):
+            raise CodecError(
+                "header is missing kind/meta/arrays/crc32"
+            ) from None
+        if not isinstance(self.meta, dict) or not isinstance(self.arrays, dict):
+            raise CodecError("header meta and arrays must be objects")
         self._base = head_end + _pad(head_end)
         self._view = view
         self._data = data
         self.writable = writable
         if verify:
             payload = view[self._base :]
-            if (zlib.crc32(payload) & 0xFFFFFFFF) != header["crc32"]:
+            if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
                 raise CodecError("payload checksum mismatch; blob is corrupt")
 
     def _slice(self, spec: dict[str, Any]) -> memoryview:
-        start = self._base + spec["offset"]
-        end = start + spec["nbytes"]
+        offset, nbytes = spec.get("offset"), spec.get("nbytes")
+        if (
+            type(offset) is not int or type(nbytes) is not int
+            or offset < 0 or nbytes < 0
+        ):
+            raise CodecError("buffer spec needs integer offset and nbytes")
+        start = self._base + offset
+        end = start + nbytes
         if end > len(self._view):
             raise CodecError("buffer extends past end of blob; truncated?")
         return self._view[start:end]
 
     def _spec(self, name: str, enc: str) -> dict[str, Any]:
-        try:
-            spec = self.arrays[name]
-        except KeyError:
-            raise CodecError(f"blob is missing buffer {name!r}") from None
-        if spec["enc"] != enc:
+        spec = self.arrays.get(name)
+        if not isinstance(spec, dict):
+            raise CodecError(f"blob is missing buffer {name!r}")
+        if spec.get("enc") != enc:
             raise CodecError(
-                f"buffer {name!r} has encoding {spec['enc']!r}, "
+                f"buffer {name!r} has encoding {spec.get('enc')!r}, "
                 f"expected {enc!r}"
             )
         return spec
@@ -559,6 +614,49 @@ class _BlobReader:
     def keys(self, name: str) -> list[Hashable]:
         spec = self._spec(name, "obj")
         return _unpack_keys(self._slice(spec), spec["count"])
+
+    def vector(self, name: str) -> "np.ndarray | list[Hashable]":
+        """A 1-D numeric array or key list from *untrusted* bytes.
+
+        Unlike :meth:`array`, the header is not believed: the declared
+        count must be exactly what the named bytes can hold, so a lying
+        shape or a huge count is a :class:`CodecError` before anything
+        is allocated for it.
+        """
+        spec = self.arrays.get(name)
+        if not isinstance(spec, dict):
+            raise CodecError(f"blob is missing buffer {name!r}")
+        buf = self._slice(spec)
+        enc = spec.get("enc")
+        if enc == "obj":
+            count = spec.get("count")
+            # the shortest tagged key (a bool) takes two bytes
+            if type(count) is not int or not 0 <= count <= len(buf) // 2:
+                raise CodecError(
+                    f"buffer {name!r} declares {count!r} keys in "
+                    f"{len(buf)} bytes"
+                )
+            return _unpack_keys(buf, count)
+        if enc != "raw":
+            raise CodecError(f"buffer {name!r} has encoding {enc!r}")
+        try:
+            dtype = np.dtype(str(spec.get("dtype")))
+        except (TypeError, ValueError):
+            raise CodecError(
+                f"buffer {name!r} has no usable dtype"
+            ) from None
+        shape = spec.get("shape")
+        if (
+            dtype.kind not in "biuf"
+            or not isinstance(shape, list) or len(shape) != 1
+            or type(shape[0]) is not int
+            or shape[0] * dtype.itemsize != len(buf)
+        ):
+            raise CodecError(
+                f"buffer {name!r}: dtype {dtype} and shape {shape!r} do "
+                f"not describe its {len(buf)} bytes"
+            )
+        return np.frombuffer(buf, dtype=dtype)
 
     def scalars(self, name: str, count: int) -> tuple[float, ...]:
         arr = self.array(name)
@@ -850,6 +948,104 @@ def _decode_checkpoint(reader: _BlobReader) -> SummarizerCheckpoint:
     )
 
 
+def encode_event_section(
+    namespace: str, keys: np.ndarray, weights: "dict[str, np.ndarray]"
+) -> bytes:
+    """One namespace's ``(keys, weights)`` as an ingest-frame section.
+
+    Numeric key arrays are stored raw; every other dtype is tag-packed
+    value by value, so the receiver rebuilds its key array from the
+    same Python values a JSON body would have carried.
+    """
+    writer = _BlobWriter(
+        "event_section", {"namespace": namespace, "names": list(weights)}
+    )
+    if keys.dtype.kind in "biuf":
+        writer.add_array("keys", keys)
+    else:
+        writer.add_keys("keys", keys.tolist())
+    for index, values in enumerate(weights.values()):
+        writer.add_array(f"w{index}", np.asarray(values, dtype="<f8"))
+    return writer.render()
+
+
+def encode_event_batch(
+    sections: "Sequence[tuple[str, bytes]]", sync: bool = False
+) -> bytes:
+    """An ingest frame from ``(namespace, encoded section)`` pairs.
+
+    Sections are nested as they are, so one encoded section can ride
+    in several frames (one per replica) without being encoded again.
+    """
+    writer = _BlobWriter(
+        "event_batch",
+        {"namespaces": [name for name, _ in sections], "sync": bool(sync)},
+    )
+    for index, (_, blob) in enumerate(sections):
+        writer.add_blob(f"part{index}", blob)
+    return writer.render()
+
+
+def _decode_event_section(reader: _BlobReader) -> EventSection:
+    namespace, names = reader.meta.get("namespace"), reader.meta.get("names")
+    if (
+        not isinstance(namespace, str)
+        or not isinstance(names, list)
+        or not all(isinstance(name, str) for name in names)
+        or len(set(names)) != len(names)
+    ):
+        raise CodecError(
+            "event section needs a namespace and distinct assignment names"
+        )
+    keys = reader.vector("keys")
+    weights = {}
+    for index, name in enumerate(names):
+        values = reader.vector(f"w{index}")
+        if not isinstance(values, np.ndarray) or values.dtype != "<f8":
+            raise CodecError(f"weights[{name!r}] must be a raw <f8 buffer")
+        if len(values) != len(keys):
+            raise CodecError(
+                f"weights[{name!r}] has {len(values)} values for "
+                f"{len(keys)} keys"
+            )
+        weights[name] = values
+    return EventSection(namespace, keys, weights)
+
+
+def _decode_event_batch(reader: _BlobReader) -> EventBatch:
+    names, sync = reader.meta.get("namespaces"), reader.meta.get("sync")
+    if (
+        not isinstance(names, list) or not names
+        or not all(isinstance(name, str) for name in names)
+        or not isinstance(sync, bool)
+    ):
+        raise CodecError(
+            "event batch needs at least one section namespace and a "
+            "boolean sync flag"
+        )
+    if len(set(names)) != len(names):
+        raise CodecError(f"duplicate section namespace in {names!r}")
+    sections = []
+    for index, name in enumerate(names):
+        # the frame's checksum already covered the nested bytes
+        part = _BlobReader(
+            reader.blob(f"part{index}"), writable=False, verify=False
+        )
+        if part.kind != "event_section":
+            raise CodecError(
+                f"section {index} has kind {part.kind!r}, expected "
+                "'event_section'"
+            )
+        section = _decode_event_section(part)
+        if section.namespace != name:
+            raise CodecError(
+                f"section {index} is for {section.namespace!r}, the frame "
+                f"header says {name!r}"
+            )
+        sections.append(section)
+    return EventBatch(tuple(sections), sync)
+
+
 _DECODERS: dict[str, Callable[[_BlobReader], Any]] = {
     "bottomk_sketch": _decode_bottomk_sketch,
     "poisson_sketch": _decode_poisson_sketch,
@@ -857,6 +1053,8 @@ _DECODERS: dict[str, Callable[[_BlobReader], Any]] = {
     "summary": _decode_summary,
     "sketch_bundle": _decode_bundle,
     "checkpoint": _decode_checkpoint,
+    "event_section": _decode_event_section,
+    "event_batch": _decode_event_batch,
 }
 
 
@@ -905,6 +1103,31 @@ def decode(data, *, writable: bool = False, verify: bool = False):
     except KeyError:
         raise CodecError(f"unknown blob kind {reader.kind!r}") from None
     return decoder(reader)
+
+
+def decode_event_batch(data) -> EventBatch:
+    """Decode an ingest frame received from the network (CRC-verified).
+
+    Every way the bytes can be wrong — truncation, a bad checksum,
+    header counts the buffers cannot hold, non-``<f8`` weights,
+    duplicate or missing sections — raises :class:`CodecError`.
+    """
+    reader = _BlobReader(data, writable=False, verify=True)
+    if reader.kind != "event_batch":
+        raise CodecError(
+            f"expected an event_batch frame, got kind {reader.kind!r}"
+        )
+    return _decode_event_batch(reader)
+
+
+def event_batch_namespaces(data) -> tuple[str, ...]:
+    """The section namespaces an ingest frame's header names (no payload
+    read, no checksum): what slot-scoped fault rules match against."""
+    reader = _BlobReader(data, writable=False, verify=False)
+    names = reader.meta.get("namespaces")
+    if reader.kind != "event_batch" or not isinstance(names, list):
+        return ()
+    return tuple(name for name in names if isinstance(name, str))
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

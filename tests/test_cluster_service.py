@@ -19,6 +19,8 @@ from repro.engine.queries import QueryEngine, jaccard_from_summary
 from repro.service import (
     ClusterClient,
     ClusterError,
+    FaultPlan,
+    FaultRule,
     NamespaceConfig,
     ServiceClient,
     ServiceConfig,
@@ -28,6 +30,8 @@ from repro.service import (
 from repro.service.cluster import (
     CoordinatorConfig,
     CoordinatorThread,
+    slot_for_key,
+    slot_namespace,
     slot_namespace_configs,
 )
 
@@ -134,6 +138,23 @@ def event_batch(lo: int, n: int = 60):
     return keys, {
         "h1": (rng.pareto(1.3, n) + 0.05).tolist(),
         "h2": (rng.pareto(1.5, n) + 0.05).tolist(),
+    }
+
+
+def touched_slots(keys) -> list[int]:
+    return sorted({slot_for_key(key, N_SLOTS, SALT) for key in keys})
+
+
+def worker_versions(cluster) -> dict:
+    """Every worker's version token for every slot namespace."""
+    return {
+        worker_id: {
+            slot: client.bundle_entries(
+                slot_namespace("web", slot)
+            )["version"]
+            for slot in range(N_SLOTS)
+        }
+        for worker_id, client in cluster.clients.items()
     }
 
 
@@ -299,67 +320,39 @@ class TestFailover:
         )
 
     def test_replica_rejection_after_apply_marks_stale(self, replicated2):
-        """Regression: an owner that *rejects* a delivery (HTTP error,
-        e.g. 429 queue-full) after a replica already applied it holds a
+        """Regression: an owner that *refuses* its frame (HTTP error,
+        e.g. 429 queue-full) while a replica applied the batch holds a
         divergent under-counting copy — it must be marked stale exactly
-        like an unreachable owner, persisted, and never serve the slot.
+        like an unreachable owner, persisted, and never serve the slots.
         """
-        from repro.service.cluster import slot_for_key
-        from repro.service.cluster.topology import slot_namespace
-
         first = event_batch(0)
         replicated2.client.ingest("web", *first, sync=True)
-        service = replicated2.coordinator.service
-        # pick a slot delivered to w1 before w2, and make w2's daemon
-        # refuse that slot's sub-batch (as a full ingest queue would)
-        slot = next(
-            s for s in range(N_SLOTS)
-            if service.topology.slot_owners(s, ("w1", "w2"))
-            == ("w1", "w2")
+        # w2's daemon refuses its next frame, as a full ingest queue would
+        replicated2.workers["w2"].service.install_faults(
+            FaultPlan(0, [FaultRule(
+                "error", verb="/ingest", status=429, scope="w2", limit=1,
+            )]),
+            scope="w2",
         )
-        target_ns = slot_namespace("web", slot)
-        real_ingest = service._clients["w2"].ingest
-
-        def reject(namespace, keys, weights, sync=False):
-            if namespace == target_ns:
-                raise ServiceError(429, {"error": "ingest queue full"})
-            return real_ingest(namespace, keys, weights, sync=sync)
-
-        service._clients["w2"].ingest = reject
         second = event_batch(1000, n=30)
-        try:
-            with pytest.raises(ServiceError) as excinfo:
-                replicated2.client.ingest("web", *second, sync=True)
-        finally:
-            service._clients["w2"].ingest = real_ingest
-        assert excinfo.value.status == 502
+        result = replicated2.client.ingest("web", *second, sync=True)
+        touched = touched_slots(second[0])
+        # w1 applied every slot; the reply is a 200 that names what w2 missed
+        assert result["ok"] and result["slots"] == len(touched)
+        assert result["deliveries"] == len(touched)
+        assert result["missed_replicas"] == [
+            {"worker": "w2", "slot": slot} for slot in touched
+        ]
         view = replicated2.client.cluster_status()
-        assert slot in view["stale"].get("w2", [])
-        # w1 applied the sub-batch w2 refused; slots sorted after the
-        # rejection got nothing — the exact state the coordinator must
-        # keep serving is first + the second batch's slots <= `slot`
+        assert view["stale"] == {"w2": touched}
+        # only w1 may answer the touched slots — exactly, never partial
+        offline = offline_engine([first, second])
+        exact = offline.estimate(AggregationSpec("max", ("h1", "h2")))
         served = replicated2.client.estimate("web", "max", ["h1", "h2"])
         assert served["partial"] is False
-        keys2, weights2 = second
-        applied = [
-            i for i, k in enumerate(keys2)
-            if slot_for_key(k, N_SLOTS, SALT) <= slot
-        ]
-        offline = offline_engine([
-            first,
-            (
-                [keys2[i] for i in applied],
-                {
-                    name: [values[i] for i in applied]
-                    for name, values in weights2.items()
-                },
-            ),
-        ])
-        assert served["estimate"] == offline.estimate(
-            AggregationSpec("max", ("h1", "h2"))
-        )
+        assert served["estimate"] == exact
         # the stale marking survives a coordinator restart: it was
-        # persisted before the 502 went out
+        # persisted before the reply went out
         replicated2.client.close()
         replicated2.coordinator.stop()
         replicated2.coordinator = CoordinatorThread(
@@ -370,10 +363,97 @@ class TestFailover:
             port=replicated2.coordinator.service.port
         )
         view = replicated2.client.cluster_status()
-        assert slot in view["stale"].get("w2", [])
+        assert view["stale"] == {"w2": touched}
         served = replicated2.client.estimate("web", "max", ["h1", "h2"])
         assert served["partial"] is False
-        assert served["estimate"] == offline.estimate(
+        assert served["estimate"] == exact
+
+    def test_unreachable_owner_goes_stale_and_dead_when_a_replica_acks(
+        self, replicated2
+    ):
+        first = event_batch(0)
+        replicated2.client.ingest("web", *first, sync=True)
+        service = replicated2.coordinator.service
+        service._clients["w1"].install_faults(
+            FaultPlan(0, [FaultRule("drop", verb="/ingest", limit=1)]),
+            scope="w1",
+        )
+        second = event_batch(1000, n=30)
+        result = replicated2.client.ingest("web", *second, sync=True)
+        touched = touched_slots(second[0])
+        assert {row["worker"] for row in result["missed_replicas"]} == {"w1"}
+        view = replicated2.client.cluster_status()
+        assert view["stale"] == {"w1": touched}
+        alive = {row["worker_id"]: row["alive"] for row in view["workers"]}
+        assert alive == {"w1": False, "w2": True}
+        served = replicated2.client.estimate("web", "max", ["h1", "h2"])
+        assert served["partial"] is False
+        assert served["estimate"] == offline_engine([first, second]).estimate(
+            AggregationSpec("max", ("h1", "h2"))
+        )
+
+    def test_refused_by_every_owner_is_502_with_no_stale_marks(
+        self, replicated2
+    ):
+        """Copies that all refused still agree: nothing goes stale, no
+        worker's data moved, and the cluster keeps serving exactly."""
+        first = event_batch(0)
+        replicated2.client.ingest("web", *first, sync=True)
+        before = worker_versions(replicated2)
+        for worker_id in ("w1", "w2"):
+            replicated2.workers[worker_id].service.install_faults(
+                FaultPlan(0, [FaultRule(
+                    "error", verb="/ingest", status=503, limit=1,
+                )]),
+                scope=worker_id,
+            )
+        second = event_batch(1000, n=30)
+        with pytest.raises(ServiceError) as excinfo:
+            replicated2.client.ingest("web", *second, sync=True)
+        assert excinfo.value.status == 502
+        message = str(excinfo.value)
+        assert f"slots {touched_slots(second[0])}" in message
+        assert "applied slots: []" in message
+        assert replicated2.client.cluster_status()["stale"] == {}
+        assert worker_versions(replicated2) == before
+        # the refused batch can simply be sent again
+        assert replicated2.client.ingest("web", *second, sync=True)["ok"]
+        served = replicated2.client.estimate("web", "max", ["h1", "h2"])
+        assert served["partial"] is False
+        assert served["estimate"] == offline_engine([first, second]).estimate(
+            AggregationSpec("max", ("h1", "h2"))
+        )
+
+    def test_unknown_outcome_beside_a_refusal_marks_only_the_unknown(
+        self, replicated2
+    ):
+        """No owner acked: the refusing copy provably holds the pre-batch
+        state and keeps serving; the copy whose outcome is unknown may
+        have applied the batch and must not."""
+        first = event_batch(0)
+        replicated2.client.ingest("web", *first, sync=True)
+        service = replicated2.coordinator.service
+        service._clients["w1"].install_faults(
+            FaultPlan(0, [FaultRule("drop", verb="/ingest", limit=1)]),
+            scope="w1",
+        )
+        replicated2.workers["w2"].service.install_faults(
+            FaultPlan(0, [FaultRule(
+                "error", verb="/ingest", status=429, limit=1,
+            )]),
+            scope="w2",
+        )
+        second = event_batch(1000, n=30)
+        with pytest.raises(ServiceError) as excinfo:
+            replicated2.client.ingest("web", *second, sync=True)
+        assert excinfo.value.status == 502
+        assert "w1: unknown" in str(excinfo.value)
+        assert "w2: refused" in str(excinfo.value)
+        view = replicated2.client.cluster_status()
+        assert view["stale"] == {"w1": touched_slots(second[0])}
+        served = replicated2.client.estimate("web", "max", ["h1", "h2"])
+        assert served["partial"] is False
+        assert served["estimate"] == offline_engine([first]).estimate(
             AggregationSpec("max", ("h1", "h2"))
         )
 
@@ -384,6 +464,51 @@ class TestFailover:
         with pytest.raises(ServiceError) as excinfo:
             cluster2.client.ingest("web", keys, weights, sync=True)
         assert excinfo.value.status == 502
+
+
+class TestIngestValidation:
+    """Regression: a malformed client batch used to be sliced and
+    delivered until the first worker refused a sub-batch — a 502 with
+    the earlier slots already applied on every replica.  The coordinator
+    now runs the worker's own validator first: 400/413, nothing sent."""
+
+    @pytest.mark.parametrize("mutate, status", [
+        (lambda keys, w: w["h1"].__setitem__(100, -1.0), 400),
+        (lambda keys, w: w["h2"].__setitem__(7, float("inf")), 400),
+        (lambda keys, w: w.__setitem__("h9", list(w["h1"])), 400),
+        (lambda keys, w: keys.__setitem__(150, None), 400),
+        (lambda keys, w: keys.__setitem__(3, float("nan")), 400),
+        (lambda keys, w: w["h1"].pop(), 400),
+        (lambda keys, w: w.__setitem__("h1", "not a list"), 400),
+        (lambda keys, w: (
+            keys.extend(range(100_001)),
+            w.update({name: [1.0] * len(keys) for name in w}),
+        ), 413),
+    ], ids=[
+        "negative-weight", "infinite-weight", "unknown-assignment",
+        "null-key", "nan-key", "short-weights", "weights-not-a-list",
+        "over-max-batch-events",
+    ])
+    def test_bad_batch_is_refused_before_anything_is_sent(
+        self, replicated2, mutate, status
+    ):
+        first = event_batch(0)
+        replicated2.client.ingest("web", *first, sync=True)
+        before = worker_versions(replicated2)
+        keys, weights = event_batch(1000, n=200)
+        mutate(keys, weights)
+        with pytest.raises(ServiceError) as excinfo:
+            replicated2.client._request("POST", "/ingest", {
+                "namespace": "web", "keys": keys, "weights": weights,
+                "sync": True,
+            })
+        assert excinfo.value.status == status
+        assert worker_versions(replicated2) == before
+        assert replicated2.client.cluster_status()["stale"] == {}
+        served = replicated2.client.estimate("web", "single", ["h2"])
+        assert served["estimate"] == offline_engine([first]).estimate(
+            AggregationSpec("single", ("h2",))
+        )
 
 
 class TestMembership:

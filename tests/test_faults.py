@@ -129,6 +129,19 @@ class TestDeterminism:
         # non-slot namespace never matches a slot rule
         assert plan.decide("w1", "POST", "/ingest", namespace="web") is None
 
+    def test_slot_rule_matches_any_section_of_a_frame(self):
+        plan = FaultPlan(0, [FaultRule("error", slot=3)])
+        sections = ("web--s001", "web--s003", "web--s005")
+        assert plan.decide(
+            "w1", "POST", "/ingest", namespace=sections
+        ) is not None
+        assert plan.decide(
+            "w1", "POST", "/ingest", namespace=("web--s001", "web--s005")
+        ) is None
+        assert plan.decide("w1", "POST", "/ingest", namespace=()) is None
+        # the witness names every slot the frame carried
+        assert plan.events[0]["slot"] == [1, 3, 5]
+
     def test_first_matching_rule_wins(self):
         plan = FaultPlan(0, [
             FaultRule("delay", verb="/ingest"),
@@ -223,3 +236,69 @@ class TestServerInjection:
         thread.service.install_faults(plan, scope="w-this")
         assert client.liveness()["ok"]  # rule never matches this scope
         assert plan.fired() == 0
+
+
+class TestFrameSlotScope:
+    """A coalesced ingest frame carries several slots in one request:
+    slot-scoped rules keep matching it at both injection points."""
+
+    @staticmethod
+    def _frame(slots) -> tuple[bytes, list[str]]:
+        import numpy as np
+
+        from repro.service.cluster import slot_namespace
+        from repro.store.codec import encode_event_batch, encode_event_section
+
+        names = [slot_namespace("web", slot) for slot in slots]
+        return encode_event_batch([
+            (name, encode_event_section(
+                name, np.array([slot]), {"h1": np.array([1.0])}
+            ))
+            for name, slot in zip(names, slots)
+        ], sync=True), names
+
+    @pytest.fixture
+    def slot_daemon(self, tmp_path):
+        from repro.service.cluster import slot_namespace_configs
+
+        config = ServiceConfig(
+            store_root=str(tmp_path / "store"),
+            namespaces=slot_namespace_configs(NS, 4),
+            port=0,
+            compact_to=None,
+            tick_s=3600.0,
+        )
+        thread = ServiceThread(config)
+        thread.start()
+        client = ServiceClient(port=thread.service.port, timeout=5.0)
+        client.wait_ready()
+        yield thread, client
+        client.close()
+        thread.stop()
+
+    def test_client_side_rule_sees_the_frames_sections(self, slot_daemon):
+        _thread, client = slot_daemon
+        plan = FaultPlan(0, [FaultRule("error", slot=2, status=429)])
+        client.install_faults(plan)
+        frame, names = self._frame([0, 2])
+        with pytest.raises(ServiceError) as excinfo:
+            client.ingest_frame(frame, names)
+        assert excinfo.value.status == 429
+        other, other_names = self._frame([0, 1])
+        assert client.ingest_frame(other, other_names)["events"] == 2
+        assert plan.fired() == 1 and plan.events[0]["slot"] == [0, 2]
+
+    def test_server_side_rule_reads_the_frame_header(self, slot_daemon):
+        thread, client = slot_daemon
+        plan = FaultPlan(0, [FaultRule("error", slot=2, status=503)])
+        thread.service.install_faults(plan, scope="worker")
+        frame, _names = self._frame([1, 2, 3])
+        with pytest.raises(ServiceError) as excinfo:
+            client.ingest_frame(frame)  # nothing but the bytes to go on
+        assert excinfo.value.status == 503
+        assert excinfo.value.payload.get("fault") is True
+        assert client.ingest_frame(self._frame([0, 1])[0])["events"] == 2
+        # a JSON body's one namespace still matches the same rule
+        with pytest.raises(ServiceError):
+            client.ingest("web--s002", [7], {"h1": [1.0]}, sync=True)
+        assert [event["slot"] for event in plan.events] == [[1, 2, 3], 2]

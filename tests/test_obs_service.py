@@ -346,6 +346,61 @@ class TestClusterObservability:
             ] >= 1
 
 
+    def test_routed_ingest_is_one_trace_of_parallel_deliveries(self, cluster):
+        """One routed batch: one coordinator trace, at most one
+        ``deliver`` child per worker, each worker's request and
+        ``ingest-apply`` spans hanging under its delivery."""
+        keys, weights = event_batch(0, n=60)
+        cluster.client.ingest("web", keys, weights, sync=True)
+        spans = cluster.client.trace_recent(limit=200)["spans"]
+        (root,) = [s for s in spans if s["name"] == "POST /ingest"]
+        delivers = [
+            s for s in spans
+            if s["name"] == "deliver" and s["trace"] == root["trace"]
+        ]
+        assert 1 <= len(delivers) <= len(cluster.workers)
+        assert {s["tags"]["worker"] for s in delivers} == {"w1", "w2"}
+        assert all(s["parent"] == root["span"] for s in delivers)
+        assert all(s["tags"]["outcome"] == "ack" for s in delivers)
+        # SALT=4 splits the 4 slots 2/2; each frame carries its worker's
+        assert sorted(
+            slot for s in delivers for slot in s["tags"]["slots"]
+        ) == list(range(N_SLOTS))
+        assert sum(s["tags"]["events"] for s in delivers) == len(keys)
+        assert all(s["tags"]["bytes"] > 0 for s in delivers)
+        for deliver in delivers:
+            worker_spans = cluster.worker_clients[
+                deliver["tags"]["worker"]
+            ].trace_recent(limit=200)["spans"]
+            (request,) = [
+                s for s in worker_spans
+                if s["name"] == "POST /ingest"
+                and s["trace"] == root["trace"]
+            ]
+            assert request["parent"] == deliver["span"]
+            (apply,) = [
+                s for s in worker_spans
+                if s["name"] == "ingest-apply"
+                and s["trace"] == root["trace"]
+            ]
+            assert apply["parent"] == request["span"]
+            assert apply["tags"]["sections"] == len(deliver["tags"]["slots"])
+            assert apply["tags"]["events"] == deliver["tags"]["events"]
+        samples = parse_prometheus_text(cluster.client.metrics())
+        assert {
+            dict(labels)["worker"]: value
+            for (name, labels), value in samples.items()
+            if name == "repro_cluster_ingest_delivery_seconds_count"
+        } == {"w1": 1, "w2": 1}
+        # one frame per worker, not one request per (slot, replica)
+        for worker_client in cluster.worker_clients.values():
+            worker_samples = parse_prometheus_text(worker_client.metrics())
+            assert worker_samples[
+                ("repro_http_requests_total",
+                 (("path", "/ingest"), ("status", "200")))
+            ] == 1
+
+
 class TestCliVerbs:
     def test_metrics_and_trace_verbs(self, service, capsys):
         _thread, client = service
