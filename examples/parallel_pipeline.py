@@ -1,13 +1,14 @@
-"""Multicore pipeline: parallel ingest -> parallel compact -> serve_many.
+"""Multicore pipeline: ingest -> parallel compact -> parallel serve_many.
 
-The execution layer (`repro.engine.parallel`) turns the paper's
-mergeability guarantee into multicore throughput without changing a
-single output bit:
+The paper's mergeability guarantee lets the coarse-grained stages run on
+a stdlib process pool (`repro.engine.parallel` builds one from a spec
+such as "process:2", or takes yours) without changing a single output
+bit:
 
 1. **ingest** — two collector summarizers (one per namespace) feed
    unaggregated (flow, bytes/packets) events through the partition-once
-   `ingest_multi` path and finalize their key-disjoint shards under a
-   process executor (per-shard buffers travel via shared memory);
+   `ingest_multi` path; a summarizer folds its shards inline, so this
+   stage takes no executor;
 2. **compact** — each namespace's minute buckets roll up to hour buckets
    concurrently (`SummaryStore.compact(..., executor=...)`), with the
    manifest mutation staying in the parent;
@@ -15,7 +16,7 @@ single output bit:
    namespace concurrently, each worker sharing one decoded summary per
    namespace across its whole batch.
 
-Every step is also run serially to show the results are identical —
+Stages 2 and 3 are also run serially to show the results are identical —
 executors change where the work runs, never what it produces.
 
 Run:  python examples/parallel_pipeline.py
@@ -23,13 +24,14 @@ Run:  python examples/parallel_pipeline.py
 
 from __future__ import annotations
 
+import multiprocessing
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from repro import (
     AggregationSpec,
-    ProcessExecutor,
     Query,
     QueryEngine,
     ShardedSummarizer,
@@ -53,7 +55,7 @@ def synth_batch(rng: np.random.Generator):
     return flows.astype(np.int64), sizes, packets
 
 
-def build_store(root: str, executor) -> SummaryStore:
+def build_store(root: str) -> SummaryStore:
     """Ingest MINUTE_BUCKETS minutes per namespace into a fresh store."""
     store = SummaryStore(root)
     rng = np.random.default_rng(42)
@@ -61,7 +63,7 @@ def build_store(root: str, executor) -> SummaryStore:
         for minute in range(MINUTE_BUCKETS):
             engine = ShardedSummarizer(
                 k=K, assignments=["bytes", "packets"], n_shards=8,
-                hasher=KeyHasher(7), executor=executor,
+                hasher=KeyHasher(7),
             )
             flows, sizes, packets = synth_batch(rng)
             # keys must stay disjoint across buckets for exact rollups
@@ -75,7 +77,10 @@ def build_store(root: str, executor) -> SummaryStore:
 
 def main() -> None:
     workers = max(2, min(4, available_workers()))
-    executor = ProcessExecutor(workers=workers)
+    # caller-owned: one pool serves both stages and is ours to shut down
+    executor = ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+    )
     queries = [
         Query(AggregationSpec("single", ("bytes",)), label="total bytes"),
         Query(AggregationSpec("single", ("packets",)), label="total packets"),
@@ -85,11 +90,11 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as serial_root, \
             tempfile.TemporaryDirectory() as parallel_root:
-        print(f"using ProcessExecutor(workers={workers}) "
+        print(f"using ProcessPoolExecutor(max_workers={workers}) "
               f"on {available_workers()} usable core(s)\n")
 
-        serial_store = build_store(serial_root, None)
-        parallel_store = build_store(parallel_root, executor)
+        serial_store = build_store(serial_root)
+        parallel_store = build_store(parallel_root)
 
         serial_store.compact("edge", to="hour")
         serial_store.compact("core", to="hour")
@@ -106,7 +111,7 @@ def main() -> None:
         parallel_answers = QueryEngine.serve_many(
             parallel_store, requests, executor=executor
         )
-        executor.close()
+        executor.shutdown()
 
         print(f"\n{'namespace':<10} {'query':<14} {'estimate':>14}  matches serial")
         for namespace in NAMESPACES:

@@ -46,14 +46,10 @@ from repro.core.summary import (
     build_summary_from_sketches,
 )
 from repro.engine import (
-    Executor,
-    ProcessExecutor,
     Query,
     QueryEngine,
     QueryResult,
-    SerialExecutor,
     ShardedSummarizer,
-    ThreadExecutor,
     available_workers,
     get_executor,
     jaccard_from_summary,
@@ -122,10 +118,6 @@ __all__ = [
     "QueryEngine",
     "QueryResult",
     "jaccard_from_summary",
-    "Executor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "get_executor",
     "available_workers",
     "AdjustedWeights",

@@ -240,8 +240,9 @@ class QueryEngine:
             mapping of namespace -> sequence of :class:`Query` (or bare
             :class:`~repro.core.aggregates.AggregationSpec`) items.
         executor:
-            execution mode (``None``/spec string/
-            :class:`~repro.engine.parallel.Executor`).  Namespaces are
+            execution mode (``None``, a ``mode[:workers]`` spec string or
+            a caller-owned :class:`concurrent.futures.Executor`; see
+            :mod:`repro.engine.parallel`).  Namespaces are
             independent, so each worker merges one namespace's bundles
             once, builds one engine over the summary, and serves that
             namespace's whole batch from shared decoded views and kernel
@@ -260,7 +261,7 @@ class QueryEngine:
         root = store if isinstance(store, (str, os.PathLike)) else store.root
         names = list(requests)
         with executor_scope(executor) as ex:
-            answers = ex.map(
+            answers = list(ex.map(
                 serve_namespace_task,
                 (
                     {
@@ -271,7 +272,7 @@ class QueryEngine:
                     }
                     for name in names
                 ),
-            )
+            ))
         return dict(zip(names, answers))
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Shard-parallel, batch-fed summarization of unaggregated streams.
+"""Hash-sharded, batch-fed summarization of unaggregated streams.
 
 :class:`ShardedSummarizer` is the engine front door: feed it raw
 (key, weight) events — unaggregated, batched, in any order — for any
@@ -12,8 +12,9 @@ The pipeline per assignment:
    ``n_shards`` shards (:func:`shard_indices`), so all occurrences of a
    key land in the same shard and shards are key-disjoint by construction;
    a shard only queues the batch slice as *pending*;
-2. **fold** — at finalization each shard folds just its pending events
-   into its :class:`ShardState`: an aggregated table (unique keys +
+2. **fold** — at finalization each shard that has pending events folds
+   just those, inline and one shard after another, into its
+   :class:`ShardState`: an aggregated table (unique keys +
    running per-key totals, the pre-aggregation bottom-k sampling
    requires) and the table's ``k + 1`` smallest-rank entries.  The pending
    events are aggregated (vectorized ``np.unique`` for numeric keys), each
@@ -160,8 +161,6 @@ class ShardDelta(NamedTuple):
     keys in the numeric table the delta was computed against (their
     ``np.searchsorted`` positions; ``None`` when that table was empty or
     the fold went generic), so applying the delta need not search again.
-    This is all a worker process sends back; the table stays in the
-    parent.
     """
 
     touched: np.ndarray
@@ -226,10 +225,7 @@ class ShardState:
 
         One dtype guarantees that concatenating the chunks never lossily
         promotes keys (e.g. large int64 ids to float64).  Decides the form
-        of the fold, and with it whether a process executor can ship the
-        shard through shared memory — pre-concatenating the chunks for a
-        worker is bit-identical precisely when the fold would concatenate
-        them too, so both ask this one predicate.
+        of the fold.
         """
         if self.keys is None:
             return False
@@ -256,9 +252,7 @@ class ShardState:
         Continues each touched key's sum from its stored total with the
         same float additions a one-shot aggregation performs, re-ranks the
         touched keys only, and selects the new bottom-(k+1) from the
-        untouched old entries plus the touched keys.  The single source of
-        truth for shard finalization: every executor mode maps this over
-        shards, which is what makes their output bit-identical.
+        untouched old entries plus the touched keys.
         """
         old = self.entries
         chunks = [chunk for chunk in chunks if len(chunk[0])]
@@ -391,6 +385,17 @@ class _Shard:
         table = [self.state.chunk()] if len(self.state) else []
         return table + self.pending
 
+    def fold(self, k: int, family: RankFamily, hasher: KeyHasher) -> int:
+        """Fold the pending chunks into the state; returns the change in
+        rows held (table keys + pending events).  A fold that raises
+        leaves the shard, pending chunks included, as it was."""
+        held = len(self.state) + sum(len(keys) for keys, _ in self.pending)
+        self.state = self.state.apply(
+            self.state.delta(k, family, hasher, self.pending)
+        )
+        self.pending = []
+        return len(self.state) - held
+
 
 class ShardedSummarizer:
     """Hash-sharded bottom-k summarization of unaggregated event streams.
@@ -410,14 +415,6 @@ class ShardedSummarizer:
         two summarizers with equal hashers produce coordinated summaries.
     partition_salt:
         extra salt for shard placement (does not affect the summary).
-    executor:
-        execution mode for finalization (folding the pending events of
-        the key-disjoint shards): ``None``/"serial" (default, inline),
-        a spec string like ``"thread:4"`` or ``"process:4:16"``, or an
-        :class:`~repro.engine.parallel.Executor` instance (caller-owned,
-        reused across finalizations).  Because shards are key-disjoint
-        and the merge is exact, every mode produces bit-identical
-        summaries; the mode only changes how many cores do the work.
 
     >>> eng = ShardedSummarizer(k=2, assignments=["h1", "h2"], n_shards=2)
     >>> eng.ingest("h1", np.array([1, 2, 3]), np.array([5.0, 1.0, 9.0]))
@@ -434,7 +431,6 @@ class ShardedSummarizer:
         family: RankFamily | None = None,
         hasher: KeyHasher | None = None,
         partition_salt: int = 0,
-        executor: "str | None | object" = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -450,7 +446,6 @@ class ShardedSummarizer:
         self.family = family if family is not None else IppsRanks()
         self.hasher = hasher if hasher is not None else KeyHasher(0)
         self.partition_salt = partition_salt
-        self.executor = executor
         self._shards: dict[str, list[_Shard]] = {
             name: [_Shard() for _ in range(n_shards)]
             for name in self.assignments
@@ -584,31 +579,19 @@ class ShardedSummarizer:
         """Finalized per-assignment sketches, cached until the next ingest.
 
         Folds every shard that has pending chunks (shards without are
-        already current), then merges the shard sketches.  These are
-        internal state: callers go through :meth:`sketches`, which hands
-        out defensive copies.
+        already current), one after another — the peak holds one shard's
+        old and new table, and a fold that raises leaves its shard to be
+        folded again by the next call — then merges the shard sketches.
+        These are internal state: callers go through :meth:`sketches`,
+        which hands out defensive copies.
         """
         if self._sketch_cache is None:
-            from repro.engine.parallel import SerialExecutor, executor_scope
-
-            stale = [
-                shard
-                for name in self.assignments
-                for shard in self._shards[name]
-                if shard.pending
-            ]
-            with executor_scope(self.executor) as executor:
-                if executor.cross_process:
-                    # Only numeric shards ship through shared memory.
-                    # Pickling Python-object keys and a dict table to a
-                    # worker costs more than the dict fold it would
-                    # offload, so those shards fold here.
-                    self._fold(SerialExecutor(), [
-                        shard for shard in stale
-                        if not shard.state.stays_numeric(shard.pending)
-                    ])
-                    stale = [shard for shard in stale if shard.pending]
-                self._fold(executor, stale)
+            for shards in self._shards.values():
+                for shard in shards:
+                    if shard.pending:
+                        self._rows += shard.fold(
+                            self.k, self.family, self.hasher
+                        )
             self._sketch_cache = {
                 name: merge_bottomk(
                     *(shard.state.entries.sketch(self.k) for shard in shards)
@@ -616,47 +599,6 @@ class ShardedSummarizer:
                 for name, shards in self._shards.items()
             }
         return self._sketch_cache
-
-    def _fold(self, executor, stale: "list[_Shard]") -> None:
-        """Fold the pending chunks of ``stale`` shards into their states.
-
-        The executor maps :meth:`ShardState.delta` over the shards; each
-        delta is applied here as it lands, so the shard's pending chunks
-        (and its staged segment) are released then — the peak holds one
-        shard's old and new table, not every shard's, and live shared
-        memory is bounded by the backpressure window.
-        """
-        from repro.engine.parallel import (
-            build_shard_tasks,
-            fold_shard_task,
-            release_shipment,
-        )
-
-        shipments: list = []
-
-        def tasks():
-            for task, shm in build_shard_tasks(
-                self.k, self.family, self.hasher, stale,
-                executor.cross_process,
-            ):
-                shipments.append(shm)
-                yield task
-
-        def adopt(index: int, delta: ShardDelta) -> None:
-            release_shipment(shipments[index])
-            shipments[index] = None
-            shard = stale[index]
-            held = len(shard.state) + sum(
-                len(chunk_keys) for chunk_keys, _ in shard.pending
-            )
-            shard.state, shard.pending = shard.state.apply(delta), []
-            self._rows += len(shard.state) - held
-
-        try:
-            executor.map(fold_shard_task, tasks(), on_result=adopt)
-        finally:
-            for shm in shipments:
-                release_shipment(shm)
 
     def sketches(self) -> dict[str, BottomKSketch]:
         """Aggregate, sample, and merge: one bottom-k sketch per assignment.
@@ -740,18 +682,13 @@ class ShardedSummarizer:
 
     @classmethod
     def from_checkpoint(
-        cls,
-        state: "SummarizerCheckpoint",
-        executor: "str | None | object" = None,
+        cls, state: "SummarizerCheckpoint"
     ) -> "ShardedSummarizer":
         """Rebuild a summarizer from a checkpoint snapshot.
 
         The restored instance has the same configuration, salts, and
         chunks (pending, in checkpoint order), so continuing the stream
-        produces summaries bit-identical to an uninterrupted run.  The
-        executor is runtime configuration, not stream state: it is never
-        captured in a checkpoint, and the restored summarizer may finalize
-        under any mode (``executor``) without affecting the output.
+        produces summaries bit-identical to an uninterrupted run.
         """
         restored = cls(
             k=state.k,
@@ -760,7 +697,6 @@ class ShardedSummarizer:
             family=state.family,
             hasher=KeyHasher(state.hasher_salt),
             partition_salt=state.partition_salt,
-            executor=executor,
         )
         for name in restored.assignments:
             for shard, chunk_list in zip(
@@ -779,13 +715,11 @@ class ShardedSummarizer:
         return save_checkpoint(path, self)
 
     @classmethod
-    def load_checkpoint(
-        cls, path, executor: "str | None | object" = None
-    ) -> "ShardedSummarizer":
+    def load_checkpoint(cls, path) -> "ShardedSummarizer":
         """Restore a summarizer from a checkpoint file."""
         from repro.store.checkpoint import load_checkpoint
 
-        return load_checkpoint(path, executor=executor)
+        return load_checkpoint(path)
 
     @property
     def buffered_events(self) -> int:

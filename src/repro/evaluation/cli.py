@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="multiply workload key counts")
     parser.add_argument("--executor", default=None, metavar="SPEC",
                         help="parallelize experiment runs: 'serial' "
-                             "(default), 'thread[:workers[:depth]]', or "
-                             "'process[:workers[:depth]]' (process mode "
+                             "(default), 'thread[:workers]', or "
+                             "'process[:workers]' (process mode "
                              "needs picklable tasks; prefer thread here). "
                              "Results are bit-identical across modes.")
     return parser
@@ -151,11 +151,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {eid:>6}  {summary}")
         return 0
     if args.executor is not None:
-        from repro.engine.parallel import get_executor
+        from repro.engine.parallel import parse_executor_spec
         from repro.evaluation.runner import set_default_executor
 
         try:
-            get_executor(args.executor)  # validate the spec before any work
+            parse_executor_spec(args.executor)  # refuse before any work
         except ValueError as err:
             raise SystemExit(f"error: {err}") from None
         set_default_executor(args.executor)

@@ -198,12 +198,14 @@ def run_sigma_v(
 ) -> VarianceResult:
     """ΣV of every task at every k over ``runs`` repeated draws.
 
-    ``executor`` (``None``/spec string/:class:`repro.engine.parallel.
-    Executor`) distributes the independent runs across workers; per-run
-    contributions are reduced in run-index order, so every mode returns
-    bit-identical results.  Thread mode suits the stock experiment tasks
-    (their estimator callables are closures, which processes cannot
-    pickle); process mode additionally requires picklable tasks.
+    ``executor`` (``None``, a ``mode[:workers]`` spec string or a
+    caller-owned :class:`concurrent.futures.Executor`; see
+    :mod:`repro.engine.parallel`) distributes the independent runs across
+    workers; per-run contributions are reduced in run-index order, so
+    every mode returns bit-identical results.  Thread mode suits the stock
+    experiment tasks (their estimator callables are closures, which
+    processes cannot pickle); process mode additionally requires picklable
+    tasks.
     """
     from repro.engine.parallel import executor_scope
 
@@ -231,13 +233,13 @@ def run_sigma_v(
     }
     tasks = list(tasks)
     with executor_scope(executor) as ex:
-        per_run = ex.map(
+        per_run = list(ex.map(
             _sigma_v_one_run,
             (
                 (dataset, tasks, k_values, methods, family, seed, run, metric)
                 for run in range(runs)
             ),
-        )
+        ))
     for run_totals, run_sizes in per_run:
         for name, by_k in run_totals.items():
             for k, value in by_k.items():

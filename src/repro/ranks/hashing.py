@@ -108,23 +108,32 @@ def as_key_array(keys) -> np.ndarray:
 
     Key identity follows Python equality, so coercion must never change a
     key's hash: mixed-type lists (where ``np.asarray`` would silently
-    promote ``[1, "a"]`` to strings and ``[1, 2.5]`` to floats) and tuple
-    keys (which ``np.asarray`` would explode into a 2-D array) are kept as
-    object arrays of the original values, and integral float keys are
-    folded to ints (``1.0`` and ``1`` are the same key).
+    promote ``[1, "a"]`` to strings and ``[1, 2.5]`` to floats), tuple
+    keys (which ``np.asarray`` would explode into a 2-D array), ``int``
+    lists that straddle 2**63 (which it would round to float64) and
+    ``str`` / ``bytes`` lists with a trailing NUL (which its fixed-width
+    dtypes drop) are kept as object arrays of the original values, and
+    integral float keys are folded to ints (``1.0`` and ``1`` are the
+    same key).
     """
     if isinstance(keys, np.ndarray):
         arr = keys
     else:
         keys = list(keys)
-        if len({type(key) for key in keys}) > 1:
+        key_types = {type(key) for key in keys}
+        if len(key_types) > 1:
             arr = _object_array(keys)
         else:
             try:
                 arr = np.asarray(keys)
             except (ValueError, TypeError):
                 arr = None
-            if arr is None or arr.ndim != 1:
+            if (
+                arr is None
+                or arr.ndim != 1
+                or (arr.dtype.kind == "f" and int in key_types)
+                or (arr.dtype.kind in "US" and arr.tolist() != keys)
+            ):
                 arr = _object_array(keys)
     if arr.ndim != 1:
         raise ValueError(f"keys must be one-dimensional, got shape {arr.shape}")

@@ -90,7 +90,6 @@ def _config_from_args(args: argparse.Namespace) -> ServiceConfig:
             compact_to=None if args.compact_to == "off" else args.compact_to,
             compact_every_s=args.compact_every,
             tick_s=args.tick,
-            executor=args.executor,
             trace_log=args.trace_log,
         )
     if getattr(args, "cluster_slots", None):
@@ -559,9 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS")
     serve.add_argument("--tick", type=float, default=1.0, metavar="SECONDS",
                        help="rotation check interval")
-    serve.add_argument("--executor", default=None, metavar="SPEC",
-                       help="finalization/compaction executor spec "
-                            "(see repro.engine.parallel)")
     serve.add_argument("--cluster-slots", type=int, default=None,
                        metavar="N",
                        help="cluster worker mode: expand every namespace "

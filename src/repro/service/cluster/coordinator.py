@@ -138,7 +138,6 @@ class CoordinatorConfig:
     #: connection-failure retries per idempotent worker call
     worker_retries: int = 1
     max_body_bytes: int = 32 << 20
-    result_cache_size: int = 1024
     #: concurrent liveness probes per heartbeat round (bounded fan-out)
     probe_concurrency: int = 8
     #: grace window: a heartbeat-dead worker is promoted to *failed*
@@ -210,7 +209,6 @@ class CoordinatorConfig:
             "worker_timeout_s": self.worker_timeout_s,
             "worker_retries": self.worker_retries,
             "max_body_bytes": self.max_body_bytes,
-            "result_cache_size": self.result_cache_size,
             "probe_concurrency": self.probe_concurrency,
             "fail_after_s": self.fail_after_s,
             "repair_interval_s": self.repair_interval_s,
@@ -226,7 +224,7 @@ class CoordinatorConfig:
         known = {
             "root", "namespaces", "host", "port", "n_slots", "replication",
             "salt", "heartbeat_s", "probe_timeout_s", "worker_timeout_s",
-            "worker_retries", "max_body_bytes", "result_cache_size",
+            "worker_retries", "max_body_bytes",
             "probe_concurrency", "fail_after_s", "repair_interval_s",
             "repair_max_attempts", "anti_entropy",
             "observability", "trace_log", "trace_seed",
@@ -1138,10 +1136,7 @@ class CoordinatorService(HttpServerBase):
             answer["missing_slots"] = sorted(missing)
             return {**answer, "cached": False}
         answer["partial"] = False  # before cache_put: replays keep the marker
-        self.runtime.cache_put(
-            cache_key, namespace, version, answer,
-            max_entries=self.config.result_cache_size,
-        )
+        self.runtime.cache_put(cache_key, namespace, version, answer)
         return {**answer, "cached": False}
 
     # -- routing --------------------------------------------------------------

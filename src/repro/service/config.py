@@ -6,7 +6,7 @@ A :class:`ServiceConfig` describes one ``repro-serve`` daemon: where the
 assignments, and coordination salts of that namespace's live
 :class:`~repro.engine.ShardedSummarizer`), the HTTP bind address, and the
 runtime knobs — live-window granularity, background compaction cadence,
-ingest-queue depth, executor spec.
+ingest-queue depth.
 
 Configs round-trip through JSON (:meth:`ServiceConfig.to_json` /
 :meth:`ServiceConfig.from_json`), so ``repro-serve serve --config
@@ -56,7 +56,7 @@ class NamespaceConfig:
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
 
-    def make_summarizer(self, executor=None):
+    def make_summarizer(self):
         """A fresh live-window summarizer with this namespace's coordination."""
         from repro.engine.sharded import ShardedSummarizer
         from repro.ranks.families import get_rank_family
@@ -69,7 +69,6 @@ class NamespaceConfig:
             family=get_rank_family(self.family),
             hasher=KeyHasher(self.salt),
             partition_salt=self.partition_salt,
-            executor=executor,
         )
 
     def to_json(self) -> dict:
@@ -119,10 +118,6 @@ class ServiceConfig:
     max_batch_events: int = MAX_BATCH_EVENTS
     #: max HTTP request body bytes
     max_body_bytes: int = 32 << 20
-    #: planner result-cache capacity (entries)
-    result_cache_size: int = 1024
-    #: executor spec for finalization/compaction (see repro.engine.parallel)
-    executor: str | None = None
     #: metrics + tracing on/off (off is the bench's bare baseline)
     observability: bool = True
     #: optional JSONL file finished spans are appended to
@@ -186,8 +181,6 @@ class ServiceConfig:
             "ingest_queue_batches": self.ingest_queue_batches,
             "max_batch_events": self.max_batch_events,
             "max_body_bytes": self.max_body_bytes,
-            "result_cache_size": self.result_cache_size,
-            "executor": self.executor,
             "observability": self.observability,
             "trace_log": self.trace_log,
             "trace_seed": self.trace_seed,
@@ -199,7 +192,6 @@ class ServiceConfig:
             "store_root", "namespaces", "host", "port", "granularity",
             "compact_to", "compact_every_s", "tick_s",
             "ingest_queue_batches", "max_batch_events", "max_body_bytes",
-            "result_cache_size", "executor",
             "observability", "trace_log", "trace_seed",
         }
         unknown = set(payload) - known

@@ -63,6 +63,9 @@ __all__ = ["QueryPlanner", "StoredPartial", "check_query", "view_bundles"]
 #: aggregate functions the service exposes
 FUNCTIONS = ("single", "min", "max", "l1", "lth_largest")
 
+#: merged engines kept per planner (LRU)
+_MAX_CACHED_ENGINES = 8
+
 
 def check_query(function: str, estimator: str) -> None:
     """``ValueError`` for a function or estimator the service does not know."""
@@ -147,8 +150,6 @@ class QueryPlanner:
     def __init__(
         self,
         manager: LiveWindowManager,
-        max_cached_engines: int = 8,
-        max_cached_results: int = 1024,
         max_cached_partials: int = 128,
         metrics=None,
         tracer=None,
@@ -179,8 +180,6 @@ class QueryPlanner:
             "build).",
             labelnames=("outcome",),
         )
-        self.max_cached_engines = max(1, max_cached_engines)
-        self.max_cached_results = max(1, max_cached_results)
         self.max_cached_partials = max(1, max_cached_partials)
         self._engines: OrderedDict[tuple, tuple[QueryEngine, dict]] = (
             OrderedDict()
@@ -219,7 +218,7 @@ class QueryPlanner:
                 return cached
             self._engines[key] = (engine, sources)
             self.stats["engine_builds"] += 1
-            while len(self._engines) > self.max_cached_engines:
+            while len(self._engines) > _MAX_CACHED_ENGINES:
                 self._engines.popitem(last=False)
             return engine, sources
 
@@ -709,8 +708,7 @@ class QueryPlanner:
         # byte-identical to the first serving.
         result = sanitize_non_finite(compute())
         self._runtime.cache_put(
-            self._result_key(key), namespace, version, result,
-            max_entries=self.max_cached_results,
+            self._result_key(key), namespace, version, result
         )
         if self._metrics.enabled:
             self._result_cache_lookups.inc(outcome="miss")

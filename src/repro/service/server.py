@@ -13,8 +13,7 @@ long-running process:
   view, bit-identical to an offline :class:`~repro.engine.queries.
   QueryEngine` run over the same artifacts;
 * a **background ticker** rotates live windows on bucket boundaries and
-  periodically compacts stored buckets (minute → hour/day) on the
-  multicore executor layer;
+  periodically compacts stored buckets (minute → hour/day);
 * **shutdown** (signal or ``POST /shutdown``) stops accepting, drains the
   ingest queue, and checkpoints every live window into the store, so the
   next start resumes the stream bit-identically.
@@ -113,14 +112,12 @@ class SummaryService(HttpServerBase):
             self.store,
             config.namespaces,
             granularity=config.granularity,
-            executor=config.executor,
             clock=clock,
             metrics=self.metrics,
             tracer=self.tracer,
         )
         self.planner = QueryPlanner(
             self.manager,
-            max_cached_results=config.result_cache_size,
             metrics=self.metrics,
             tracer=self.tracer,
         )

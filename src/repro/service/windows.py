@@ -14,8 +14,7 @@ Per namespace it keeps one **live window** — an in-memory
   fresh window opens; because the bundle merge is exact, queries spanning
   live + stored data never change answers across a rotation;
 * **compaction** — stored minute buckets roll up to hour/day through
-  :meth:`~repro.store.SummaryStore.compact`, optionally on the PR-4
-  executor layer (independent coarse buckets merge concurrently);
+  :meth:`~repro.store.SummaryStore.compact`;
 * **checkpoint / resume** — a clean shutdown (and every mid-bucket
   flush) freezes each non-empty live window as a
   :class:`~repro.store.codec.SummarizerCheckpoint` artifact in its
@@ -98,8 +97,6 @@ class LiveWindowManager:
         namespace.
     granularity:
         live-window bucket granularity (rotation boundary).
-    executor:
-        executor spec for summarizer finalization and compaction.
     clock:
         injectable UTC-seconds source (tests drive rotation
         deterministically through it).
@@ -116,14 +113,12 @@ class LiveWindowManager:
         store: SummaryStore,
         namespaces: Sequence[NamespaceConfig],
         granularity: str = "minute",
-        executor: "str | None | object" = None,
         clock: Callable[[], float] = time.time,
         metrics=None,
         tracer=None,
     ) -> None:
         self.store = store
         self.granularity = granularity
-        self.executor = executor
         self.clock = clock
         self._metrics = (
             metrics if metrics is not None else default_registry()
@@ -193,7 +188,7 @@ class LiveWindowManager:
         self, config: NamespaceConfig, bucket: str
     ) -> LiveWindow:
         return LiveWindow(
-            summarizer=config.make_summarizer(executor=self.executor),
+            summarizer=config.make_summarizer(),
             bucket=bucket,
         )
 
@@ -272,9 +267,7 @@ class LiveWindowManager:
                 f"salt={state.hasher_salt}); coordination parameters must "
                 "not change across restarts"
             )
-        summarizer = ShardedSummarizer.from_checkpoint(
-            state, executor=self.executor
-        )
+        summarizer = ShardedSummarizer.from_checkpoint(state)
         for entry in entries[:-1]:  # retire stale extras, keep the newest
             self.store.remove(
                 entry.namespace, entry.bucket, entry.part, missing_ok=True
@@ -560,8 +553,7 @@ class LiveWindowManager:
                     exclude = [coarsen_bucket(window.bucket, to)]
                 written.extend(
                     self.store.compact(
-                        name, to=to, executor=self.executor,
-                        exclude_buckets=exclude,
+                        name, to=to, exclude_buckets=exclude
                     )
                 )
             if written:

@@ -40,13 +40,8 @@ def save_checkpoint(path, summarizer) -> int:
     return write_file(path, state)
 
 
-def load_checkpoint(path, executor=None):
-    """Restore a :class:`~repro.engine.ShardedSummarizer` from a checkpoint file.
-
-    ``executor`` configures the restored summarizer's finalization mode
-    (see :mod:`repro.engine.parallel`); it is runtime configuration, never
-    part of the checkpoint, and does not affect the produced summaries.
-    """
+def load_checkpoint(path):
+    """Restore a :class:`~repro.engine.ShardedSummarizer` from a checkpoint file."""
     from repro.store.codec import read_file
 
     state = read_file(path)
@@ -57,4 +52,4 @@ def load_checkpoint(path, executor=None):
         )
     from repro.engine.sharded import ShardedSummarizer
 
-    return ShardedSummarizer.from_checkpoint(state, executor=executor)
+    return ShardedSummarizer.from_checkpoint(state)

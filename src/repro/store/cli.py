@@ -153,11 +153,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"runtime tier  {stats['path']}")
     print(f"schema        v{stats['schema_version']}")
     print(f"revision      {stats['revision']}")
-    if stats["migrated_legacy_entries"] is not None:
-        print(
-            f"migrated      {stats['migrated_legacy_entries']} entries "
-            "from manifest.json"
-        )
     for name, info in sorted(stats["namespaces"].items()):
         print(
             f"namespace     {name}: {info['entries']} entries, "
@@ -193,10 +188,10 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.engine.parallel import get_executor
+    from repro.engine.parallel import parse_executor_spec
     from repro.engine.queries import Query, QueryEngine
 
-    get_executor(args.executor)  # validate even on the serial 1-namespace path
+    parse_executor_spec(args.executor)  # even on the 1-namespace path
     store = SummaryStore(args.root, create=False)
     spec = AggregationSpec(
         args.function, tuple(args.assignments), ell=args.ell
@@ -290,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.set_defaults(func=_cmd_stats)
 
     executor_help = (
-        "execution mode: 'serial' (default), 'thread[:workers[:depth]]', "
-        "or 'process[:workers[:depth]]'; results are identical across "
+        "execution mode: 'serial' (default), 'thread[:workers]', "
+        "or 'process[:workers]'; results are identical across "
         "modes"
     )
 

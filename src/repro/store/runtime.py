@@ -31,8 +31,7 @@ its statements and relies on SQLite's own cross-process locking (WAL +
 ``busy_timeout``) between processes, so several ``SummaryStore`` writers
 sharing one root compose without an advisory lock file.  A transaction
 that cannot acquire the database write lock within the timeout raises
-:class:`TimeoutError` (matching the old lock-file behavior's error
-contract).
+:class:`TimeoutError`.
 """
 
 from __future__ import annotations
@@ -49,6 +48,10 @@ __all__ = ["RuntimeStore", "RUNTIME_FILENAME"]
 
 #: file name of the runtime tier database inside a store root
 RUNTIME_FILENAME = "runtime.sqlite"
+
+#: capacity of the persistent query-result cache (rows), workers' and
+#: coordinators' alike
+RESULT_CACHE_ENTRIES = 1024
 
 _SCHEMA_VERSION = 1
 
@@ -293,8 +296,8 @@ class RuntimeStore:
     def manifest_snapshot(self) -> dict:
         """Entries + revision counters in one consistent read.
 
-        Rows come back in publication order (matching the legacy JSON
-        manifest's list order: an overwrite re-appends at the end).
+        Rows come back in publication order (an overwrite re-appends at
+        the end).
         """
         with self.transaction():
             rows = self._conn.execute(
@@ -485,7 +488,7 @@ class RuntimeStore:
         namespace: str,
         version: str,
         payload: dict,
-        max_entries: int = 1024,
+        max_entries: int = RESULT_CACHE_ENTRIES,
     ) -> None:
         """Persist one computed answer; evict coldest entries past capacity.
 
@@ -957,7 +960,6 @@ class RuntimeStore:
             )
             info["rev"] = rev
             info["bundle_rev"] = bundle_rev
-        migrated = self.get_meta("migrated_entries")
         return {
             "path": str(self.path),
             "schema_version": _SCHEMA_VERSION,
@@ -967,9 +969,6 @@ class RuntimeStore:
             "cache": self.cache_stats(),
             "watches": self.watch_stats(),
             "repairs": self.repair_stats(),
-            "migrated_legacy_entries": (
-                None if migrated is None else int(migrated)
-            ),
         }
 
     def __repr__(self) -> str:

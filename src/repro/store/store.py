@@ -14,9 +14,11 @@ process restarts and can be served long after ingestion:
   part name, so concurrent writers sharing one root compose instead of
   losing each other's entries — a crash can leave orphaned data files,
   never a corrupt or half-applied manifest;
-* **migration** — a root holding a legacy JSON ``manifest.json`` is
-  migrated into the runtime tier once, transparently, on first open (the
-  old file is kept beside the store as ``manifest.json.migrated``);
+* **legacy roots are refused, not read** — a root that still holds the
+  pre-runtime-tier JSON ``manifest.json`` and no ``runtime.sqlite`` raises
+  :class:`~repro.store.codec.UnsupportedFormatError` on open (the PR 6–16
+  trees migrate such a root in place); an empty runtime tier is never
+  initialized over it;
 * **time buckets** — bucket ids are UTC timestamps at ``minute``
   (``YYYYMMDDTHHMM``), ``hour`` (``YYYYMMDDTHH``), or ``day``
   (``YYYYMMDD``) granularity, so a bucket id *is* its coarsening prefix;
@@ -39,11 +41,7 @@ stored as-is), and :class:`~repro.store.codec.SummarizerCheckpoint`
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
 import re
-import time
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -54,6 +52,7 @@ from repro.store.codec import (
     CodecError,
     SketchBundle,
     SummarizerCheckpoint,
+    UnsupportedFormatError,
     atomic_write_bytes,
     decode,
     encode,
@@ -82,7 +81,8 @@ _BUCKET_FORMATS = {
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
-_MANIFEST_VERSION = 1
+#: the JSON manifest of stores written before the runtime tier (PR 6)
+_LEGACY_MANIFEST = "manifest.json"
 
 
 def bucket_granularity(bucket: str) -> str:
@@ -205,18 +205,6 @@ class StoreEntry:
             "nbytes": self.nbytes,
         }
 
-    @classmethod
-    def from_json(cls, row: dict) -> "StoreEntry":
-        return cls(
-            namespace=row["namespace"],
-            bucket=row["bucket"],
-            part=row["part"],
-            kind=row["kind"],
-            assignments=tuple(row["assignments"]),
-            path=row["path"],
-            nbytes=int(row["nbytes"]),
-        )
-
 
 #: entry kinds that participate in rollups and query serving
 BUNDLE_KINDS = ("bottomk", "poisson")
@@ -228,95 +216,6 @@ BUNDLE_KINDS = ("bottomk", "poisson")
 #: rollup until the checkpoint is consumed.  Other checkpoint artifacts
 #: (arbitrary mid-ingestion snapshots) do not block compaction.
 LIVE_CHECKPOINT_PART = "live-window"
-
-
-class _StoreLock:
-    """Advisory cross-process lock file (``O_CREAT | O_EXCL``).
-
-    Only the legacy ``manifest.json`` → runtime-tier migration window
-    still uses it (ordinary mutations serialize on the runtime tier's
-    SQLite transactions).  The file holds its owner's PID; a waiter that
-    finds the holder dead (``os.kill(pid, 0)`` raises
-    :class:`ProcessLookupError`) reclaims the stale lock atomically —
-    the file is renamed aside, so exactly one of several racing waiters
-    wins and nobody has to clean up by hand.
-    """
-
-    def __init__(self, path: Path, timeout: float = 10.0) -> None:
-        self.path = path
-        self.timeout = timeout
-
-    def _holder_pid(self) -> int | None:
-        try:
-            content = self.path.read_text(encoding="ascii").strip()
-        except (OSError, UnicodeDecodeError):
-            return None
-        return int(content) if content.isdigit() else None
-
-    def _holder_alive(self) -> bool | None:
-        """Whether the recorded holder still runs; None when unknowable.
-
-        An unreadable or empty lock file gets the benefit of the doubt:
-        the holder may be between creating the file and writing its PID.
-        """
-        pid = self._holder_pid()
-        if pid is None:
-            return None
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True
-        return True
-
-    def _reclaim_stale(self) -> None:
-        """Atomically take a dead holder's lock file out of the way.
-
-        Rename-aside, then unlink: of several waiters that observed the
-        dead holder, exactly one rename succeeds — the rest see
-        :class:`FileNotFoundError` and simply retry the acquire loop.
-        """
-        aside = f"{self.path}.stale.{os.getpid()}"
-        with contextlib.suppress(FileNotFoundError):
-            os.rename(self.path, aside)
-            os.unlink(aside)
-
-    def __enter__(self) -> "_StoreLock":
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                fd = os.open(
-                    self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-            except FileExistsError:
-                alive = self._holder_alive()
-                if alive is False:
-                    self._reclaim_stale()
-                    continue
-                if time.monotonic() >= deadline:
-                    holder = self._holder_pid()
-                    detail = (
-                        f"held by running process {holder}"
-                        if holder is not None
-                        else "holder unknown; if no writer is running, "
-                        "remove the stale lock file"
-                    )
-                    raise TimeoutError(
-                        f"could not acquire store lock {self.path} within "
-                        f"{self.timeout:.0f}s ({detail})"
-                    ) from None
-                time.sleep(0.05)
-            else:
-                os.write(fd, str(os.getpid()).encode("ascii"))
-                os.close(fd)
-                return self
-
-    def __exit__(self, *exc_info) -> None:
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
 
 
 class SummaryStore:
@@ -339,65 +238,33 @@ class SummaryStore:
     True
     """
 
-    MANIFEST = "manifest.json"
-
     def __init__(self, root, create: bool = True) -> None:
         self.root = Path(root)
         self._entries: list[StoreEntry] = []
         self._revisions: dict[str, tuple[int, int]] = {}
         self._global_rev = 0
-        legacy = self.root / self.MANIFEST
-        runtime_db = self.root / RUNTIME_FILENAME
-        if not create and not runtime_db.exists() and not legacy.exists():
-            raise FileNotFoundError(
-                f"no store at {self.root} (missing {RUNTIME_FILENAME} and "
-                f"legacy {self.MANIFEST}); pass create=True to initialize one"
-            )
+        if not (self.root / RUNTIME_FILENAME).exists():
+            if (self.root / _LEGACY_MANIFEST).exists():
+                # Opening would initialize an empty runtime tier over the
+                # artifacts the JSON manifest lists: a store that looks
+                # empty and answers from nothing.
+                raise UnsupportedFormatError(
+                    f"{self.root / _LEGACY_MANIFEST} is a pre-runtime-tier "
+                    f"store manifest and the root has no {RUNTIME_FILENAME}; "
+                    "this version no longer reads that format — open the "
+                    "root once with a PR 6–16 tree, which migrates it in "
+                    "place"
+                )
+            if not create:
+                raise FileNotFoundError(
+                    f"no store at {self.root} (missing its manifest, "
+                    f"{RUNTIME_FILENAME}); pass create=True to initialize one"
+                )
         self.root.mkdir(parents=True, exist_ok=True)
         self.runtime = RuntimeStore(self.root)
-        if legacy.exists():
-            self._migrate_legacy()
         self._sync()
 
     # -- manifest -------------------------------------------------------------
-
-    def _migrate_legacy(self) -> None:
-        """One-time, lossless ``manifest.json`` → runtime-tier migration.
-
-        Runs under the legacy lock file so exactly one of several racing
-        openers performs it; the rest find the manifest already renamed
-        to ``manifest.json.migrated`` and proceed.  Rows are upserted
-        (never deleting anything already in the runtime tier), so a
-        crash mid-migration — before the rename — simply re-applies on
-        the next open.
-        """
-        legacy = self.root / self.MANIFEST
-        with _StoreLock(self.root / ".store.lock"):
-            if not legacy.exists():
-                return  # another opener migrated while we waited
-            with open(legacy, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-            version = manifest.get("version")
-            if version != _MANIFEST_VERSION:
-                raise CodecError(
-                    f"manifest version {version!r} is not supported "
-                    f"(supported: {_MANIFEST_VERSION})"
-                )
-            entries = [
-                StoreEntry.from_json(row) for row in manifest["entries"]
-            ]
-            with self.runtime.transaction():
-                for entry in entries:
-                    self.runtime.replace_entry(entry.to_json())
-                for namespace in sorted({e.namespace for e in entries}):
-                    self.runtime.record_mutation(
-                        namespace, bundles_changed=True
-                    )
-                self.runtime.set_meta(
-                    "migrated_entries", str(len(entries))
-                )
-                self.runtime.set_meta("migrated_from", self.MANIFEST)
-            os.replace(legacy, f"{legacy}.migrated")
 
     def _sync(self) -> None:
         """Mirror the runtime tier's manifest into this handle's caches."""
@@ -763,7 +630,7 @@ class SummaryStore:
                 ):
                     if not any(directory.iterdir()):
                         directory.rmdir()
-            for stale in self.root.glob(f".{self.MANIFEST}.tmp.*"):
+            for stale in self.root.glob(f".{_LEGACY_MANIFEST}.tmp.*"):
                 stale.unlink()
                 removed.append(stale.name)
         return removed
@@ -873,9 +740,11 @@ class SummaryStore:
         granularity are left untouched.  Summary and checkpoint artifacts
         never participate.
 
-        ``executor`` (``None``/spec string/:class:`~repro.engine.parallel.
-        Executor`) parallelizes the per-group load + merge + encode work —
-        coarse buckets are independent, so they roll up concurrently.
+        ``executor`` (``None``, a ``mode[:workers]`` spec string or a
+        caller-owned :class:`concurrent.futures.Executor`; see
+        :mod:`repro.engine.parallel`) parallelizes the per-group load +
+        merge + encode work — coarse buckets are independent, so they
+        roll up concurrently.
         Manifest mutations always stay in the calling process inside one
         runtime-tier transaction (the whole compaction publishes
         atomically), and because the merge and the codec are
@@ -899,13 +768,13 @@ class SummaryStore:
             raise ValueError(
                 f"unknown granularity {to!r}; known: {', '.join(GRANULARITIES)}"
             )
-        from repro.engine.parallel import get_executor
+        from repro.engine.parallel import executor_scope
 
-        get_executor(executor)  # validate the spec even when nothing rolls up
-        with self.runtime.transaction():
+        # the scope opens first: a bad spec raises even when nothing rolls up
+        with executor_scope(executor) as ex, self.runtime.transaction():
             self._sync()
             written, retired = self._compact_locked(
-                namespace, to, executor, exclude_buckets
+                namespace, to, ex, exclude_buckets
             )
         self._sync()
         for rel in retired:
@@ -915,9 +784,9 @@ class SummaryStore:
         return written
 
     def _compact_locked(
-        self, namespace: str, to: str, executor=None, exclude_buckets=None
+        self, namespace: str, to: str, executor, exclude_buckets=None
     ) -> tuple[list[StoreEntry], list[str]]:
-        from repro.engine.parallel import compact_group_task, executor_scope
+        from repro.engine.parallel import compact_group_task
 
         excluded = set() if exclude_buckets is None else set(exclude_buckets)
         # A live-window checkpoint marks a bucket whose bundle may still
@@ -952,19 +821,18 @@ class SummaryStore:
         if not plan:
             return [], []
         root = str(self.root)
-        with executor_scope(executor) as ex:
-            merged = ex.map(
-                compact_group_task,
-                (
-                    {
-                        "root": root,
-                        "bucket": coarse_bucket,
-                        "paths": [entry.path for entry in group],
-                        "target": rel_path,
-                    }
-                    for coarse_bucket, group, _part, rel_path in plan
-                ),
-            )
+        merged = list(executor.map(
+            compact_group_task,
+            (
+                {
+                    "root": root,
+                    "bucket": coarse_bucket,
+                    "paths": [entry.path for entry in group],
+                    "target": rel_path,
+                }
+                for coarse_bucket, group, _part, rel_path in plan
+            ),
+        ))
         written: list[StoreEntry] = []
         retired_paths: list[str] = []
         for (coarse_bucket, group, part, rel_path), result in zip(plan, merged):

@@ -643,6 +643,18 @@ class TestMembership:
         assert excinfo.value.status == 404
 
 
+class TestCoordinatorConfig:
+    def test_a_removed_key_is_an_unknown_key(self):
+        """A config file written for an earlier version fails loudly."""
+        payload = CoordinatorConfig(root="/tmp/x", namespaces=(NS,)).to_json()
+        assert CoordinatorConfig.from_json(payload).to_json() == payload
+        with pytest.raises(
+            ValueError,
+            match="unknown coordinator config keys: result_cache_size",
+        ):
+            CoordinatorConfig.from_json({**payload, "result_cache_size": 1024})
+
+
 class TestCoordinatorApi:
     def test_health_and_cluster_view(self, cluster2):
         health = cluster2.client.liveness()

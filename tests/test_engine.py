@@ -522,3 +522,31 @@ class TestShardedSummarizer:
         assert sketches["b"].threshold == math.inf
         summary = engine.summary()
         assert summary.n_union == 2
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize(
+        "keys",
+        [["a\0", "a"], [2**63, 2**63 + 1, 5]],
+        ids=["trailing-nul", "straddles-2**63"],
+    )
+    def test_keys_numpy_would_merge_stay_distinct(self, keys, n_shards):
+        """``np.asarray`` drops a trailing NUL and rounds an int list that
+        straddles 2**63 to float64; the summarizer must do neither — not
+        at ingest, not when a later fold re-ranks the keys, not across a
+        checkpoint."""
+        weights = [float(2**i) for i in range(len(keys))]
+        engine = ShardedSummarizer(
+            8, ["x"], n_shards=n_shards, hasher=KeyHasher(3)
+        )
+        engine.ingest("x", keys, weights)
+        engine.summary()  # fold, so the second batch lands on a table
+        engine.ingest("x", keys, weights)
+        engine = ShardedSummarizer.from_checkpoint(engine.checkpoint_state())
+        sketch = engine.sketches()["x"]
+        assert dict(zip(sketch.keys.tolist(), sketch.weights.tolist())) == {
+            key: 2 * weight for key, weight in zip(keys, weights)
+        }
+        single = BottomKStreamSampler(8, IppsRanks(), KeyHasher(3))
+        for key, weight in zip(keys, weights):
+            single.process(key, 2 * weight)
+        assert_sketches_identical(sketch, single.sketch())

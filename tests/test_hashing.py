@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ranks.hashing import KeyHasher, hash_to_unit, splitmix64
+from repro.ranks.hashing import (
+    KeyHasher,
+    as_key_array,
+    hash_to_unit,
+    splitmix64,
+)
 
 KEY_STRATEGY = st.one_of(
     st.integers(min_value=-(2**63), max_value=2**64 - 1),
@@ -108,3 +113,63 @@ class TestKeyHasher:
 
     def test_repr_mentions_salt(self):
         assert "17" in repr(KeyHasher(17))
+
+
+# Distinct Python keys that ``np.asarray`` maps to one value: fixed-width
+# strings drop trailing NULs, and an int list that straddles 2**63 (too
+# big for int64, too small for uint64) is rounded to float64.
+NUMPY_WOULD_MERGE = {
+    "trailing-nul": ["a\0", "a"],
+    "trailing-nul-bytes": [b"a\0", b"a"],
+    "straddles-2**63": [2**63, 2**63 + 1, 5],
+    "negative-beside-2**63": [-1, 2**63 + 1, 2**63 + 2],
+}
+
+_nul_text = st.text(alphabet=st.sampled_from("ab\0"), max_size=4)
+_key_lists = st.one_of(
+    st.lists(st.integers(-(2**63), 2**64 - 1), max_size=12),
+    st.lists(_nul_text, max_size=12),
+    st.lists(st.floats(allow_nan=False), max_size=12),
+    # no bools: the hash layer keeps them apart from 0/1 on purpose
+    st.lists(
+        st.one_of(
+            st.integers(-(2**63), 2**64 - 1),
+            _nul_text,
+            st.floats(allow_nan=False),
+        ),
+        max_size=12,
+    ),
+)
+
+
+class TestAsKeyArray:
+    @pytest.mark.parametrize(
+        "keys", NUMPY_WOULD_MERGE.values(), ids=NUMPY_WOULD_MERGE
+    )
+    def test_keys_numpy_would_merge_stay_distinct(self, keys):
+        arr = as_key_array(keys)
+        assert arr.dtype == object
+        assert arr.tolist() == keys
+        assert [type(key) for key in arr.tolist()] == [type(k) for k in keys]
+        seeds = KeyHasher(3).hash_array(keys)
+        assert seeds.tolist() == [hash_to_unit(key, 3) for key in keys]
+        assert len(set(seeds.tolist())) == len(keys)
+
+    def test_lists_numpy_holds_exactly_stay_typed_arrays(self):
+        """The fix costs the common cases nothing: they still vectorize."""
+        assert as_key_array([1, -2, 2**63 - 1]).dtype == np.int64
+        assert as_key_array([2**63, 2**64 - 1]).dtype == np.uint64
+        assert as_key_array(["a", "b\0c"]).dtype.kind == "U"
+        existing = np.array(["a", "b"])
+        assert as_key_array(existing) is existing
+
+    @given(keys=_key_lists, salt=st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_no_list_loses_a_key_identity(self, keys, salt):
+        """Coercion keeps every key equal to the one passed in, and hashes
+        it to the seed of its own ``_key_to_int``, never a neighbour's."""
+        arr = as_key_array(keys)
+        assert len(arr) == len(keys)
+        assert all(got == key for got, key in zip(arr.tolist(), keys))
+        seeds = KeyHasher(salt).hash_array(keys).tolist()
+        assert seeds == [hash_to_unit(key, salt) for key in keys]

@@ -3,7 +3,7 @@
 A :class:`ShardedSummarizer` folds only the events that arrived since its
 last finalization into per-shard aggregated tables.  The contract pinned
 here: *when* it folds — after every batch, never, across a checkpoint →
-resume, under any executor — changes nothing.  The sketches are
+resume — changes nothing.  The sketches are
 ``BottomKSketch.equals`` (bit for bit) to a one-shot summarizer fed the
 same events and to one ``BottomKStreamSampler`` over ``aggregate_stream``.
 """
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ProcessExecutor, ShardedSummarizer, ThreadExecutor
+from repro.engine import ShardedSummarizer
 from repro.ranks.families import ExponentialRanks, IppsRanks
 from repro.ranks.hashing import KeyHasher
 from repro.sampling.bottomk import BottomKStreamSampler, aggregate_stream
@@ -77,19 +77,6 @@ def scripts(draw):
     return steps
 
 
-@pytest.fixture(scope="module")
-def executors():
-    pools = {
-        "serial": None,
-        "thread:2": ThreadExecutor(workers=2),
-        "process:2": ProcessExecutor(workers=2),
-    }
-    yield pools
-    for pool in pools.values():
-        if pool is not None:
-            pool.close()
-
-
 def feed(engine, keys, by_name):
     """One batch through ``ingest`` (one assignment) or ``ingest_multi``."""
     if len(by_name) == 1:
@@ -129,21 +116,20 @@ class TestInterleavings:
         n_shards=st.integers(1, 6),
         family=st.sampled_from(sorted(FAMILIES)),
         salt=st.integers(0, 2**32),
-        mode=st.sampled_from(["serial", "thread:2", "process:2"]),
     )
     @settings(max_examples=200, deadline=None)
     def test_any_interleaving_equals_one_shot(
-        self, script, k, n_shards, family, salt, mode, executors
+        self, script, k, n_shards, family, salt
     ):
         fam = FAMILIES[family]
 
-        def fresh(executor=None):
+        def fresh():
             return ShardedSummarizer(
                 k, NAMES, n_shards=n_shards, family=fam,
-                hasher=KeyHasher(salt), executor=executor,
+                hasher=KeyHasher(salt),
             )
 
-        folding, one_shot = fresh(executors[mode]), fresh()
+        folding, one_shot = fresh(), fresh()
         events = {name: [] for name in NAMES}
         for step, batch in script:
             if step == "ingest":
@@ -161,8 +147,7 @@ class TestInterleavings:
             else:
                 rows = folding.buffered_events
                 folding = ShardedSummarizer.from_checkpoint(
-                    decode(encode(folding.checkpoint_state())),
-                    executor=executors[mode],
+                    decode(encode(folding.checkpoint_state()))
                 )
                 assert folding.buffered_events == rows
         final = folding.sketches()
@@ -322,10 +307,7 @@ class TestFailedFoldIsRetrySafe:
     """A fold that raises leaves the shard as it was, pending included."""
 
     @pytest.mark.parametrize("kind", ["int", "str", "mixed"])
-    @pytest.mark.parametrize("mode", ["serial", "thread:2"])
-    def test_retry_after_a_failing_fold_counts_nothing_twice(
-        self, kind, mode, executors
-    ):
+    def test_retry_after_a_failing_fold_counts_nothing_twice(self, kind):
         make = KEY_KINDS.get(kind, lambda ids: _mixed(ids, 2))
         rng = np.random.default_rng(6)
         first = (make(rng.integers(0, 30, 80).tolist()), rng.pareto(1.3, 80))
@@ -334,9 +316,7 @@ class TestFailedFoldIsRetrySafe:
             first = (first[0], np.append(first[1], 1.0))
             second = (second[0], np.append(second[1], 1.0))
         hasher = _FailsOnce(3)
-        engine = ShardedSummarizer(
-            4, ["a"], n_shards=2, hasher=hasher, executor=executors[mode]
-        )
+        engine = ShardedSummarizer(4, ["a"], n_shards=2, hasher=hasher)
         engine.ingest("a", *first)
         engine.summary()  # the failing fold below lands on a table
         engine.ingest("a", *second)

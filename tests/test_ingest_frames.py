@@ -56,16 +56,12 @@ NS = NamespaceConfig("web", ("h1", "h2"), k=8, n_shards=2, salt=5)
 N_SLOTS = 4
 SALT = 4
 
-_ints = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+# every 64-bit id, signed or unsigned: a list may straddle 2**63
+_ints = st.integers(min_value=-(2**63), max_value=2**64 - 1)
 _floats = st.floats(allow_nan=False, allow_infinity=False)
-# no lone surrogates (not UTF-8 encodable) and no NULs (numpy's fixed-
-# width strings drop trailing ones, so "a\0" and "a" are one key to
-# as_key_array whichever way the batch arrives)
+# no lone surrogates (not UTF-8 encodable); NULs are ordinary characters
 _strs = st.text(
-    alphabet=st.characters(
-        blacklist_categories=("Cs",), blacklist_characters="\x00"
-    ),
-    max_size=6,
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6
 )
 _key_lists = st.one_of(
     st.lists(_ints, min_size=1, max_size=40),
@@ -691,3 +687,45 @@ class TestWorkerFrameContract:
         finally:
             client.close()
             thread.stop()
+
+
+# -- keys np.asarray would merge ----------------------------------------------
+
+
+@pytest.mark.parametrize("wire", ["json", "frame"])
+@pytest.mark.parametrize(
+    "keys",
+    [["a\0", "a"], [2**63, 2**63 + 1, 5]],
+    ids=["trailing-nul", "straddles-2**63"],
+)
+def test_keys_numpy_would_merge_stay_distinct_through_ingest(
+    tmp_path, keys, wire
+):
+    """``np.asarray`` drops a trailing NUL and rounds an int list that
+    straddles 2**63 to float64; either way two keys would be served as
+    one.  Each key must come back with its own weight, whichever way the
+    batch arrived."""
+    thread, client = spawn_worker(tmp_path / "w")
+    namespace = slot_namespace("web", 0)
+    weights = [float(2**i) for i in range(len(keys))]
+    try:
+        if wire == "json":
+            result = client.ingest(
+                namespace, keys, {"h1": weights}, sync=True
+            )
+        else:
+            # an object array: the frame carries the Python values
+            blob = encode_event_section(
+                namespace, np.array(keys, dtype=object),
+                {"h1": np.array(weights)},
+            )
+            result = client.ingest_frame(
+                encode_event_batch([(namespace, blob)], sync=True)
+            )
+        assert result["applied"] and result["events"] == len(keys)
+        for key, weight in zip(keys, weights):
+            answer = client.estimate(namespace, "single", ["h1"], keys=[key])
+            assert answer["estimate"] == weight, key
+    finally:
+        client.close()
+        thread.stop()

@@ -1,16 +1,23 @@
-"""Multicore execution layer: parallel output must be bit-identical to serial.
+"""Executor specs over stdlib pools: same bytes under every executor.
 
-The whole point of the executor layer (`repro.engine.parallel`) is that it
-changes *where* work runs, never *what* it produces: shards are
-key-disjoint by construction and the merge is exact, so any worker count,
-any batch split, and any executor mode must reproduce the serial
-summarizer bit for bit — including through a checkpoint/resume cycle and
-through the store's compaction and query-serving paths.
+`repro.engine.parallel` parses ``mode[:workers]`` specs into stdlib
+``concurrent.futures`` pools for the three coarse-grained pipelines —
+``SummaryStore.compact``, ``QueryEngine.serve_many`` and ``run_sigma_v``.
+An executor changes *where* a task runs, never *what* the pipeline
+produces, whether it came from a spec (built and shut down by the
+library) or from the caller (never shut down by the library).  Shard
+finalization takes no executor at all.
 """
 
 from __future__ import annotations
 
-import json
+import multiprocessing
+from concurrent.futures import (
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,303 +25,127 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregates import AggregationSpec
-from repro.engine import (
-    ProcessExecutor,
-    Query,
-    QueryEngine,
-    SerialExecutor,
-    ShardedSummarizer,
-    ThreadExecutor,
-    get_executor,
-)
-from repro.engine.parallel import (
-    executor_scope,
-    open_arrays,
-    release_shipment,
-    ship_arrays,
-)
+from repro.datasets.synthetic import correlated_zipf_dataset
+from repro.engine import Query, QueryEngine, ShardedSummarizer, get_executor
+from repro.engine.parallel import executor_scope, parse_executor_spec
+from repro.evaluation.analytic import sv_plain_rc, sv_sset
+from repro.evaluation.runner import EstimatorTask, run_sigma_v
 from repro.ranks import KeyHasher
 from repro.store import SummaryStore
-from repro.store.codec import decode, encode
+
+#: every way a pipeline can be handed an executor: nothing, spec strings,
+#: and caller-owned stdlib pools
+EXECUTORS = ["none", "serial", "thread:2", "process:2", "own-thread",
+             "own-process"]
 
 
-# One pool per worker count for the whole module: pool startup is the
-# expensive part, and reusing executors across hypothesis examples is
-# exactly the supported usage (caller-owned instances stay open).
 @pytest.fixture(scope="module")
-def process_pools():
-    pools = {n: ProcessExecutor(workers=n) for n in (1, 2, 4)}
+def owned_pools():
+    """Caller-owned pools, shared by the whole module: if the library shut
+    one down, every later test that uses it would fail."""
+    pools = {
+        "own-thread": ThreadPoolExecutor(max_workers=2),
+        "own-process": ProcessPoolExecutor(
+            max_workers=2, mp_context=multiprocessing.get_context("spawn")
+        ),
+    }
     yield pools
     for pool in pools.values():
-        pool.close()
+        pool.shutdown()
 
 
-def ingest_split(engine, assignment, keys, weights, splits):
-    """Feed (keys, weights) as batches cut at the given split points."""
-    bounds = [0, *sorted(splits), len(keys)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi > lo:
-            engine.ingest(assignment, keys[lo:hi], weights[lo:hi])
+@pytest.fixture(params=EXECUTORS)
+def executor(request, owned_pools):
+    """The ``executor=`` argument under test (spec, instance or None)."""
+    if request.param == "none":
+        return None
+    return owned_pools.get(request.param, request.param)
 
 
-def assert_same_sketches(a: ShardedSummarizer, b: ShardedSummarizer):
-    left, right = a.sketches(), b.sketches()
-    assert list(left) == list(right)
-    for name in left:
-        assert left[name].equals(right[name])
-
-
-class TestExecutors:
+class TestSpecs:
     def test_spec_parsing(self):
-        assert isinstance(get_executor(None), SerialExecutor)
-        assert isinstance(get_executor("serial"), SerialExecutor)
-        thread = get_executor("thread:3:7")
-        assert isinstance(thread, ThreadExecutor)
-        assert (thread.workers, thread.queue_depth) == (3, 7)
-        process = get_executor("process:2")
-        assert isinstance(process, ProcessExecutor)
-        assert (process.workers, process.queue_depth) == (2, 4)
-        existing = SerialExecutor()
-        assert get_executor(existing) is existing
+        assert parse_executor_spec(None) == ("serial", None)
+        assert parse_executor_spec("serial:1") == ("serial", 1)
+        assert parse_executor_spec(" Thread:3 ") == ("thread", 3)
+        assert parse_executor_spec("process") == ("process", None)
+        with get_executor("thread:3") as thread:
+            assert isinstance(thread, ThreadPoolExecutor)
+            assert thread._max_workers == 3
+        with get_executor("process:2") as process:
+            assert isinstance(process, ProcessPoolExecutor)
+            assert process._max_workers == 2
+        for spec in (None, "serial"):
+            inline = get_executor(spec)
+            assert isinstance(inline, Executor)
+            assert not isinstance(
+                inline, (ThreadPoolExecutor, ProcessPoolExecutor)
+            )
+
+    def test_instances_pass_through(self, owned_pools):
+        for pool in owned_pools.values():
+            assert get_executor(pool) is pool
 
     @pytest.mark.parametrize(
-        "bad", ["", "fleet", "process:two", "serial:4", "thread:1:2:3"]
+        "bad",
+        ["", "fleet", "process:two", "serial:2", "thread:1:2", "thread:0",
+         "thread:-1", "process:2:16"],
     )
     def test_invalid_specs_raise(self, bad):
         with pytest.raises(ValueError, match="invalid executor spec"):
+            parse_executor_spec(bad)
+        with pytest.raises(ValueError, match="invalid executor spec"):
             get_executor(bad)
 
-    @pytest.mark.parametrize("spec", [None, "serial", "thread:2", "process:2"])
-    def test_map_preserves_order(self, spec):
-        with executor_scope(spec) as ex:
-            assert ex.map(_square, range(20)) == [i * i for i in range(20)]
+    def test_scope_shuts_down_a_pool_it_created(self):
+        with executor_scope("thread:2") as pool:
+            assert list(pool.map(_square, [3])) == [9]
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            pool.submit(_square, 1)
 
-    def test_map_backpressure_is_chunked(self):
-        # Payloads must be materialized lazily: with queue_depth=2 the
-        # serial-equivalent window never pulls more than (depth) items
-        # ahead of the results consumed so far.
-        pulled = []
+    def test_scope_leaves_a_caller_owned_pool_usable(self, owned_pools):
+        for owned in owned_pools.values():
+            with executor_scope(owned) as pool:
+                assert pool is owned
+                assert list(pool.map(_square, [1])) == [1]
+            assert list(owned.map(_square, [2])) == [4]
 
-        def items():
-            for i in range(10):
-                pulled.append(i)
-                yield i
-
-        ex = ThreadExecutor(workers=1, queue_depth=2)
-        try:
-            results = ex.map(_square, items())
-        finally:
-            ex.close()
-        assert results == [i * i for i in range(10)]
-        assert pulled == list(range(10))
-
-    def test_map_propagates_worker_errors(self):
-        for spec in ("serial", "thread:2", "process:2"):
-            with executor_scope(spec) as ex:
-                with pytest.raises(ValueError, match="boom 3"):
-                    ex.map(_explode_on_three, range(8))
-
-    def test_executor_scope_ownership(self):
-        owned = ThreadExecutor(workers=1)
-        with executor_scope(owned) as ex:
-            assert ex is owned
-            ex.map(_square, [1])
-        # caller-owned executors stay usable after the scope exits
-        assert owned.map(_square, [2]) == [4]
-        owned.close()
+    def test_summarizer_takes_no_executor(self):
+        with pytest.raises(TypeError, match="executor"):
+            ShardedSummarizer(k=4, assignments=["h"], executor="thread:2")
+        with pytest.raises(TypeError, match="executor"):
+            ShardedSummarizer.from_checkpoint(None, executor="thread:2")
 
 
-class TestSharedMemory:
-    def test_ship_and_open_round_trip(self):
-        arrays = {
-            "keys": np.arange(100, dtype=np.int64),
-            "weights": np.linspace(0.0, 1.0, 100),
-        }
-        descriptor, shm = ship_arrays(arrays)
-        try:
-            opened, handle = open_arrays(descriptor)
-            assert np.array_equal(opened["keys"], arrays["keys"])
-            assert opened["weights"].tobytes() == arrays["weights"].tobytes()
-            del opened
-            handle.close()
-        finally:
-            release_shipment(shm)
+class TestMap:
+    def test_map_preserves_order(self, executor):
+        with executor_scope(executor) as ex:
+            assert list(ex.map(_square, range(20))) == [
+                i * i for i in range(20)
+            ]
 
-    def test_object_dtype_refused(self):
-        bad = np.empty(2, dtype=object)
-        bad[0], bad[1] = "a", "b"
-        with pytest.raises(ValueError, match="object dtype"):
-            ship_arrays({"keys": bad})
+    def test_map_propagates_task_errors(self, executor):
+        with executor_scope(executor) as ex:
+            with pytest.raises(ValueError, match="boom 3"):
+                list(ex.map(_explode_on_three, range(8)))
+            # the executor survives a raising task
+            assert list(ex.map(_square, [5])) == [25]
 
-    def test_release_is_idempotent(self):
-        descriptor, shm = ship_arrays({"x": np.zeros(4)})
-        release_shipment(shm)
-        release_shipment(shm)  # second release must not raise
+    def test_inline_executor_stops_at_the_failing_task(self):
+        ran = []
 
-    def test_shm_payload_equals_chunk_payload(self):
-        """The shm form of a shard task is exactly the chunk form: the
-        worker sees the pre-concatenated buffers and produces the same
-        sketch (exercised here in-process)."""
-        from repro.engine.parallel import (
-            ShardTask,
-            sample_shard_task,
-            ship_chunks,
-        )
-        from repro.ranks import IppsRanks
+        def task(x):
+            ran.append(x)
+            return _explode_on_three(x)
 
-        rng = np.random.default_rng(8)
-        chunks = [
-            (
-                rng.integers(lo * 100, (lo + 1) * 100, 80).astype(np.int64),
-                rng.pareto(1.3, 80) + 0.01,
-            )
-            for lo in range(3)
-        ]
-        family, hasher = IppsRanks(), KeyHasher(5)
-        via_chunks = sample_shard_task(
-            ShardTask(4, family, hasher, ("chunks", chunks))
-        )
-        descriptor, shm = ship_chunks(chunks)
-        try:
-            via_shm = sample_shard_task(
-                ShardTask(4, family, hasher, ("shm", descriptor))
-            )
-        finally:
-            release_shipment(shm)
-        assert via_chunks.equals(via_shm)
-
-
-key_arrays = st.lists(
-    st.integers(min_value=0, max_value=10_000), min_size=1, max_size=400
-)
-
-
-class TestParallelIngestionEquivalence:
-    # denormal draws can overflow u/w to +inf — a rank that is never
-    # sampled, identically on both paths; the warning is expected noise
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @given(
-        raw_keys=key_arrays,
-        n_shards=st.integers(1, 6),
-        workers=st.sampled_from((1, 2, 4)),
-        splits=st.lists(st.integers(0, 400), max_size=4),
-        salt=st.integers(0, 2**32),
-        data=st.data(),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_process_parallel_matches_serial(
-        self, raw_keys, n_shards, workers, splits, salt, data, process_pools
-    ):
-        """Any worker count × any batch split == the serial summarizer."""
-        keys = np.array(raw_keys, dtype=np.int64)
-        weights = np.array(
-            data.draw(
-                st.lists(
-                    st.floats(0.0, 1e6, allow_nan=False),
-                    min_size=len(keys),
-                    max_size=len(keys),
-                )
-            )
-        )
-        serial = ShardedSummarizer(
-            k=8, assignments=["h1", "h2"], n_shards=n_shards,
-            hasher=KeyHasher(salt),
-        )
-        parallel = ShardedSummarizer(
-            k=8, assignments=["h1", "h2"], n_shards=n_shards,
-            hasher=KeyHasher(salt), executor=process_pools[workers],
-        )
-        for engine in (serial, parallel):
-            ingest_split(engine, "h1", keys, weights, splits)
-            engine.ingest("h2", keys[: len(keys) // 2],
-                          weights[: len(keys) // 2] * 2.0)
-        assert_same_sketches(serial, parallel)
-        serial_summary = serial.summary()
-        parallel_summary = parallel.summary()
-        assert encode(serial_summary) == encode(parallel_summary)
-
-    @given(
-        raw_keys=key_arrays,
-        split=st.integers(0, 400),
-        workers=st.sampled_from((2, 4)),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_checkpoint_resume_under_process_executor(
-        self, raw_keys, split, workers, process_pools
-    ):
-        """Interrupt mid-stream, restore under a process executor, finish:
-        bit-identical to an uninterrupted serial run."""
-        keys = np.array(raw_keys, dtype=np.int64)
-        weights = (keys % 13).astype(float) + 0.5
-        split = min(split, len(keys))
-
-        uninterrupted = ShardedSummarizer(
-            k=6, assignments=["h1"], n_shards=3, hasher=KeyHasher(9)
-        )
-        uninterrupted.ingest("h1", keys, weights)
-
-        first_half = ShardedSummarizer(
-            k=6, assignments=["h1"], n_shards=3, hasher=KeyHasher(9),
-            executor=process_pools[workers],
-        )
-        if split:
-            first_half.ingest("h1", keys[:split], weights[:split])
-        blob = encode(first_half.checkpoint_state())
-        resumed = ShardedSummarizer.from_checkpoint(
-            decode(blob), executor=process_pools[workers]
-        )
-        if split < len(keys):
-            resumed.ingest("h1", keys[split:], weights[split:])
-        assert_same_sketches(uninterrupted, resumed)
-
-    def test_mixed_and_object_keys_fall_back_to_pickling(self, process_pools):
-        """Object/string/tuple keys cannot ride shared memory; the chunk
-        pickling fallback must still match serial bit for bit."""
-        keys = np.array(
-            ["a", ("pair", 1), 7, 2.5, b"raw", True] * 20, dtype=object
-        )
-        weights = np.linspace(0.1, 5.0, len(keys))
-        # aggregate per key first: object streams with repeats go through
-        # ingest_stream-style aggregation upstream in real pipelines
-        from repro.sampling import aggregate_stream
-
-        totals = aggregate_stream(zip(keys.tolist(), weights.tolist()))
-        agg_keys = np.empty(len(totals), dtype=object)
-        for pos, key in enumerate(totals):
-            agg_keys[pos] = key
-        agg_weights = np.fromiter(totals.values(), dtype=float)
-
-        serial = ShardedSummarizer(
-            k=5, assignments=["x"], n_shards=4, hasher=KeyHasher(2)
-        )
-        parallel = ShardedSummarizer(
-            k=5, assignments=["x"], n_shards=4, hasher=KeyHasher(2),
-            executor=process_pools[2],
-        )
-        serial.ingest("x", agg_keys, agg_weights)
-        parallel.ingest("x", agg_keys, agg_weights)
-        assert_same_sketches(serial, parallel)
-
-    def test_thread_executor_matches_serial(self):
-        rng = np.random.default_rng(5)
-        keys = rng.integers(0, 3000, 8000)
-        weights = rng.pareto(1.4, 8000) + 0.01
-        serial = ShardedSummarizer(
-            k=32, assignments=["h"], n_shards=5, hasher=KeyHasher(4)
-        )
-        threaded = ShardedSummarizer(
-            k=32, assignments=["h"], n_shards=5, hasher=KeyHasher(4),
-            executor="thread:3",
-        )
-        serial.ingest("h", keys, weights)
-        threaded.ingest("h", keys, weights)
-        assert_same_sketches(serial, threaded)
+        with pytest.raises(ValueError, match="boom 3"):
+            list(get_executor(None).map(task, range(8)))
+        assert ran == [0, 1, 2, 3]  # a plain loop: nothing after the failure
 
 
 def _fill_store(root, rng) -> SummaryStore:
     store = SummaryStore(root)
     for namespace, base in (("web", 0), ("api", 10**7)):
-        for bucket in range(3):
+        for bucket in range(6):  # three minutes in each of two hours
             engine = ShardedSummarizer(
                 k=64, assignments=["h1", "h2"], n_shards=2,
                 hasher=KeyHasher(7),
@@ -322,35 +153,53 @@ def _fill_store(root, rng) -> SummaryStore:
             keys = np.arange(base + bucket * 2000, base + (bucket + 1) * 2000)
             for name in ("h1", "h2"):
                 engine.ingest(name, keys, rng.pareto(1.3, len(keys)) + 0.05)
-            store.write(namespace, f"20260728T12{bucket:02d}",
-                        engine.sketch_bundle())
+            store.write(
+                namespace, f"20260728T{12 + bucket // 3}{bucket % 3:02d}",
+                engine.sketch_bundle(),
+            )
     return store
 
 
-class TestParallelStorePaths:
-    @pytest.mark.parametrize("spec", ["thread:2", "process:2"])
-    def test_parallel_compact_is_byte_identical(self, tmp_path, spec):
-        serial_store = _fill_store(
-            tmp_path / "serial", np.random.default_rng(11)
+@pytest.fixture(scope="module")
+def serial_compacted(tmp_path_factory):
+    """A store compacted with no executor: the bytes every mode must match."""
+    root = tmp_path_factory.mktemp("serial")
+    store = _fill_store(root, np.random.default_rng(11))
+    for namespace in ("web", "api"):
+        assert len(store.compact(namespace, to="hour")) == 2
+    return root, store
+
+
+class TestStorePipelines:
+    def test_compact_is_byte_identical(
+        self, tmp_path, executor, serial_compacted
+    ):
+        serial_root, serial_store = serial_compacted
+        store = _fill_store(tmp_path, np.random.default_rng(11))
+        for namespace in ("web", "api"):
+            store.compact(namespace, to="hour", executor=executor)
+        entries = [e.to_json() for e in serial_store.entries()]
+        assert [e.to_json() for e in store.entries()] == entries
+        assert store.version() == serial_store.version()
+        assert store.runtime.manifest_snapshot() == (
+            serial_store.runtime.manifest_snapshot()
         )
-        parallel_store = _fill_store(
-            tmp_path / "parallel", np.random.default_rng(11)
-        )
-        serial_store.compact("web", to="hour")
-        serial_store.compact("api", to="hour")
-        parallel_store.compact("web", to="hour", executor=spec)
-        parallel_store.compact("api", to="hour", executor=spec)
-        serial_entries = [e.to_json() for e in serial_store.entries()]
-        parallel_entries = [e.to_json() for e in parallel_store.entries()]
-        assert serial_entries == parallel_entries
-        assert serial_store.version() == parallel_store.version()
-        for entry in serial_entries:
-            assert (tmp_path / "serial" / entry["path"]).read_bytes() == (
-                tmp_path / "parallel" / entry["path"]
+        for entry in entries:
+            assert (serial_root / entry["path"]).read_bytes() == (
+                tmp_path / entry["path"]
             ).read_bytes()
 
-    def test_serve_many_matches_sequential_engines(self, tmp_path):
-        store = _fill_store(tmp_path / "store", np.random.default_rng(13))
+    def test_compact_refuses_a_bad_spec_even_with_nothing_to_do(
+        self, tmp_path
+    ):
+        store = SummaryStore(tmp_path)
+        with pytest.raises(ValueError, match="invalid executor spec"):
+            store.compact("web", to="hour", executor="process:2:16")
+
+    def test_serve_many_matches_sequential_engines(
+        self, executor, serial_compacted
+    ):
+        _, store = serial_compacted
         requests = {
             "web": [
                 Query(AggregationSpec("max", ("h1", "h2"))),
@@ -359,22 +208,18 @@ class TestParallelStorePaths:
             "api": [AggregationSpec("single", ("h1",))],
         }
         expected = {
-            namespace: [
-                result.estimate
-                for result in QueryEngine.from_store(store, namespace).run(
-                    queries
-                )
-            ]
+            namespace: QueryEngine.from_store(store, namespace).run(queries)
             for namespace, queries in requests.items()
         }
-        for spec in (None, "thread:2", "process:2"):
-            answers = QueryEngine.serve_many(store, requests, executor=spec)
-            assert list(answers) == list(requests)
-            got = {
-                namespace: [result.estimate for result in results]
-                for namespace, results in answers.items()
-            }
-            assert got == expected
+        answers = QueryEngine.serve_many(store, requests, executor=executor)
+        assert list(answers) == list(requests)
+        for namespace, results in answers.items():
+            assert [
+                (r.estimate, r.n_selected, r.estimator) for r in results
+            ] == [
+                (r.estimate, r.n_selected, r.estimator)
+                for r in expected[namespace]
+            ]
 
     def test_serve_many_accepts_root_path_and_buckets(self, tmp_path):
         store = _fill_store(tmp_path / "store", np.random.default_rng(17))
@@ -388,6 +233,60 @@ class TestParallelStorePaths:
             store, "web", buckets=["20260728T1200"]
         ).estimate(spec)
         assert restricted["web"][0].estimate == direct
+
+
+DATASET = correlated_zipf_dataset(200, 3, seed=5, churn=0.2)
+
+
+def _adjusted(summary, spec, estimator):
+    return QueryEngine.for_summary(summary).adjusted(spec, estimator)
+
+
+def _picklable_tasks() -> list[EstimatorTask]:
+    """Tasks a process pool can take: partials of module-level functions
+    (the stock experiment tasks are closures)."""
+    names = tuple(DATASET.assignments)
+    f_max = DATASET.weights.max(axis=1)
+    return [
+        EstimatorTask(
+            name="single",
+            rank_method="shared_seed",
+            mode="dispersed",
+            estimate=partial(
+                _adjusted, spec=AggregationSpec("single", names[:1]),
+                estimator="plain_rc",
+            ),
+            f_values=DATASET.column(names[0]),
+            sigma_v=partial(sv_plain_rc, col=0),
+        ),
+        EstimatorTask(
+            name="coord max",
+            rank_method="shared_seed",
+            mode="dispersed",
+            estimate=partial(
+                _adjusted, spec=AggregationSpec("max", names),
+                estimator="sset",
+            ),
+            f_values=f_max,
+            sigma_v=partial(sv_sset, cols=[0, 1, 2], ell=1, f_values=f_max),
+        ),
+    ]
+
+
+class TestEvaluationPipeline:
+    @pytest.mark.parametrize("metric", ["analytic", "empirical"])
+    def test_run_sigma_v_is_bit_identical(self, executor, metric):
+        tasks = _picklable_tasks()
+        serial = run_sigma_v(
+            DATASET, tasks, [5, 20], runs=4, seed=3, metric=metric
+        )
+        got = run_sigma_v(
+            DATASET, tasks, [5, 20], runs=4, seed=3, metric=metric,
+            executor=executor,
+        )
+        assert got.sigma_v == serial.sigma_v
+        assert got.n_sigma_v == serial.n_sigma_v
+        assert got.union_sizes == serial.union_sizes
 
 
 class TestScalarBatchUnification:

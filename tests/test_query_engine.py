@@ -459,12 +459,12 @@ class TestServeManyEdgeCases:
         # One namespace of the batch fails (unknown) while others are in
         # flight: the error must propagate — not a partial dict — and a
         # caller-owned executor must stay usable for the next call.
-        from repro.engine.parallel import ThreadExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
         store = self.fill_store(tmp_path / "store")
         spec = AggregationSpec("max", ("h1", "h2"))
         requests = {"web": [spec], "ghost": [spec], "api": [spec]}
-        with ThreadExecutor(workers=2) as executor:
+        with ThreadPoolExecutor(max_workers=2) as executor:
             with pytest.raises(KeyError, match="ghost"):
                 QueryEngine.serve_many(store, requests, executor=executor)
             retry = QueryEngine.serve_many(

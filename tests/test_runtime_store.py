@@ -1,4 +1,4 @@
-"""Durable runtime tier: revisions, persistent cache, migration, concurrency.
+"""Durable runtime tier: revisions, persistent cache, concurrency.
 
 Pins the PR-6 guarantees end to end:
 
@@ -7,8 +7,6 @@ Pins the PR-6 guarantees end to end:
   change);
 * the persistent query-result cache survives store reopens, counts hits,
   and evicts coldest-first;
-* a legacy ``manifest.json`` store migrates into the runtime tier
-  losslessly and idempotently on first open;
 * two ``SummaryStore`` writer *processes* interleaving write / remove /
   compact against one root never lose a manifest entry — SQLite
   transactions replace the old cross-process lock file;
@@ -40,12 +38,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.config import NamespaceConfig
 from repro.service.planner import QueryPlanner
 from repro.service.windows import LiveWindowManager
-from repro.store import (
-    RUNTIME_FILENAME,
-    CodecError,
-    RuntimeStore,
-    SummaryStore,
-)
+from repro.store import RuntimeStore, SummaryStore
 
 SALT = 13
 ASSIGNMENTS = ["h1", "h2"]
@@ -162,62 +155,6 @@ class TestVersionTokens:
         # shutdown-checkpoint -> restart cycle.
         assert store.version("web") != version_before
         assert store.bundle_version("web") == bundle_before
-
-
-# -- legacy manifest migration -------------------------------------------------
-
-
-def demote_to_legacy(root) -> int:
-    """Rewrite a runtime-tier store as a legacy ``manifest.json`` store."""
-    store = SummaryStore(root, create=False)
-    rows = [entry.to_json() for entry in store.entries()]
-    store.runtime.close()
-    (root / SummaryStore.MANIFEST).write_text(
-        json.dumps({"version": 1, "entries": rows})
-    )
-    for suffix in ("", "-wal", "-shm"):
-        path = root / f"{RUNTIME_FILENAME}{suffix}"
-        if path.exists():
-            path.unlink()
-    return len(rows)
-
-
-class TestMigration:
-    def test_round_trip_is_lossless(self, tmp_path):
-        store = SummaryStore(tmp_path)
-        store.write("web", "20260728T1200", make_bundle((0, 40), seed=1))
-        store.write("web", "20260728T1201", make_bundle((40, 80), seed=2))
-        store.write("dns", "20260728T12", make_bundle((80, 120), seed=3))
-        expected = [entry.to_json() for entry in store.entries()]
-        blobs = {
-            entry.path: (tmp_path / entry.path).read_bytes()
-            for entry in store.entries()
-        }
-        count = demote_to_legacy(tmp_path)
-
-        migrated = SummaryStore(tmp_path)
-        assert [entry.to_json() for entry in migrated.entries()] == expected
-        for entry in migrated.entries():
-            assert (tmp_path / entry.path).read_bytes() == blobs[entry.path]
-        assert not (tmp_path / SummaryStore.MANIFEST).exists()
-        assert (tmp_path / f"{SummaryStore.MANIFEST}.migrated").exists()
-        assert migrated.runtime.stats()["migrated_legacy_entries"] == count
-
-    def test_migration_is_idempotent(self, tmp_path):
-        store = SummaryStore(tmp_path)
-        store.write("web", "20260728T1200", make_bundle((0, 40)))
-        expected = [entry.to_json() for entry in store.entries()]
-        demote_to_legacy(tmp_path)
-        SummaryStore(tmp_path)  # migrates
-        again = SummaryStore(tmp_path)  # no legacy manifest left: no-op
-        assert [entry.to_json() for entry in again.entries()] == expected
-
-    def test_unknown_legacy_version_refused(self, tmp_path):
-        (tmp_path / SummaryStore.MANIFEST).write_text(
-            json.dumps({"version": 2, "entries": []})
-        )
-        with pytest.raises(CodecError, match="manifest version 2"):
-            SummaryStore(tmp_path)
 
 
 # -- cross-process concurrency -------------------------------------------------

@@ -78,10 +78,19 @@ class TestServiceConfig:
         return ServiceConfig(**base)
 
     def test_json_round_trip(self, tmp_path):
-        config = self.make(port=9999, executor="thread:2")
+        config = self.make(port=9999, compact_to="day")
         path = tmp_path / "service.json"
         config.dump(path)
         assert ServiceConfig.from_file(path) == config
+
+    @pytest.mark.parametrize("removed", ["executor", "result_cache_size"])
+    def test_a_removed_key_is_an_unknown_key(self, removed):
+        """A config file written for an earlier version fails loudly."""
+        payload = {**self.make().to_json(), removed: None}
+        with pytest.raises(
+            ValueError, match=f"unknown service config keys: {removed}"
+        ):
+            ServiceConfig.from_json(payload)
 
     def test_namespaces_from_plain_dicts(self):
         config = ServiceConfig(

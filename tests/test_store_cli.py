@@ -154,31 +154,6 @@ class TestErrors:
                   "--bucket", "20260728", "--assignment", "h1",
                   "--input", str(bad)])
 
-    def test_held_migration_lock_reports_clean_cli_error(
-        self, tmp_path, monkeypatch
-    ):
-        import json
-        import os
-
-        from repro.store import store as store_module
-
-        root = tmp_path / "s"
-        write_bucket(root, "20260728", "h1", "a-")
-        # A legacy manifest makes the next open take the migration lock,
-        # which a live process (us) already holds.
-        (root / "manifest.json").write_text(
-            json.dumps({"version": 1, "entries": []})
-        )
-        (root / ".store.lock").write_text(str(os.getpid()))
-        original = store_module._StoreLock
-        monkeypatch.setattr(
-            store_module, "_StoreLock",
-            lambda path, timeout=10.0: original(path, timeout=0.2),
-        )
-        with pytest.raises(SystemExit, match="held by running process"):
-            main(["write", "--root", str(root), "--namespace", "n",
-                  "--bucket", "20260728", "--assignment", "h1",
-                  "--demo", "5"])
 
 class TestLsJsonAndPrune:
     def test_ls_json_machine_readable(self, tmp_path, capsys):
