@@ -57,11 +57,8 @@ BATCH = int(os.environ.get("BENCH_CLUSTER_BATCH", 8_000))
 N_SLOTS = 16
 TOPO_SALT = 4
 K = 256
-N_SHARDS = 4
 NS_SALT = 7
-NS = NamespaceConfig(
-    "web", ("h1", "h2"), k=K, n_shards=N_SHARDS, family="ipps", salt=NS_SALT
-)
+NS = NamespaceConfig("web", ("h1", "h2"), k=K, family="ipps", salt=NS_SALT)
 
 _BANNER = re.compile(r"listening on http://127\.0\.0\.1:(\d+)")
 
@@ -73,7 +70,7 @@ def _spawn_worker(root: Path, worker_id: str) -> tuple[subprocess.Popen, int]:
         "--root", str(root / worker_id),
         "--namespace", NS.name,
         "--assignments", *NS.assignments,
-        "--k", str(K), "--n-shards", str(N_SHARDS),
+        "--k", str(K),
         "--family", "ipps", "--salt", str(NS_SALT),
         "--port", "0", "--cluster-slots", str(N_SLOTS),
         "--compact-to", "off", "--tick", "3600",
@@ -263,7 +260,6 @@ def emit_json(result: dict) -> None:
             "n_events": result["n_events"],
             "batch": result["batch"],
             "k": K,
-            "n_shards": N_SHARDS,
             "n_assignments": 2,
         },
         metrics={

@@ -48,10 +48,8 @@ def _run_batches(keys, weights, k: int = K, batch: int = BATCH):
     return sampler.sketch()
 
 
-def _run_sharded(keys, weights, k: int = K, batch: int = BATCH, shards: int = 8):
-    engine = ShardedSummarizer(
-        k, ["stream"], n_shards=shards, hasher=KeyHasher(SALT)
-    )
+def _run_sharded(keys, weights, k: int = K, batch: int = BATCH):
+    engine = ShardedSummarizer(k, ["stream"], hasher=KeyHasher(SALT))
     for lo in range(0, len(keys), batch):
         engine.ingest("stream", keys[lo : lo + batch], weights[lo : lo + batch])
     return engine.sketches()["stream"]

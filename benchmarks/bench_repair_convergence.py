@@ -51,11 +51,8 @@ BATCH = int(os.environ.get("BENCH_REPAIR_BATCH", 2_000))
 N_SLOTS = 8
 REPLICATION = 2
 K = 128
-N_SHARDS = 2
 NS_SALT = 7
-NS = NamespaceConfig(
-    "web", ("h1", "h2"), k=K, n_shards=N_SHARDS, family="ipps", salt=NS_SALT
-)
+NS = NamespaceConfig("web", ("h1", "h2"), k=K, family="ipps", salt=NS_SALT)
 
 HEARTBEAT_S = 0.2
 FAIL_AFTER_S = 0.6
@@ -94,7 +91,7 @@ def _spawn_worker(root: Path, worker_id: str):
         "--root", str(root / worker_id),
         "--namespace", NS.name,
         "--assignments", *NS.assignments,
-        "--k", str(K), "--n-shards", str(N_SHARDS),
+        "--k", str(K),
         "--family", "ipps", "--salt", str(NS_SALT),
         "--port", "0", "--cluster-slots", str(N_SLOTS),
         "--compact-to", "off", "--tick", "3600",
@@ -107,7 +104,7 @@ def _spawn_coordinator(root: Path):
         "--root", str(root / "coordinator"),
         "--namespace", NS.name,
         "--assignments", *NS.assignments,
-        "--k", str(K), "--n-shards", str(N_SHARDS),
+        "--k", str(K),
         "--family", "ipps", "--salt", str(NS_SALT),
         "--port", "0",
         "--slots", str(N_SLOTS),
@@ -250,7 +247,6 @@ def emit_json(result: dict) -> None:
             "n_events": result["n_events"],
             "batch": result["batch"],
             "k": K,
-            "n_shards": N_SHARDS,
             "n_assignments": 2,
             "heartbeat_s": HEARTBEAT_S,
             "fail_after_s": FAIL_AFTER_S,

@@ -50,9 +50,7 @@ SEED = 17
 
 
 def _tiny_bundle(index: int):
-    engine = ShardedSummarizer(
-        k=8, assignments=["h1"], n_shards=1, hasher=KeyHasher(SEED)
-    )
+    engine = ShardedSummarizer(k=8, assignments=["h1"], hasher=KeyHasher(SEED))
     keys = np.arange(index * 4, index * 4 + 4)
     engine.ingest("h1", keys, np.full(4, 1.5))
     return engine.sketch_bundle()

@@ -76,7 +76,7 @@ OVERHEAD_LIMIT = float(
     os.environ.get("BENCH_SERVICE_OVERHEAD_LIMIT", 0.05)
 )
 K = 128
-NS = NamespaceConfig("load", ("h1", "h2"), k=K, n_shards=4, salt=11)
+NS = NamespaceConfig("load", ("h1", "h2"), k=K, salt=11)
 
 
 def _make_batch(thread_id: int, sequence: int, rng) -> tuple[list, dict]:

@@ -88,8 +88,7 @@ def measure() -> dict:
         sampled_keys = 0
         for index in range(N_BUCKETS):
             engine = ShardedSummarizer(
-                k=BUCKET_K, assignments=list(ASSIGNMENTS), n_shards=4,
-                hasher=KeyHasher(7),
+                k=BUCKET_K, assignments=list(ASSIGNMENTS), hasher=KeyHasher(7),
             )
             keys = np.arange(
                 index * EVENTS_PER_BUCKET, (index + 1) * EVENTS_PER_BUCKET

@@ -49,7 +49,7 @@ K = 64
 SEED = 23
 T0 = 1_785_400_000.0 - (1_785_400_000.0 % 3600.0)  # aligned hour, 2026
 
-NS = NamespaceConfig("bench", ("h1", "h2"), k=K, n_shards=2, salt=SEED)
+NS = NamespaceConfig("bench", ("h1", "h2"), k=K, salt=SEED)
 
 
 def build_store(root: Path, n_buckets: int, parts: int, per_part: int):

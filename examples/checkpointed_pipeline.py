@@ -44,9 +44,7 @@ def synth_hour(rng: np.random.Generator, churn: float):
 
 
 def fresh_summarizer() -> ShardedSummarizer:
-    return ShardedSummarizer(
-        k=K, assignments=HOURS, n_shards=4, hasher=KeyHasher(42)
-    )
+    return ShardedSummarizer(k=K, assignments=HOURS, hasher=KeyHasher(42))
 
 
 def feed(engine, assignment, flows, sizes, lo, hi, batch=4096):

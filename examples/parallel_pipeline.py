@@ -6,9 +6,9 @@ such as "process:2", or takes yours) without changing a single output
 bit:
 
 1. **ingest** — two collector summarizers (one per namespace) feed
-   unaggregated (flow, bytes/packets) events through the partition-once
-   `ingest_multi` path; a summarizer folds its shards inline, so this
-   stage takes no executor;
+   unaggregated (flow, bytes/packets) events through `ingest_multi`
+   (one shared key batch, two weight columns); a summarizer folds its
+   tables inline, so this stage takes no executor;
 2. **compact** — each namespace's minute buckets roll up to hour buckets
    concurrently (`SummaryStore.compact(..., executor=...)`), with the
    manifest mutation staying in the parent;
@@ -62,8 +62,7 @@ def build_store(root: str) -> SummaryStore:
     for offset, namespace in enumerate(NAMESPACES):
         for minute in range(MINUTE_BUCKETS):
             engine = ShardedSummarizer(
-                k=K, assignments=["bytes", "packets"], n_shards=8,
-                hasher=KeyHasher(7),
+                k=K, assignments=["bytes", "packets"], hasher=KeyHasher(7),
             )
             flows, sizes, packets = synth_batch(rng)
             # keys must stay disjoint across buckets for exact rollups

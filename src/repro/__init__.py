@@ -55,7 +55,6 @@ from repro.engine import (
     jaccard_from_summary,
     merge_bottomk,
     merge_poisson,
-    shard_indices,
 )
 from repro.estimators import (
     AdjustedWeights,
@@ -113,7 +112,6 @@ __all__ = [
     "ShardedSummarizer",
     "merge_bottomk",
     "merge_poisson",
-    "shard_indices",
     "Query",
     "QueryEngine",
     "QueryResult",

@@ -20,6 +20,7 @@ rank-conditioning estimators.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence, TypeVar
@@ -160,6 +161,13 @@ class MultiAssignmentSummary:
             self.__dict__["_views"] = cache
         return cache
 
+    def __getstate__(self) -> dict:
+        """Pickle and copy the fields only: cached views are rebuilt on
+        demand, and their weak back-references cannot be pickled."""
+        state = self.__dict__.copy()
+        state.pop("_views", None)
+        return state
+
     def equals(self, other: "MultiAssignmentSummary") -> bool:
         """Bit-exact equality of every stored field.
 
@@ -228,10 +236,15 @@ class SummaryViews:
     Arbitrary derived arrays can be memoized with :meth:`cached`, which the
     estimation kernels use for method-specific quantities (e.g. the
     independent-differences inclusion probabilities).
+
+    The summary owns its views, so the way back is a weak proxy: a
+    reference cycle would keep every superseded summary (and the query
+    engine built on it) alive until a full garbage collection.  Hold the
+    summary for as long as you use its views.
     """
 
     def __init__(self, summary: MultiAssignmentSummary) -> None:
-        self.summary = summary
+        self.summary = weakref.proxy(summary)
         self._subsets: dict[tuple[int, ...], SubsetViews] = {}
         self._cache: dict[object, object] = {}
 
@@ -282,7 +295,8 @@ class SubsetViews:
     """
 
     def __init__(self, views: SummaryViews, cols: tuple[int, ...]) -> None:
-        self._views = views
+        # Owned by the views object, as that is by the summary: weak, too.
+        self._views = weakref.proxy(views)
         self.cols = cols
         self._col_list = list(cols)
 

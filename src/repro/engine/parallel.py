@@ -24,8 +24,8 @@ map over it with the stdlib's ordered :meth:`~concurrent.futures.
 Executor.map`.  Task functions are module-level and take one picklable
 argument, so they run under any pool.
 
-Shard finalization is *not* one of the pipelines: a
-:class:`~repro.engine.sharded.ShardedSummarizer` folds its shards inline
+Finalization is *not* one of the pipelines: a
+:class:`~repro.engine.sharded.ShardedSummarizer` folds its tables inline
 (a fold costs about what handing its inputs to a worker costs; the
 README's "Scaling out" section records the measurement).
 """

@@ -1,4 +1,4 @@
-"""Hash-sharded, batch-fed summarization of unaggregated streams.
+"""Batch-fed summarization of unaggregated streams.
 
 :class:`ShardedSummarizer` is the engine front door: feed it raw
 (key, weight) events — unaggregated, batched, in any order — for any
@@ -6,44 +6,43 @@ number of weight assignments, and it produces the paper's dispersed
 :class:`~repro.core.summary.MultiAssignmentSummary` with no access to a
 dense weight matrix.
 
-The pipeline per assignment:
+Each assignment keeps one aggregated table; a batch is only queued as
+*pending*.  The pipeline per assignment:
 
-1. **partition** — every batch is hash-partitioned by key across
-   ``n_shards`` shards (:func:`shard_indices`), so all occurrences of a
-   key land in the same shard and shards are key-disjoint by construction;
-   a shard only queues the batch slice as *pending*;
-2. **fold** — at finalization each shard that has pending events folds
-   just those, inline and one shard after another, into its
-   :class:`ShardState`: an aggregated table (unique keys +
-   running per-key totals, the pre-aggregation bottom-k sampling
+1. **fold** — at finalization an assignment that has pending events folds
+   just those into its :class:`ShardState`: an aggregated table (unique
+   keys + running per-key totals, the pre-aggregation bottom-k sampling
    requires) and the table's ``k + 1`` smallest-rank entries.  The pending
    events are aggregated (vectorized ``np.unique`` for numeric keys), each
    touched key's running sum is continued in arrival order from its stored
    total (``np.add.at``), and only the touched keys are re-ranked, with
-   *one shared hasher* across all shards and assignments (the
-   dispersed-coordination device of Section 4);
-3. **select** — the shard's new bottom-(k+1) is taken from *(old entries
-   not touched) ∪ (touched keys)*.  This is exact: weights are
-   non-negative and ranks are non-increasing in the weight at a fixed seed
-   (see :class:`~repro.ranks.families.RankFamily`), so an untouched key
-   outside the old ``k + 1`` can never enter the new one.  Folded events
-   are dropped — the table *is* the buffer — so a query after new data
-   sorts, hashes and ranks O(new events) (plus one array copy of each
-   touched shard's table, which is replaced, never written into), and
-   memory is O(distinct keys + pending events), not O(events);
-4. **merge** — shard sketches are combined exactly with
-   :func:`~repro.engine.merge.merge_bottomk`, and per-assignment merged
+   *one shared hasher* across all assignments (the dispersed-coordination
+   device of Section 4).  A backlog larger than ``_FOLD_ROWS`` is folded
+   in steps of at most that many rows, oldest chunks first, so a fold's
+   transients are O(step), not O(backlog) — exact for the same reason
+   the moment of finalization is invisible;
+2. **select** — the new bottom-(k+1) is taken from *(old entries not
+   touched) ∪ (touched keys)*.  This is exact: weights are non-negative
+   and ranks are non-increasing in the weight at a fixed seed (see
+   :class:`~repro.ranks.families.RankFamily`), so an untouched key outside
+   the old ``k + 1`` can never enter the new one.  Folded events are
+   dropped — the table *is* the buffer — so a query after new data sorts,
+   hashes and ranks O(new events) (plus one array copy of each touched
+   table, which is replaced, never written into), and memory is
+   O(distinct keys + pending events), not O(events).  The per-assignment
    sketches are assembled into the union summary with
    :func:`~repro.core.summary.build_summary_from_sketches`.
 
 Every step is deterministic given the hasher salt — rank ties (a ~2⁻⁵³
-event) are broken by key within a shard (by seed where keys cannot be
-ordered) and by shard index in the merge, never by arrival — so two
-deployments that never communicate — different shard counts, different
-batch boundaries, different event order, different moments of
-finalization — produce the *same* summary for the same totals.  (Totals
-are float sums in arrival order, so "the same totals" means the same
-per-key event order.)
+event) are broken by key (by seed where keys cannot be ordered), never by
+arrival — so two deployments that never communicate — different batch
+boundaries, different event order, different moments of finalization —
+produce the *same* summary for the same totals.  (Totals are float sums
+in arrival order, so "the same totals" means the same per-key event
+order.)  Distribution is a layer up: summarizers over key-disjoint
+streams that share the hasher salt publish bundles that
+:func:`~repro.engine.merge.merge_bottomk` (and a
+:class:`~repro.store.SummaryStore`) combine exactly.
 """
 
 from __future__ import annotations
@@ -57,52 +56,11 @@ from repro.core.summary import (
     MultiAssignmentSummary,
     build_summary_from_sketches,
 )
-from repro.engine.merge import merge_bottomk
 from repro.ranks.families import IppsRanks, RankFamily
-from repro.ranks.hashing import (
-    _MASK64,
-    KeyHasher,
-    _key_to_int,
-    _object_array,
-    as_key_array,
-    key_array_to_uint64,
-    splitmix64,
-    splitmix64_array,
-)
+from repro.ranks.hashing import KeyHasher, _object_array, as_key_array
 from repro.sampling.bottomk import BottomKSketch
 
-__all__ = ["shard_indices", "ShardedSummarizer"]
-
-# Salt folded into the partition hash so shard placement is (practically)
-# independent of the rank seeds even when the same KeyHasher salt is used.
-_PARTITION_SALT = 0x5EED_BA5E_D15C0
-
-
-def shard_indices(keys, n_shards: int, salt: int = 0) -> np.ndarray:
-    """Hash-partition keys into ``n_shards`` buckets, vectorized.
-
-    Deterministic and independent of the rank hasher: the same key always
-    lands in the same shard, which is what makes the shard sketches
-    key-disjoint (and therefore exactly mergeable).
-
-    >>> idx = shard_indices(np.arange(8), n_shards=3)
-    >>> bool((idx >= 0).all() and (idx < 3).all())
-    True
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    keys = as_key_array(keys)
-    mix = splitmix64((_PARTITION_SALT ^ salt) & _MASK64)
-    ints = key_array_to_uint64(keys)
-    if ints is None:
-        hashed = np.fromiter(
-            (splitmix64(_key_to_int(key) ^ mix) for key in keys.tolist()),
-            dtype=np.uint64,
-            count=len(keys),
-        )
-    else:
-        hashed = splitmix64_array(ints ^ np.uint64(mix))
-    return (hashed % np.uint64(n_shards)).astype(np.int64)
+__all__ = ["ShardedSummarizer"]
 
 
 def _smallest(ranks: np.ndarray, tiebreak: np.ndarray, limit: int) -> np.ndarray:
@@ -124,7 +82,7 @@ _NO_FLOATS = np.empty(0)
 
 
 class ShardEntries(NamedTuple):
-    """A shard's ``k + 1`` positive-total keys of smallest rank, ascending.
+    """A table's ``k + 1`` positive-total keys of smallest rank, ascending.
 
     The k sample entries plus the key that sets the threshold.  Ties in
     rank are broken by key in a numeric table and by seed in a generic one
@@ -137,7 +95,7 @@ class ShardEntries(NamedTuple):
     seeds: np.ndarray = _NO_FLOATS
 
     def sketch(self, k: int) -> BottomKSketch:
-        """The shard's bottom-k sketch, as a stream sampler would emit it."""
+        """The table's bottom-k sketch, as a stream sampler would emit it."""
         held = len(self.ranks)
         return BottomKSketch(
             k=k,
@@ -151,10 +109,10 @@ class ShardEntries(NamedTuple):
 
 
 class ShardDelta(NamedTuple):
-    """What folding some events changes in a shard: O(touched keys).
+    """What folding some events changes in a table: O(touched keys).
 
     ``touched`` are the distinct keys the events carried and ``sums`` their
-    new running totals (zero totals included); ``entries`` is the shard's
+    new running totals (zero totals included); ``entries`` is the table's
     new bottom-(k+1).  ``touched`` is sorted, in the table's dtype, when
     the fold stayed numeric, and an object array of Python keys in
     first-arrival order when it went generic.  ``at`` places the touched
@@ -170,7 +128,7 @@ class ShardDelta(NamedTuple):
 
 
 class ShardState:
-    """Everything one (assignment, shard) keeps of the events it has folded.
+    """Everything one assignment keeps of the events it has folded.
 
     The aggregated table comes in two forms:
 
@@ -184,7 +142,7 @@ class ShardState:
     A fold is two steps: :meth:`delta` reads the table and computes what
     the pending events change, :meth:`apply` builds the state after the
     change.  Nothing is written before :meth:`apply`, so a fold that fails
-    or is interrupted leaves the shard as it was.  Numeric-form arrays are
+    or is interrupted leaves the state as it was.  Numeric-form arrays are
     never written after construction — :meth:`apply` builds new ones — so
     a checkpoint snapshot may share them.  A generic table's dict is
     updated in place and copied out by :meth:`chunk`.
@@ -302,12 +260,12 @@ class ShardState:
 
     def _continue_numeric(self, chunks):
         """``(touched keys, their new totals, their table positions)``."""
-        if len(chunks) == 1:
-            (keys, weights), = chunks
-        else:
-            keys = np.concatenate([chunk_keys for chunk_keys, _ in chunks])
-            weights = np.concatenate([chunk_w for _, chunk_w in chunks])
-        touched, inverse = np.unique(keys, return_inverse=True)
+        # The weights are concatenated only once the key copy and the
+        # sort inside np.unique are gone: the peak holds one of the two.
+        touched, inverse = np.unique(
+            np.concatenate([keys for keys, _ in chunks]), return_inverse=True
+        )
+        weights = np.concatenate([weights for _, weights in chunks])
         size = len(self.keys)
         if size:
             at = np.searchsorted(self.keys, touched)
@@ -371,8 +329,19 @@ def _member(
     return haystack[np.minimum(at, len(haystack) - 1)] == needles
 
 
+# Rows one fold step takes on.  A step's transients (sort, inverse, seeds,
+# ranks: about ten arrays) are O(rows it folds), so a backlog of more
+# pending rows than this is folded in several steps and peaks at one
+# step's transients plus the old and new table.  Every extra step merges
+# into the table once more (a 120k-row first fold takes 1.4x as long in
+# two steps), so a step is as large as the memory gate allows: measured
+# on a 200k-row backlog, the peak is 2 MiB above 32k-row steps', where
+# one step over all of it is 5 MiB above.
+_FOLD_ROWS = 1 << 17
+
+
 class _Shard:
-    """One shard's folded state plus the chunks that arrived since."""
+    """One assignment's folded state plus the chunks that arrived since."""
 
     __slots__ = ("state", "pending")
 
@@ -386,19 +355,26 @@ class _Shard:
         return table + self.pending
 
     def fold(self, k: int, family: RankFamily, hasher: KeyHasher) -> int:
-        """Fold the pending chunks into the state; returns the change in
-        rows held (table keys + pending events).  A fold that raises
-        leaves the shard, pending chunks included, as it was."""
-        held = len(self.state) + sum(len(keys) for keys, _ in self.pending)
+        """Fold the leading pending chunks — as many as fit in
+        :data:`_FOLD_ROWS` rows, at least one — into the state; returns
+        the change in rows held (table keys + pending events).  A fold
+        that raises leaves state and pending chunks as they were."""
+        rows = count = 0
+        for keys, _ in self.pending:
+            if count and rows + len(keys) > _FOLD_ROWS:
+                break
+            rows += len(keys)
+            count += 1
+        distinct = len(self.state)
         self.state = self.state.apply(
-            self.state.delta(k, family, hasher, self.pending)
+            self.state.delta(k, family, hasher, self.pending[:count])
         )
-        self.pending = []
-        return len(self.state) - held
+        del self.pending[:count]
+        return len(self.state) - distinct - rows
 
 
 class ShardedSummarizer:
-    """Hash-sharded bottom-k summarization of unaggregated event streams.
+    """Bottom-k summarization of unaggregated event streams.
 
     Parameters
     ----------
@@ -406,17 +382,14 @@ class ShardedSummarizer:
         per-assignment bottom-k sample size.
     assignments:
         names of the weight assignments events may arrive for.
-    n_shards:
-        number of key-disjoint shard samplers per assignment.
     family:
         rank family (default IPPS — priority sampling).
     hasher:
-        the shared key hasher coordinating all shards and assignments;
-        two summarizers with equal hashers produce coordinated summaries.
-    partition_salt:
-        extra salt for shard placement (does not affect the summary).
+        the shared key hasher coordinating all assignments; two
+        summarizers with equal hashers produce coordinated summaries,
+        and over key-disjoint streams their bundles merge exactly.
 
-    >>> eng = ShardedSummarizer(k=2, assignments=["h1", "h2"], n_shards=2)
+    >>> eng = ShardedSummarizer(k=2, assignments=["h1", "h2"])
     >>> eng.ingest("h1", np.array([1, 2, 3]), np.array([5.0, 1.0, 9.0]))
     >>> eng.ingest("h1", np.array([2]), np.array([3.0]))  # unaggregated ok
     >>> eng.summary().kind
@@ -427,36 +400,27 @@ class ShardedSummarizer:
         self,
         k: int,
         assignments: Sequence[str],
-        n_shards: int = 8,
         family: RankFamily | None = None,
         hasher: KeyHasher | None = None,
-        partition_salt: int = 0,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.k = k
         self.assignments = list(assignments)
         if len(set(self.assignments)) != len(self.assignments):
             raise ValueError("assignment names must be distinct")
         if not self.assignments:
             raise ValueError("need at least one assignment")
-        self.n_shards = n_shards
         self.family = family if family is not None else IppsRanks()
         self.hasher = hasher if hasher is not None else KeyHasher(0)
-        self.partition_salt = partition_salt
-        self._shards: dict[str, list[_Shard]] = {
-            name: [_Shard() for _ in range(n_shards)]
-            for name in self.assignments
-        }
-        # Rows held over all shards: table keys + pending events.
+        self._shards = {name: _Shard() for name in self.assignments}
+        # Rows held over all assignments: table keys + pending events.
         self._rows = 0
-        # Finalized per-assignment merged sketches, recomputed lazily after
+        # Finalized per-assignment sketches, recomputed lazily after
         # every ingest (folding the pending events is O(new events)).
         self._sketch_cache: dict[str, BottomKSketch] | None = None
 
-    def _shards_for(self, assignment: str) -> list[_Shard]:
+    def _shard_for(self, assignment: str) -> _Shard:
         try:
             return self._shards[assignment]
         except KeyError:
@@ -481,27 +445,6 @@ class ShardedSummarizer:
             )
         return weights
 
-    def _partition_order(
-        self, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stable grouping of a batch by shard: ``(order, bounds)``.
-
-        One stable sort by shard id plus boundary slices, instead of one
-        full-array boolean mask per shard.  The stable sort keeps each
-        shard's events in arrival order, so the buffered chunks are
-        element-identical to a mask-based split.  Narrowing the ids to the
-        smallest dtype that holds n_shards lets the stable radix sort do
-        1-2 byte passes instead of 8.
-        """
-        ids = shard_indices(keys, self.n_shards, self.partition_salt)
-        if self.n_shards <= 1 << 8:
-            ids = ids.astype(np.uint8)
-        elif self.n_shards <= 1 << 16:
-            ids = ids.astype(np.uint16)
-        order = np.argsort(ids, kind="stable")
-        bounds = np.searchsorted(ids[order], np.arange(self.n_shards + 1))
-        return order, bounds
-
     def ingest(self, assignment: str, keys, weights) -> None:
         """Feed one batch of raw (key, weight) events for an assignment.
 
@@ -521,13 +464,13 @@ class ShardedSummarizer:
         """Feed one key batch carrying weights for several assignments.
 
         Equivalent to calling :meth:`ingest` once per assignment with the
-        same ``keys`` (bit-identical pending chunks), but the partition —
-        hash, stable sort, key gather — is computed once and shared, which
-        matters when every event updates all assignments (e.g. bytes and
-        packet-count weights of one flow record).
+        same ``keys`` (bit-identical pending chunks), but the key array is
+        canonicalized and copied once and shared, which matters when every
+        event updates all assignments (e.g. bytes and packet-count weights
+        of one flow record).
         """
         names = list(weights_by_assignment)
-        shards_by_name = {name: self._shards_for(name) for name in names}
+        shards = [self._shard_for(name) for name in names]
         keys = as_key_array(keys)
         checked = {
             name: self._checked_weights(keys, weights_by_assignment[name])
@@ -537,31 +480,12 @@ class ShardedSummarizer:
             return
         self._sketch_cache = None
         self._rows += len(keys) * len(names)
-        if self.n_shards == 1:
-            # Copy: the multi-shard path copies via gather indexing; without
-            # one here a caller refilling a preallocated batch buffer would
-            # retroactively corrupt every pending chunk.  One key copy is
-            # shared across assignments, like sorted_keys below.
-            keys = keys.copy()
-            for name in names:
-                shards_by_name[name][0].pending.append(
-                    (keys, checked[name].copy())
-                )
-            return
-        order, bounds = self._partition_order(keys)
-        sorted_keys = keys[order]
-        for name in names:
-            sorted_weights = checked[name][order]
-            shards = shards_by_name[name]
-            for shard in range(self.n_shards):
-                lo, hi = bounds[shard], bounds[shard + 1]
-                if hi > lo:
-                    # Slices view the per-batch copies made above, so later
-                    # caller mutation of the ingested arrays cannot reach
-                    # them.
-                    shards[shard].pending.append(
-                        (sorted_keys[lo:hi], sorted_weights[lo:hi])
-                    )
+        # Copy: without one, a caller refilling a preallocated batch buffer
+        # would retroactively corrupt every pending chunk.  One key copy is
+        # shared across assignments.
+        keys = keys.copy()
+        for name, shard in zip(names, shards):
+            shard.pending.append((keys, checked[name].copy()))
 
     def ingest_stream(
         self, assignment: str, items: Iterable[tuple[Hashable, float]]
@@ -575,55 +499,57 @@ class ShardedSummarizer:
         if keys:
             self.ingest(assignment, keys, np.asarray(weights, dtype=float))
 
-    def _merged_sketches(self) -> dict[str, BottomKSketch]:
+    def _current_sketches(self) -> dict[str, BottomKSketch]:
         """Finalized per-assignment sketches, cached until the next ingest.
 
-        Folds every shard that has pending chunks (shards without are
-        already current), one after another — the peak holds one shard's
-        old and new table, and a fold that raises leaves its shard to be
-        folded again by the next call — then merges the shard sketches.
-        These are internal state: callers go through :meth:`sketches`,
-        which hands out defensive copies.
+        Folds every assignment that has pending chunks (the others are
+        already current), a bounded number of rows at a time and the
+        assignments in turn — the peak holds one assignment's old and new
+        table plus one step's transients, a key chunk that
+        :meth:`ingest_multi` shared is freed as soon as every assignment
+        has folded it, and a fold that raises leaves its pending chunks
+        to be folded again by the next call.  These are internal state:
+        callers go through :meth:`sketches`, which hands out defensive
+        copies.
         """
         if self._sketch_cache is None:
-            for shards in self._shards.values():
-                for shard in shards:
-                    if shard.pending:
-                        self._rows += shard.fold(
-                            self.k, self.family, self.hasher
-                        )
+            behind = [
+                shard for shard in self._shards.values() if shard.pending
+            ]
+            while behind:
+                for shard in behind:
+                    self._rows += shard.fold(self.k, self.family, self.hasher)
+                behind = [shard for shard in behind if shard.pending]
             self._sketch_cache = {
-                name: merge_bottomk(
-                    *(shard.state.entries.sketch(self.k) for shard in shards)
-                )
-                for name, shards in self._shards.items()
+                name: shard.state.entries.sketch(self.k)
+                for name, shard in self._shards.items()
             }
         return self._sketch_cache
 
     def sketches(self) -> dict[str, BottomKSketch]:
-        """Aggregate, sample, and merge: one bottom-k sketch per assignment.
+        """Aggregate and sample: one bottom-k sketch per assignment.
 
         Equals what one sampler per assignment would produce over the
-        pre-aggregated stream — sharding is invisible in the output.  The
-        finalized sketches are cached until the next :meth:`ingest`;
-        callers receive defensive copies, so mutating a returned sketch
-        (or its arrays) cannot corrupt the cached shard state that later
-        :meth:`summary` / :meth:`sketch_bundle` calls read.
+        pre-aggregated stream.  The finalized sketches are cached until
+        the next :meth:`ingest`; callers receive defensive copies, so
+        mutating a returned sketch (or its arrays) cannot corrupt the
+        cached state that later :meth:`summary` / :meth:`sketch_bundle`
+        calls read.
         """
         return {
-            name: sk.copy() for name, sk in self._merged_sketches().items()
+            name: sk.copy() for name, sk in self._current_sketches().items()
         }
 
     def summary(self) -> MultiAssignmentSummary:
         """Assemble the dispersed multi-assignment summary."""
         return build_summary_from_sketches(
-            self._merged_sketches(), self.family, method_name="shared_seed"
+            self._current_sketches(), self.family, method_name="shared_seed"
         )
 
     def sketch_bundle(self) -> "SketchBundle":
         """The storable artifact of this summarizer's current sketches.
 
-        A :class:`~repro.store.codec.SketchBundle` carrying the merged
+        A :class:`~repro.store.codec.SketchBundle` carrying the
         per-assignment sketches plus the coordination metadata (family,
         hasher salt) a :class:`~repro.store.SummaryStore` needs to merge
         it exactly with artifacts from coordinated writers.
@@ -650,8 +576,8 @@ class ShardedSummarizer:
     def checkpoint_state(self) -> "SummarizerCheckpoint":
         """Freeze the summarizer for :mod:`repro.store.checkpoint`.
 
-        Captures configuration, coordination salts, and per shard its
-        aggregated table as one pre-aggregated ``(keys, totals)`` chunk
+        Captures configuration, the coordination salt, and per assignment
+        its aggregated table as one pre-aggregated ``(keys, totals)`` chunk
         followed by the pending raw chunks in arrival order.  Restoring
         (:meth:`from_checkpoint`) and finishing the stream is bit-identical
         to never having stopped (folding the table chunk first gives
@@ -670,13 +596,10 @@ class ShardedSummarizer:
         return SummarizerCheckpoint(
             k=self.k,
             assignments=list(self.assignments),
-            n_shards=self.n_shards,
             family=self.family,
             hasher_salt=self.hasher.salt,
-            partition_salt=self.partition_salt,
             chunks={
-                name: [shard.chunks() for shard in shards]
-                for name, shards in self._shards.items()
+                name: shard.chunks() for name, shard in self._shards.items()
             },
         )
 
@@ -686,25 +609,18 @@ class ShardedSummarizer:
     ) -> "ShardedSummarizer":
         """Rebuild a summarizer from a checkpoint snapshot.
 
-        The restored instance has the same configuration, salts, and
+        The restored instance has the same configuration, salt, and
         chunks (pending, in checkpoint order), so continuing the stream
         produces summaries bit-identical to an uninterrupted run.
         """
         restored = cls(
             k=state.k,
             assignments=state.assignments,
-            n_shards=state.n_shards,
             family=state.family,
             hasher=KeyHasher(state.hasher_salt),
-            partition_salt=state.partition_salt,
         )
-        for name in restored.assignments:
-            for shard, chunk_list in zip(
-                restored._shards[name], state.chunks[name]
-            ):
-                shard.pending = [
-                    (keys, weights) for keys, weights in chunk_list
-                ]
+        for name, shard in restored._shards.items():
+            shard.pending = list(state.chunks[name])
         restored._rows = state.buffered_events
         return restored
 
@@ -723,8 +639,8 @@ class ShardedSummarizer:
 
     @property
     def buffered_events(self) -> int:
-        """Rows held, summed over all assignments and shards: aggregated
-        keys plus not-yet-folded events.  O(1).
+        """Rows held, summed over all assignments: aggregated keys plus
+        not-yet-folded events.  O(1).
 
         Before the first finalization this is the raw event count; a fold
         replaces the events it aggregates by their distinct keys.  A
@@ -739,7 +655,7 @@ class ShardedSummarizer:
     def __repr__(self) -> str:
         return (
             f"ShardedSummarizer(k={self.k}, "
-            f"assignments={self.assignments!r}, n_shards={self.n_shards}, "
+            f"assignments={self.assignments!r}, "
             f"family={self.family.name!r}, "
             f"buffered_events={self.buffered_events})"
         )

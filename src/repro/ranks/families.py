@@ -41,7 +41,7 @@ class RankFamily(ABC):
     in ``w`` — a key whose weight grows never gets a larger rank.  Both
     families here divide a seed-only numerator by ``w``, and a correctly
     rounded division is monotone in its divisor.  The engine's incremental
-    finalization rests on it (an untouched key outside a shard's ``k + 1``
+    finalization rests on it (an untouched key outside a table's ``k + 1``
     smallest ranks can never enter them when other keys' totals grow), as
     does :meth:`~repro.sampling.bottomk.BottomKSketch.scaled` (a uniform
     factor preserves rank order).

@@ -81,7 +81,7 @@ def _canonical_float_keys(arr: np.ndarray) -> np.ndarray:
     """Fold integral float keys to ints, mirroring ``_key_to_int``.
 
     ``1.0`` is the same Python dict/set key as ``1``, so it must also be
-    the same sampler/shard key; arrays whose values are all integral (the
+    the same sampler key; arrays whose values are all integral (the
     common "ids arrived as a float column" case) become int64 wholesale,
     mixed arrays fall back to per-element canonicalization.
     """

@@ -77,7 +77,6 @@ def _config_from_args(args: argparse.Namespace) -> ServiceConfig:
             name=args.namespace,
             assignments=tuple(args.assignments),
             k=args.k,
-            n_shards=args.n_shards,
             family=args.family,
             salt=args.salt,
         )
@@ -163,7 +162,6 @@ def _coordinator_config_from_args(args: argparse.Namespace):
         name=args.namespace,
         assignments=tuple(args.assignments),
         k=args.k,
-        n_shards=args.n_shards,
         family=args.family,
         salt=args.salt,
     )
@@ -541,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--namespace", default=None)
     serve.add_argument("--assignments", nargs="+", default=None)
     serve.add_argument("--k", type=int, default=256)
-    serve.add_argument("--n-shards", type=int, default=4)
     serve.add_argument("--family", default="ipps", choices=["ipps", "exp"])
     serve.add_argument("--salt", type=int, default=0)
     serve.add_argument("--host", default="127.0.0.1")
@@ -585,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     coordinate.add_argument("--namespace", default=None)
     coordinate.add_argument("--assignments", nargs="+", default=None)
     coordinate.add_argument("--k", type=int, default=256)
-    coordinate.add_argument("--n-shards", type=int, default=4)
     coordinate.add_argument("--family", default="ipps",
                             choices=["ipps", "exp"])
     coordinate.add_argument("--salt", type=int, default=0)

@@ -3,7 +3,7 @@
 A :class:`ServiceConfig` describes one ``repro-serve`` daemon: where the
 :class:`~repro.store.SummaryStore` lives, which namespaces it summarizes
 (each a :class:`NamespaceConfig` naming the bottom-k size, weight
-assignments, and coordination salts of that namespace's live
+assignments, and coordination salt of that namespace's live
 :class:`~repro.engine.ShardedSummarizer`), the HTTP bind address, and the
 runtime knobs — live-window granularity, background compaction cadence,
 ingest-queue depth.
@@ -38,10 +38,8 @@ class NamespaceConfig:
     name: str
     assignments: tuple[str, ...]
     k: int = 256
-    n_shards: int = 4
     family: str = "ipps"
     salt: int = 0
-    partition_salt: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignments", tuple(self.assignments))
@@ -53,8 +51,6 @@ class NamespaceConfig:
             )
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
 
     def make_summarizer(self):
         """A fresh live-window summarizer with this namespace's coordination."""
@@ -65,10 +61,8 @@ class NamespaceConfig:
         return ShardedSummarizer(
             k=self.k,
             assignments=list(self.assignments),
-            n_shards=self.n_shards,
             family=get_rank_family(self.family),
             hasher=KeyHasher(self.salt),
-            partition_salt=self.partition_salt,
         )
 
     def to_json(self) -> dict:
@@ -76,22 +70,28 @@ class NamespaceConfig:
             "name": self.name,
             "assignments": list(self.assignments),
             "k": self.k,
-            "n_shards": self.n_shards,
             "family": self.family,
             "salt": self.salt,
-            "partition_salt": self.partition_salt,
         }
 
     @classmethod
     def from_json(cls, row: dict) -> "NamespaceConfig":
+        unknown = set(row) - {"name", "assignments", "k", "family", "salt"}
+        if unknown:
+            # A typo'd coordination field must not fall back to its default.
+            raise ValueError(
+                f"unknown namespace config keys: "
+                f"{', '.join(sorted(unknown))} (in-process sharding was "
+                "removed: its shard-count and partition-salt keys can "
+                "simply be deleted from the file, summaries never depended "
+                "on them)"
+            )
         return cls(
             name=row["name"],
             assignments=tuple(row["assignments"]),
             k=int(row.get("k", 256)),
-            n_shards=int(row.get("n_shards", 4)),
             family=row.get("family", "ipps"),
             salt=int(row.get("salt", 0)),
-            partition_salt=int(row.get("partition_salt", 0)),
         )
 
 

@@ -243,6 +243,7 @@ class LiveWindowManager:
         state is always exact.
         """
         from repro.engine.sharded import ShardedSummarizer
+        from repro.ranks.families import get_rank_family
 
         entries = [
             entry
@@ -259,13 +260,14 @@ class LiveWindowManager:
             state.k != config.k
             or list(state.assignments) != list(config.assignments)
             or state.hasher_salt != config.salt
+            or state.family != get_rank_family(config.family)
         ):
             raise ValueError(
                 f"checkpoint for namespace {config.name!r} was written "
                 f"under a different configuration (k={state.k}, "
                 f"assignments={list(state.assignments)}, "
-                f"salt={state.hasher_salt}); coordination parameters must "
-                "not change across restarts"
+                f"salt={state.hasher_salt}, family={state.family.name}); "
+                "coordination parameters must not change across restarts"
             )
         summarizer = ShardedSummarizer.from_checkpoint(state)
         for entry in entries[:-1]:  # retire stale extras, keep the newest

@@ -1,6 +1,6 @@
 """Persistent summary store: codec, disk registry, and checkpoint/resume.
 
-The storage layer between the sharded ingestion engine and the query
+The storage layer between the ingestion engine and the query
 engine: :mod:`repro.store.codec` serializes sketches, samplers, summaries,
 and checkpoints to a versioned zero-copy binary format;
 :mod:`repro.store.store` keeps the resulting artifacts in a namespace- and
@@ -8,7 +8,7 @@ time-bucket-partitioned on-disk registry with atomic writes and exact
 merge-based rollups; :mod:`repro.store.runtime` is the WAL-mode SQLite
 runtime tier beneath it (transactional manifest, persistent query-result
 cache, telemetry counters); :mod:`repro.store.checkpoint` freezes and
-resumes sharded ingestion bit-identically.  ``python -m repro.store``
+resumes ingestion bit-identically.  ``python -m repro.store``
 exposes the write/ls/compact/query/stats workflow on the command line.
 """
 

@@ -1,8 +1,8 @@
-"""Checkpoint/resume for sharded ingestion pipelines.
+"""Checkpoint/resume for ingestion pipelines.
 
 A :class:`~repro.store.codec.SummarizerCheckpoint` freezes a
 :class:`~repro.engine.ShardedSummarizer` mid-stream — configuration,
-coordination salts, and every buffered raw-event chunk in arrival order —
+coordination salt, and every buffered event chunk in arrival order —
 so an interrupted ingestion can restore in a fresh process and produce
 summaries **bit-identical** to an uninterrupted run (enforced by
 ``tests/test_checkpoint.py``).

@@ -244,37 +244,27 @@ class SummarizerCheckpoint:
     """Snapshot of a :class:`~repro.engine.ShardedSummarizer` mid-ingestion.
 
     Captures the full configuration (so re-hashing stays coordinated) plus
-    every chunk a shard holds per (assignment, shard): its aggregated
-    table as one pre-aggregated ``(keys, totals)`` chunk, if it has folded
-    any events, then the raw-event chunks that arrived since, in arrival
-    order.  Restoring and finishing the stream is therefore bit-identical
-    to never having been interrupted: aggregation order, shard placement,
-    and rank seeds are all reproduced exactly.
+    every chunk held per assignment: its aggregated table as one
+    pre-aggregated ``(keys, totals)`` chunk, if it has folded any events,
+    then the raw-event chunks that arrived since, in arrival order.
+    Restoring and finishing the stream is therefore bit-identical to never
+    having been interrupted: aggregation order and rank seeds are both
+    reproduced exactly.
 
-    ``chunks[assignment][shard]`` is the list of ``(keys, weights)`` array
-    pairs held for that shard.
+    ``chunks[assignment]`` is the list of ``(keys, weights)`` array pairs
+    held for that assignment.
     """
 
     k: int
     assignments: list[str]
-    n_shards: int
     family: RankFamily
     hasher_salt: int
-    partition_salt: int
-    chunks: dict[str, list[list[tuple[np.ndarray, np.ndarray]]]] = field(
-        repr=False
-    )
+    chunks: dict[str, list[tuple[np.ndarray, np.ndarray]]] = field(repr=False)
 
     def __post_init__(self) -> None:
         missing = [name for name in self.assignments if name not in self.chunks]
         if missing:
             raise ValueError(f"chunks missing for assignments {missing!r}")
-        for name, shards in self.chunks.items():
-            if len(shards) != self.n_shards:
-                raise ValueError(
-                    f"assignment {name!r} has {len(shards)} shard chunk "
-                    f"lists, expected n_shards={self.n_shards}"
-                )
 
     @property
     def buffered_events(self) -> int:
@@ -283,8 +273,7 @@ class SummarizerCheckpoint:
         reported at the snapshot and reports again after a restore."""
         return sum(
             len(keys)
-            for shards in self.chunks.values()
-            for chunk_list in shards
+            for chunk_list in self.chunks.values()
             for keys, _ in chunk_list
         )
 
@@ -889,29 +878,24 @@ def _decode_bundle(reader: _BlobReader) -> SketchBundle:
 
 
 def _encode_checkpoint(cp: SummarizerCheckpoint) -> bytes:
-    layout = [
-        [len(cp.chunks[name][shard]) for shard in range(cp.n_shards)]
-        for name in cp.assignments
-    ]
+    # ``layout[assignment]`` lists one chunk count per key-disjoint chunk
+    # list ``s{j}``; a summarizer holds one list per assignment.
     writer = _BlobWriter(
         "checkpoint",
         {
             "k": cp.k,
             "assignments": list(cp.assignments),
-            "n_shards": cp.n_shards,
             "family": _family_name(cp.family),
             "salt": cp.hasher_salt,
-            "partition_salt": cp.partition_salt,
-            "layout": layout,
+            "layout": [[len(cp.chunks[name])] for name in cp.assignments],
         },
     )
     for ai, name in enumerate(cp.assignments):
-        for si, chunk_list in enumerate(cp.chunks[name]):
-            for ci, (keys, weights) in enumerate(chunk_list):
-                writer.add_array(f"a{ai}.s{si}.c{ci}.k", keys)
-                writer.add_array(
-                    f"a{ai}.s{si}.c{ci}.w", np.asarray(weights, dtype="<f8")
-                )
+        for ci, (keys, weights) in enumerate(cp.chunks[name]):
+            writer.add_array(f"a{ai}.s0.c{ci}.k", keys)
+            writer.add_array(
+                f"a{ai}.s0.c{ci}.w", np.asarray(weights, dtype="<f8")
+            )
     return writer.render()
 
 
@@ -921,11 +905,12 @@ def _decode_checkpoint(reader: _BlobReader) -> SummarizerCheckpoint:
     layout = meta["layout"]
     if len(layout) != len(assignments):
         raise CodecError("checkpoint layout does not match assignments")
-    chunks: dict[str, list[list[tuple[np.ndarray, np.ndarray]]]] = {}
+    chunks: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     for ai, name in enumerate(assignments):
-        shards = []
+        # The lists of one assignment are key-disjoint, so reading them one
+        # after another keeps every key's additions in arrival order.
+        chunk_list = []
         for si, n_chunks in enumerate(layout[ai]):
-            chunk_list = []
             for ci in range(n_chunks):
                 keys = reader.array(f"a{ai}.s{si}.c{ci}.k")
                 weights = reader.array(f"a{ai}.s{si}.c{ci}.w")
@@ -935,15 +920,12 @@ def _decode_checkpoint(reader: _BlobReader) -> SummarizerCheckpoint:
                         f"{len(weights)} weights"
                     )
                 chunk_list.append((keys, weights))
-            shards.append(chunk_list)
-        chunks[name] = shards
+        chunks[name] = chunk_list
     return SummarizerCheckpoint(
         k=int(meta["k"]),
         assignments=assignments,
-        n_shards=int(meta["n_shards"]),
         family=get_rank_family(meta["family"]),
         hasher_salt=int(meta["salt"]),
-        partition_salt=int(meta["partition_salt"]),
         chunks=chunks,
     )
 

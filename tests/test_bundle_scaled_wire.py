@@ -33,7 +33,7 @@ def make_bundle(key_range, seed=0, k=8):
     """Small bundle over a dedicated key range (disjoint ranges merge)."""
     rng = np.random.default_rng(seed)
     engine = ShardedSummarizer(
-        k=k, assignments=ASSIGNMENTS, n_shards=2, hasher=KeyHasher(SALT)
+        k=k, assignments=ASSIGNMENTS, hasher=KeyHasher(SALT)
     )
     keys = np.arange(*key_range)
     for name in ASSIGNMENTS:

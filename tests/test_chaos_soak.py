@@ -36,7 +36,7 @@ from repro.service import (
     ServiceThread,
 )
 
-NS = NamespaceConfig("soak", ("h1", "h2"), k=32, n_shards=2, salt=9)
+NS = NamespaceConfig("soak", ("h1", "h2"), k=32, salt=9)
 
 
 class Clock:

@@ -7,6 +7,8 @@ run — same keys, same rank bits, same thresholds, same seeds.
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -30,18 +32,17 @@ def feed(engine, assignment, keys, weights, batch=512):
                       weights[lo : lo + batch])
 
 
-@pytest.mark.parametrize("n_shards", [1, 3])
 @pytest.mark.parametrize(
     "family", [IppsRanks(), ExponentialRanks()], ids=lambda f: f.name
 )
-def test_resume_is_bit_identical(tmp_path, n_shards, family):
+def test_resume_is_bit_identical(tmp_path, family):
     keys, weights = make_events()
     half = len(keys) // 2
 
     def fresh():
         return ShardedSummarizer(
-            k=64, assignments=["h1", "h2"], n_shards=n_shards,
-            family=family, hasher=KeyHasher(42),
+            k=64, assignments=["h1", "h2"], family=family,
+            hasher=KeyHasher(42),
         )
 
     uninterrupted = fresh()
@@ -69,7 +70,7 @@ def test_resume_with_string_and_tuple_keys(tmp_path):
 
     def run(interrupt):
         engine = ShardedSummarizer(
-            k=16, assignments=["a"], n_shards=2, hasher=KeyHasher(7)
+            k=16, assignments=["a"], hasher=KeyHasher(7)
         )
         if interrupt:
             engine.ingest_stream("a", events[:150])
@@ -84,9 +85,7 @@ def test_resume_with_string_and_tuple_keys(tmp_path):
 
 def test_checkpoint_into_store(tmp_path):
     keys, weights = make_events(n=600, n_keys=100)
-    engine = ShardedSummarizer(
-        k=8, assignments=["h1"], n_shards=2, hasher=KeyHasher(5)
-    )
+    engine = ShardedSummarizer(k=8, assignments=["h1"], hasher=KeyHasher(5))
     feed(engine, "h1", keys, weights)
     store = SummaryStore(tmp_path)
     entry = store.write("flows", "20260728T1201", engine.checkpoint_state())
@@ -127,14 +126,69 @@ def test_checkpoint_requires_plain_hasher():
 def test_checkpoint_state_validation():
     with pytest.raises(ValueError, match="missing"):
         SummarizerCheckpoint(
-            k=2, assignments=["a"], n_shards=1, family=IppsRanks(),
-            hasher_salt=0, partition_salt=0, chunks={},
+            k=2, assignments=["a"], family=IppsRanks(), hasher_salt=0,
+            chunks={},
         )
-    with pytest.raises(ValueError, match="n_shards"):
-        SummarizerCheckpoint(
-            k=2, assignments=["a"], n_shards=2, family=IppsRanks(),
-            hasher_salt=0, partition_salt=0, chunks={"a": [[]]},
-        )
+
+
+def test_multi_shard_checkpoint_of_the_parent_layout_resumes():
+    """A blob written when a summarizer hash-partitioned every assignment
+    over ``n_shards`` tables names several chunk lists per assignment
+    (``a{i}.s{j}.c{n}``).  The lists are key-disjoint, so reading them one
+    after another keeps every key's additions in arrival order: the
+    restored stream finishes bit-identically to one that never stopped.
+
+    The 1936-byte fixture holds, over 3 shards, tables with pending
+    chunks, a table alone and a pending chunk alone, for int and for
+    string keys.  Written at commit 41795dc (the last with ``n_shards``)
+    by::
+
+        eng = ShardedSummarizer(k=3, assignments=["n", "s"], n_shards=3,
+                                hasher=KeyHasher(42))
+        eng.ingest("n", np.arange(9), np.arange(1.0, 10.0))
+        eng.ingest("s", ["u0", "u1", "u2", "u3"], np.arange(2.0, 6.0))
+        eng.summary()  # fold: the shards now hold tables
+        eng.ingest("n", np.array([3, 30, 7, 3]),
+                   np.array([0.5, 4.0, 0.25, 0.125]))
+        eng.ingest("s", ["u1", "v0", "u1"], np.array([0.5, 6.0, 0.25]))
+        open(path, "wb").write(encode(eng.checkpoint_state()))
+    """
+    script = [
+        ("n", np.arange(9), np.arange(1.0, 10.0)),
+        ("s", ["u0", "u1", "u2", "u3"], np.arange(2.0, 6.0)),
+        None,  # summary(): a fold
+        ("n", np.array([3, 30, 7, 3]), np.array([0.5, 4.0, 0.25, 0.125])),
+        ("s", ["u1", "v0", "u1"], np.array([0.5, 6.0, 0.25])),
+    ]
+    rest = [
+        ("n", np.array([30, 2, 8, 40]), np.array([1.5, 0.75, 2.0, 7.0])),
+        ("s", ["v0", "u3", "w0"], np.array([0.125, 8.0, 5.0])),
+    ]
+    uninterrupted = ShardedSummarizer(
+        k=3, assignments=["n", "s"], hasher=KeyHasher(42)
+    )
+    for step in script:
+        if step is None:
+            uninterrupted.summary()
+        else:
+            uninterrupted.ingest(*step)
+
+    blob = (
+        pathlib.Path(__file__).parent / "data" / "checkpoint_3shard_pr20.ckpt"
+    ).read_bytes()
+    state = decode(blob)
+    assert state.buffered_events == uninterrupted.buffered_events == 20
+    resumed = state.restore()
+    assert resumed.buffered_events == 20
+    assert resumed.sketch_bundle().equals(uninterrupted.sketch_bundle())
+    for step in rest:
+        resumed.ingest(*step)
+        uninterrupted.ingest(*step)
+    assert resumed.summary().equals(uninterrupted.summary())
+    assert resumed.buffered_events == uninterrupted.buffered_events
+    assert encode(resumed.sketch_bundle()) == encode(
+        uninterrupted.sketch_bundle()
+    )
 
 
 def test_save_checkpoint_overwrite_is_atomic(tmp_path):
@@ -187,4 +241,4 @@ class TestDefensiveAccessors:
     def test_repeated_calls_share_cache(self):
         engine = ShardedSummarizer(k=4, assignments=["a"], hasher=KeyHasher(1))
         engine.ingest("a", np.arange(10), np.ones(10))
-        assert engine._merged_sketches() is engine._merged_sketches()
+        assert engine._current_sketches() is engine._current_sketches()

@@ -45,7 +45,7 @@ from repro.service.cluster import (
     slot_namespace_configs,
 )
 
-NS = NamespaceConfig("web", ("h1", "h2"), k=8, n_shards=2, salt=21)
+NS = NamespaceConfig("web", ("h1", "h2"), k=8, salt=21)
 N_SLOTS = 4
 SALT = 4  # splits slots across workers (see test_cluster_service)
 

@@ -89,7 +89,7 @@ class TestSlotNamespaces:
 
     def test_config_expansion_preserves_coordination_fields(self):
         base = NamespaceConfig(
-            "web", ("h1", "h2"), k=32, n_shards=2, salt=9
+            "web", ("h1", "h2"), k=32, salt=9
         )
         expanded = slot_namespace_configs(base, 4)
         assert [ns.name for ns in expanded] == [

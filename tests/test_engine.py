@@ -1,7 +1,7 @@
 """Engine equivalence/property tests.
 
 The engine's contract is exactness: vectorized hashing, batch ingestion,
-sketch merging, and sharded summarization must be *bit-identical* to the
+sketch merging, and stream summarization must be *bit-identical* to the
 reference single-pass / matrix-mode paths, for arbitrary inputs.  These
 tests drive every path with hypothesis and assert full sketch equality
 (keys, ranks, weights, seeds, ``kth_rank``, ``threshold``).
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ShardedSummarizer, merge_bottomk, merge_poisson, shard_indices
+from repro.engine import ShardedSummarizer, merge_bottomk, merge_poisson
 from repro.ranks.families import ExponentialRanks, IppsRanks
 from repro.ranks.hashing import KeyHasher, hash_to_unit
 from repro.sampling.bottomk import (
@@ -114,14 +114,6 @@ class TestVectorizedHashing:
         values = KeyHasher(0).hash_array(np.arange(10_000))
         assert float(values.min()) > 0.0
         assert float(values.max()) < 1.0
-
-    @given(keys=st.lists(key_ints, min_size=1, max_size=100), n_shards=st.integers(1, 16))
-    @settings(max_examples=40, deadline=None)
-    def test_shard_indices_vectorized_matches_scalar(self, keys, n_shards):
-        fast = shard_indices(np.array(keys, dtype=np.int64), n_shards)
-        slow = shard_indices(np.array(keys, dtype=object), n_shards)
-        np.testing.assert_array_equal(fast, slow)
-        assert fast.min() >= 0 and fast.max() < n_shards
 
 
 class TestStreamMatrixEquivalence:
@@ -382,15 +374,14 @@ class TestShardedSummarizer:
             max_size=250,
         ),
         k=st.integers(1, 12),
-        n_shards=st.integers(1, 7),
         salt=st.integers(0, 10_000),
         family=family_names,
         chunk=st.integers(1, 60),
     )
     @settings(max_examples=50, deadline=None)
-    def test_sharded_equals_single_sampler(self, items, k, n_shards, salt,
-                                           family, chunk):
-        """Sharding, batching, and event order are invisible in the output."""
+    def test_sharded_equals_single_sampler(self, items, k, salt, family,
+                                           chunk):
+        """Batching and event order are invisible in the output."""
         fam = FAMILIES[family]
         totals = aggregate_stream(items)
         single = BottomKStreamSampler(k, fam, KeyHasher(salt))
@@ -398,7 +389,7 @@ class TestShardedSummarizer:
             single.process(key, total)
 
         engine = ShardedSummarizer(
-            k, ["a"], n_shards=n_shards, family=fam, hasher=KeyHasher(salt)
+            k, ["a"], family=fam, hasher=KeyHasher(salt)
         )
         for lo in range(0, len(items), chunk):
             batch = items[lo : lo + chunk]
@@ -409,38 +400,66 @@ class TestShardedSummarizer:
             )
         assert_sketches_identical(single.sketch(), engine.sketches()["a"])
 
-    def test_shard_count_does_not_change_summary(self):
-        rng = np.random.default_rng(11)
-        n_events = 4000
-        keys = rng.integers(0, 700, n_events)
-        weights = rng.pareto(1.2, n_events) + 0.01
-        summaries = []
-        for n_shards in (1, 3, 16):
+    @given(
+        items=st.lists(
+            st.tuples(st.integers(0, 300), positive_weights),
+            min_size=1,
+            max_size=250,
+        ),
+        k=st.integers(1, 12),
+        n_writers=st.integers(1, 5),
+        salt=st.integers(0, 10_000),
+        family=family_names,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_key_disjoint_writers_merge_to_one_summarizer(
+        self, tmp_path_factory, items, k, n_writers, salt, family
+    ):
+        """How the keys are split over writers is invisible in the output:
+        summarizers over key-disjoint shares of a stream, coordinated by
+        the hasher salt alone, merge — through ``merge_bottomk`` and
+        through a ``SummaryStore`` — to one summarizer over all of it."""
+        from repro.store import SummaryStore
+
+        def summarize(mine):
             engine = ShardedSummarizer(
-                32, ["x", "y"], n_shards=n_shards, hasher=KeyHasher(2)
+                k, ["x", "y"], family=FAMILIES[family], hasher=KeyHasher(salt)
             )
-            engine.ingest("x", keys, weights)
-            engine.ingest("y", keys[: n_events // 2], weights[: n_events // 2])
-            summaries.append(engine.summary())
-        base = summaries[0]
-        for other in summaries[1:]:
-            assert base.keys == other.keys
-            np.testing.assert_array_equal(base.member, other.member)
-            np.testing.assert_array_equal(base.ranks, other.ranks)
-            np.testing.assert_array_equal(base.rank_k, other.rank_k)
-            np.testing.assert_array_equal(base.rank_kplus1, other.rank_kplus1)
+            for name, events in (("x", items), ("y", items[::2])):
+                events = [event for event in events if mine(event[0])]
+                engine.ingest(
+                    name,
+                    np.array([key for key, _ in events], dtype=np.int64),
+                    np.array([weight for _, weight in events]),
+                )
+            return engine.sketch_bundle()
+
+        whole = summarize(lambda key: True)
+        parts = [
+            summarize(lambda key, writer=writer: key % n_writers == writer)
+            for writer in range(n_writers)
+        ]
+        for name, sketch in whole.sketches.items():
+            assert_sketches_identical(
+                merge_bottomk(*(part.sketches[name] for part in parts)), sketch
+            )
+        store = SummaryStore(tmp_path_factory.mktemp("writers"))
+        for writer, part in enumerate(parts):
+            store.write("web", "20260728T1201", part, part=f"writer-{writer}")
+        assert store.merged_bundle("web").equals(whole)
+        assert store.merged_bundle("web").summary().equals(whole.summary())
 
     def test_ingest_stream_matches_ingest(self):
         items = [("flow-1", 2.0), ("flow-2", 1.0), ("flow-1", 3.5)]
-        a = ShardedSummarizer(2, ["w"], n_shards=3)
+        a = ShardedSummarizer(2, ["w"])
         a.ingest_stream("w", items)
-        b = ShardedSummarizer(2, ["w"], n_shards=3)
+        b = ShardedSummarizer(2, ["w"])
         b.ingest("w", [key for key, _ in items],
                  np.array([weight for _, weight in items]))
         assert_sketches_identical(a.sketches()["w"], b.sketches()["w"])
 
     def test_tuple_keys_supported(self):
-        engine = ShardedSummarizer(2, ["w"], n_shards=4)
+        engine = ShardedSummarizer(2, ["w"])
         engine.ingest_stream(
             "w", [(("10.0.0.1", 80), 5.0), (("10.0.0.2", 443), 1.0)]
         )
@@ -455,7 +474,7 @@ class TestShardedSummarizer:
         keys = np.arange(150)
         w1 = rng.pareto(1.5, 150) + 0.1
         w2 = rng.pareto(1.5, 150) + 0.1
-        engine = ShardedSummarizer(150, ["w1", "w2"], n_shards=4)
+        engine = ShardedSummarizer(150, ["w1", "w2"])
         engine.ingest("w1", keys, w1)
         engine.ingest("w2", keys, w2)
         summary = engine.summary()
@@ -466,11 +485,11 @@ class TestShardedSummarizer:
 
     def test_int_and_float_batches_name_the_same_keys(self):
         """The same logical key may arrive as int in one batch and float in
-        another; it must land in the same shard and aggregate to one key."""
-        a = ShardedSummarizer(4, ["h"], n_shards=8, hasher=KeyHasher(1))
+        another; it must aggregate to one key."""
+        a = ShardedSummarizer(4, ["h"], hasher=KeyHasher(1))
         a.ingest("h", np.array([1, 2, 3]), np.array([5.0, 1.0, 9.0]))
         a.ingest("h", np.array([1.0, 4.0]), np.array([3.0, 2.0]))
-        b = ShardedSummarizer(4, ["h"], n_shards=8, hasher=KeyHasher(1))
+        b = ShardedSummarizer(4, ["h"], hasher=KeyHasher(1))
         b.ingest("h", np.array([1, 2, 3, 1, 4]),
                  np.array([5.0, 1.0, 9.0, 3.0, 2.0]))
         sketch_a, sketch_b = a.sketches()["h"], b.sketches()["h"]
@@ -484,15 +503,20 @@ class TestShardedSummarizer:
         reused_keys = np.empty(3, dtype=np.int64)
         reused_weights = np.empty(3)
         batches = [([1, 2, 3], [1.0, 2.0, 3.0]), ([4, 5, 6], [4.0, 5.0, 6.0])]
-        a = ShardedSummarizer(8, ["h"], n_shards=1, hasher=KeyHasher(1))
+        a = ShardedSummarizer(8, ["h"], hasher=KeyHasher(1))
         for batch_keys, batch_weights in batches:
             reused_keys[:] = batch_keys
             reused_weights[:] = batch_weights
             a.ingest("h", reused_keys, reused_weights)
-        b = ShardedSummarizer(8, ["h"], n_shards=1, hasher=KeyHasher(1))
+        b = ShardedSummarizer(8, ["h"], hasher=KeyHasher(1))
         for batch_keys, batch_weights in batches:
             b.ingest("h", np.array(batch_keys), np.array(batch_weights))
         assert_sketches_identical(a.sketches()["h"], b.sketches()["h"])
+
+    @pytest.mark.parametrize("removed", ["n_shards", "partition_salt"])
+    def test_in_process_sharding_options_are_gone(self, removed):
+        with pytest.raises(TypeError, match=removed):
+            ShardedSummarizer(2, ["a"], **{removed: 1})
 
     def test_rejects_unknown_assignment(self):
         engine = ShardedSummarizer(2, ["a"])
@@ -523,21 +547,18 @@ class TestShardedSummarizer:
         summary = engine.summary()
         assert summary.n_union == 2
 
-    @pytest.mark.parametrize("n_shards", [1, 4])
     @pytest.mark.parametrize(
         "keys",
         [["a\0", "a"], [2**63, 2**63 + 1, 5]],
         ids=["trailing-nul", "straddles-2**63"],
     )
-    def test_keys_numpy_would_merge_stay_distinct(self, keys, n_shards):
+    def test_keys_numpy_would_merge_stay_distinct(self, keys):
         """``np.asarray`` drops a trailing NUL and rounds an int list that
         straddles 2**63 to float64; the summarizer must do neither — not
         at ingest, not when a later fold re-ranks the keys, not across a
         checkpoint."""
         weights = [float(2**i) for i in range(len(keys))]
-        engine = ShardedSummarizer(
-            8, ["x"], n_shards=n_shards, hasher=KeyHasher(3)
-        )
+        engine = ShardedSummarizer(8, ["x"], hasher=KeyHasher(3))
         engine.ingest("x", keys, weights)
         engine.summary()  # fold, so the second batch lands on a table
         engine.ingest("x", keys, weights)

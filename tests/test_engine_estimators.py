@@ -36,7 +36,7 @@ def pipeline():
     hasher = KeyHasher(SALT)
 
     engine = ShardedSummarizer(
-        K, dataset.assignments, n_shards=6, family=FAMILY, hasher=hasher
+        K, dataset.assignments, family=FAMILY, hasher=hasher
     )
     rng = np.random.default_rng(99)
     for b, name in enumerate(dataset.assignments):

@@ -25,7 +25,7 @@ from repro.service import (
     ServiceThread,
 )
 
-NS = NamespaceConfig("web", ("h1",), k=16, n_shards=2, salt=1)
+NS = NamespaceConfig("web", ("h1",), k=16, salt=1)
 
 
 @pytest.fixture

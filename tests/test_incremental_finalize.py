@@ -1,14 +1,16 @@
-"""Incremental shard finalization: folding is invisible in the output.
+"""Incremental finalization: folding is invisible in the output.
 
 A :class:`ShardedSummarizer` folds only the events that arrived since its
-last finalization into per-shard aggregated tables.  The contract pinned
+last finalization into per-assignment aggregated tables.  The contract pinned
 here: *when* it folds — after every batch, never, across a checkpoint →
-resume — changes nothing.  The sketches are
+resume, in how many row-bounded steps — changes nothing.  The sketches are
 ``BottomKSketch.equals`` (bit for bit) to a one-shot summarizer fed the
 same events and to one ``BottomKStreamSampler`` over ``aggregate_stream``.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ShardedSummarizer
+from repro.engine import sharded as sharded_module
 from repro.ranks.families import ExponentialRanks, IppsRanks
 from repro.ranks.hashing import KeyHasher
 from repro.sampling.bottomk import BottomKStreamSampler, aggregate_stream
@@ -77,6 +80,17 @@ def scripts(draw):
     return steps
 
 
+@contextlib.contextmanager
+def fold_rows(limit):
+    """Fold at most ``limit`` pending rows (one chunk at least) a step."""
+    saved = sharded_module._FOLD_ROWS
+    sharded_module._FOLD_ROWS = limit
+    try:
+        yield
+    finally:
+        sharded_module._FOLD_ROWS = saved
+
+
 def feed(engine, keys, by_name):
     """One batch through ``ingest`` (one assignment) or ``ingest_multi``."""
     if len(by_name) == 1:
@@ -113,20 +127,22 @@ class TestInterleavings:
     @given(
         script=scripts(),
         k=st.integers(1, 6),
-        n_shards=st.integers(1, 6),
         family=st.sampled_from(sorted(FAMILIES)),
         salt=st.integers(0, 2**32),
+        step_rows=st.sampled_from([1, 40, sharded_module._FOLD_ROWS]),
     )
     @settings(max_examples=200, deadline=None)
     def test_any_interleaving_equals_one_shot(
-        self, script, k, n_shards, family, salt
+        self, script, k, family, salt, step_rows
     ):
-        fam = FAMILIES[family]
+        with fold_rows(step_rows):
+            self.check_interleaving(script, k, FAMILIES[family], salt)
+
+    def check_interleaving(self, script, k, fam, salt):
 
         def fresh():
             return ShardedSummarizer(
-                k, NAMES, n_shards=n_shards, family=fam,
-                hasher=KeyHasher(salt),
+                k, NAMES, family=fam, hasher=KeyHasher(salt)
             )
 
         folding, one_shot = fresh(), fresh()
@@ -156,10 +172,8 @@ class TestInterleavings:
         assert folding.summary().equals(one_shot.summary())
 
 
-def summarizer(k=2, n_shards=1, **kwargs):
-    return ShardedSummarizer(
-        k, ["a"], n_shards=n_shards, hasher=KeyHasher(3), **kwargs
-    )
+def summarizer(k=2):
+    return ShardedSummarizer(k, ["a"], hasher=KeyHasher(3))
 
 
 def one_shot_sketch(batches_, **kwargs):
@@ -178,7 +192,7 @@ def folded_sketch(batches_, **kwargs):
 
 
 class TestEntryMovement:
-    """The moves of the stored k+1 entries, one at a time (one shard)."""
+    """The moves of the stored k+1 entries, one at a time."""
 
     keys = np.arange(12)
 
@@ -221,10 +235,10 @@ class TestEntryMovement:
             (np.array([3, 4]), np.array([0.0, 0.0])),
             (np.array([1]), np.array([5.0])),  # a zero total turns positive
         ]
-        got = folded_sketch(script, k=8, n_shards=3)
+        got = folded_sketch(script, k=8)
         assert sorted(got.keys.tolist()) == [1, 2]
         assert got.threshold == np.inf and got.kth_rank == np.inf
-        assert got.equals(one_shot_sketch(script, k=8, n_shards=3))
+        assert got.equals(one_shot_sketch(script, k=8))
 
     def test_numeric_table_turns_generic_once(self):
         script = [
@@ -238,7 +252,7 @@ class TestEntryMovement:
         for keys, batch_weights in script:
             state.ingest("a", keys, batch_weights)
             state.summary()
-        table = state._shards["a"][0].state
+        table = state._shards["a"].state
         assert table.keys is None
         assert table.totals == {1: 1.0, 2: 3.0, 3: 4.0, 2.5: 1.0, "x": 4.0}
 
@@ -254,7 +268,7 @@ class TestRankTies:
     @given(order=st.permutations(list(range(10))), cut=st.integers(0, 10))
     @settings(max_examples=25, deadline=None)
     def test_ties_break_by_key_not_by_arrival(self, order, cut):
-        engine = ShardedSummarizer(3, ["a"], n_shards=1, hasher=_OneSeed(0))
+        engine = ShardedSummarizer(3, ["a"], hasher=_OneSeed(0))
         keys = np.array(order)
         engine.ingest("a", keys[:cut], np.ones(cut))
         engine.summary()
@@ -274,9 +288,7 @@ class TestSnapshotIsolation:
         known keys only, or fresh keys too — finalize, and restore."""
         make = KEY_KINDS[kind]
         rng = np.random.default_rng(4)
-        engine = ShardedSummarizer(
-            8, NAMES, n_shards=3, hasher=KeyHasher(9)
-        )
+        engine = ShardedSummarizer(8, NAMES, hasher=KeyHasher(9))
         first = make(list(range(60)) + rng.integers(0, 60, 140).tolist())
         engine.ingest_multi(first, {n: rng.pareto(1.3, 200) for n in NAMES})
         earlier = engine.summary()  # folds: the snapshot holds a table
@@ -304,7 +316,7 @@ class _FailsOnce(KeyHasher):
 
 
 class TestFailedFoldIsRetrySafe:
-    """A fold that raises leaves the shard as it was, pending included."""
+    """A fold that raises leaves the table as it was, pending included."""
 
     @pytest.mark.parametrize("kind", ["int", "str", "mixed"])
     def test_retry_after_a_failing_fold_counts_nothing_twice(self, kind):
@@ -316,7 +328,7 @@ class TestFailedFoldIsRetrySafe:
             first = (first[0], np.append(first[1], 1.0))
             second = (second[0], np.append(second[1], 1.0))
         hasher = _FailsOnce(3)
-        engine = ShardedSummarizer(4, ["a"], n_shards=2, hasher=hasher)
+        engine = ShardedSummarizer(4, ["a"], hasher=hasher)
         engine.ingest("a", *first)
         engine.summary()  # the failing fold below lands on a table
         engine.ingest("a", *second)
@@ -324,16 +336,46 @@ class TestFailedFoldIsRetrySafe:
         hasher.armed = True
         with pytest.raises(RuntimeError, match="boom"):
             engine.summary()
-        assert engine.buffered_events <= rows  # a shard may have landed
+        assert engine.buffered_events == rows  # nothing landed
         got = engine.sketches()["a"]
-        assert got.equals(one_shot_sketch([first, second], k=4, n_shards=2))
+        assert got.equals(one_shot_sketch([first, second], k=4))
+
+    def test_failure_in_a_later_step_keeps_the_steps_before_it(self):
+        """A large backlog folds in row-bounded steps; a step that raises
+        leaves the ones before it folded and counted, itself pending."""
+        rng = np.random.default_rng(8)
+        chunks = [
+            (rng.integers(0, 40, 20), rng.pareto(1.3, 20)) for _ in range(5)
+        ]
+        hasher = _FailsOnce(3)
+        engine = ShardedSummarizer(4, ["a"], hasher=hasher)
+        for chunk in chunks:
+            engine.ingest("a", *chunk)
+        calls = []
+
+        def third_call_fails(keys):
+            calls.append(len(keys))
+            hasher.armed = len(calls) == 3
+            return _FailsOnce.hash_array(hasher, keys)
+
+        hasher.hash_array = third_call_fails
+        with fold_rows(25), pytest.raises(RuntimeError, match="boom"):
+            engine.summary()
+        shard = engine._shards["a"]
+        assert [len(keys) for keys, _ in shard.pending] == [20, 20, 20]
+        assert engine.buffered_events == len(shard.state) + 60
+        with fold_rows(25):
+            got = engine.sketches()["a"]
+        assert len(calls) == 6  # two steps, the failed one, three more
+        assert engine.buffered_events == len(shard.state)
+        assert got.equals(one_shot_sketch(chunks, k=4))
 
 
 class TestBufferedEvents:
     @pytest.mark.parametrize("kind", ["int", "str"])
     def test_rows_held_across_fold_and_resume(self, kind):
         make = KEY_KINDS[kind]
-        engine = ShardedSummarizer(4, NAMES, n_shards=3, hasher=KeyHasher(1))
+        engine = ShardedSummarizer(4, NAMES, hasher=KeyHasher(1))
         keys = make([1, 2, 2, 3, 3, 3])
         engine.ingest_multi(keys, {n: np.ones(6) for n in NAMES})
         assert engine.buffered_events == 12  # raw events, both assignments

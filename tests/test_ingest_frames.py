@@ -52,7 +52,7 @@ from repro.store.codec import (
     event_batch_namespaces,
 )
 
-NS = NamespaceConfig("web", ("h1", "h2"), k=8, n_shards=2, salt=5)
+NS = NamespaceConfig("web", ("h1", "h2"), k=8, salt=5)
 N_SLOTS = 4
 SALT = 4
 

@@ -33,7 +33,7 @@ from repro.service.cluster import (
     slot_namespace_configs,
 )
 
-NS = NamespaceConfig("web", ("h1", "h2"), k=16, n_shards=2, salt=4)
+NS = NamespaceConfig("web", ("h1", "h2"), k=16, salt=4)
 N_SLOTS = 4
 SALT = 4  # splits the 4 slots 2/2 between two workers under HRW
 

@@ -147,7 +147,7 @@ def _fill_store(root, rng) -> SummaryStore:
     for namespace, base in (("web", 0), ("api", 10**7)):
         for bucket in range(6):  # three minutes in each of two hours
             engine = ShardedSummarizer(
-                k=64, assignments=["h1", "h2"], n_shards=2,
+                k=64, assignments=["h1", "h2"],
                 hasher=KeyHasher(7),
             )
             keys = np.arange(base + bucket * 2000, base + (bucket + 1) * 2000)

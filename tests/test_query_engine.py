@@ -270,6 +270,38 @@ class TestStreamSummaries:
             sketches[name] = sampler.sketch()
         return build_summary_from_sketches(sketches, family)
 
+    def test_superseded_engine_is_freed_without_the_cycle_collector(self):
+        """The view caches point back at their summary weakly: a served
+        engine (the largest per-query object) must die with its last
+        reference, not wait for a generation-2 collection."""
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            summary = self.make_stream_summary()
+            engine = QueryEngine(summary)
+            engine.estimate(AggregationSpec("max", ("a", "b")))
+            engine.estimate(AggregationSpec("l1", ("a", "b")))
+            assert summary.views().subset((0, 1)).theta.shape[1] == 2
+            alive = weakref.ref(summary)
+            del engine, summary
+            assert alive() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_summary_with_cached_views_pickles_its_fields_only(self):
+        import pickle
+
+        summary = self.make_stream_summary()
+        spec = AggregationSpec("max", ("a", "b"))
+        estimate = QueryEngine(summary).estimate(spec)
+        clone = pickle.loads(pickle.dumps(summary))
+        assert clone.equals(summary) and "_views" not in clone.__dict__
+        assert QueryEngine(clone).estimate(spec) == estimate
+
     def test_key_predicates_without_dataset(self):
         summary = self.make_stream_summary()
         engine = QueryEngine(summary)
@@ -415,7 +447,7 @@ class TestServeManyEdgeCases:
         store = SummaryStore(root)
         for namespace, lo in [("web", 0), ("api", 1000)]:
             engine = ShardedSummarizer(
-                k=8, assignments=["h1", "h2"], n_shards=2,
+                k=8, assignments=["h1", "h2"],
                 hasher=KeyHasher(3),
             )
             keys = np.arange(lo, lo + 50)

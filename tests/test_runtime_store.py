@@ -43,14 +43,14 @@ from repro.store import RuntimeStore, SummaryStore
 SALT = 13
 ASSIGNMENTS = ["h1", "h2"]
 T0 = datetime(2026, 7, 28, 12, 0, 30, tzinfo=timezone.utc).timestamp()
-NS = NamespaceConfig("web", ("h1", "h2"), k=16, n_shards=2, salt=9)
+NS = NamespaceConfig("web", ("h1", "h2"), k=16, salt=9)
 
 
 def make_bundle(key_range, seed=0, k=8, salt=SALT):
     """Small bundle over a dedicated key range (disjoint ranges merge)."""
     rng = np.random.default_rng(seed)
     engine = ShardedSummarizer(
-        k=k, assignments=ASSIGNMENTS, n_shards=2, hasher=KeyHasher(salt)
+        k=k, assignments=ASSIGNMENTS, hasher=KeyHasher(salt)
     )
     keys = np.arange(*key_range)
     for name in ASSIGNMENTS:

@@ -29,6 +29,15 @@ class TestParser:
         assert args.k == 256 and args.granularity == "minute"
         assert args.compact_to == "hour" and args.port is None
 
+    @pytest.mark.parametrize("command", ["serve", "coordinate"])
+    def test_n_shards_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [command, "--root", "r", "--namespace", "web",
+                 "--assignments", "h1", "--n-shards", "4"]
+            )
+        assert "unrecognized arguments: --n-shards" in capsys.readouterr().err
+
     def test_query_defaults(self):
         args = build_parser().parse_args(
             ["query", "--namespace", "web", "--assignments", "h1", "h2"]

@@ -34,7 +34,7 @@ from repro.service.windows import LiveWindowManager
 from repro.store import SummaryStore
 
 T0 = datetime(2026, 7, 28, 12, 0, 0, tzinfo=timezone.utc).timestamp()
-NS = NamespaceConfig("web", ("h1", "h2"), k=8, n_shards=2, salt=21)
+NS = NamespaceConfig("web", ("h1", "h2"), k=8, salt=21)
 
 _weights = st.floats(
     min_value=0.01, max_value=1e4, allow_nan=False, allow_infinity=False

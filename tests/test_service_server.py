@@ -26,7 +26,7 @@ from repro.service import (
     ServiceThread,
 )
 
-NS = NamespaceConfig("web", ("h1", "h2"), k=16, n_shards=2, salt=4)
+NS = NamespaceConfig("web", ("h1", "h2"), k=16, salt=4)
 
 
 def make_config(root, **overrides):

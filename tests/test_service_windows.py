@@ -21,7 +21,7 @@ from repro.service.windows import CHECKPOINT_PART, LiveWindowManager
 from repro.store import SummaryStore
 
 T0 = datetime(2026, 7, 28, 12, 0, 30, tzinfo=timezone.utc).timestamp()
-NS = NamespaceConfig("web", ("h1", "h2"), k=16, n_shards=2, salt=9)
+NS = NamespaceConfig("web", ("h1", "h2"), k=16, salt=9)
 
 
 class FakeClock:
@@ -55,6 +55,9 @@ def offline_engine(event_batches, config=NS) -> QueryEngine:
 class TestNamespaceConfig:
     def test_round_trip(self):
         assert NamespaceConfig.from_json(NS.to_json()) == NS
+        assert sorted(NS.to_json()) == [
+            "assignments", "family", "k", "name", "salt",
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one assignment"):
@@ -63,6 +66,17 @@ class TestNamespaceConfig:
             NamespaceConfig("web", ("h1",), k=0)
         with pytest.raises(ValueError, match="non-empty"):
             NamespaceConfig("", ("h1",))
+
+    @pytest.mark.parametrize(
+        "key", ["Salt", "familly", "K", "n_shards", "partition_salt"]
+    )
+    def test_from_json_rejects_unknown_keys(self, key):
+        """A typo'd coordination field must not fall back to its default
+        (the namespace would quietly stop merging with its peers); the
+        keys of the removed in-process sharding are refused the same way,
+        with a message that says they can simply be deleted."""
+        with pytest.raises(ValueError, match=f"{key}.*sharding was removed"):
+            NamespaceConfig.from_json({**NS.to_json(), key: 3})
 
     def test_make_summarizer_carries_coordination(self):
         summarizer = NS.make_summarizer()
@@ -437,10 +451,28 @@ class TestCheckpointResume:
         manager = make_manager(tmp_path, clock)
         manager.ingest("web", *batch(0))
         manager.checkpoint()
-        changed = NamespaceConfig("web", ("h1", "h2"), k=8, n_shards=2,
-                                  salt=9)
+        changed = NamespaceConfig("web", ("h1", "h2"), k=8, salt=9)
         with pytest.raises(ValueError, match="different configuration"):
             make_manager(tmp_path, clock, configs=(changed,))
+
+    def test_resume_rejects_a_changed_rank_family(self, tmp_path):
+        # Resuming would keep sampling this window under ipps while the
+        # next rotation opens an exp one: two bundles that cannot merge.
+        clock = FakeClock()
+        manager = make_manager(tmp_path, clock)
+        manager.ingest("web", *batch(0))
+        manager.checkpoint()
+        changed = NamespaceConfig(
+            "web", ("h1", "h2"), k=NS.k, salt=NS.salt, family="exp"
+        )
+        with pytest.raises(ValueError, match="family=ipps"):
+            make_manager(tmp_path, clock, configs=(changed,))
+        same = NamespaceConfig(
+            "web", ("h1", "h2"), k=NS.k, salt=NS.salt, family="IPPS"
+        )
+        assert make_manager(tmp_path, clock, configs=(same,)).live_info(
+            "web"
+        )["buffered_events"] > 0
 
     def test_rotation_supersedes_a_stale_checkpoint(self, tmp_path):
         # checkpoint() on a live service, then a rotation: the published

@@ -36,7 +36,7 @@ def make_bundle(key_range, seed=0, k=40, salt=SALT) -> SketchBundle:
     """Bundle over a dedicated key range (disjoint ranges merge exactly)."""
     rng = np.random.default_rng(seed)
     engine = ShardedSummarizer(
-        k=k, assignments=ASSIGNMENTS, n_shards=2, hasher=KeyHasher(salt)
+        k=k, assignments=ASSIGNMENTS, hasher=KeyHasher(salt)
     )
     keys = np.arange(*key_range)
     for name in ASSIGNMENTS:

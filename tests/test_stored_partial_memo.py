@@ -57,7 +57,7 @@ class Clock:
 
 def namespace(family: str = "ipps", k: int = 6) -> NamespaceConfig:
     return NamespaceConfig(
-        "web", NAMES, k=k, n_shards=2, family=family, salt=21
+        "web", NAMES, k=k, family=family, salt=21
     )
 
 

@@ -162,7 +162,7 @@ class TestDecayFactor:
             decay_factor(0.0, 1.0, hl)
 
 
-NS = NamespaceConfig("web", ("h1", "h2"), k=8, n_shards=2, salt=13)
+NS = NamespaceConfig("web", ("h1", "h2"), k=8, salt=13)
 
 _weights = st.floats(
     min_value=0.01, max_value=1e4, allow_nan=False, allow_infinity=False
