@@ -202,9 +202,9 @@ class QueryEngine:
     ) -> "QueryEngine":
         """Engine over codec-encoded sketch bundles — the over-the-wire path.
 
-        The cluster coordinator's entry point: each blob is a
-        :func:`~repro.store.codec.encode`'d :class:`~repro.store.codec.
-        SketchBundle` fetched from a worker's ``GET /bundle``.  Decoding
+        Each blob is a :func:`~repro.store.codec.encode`'d
+        :class:`~repro.store.codec.SketchBundle`, e.g. fetched from a
+        worker's ``GET /bundle?namespace=``.  Decoding
         verifies the embedded CRC (a corrupted transfer fails loudly),
         and because the codec round-trips IEEE-754 doubles bit-exactly,
         the merged answers are bit-identical to a single-process engine

@@ -521,6 +521,35 @@ class ServiceClient:
             raise ServiceError(status, decoded)
         return None, decoded.get("version", "")
 
+    def bundles(
+        self,
+        held: "dict[str, str | None]",
+        since: str | None = None,
+        until: str | None = None,
+        timeout: float | None = None,
+    ) -> bytes:
+        """Several namespaces' merged views in one conditional request.
+
+        ``held`` maps each namespace to the version token the caller
+        already holds a bundle for (``None``: nothing held).  Returns
+        the worker's codec ``bundle_batch`` frame — decode it with
+        :func:`repro.store.codec.decode_bundle_batch`, passing
+        ``list(held)`` as ``expect``; a namespace whose token still
+        matches comes back ``unchanged``, without its bytes.
+        """
+        params = {"have": json.dumps(held, separators=(",", ":"))}
+        if since is not None:
+            params["since"] = since
+        if until is not None:
+            params["until"] = until
+        status, _headers, data = self._raw_request(
+            "GET", f"/bundle?{urlencode(params)}", None, {}, True, timeout,
+            namespace=tuple(held),
+        )
+        if status >= 400:
+            self._json_reply(status, data)  # raises ServiceError
+        return data
+
     def bundle_entries(
         self, namespace: str, timeout: float | None = None
     ) -> dict:

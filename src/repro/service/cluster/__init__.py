@@ -16,8 +16,9 @@ top of the existing single-node daemon:
 * :mod:`repro.service.cluster.coordinator` — :class:`CoordinatorService`
   (``repro-serve coordinate``): membership in its own ``runtime.sqlite``
   (join/leave verbs, ``/health`` heartbeats), query planning as an exact
-  merge of per-worker ``GET /bundle`` partials via
-  :meth:`~repro.engine.queries.QueryEngine.from_encoded_bundles`, a
+  merge of per-slot partials — one conditional ``GET /bundle`` per
+  worker, a version-keyed memo of the decoded slot bundles — via
+  :meth:`~repro.engine.queries.QueryEngine.from_bundles`, a
   persistent result cache keyed on the vector of worker version tokens,
   bucket handoff through store artifacts on membership changes, and the
   partial-answer contract: a slot with no reachable owner yields

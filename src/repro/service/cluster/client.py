@@ -342,10 +342,13 @@ class ClusterClient:
 
     def estimate(self, namespace: str, function, assignments, **kwargs):
         """One cluster-wide estimate, answered by the coordinator as the
-        exact merge of per-slot worker bundles.  The coordinator's
-        answer carries the trace ID of the request (the response's
-        ``X-Repro-Trace``), under which each contacted worker recorded
-        a ``slot-fetch`` child span."""
+        exact merge of per-slot worker bundles: one conditional
+        ``GET /bundle`` per contacted worker, in which a slot whose
+        version token the coordinator already holds comes back as an
+        ``unchanged`` marker instead of its bytes.  The answer carries
+        the trace ID of the request (the response's ``X-Repro-Trace``);
+        the coordinator recorded one ``slot-fetch`` span per contacted
+        worker under it, and each worker its ``GET /bundle`` span."""
         return self._require_coordinator().estimate(
             namespace, function, assignments, **kwargs
         )

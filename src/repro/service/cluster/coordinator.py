@@ -5,18 +5,31 @@ query plane and membership authority.  It keeps no sketch data of its
 own — its state is a :class:`~repro.store.runtime.RuntimeStore`
 (``runtime.sqlite`` under its root) holding the worker membership table,
 the persistent query-result cache, and the routing health bookkeeping —
-and it answers a query by fetching one codec-encoded partial bundle per
-key slot from that slot's owner workers (``GET /bundle``) and merging
-them with :meth:`~repro.engine.queries.QueryEngine.from_encoded_bundles`.
+and it answers a query from one sketch bundle per key slot, merged in
+slot order with :meth:`~repro.engine.queries.QueryEngine.from_bundles`.
 Because slots partition the key space and the bundle merge is exact, the
 merged answer is bit-identical to an offline single-process engine over
 the union of every ingested event.
 
+**Query gather.**  Per query every contacted worker gets **one**
+conditional ``GET /bundle`` naming the slots asked of it and the version
+token the coordinator already holds for each, workers in parallel; the
+reply is one CRC-checked codec ``bundle_batch`` frame in which a slot
+whose token still matches is an ``unchanged`` marker.  A memo keyed
+``(namespace, slot, worker, since, until)`` keeps each slot's
+``(version, decoded bundle)`` — a new version replaces the old — and,
+per ``(namespace, since, until)``, the engine merged from the current
+version vector: a query over unchanged slots moves tokens, not bundles,
+and reuses the engine.  A worker that is unreachable, answers an error
+or sends a frame that does not decode did not answer: its slots are
+re-asked of their next usable owner.
+
 **The partial-answer contract.**  An answer is either exact or loudly
 ``partial`` — never silently wrong:
 
-* per slot, owners are tried in health order; a slot whose owners are
-  all unreachable (or whose copies are known-stale) is reported in
+* per slot, owners are tried alive-marked first, rendezvous order
+  otherwise; a slot none of whose owners answers (or whose copies are
+  known-stale) is reported in
   ``missing_slots`` and the answer carries ``partial: true``;
 * a worker that missed an ingest delivery has a *stale* copy of the
   affected slots; stale copies are never used as query or handoff
@@ -72,6 +85,7 @@ import json
 import os
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -99,7 +113,12 @@ from repro.service.cluster.topology import (
     partition_by_slot,
     slot_namespace,
 )
-from repro.store.codec import encode_event_batch, encode_event_section
+from repro.store.codec import (
+    CodecError,
+    decode_bundle_batch,
+    encode_event_batch,
+    encode_event_section,
+)
 
 __all__ = ["CoordinatorConfig", "CoordinatorService", "CoordinatorThread"]
 
@@ -114,8 +133,14 @@ _UNREACHABLE = (OSError, ConnectionError)
 #: validated (400/404/413) or tried to queue (429/503) and applied nothing
 _REFUSALS = frozenset({400, 404, 413, 429, 503})
 
-#: concurrent frame deliveries per routed batch (bounded fan-out)
-_DELIVERY_FANOUT = 16
+#: worker requests in flight at once, over every routed batch and query
+#: (the threads of the one long-lived fan-out pool)
+_FANOUT = 16
+
+#: query-memo caps, least recently used out first: decoded slot bundles
+#: and merged engines (one per ``(namespace, since, until)`` selection)
+_MEMO_SLOTS = 4096
+_MEMO_ENGINES = 8
 
 
 @dataclass(frozen=True)
@@ -131,7 +156,7 @@ class CoordinatorConfig:
     salt: int = 0
     #: seconds between heartbeat rounds against every worker's /health
     heartbeat_s: float = 2.0
-    #: per-probe socket timeout (heartbeats and failover probes)
+    #: per-probe socket timeout (heartbeats)
     probe_timeout_s: float = 2.0
     #: socket timeout for bundle fetches and routed ingest
     worker_timeout_s: float = 30.0
@@ -274,8 +299,9 @@ class CoordinatorService(HttpServerBase):
                              validated whole, then one binary frame per
                              owner worker, owners in parallel
         POST /query          estimate/jaccard over the exact merge of
-        GET  /query?...      per-slot worker bundles (version-vector
-                             cached; partial answers marked, never cached)
+        GET  /query?...      per-slot worker bundles, one conditional
+                             fetch per worker (version-vector cached;
+                             partial answers marked, never cached)
         POST /shutdown       graceful stop
     """
 
@@ -308,8 +334,14 @@ class CoordinatorService(HttpServerBase):
         )
         self._slot_fetch_seconds = self.metrics.histogram(
             "repro_cluster_slot_fetch_seconds",
-            "Latency of fetching one slot bundle from a worker.",
+            "Latency of one multi-slot bundle fetch from a worker.",
             labelnames=("worker",),
+        )
+        self._slot_fetches = self.metrics.counter(
+            "repro_cluster_slot_fetch_total",
+            "Slots asked of workers, by outcome (unchanged, bundle, "
+            "empty, failed).",
+            labelnames=("outcome",),
         )
         self._delivery_seconds = self.metrics.histogram(
             "repro_cluster_ingest_delivery_seconds",
@@ -332,9 +364,20 @@ class CoordinatorService(HttpServerBase):
             "heartbeat_rounds": 0,
             "promotions": 0,
             "repair_ticks": 0,
+            "memo_hits": 0,
+            "memo_rebuilds": 0,
         })
         #: serializes membership changes against routing decisions
         self._cluster_lock = threading.RLock()
+        self._fanout = ThreadPoolExecutor(
+            max_workers=_FANOUT, thread_name_prefix="repro-fanout"
+        )
+        #: guards the query memo and serializes kernel runs on its
+        #: engines (queries share them; their view caches are not
+        #: thread-safe)
+        self._memo_lock = threading.RLock()
+        self._slot_memo: OrderedDict[tuple, tuple] = OrderedDict()
+        self._engine_memo: OrderedDict[tuple, tuple] = OrderedDict()
         self._clients: dict[str, ServiceClient] = {}
         for row in self.runtime.cluster_workers():
             self._clients[row["worker_id"]] = self._make_client(
@@ -446,6 +489,7 @@ class CoordinatorService(HttpServerBase):
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
+        self._fanout.shutdown(wait=False)
         for client in self._clients.values():
             client.close()
         self.runtime.close()
@@ -507,18 +551,6 @@ class CoordinatorService(HttpServerBase):
                 self.stats["last_error"] = f"repair: {err}"
 
     # -- membership + handoff -------------------------------------------------
-
-    def _probe_alive(self, worker_id: str) -> bool:
-        client = self._clients.get(worker_id)
-        if client is None:
-            return False
-        try:
-            client.liveness(timeout=self.config.probe_timeout_s)
-        except (ServiceError, *_UNREACHABLE):
-            self.runtime.cluster_mark(worker_id, alive=False, now=self.clock())
-            return False
-        self.runtime.cluster_mark(worker_id, alive=True, now=self.clock())
-        return True
 
     def _copy_slot(self, source: str, target: str, slot: int) -> int:
         """Copy one slot's artifacts (every logical namespace) source→target.
@@ -643,6 +675,13 @@ class CoordinatorService(HttpServerBase):
             if previous is not None:
                 previous.close()
             self._clients[worker_id] = client
+            # a (re)joining worker is a new token issuer: it may have
+            # lost its store, and with it the sequence numbers that keep
+            # its version tokens from repeating
+            with self._memo_lock:
+                for key in [k for k in self._slot_memo if k[2] == worker_id]:
+                    del self._slot_memo[key]
+                self._engine_memo.clear()
             if rejoining:
                 # Conservative: a rejoining worker may have crashed and
                 # lost its un-flushed live windows, so every slot it
@@ -853,8 +892,7 @@ class CoordinatorService(HttpServerBase):
         """
         parent = current_span()
 
-        def deliver(item) -> tuple[str, str | None]:
-            worker, slots = item
+        def deliver(worker, slots) -> tuple[str, str | None]:
             parts = [sections[slot] for slot in slots]
             frame = encode_event_batch(parts, sync)
             started = time.perf_counter()
@@ -885,15 +923,15 @@ class CoordinatorService(HttpServerBase):
             return outcome, detail
 
         items = sorted(frames.items())
-        if len(items) == 1:
-            results = [deliver(items[0])]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=min(len(items), _DELIVERY_FANOUT),
-                thread_name_prefix="repro-deliver",
-            ) as pool:
-                results = list(pool.map(deliver, items))
+        results = self._fan_out(deliver, items)
         return {worker: result for (worker, _), result in zip(items, results)}
+
+    def _fan_out(self, call, items: list) -> list:
+        """``[call(*item) for item in items]``, all at once: the first on
+        the calling thread, the rest on the long-lived pool.  ``call``
+        handles its own failures."""
+        futures = [self._fanout.submit(call, *item) for item in items[1:]]
+        return [call(*items[0])] + [future.result() for future in futures]
 
     def _settle_ingest(
         self, owners: dict, outcomes: dict
@@ -933,15 +971,94 @@ class CoordinatorService(HttpServerBase):
 
     # -- query plane ----------------------------------------------------------
 
-    def _gather_bundles(
-        self, namespace: str, since, until
-    ) -> tuple[list[bytes], list[tuple[int, str, str]], list[int]]:
-        """One bundle per slot from the healthiest owner holding it.
+    @staticmethod
+    def _memo_key(namespace, slot, worker, since, until) -> tuple:
+        # the worker is part of the key: version tokens are minted per
+        # worker, and two owners may mint the same one for different data
+        return namespace, slot, worker, since, until
 
-        Returns ``(blobs, version_vector, missing_slots)``; the vector
-        has one ``(slot, worker, version)`` triple per *answered* slot
-        (empty slots answer too — their version token pins the empty
-        state), and ``missing_slots`` lists slots with no usable owner.
+    def _fetch_slots(self, parent, selection, worker, slots) -> tuple:
+        """One conditional ``GET /bundle`` for ``slots`` of one worker.
+
+        Returns ``(copies, changed, reply bytes)``.  ``copies`` holds one
+        ``(version, bundle | None)`` per slot — the memo's own pair where
+        the worker answered ``unchanged`` — or is ``None`` when the
+        worker did not answer: unreachable (it is marked dead), an error
+        reply, or a frame that does not decode or answer the request.
+        """
+        namespace, since, until = selection
+        keys = [
+            self._memo_key(namespace, slot, worker, since, until)
+            for slot in slots
+        ]
+        with self._memo_lock:
+            held = [self._slot_memo.get(key) for key in keys]
+        have = {
+            slot_namespace(namespace, slot): entry and entry[0]
+            for slot, entry in zip(slots, held)
+        }
+        copies, nbytes, states = None, 0, ["failed"] * len(slots)
+        started = time.perf_counter()
+        # the worker sees this span's ID in X-Repro-Trace and hangs its
+        # request span under it
+        with self.tracer.span(
+            "slot-fetch", parent=parent, worker=worker, slots=slots
+        ) as span:
+            try:
+                frame = self._clients[worker].bundles(
+                    have, since, until,
+                    timeout=self.config.worker_timeout_s,
+                )
+                sections = decode_bundle_batch(frame, list(have))
+                fresh = [
+                    entry if section.state == "unchanged"
+                    else (section.version, section.bundle)
+                    for section, entry in zip(sections, held)
+                ]
+                if any(
+                    copy is None or copy[0] != section.version
+                    for copy, section in zip(fresh, sections)
+                ):
+                    raise CodecError(
+                        "'unchanged' for a token this coordinator does "
+                        "not hold"
+                    )
+            except Exception as err:  # this owner did not answer
+                span.fail(err)
+                if isinstance(err, _UNREACHABLE):
+                    self.runtime.cluster_mark(
+                        worker, alive=False, now=self.clock()
+                    )
+            else:
+                copies, nbytes = fresh, len(frame)
+                states = [section.state for section in sections]
+                with self._memo_lock:
+                    for key, copy in zip(keys, copies):
+                        self._slot_memo[key] = copy  # over its old version
+                        self._slot_memo.move_to_end(key)
+                    while len(self._slot_memo) > _MEMO_SLOTS:
+                        self._slot_memo.popitem(last=False)
+            changed = states.count("bundle")
+            span.annotate(changed=changed, bytes=nbytes)
+        if self.metrics.enabled:
+            self._slot_fetch_seconds.observe(
+                time.perf_counter() - started, worker=worker
+            )
+            for state in set(states):
+                self._slot_fetches.inc(states.count(state), outcome=state)
+        return copies, changed, nbytes
+
+    def _gather(self, namespace: str, since, until) -> tuple:
+        """Every slot's current copy: one conditional fetch per worker,
+        workers in parallel; the slots of an owner that did not answer
+        are re-asked of their next usable owner.
+
+        Returns ``(answered, missing_slots, fetched)``.  ``answered`` has
+        one ``(slot, worker, version, bundle | None)`` row per slot an
+        owner answered for, in slot order (an empty slot answers too —
+        its version token pins the empty state); ``missing_slots`` lists
+        the slots no usable owner answered for; ``fetched`` counts the
+        bundles and reply bytes that crossed the wire.
         """
         with self._cluster_lock:
             rows = self._worker_rows()
@@ -950,53 +1067,73 @@ class CoordinatorService(HttpServerBase):
             degraded = set(self._degraded)
         if not worker_ids:
             raise _HttpError(503, "cluster has no workers")
-        blobs: list[bytes] = []
-        vector: list[tuple[int, str, str]] = []
-        missing: list[int] = []
-        for slot in range(self.topology.n_slots):
-            owners = self._owners(slot, worker_ids)
-            usable = [o for o in owners if slot not in stale.get(o, set())]
-            # alive-marked owners first: failing over to a dead-marked
-            # owner costs a connect timeout, so try it last
-            usable.sort(key=lambda o: (not rows[o]["alive"], o))
-            if slot in degraded:
-                missing.append(slot)
-                continue
-            answered = False
-            for position, owner in enumerate(usable):
-                # one sub-span per slot fetch: the worker sees this
-                # span's ID in X-Repro-Trace and parents its own
-                # request span under it
-                fetch_started = time.perf_counter()
-                try:
-                    with self.tracer.span(
-                        "slot-fetch", slot=slot, worker=owner
-                    ):
-                        blob, version = self._clients[owner].bundle(
-                            slot_namespace(namespace, slot), since, until,
-                            timeout=self.config.worker_timeout_s,
-                        )
-                except _UNREACHABLE:
-                    self.runtime.cluster_mark(
-                        owner, alive=False, now=self.clock()
-                    )
-                    continue
-                finally:
-                    if self.metrics.enabled:
-                        self._slot_fetch_seconds.observe(
-                            time.perf_counter() - fetch_started,
-                            worker=owner,
-                        )
-                if position > 0:
-                    self.stats["failovers"] += 1
-                if blob is not None:
-                    blobs.append(blob)
-                vector.append((slot, owner, version))
-                answered = True
-                break
-            if not answered:
-                missing.append(slot)
-        return blobs, vector, missing
+        #: slot -> usable owners left to ask
+        asking: dict[int, list[str]] = {}
+        for slot in set(range(self.topology.n_slots)) - degraded:
+            usable = [
+                owner for owner in self._owners(slot, worker_ids)
+                if slot not in stale.get(owner, ())
+            ]
+            # alive-marked owners first (failing over to a dead-marked
+            # one costs a connect timeout); the sort is stable, so reads
+            # otherwise follow each slot's rendezvous order and spread
+            # over its replicas
+            usable.sort(key=lambda owner: not rows[owner]["alive"])
+            if usable:
+                asking[slot] = usable
+        answered: dict[int, tuple] = {}
+        rerouted: set[int] = set()
+        fetched = {"slots": 0, "bytes": 0}
+        parent, selection = current_span(), (namespace, since, until)
+        while asking:
+            by_worker: dict[str, list[int]] = {}
+            for slot in sorted(asking):
+                by_worker.setdefault(asking[slot][0], []).append(slot)
+            requests = [
+                (parent, selection, worker, slots)
+                for worker, slots in sorted(by_worker.items())
+            ]
+            replies = self._fan_out(self._fetch_slots, requests)
+            for (_, _, worker, slots), (copies, changed, nbytes) in zip(
+                requests, replies
+            ):
+                fetched["slots"] += changed
+                fetched["bytes"] += nbytes
+                for position, slot in enumerate(slots):
+                    if copies is None:
+                        rerouted.add(slot)
+                        del asking[slot][0]
+                        if not asking[slot]:
+                            del asking[slot]
+                        continue
+                    del asking[slot]
+                    answered[slot] = (slot, worker, *copies[position])
+                    if slot in rerouted:
+                        self.stats["failovers"] += 1
+        missing = sorted(set(range(self.topology.n_slots)) - set(answered))
+        return sorted(answered.values()), missing, fetched
+
+    def _merged_engine(self, selection, vector, bundles) -> QueryEngine:
+        """The engine over ``bundles`` (slot order), built once per
+        version ``vector`` of a ``(namespace, since, until)`` selection."""
+        with self._memo_lock:
+            memo = self._engine_memo.get(selection)
+            if memo is not None and memo[0] == vector:
+                self._engine_memo.move_to_end(selection)
+                self.stats["memo_hits"] += 1
+                return memo[1]
+        merge_started = time.perf_counter()
+        with self.tracer.span("merge", bundles=len(bundles)):
+            engine = QueryEngine.from_bundles(bundles)
+        if self.metrics.enabled:
+            self._merge_seconds.observe(time.perf_counter() - merge_started)
+        with self._memo_lock:
+            self._engine_memo[selection] = (vector, engine)
+            self._engine_memo.move_to_end(selection)
+            while len(self._engine_memo) > _MEMO_ENGINES:
+                self._engine_memo.popitem(last=False)
+            self.stats["memo_rebuilds"] += 1
+        return engine
 
     def _query_request(self, request: dict) -> tuple:
         """Validate a query body into ``(kind, namespace, fields...)``."""
@@ -1042,12 +1179,13 @@ class CoordinatorService(HttpServerBase):
             parsed = self._query_request(request)
         kind, namespace, since, until = parsed[0], parsed[1], parsed[2], parsed[3]
         with self.tracer.span("gather", namespace=namespace) as gather_span:
-            blobs, vector, missing = self._gather_bundles(
-                namespace, since, until
-            )
+            answered, missing, fetched = self._gather(namespace, since, until)
             gather_span.annotate(
-                answered_slots=len(vector), missing_slots=len(missing)
+                answered_slots=len(answered), missing_slots=len(missing),
+                fetched_slots=fetched["slots"], bytes=fetched["bytes"],
             )
+        vector = tuple(row[:3] for row in answered)
+        bundles = [row[3] for row in answered if row[3] is not None]
         partial = bool(missing)
         version = "v[" + ",".join(
             f"s{slot}:{worker}:{token}" for slot, worker, token in vector
@@ -1078,10 +1216,10 @@ class CoordinatorService(HttpServerBase):
         sources = {
             "slots": self.topology.n_slots,
             "answered_slots": len(vector),
-            "bundles": len(blobs),
+            "bundles": len(bundles),
             "workers": len({worker for _, worker, _ in vector}),
         }
-        if not blobs:
+        if not bundles:
             answer = {
                 "estimate": None,
                 "empty": True,
@@ -1090,19 +1228,16 @@ class CoordinatorService(HttpServerBase):
                 "sources": sources,
             }
         else:
-            merge_started = time.perf_counter()
-            with self.tracer.span("merge", bundles=len(blobs)):
-                engine = QueryEngine.from_encoded_bundles(blobs)
-            if self.metrics.enabled:
-                self._merge_seconds.observe(
-                    time.perf_counter() - merge_started
-                )
+            engine = self._merged_engine(
+                (namespace, since, until), vector, bundles
+            )
             if kind == "estimate":
                 spec = AggregationSpec(function, names, ell=ell)
                 predicate = None if keys is None else key_in(keys)
-                value = engine.estimate(
-                    spec, estimator=estimator, predicate=predicate
-                )
+                with self._memo_lock:
+                    value = engine.estimate(
+                        spec, estimator=estimator, predicate=predicate
+                    )
                 resolved = (
                     engine.default_estimator(spec)
                     if estimator == "auto"
@@ -1118,7 +1253,10 @@ class CoordinatorService(HttpServerBase):
                     "sources": sources,
                 }
             else:
-                value = jaccard_from_summary(engine.summary, names, variant)
+                with self._memo_lock:
+                    value = jaccard_from_summary(
+                        engine.summary, names, variant
+                    )
                 answer = {
                     "estimate": value,
                     "estimator": f"jaccard-{variant}",

@@ -295,13 +295,19 @@ class HttpServerBase:
         if plan is None:
             return None
         namespace = params.get("namespace")
-        if namespace is None and plan.wants_namespace and body:
-            # slot-scoped rules need the namespace; POST bodies carry it
-            # (an ingest frame names one per section in its header)
+        if namespace is None and plan.wants_namespace:
+            # slot-scoped rules need the namespace: a multi-slot bundle
+            # fetch names its namespaces in ``have``, POST bodies carry
+            # theirs (an ingest frame one per section in its header)
             with contextlib.suppress(Exception):
-                if body[:4] == MAGIC:
+                if "have" in params:
+                    namespace = tuple(
+                        name for name in json.loads(params["have"])
+                        if isinstance(name, str)
+                    )
+                elif body[:4] == MAGIC:
                     namespace = event_batch_namespaces(body)
-                else:
+                elif body:
                     payload = json.loads(body)
                     if isinstance(payload, dict):
                         namespace = payload.get("namespace")

@@ -40,7 +40,12 @@ Endpoints (JSON unless noted)::
                              the merged live+stored view of a namespace,
                              one raw artifact, or (``list=1``) the JSON
                              artifact listing — the cluster coordinator's
-                             exact-merge and handoff feed
+                             exact-merge and handoff feed; with
+                             ``have={namespace: token|null, ...}`` the
+                             views of several namespaces as one codec
+                             ``bundle_batch`` frame, a namespace whose
+                             version still equals its token answered
+                             ``unchanged`` without being built
     POST /bundle?...         upload one codec-encoded bundle artifact into
                              the store (bucket handoff)
     POST /bundle/reset       {"namespace"} — purge the namespace (live
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import threading
 import time
 from typing import Callable
@@ -80,7 +86,12 @@ from repro.service.jsonutil import restore_non_finite
 from repro.service.planner import QueryPlanner, check_query, view_bundles
 from repro.service.temporal import parse_duration
 from repro.service.windows import LiveWindowManager
-from repro.store.codec import MAGIC, decode_event_batch, encode
+from repro.store.codec import (
+    MAGIC,
+    decode_event_batch,
+    encode,
+    encode_bundle_batch,
+)
 from repro.store.store import SummaryStore
 
 __all__ = ["SummaryService", "ServiceThread"]
@@ -810,6 +821,29 @@ class SummaryService(HttpServerBase):
             blob = encode(merged)
         return blob, version, count
 
+    def _bundle_frame(self, held: dict, since, until) -> bytes:
+        """One ``bundle_batch`` frame answering ``held`` (namespace ->
+        the caller's version token or ``None``) in its order.
+
+        A namespace whose current version equals the caller's token is
+        an ``unchanged`` section — no view, no merge, no encode; the
+        data behind a token never changes, so the caller's copy is
+        still exactly this worker's view.
+        """
+        sections = []
+        for namespace, token in held.items():
+            with self.manager.lock:
+                version = self.manager.version(namespace)
+            if version == token:
+                sections.append((namespace, "unchanged", version, None))
+                continue
+            blob, version, _sources = self._merged_bundle_blob(
+                namespace, since, until
+            )
+            state = "empty" if blob is None else "bundle"
+            sections.append((namespace, state, version, blob))
+        return encode_bundle_batch(sections)
+
     def _require_namespace(self, params) -> str:
         namespace = params.get("namespace")
         if not namespace:
@@ -823,8 +857,29 @@ class SummaryService(HttpServerBase):
         return namespace
 
     async def _handle_bundle_get(self, params):
-        namespace = self._require_namespace(params)
         loop = asyncio.get_running_loop()
+        since, until = params.get("since"), params.get("until")
+        if "have" in params:
+            try:
+                held = json.loads(params["have"])
+            except json.JSONDecodeError:
+                held = None
+            if not isinstance(held, dict) or not held or not all(
+                token is None or isinstance(token, str)
+                for token in held.values()
+            ):
+                raise _HttpError(
+                    400, "'have' must be a non-empty JSON object of "
+                    "namespace -> version token or null"
+                )
+            for namespace in held:
+                self._require_namespace({"namespace": namespace})
+            frame = await loop.run_in_executor(
+                None, bind_parent, current_span(),
+                self._bundle_frame, held, since, until,
+            )
+            return 200, BinaryResponse(frame)
+        namespace = self._require_namespace(params)
         if params.get("list"):
             entries = await loop.run_in_executor(
                 None, self.store.bundle_entries, namespace
@@ -859,7 +914,6 @@ class SummaryService(HttpServerBase):
                 "X-Repro-Bucket": bucket,
                 "X-Repro-Part": part,
             })
-        since, until = params.get("since"), params.get("until")
         blob, version, sources = await loop.run_in_executor(
             None, bind_parent, current_span(),
             self._merged_bundle_blob, namespace, since, until,

@@ -43,6 +43,13 @@ is a nested ``event_section`` blob — raw numeric or tag-packed ``keys``
 plus one ``<f8`` ``w<j>`` buffer per assignment.  Frames arrive from the
 network, so :func:`decode_event_batch` checks the CRC and believes no
 count the bytes cannot back.
+
+The way back is the same container (kind ``bundle_batch``): a worker's
+reply to one multi-slot ``GET /bundle``.  The header lists one
+``[namespace, state, version]`` row per requested namespace, in request
+order, and a ``bundle`` row's ``part<i>`` buffer is the nested
+``sketch_bundle`` blob; ``unchanged`` and ``empty`` rows carry no bytes.
+:func:`decode_bundle_batch` holds it to the same standard.
 """
 
 from __future__ import annotations
@@ -67,6 +74,8 @@ __all__ = [
     "UnsupportedFormatError",
     "FORMAT_VERSION",
     "MAGIC",
+    "BUNDLE_STATES",
+    "BundleSection",
     "EventBatch",
     "EventSection",
     "SketchBundle",
@@ -77,6 +86,8 @@ __all__ = [
     "encode_event_batch",
     "decode_event_batch",
     "event_batch_namespaces",
+    "encode_bundle_batch",
+    "decode_bundle_batch",
     "write_file",
     "read_file",
     "atomic_write_bytes",
@@ -309,6 +320,27 @@ class EventBatch:
     @property
     def events(self) -> int:
         return sum(len(section.keys) for section in self.sections)
+
+
+#: what one section of a ``bundle_batch`` frame says about its namespace:
+#: the caller's version token still holds / here are the bytes / no data
+BUNDLE_STATES = ("unchanged", "bundle", "empty")
+
+
+@dataclass(frozen=True)
+class BundleSection:
+    """One namespace's share of a ``bundle_batch`` frame.
+
+    ``version`` is the namespace's current token in every state;
+    ``bundle`` is the decoded :class:`SketchBundle` (arrays are
+    read-only views into the frame's bytes) for state ``"bundle"`` and
+    ``None`` otherwise.
+    """
+
+    namespace: str
+    state: str
+    version: str
+    bundle: "SketchBundle | None" = None
 
 
 # ---------------------------------------------------------------------------
@@ -1028,6 +1060,82 @@ def _decode_event_batch(reader: _BlobReader) -> EventBatch:
     return EventBatch(tuple(sections), sync)
 
 
+def encode_bundle_batch(
+    sections: "Sequence[tuple[str, str, str, bytes | None]]",
+) -> bytes:
+    """A bundle frame from ``(namespace, state, version, blob)`` rows.
+
+    ``blob`` is the namespace's already encoded :class:`SketchBundle`
+    for state ``"bundle"`` (nested as it is) and ``None`` otherwise.
+    """
+    writer = _BlobWriter("bundle_batch", {
+        "sections": [
+            [name, state, version] for name, state, version, _ in sections
+        ],
+    })
+    for index, (_, state, _, blob) in enumerate(sections):
+        if (state == "bundle") != (blob is not None):
+            raise CodecError(
+                f"section {index}: state {state!r} "
+                f"{'needs' if blob is None else 'carries no'} bundle bytes"
+            )
+        if blob is not None:
+            writer.add_blob(f"part{index}", blob)
+    return writer.render()
+
+
+def _decode_bundle_batch(reader: _BlobReader) -> tuple[BundleSection, ...]:
+    rows = reader.meta.get("sections")
+    if not isinstance(rows, list) or not rows or not all(
+        isinstance(row, list) and len(row) == 3
+        and all(isinstance(field, str) for field in row)
+        and row[1] in BUNDLE_STATES
+        for row in rows
+    ):
+        raise CodecError(
+            "bundle batch needs at least one [namespace, state, version] "
+            f"section with a state in {BUNDLE_STATES}"
+        )
+    names = [row[0] for row in rows]
+    if len(set(names)) != len(names):
+        raise CodecError(f"duplicate section namespace in {names!r}")
+    parts = {
+        f"part{index}" for index, row in enumerate(rows) if row[1] == "bundle"
+    }
+    if set(reader.arrays) != parts:
+        raise CodecError(
+            f"bundle batch carries buffers {sorted(reader.arrays)} but its "
+            f"section states call for {sorted(parts)}"
+        )
+    sections = []
+    for index, (name, state, version) in enumerate(rows):
+        bundle = None
+        if state == "bundle":
+            # the frame's checksum already covered the nested bytes
+            part = _BlobReader(
+                reader.blob(f"part{index}"), writable=False, verify=False
+            )
+            if part.kind != "sketch_bundle":
+                raise CodecError(
+                    f"section {index} has kind {part.kind!r}, expected "
+                    "'sketch_bundle'"
+                )
+            try:
+                bundle = _decode_bundle(part)
+            except CodecError:
+                raise
+            except (ArithmeticError, AttributeError, LookupError,
+                    TypeError, ValueError, struct.error) as err:
+                # the sketch decoders trust their headers; over the
+                # network a lie in one must surface as a typed error
+                raise CodecError(
+                    f"section {index} ({name!r}) is not a decodable "
+                    f"sketch bundle: {err}"
+                ) from None
+        sections.append(BundleSection(name, state, version, bundle))
+    return tuple(sections)
+
+
 _DECODERS: dict[str, Callable[[_BlobReader], Any]] = {
     "bottomk_sketch": _decode_bottomk_sketch,
     "poisson_sketch": _decode_poisson_sketch,
@@ -1037,6 +1145,7 @@ _DECODERS: dict[str, Callable[[_BlobReader], Any]] = {
     "checkpoint": _decode_checkpoint,
     "event_section": _decode_event_section,
     "event_batch": _decode_event_batch,
+    "bundle_batch": _decode_bundle_batch,
 }
 
 
@@ -1110,6 +1219,32 @@ def event_batch_namespaces(data) -> tuple[str, ...]:
     if reader.kind != "event_batch" or not isinstance(names, list):
         return ()
     return tuple(name for name in names if isinstance(name, str))
+
+
+def decode_bundle_batch(
+    data, expect: "Sequence[str] | None" = None
+) -> tuple[BundleSection, ...]:
+    """Decode a worker's multi-slot bundle reply (CRC-verified).
+
+    ``expect`` is the namespaces the request named, in order: a reply
+    that answers for anything else is refused.  Every way the bytes can
+    be wrong — truncation, a bad checksum, a state without its bytes or
+    bytes without their state, a nested blob that is not a decodable
+    sketch bundle — raises :class:`CodecError`.
+    """
+    reader = _BlobReader(data, writable=False, verify=True)
+    if reader.kind != "bundle_batch":
+        raise CodecError(
+            f"expected a bundle_batch frame, got kind {reader.kind!r}"
+        )
+    sections = _decode_bundle_batch(reader)
+    names = [section.namespace for section in sections]
+    if expect is not None and names != list(expect):
+        raise CodecError(
+            f"bundle batch answers for {names!r}, the request named "
+            f"{list(expect)!r}"
+        )
+    return sections
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

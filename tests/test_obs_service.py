@@ -294,7 +294,10 @@ class TestClusterObservability:
         ]
         contacted = {span["tags"]["worker"] for span in fetches}
         assert contacted == {"w1", "w2"}  # SALT=4 splits slots 2/2
-        assert len(fetches) == N_SLOTS
+        assert len(fetches) == len(contacted)  # one request per worker
+        assert sorted(
+            slot for span in fetches for slot in span["tags"]["slots"]
+        ) == list(range(N_SLOTS))
         assert all(span["parent"] is not None for span in fetches)
         merges = [
             span for span in spans
