@@ -11,6 +11,10 @@ Because slots partition the key space and the bundle merge is exact, the
 merged answer is bit-identical to an offline single-process engine over
 the union of every ingested event.
 
+The routes are ``CoordinatorService.routes``; ``/query`` speaks the
+worker's grammar (:class:`~repro.service.planner.QuerySpec`) minus the
+temporal fields, ``/ingest`` takes the worker's JSON body.
+
 **Query gather.**  Per query every contacted worker gets **one**
 conditional ``GET /bundle`` naming the slots asked of it and the version
 token the coordinator already holds for each, workers in parallel; the
@@ -63,7 +67,9 @@ unknown-outcome owners go stale — copies that all refused still agree.
 Unknown-outcome workers are also marked dead.
 
 **Handoff.**  Joins and leaves move slots (rendezvous hashing moves only
-the slots whose top-``replication`` set actually changed).  A worker
+the slots whose top-``replication`` set actually changed); both are
+synchronous — when ``POST /cluster/join`` returns, the worker is a
+serving owner of its slots.  A worker
 gaining a slot receives the slot's store artifacts from a healthy
 current owner: the source rotates (flushing its live window into its
 store), the target's copy of the slot is **purged first** (``POST
@@ -92,21 +98,24 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.aggregates import AggregationSpec
-from repro.core.predicates import key_in
-from repro.engine.queries import QueryEngine, jaccard_from_summary
+from repro.engine.queries import QueryEngine
 from repro.obs import bind_parent, current_span
 from repro.ranks.hashing import _key_to_int, as_key_array, splitmix64
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.config import MAX_BATCH_EVENTS, NamespaceConfig
+from repro.service.config import (
+    MAX_BATCH_EVENTS,
+    NamespaceConfig,
+    config_from_json,
+    config_to_json,
+)
 from repro.service.httpbase import (
+    DaemonThread,
     HttpServerBase,
     _HttpError,
-    query_request_from_params,
     validate_ingest_batch,
 )
 from repro.service.jsonutil import sanitize_non_finite
-from repro.service.planner import check_query
+from repro.service.planner import QuerySpec
 from repro.service.cluster.repair import RepairPlanner
 from repro.service.cluster.topology import (
     ClusterTopology,
@@ -133,6 +142,9 @@ _UNREACHABLE = (OSError, ConnectionError)
 #: validated (400/404/413) or tried to queue (429/503) and applied nothing
 _REFUSALS = frozenset({400, 404, 413, 429, 503})
 
+#: socket timeout of bundle fetches, routed ingest and handoff copies
+_WORKER_TIMEOUT_S = 30.0
+
 #: worker requests in flight at once, over every routed batch and query
 #: (the threads of the one long-lived fan-out pool)
 _FANOUT = 16
@@ -158,8 +170,6 @@ class CoordinatorConfig:
     heartbeat_s: float = 2.0
     #: per-probe socket timeout (heartbeats)
     probe_timeout_s: float = 2.0
-    #: socket timeout for bundle fetches and routed ingest
-    worker_timeout_s: float = 30.0
     #: connection-failure retries per idempotent worker call
     worker_retries: int = 1
     max_body_bytes: int = 32 << 20
@@ -180,8 +190,6 @@ class CoordinatorConfig:
     observability: bool = True
     #: optional JSONL file finished spans are appended to
     trace_log: str | None = None
-    #: pins the splitmix64 trace-ID stream (None: random per daemon)
-    trace_seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -221,50 +229,11 @@ class CoordinatorConfig:
         return replace(self, port=port)
 
     def to_json(self) -> dict:
-        return {
-            "root": self.root,
-            "namespaces": [ns.to_json() for ns in self.namespaces],
-            "host": self.host,
-            "port": self.port,
-            "n_slots": self.n_slots,
-            "replication": self.replication,
-            "salt": self.salt,
-            "heartbeat_s": self.heartbeat_s,
-            "probe_timeout_s": self.probe_timeout_s,
-            "worker_timeout_s": self.worker_timeout_s,
-            "worker_retries": self.worker_retries,
-            "max_body_bytes": self.max_body_bytes,
-            "probe_concurrency": self.probe_concurrency,
-            "fail_after_s": self.fail_after_s,
-            "repair_interval_s": self.repair_interval_s,
-            "repair_max_attempts": self.repair_max_attempts,
-            "anti_entropy": self.anti_entropy,
-            "observability": self.observability,
-            "trace_log": self.trace_log,
-            "trace_seed": self.trace_seed,
-        }
+        return config_to_json(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> "CoordinatorConfig":
-        known = {
-            "root", "namespaces", "host", "port", "n_slots", "replication",
-            "salt", "heartbeat_s", "probe_timeout_s", "worker_timeout_s",
-            "worker_retries", "max_body_bytes",
-            "probe_concurrency", "fail_after_s", "repair_interval_s",
-            "repair_max_attempts", "anti_entropy",
-            "observability", "trace_log", "trace_seed",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(
-                f"unknown coordinator config keys: "
-                f"{', '.join(sorted(unknown))}"
-            )
-        if "root" not in payload or "namespaces" not in payload:
-            raise ValueError(
-                "coordinator config needs 'root' and 'namespaces'"
-            )
-        return cls(**payload)
+        return config_from_json(cls, payload, "coordinator", "root")
 
     @classmethod
     def from_file(cls, path) -> "CoordinatorConfig":
@@ -285,30 +254,9 @@ def _handoff_part(source: str, part: str) -> str:
 
 
 class CoordinatorService(HttpServerBase):
-    """The cluster coordinator daemon (see module docstring).
+    """The cluster coordinator daemon (see module docstring)."""
 
-    Endpoints::
-
-        GET  /health         lock-free liveness probe
-        GET  /cluster        membership, topology, health bookkeeping
-        POST /cluster/join   {"worker_id", "host", "port"} — handoff, then
-                             register (synchronous: when it returns, the
-                             worker is a serving owner of its slots)
-        POST /cluster/leave  {"worker_id"} — handoff away, then deregister
-        POST /ingest         same JSON body as the worker endpoint;
-                             validated whole, then one binary frame per
-                             owner worker, owners in parallel
-        POST /query          estimate/jaccard over the exact merge of
-        GET  /query?...      per-slot worker bundles, one conditional
-                             fetch per worker (version-vector cached;
-                             partial answers marked, never cached)
-        POST /shutdown       graceful stop
-    """
-
-    ROUTES = frozenset({
-        "/status", "/cluster", "/cluster/join", "/cluster/leave",
-        "/ingest", "/query", "/repairs", "/repairs/run", "/shutdown",
-    })
+    role = "coordinator"
 
     def __init__(
         self,
@@ -317,14 +265,7 @@ class CoordinatorService(HttpServerBase):
     ) -> None:
         from repro.store.runtime import RuntimeStore
 
-        super().__init__()
-        self.config = config
-        self.clock = clock
-        self._init_obs(
-            enabled=config.observability,
-            trace_log=config.trace_log,
-            trace_seed=config.trace_seed,
-        )
+        super().__init__(config, clock)
         os.makedirs(config.root, exist_ok=True)
         self.runtime = RuntimeStore(config.root)
         self.metrics.gauge(
@@ -389,16 +330,25 @@ class CoordinatorService(HttpServerBase):
         # ops left active by a crashed coordinator resume from the top:
         # every repair is an idempotent purge-then-copy
         self.runtime.repair_requeue_active(now=self.clock())
-        self._stop_event: asyncio.Event | None = None
         self._tasks: list[asyncio.Task] = []
-        self._started_monotonic: float | None = None
+        self.routes.update({
+            ("GET", "/status"): self._handle_status,
+            ("GET", "/cluster"): self._handle_cluster,
+            ("POST", "/cluster/join"): self._handle_join,
+            ("POST", "/cluster/leave"): self._handle_leave,
+            ("POST", "/ingest"): self._handle_ingest,
+            ("GET", "/query"): self._handle_query,
+            ("POST", "/query"): self._handle_query,
+            ("GET", "/repairs"): self._handle_repairs,
+            ("POST", "/repairs/run"): self._handle_repairs_run,
+        })
 
     # -- plumbing -------------------------------------------------------------
 
     def _make_client(self, host: str, port: int) -> ServiceClient:
         return ServiceClient(
             host, port,
-            timeout=self.config.worker_timeout_s,
+            timeout=_WORKER_TIMEOUT_S,
             retries=self.config.worker_retries,
         )
 
@@ -448,14 +398,7 @@ class CoordinatorService(HttpServerBase):
 
     # -- lifecycle ------------------------------------------------------------
 
-    async def start(self) -> None:
-        if self._server is not None:
-            raise RuntimeError("coordinator already started")
-        self._stop_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self._started_monotonic = time.monotonic()
+    def _launch(self) -> None:
         self._tasks = [
             asyncio.create_task(self._heartbeat_loop(), name="heartbeat"),
         ]
@@ -464,28 +407,7 @@ class CoordinatorService(HttpServerBase):
                 asyncio.create_task(self._repair_loop(), name="repair")
             )
 
-    def request_shutdown(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    async def run(self) -> None:
-        if self._server is None:
-            await self.start()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await self.shutdown()
-
-    async def shutdown(self) -> None:
-        if self._server is None:
-            return
-        self._stopping = True
-        server, self._server = self._server, None
-        server.close()
-        for writer in list(self._connections):
-            if writer not in self._busy:
-                writer.close()
-        await server.wait_closed()
+    async def _finish(self) -> None:
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
@@ -493,7 +415,6 @@ class CoordinatorService(HttpServerBase):
         for client in self._clients.values():
             client.close()
         self.runtime.close()
-        await asyncio.sleep(0)
 
     async def _heartbeat_loop(self) -> None:
         """Probe every worker's lock-free ``/health`` on a fixed cadence."""
@@ -1006,8 +927,7 @@ class CoordinatorService(HttpServerBase):
         ) as span:
             try:
                 frame = self._clients[worker].bundles(
-                    have, since, until,
-                    timeout=self.config.worker_timeout_s,
+                    have, since, until, timeout=_WORKER_TIMEOUT_S,
                 )
                 sections = decode_bundle_batch(frame, list(have))
                 fresh = [
@@ -1135,49 +1055,16 @@ class CoordinatorService(HttpServerBase):
             self.stats["memo_rebuilds"] += 1
         return engine
 
-    def _query_request(self, request: dict) -> tuple:
-        """Validate a query body into ``(kind, namespace, fields...)``."""
-        namespace = request.get("namespace")
-        if not namespace:
-            raise _HttpError(400, "query needs a 'namespace'")
-        if namespace not in self.namespaces:
-            raise _HttpError(
-                404,
-                f"unknown namespace {namespace!r}; known: "
-                f"{', '.join(self.namespaces)}",
-            )
-        for unsupported in ("window", "step", "decay"):
-            if request.get(unsupported) is not None:
-                raise _HttpError(
-                    400,
-                    f"{unsupported!r} is not supported by the coordinator "
-                    "(temporal queries need per-bucket partials; query a "
-                    "worker directly)",
-                )
-        kind = request.get("kind", "estimate")
-        names = tuple(request.get("assignments") or [])
-        since, until = request.get("since"), request.get("until")
-        if kind == "estimate":
-            function = request.get("function")
-            estimator = request.get("estimator", "auto")
-            check_query(function, estimator)  # ValueError: a 400
-            ell = request.get("ell")
-            keys = request.get("keys")
-            return (
-                "estimate", namespace, since, until, function, names,
-                estimator, None if ell is None else int(ell), keys,
-            )
-        if kind == "jaccard":
-            variant = request.get("variant", "l")
-            return "jaccard", namespace, since, until, names, variant
-        raise _HttpError(
-            400, f"unknown query kind {kind!r} (estimate, jaccard)"
-        )
-
     def _answer_query(self, request: dict) -> dict:
         with self.tracer.span("parse"):
-            parsed = self._query_request(request)
-        kind, namespace, since, until = parsed[0], parsed[1], parsed[2], parsed[3]
+            spec = QuerySpec.parse(request, self.namespaces)
+            if spec.temporal:
+                raise ValueError(
+                    "'window', 'step' and 'decay' are not supported by the "
+                    "coordinator (temporal queries need per-bucket "
+                    "partials; query a worker directly)"
+                )
+        namespace, since, until = spec.namespace, spec.since, spec.until
         with self.tracer.span("gather", namespace=namespace) as gather_span:
             answered, missing, fetched = self._gather(namespace, since, until)
             gather_span.annotate(
@@ -1190,21 +1077,7 @@ class CoordinatorService(HttpServerBase):
         version = "v[" + ",".join(
             f"s{slot}:{worker}:{token}" for slot, worker, token in vector
         ) + "]"
-        if kind == "estimate":
-            _, _, _, _, function, names, estimator, ell, keys = parsed
-            key_sel = (
-                None if keys is None else tuple(sorted(map(repr, keys)))
-            )
-            cache_key = json.dumps([
-                "cluster-estimate", namespace, version, since, until,
-                function, list(names), estimator, ell, key_sel,
-            ], separators=(",", ":"))
-        else:
-            _, _, _, _, names, variant = parsed
-            cache_key = json.dumps([
-                "cluster-jaccard", namespace, version, since, until,
-                list(names), variant,
-            ], separators=(",", ":"))
+        cache_key = spec.cache_key(version, prefix="cluster-")
         if not partial:
             with self.tracer.span("cache-probe") as probe_span:
                 hit = self.runtime.cache_get(cache_key)
@@ -1219,52 +1092,16 @@ class CoordinatorService(HttpServerBase):
             "bundles": len(bundles),
             "workers": len({worker for _, worker, _ in vector}),
         }
+        answer = {"namespace": namespace, "version": version,
+                  "sources": sources}
         if not bundles:
-            answer = {
-                "estimate": None,
-                "empty": True,
-                "namespace": namespace,
-                "version": version,
-                "sources": sources,
-            }
+            answer.update(estimate=None, empty=True)
         else:
             engine = self._merged_engine(
                 (namespace, since, until), vector, bundles
             )
-            if kind == "estimate":
-                spec = AggregationSpec(function, names, ell=ell)
-                predicate = None if keys is None else key_in(keys)
-                with self._memo_lock:
-                    value = engine.estimate(
-                        spec, estimator=estimator, predicate=predicate
-                    )
-                resolved = (
-                    engine.default_estimator(spec)
-                    if estimator == "auto"
-                    else estimator
-                )
-                answer = {
-                    "estimate": value,
-                    "estimator": resolved,
-                    "function": function,
-                    "assignments": list(names),
-                    "namespace": namespace,
-                    "version": version,
-                    "sources": sources,
-                }
-            else:
-                with self._memo_lock:
-                    value = jaccard_from_summary(
-                        engine.summary, names, variant
-                    )
-                answer = {
-                    "estimate": value,
-                    "estimator": f"jaccard-{variant}",
-                    "assignments": list(names),
-                    "namespace": namespace,
-                    "version": version,
-                    "sources": sources,
-                }
+            with self._memo_lock:
+                answer.update(spec.answer(engine))
         answer = sanitize_non_finite(answer)
         if partial:
             # Loud, never cached: the answer covers only the slots that
@@ -1277,88 +1114,66 @@ class CoordinatorService(HttpServerBase):
         self.runtime.cache_put(cache_key, namespace, version, answer)
         return {**answer, "cached": False}
 
-    # -- routing --------------------------------------------------------------
+    # -- handlers -------------------------------------------------------------
 
-    async def _dispatch(self, method, path, params, body):
-        loop = asyncio.get_running_loop()
-        if path in ("/health", "/healthz") and method == "GET":
-            # /healthz keeps ServiceClient.wait_ready working against a
-            # coordinator; both stay lock-free like the worker's probe
-            return 200, {"ok": True, "stopping": self._stopping,
-                         "role": "coordinator",
-                         "namespaces": list(self.namespaces)}
-        if path == "/cluster" and method == "GET":
-            return 200, await loop.run_in_executor(None, self._cluster_view)
-        if path == "/status" and method == "GET":
-            return 200, await loop.run_in_executor(None, self._status_view)
-        if path == "/repairs" and method == "GET":
-            try:
-                limit = int(params.get("limit", 100))
-            except ValueError:
-                raise _HttpError(400, "limit must be an integer") from None
-            return 200, await loop.run_in_executor(
-                None, self.repairs.view, limit
-            )
-        if path == "/repairs/run" and method == "POST":
-            if self._stopping:
-                raise _HttpError(503, "coordinator is shutting down")
-            return 200, await loop.run_in_executor(None, self.repairs.tick)
-        if path == "/cluster/join" and method == "POST":
-            payload = self._json_body(body)
-            worker_id = payload.get("worker_id")
-            host = payload.get("host")
-            port = payload.get("port")
-            if not worker_id or not host or not isinstance(port, int):
-                raise _HttpError(
-                    400,
-                    "join needs 'worker_id', 'host', and an integer 'port'",
-                )
-            return 200, await loop.run_in_executor(
-                None, self._join, worker_id, host, port
-            )
-        if path == "/cluster/leave" and method == "POST":
-            payload = self._json_body(body)
-            worker_id = payload.get("worker_id")
-            if not worker_id:
-                raise _HttpError(400, "leave needs a 'worker_id'")
-            return 200, await loop.run_in_executor(
-                None, self._leave, worker_id
-            )
-        if path == "/ingest" and method == "POST":
-            if self._stopping:
-                raise _HttpError(503, "coordinator is shutting down")
-            # bind_parent carries the request span into the executor
-            # thread, where ServiceClient reads it to stamp
-            # X-Repro-Trace on every routed worker request
-            return 200, await loop.run_in_executor(
-                None, bind_parent, current_span(),
-                self._route_ingest, self._json_body(body),
-            )
-        if path == "/query" and method in ("GET", "POST"):
-            request = (
-                self._query_from_params(params)
-                if method == "GET"
-                else self._json_body(body)
-            )
-            self.stats["queries"] += 1
-            return 200, await loop.run_in_executor(
-                None, bind_parent, current_span(),
-                self._answer_query, request,
-            )
-        if path == "/shutdown" and method == "POST":
-            asyncio.get_running_loop().call_soon(self.request_shutdown)
-            return 200, {"ok": True, "stopping": True}
-        known = (
-            "/health /healthz /status /metrics /trace/recent /cluster "
-            "/cluster/join /cluster/leave /ingest /query /repairs "
-            "/repairs/run /shutdown"
-        )
-        raise _HttpError(
-            405 if path in known.split() else 404,
-            f"no route for {method} {path} (endpoints: {known})",
+    async def _in_executor(self, call, *args):
+        # bind_parent carries the request span into the executor thread,
+        # where ServiceClient reads it to stamp X-Repro-Trace on every
+        # worker request made on the way
+        return 200, await asyncio.get_running_loop().run_in_executor(
+            None, bind_parent, current_span(), call, *args
         )
 
-    _query_from_params = staticmethod(query_request_from_params)
+    def _refuse_if_stopping(self) -> None:
+        if self._stopping:
+            raise _HttpError(503, "coordinator is shutting down")
+
+    async def _handle_cluster(self, params, body):
+        return await self._in_executor(self._cluster_view)
+
+    async def _handle_status(self, params, body):
+        return await self._in_executor(self._status_view)
+
+    async def _handle_repairs(self, params, body):
+        try:
+            limit = int(params.get("limit", 100))
+        except ValueError:
+            raise _HttpError(400, "limit must be an integer") from None
+        return await self._in_executor(self.repairs.view, limit)
+
+    async def _handle_repairs_run(self, params, body):
+        self._refuse_if_stopping()
+        return await self._in_executor(self.repairs.tick)
+
+    async def _handle_join(self, params, body):
+        payload = self._json_body(body)
+        worker_id = payload.get("worker_id")
+        host = payload.get("host")
+        port = payload.get("port")
+        if not worker_id or not host or not isinstance(port, int):
+            raise _HttpError(
+                400,
+                "join needs 'worker_id', 'host', and an integer 'port'",
+            )
+        return await self._in_executor(self._join, worker_id, host, port)
+
+    async def _handle_leave(self, params, body):
+        worker_id = self._json_body(body).get("worker_id")
+        if not worker_id:
+            raise _HttpError(400, "leave needs a 'worker_id'")
+        return await self._in_executor(self._leave, worker_id)
+
+    async def _handle_ingest(self, params, body):
+        self._refuse_if_stopping()
+        return await self._in_executor(
+            self._route_ingest, self._json_body(body)
+        )
+
+    async def _handle_query(self, params, body):
+        self.stats["queries"] += 1
+        return await self._in_executor(
+            self._answer_query, self._query_fields(params, body)
+        )
 
     def _cluster_view(self) -> dict:
         with self._cluster_lock:
@@ -1415,86 +1230,8 @@ class CoordinatorService(HttpServerBase):
             "runtime": self.runtime.stats(),
         }
 
-    def install_faults(self, plan, scope: str = "coordinator") -> None:
-        """Server-side fault injection with the runtime counter wired in."""
-        on_fire = None
-        if plan is not None:
-            def on_fire(decision, _runtime=self.runtime):
-                _runtime.add_counter("faults_injected", 1)
-        super().install_faults(plan, scope, on_fire=on_fire)
 
+class CoordinatorThread(DaemonThread):
+    """A :class:`CoordinatorService` on a background thread (tests)."""
 
-class CoordinatorThread:
-    """Run a :class:`CoordinatorService` on a background thread (tests).
-
-    Mirrors :class:`~repro.service.server.ServiceThread`: ``start()``
-    blocks until the listener is bound and returns the port; ``stop()``
-    requests a graceful shutdown and joins.
-    """
-
-    def __init__(
-        self,
-        config: CoordinatorConfig,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        self.config = config
-        self.clock = clock
-        self.service: CoordinatorService | None = None
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._started: threading.Event | None = None
-        self._error: BaseException | None = None
-
-    def start(self, timeout: float = 30.0) -> int:
-        self._started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-coordinate", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise TimeoutError("coordinator failed to start in time")
-        if self._error is not None:
-            raise RuntimeError(
-                f"coordinator failed to start: {self._error}"
-            ) from self._error
-        return self.service.port
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as err:  # pragma: no cover - defensive
-            if self._error is None:
-                self._error = err
-            self._started.set()
-
-    async def _amain(self) -> None:
-        try:
-            self.service = CoordinatorService(self.config, clock=self.clock)
-            await self.service.start()
-        except BaseException as err:
-            self._error = err
-            self._started.set()
-            return
-        self._loop = asyncio.get_running_loop()
-        self._started.set()
-        await self.service.run()
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread is None:
-            return
-        if self._loop is not None and self.service is not None:
-            try:
-                self._loop.call_soon_threadsafe(self.service.request_shutdown)
-            except RuntimeError:  # loop already closed
-                pass
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise TimeoutError("coordinator thread did not stop in time")
-        self._thread = None
-
-    def __enter__(self) -> "CoordinatorThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    service_class = CoordinatorService

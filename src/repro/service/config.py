@@ -19,7 +19,7 @@ buckets, and any coordinated remote writers exactly mergeable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.store.store import GRANULARITIES
 
@@ -95,6 +95,28 @@ class NamespaceConfig:
         )
 
 
+def config_to_json(config) -> dict:
+    """A daemon config's fields, in declaration order, as JSON."""
+    payload = {f.name: getattr(config, f.name) for f in fields(config)}
+    payload["namespaces"] = [ns.to_json() for ns in config.namespaces]
+    return payload
+
+
+def config_from_json(cls, payload: dict, what: str, root_field: str):
+    """Build daemon config ``cls`` from JSON; an unknown key is refused
+    (a typo'd knob must not fall back to its default)."""
+    unknown = set(payload) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(
+            f"unknown {what} config keys: {', '.join(sorted(unknown))}"
+        )
+    if root_field not in payload or "namespaces" not in payload:
+        raise ValueError(
+            f"{what} config needs {root_field!r} and 'namespaces'"
+        )
+    return cls(**payload)
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """One ``repro-serve`` daemon: store, namespaces, bind, runtime knobs."""
@@ -122,8 +144,6 @@ class ServiceConfig:
     observability: bool = True
     #: optional JSONL file finished spans are appended to
     trace_log: str | None = None
-    #: pins the splitmix64 trace-ID stream (None: random per daemon)
-    trace_seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -169,41 +189,11 @@ class ServiceConfig:
         return replace(self, port=port)
 
     def to_json(self) -> dict:
-        return {
-            "store_root": self.store_root,
-            "namespaces": [ns.to_json() for ns in self.namespaces],
-            "host": self.host,
-            "port": self.port,
-            "granularity": self.granularity,
-            "compact_to": self.compact_to,
-            "compact_every_s": self.compact_every_s,
-            "tick_s": self.tick_s,
-            "ingest_queue_batches": self.ingest_queue_batches,
-            "max_batch_events": self.max_batch_events,
-            "max_body_bytes": self.max_body_bytes,
-            "observability": self.observability,
-            "trace_log": self.trace_log,
-            "trace_seed": self.trace_seed,
-        }
+        return config_to_json(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> "ServiceConfig":
-        known = {
-            "store_root", "namespaces", "host", "port", "granularity",
-            "compact_to", "compact_every_s", "tick_s",
-            "ingest_queue_batches", "max_batch_events", "max_body_bytes",
-            "observability", "trace_log", "trace_seed",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(
-                f"unknown service config keys: {', '.join(sorted(unknown))}"
-            )
-        if "store_root" not in payload or "namespaces" not in payload:
-            raise ValueError(
-                "service config needs 'store_root' and 'namespaces'"
-            )
-        return cls(**payload)
+        return config_from_json(cls, payload, "service", "store_root")
 
     @classmethod
     def from_file(cls, path) -> "ServiceConfig":

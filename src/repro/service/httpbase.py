@@ -5,20 +5,25 @@ Both long-running processes — the single-node ``repro-serve`` daemon
 coordinator (:class:`~repro.service.cluster.coordinator.
 CoordinatorService`) — speak the same deliberately small HTTP/1.1 subset
 on :func:`asyncio.start_server`: request line, headers, Content-Length
-bodies, keep-alive.  :class:`HttpServerBase` holds that plumbing once;
-subclasses implement ``_dispatch(method, path, params, body)`` and return
-``(status, payload)`` where the payload is either a JSON-able dict or a
-:class:`BinaryResponse` (the zero-copy codec path of ``GET /bundle``,
-which ships encoded sketch bundles without a JSON detour).
+bodies, keep-alive.  :class:`HttpServerBase` is the one daemon shell:
+that plumbing, the lifecycle (bind, serve, drain in-flight requests,
+stop), the observability endpoints and dispatch through a per-daemon
+``{(method, path): handler}`` table.  A handler takes ``(params, body)``
+and returns ``(status, payload)`` where the payload is either a JSON-able
+dict or a :class:`BinaryResponse` (the zero-copy codec path of ``GET
+/bundle``, which ships encoded sketch bundles without a JSON detour).
+:class:`DaemonThread` runs either daemon on a background thread.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
+from typing import Callable
 
 import json
 
@@ -26,11 +31,11 @@ import numpy as np
 
 from repro.obs import MetricsRegistry, Tracer
 from repro.service.jsonutil import dumps_strict, sanitize_non_finite
+from repro.service.planner import query_request_from_params
 from repro.store.codec import MAGIC, event_batch_namespaces
 
 __all__ = [
-    "BinaryResponse", "HttpServerBase", "_HttpError",
-    "coerce_query_key", "query_request_from_params",
+    "BinaryResponse", "DaemonThread", "HttpServerBase", "_HttpError",
     "validate_ingest_batch",
 ]
 
@@ -45,6 +50,9 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
+#: seconds shutdown waits for requests already in flight to be answered
+_DRAIN_S = 30.0
+
 
 class _HttpError(Exception):
     """An error with a status code, rendered as a JSON error body."""
@@ -52,49 +60,6 @@ class _HttpError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
-
-
-def coerce_query_key(raw: str):
-    """Best-effort typing for query-string keys.
-
-    JSON bodies carry key types exactly; a query string cannot, so
-    numeric-looking keys are folded to numbers — matching how JSON
-    ingest delivers them.  Keys that are digit *strings* in the data
-    must use ``POST /query``.
-    """
-    try:
-        return int(raw)
-    except ValueError:
-        try:
-            return float(raw)
-        except ValueError:
-            return raw
-
-
-def query_request_from_params(params: dict) -> dict:
-    """A ``GET /query`` query string as the equivalent POST body.
-
-    Comma-separated ``assignments`` and ``keys`` become lists (keys
-    typed via :func:`coerce_query_key`), ``ell`` becomes an int.  Both
-    daemons — the worker and the coordinator — parse their GET surface
-    through this one function, so a filter like ``keys=a,b`` means the
-    same subpopulation everywhere instead of silently degrading to a
-    per-character match where the splitting was forgotten.
-    """
-    request = dict(params)
-    if "assignments" in request:
-        request["assignments"] = [
-            part for part in request["assignments"].split(",") if part
-        ]
-    if "keys" in request:
-        request["keys"] = [
-            coerce_query_key(part)
-            for part in request["keys"].split(",")
-            if part
-        ]
-    if "ell" in request:
-        request["ell"] = int(request["ell"])
-    return request
 
 
 def validate_ingest_batch(
@@ -188,50 +153,30 @@ class BinaryResponse:
     content_type: str = "application/octet-stream"
 
 
-#: routes every daemon serves from the base class, kept out of the
-#: "other" bucket of the per-route metrics
-_BASE_ROUTES = frozenset({"/metrics", "/trace/recent", "/health", "/healthz"})
-
-
 class HttpServerBase:
-    """Connection handling + request parsing + response writing.
+    """The daemon shell: lifecycle, dispatch, connection handling.
 
-    Subclasses provide ``self.config`` (with a ``max_body_bytes``
-    attribute), implement ``_dispatch``, and drive the lifecycle
-    (binding ``self._server``, setting ``self._stopping`` on shutdown).
+    A subclass passes its config (``host``, ``port``, ``namespaces``,
+    ``max_body_bytes``, ``observability``, ``trace_log``), sets
+    ``self.runtime`` (its :class:`~repro.store.runtime.RuntimeStore`),
+    adds its routes to ``self.routes`` and implements :meth:`_launch`
+    and :meth:`_finish`.
     """
 
-    #: subclass dispatch routes, for bounded-cardinality path labels
-    ROUTES: frozenset = frozenset()
+    #: "worker" | "coordinator": the /health payload and fault scope
+    role = "daemon"
 
-    def __init__(self) -> None:
+    def __init__(self, config, clock: Callable[[], float] = time.time):
+        self.config = config
+        self.clock = clock
         self.stats = {"requests": 0, "last_error": None}
-        self._server: asyncio.base_events.Server | None = None
-        self._connections: set = set()
-        self._busy: set = set()  # connections with a request in flight
-        self._stopping = False
-        self._fault_plan = None
-        self._fault_scope = "server"
-        self._fault_on_fire = None
-        self._init_obs()
-
-    def _init_obs(
-        self, enabled: bool = True, trace_log=None, trace_seed=None,
-        trace_capacity: int = 512,
-    ) -> None:
-        """Build this daemon's metrics registry and tracer.
-
-        Called with defaults from ``__init__``; daemons re-run it with
-        their config's observability knobs before binding.  Per-daemon
-        instances (never the process-global registry) keep two daemons
-        in one test process from interleaving series.
-        """
-        self.metrics = MetricsRegistry(enabled=enabled)
+        # per-daemon instances (never the process-global registry) keep
+        # two daemons in one test process from interleaving series
+        self.metrics = MetricsRegistry(enabled=config.observability)
         self.tracer = Tracer(
-            seed=trace_seed, capacity=trace_capacity, log_path=trace_log,
-            enabled=enabled,
+            capacity=512, log_path=config.trace_log,
+            enabled=config.observability,
         )
-        self._route_labels = frozenset(type(self).ROUTES) | _BASE_ROUTES
         self._http_requests = self.metrics.counter(
             "repro_http_requests_total",
             "HTTP requests served, by route and status code.",
@@ -242,53 +187,151 @@ class HttpServerBase:
             "End-to-end request handling latency in seconds.",
             labelnames=("path",),
         )
+        #: ``(method, path) -> async handler(params, body)``; the metric
+        #: path labels, 404-vs-405 and the ``endpoints:`` message all
+        #: derive from this table
+        self.routes: dict[tuple, Callable] = {
+            ("GET", "/health"): self._handle_health,
+            ("GET", "/healthz"): self._handle_health,
+            ("GET", "/metrics"): self._handle_metrics,
+            ("GET", "/trace/recent"): self._handle_trace_recent,
+            ("POST", "/shutdown"): self._handle_shutdown,
+        }
+        self._paths: dict = {}  # the table's paths, fixed at start()
+        self._server: asyncio.base_events.Server | None = None
+        self._stop_event: asyncio.Event | None = None
+        #: long-running handlers park here; notified at shutdown
+        self._wakeup: asyncio.Condition | None = None
+        self._started_monotonic: float | None = None
+        self._connections: dict = {}  # writer -> its handler task
+        self._busy: set = set()  # connections with a request in flight
+        self._stopping = False
+        self._fault_plan = None
+        self._fault_scope = self.role
 
-    def _route_label(self, path: str) -> str:
-        """The path, folded to ``other`` when it is not a served route —
-        arbitrary 404 probes must not mint unbounded label values."""
-        return path if path in self._route_labels else "other"
+    # -- lifecycle ------------------------------------------------------------
 
-    def _dispatch_obs(self, method, path, params):
-        """The observability routes every daemon serves, or ``None``."""
-        if path == "/metrics":
-            if method != "GET":
-                raise _HttpError(405, "use GET /metrics")
-            return 200, BinaryResponse(
-                self.metrics.render().encode("utf-8"),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
+    async def start(self) -> None:
+        """Bind the listener, then launch the daemon's background tasks."""
+        if self._server is not None:
+            raise RuntimeError(f"{self.role} already started")
+        self._paths = dict.fromkeys(path for _method, path in self.routes)
+        self._stop_event = asyncio.Event()
+        self._wakeup = asyncio.Condition()
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.config.host, self.config.port
+        )
+        self._started_monotonic = time.monotonic()
+        self._launch()
+
+    def _launch(self) -> None:
+        """Start background tasks; runs once the listener is bound."""
+        raise NotImplementedError
+
+    async def _finish(self) -> None:
+        """Stop background work and release resources; runs once no
+        request is in flight and none can arrive."""
+        raise NotImplementedError
+
+    def request_shutdown(self) -> None:
+        """Ask the daemon to stop (safe from the event-loop thread only;
+        other threads go through ``loop.call_soon_threadsafe``)."""
+        if self._stop_event is not None:
+            self._stop_event.set()
+
+    async def run(self) -> None:
+        """Serve until a shutdown request, then :meth:`shutdown`."""
+        if self._server is None:
+            await self.start()
+        try:
+            await self._stop_event.wait()
+        finally:
+            await self.shutdown()
+
+    async def shutdown(self) -> None:
+        """Stop accepting, answer what is in flight, then :meth:`_finish`."""
+        if self._server is None:
+            return
+        # Refuse new work first, including on established keep-alive
+        # connections: handlers answer 503 to what must not start now
+        # and hang up after their reply.
+        self._stopping = True
+        async with self._wakeup:
+            self._wakeup.notify_all()
+        server, self._server = self._server, None
+        server.close()
+        # Idle connections are closed; one with a request in flight is
+        # left to deliver its reply — waited for here, on every Python:
+        # Server.wait_closed() waits for handlers only from 3.12 on.
+        busy = []
+        for writer, task in list(self._connections.items()):
+            if writer in self._busy:
+                busy.append(task)
+            else:
+                writer.close()
+        if busy:
+            await asyncio.wait(busy, timeout=_DRAIN_S)
+        await self._finish()
+        await asyncio.sleep(0)  # let closed handlers unwind
+
+    # -- dispatch -------------------------------------------------------------
+
+    async def _dispatch(self, method, path, params, body):
+        handler = self.routes.get((method, path))
+        if handler is None:
+            raise _HttpError(
+                405 if path in self._paths else 404,
+                f"no route for {method} {path} "
+                f"(endpoints: {' '.join(self._paths)})",
             )
-        if path == "/trace/recent":
-            if method != "GET":
-                raise _HttpError(405, "use GET /trace/recent")
-            try:
-                limit = int(params.get("limit", 50))
-            except ValueError:
-                raise _HttpError(
-                    400, f"invalid limit {params['limit']!r}"
-                ) from None
-            return 200, {
-                "ok": True,
-                "spans": self.tracer.recent(limit),
-                "dropped_log_writes": self.tracer.dropped,
-            }
-        return None
+        return await handler(params, body)
 
-    def install_faults(
-        self, plan, scope: str = "server", on_fire=None
-    ) -> None:
+    async def _handle_health(self, params, body):
+        # Deliberately lock-free: a liveness probe must answer even when
+        # a query thread is parked on a daemon lock, or a busy worker
+        # would be declared dead.
+        return 200, {
+            "ok": True, "stopping": self._stopping, "role": self.role,
+            "namespaces": [ns.name for ns in self.config.namespaces],
+        }
+
+    async def _handle_metrics(self, params, body):
+        return 200, BinaryResponse(
+            self.metrics.render().encode("utf-8"),
+            content_type="text/plain; version=0.0.4; charset=utf-8",
+        )
+
+    async def _handle_trace_recent(self, params, body):
+        try:
+            limit = int(params.get("limit", 50))
+        except ValueError:
+            raise _HttpError(
+                400, f"invalid limit {params['limit']!r}"
+            ) from None
+        return 200, {
+            "ok": True,
+            "spans": self.tracer.recent(limit),
+            "dropped_log_writes": self.tracer.dropped,
+        }
+
+    async def _handle_shutdown(self, params, body):
+        # Respond first, stop right after: the event is only *set* here;
+        # run() does the rest.
+        asyncio.get_running_loop().call_soon(self.request_shutdown)
+        return 200, {"ok": True, "stopping": True}
+
+    def install_faults(self, plan, scope: "str | None" = None) -> None:
         """Inject a :class:`~repro.service.faults.FaultPlan` into every
         parsed request before dispatch (``None`` uninstalls).
 
         Server-side faults fire after the request bytes are fully read:
         an ``error`` answers without dispatching, a ``drop`` closes the
         connection silently, a ``blackhole`` holds it open for the
-        rule's delay and then drops it.  ``on_fire(decision)`` runs on
-        each firing — the daemons use it to bump their ``faults_injected``
-        runtime counter.
+        rule's delay and then drops it.  Each firing bumps the
+        ``faults_injected`` runtime counter (``/status``, stats verbs).
         """
         self._fault_plan = plan
-        self._fault_scope = scope
-        self._fault_on_fire = on_fire
+        self._fault_scope = self.role if scope is None else scope
 
     def _fault_decision(self, method, path, params, body):
         plan = self._fault_plan
@@ -314,9 +357,9 @@ class HttpServerBase:
         decision = plan.decide(
             self._fault_scope, method, path, namespace=namespace
         )
-        if decision is not None and self._fault_on_fire is not None:
+        if decision is not None:
             with contextlib.suppress(Exception):
-                self._fault_on_fire(decision)
+                self.runtime.add_counter("faults_injected", 1)
         return decision
 
     @property
@@ -326,11 +369,8 @@ class HttpServerBase:
             raise RuntimeError("service is not started")
         return self._server.sockets[0].getsockname()[1]
 
-    async def _dispatch(self, method, path, params, body):
-        raise NotImplementedError
-
     async def _handle_connection(self, reader, writer) -> None:
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -371,7 +411,8 @@ class HttpServerBase:
                         break
                 self._busy.add(writer)  # shutdown leaves us to finish
                 try:
-                    route = self._route_label(path)
+                    # arbitrary 404 probes must not mint label values
+                    route = path if path in self._paths else "other"
                     span = self.tracer.begin_request(
                         f"{method} {route}",
                         header=headers.get("x-repro-trace"),
@@ -379,14 +420,9 @@ class HttpServerBase:
                     started = time.perf_counter()
                     with span:
                         try:
-                            response = self._dispatch_obs(
-                                method, path, params
+                            status, payload = await self._dispatch(
+                                method, path, params, body
                             )
-                            if response is None:
-                                response = await self._dispatch(
-                                    method, path, params, body
-                                )
-                            status, payload = response
                         except _HttpError as err:
                             status, payload = err.status, {"error": str(err)}
                         except (ValueError, TypeError) as err:
@@ -433,7 +469,7 @@ class HttpServerBase:
         ):
             pass
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
@@ -540,6 +576,13 @@ class HttpServerBase:
         ).encode("ascii")
         writer.write(head + data)
 
+    def _query_fields(self, params, body: bytes) -> dict:
+        """A ``/query`` request's fields: the POST body, else (the
+        curl-able GET form) the query string."""
+        if body:
+            return self._json_body(body)
+        return query_request_from_params(params)
+
     @staticmethod
     def _json_body(body: bytes) -> dict:
         if not body:
@@ -551,3 +594,92 @@ class HttpServerBase:
         if not isinstance(payload, dict):
             raise _HttpError(400, "JSON body must be an object")
         return payload
+
+
+class DaemonThread:
+    """Run a daemon on a background thread (tests, benches).
+
+    ``start()`` blocks until the listener is bound and returns the actual
+    port; ``stop()`` requests a graceful shutdown and joins the thread.
+    ``.service`` is the daemon; subclasses bind ``service_class``.
+    """
+
+    service_class: type = None
+
+    def __init__(self, config, clock: Callable[[], float] = time.time):
+        self.config = config
+        self.clock = clock
+        self.service = None
+        self._thread: threading.Thread | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._started: threading.Event | None = None
+        self._error: BaseException | None = None
+
+    def start(self, timeout: float = 30.0) -> int:
+        role = self.service_class.role
+        self._started = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, name=f"repro-{role}", daemon=True
+        )
+        self._thread.start()
+        if not self._started.wait(timeout):
+            raise TimeoutError(f"{role} failed to start in time")
+        if self._error is not None:
+            raise RuntimeError(
+                f"{role} failed to start: {self._error}"
+            ) from self._error
+        return self.service.port
+
+    def _run(self) -> None:
+        try:
+            asyncio.run(self._amain())
+        except BaseException as err:  # start() re-raises a failed start
+            self._error = err
+        finally:
+            self._started.set()
+
+    async def _amain(self) -> None:
+        self.service = self.service_class(self.config, clock=self.clock)
+        await self.service.start()
+        self._loop = asyncio.get_running_loop()
+        self._started.set()
+        await self.service.run()
+
+    def _stop_with(self, callback, timeout: float) -> None:
+        if self._thread is None:
+            return
+        if self._loop is not None and self.service is not None:
+            with contextlib.suppress(RuntimeError):  # loop already closed
+                self._loop.call_soon_threadsafe(callback)
+        self._thread.join(timeout)
+        if self._thread.is_alive():
+            raise TimeoutError("daemon thread did not stop in time")
+        self._thread = None
+
+    def stop(self, timeout: float = 30.0) -> None:
+        """Graceful shutdown (drain, release), then join."""
+        self._stop_with(lambda: self.service.request_shutdown(), timeout)
+
+    def kill(self, timeout: float = 10.0) -> None:
+        """Crash the daemon like a SIGKILL (failover tests): no drain,
+        no checkpoint, sockets dropped; only what reached disk survives."""
+        service = self.service
+
+        def die() -> None:
+            if service._server is not None:
+                service._server.close()
+            for writer in list(service._connections):
+                writer.close()
+            for task in asyncio.all_tasks():
+                task.cancel()
+            loop = asyncio.get_running_loop()
+            loop.call_soon(loop.stop)
+
+        self._stop_with(die, timeout)
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()

@@ -40,13 +40,17 @@ window.  Entries of a superseded revision are dropped on the next insert.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import reprlib
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import groupby
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from itertools import groupby, repeat
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.core.aggregates import AggregationSpec
 from repro.obs import default_registry, default_tracer
@@ -58,7 +62,10 @@ from repro.service.temporal import decay_factor, parse_duration, resolve_windows
 from repro.service.windows import LIVE_PART, LiveWindowManager
 from repro.store.store import bucket_bounds
 
-__all__ = ["QueryPlanner", "StoredPartial", "check_query", "view_bundles"]
+__all__ = [
+    "QueryPlanner", "QuerySpec", "StoredPartial",
+    "query_request_from_params", "view_bundles",
+]
 
 #: aggregate functions the service exposes
 FUNCTIONS = ("single", "min", "max", "l1", "lth_largest")
@@ -67,16 +74,245 @@ FUNCTIONS = ("single", "min", "max", "l1", "lth_largest")
 _MAX_CACHED_ENGINES = 8
 
 
-def check_query(function: str, estimator: str) -> None:
-    """``ValueError`` for a function or estimator the service does not know."""
-    if function not in FUNCTIONS:
+def query_request_from_params(params: dict) -> dict:
+    """A ``GET /query`` query string as the equivalent POST body.
+
+    Comma-separated ``assignments`` and ``keys`` become lists; ``ell``
+    and ``anchor`` become numbers where they parse — what does not parse
+    stays a string, for :meth:`QuerySpec.parse` to refuse exactly as it
+    refuses the POST form.  JSON bodies carry key types exactly; a query
+    string cannot, so numeric-looking keys are folded to numbers —
+    matching how JSON ingest delivers them.  Keys that are digit
+    *strings* in the data must use ``POST /query``.
+    """
+    def number(raw: str, *types):
+        for cast in types:
+            with contextlib.suppress(ValueError):
+                return cast(raw)
+        return raw
+
+    request = dict(params)
+    for field in ("assignments", "keys"):
+        if field in request:
+            request[field] = [p for p in request[field].split(",") if p]
+    if "keys" in request:
+        request["keys"] = [number(key, int, float) for key in request["keys"]]
+    if "ell" in request:
+        request["ell"] = number(request["ell"], int)
+    if "anchor" in request:
+        request["anchor"] = number(request["anchor"], float)
+    return request
+
+
+def _scalar_list(request: dict, field: str, types, what: str):
+    """``request[field]`` as a tuple of ``types`` scalars, or ``None``.
+
+    A bare string is refused, not iterated: ``"keys": "k1"`` would
+    otherwise select the keys ``"k"`` and ``"1"``.
+    """
+    value = request.get(field)
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or not all(
+        map(isinstance, value, repeat(types))
+    ):
         raise ValueError(
-            f"unknown function {function!r}; known: {', '.join(FUNCTIONS)}"
+            f"{field!r} must be a list of {what}, got {reprlib.repr(value)}"
         )
-    if estimator not in ESTIMATORS:
+    return tuple(value)
+
+
+def _bucket_id(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"not a bucket id string: {value!r}")
+    bucket_bounds(value)
+    return value
+
+
+def _choice(request: dict, field: str, choices, default=None) -> str:
+    value = request.get(field)
+    value = default if value is None else value
+    if value not in choices:
         raise ValueError(
-            f"unknown estimator {estimator!r}; known: {', '.join(ESTIMATORS)}"
+            f"unknown {field} {value!r}; known: {', '.join(choices)}"
         )
+    return value
+
+
+@dataclass(frozen=True)
+class QuerySpec:
+    """One validated ``/query`` request — the service's query grammar.
+
+    :meth:`parse` is the only code that reads a query body, so the
+    worker, its continuous-query registrations and the coordinator
+    refuse the same requests with the same message; the spec also names
+    its result-cache row (:meth:`cache_key`) and shapes its answer from
+    an engine (:meth:`answer`).
+    """
+
+    namespace: str
+    kind: str  # "estimate" | "jaccard"
+    names: tuple
+    function: "str | None" = None  # estimate only
+    estimator: str = "auto"
+    ell: "int | None" = None
+    keys: "tuple | None" = None
+    variant: str = "l"  # jaccard only
+    since: "str | None" = None
+    until: "str | None" = None
+    window_s: "float | None" = None
+    step_s: "float | None" = None
+    decay_s: "float | None" = None
+    anchor: "float | None" = None
+
+    @classmethod
+    def parse(cls, request: dict, configs: Mapping) -> "QuerySpec":
+        """Validate a query body against the daemon's namespace configs.
+
+        ``ValueError`` (a 400) names the offending field and the form it
+        accepts; an unknown namespace or assignment is a ``KeyError``
+        (a 404) listing the known ones.  A field that is ``None`` is
+        absent.
+        """
+        namespace = request.get("namespace")
+        if not namespace or not isinstance(namespace, str):
+            raise ValueError("query needs a 'namespace'")
+        if namespace not in configs:
+            raise KeyError(
+                f"unknown namespace {namespace!r}; known: "
+                f"{', '.join(configs)}"
+            )
+        kind = _choice(request, "kind", ("estimate", "jaccard"), "estimate")
+        names = _scalar_list(request, "assignments", str, "assignment names")
+        if not names:
+            raise ValueError(
+                "query needs 'assignments': a non-empty list of names"
+            )
+        known = configs[namespace].assignments
+        for name in names:
+            if name not in known:
+                raise KeyError(
+                    f"unknown assignment {name!r} for namespace "
+                    f"{namespace!r}; known: {', '.join(known)}"
+                )
+        fields = {"namespace": namespace, "kind": kind, "names": names}
+        for field, name, check in (
+            ("since", "since", _bucket_id), ("until", "until", _bucket_id),
+            ("window", "window_s", parse_duration),
+            ("step", "step_s", parse_duration),
+            ("decay", "decay_s", parse_duration),
+        ):
+            if request.get(field) is not None:
+                try:
+                    fields[name] = check(request[field])
+                except ValueError as err:
+                    raise ValueError(f"{field!r}: {err}") from None
+        if kind == "jaccard":
+            for field in ("keys", "ell", "window", "step", "decay", "anchor"):
+                if request.get(field) is not None:
+                    raise ValueError(
+                        f"{field!r} is not supported for jaccard queries"
+                    )
+            return cls(
+                **fields, variant=_choice(request, "variant", ("s", "l"), "l")
+            )
+        fields["function"] = _choice(request, "function", FUNCTIONS)
+        fields["estimator"] = _choice(
+            request, "estimator", ESTIMATORS, "auto"
+        )
+        ell = request.get("ell")
+        if ell is not None and not (
+            type(ell) is int and 1 <= ell <= len(names)
+        ):
+            raise ValueError(
+                f"'ell' must be an integer in 1..{len(names)} (the number "
+                f"of assignments), got {ell!r}"
+            )
+        if "window_s" in fields:
+            fields.setdefault("step_s", fields["window_s"])
+        elif "step_s" in fields:
+            raise ValueError(
+                "'step' only applies to windowed queries; pass 'window' too"
+            )
+        anchor = request.get("anchor")
+        if anchor is not None:
+            if type(anchor) not in (int, float) or not math.isfinite(anchor):
+                raise ValueError(
+                    "'anchor' must be a finite number (POSIX seconds), "
+                    f"got {anchor!r}"
+                )
+            if "window_s" not in fields and "decay_s" not in fields:
+                raise ValueError(
+                    "'anchor' only applies with 'window' or 'decay'"
+                )
+            fields["anchor"] = float(anchor)
+        spec = cls(**fields, ell=ell, keys=_scalar_list(
+            request, "keys", (str, int, float),
+            "strings or numbers (no null/objects)",
+        ))
+        spec.aggregation  # noqa: B018 - e.g. 'single' over two names: a 400
+        return spec
+
+    @property
+    def temporal(self) -> bool:
+        """Needs per-bucket partials (windowed or time-decayed)."""
+        return self.window_s is not None or self.decay_s is not None
+
+    @cached_property
+    def aggregation(self) -> AggregationSpec:
+        return AggregationSpec(self.function, self.names, ell=self.ell)
+
+    @cached_property
+    def predicate(self):
+        return None if self.keys is None else key_in(self.keys)
+
+    @cached_property
+    def _key_sel(self):
+        return None if self.keys is None else sorted(map(repr, self.keys))
+
+    def cache_key(self, version: str, prefix: str = "", anchor=None) -> str:
+        """The result-cache row of this query at data ``version``.
+
+        Compact JSON — stable across processes and restarts (unlike
+        ``hash()``), which is what makes persistent hits work; the field
+        order is frozen, rows written by earlier releases still hit.
+        ``anchor`` (temporal queries) is the anchor as resolved against
+        the data span.
+        """
+        head = [self.namespace, version, self.since, self.until]
+        if self.kind == "jaccard":
+            fields = [prefix + "jaccard", *head, self.names, self.variant]
+        else:
+            windowed = self.window_s is not None
+            fields = [
+                prefix + ("window_series" if windowed else "estimate"),
+                *head, self.function, self.names, self.estimator, self.ell,
+                self._key_sel,
+            ]
+            if windowed:
+                fields += [self.window_s, self.step_s, self.decay_s, anchor]
+            elif self.decay_s is not None:
+                fields += [self.decay_s, anchor]
+        return json.dumps(fields, separators=(",", ":"))
+
+    def answer(self, engine: QueryEngine) -> dict:
+        """The query's own answer fields, evaluated on ``engine``."""
+        shaped = {"assignments": list(self.names)}
+        if self.kind == "jaccard":
+            shaped["estimate"] = jaccard_from_summary(
+                engine.summary, self.names, self.variant
+            )
+            shaped["estimator"] = f"jaccard-{self.variant}"
+            return shaped
+        shaped["function"] = self.function
+        shaped["estimate"] = engine.estimate(
+            self.aggregation, estimator=self.estimator,
+            predicate=self.predicate,
+        )
+        shaped["estimator"] = self.estimator
+        if self.estimator == "auto":
+            shaped["estimator"] = engine.default_estimator(self.aggregation)
+        return shaped
 
 
 @dataclass(frozen=True)
@@ -471,22 +707,8 @@ class QueryPlanner:
         span = min(lo for lo, _hi in spans), max(hi for _lo, hi in spans)
         return (snap, by_bucket, bounds), span
 
-    @staticmethod
-    def _evaluate(engine, spec, estimator, predicate) -> dict:
-        return {
-            "estimate": engine.estimate(
-                spec, estimator=estimator, predicate=predicate
-            ),
-            "estimator": (
-                engine.default_estimator(spec)
-                if estimator == "auto"
-                else estimator
-            ),
-        }
-
     def _span_answer(
-        self, namespace, frame, span_lo, span_hi, decay_s, anchor,
-        spec, estimator, predicate,
+        self, spec: QuerySpec, frame, span_lo, span_hi, anchor
     ) -> "dict | None":
         """Decay-scaled estimate over one half-open time span.
 
@@ -503,9 +725,9 @@ class QueryPlanner:
             return not (hi <= span_lo or lo >= span_hi)
 
         def scale(start) -> float:
-            if decay_s is None:
+            if spec.decay_s is None:
                 return 1.0
-            return decay_factor(start, anchor, decay_s)
+            return decay_factor(start, anchor, spec.decay_s)
 
         live = snap.live
         if live is not None:
@@ -519,7 +741,7 @@ class QueryPlanner:
             if not overlaps(*bounds[bucket]):
                 continue
             partial, _outcome = self._stored_partial(
-                namespace, snap.bundle_rev, by_bucket[bucket]
+                spec.namespace, snap.bundle_rev, by_bucket[bucket]
             )
             if live is not None:
                 partial.refuse_duplicates(live)
@@ -532,8 +754,10 @@ class QueryPlanner:
         if not bundles:
             return None
         engine = QueryEngine.from_bundles(bundles, scales=scales)
+        answer = spec.answer(engine)
         return {
-            **self._evaluate(engine, spec, estimator, predicate),
+            "estimate": answer["estimate"],
+            "estimator": answer["estimator"],
             "sources": {
                 "stored_entries": n_entries,
                 "live_events": snap.live_events if live is not None else 0,
@@ -541,152 +765,69 @@ class QueryPlanner:
             },
         }
 
-    def window_series(
-        self,
-        namespace: str,
-        function: str,
-        assignments: Sequence[str],
-        window: "str | float",
-        step: "str | float | None" = None,
-        decay: "str | float | None" = None,
-        anchor: "float | None" = None,
-        estimator: str = "auto",
-        ell: int | None = None,
-        keys: Sequence | None = None,
-        since: str | None = None,
-        until: str | None = None,
-    ) -> dict:
-        """Sliding/tumbling window estimate series over the merged view.
-
-        Resolves ``window``/``step`` (duration specs, e.g. ``"15m"`` /
-        ``"1m"``) against the selected data's
-        :func:`~repro.store.store.bucket_bounds` span into concrete
-        half-open windows, and answers each from the stored-partial memo
-        — per-bucket merges are shared across overlapping windows (and
-        survive ingest) instead of rebuilding from disk per window.
-        ``decay`` (a half-life duration) applies exponential time decay
-        *per window*, anchored at that window's end, via the exact
-        rank-scaling transform.  Windows with no data report
-        ``estimate: null`` with ``"empty": true``.  Results are
-        version-cached like every other answer.
-        """
-        check_query(function, estimator)
-        window_s = parse_duration(window)
-        step_s = window_s if step is None else parse_duration(step)
-        decay_s = None if decay is None else parse_duration(decay)
-        anchor_ts = None if anchor is None else float(anchor)
-        names = tuple(assignments)
-        key_sel = None if keys is None else tuple(sorted(map(repr, keys)))
-        predicate = None if keys is None else key_in(keys)
-        spec = AggregationSpec(function, names, ell=ell)
-
-        def attempt() -> dict:
-            frame, span = self._temporal_snapshot(namespace, since, until)
-            version = frame[0].version
-            cache_key = (
-                "window_series", namespace, version, since, until,
-                function, names, estimator, ell, key_sel,
-                window_s, step_s, decay_s, anchor_ts,
-            )
-            hit = self._probe(cache_key)
-            if hit is not None:
-                return hit
-            rows = []
-            resolved = estimator
-            for w_lo, w_hi in resolve_windows(
-                span[0], span[1], window_s, step_s, anchor_ts
-            ):
-                answer = self._span_answer(
-                    namespace, frame, w_lo, w_hi, decay_s, w_hi,
-                    spec, estimator, predicate,
-                )
-                if answer is None:
-                    answer = {"estimate": None, "empty": True}
-                else:
-                    resolved = answer.pop("estimator")
-                rows.append({
-                    "start": w_lo.isoformat(), "end": w_hi.isoformat(),
-                    **answer,
-                })
-            with self._lock:
-                self.stats["window_queries"] += 1
-            result = {
-                "windows": rows,
-                "window_s": window_s,
-                "step_s": step_s,
-                "decay_s": decay_s,
-                "estimator": resolved,
-                "function": function,
-                "assignments": list(names),
-                "namespace": namespace,
-                "version": version,
-            }
-            return self._cached(cache_key, namespace, version, lambda: result)
-
-        return self._stable(namespace, attempt)
-
-    def _decayed_estimate(
-        self, namespace, function, names, estimator, ell, keys, key_sel,
-        since, until, decay_s, anchor_ts,
-    ) -> dict:
-        """One time-decayed estimate over the full selected span.
+    def _temporal(self, spec: QuerySpec) -> dict:
+        """A window series, or one time-decayed estimate of the whole
+        selected span (see :meth:`window_series`, :meth:`estimate`).
 
         Same merged view as :meth:`plan`, but each bucket's partial is
-        scaled by its decay factor before the merge.  The anchor defaults
-        to the end of the selected data span (deterministic — no wall
-        clock), and the resolved anchor is part of the cache key.
+        scaled by its decay factor before the merge.  A decayed
+        estimate's anchor defaults to the end of the selected data span
+        (deterministic — no wall clock), a window's is its own end; the
+        resolved anchor is part of the cache key.
         """
-        predicate = None if keys is None else key_in(keys)
-        spec = AggregationSpec(function, names, ell=ell)
+        namespace, windowed = spec.namespace, spec.window_s is not None
 
         def attempt() -> dict:
-            frame, span = self._temporal_snapshot(namespace, since, until)
-            version = frame[0].version
-            anchor = (
-                anchor_ts if anchor_ts is not None else span[1].timestamp()
+            frame, span = self._temporal_snapshot(
+                namespace, spec.since, spec.until
             )
-            cache_key = (
-                "estimate", namespace, version, since, until,
-                function, names, estimator, ell, key_sel, decay_s, anchor,
-            )
+            version, anchor = frame[0].version, spec.anchor
+            if anchor is None and not windowed:
+                anchor = span[1].timestamp()
+            cache_key = spec.cache_key(version, anchor=anchor)
             hit = self._probe(cache_key)
             if hit is not None:
                 return hit
-            answer = self._span_answer(
-                namespace, frame, span[0], span[1], decay_s, anchor,
-                spec, estimator, predicate,
-            )
             result = {
-                "estimate": answer["estimate"],
-                "estimator": answer["estimator"],
-                "function": function,
-                "assignments": list(names),
-                "namespace": namespace,
-                "version": version,
-                "decay_s": decay_s,
-                "anchor": anchor,
-                "sources": answer["sources"],
+                "function": spec.function, "assignments": list(spec.names),
+                "namespace": namespace, "version": version,
+                "decay_s": spec.decay_s,
             }
+            if windowed:
+                rows = []
+                result["estimator"] = spec.estimator
+                for w_lo, w_hi in resolve_windows(
+                    *span, spec.window_s, spec.step_s, anchor
+                ):
+                    answer = self._span_answer(spec, frame, w_lo, w_hi, w_hi)
+                    if answer is None:
+                        answer = {"estimate": None, "empty": True}
+                    else:
+                        result["estimator"] = answer.pop("estimator")
+                    rows.append({
+                        "start": w_lo.isoformat(), "end": w_hi.isoformat(),
+                        **answer,
+                    })
+                with self._lock:
+                    self.stats["window_queries"] += 1
+                result.update(
+                    windows=rows, window_s=spec.window_s, step_s=spec.step_s
+                )
+            else:
+                result.update(
+                    self._span_answer(spec, frame, *span, anchor),
+                    anchor=anchor,
+                )
             return self._cached(cache_key, namespace, version, lambda: result)
 
         return self._stable(namespace, attempt)
 
     # -- answering ------------------------------------------------------------
 
-    @staticmethod
-    def _result_key(key: tuple) -> str:
-        """Deterministic string form of a result-cache key tuple.
-
-        ``json.dumps`` with compact separators: tuples become lists,
-        ``None`` becomes ``null`` — stable across processes and restarts
-        (unlike ``hash()``), which is what makes persistent hits work.
-        """
-        return json.dumps(key, separators=(",", ":"))
-
-    def _probe(self, key: tuple) -> dict | None:
+    def _probe(self, key: str) -> dict | None:
         """Persistent-cache probe; counts a hit, returns ``None`` on miss."""
         with self._tracer.span("cache-probe") as span:
-            hit = self._runtime.cache_get(self._result_key(key))
+            hit = self._runtime.cache_get(key)
             span.annotate(outcome="miss" if hit is None else "hit")
         if hit is None:
             return None
@@ -697,7 +838,7 @@ class QueryPlanner:
         return {**hit, "cached": True}
 
     def _cached(
-        self, key: tuple, namespace: str, version: str, compute
+        self, key: str, namespace: str, version: str, compute
     ) -> dict:
         hit = self._probe(key)
         if hit is not None:
@@ -707,37 +848,47 @@ class QueryPlanner:
         # + "non_finite" markers), so a replayed answer is
         # byte-identical to the first serving.
         result = sanitize_non_finite(compute())
-        self._runtime.cache_put(
-            self._result_key(key), namespace, version, result
-        )
+        self._runtime.cache_put(key, namespace, version, result)
         if self._metrics.enabled:
             self._result_cache_lookups.inc(outcome="miss")
         with self._lock:
             self.stats["misses"] += 1
         return {**result, "cached": False}
 
-    def _served(self, namespace, since, until, key_for, compute) -> dict:
-        """Probe at the current version; on a miss, plan and compute.
+    def _served(self, spec: QuerySpec) -> dict:
+        """Probe at the current version; on a miss, plan and evaluate.
 
-        ``key_for(version)`` is the result-cache key.  The first probe is
-        the fast path — a previously served answer, possibly from an earlier
-        daemon run, needs no engine at all; the second (in :meth:`_cached`)
-        is keyed on the version the plan actually read.
+        The first probe is the fast path — a previously served answer,
+        possibly from an earlier daemon run, needs no engine at all; the
+        second (in :meth:`_cached`) is keyed on the version the plan
+        actually read.
         """
+        namespace = spec.namespace
         with self.manager.lock:
-            version = self.manager.version(namespace)  # KeyError if unknown
-        hit = self._probe(key_for(version))
+            version = self.manager.version(namespace)
+        hit = self._probe(spec.cache_key(version))
         if hit is not None:
             return hit
-        engine, version, sources = self.plan(namespace, since, until)
+        engine, version, sources = self.plan(namespace, spec.since, spec.until)
         with self._lock:
             return self._cached(
-                key_for(version), namespace, version,
+                spec.cache_key(version), namespace, version,
                 lambda: {
-                    **compute(engine), "namespace": namespace,
+                    **spec.answer(engine), "namespace": namespace,
                     "version": version, "sources": sources,
                 },
             )
+
+    def answer(self, spec: QuerySpec) -> dict:
+        """Answer one validated query over the merged live + stored view.
+
+        A ``window`` makes it a sliding/tumbling series, a ``decay`` one
+        time-decayed estimate; results are version-cached either way.
+        """
+        return self._temporal(spec) if spec.temporal else self._served(spec)
+
+    def _query(self, **request) -> dict:
+        return self.answer(QuerySpec.parse(request, self.manager.configs))
 
     def estimate(
         self,
@@ -761,30 +912,40 @@ class QueryPlanner:
         bucket by its age at ``anchor`` (default: the end of the
         selected data span) via the exact rank-scaling transform.
         """
-        check_query(function, estimator)
-        names = tuple(assignments)
-        key_sel = None if keys is None else tuple(sorted(map(repr, keys)))
-        if decay is not None:
-            return self._decayed_estimate(
-                namespace, function, names, estimator, ell, keys, key_sel,
-                since, until, parse_duration(decay),
-                None if anchor is None else float(anchor),
-            )
+        return self._query(
+            namespace=namespace, function=function, assignments=assignments,
+            estimator=estimator, ell=ell, keys=keys, since=since,
+            until=until, decay=decay, anchor=anchor,
+        )
 
-        return self._served(
-            namespace, since, until,
-            lambda version: (
-                "estimate", namespace, version, since, until,
-                function, names, estimator, ell, key_sel,
-            ),
-            lambda engine: {
-                **self._evaluate(
-                    engine, AggregationSpec(function, names, ell=ell),
-                    estimator, None if keys is None else key_in(keys),
-                ),
-                "function": function,
-                "assignments": list(names),
-            },
+    def window_series(
+        self,
+        namespace: str,
+        function: str,
+        assignments: Sequence[str],
+        window: "str | float",
+        step: "str | float | None" = None,
+        decay: "str | float | None" = None,
+        anchor: "float | None" = None,
+        estimator: str = "auto",
+        ell: int | None = None,
+        keys: Sequence | None = None,
+        since: str | None = None,
+        until: str | None = None,
+    ) -> dict:
+        """Sliding/tumbling window estimate series over the merged view.
+
+        Resolves ``window``/``step`` (duration specs, e.g. ``"15m"`` /
+        ``"1m"``) against the selected data's span into half-open
+        windows, each answered from the stored-partial memo (per-bucket
+        merges are shared across overlapping windows and survive
+        ingest).  ``decay`` decays *per window*, anchored at its end.
+        Windows with no data report ``estimate: null``, ``empty: true``.
+        """
+        return self._query(
+            namespace=namespace, function=function, assignments=assignments,
+            window=window, step=step, decay=decay, anchor=anchor,
+            estimator=estimator, ell=ell, keys=keys, since=since, until=until,
         )
 
     def jaccard(
@@ -796,17 +957,7 @@ class QueryPlanner:
         until: str | None = None,
     ) -> dict:
         """Weighted Jaccard ratio over the merged live + stored view."""
-        names = tuple(assignments)
-        return self._served(
-            namespace, since, until,
-            lambda version: (
-                "jaccard", namespace, version, since, until, names, variant,
-            ),
-            lambda engine: {
-                "estimate": jaccard_from_summary(
-                    engine.summary, names, variant
-                ),
-                "estimator": f"jaccard-{variant}",
-                "assignments": list(names),
-            },
+        return self._query(
+            kind="jaccard", namespace=namespace, assignments=assignments,
+            variant=variant, since=since, until=until,
         )

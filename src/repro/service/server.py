@@ -18,44 +18,32 @@ long-running process:
   ingest queue, and checkpoints every live window into the store, so the
   next start resumes the stream bit-identically.
 
-Endpoints (JSON unless noted)::
+The routes are ``SummaryService.routes`` (``GET /no-such-path`` lists
+them); what the table cannot say::
 
-    GET  /healthz            liveness probe (namespace listing)
-    GET  /health             lock-free liveness probe: never touches the
-                             manager or planner locks, so a wedged query
-                             or ingest cannot make the daemon look dead
-                             (the coordinator heartbeats against this)
-    GET  /status             live windows + store manifest + counters
-    GET  /metrics            Prometheus text exposition (repro.obs)
-    GET  /trace/recent       most recent finished spans, newest first
-    POST /ingest             {"namespace", "keys": [...],
-                              "weights": {assignment: [...]}, "sync": bool}
-                             — or a codec ``event_batch`` frame (binary,
-                             recognised by its magic): several namespaces'
-                             events in one request, accepted or refused
-                             whole (the coordinator's routed-ingest feed)
-    POST /query              {"namespace", "kind": "estimate"|"jaccard", ...}
-    GET  /query?...          the same, query-string encoded (curl-able)
-    GET  /bundle?...         codec-encoded SketchBundle partials (binary):
-                             the merged live+stored view of a namespace,
-                             one raw artifact, or (``list=1``) the JSON
-                             artifact listing — the cluster coordinator's
-                             exact-merge and handoff feed; with
-                             ``have={namespace: token|null, ...}`` the
-                             views of several namespaces as one codec
-                             ``bundle_batch`` frame, a namespace whose
-                             version still equals its token answered
-                             ``unchanged`` without being built
-    POST /bundle?...         upload one codec-encoded bundle artifact into
-                             the store (bucket handoff)
-    POST /bundle/reset       {"namespace"} — purge the namespace (live
-                             window + artifacts); the coordinator resets
-                             a handoff target before copying so a former
-                             holder's leftovers cannot double-count
-    POST /rotate             flush live windows to the store (durability;
-                             windows keep accumulating, the flush artifact
-                             is overwritten at the bucket boundary)
-    POST /shutdown           graceful stop (checkpoints, then exits)
+    /health, /healthz   lock-free: never touch the manager or planner
+                        locks, so a wedged query or ingest cannot make
+                        the daemon look dead (coordinators heartbeat here)
+    POST /ingest        {"namespace", "keys", "weights": {assignment:
+                        [...]}, "sync"} — or a codec ``event_batch``
+                        frame (binary, recognised by its magic): several
+                        namespaces' events, accepted or refused whole
+    /query              one grammar, POST body or GET query string:
+                        :class:`~repro.service.planner.QuerySpec`
+    GET /bundle         codec-encoded partials (binary): the merged
+                        live+stored view of ``namespace``; one raw
+                        artifact (``bucket`` + ``part``); the JSON
+                        artifact listing (``list=1``); or, with
+                        ``have={namespace: token|null, ...}``, several
+                        views as one ``bundle_batch`` frame, a namespace
+                        whose version still equals its token answered
+                        ``unchanged`` without being built
+    POST /bundle        upload one encoded artifact (bucket handoff)
+    POST /bundle/reset  purge a namespace (live window + artifacts): a
+                        handoff target is reset before the copy so a
+                        former holder's leftovers cannot double-count
+    POST /rotate        flush live windows to the store (durability; the
+                        windows keep accumulating)
 
 The HTTP layer is a deliberately small HTTP/1.1 subset shared with the
 cluster coordinator (:mod:`repro.service.httpbase`) — request line,
@@ -68,7 +56,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import threading
 import time
 from typing import Callable
 
@@ -77,14 +64,13 @@ from repro.ranks.hashing import as_key_array
 from repro.service.config import ServiceConfig
 from repro.service.httpbase import (
     BinaryResponse,
+    DaemonThread,
     HttpServerBase,
     _HttpError,
-    query_request_from_params,
     validate_ingest_batch,
 )
 from repro.service.jsonutil import restore_non_finite
-from repro.service.planner import QueryPlanner, check_query, view_bundles
-from repro.service.temporal import parse_duration
+from repro.service.planner import QueryPlanner, QuerySpec, view_bundles
 from repro.service.windows import LiveWindowManager
 from repro.store.codec import (
     MAGIC,
@@ -100,25 +86,16 @@ __all__ = ["SummaryService", "ServiceThread"]
 class SummaryService(HttpServerBase):
     """The ``repro-serve`` daemon (see module docstring)."""
 
-    ROUTES = frozenset({
-        "/status", "/ingest", "/query", "/bundle", "/bundle/reset",
-        "/rotate", "/watch", "/watch/remove", "/watch/poll", "/shutdown",
-    })
+    role = "worker"
 
     def __init__(
         self,
         config: ServiceConfig,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        super().__init__()
-        self.config = config
-        self.clock = clock
-        self._init_obs(
-            enabled=config.observability,
-            trace_log=config.trace_log,
-            trace_seed=config.trace_seed,
-        )
+        super().__init__(config, clock)
         self.store = SummaryStore(config.store_root)
+        self.runtime = self.store.runtime
         self.manager = LiveWindowManager(
             self.store,
             config.namespaces,
@@ -160,96 +137,43 @@ class SummaryService(HttpServerBase):
             "compactions": 0,
         })
         self._queue: asyncio.Queue | None = None
-        self._stop_event: asyncio.Event | None = None
-        #: wakes /watch/poll long-pollers after ticker evaluations
-        self._watch_cond: asyncio.Condition | None = None
         self._tasks: list[asyncio.Task] = []
-        self._started_monotonic: float | None = None
-
-    def install_faults(self, plan, scope: str = "worker") -> None:
-        """Server-side fault injection with the runtime counter wired in.
-
-        Fired faults bump the ``faults_injected`` runtime counter, so a
-        chaos run's injections show up in ``/status`` and the stats CLI
-        verbs next to the repairs they exercised.
-        """
-        on_fire = None
-        if plan is not None:
-            runtime = self.store.runtime
-            def on_fire(decision):
-                runtime.add_counter("faults_injected", 1)
-        super().install_faults(plan, scope, on_fire=on_fire)
+        self.routes.update({
+            ("GET", "/status"): self._handle_status,
+            ("POST", "/ingest"): self._handle_ingest,
+            ("GET", "/query"): self._handle_query,
+            ("POST", "/query"): self._handle_query,
+            ("GET", "/bundle"): self._handle_bundle_get,
+            ("POST", "/bundle"): self._handle_bundle_put,
+            ("POST", "/bundle/reset"): self._handle_bundle_reset,
+            ("POST", "/rotate"): self._handle_rotate,
+            ("GET", "/watch"): self._handle_watch_list,
+            ("POST", "/watch"): self._handle_watch_register,
+            ("POST", "/watch/remove"): self._handle_watch_remove,
+            ("GET", "/watch/poll"): self._handle_watch_poll,
+        })
 
     # -- lifecycle ------------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the listener and launch the worker + ticker tasks."""
-        if self._server is not None:
-            raise RuntimeError("service already started")
+    def _launch(self) -> None:
         self._queue = asyncio.Queue(maxsize=self.config.ingest_queue_batches)
-        self._stop_event = asyncio.Event()
-        self._watch_cond = asyncio.Condition()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self._started_monotonic = time.monotonic()
         self._tasks = [
             asyncio.create_task(self._ingest_worker(), name="ingest-worker"),
             asyncio.create_task(self._ticker(), name="ticker"),
         ]
 
-    def request_shutdown(self) -> None:
-        """Ask the service to stop (safe from the event-loop thread only;
-        other threads go through ``loop.call_soon_threadsafe``)."""
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    async def run(self) -> None:
-        """Serve until a shutdown request, then drain and checkpoint."""
-        if self._server is None:
-            await self.start()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await self.shutdown()
-
-    async def shutdown(self) -> None:
-        """Stop accepting, drain queued ingests, checkpoint live windows."""
-        if self._server is None:
-            return
-        # Refuse new ingests first (including on established keep-alive
-        # connections): a batch enqueued behind the drain sentinel would
-        # be acknowledged but never applied.
-        self._stopping = True
-        # Wake long-pollers so they answer (timed out) and release their
-        # connections instead of riding out their deadlines.
-        if self._watch_cond is not None:
-            async with self._watch_cond:
-                self._watch_cond.notify_all()
-        server, self._server = self._server, None
-        server.close()
-        # Close IDLE connections BEFORE wait_closed(): on Python 3.12+
-        # wait_closed() also waits for active client handlers, so one
-        # idle keep-alive client would hang the shutdown forever.  A
-        # connection with a request in flight is left alone — its batch
-        # is applied during the drain below, so its ack must still be
-        # delivered (the handler breaks out of keep-alive on its own
-        # once it sees _stopping).
-        for writer in list(self._connections):
-            if writer not in self._busy:
-                writer.close()
-        await server.wait_closed()
-        # Drain: everything already queued still lands in the live windows
-        # (and therefore in the shutdown checkpoint) before the sentinel
-        # stops the worker.
+    async def _finish(self) -> None:
+        """Drain queued ingests, then checkpoint every live window."""
+        # Everything already queued still lands in the live windows (and
+        # therefore in the checkpoint) before the sentinel stops the
+        # worker; nothing new is queued once ``_stopping`` is set.
         await self._queue.put(None)
-        for task in self._tasks:
-            if task.get_name() == "ticker":
-                task.cancel()
+        _worker, ticker = self._tasks
+        ticker.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.manager.checkpoint)
-        await asyncio.sleep(0)  # let closed handlers unwind
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.manager.checkpoint
+        )
 
     # -- background tasks -----------------------------------------------------
 
@@ -352,8 +276,8 @@ class SummaryService(HttpServerBase):
         for watch in due:
             await loop.run_in_executor(None, self._evaluate_watch, watch)
         if due:
-            async with self._watch_cond:
-                self._watch_cond.notify_all()
+            async with self._wakeup:
+                self._wakeup.notify_all()
 
     @staticmethod
     def _threshold_triggered(estimate, threshold: dict) -> bool:
@@ -380,7 +304,7 @@ class SummaryService(HttpServerBase):
         """
         runtime = self.store.runtime
         try:
-            answer = self._query_work(watch["spec"])()
+            answer = self.planner.answer(self._parse_query(watch["spec"]))
             restored = restore_non_finite(dict(answer))
             triggered = self._threshold_triggered(
                 restored.get("estimate"), watch["threshold"]
@@ -393,61 +317,9 @@ class SummaryService(HttpServerBase):
         with contextlib.suppress(KeyError):
             runtime.record_watch_eval(watch["id"], answer, triggered, error)
 
-    # -- routing --------------------------------------------------------------
+    # -- handlers -------------------------------------------------------------
 
-    async def _dispatch(self, method, path, params, body):
-        if path == "/health" and method == "GET":
-            # Deliberately lock-free: a liveness probe must answer even
-            # when a query thread is parked on the manager or planner
-            # lock, or the coordinator would declare a busy worker dead.
-            return 200, {"ok": True, "stopping": self._stopping}
-        if path == "/healthz" and method == "GET":
-            return 200, {"ok": True, "namespaces": list(self.manager.configs)}
-        if path == "/status" and method == "GET":
-            return await self._handle_status()
-        if path == "/ingest" and method == "POST":
-            if body[:4] == MAGIC:
-                return await self._handle_ingest_frame(body)
-            return await self._handle_ingest(self._json_body(body))
-        if path == "/query" and method in ("GET", "POST"):
-            request = (
-                self._query_from_params(params)
-                if method == "GET"
-                else self._json_body(body)
-            )
-            return await self._handle_query(request)
-        if path == "/bundle" and method == "GET":
-            return await self._handle_bundle_get(params)
-        if path == "/bundle" and method == "POST":
-            return await self._handle_bundle_put(params, body)
-        if path == "/bundle/reset" and method == "POST":
-            return await self._handle_bundle_reset(self._json_body(body))
-        if path == "/rotate" and method == "POST":
-            return await self._handle_rotate()
-        if path == "/watch" and method == "POST":
-            return await self._handle_watch_register(self._json_body(body))
-        if path == "/watch" and method == "GET":
-            return await self._handle_watch_list(params)
-        if path == "/watch/remove" and method == "POST":
-            return await self._handle_watch_remove(self._json_body(body))
-        if path == "/watch/poll" and method == "GET":
-            return await self._handle_watch_poll(params)
-        if path == "/shutdown" and method == "POST":
-            # Respond first, stop right after: the event is only *set*
-            # here; run() does the drain + checkpoint.
-            asyncio.get_running_loop().call_soon(self.request_shutdown)
-            return 200, {"ok": True, "stopping": True}
-        known = (
-            "/health /healthz /status /metrics /trace/recent /ingest "
-            "/query /bundle /bundle/reset /rotate /watch /watch/remove "
-            "/watch/poll /shutdown"
-        )
-        raise _HttpError(
-            405 if path in known.split() else 404,
-            f"no route for {method} {path} (endpoints: {known})",
-        )
-
-    async def _handle_status(self):
+    async def _handle_status(self, params, body):
         loop = asyncio.get_running_loop()
 
         def snapshot() -> dict:
@@ -490,7 +362,10 @@ class SummaryService(HttpServerBase):
 
         return 200, await loop.run_in_executor(None, snapshot)
 
-    async def _handle_ingest(self, payload: dict):
+    async def _handle_ingest(self, params, body):
+        if body[:4] == MAGIC:
+            return await self._handle_ingest_frame(body)
+        payload = self._json_body(body)
         namespace, keys = payload.get("namespace"), payload.get("keys")
         checked = validate_ingest_batch(
             self.manager.configs, namespace, keys, payload.get("weights"),
@@ -568,99 +443,25 @@ class SummaryService(HttpServerBase):
             ) from None
         return None if future is None else await future
 
-    _query_from_params = staticmethod(query_request_from_params)
+    def _parse_query(self, request: dict) -> QuerySpec:
+        """Shared by ``/query``, watch registration and the ticker's
+        re-evaluations: a registered spec is validated by the code that
+        will answer it."""
+        return QuerySpec.parse(request, self.manager.configs)
 
-    def _query_work(self, request: dict):
-        """Validate a query request; return the planner thunk answering it.
-
-        Shared by ``/query`` and the continuous-query ticker, so a
-        registered spec is validated at registration time by the exact
-        code path that will re-evaluate it.
-        """
-        namespace = request.get("namespace")
-        if not namespace:
-            raise _HttpError(400, "query needs a 'namespace'")
-        kind = request.get("kind", "estimate")
-        assignments = request.get("assignments") or []
-        since = request.get("since")
-        until = request.get("until")
-        anchor = request.get("anchor")
-        anchor = None if anchor is None else float(anchor)
-        if kind == "estimate":
-            function = request.get("function")
-            if not function:
-                raise _HttpError(400, "estimate query needs a 'function'")
-            check_query(function, request.get("estimator", "auto"))  # 400s
-            # Duration specs are parsed eagerly so a watch registration
-            # with a bad spec is a 400 now, not an error row later.
-            for field in ("window", "step", "decay"):
-                if request.get(field) is not None:
-                    parse_duration(request[field])
-            window = request.get("window")
-            if window is not None:
-                return lambda: self.planner.window_series(
-                    namespace,
-                    function,
-                    assignments,
-                    window,
-                    step=request.get("step"),
-                    decay=request.get("decay"),
-                    anchor=anchor,
-                    estimator=request.get("estimator", "auto"),
-                    ell=request.get("ell"),
-                    keys=request.get("keys"),
-                    since=since,
-                    until=until,
-                )
-            if request.get("step") is not None:
-                raise _HttpError(
-                    400, "'step' only applies to windowed queries; pass "
-                    "'window' too"
-                )
-            return lambda: self.planner.estimate(
-                namespace,
-                function,
-                assignments,
-                estimator=request.get("estimator", "auto"),
-                ell=request.get("ell"),
-                keys=request.get("keys"),
-                since=since,
-                until=until,
-                decay=request.get("decay"),
-                anchor=anchor,
-            )
-        if kind == "jaccard":
-            for unsupported in ("window", "step", "decay"):
-                if request.get(unsupported) is not None:
-                    raise _HttpError(
-                        400,
-                        f"{unsupported!r} is not supported for jaccard "
-                        "queries",
-                    )
-            return lambda: self.planner.jaccard(
-                namespace,
-                assignments,
-                variant=request.get("variant", "l"),
-                since=since,
-                until=until,
-            )
-        raise _HttpError(
-            400, f"unknown query kind {kind!r} (estimate, jaccard)"
-        )
-
-    async def _handle_query(self, request: dict):
+    async def _handle_query(self, params, body):
         with self.tracer.span("parse"):
-            work = self._query_work(request)
+            spec = self._parse_query(self._query_fields(params, body))
         self.stats["queries"] += 1
         loop = asyncio.get_running_loop()
         # executor threads do not inherit the task's context: carry the
         # request span over so planner child spans join this trace
         result = await loop.run_in_executor(
-            None, bind_parent, current_span(), work
+            None, bind_parent, current_span(), self.planner.answer, spec
         )
         return 200, {"ok": True, **result}
 
-    async def _handle_watch_register(self, payload: dict):
+    async def _handle_watch_register(self, params, body):
         """Register a continuous query: (spec, threshold, cadence).
 
         The spec is validated by the same code path that will re-evaluate
@@ -668,21 +469,15 @@ class SummaryService(HttpServerBase):
         durable), and a first evaluation is materialized immediately so
         ``GET /watch`` shows health without waiting a cadence.
         """
-        namespace = payload.get("namespace")
-        if namespace not in self.manager.configs:
-            raise _HttpError(
-                404,
-                f"unknown namespace {namespace!r}; known: "
-                f"{', '.join(self.manager.configs)}",
-            )
+        payload = self._json_body(body)
         spec = payload.get("query")
         if not isinstance(spec, dict):
             raise _HttpError(
                 400, "watch registration needs a 'query' object (same "
                 "shape as a /query body)"
             )
-        spec = {**spec, "namespace": namespace}
-        self._query_work(spec)  # validates; thunk discarded
+        spec = {**spec, "namespace": payload.get("namespace")}
+        namespace = self._parse_query(spec).namespace
         threshold = payload.get("threshold")
         if (
             not isinstance(threshold, dict)
@@ -721,16 +516,16 @@ class SummaryService(HttpServerBase):
         )
         return 200, {"ok": True, "watch": watch}
 
-    async def _handle_watch_list(self, params: dict):
+    async def _handle_watch_list(self, params, body):
         namespace = params.get("namespace")
         watches = await asyncio.get_running_loop().run_in_executor(
             None, self.store.runtime.watches, namespace
         )
         return 200, {"ok": True, "watches": watches}
 
-    async def _handle_watch_remove(self, payload: dict):
+    async def _handle_watch_remove(self, params, body):
         try:
-            watch_id = int(payload.get("id"))
+            watch_id = int(self._json_body(body).get("id"))
         except (TypeError, ValueError):
             raise _HttpError(400, "watch removal needs a numeric 'id'") \
                 from None
@@ -743,7 +538,7 @@ class SummaryService(HttpServerBase):
             )
         return 200, {"ok": True, "removed": watch_id}
 
-    async def _handle_watch_poll(self, params: dict):
+    async def _handle_watch_poll(self, params, body):
         """Long-poll one registration for an evaluation newer than ``after``.
 
         Returns as soon as ``update_seq > after`` (every ticker
@@ -779,13 +574,13 @@ class SummaryService(HttpServerBase):
             remaining = deadline - loop.time()
             if remaining <= 0 or self._stopping:
                 return 200, {"ok": True, "watch": watch, "timed_out": True}
-            async with self._watch_cond:
+            async with self._wakeup:
                 with contextlib.suppress(asyncio.TimeoutError):
                     await asyncio.wait_for(
-                        self._watch_cond.wait(), min(remaining, 1.0)
+                        self._wakeup.wait(), min(remaining, 1.0)
                     )
 
-    async def _handle_rotate(self):
+    async def _handle_rotate(self, params, body):
         loop = asyncio.get_running_loop()
         written = await loop.run_in_executor(
             None, lambda: self.manager.rotate(force=True)
@@ -856,7 +651,7 @@ class SummaryService(HttpServerBase):
             )
         return namespace
 
-    async def _handle_bundle_get(self, params):
+    async def _handle_bundle_get(self, params, body):
         loop = asyncio.get_running_loop()
         since, until = params.get("since"), params.get("until")
         if "have" in params:
@@ -931,12 +726,12 @@ class SummaryService(HttpServerBase):
             "X-Repro-Sources": str(sources),
         })
 
-    async def _handle_bundle_reset(self, payload: dict):
+    async def _handle_bundle_reset(self, params, body):
         # The cluster-handoff purge: the coordinator resets a handoff
         # target's slot namespace before copying, so leftover artifacts
         # from an earlier ownership epoch can never double-count against
         # the fresh copy.
-        namespace = self._require_namespace(payload)
+        namespace = self._require_namespace(self._json_body(body))
         loop = asyncio.get_running_loop()
         result = await loop.run_in_executor(
             None, self.manager.reset, namespace
@@ -972,110 +767,8 @@ class SummaryService(HttpServerBase):
         }
 
 
-class ServiceThread:
-    """Run a :class:`SummaryService` on a background thread (tests, benches).
+class ServiceThread(DaemonThread):
+    """A :class:`SummaryService` on a background thread; ``stop()``
+    drains and checkpoints, ``kill()`` simulates a SIGKILL'd worker."""
 
-    ``start()`` blocks until the listener is bound and returns the actual
-    port; ``stop()`` requests a graceful shutdown (drain + checkpoint) and
-    joins the thread.  The service object is exposed as ``.service`` for
-    white-box assertions.
-    """
-
-    def __init__(
-        self,
-        config: ServiceConfig,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        self.config = config
-        self.clock = clock
-        self.service: SummaryService | None = None
-        self._thread = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._started = None
-        self._error: BaseException | None = None
-
-    def start(self, timeout: float = 30.0) -> int:
-        self._started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise TimeoutError("service failed to start in time")
-        if self._error is not None:
-            raise RuntimeError(
-                f"service failed to start: {self._error}"
-            ) from self._error
-        return self.service.port
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as err:  # pragma: no cover - defensive
-            if self._error is None:
-                self._error = err
-            self._started.set()
-
-    async def _amain(self) -> None:
-        try:
-            self.service = SummaryService(self.config, clock=self.clock)
-            await self.service.start()
-        except BaseException as err:
-            self._error = err
-            self._started.set()
-            return
-        self._loop = asyncio.get_running_loop()
-        self._started.set()
-        await self.service.run()
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread is None:
-            return
-        if self._loop is not None and self.service is not None:
-            try:
-                self._loop.call_soon_threadsafe(self.service.request_shutdown)
-            except RuntimeError:  # loop already closed
-                pass
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise TimeoutError("service thread did not stop in time")
-        self._thread = None
-
-    def kill(self, timeout: float = 10.0) -> None:
-        """Crash the service: no drain, no checkpoint, sockets dropped.
-
-        Simulates a SIGKILL'd worker for failover tests — in-flight and
-        queued batches are lost with the live window, exactly like a
-        process kill; only rotated/checkpointed artifacts survive.
-        """
-        if self._thread is None:
-            return
-        service, loop = self.service, self._loop
-
-        def die() -> None:
-            if service._server is not None:
-                service._server.close()
-            for writer in list(service._connections):
-                writer.close()
-            for task in asyncio.all_tasks():
-                task.cancel()
-            asyncio.get_running_loop().call_soon(
-                asyncio.get_running_loop().stop
-            )
-
-        if loop is not None and service is not None:
-            try:
-                loop.call_soon_threadsafe(die)
-            except RuntimeError:  # loop already closed
-                pass
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise TimeoutError("service thread did not die in time")
-        self._thread = None
-
-    def __enter__(self) -> "ServiceThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    service_class = SummaryService
