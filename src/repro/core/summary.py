@@ -552,7 +552,11 @@ def build_summary_from_sketches(
     the union summary is assembled with no access to the original data.
 
     Sketch ``keys`` are raw key identifiers here; the resulting summary
-    carries them in ``summary.keys`` and uses row indices internally.
+    carries them in ``summary.keys`` (each key object as first met, in
+    first-encounter order over the sketches) and uses row indices
+    internally.  One dictionary pass per sketch maps its keys to rows;
+    its ranks, weights and seeds then land with one fancy-index
+    assignment each, later sketches overwriting a shared key's seed.
     """
     from repro.ranks.assignments import get_rank_method
 
@@ -568,10 +572,14 @@ def build_summary_from_sketches(
                 f"sketch sizes differ: {name} has k={sk.k}, expected {k}"
             )
     key_index: dict = {}
-    for sk in sketches.values():
-        for key in sk.keys.tolist():
-            if key not in key_index:
-                key_index[key] = len(key_index)
+    row_of = key_index.setdefault
+    rows = [
+        np.array(
+            [row_of(key, len(key_index)) for key in sk.keys.tolist()],
+            dtype=np.intp,
+        )
+        for sk in sketches.values()
+    ]
     union_keys = list(key_index)
     u = len(union_keys)
     member = np.zeros((u, m), dtype=bool)
@@ -582,17 +590,14 @@ def build_summary_from_sketches(
         seeds = np.full(u, np.nan, dtype=float)
     rank_k = np.empty(m)
     rank_kplus1 = np.empty(m)
-    for b, name in enumerate(assignments):
-        sk = sketches[name]
+    for b, (sk, row) in enumerate(zip(sketches.values(), rows)):
         rank_k[b] = sk.kth_rank
         rank_kplus1[b] = sk.threshold
-        for pos_in_sketch, key in enumerate(sk.keys.tolist()):
-            row = key_index[key]
-            member[row, b] = True
-            ranks[row, b] = sk.ranks[pos_in_sketch]
-            weights[row, b] = sk.weights[pos_in_sketch]
-            if seeds is not None and sk.seeds is not None:
-                seeds[row] = sk.seeds[pos_in_sketch]
+        member[row, b] = True
+        ranks[row, b] = sk.ranks
+        weights[row, b] = sk.weights
+        if seeds is not None and sk.seeds is not None:
+            seeds[row] = sk.seeds
     thresholds = np.where(member, rank_kplus1[None, :], rank_k[None, :])
     return MultiAssignmentSummary(
         mode=DISPERSED,

@@ -31,10 +31,12 @@ re-asked of their next usable owner.
 **The partial-answer contract.**  An answer is either exact or loudly
 ``partial`` — never silently wrong:
 
-* per slot, owners are tried alive-marked first, rendezvous order
-  otherwise; a slot none of whose owners answers (or whose copies are
-  known-stale) is reported in
-  ``missing_slots`` and the answer carries ``partial: true``;
+* per slot, the first owner asked is the alive one asked for the fewest
+  slots so far (slots in order, ties in rendezvous order), so reads
+  spread evenly over the replicas; the rest follow alive-marked first,
+  rendezvous order otherwise; a slot none of whose owners answers (or
+  whose copies are known-stale) is reported in ``missing_slots`` and the
+  answer carries ``partial: true``;
 * a worker that missed an ingest delivery has a *stale* copy of the
   affected slots; stale copies are never used as query or handoff
   sources (they would under-count, which is silent wrongness);
@@ -603,6 +605,8 @@ class CoordinatorService(HttpServerBase):
                 for key in [k for k in self._slot_memo if k[2] == worker_id]:
                     del self._slot_memo[key]
                 self._engine_memo.clear()
+            # and so may the result cache's version vectors naming it
+            self.runtime.cache_purge(f":{worker_id}:")
             if rejoining:
                 # Conservative: a rejoining worker may have crashed and
                 # lost its un-flushed live windows, so every slot it
@@ -989,18 +993,30 @@ class CoordinatorService(HttpServerBase):
             raise _HttpError(503, "cluster has no workers")
         #: slot -> usable owners left to ask
         asking: dict[int, list[str]] = {}
-        for slot in set(range(self.topology.n_slots)) - degraded:
+        #: worker -> slots it is the first choice for so far
+        load: dict[str, int] = {}
+        for slot in sorted(set(range(self.topology.n_slots)) - degraded):
             usable = [
                 owner for owner in self._owners(slot, worker_ids)
                 if slot not in stale.get(owner, ())
             ]
             # alive-marked owners first (failing over to a dead-marked
-            # one costs a connect timeout); the sort is stable, so reads
-            # otherwise follow each slot's rendezvous order and spread
-            # over its replicas
+            # one costs a connect timeout), rendezvous order otherwise
             usable.sort(key=lambda owner: not rows[owner]["alive"])
-            if usable:
-                asking[slot] = usable
+            if not usable:
+                continue
+            if rows[usable[0]]["alive"]:
+                # reads spread over the replicas: the first choice is the
+                # least-loaded alive owner so far (ties: rendezvous
+                # order), a pure function of membership and stale set
+                first = min(
+                    (owner for owner in usable if rows[owner]["alive"]),
+                    key=lambda owner: load.get(owner, 0),
+                )
+                usable.remove(first)
+                usable.insert(0, first)
+                load[first] = load.get(first, 0) + 1
+            asking[slot] = usable
         answered: dict[int, tuple] = {}
         rerouted: set[int] = set()
         fetched = {"slots": 0, "bytes": 0}

@@ -95,6 +95,12 @@ class NamespaceConfig:
         )
 
 
+def unknown_namespace(name, known) -> str:
+    """The one message for a namespace a daemon does not serve;
+    ``known`` iterates the names it does."""
+    return f"unknown namespace {name!r}; known: {', '.join(known)}"
+
+
 def config_to_json(config) -> dict:
     """A daemon config's fields, in declaration order, as JSON."""
     payload = {f.name: getattr(config, f.name) for f in fields(config)}
@@ -182,8 +188,9 @@ class ServiceConfig:
         for ns in self.namespaces:
             if ns.name == name:
                 return ns
-        known = ", ".join(ns.name for ns in self.namespaces)
-        raise KeyError(f"unknown namespace {name!r}; known: {known}")
+        raise KeyError(
+            unknown_namespace(name, (ns.name for ns in self.namespaces))
+        )
 
     def with_port(self, port: int) -> "ServiceConfig":
         return replace(self, port=port)

@@ -30,6 +30,7 @@ import json
 import numpy as np
 
 from repro.obs import MetricsRegistry, Tracer
+from repro.service.config import unknown_namespace
 from repro.service.jsonutil import dumps_strict, sanitize_non_finite
 from repro.service.planner import query_request_from_params
 from repro.store.codec import MAGIC, event_batch_namespaces
@@ -76,11 +77,7 @@ def validate_ingest_batch(
     namespace, 413 too many events, 400 otherwise).
     """
     if namespace not in configs:
-        raise _HttpError(
-            404,
-            f"unknown namespace {namespace!r}; known: "
-            f"{', '.join(configs)}",
-        )
+        raise _HttpError(404, unknown_namespace(namespace, configs))
     if not isinstance(keys, (list, np.ndarray)) or not isinstance(
         weights, dict
     ):

@@ -57,6 +57,7 @@ from repro.obs import default_registry, default_tracer
 from repro.core.predicates import key_in
 from repro.engine.merge import disjoint_union, refuse_duplicates
 from repro.engine.queries import ESTIMATORS, QueryEngine, jaccard_from_summary
+from repro.service.config import unknown_namespace
 from repro.service.jsonutil import sanitize_non_finite
 from repro.service.temporal import decay_factor, parse_duration, resolve_windows
 from repro.service.windows import LIVE_PART, LiveWindowManager
@@ -178,10 +179,7 @@ class QuerySpec:
         if not namespace or not isinstance(namespace, str):
             raise ValueError("query needs a 'namespace'")
         if namespace not in configs:
-            raise KeyError(
-                f"unknown namespace {namespace!r}; known: "
-                f"{', '.join(configs)}"
-            )
+            raise KeyError(unknown_namespace(namespace, configs))
         kind = _choice(request, "kind", ("estimate", "jaccard"), "estimate")
         names = _scalar_list(request, "assignments", str, "assignment names")
         if not names:

@@ -61,7 +61,7 @@ from typing import Callable
 
 from repro.obs import bind_parent, current_span
 from repro.ranks.hashing import as_key_array
-from repro.service.config import ServiceConfig
+from repro.service.config import ServiceConfig, unknown_namespace
 from repro.service.httpbase import (
     BinaryResponse,
     DaemonThread,
@@ -610,8 +610,10 @@ class SummaryService(HttpServerBase):
         if not bundles:
             return None, version, 0
         count = sources["stored_entries"] + (live is not None)
-        with self.tracer.span("merge", namespace=namespace, sources=count):
-            merged = bundles[0].merge(*bundles[1:])
+        merged = bundles[0]  # one source is its own exact merge
+        if len(bundles) > 1:
+            with self.tracer.span("merge", namespace=namespace, sources=count):
+                merged = bundles[0].merge(*bundles[1:])
         with self.tracer.span("encode", namespace=namespace):
             blob = encode(merged)
         return blob, version, count
@@ -645,9 +647,7 @@ class SummaryService(HttpServerBase):
             raise _HttpError(400, "bundle request needs a 'namespace'")
         if namespace not in self.manager.configs:
             raise _HttpError(
-                404,
-                f"unknown namespace {namespace!r}; known: "
-                f"{', '.join(self.manager.configs)}",
+                404, unknown_namespace(namespace, self.manager.configs)
             )
         return namespace
 

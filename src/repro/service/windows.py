@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.obs import default_registry, default_tracer
-from repro.service.config import NamespaceConfig
+from repro.service.config import NamespaceConfig, unknown_namespace
 from repro.store.store import (
     BUNDLE_KINDS,
     LIVE_CHECKPOINT_PART,
@@ -293,9 +293,8 @@ class LiveWindowManager:
         try:
             return self._windows[namespace]
         except KeyError:
-            known = ", ".join(self.configs)
             raise KeyError(
-                f"unknown namespace {namespace!r}; known: {known}"
+                unknown_namespace(namespace, self.configs)
             ) from None
 
     def version(self, namespace: str) -> str:

@@ -35,7 +35,11 @@ produce equal bytes.
 Key arrays are stored raw when their dtype allows (ints, floats, bools,
 fixed-width str/bytes) and otherwise element-wise with a tagged packing
 that covers every key type the hash layer accepts (int of any magnitude,
-float, str, bytes, bool, and arbitrarily nested tuples).
+float, str, bytes, bool, and arbitrarily nested tuples).  A key list of
+plain Python ints that all fit int64 — what a summarizer's object key
+arrays usually hold — is packed and read back in one NumPy pass over a
+``(tag, <i8)`` record array instead of one interpreted step per key; the
+bytes are exactly the per-key packer's, so the format is unchanged.
 
 The same layout carries **ingest frames** (kind ``event_batch``): the
 header names the section namespaces in order and each ``part<i>`` buffer
@@ -385,11 +389,39 @@ def _pack_key(value: Hashable, out: bytearray) -> None:
         )
 
 
+#: one ``b"i"``-tagged key, laid out exactly as :func:`_pack_key` writes it
+_TAGGED_I64 = np.dtype([("tag", "S1"), ("value", "<i8")])
+
+
 def _pack_keys(values: Sequence[Hashable]) -> bytes:
+    # plain ints (not bools, not numpy scalars) that fit int64 are packed
+    # in one pass, into the same bytes as the per-key loop
+    if values and set(map(type, values)) == {int}:
+        try:
+            ints = np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+        else:
+            packed = np.empty(len(ints), dtype=_TAGGED_I64)
+            packed["tag"] = b"i"
+            packed["value"] = ints
+            return packed.tobytes()
     out = bytearray()
     for value in values:
         _pack_key(value, out)
     return bytes(out)
+
+
+def _tagged_ints(buf: memoryview, count) -> "np.ndarray | None":
+    """The int64 values of ``count`` keys when every one is ``b"i"``-tagged
+    and they fill ``buf`` exactly; ``None`` sends the caller to the
+    per-key reader (and its errors)."""
+    if type(count) is not int or len(buf) != 9 * count:
+        return None
+    packed = np.frombuffer(buf, dtype=_TAGGED_I64)
+    if not (packed["tag"] == b"i").all():
+        return None
+    return packed["value"]
 
 
 def _unpack_key(buf: memoryview, pos: int) -> tuple[Hashable, int]:
@@ -428,6 +460,9 @@ def _unpack_key(buf: memoryview, pos: int) -> tuple[Hashable, int]:
 
 
 def _unpack_keys(buf: memoryview, count: int) -> list[Hashable]:
+    ints = _tagged_ints(buf, count)
+    if ints is not None:
+        return ints.tolist()
     values = []
     pos = 0
     try:
@@ -618,6 +653,9 @@ class _BlobReader:
         if spec is None:
             raise CodecError(f"blob is missing buffer {name!r}")
         if spec["enc"] == "obj":
+            ints = _tagged_ints(self._slice(spec), spec.get("count"))
+            if ints is not None:
+                return ints.astype(object)  # Python ints, as per key
             values = self.keys(name)
             out = np.empty(len(values), dtype=object)
             for pos, value in enumerate(values):

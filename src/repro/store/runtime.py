@@ -525,6 +525,15 @@ class RuntimeStore:
                     (count - max_entries,),
                 )
 
+    def cache_purge(self, fragment: str) -> None:
+        """Delete the cached answers whose version string contains
+        ``fragment``."""
+        with self.transaction():
+            self._conn.execute(
+                "DELETE FROM query_cache WHERE instr(version, ?) > 0",
+                (fragment,),
+            )
+
     def cache_stats(self) -> dict:
         row = self._execute(
             "SELECT COUNT(*) AS entries, COALESCE(SUM(hits), 0) AS hits "
