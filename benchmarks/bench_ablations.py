@@ -1,4 +1,4 @@
-"""A1–A4 — design-choice ablations called out in DESIGN.md.
+"""A1–A4 — design-choice ablations (README, "Paper experiments").
 
 * A1 — EXP vs IPPS rank families: the paper reports "results for EXP ranks
   were similar"; the ΣV ratio between families should stay within a small

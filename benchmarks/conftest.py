@@ -3,7 +3,8 @@
 Each bench regenerates one paper table/figure.  The rendered rows/series
 are (a) echoed to the terminal past pytest's capture, so they appear in
 ``pytest benchmarks/ --benchmark-only`` output, and (b) written to
-``benchmarks/results/<experiment-id>.txt`` for EXPERIMENTS.md.
+``benchmarks/results/<experiment-id>.txt`` (see the README's "Paper
+experiments" section).
 """
 
 from __future__ import annotations

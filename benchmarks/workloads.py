@@ -3,7 +3,8 @@
 Sizes are chosen so the full benchmark suite regenerates every table and
 figure in minutes on a laptop while preserving the statistical structure
 the estimators react to.  The ``seed`` values are fixed: every bench run
-reproduces the numbers recorded in EXPERIMENTS.md exactly.
+reproduces the same numbers in ``benchmarks/results/`` exactly (see the
+README's "Paper experiments" section).
 """
 
 from __future__ import annotations

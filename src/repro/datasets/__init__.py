@@ -3,8 +3,9 @@
 The paper evaluates on proprietary IP packet traces, the Netflix Prize
 ratings, and October-2008 stock quotes — none of which are available here.
 Each generator reproduces the *statistical structure the estimators react
-to* (weight skew, cross-assignment correlation, key churn); see DESIGN.md
-for the substitution rationale per data set.
+to* (weight skew, cross-assignment correlation, key churn); the README's
+"Paper experiments" section lists what each stand-in keeps of its data
+set.
 
 All generators are deterministic given their ``seed``.
 """

@@ -159,31 +159,18 @@ def executor_scope(spec: "str | Executor | None") -> Iterator[Executor]:
 # ---------------------------------------------------------------------------
 
 
-def compact_group_task(task: dict) -> dict:
-    """Merge one coarse bucket's artifacts and publish the rollup blob.
+def compact_group_task(blobs: list) -> bytes:
+    """Merge one coarse bucket's artifacts into the rollup's codec blob.
 
-    ``task`` carries ``root``, the group's blob ``paths`` (store-relative,
-    manifest order), and the ``target`` relative path.  The merged blob is
-    written atomically; the manifest row stays the parent's job, so a
-    failed or crashed worker strands at most an orphaned data file —
-    exactly the serial crash contract.
+    ``blobs`` are the group's codec bytes in manifest order; each is
+    CRC-verified on decode.  The worker never opens the store: the parent
+    publishes every rollup and retires every part in its one
+    transaction, so a failed or crashed worker leaves nothing behind.
     """
-    from repro.store.codec import atomic_write_bytes, encode, read_file
+    from repro.store.codec import decode, encode
 
-    root = task["root"]
-    bundles = [
-        read_file(os.path.join(root, path), verify=True)
-        for path in task["paths"]
-    ]
-    merged = bundles[0].merge(*bundles[1:])
-    blob = encode(merged)
-    atomic_write_bytes(os.path.join(root, task["target"]), blob)
-    return {
-        "bucket": task["bucket"],
-        "kind": merged.kind,
-        "assignments": tuple(merged.assignments),
-        "nbytes": len(blob),
-    }
+    bundles = [decode(blob, verify=True) for blob in blobs]
+    return encode(bundles[0].merge(*bundles[1:]))
 
 
 # ---------------------------------------------------------------------------

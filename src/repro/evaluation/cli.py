@@ -7,8 +7,9 @@ Run any paper experiment by id on a chosen workload:
     python -m repro.evaluation T2 --workload netflix
     python -m repro.evaluation --list
 
-Workloads are laptop-scale synthetic substitutes (see DESIGN.md §2); the
-``--scale`` flag multiplies their key counts for heavier runs.
+Workloads are laptop-scale synthetic substitutes (see the README's "Paper
+experiments" section); the ``--scale`` flag multiplies their key counts
+for heavier runs.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
-"""One entry point per paper table/figure (the experiment index of DESIGN.md).
+"""One entry point per paper table/figure (the README's "Paper experiments").
 
 Every function is deterministic given its ``seed`` and returns an
 :class:`ExperimentResult` whose ``render()`` prints the reproduced
 rows/series.  Defaults are laptop-scale; pass larger ``runs``/``k_values``
 or dataset configs for tighter curves.
 
-Figure map (see DESIGN.md §3): F3 → :func:`experiment_coord_vs_indep`,
-F4–F7 → :func:`experiment_dispersed_estimators`, F8 →
+Figure map (also tabled in the README): F3 →
+:func:`experiment_coord_vs_indep`, F4–F7 →
+:func:`experiment_dispersed_estimators`, F8 →
 :func:`experiment_sset_vs_lset`, F9–F11 →
 :func:`experiment_colocated_inclusive`, F12–F16 →
 :func:`experiment_variance_vs_size`, F17 →

@@ -3,8 +3,8 @@
 Drives repeated rank draws over a dataset and evaluates a set of
 *estimator tasks* at every sample size k, accumulating ΣV and combined-
 sample sizes.  Randomness is fully determined by ``(seed, run)`` via
-``numpy.random.default_rng([seed, run])``, so every figure in
-EXPERIMENTS.md is exactly reproducible.
+``numpy.random.default_rng([seed, run])``, so every figure the README's
+"Paper experiments" section lists is exactly reproducible.
 
 Two ΣV metrics are supported:
 

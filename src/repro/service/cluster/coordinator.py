@@ -147,6 +147,9 @@ _REFUSALS = frozenset({400, 404, 413, 429, 503})
 #: socket timeout of bundle fetches, routed ingest and handoff copies
 _WORKER_TIMEOUT_S = 30.0
 
+#: connection-failure retries per idempotent worker call
+WORKER_RETRIES = 1
+
 #: worker requests in flight at once, over every routed batch and query
 #: (the threads of the one long-lived fan-out pool)
 _FANOUT = 16
@@ -172,9 +175,6 @@ class CoordinatorConfig:
     heartbeat_s: float = 2.0
     #: per-probe socket timeout (heartbeats)
     probe_timeout_s: float = 2.0
-    #: connection-failure retries per idempotent worker call
-    worker_retries: int = 1
-    max_body_bytes: int = 32 << 20
     #: concurrent liveness probes per heartbeat round (bounded fan-out)
     probe_concurrency: int = 8
     #: grace window: a heartbeat-dead worker is promoted to *failed*
@@ -351,7 +351,7 @@ class CoordinatorService(HttpServerBase):
         return ServiceClient(
             host, port,
             timeout=_WORKER_TIMEOUT_S,
-            retries=self.config.worker_retries,
+            retries=WORKER_RETRIES,
         )
 
     def _load_meta_map(self, key: str) -> dict[str, set[int]]:

@@ -144,8 +144,6 @@ class ServiceConfig:
     ingest_queue_batches: int = 64
     #: max events accepted in one ingest batch
     max_batch_events: int = MAX_BATCH_EVENTS
-    #: max HTTP request body bytes
-    max_body_bytes: int = 32 << 20
     #: metrics + tracing on/off (off is the bench's bare baseline)
     observability: bool = True
     #: optional JSONL file finished spans are appended to

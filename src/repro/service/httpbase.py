@@ -54,6 +54,9 @@ _REASONS = {
 #: seconds shutdown waits for requests already in flight to be answered
 _DRAIN_S = 30.0
 
+#: largest request body either daemon reads (413 above it)
+MAX_BODY_BYTES = 32 << 20
+
 
 class _HttpError(Exception):
     """An error with a status code, rendered as a JSON error body."""
@@ -154,7 +157,7 @@ class HttpServerBase:
     """The daemon shell: lifecycle, dispatch, connection handling.
 
     A subclass passes its config (``host``, ``port``, ``namespaces``,
-    ``max_body_bytes``, ``observability``, ``trace_log``), sets
+    ``observability``, ``trace_log``), sets
     ``self.runtime`` (its :class:`~repro.store.runtime.RuntimeStore`),
     adds its routes to ``self.routes`` and implements :meth:`_launch`
     and :meth:`_finish`.
@@ -527,11 +530,11 @@ class HttpServerBase:
             raise _HttpError(
                 400, f"invalid Content-Length {raw_length!r}"
             )
-        if length > self.config.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             raise _HttpError(
                 413,
                 f"request body of {length} bytes exceeds the "
-                f"{self.config.max_body_bytes}-byte limit",
+                f"{MAX_BODY_BYTES}-byte limit",
             )
         body = await reader.readexactly(length) if length else b""
         return method.upper(), parsed.path, params, headers, body

@@ -539,14 +539,17 @@ class QueryPlanner:
         per bundle revision; ``outcome`` is ``"hit"`` or ``"build"``.
 
         A bucket's partial is the merge of its entries, each loaded from
-        disk; a selection's is the merge of its buckets' partials
+        the store; a selection's is the merge of its buckets' partials
         (consecutive same-bucket runs, so parts stay in entry order) —
         both under the one key shape, so overlapping selections and
         sliding windows share the buckets they cover.  Loads and merges
         run outside the planner lock; a ``FileNotFoundError`` propagates
         so the caller re-snapshots.
         """
-        key = (namespace, bundle_rev, tuple(entry.path for entry in entries))
+        key = (
+            namespace, bundle_rev,
+            tuple((entry.bucket, entry.part) for entry in entries),
+        )
         partial, outcome = self._partial_get(key), "hit"
         if partial is None:
             runs = [

@@ -22,6 +22,10 @@ Per namespace it keeps one **live window** — an in-memory
   stream bit-identically to never having stopped, and a boundary
   rotation retires it once the published bundle supersedes it.
 
+Every store mutation here (flush, rotation, checkpoint, reset, rescue)
+commits as ONE :meth:`~repro.store.SummaryStore.transaction` with the
+sequence counters it moves: a crash leaves all of it or none of it.
+
 Exactness contract: summaries merge exactly over *key-disjoint* data, so
 a key must not recur across different time buckets of one namespace
 (repeats within a bucket are fine — they aggregate in the live window).
@@ -103,9 +107,10 @@ class LiveWindowManager:
 
     Construction *resumes*: any ``live-window`` checkpoint artifact left
     by a previous shutdown or flush is restored into the live window.
-    The artifact stays on disk until a boundary rotation publishes the
-    bundle that supersedes it; the resumed window masks and overwrites
-    its bucket's flush artifact, so its events are never double-counted.
+    The artifact stays in the store until a boundary rotation publishes
+    the bundle that supersedes it; the resumed window masks and
+    overwrites its bucket's flush artifact, so its events are never
+    double-counted.
     """
 
     def __init__(
@@ -200,47 +205,35 @@ class LiveWindowManager:
         treated as the *new* window's own flush: masked by the query
         planner as soon as one event arrives, then overwritten by the next
         publish — silently destroying data an earlier flush made durable.
-        Renaming it to a ``recovered-NNNN`` part turns it into a plain
-        stored bundle that queries serve and rotation never touches.  (If
-        keys recur across the crash boundary within the bucket, the merge
+        Renaming it to a ``recovered-NNNN`` part (one transaction: write
+        the copy, remove the original) turns it into a plain stored
+        bundle that queries serve and rotation never touches.  (If keys
+        recur across the crash boundary within the bucket, the merge
         raises — the store's documented contract — rather than losing or
         double-counting them.)
         """
-        listing = self.store.entries(name, buckets=[bucket])
-        orphans = [
-            entry
-            for entry in listing
-            if entry.part == LIVE_PART and entry.kind in BUNDLE_KINDS
-        ]
-        if not orphans:
+        if not any(
+            entry.part == LIVE_PART and entry.kind in BUNDLE_KINDS
+            for entry in self.store.entries(name, buckets=[bucket])
+        ):
             return
-        bundle = self.store.load(orphans[0])
-        for entry in listing:
-            if (
-                entry.part.startswith("recovered-")
-                and entry.kind in BUNDLE_KINDS
-                and self.store.load(entry).equals(bundle)
-            ):
-                # A previous rescue crashed between its write and this
-                # remove; writing again would pair two overlapping-key
-                # bundles and make every merge raise.  Just finish it.
-                self.store.remove(name, bucket, LIVE_PART)
-                return
-        part = self.store._free_part(name, bucket, "recovered")
-        self.store.write(name, bucket, bundle, part=part)
-        self.store.remove(name, bucket, LIVE_PART)
+        bundle = self.store.read(name, bucket, LIVE_PART)
+        with self.store.transaction():
+            part = self.store._free_part_tx(name, bucket, "recovered")
+            self.store.write(name, bucket, bundle, part=part)
+            self.store.remove(name, bucket, LIVE_PART)
 
     def _resume(self, config: NamespaceConfig) -> LiveWindow | None:
         """Restore a previous shutdown's or flush's checkpoint, if any.
 
-        The checkpoint artifact stays on disk: it is only retired when a
-        boundary rotation publishes the window's bundle (which supersedes
-        it), so a crash right after a restart cannot lose events that were
-        already durable.  Because a mid-bucket flush re-writes the
-        checkpoint alongside its bundle (see :meth:`rotate`), the resumed
-        state is never staler than the bucket's flush artifact — masking
-        and later overwriting that artifact with the resumed window's
-        state is always exact.
+        The checkpoint artifact stays in the store: it is only retired when
+        a boundary rotation publishes the window's bundle (which
+        supersedes it), so a crash right after a restart cannot lose
+        events that were already durable.  Because a mid-bucket flush
+        commits the checkpoint together with its bundle (see
+        :meth:`rotate`), the resumed state is never staler than the
+        bucket's flush artifact — masking and later overwriting that
+        artifact with the resumed window's state is always exact.
         """
         from repro.engine.sharded import ShardedSummarizer
         from repro.ranks.families import get_rank_family
@@ -270,10 +263,11 @@ class LiveWindowManager:
                 "coordination parameters must not change across restarts"
             )
         summarizer = ShardedSummarizer.from_checkpoint(state)
-        for entry in entries[:-1]:  # retire stale extras, keep the newest
-            self.store.remove(
-                entry.namespace, entry.bucket, entry.part, missing_ok=True
-            )
+        with self.store.transaction():
+            for entry in entries[:-1]:  # retire stale extras, keep the newest
+                self.store.remove(
+                    entry.namespace, entry.bucket, entry.part, missing_ok=True
+                )
         return LiveWindow(summarizer=summarizer, bucket=entries[-1].bucket)
 
     # -- introspection --------------------------------------------------------
@@ -406,29 +400,25 @@ class LiveWindowManager:
         """Publish closed live windows into the store; open fresh ones.
 
         A window's bundle is always published under the same
-        :data:`LIVE_PART` name with ``overwrite=True``.  Two cases:
+        :data:`LIVE_PART` name with ``overwrite=True``.  Two cases, each
+        ONE store transaction per namespace:
 
         * **boundary rotation** — the clock (or ``when``) has moved to a
-          different bucket: the window's final state replaces any earlier
-          flush of its bucket, the window's checkpoint (now superseded by
-          the published bundle) is retired, and a fresh window opens;
+          different bucket: the window's final bundle replaces any earlier
+          flush of its bucket, its checkpoint (superseded by that bundle)
+          is retired, the window position moves, and once that commits a
+          fresh window opens;
         * **flush** (``force`` inside the current bucket) — the window's
-          full state is published for crash durability as *checkpoint
-          first, then bundle* (both overwriting), and the window keeps
+          checkpoint, its bundle and the checkpoint's ingest position
+          commit together for crash durability, and the window keeps
           accumulating; because the next publish *overwrites* the same
           parts, keys repeating later in the bucket can never produce two
           store artifacts with overlapping keys.  While the window is
           non-empty the query planner serves the live view and ignores
           the window's own flush artifact, so nothing is double-counted.
 
-        Both cases uphold one durability invariant: an on-disk checkpoint
-        is never staler than its bucket's :data:`LIVE_PART` artifact —
-        the checkpoint is (re)written *before* the bundle, and a closing
-        window refreshes an existing checkpoint before publishing its
-        final bundle and only then retires it.  Whatever instant a crash
-        lands on, the state a restart resumes — which masks and later
-        overwrites the bucket's bundle — covers everything the bundle
-        held, so published events are never lost.
+        A crash before a commit leaves the previous checkpoint and the
+        flush it covers; a crash after it, all of the new state.
 
         Empty windows never publish; they just follow the clock.  Returns
         the newly written sketch-bundle entries (checkpoint artifacts are
@@ -444,58 +434,45 @@ class LiveWindowManager:
                 if not closing and not (force and window.events):
                     continue
                 window_seq, ingest_seq = self._live_seqs[name]
+                state = bundle = None
                 if window.events:
-                    # Checkpoint before bundle (see the invariant in the
-                    # docstring).  A closing window only refreshes an
-                    # EXISTING checkpoint (the short-circuit skips the
-                    # store listing on the flush path): with none on
-                    # disk there is nothing stale a restart could
-                    # resume, and a crash before the bundle write only
-                    # loses never-published in-memory events.
-                    if not closing or any(
-                        entry.part == CHECKPOINT_PART
-                        for entry in self.store.entries(
-                            name, buckets=[window.bucket], kind="checkpoint"
-                        )
-                    ):
-                        self.store.write(
-                            name, window.bucket,
-                            window.summarizer.checkpoint_state(),
-                            part=CHECKPOINT_PART, overwrite=True,
-                        )
-                        self.store.runtime.set_checkpoint_seq(
-                            name, ingest_seq
-                        )
-                    written.append(
-                        self.store.write(
-                            name, window.bucket,
-                            window.summarizer.sketch_bundle(),
+                    if not closing:
+                        state = window.summarizer.checkpoint_state()
+                    bundle = window.summarizer.sketch_bundle()
+                with self.store.transaction():
+                    if state is not None:
+                        self._write_checkpoint(name, window, state)
+                    if bundle is not None:
+                        written.append(self.store.write(
+                            name, window.bucket, bundle,
                             part=LIVE_PART, overwrite=True,
-                        )
-                    )
+                        ))
+                        self.store.runtime.add_counter("rotations", 1)
+                        if closing:  # the bundle supersedes the checkpoint
+                            self.store.remove(
+                                name, window.bucket, CHECKPOINT_PART,
+                                missing_ok=True,
+                            )
+                    if closing and window_seq != ingest_seq:
+                        self.store.runtime.set_window_seq(name, ingest_seq)
                 if closing:
-                    if window.events:
-                        # The published bundle supersedes this window's
-                        # checkpoint; leaving it would make the next
-                        # resume double-publish these events.
-                        self.store.remove(
-                            name, window.bucket, CHECKPOINT_PART,
-                            missing_ok=True,
-                        )
                     self._windows[name] = self._fresh_window(
                         self.configs[name], now_bucket
                     )
-                    if window_seq != ingest_seq:
-                        self.store.runtime.set_window_seq(name, ingest_seq)
-                        self._live_seqs[name] = (ingest_seq, ingest_seq)
-            if written:
-                self.store.runtime.add_counter("rotations", len(written))
-                if self._metrics.enabled:
-                    self._rotations.inc(len(written))
-                    self._rotation_seconds.observe(
-                        time.perf_counter() - started
-                    )
+                    self._live_seqs[name] = (ingest_seq, ingest_seq)
+            if written and self._metrics.enabled:
+                self._rotations.inc(len(written))
+                self._rotation_seconds.observe(time.perf_counter() - started)
             return written
+
+    def _write_checkpoint(self, name: str, window: LiveWindow, state):
+        """Write ``name``'s checkpoint and record the ingest position it
+        froze (inside the caller's transaction)."""
+        entry = self.store.write(
+            name, window.bucket, state, part=CHECKPOINT_PART, overwrite=True
+        )
+        self.store.runtime.set_checkpoint_seq(name, self._live_seqs[name][1])
+        return entry
 
     def reset(self, namespace: str) -> dict:
         """Purge one namespace: live window, store artifacts, checkpoint.
@@ -511,17 +488,18 @@ class LiveWindowManager:
         """
         with self._lock:
             self._window(namespace)  # validates the name
-            entries = self.store.entries(namespace)
-            for entry in entries:
-                self.store.remove(
-                    namespace, entry.bucket, entry.part, missing_ok=True
-                )
+            with self.store.transaction():
+                entries = self.store.entries(namespace)
+                for entry in entries:
+                    self.store.remove(
+                        namespace, entry.bucket, entry.part, missing_ok=True
+                    )
+                ingest_seq = self.store.runtime.record_ingest(namespace, 0)
+                self.store.runtime.set_window_seq(namespace, ingest_seq)
             bucket = bucket_for(self.clock(), self.granularity)
             self._windows[namespace] = self._fresh_window(
                 self.configs[namespace], bucket
             )
-            ingest_seq = self.store.runtime.record_ingest(namespace, 0)
-            self.store.runtime.set_window_seq(namespace, ingest_seq)
             self._live_seqs[namespace] = (ingest_seq, ingest_seq)
             return {"namespace": namespace, "removed": len(entries)}
 
@@ -567,29 +545,20 @@ class LiveWindowManager:
         Each window's :class:`~repro.store.codec.SummarizerCheckpoint`
         lands at ``<namespace>/<bucket>/live-window`` (overwriting any
         stale one), so the next :class:`LiveWindowManager` resumes the
-        stream bit-identically.  Windows stay usable after checkpointing.
+        stream bit-identically.  Every window's checkpoint and ingest
+        position commit in one transaction; a restart that resumes a
+        checkpoint frozen at the stream head keeps the version token (and
+        the answers cached under it).  Windows stay usable after
+        checkpointing.
         """
-        with self._lock:
-            written: list[StoreEntry] = []
-            for name, window in self._windows.items():
-                if window.events == 0:
-                    continue
-                written.append(
-                    self.store.write(
-                        name,
-                        window.bucket,
-                        window.summarizer.checkpoint_state(),
-                        part=CHECKPOINT_PART,
-                        overwrite=True,
-                    )
+        with self._lock, self.store.transaction():
+            return [
+                self._write_checkpoint(
+                    name, window, window.summarizer.checkpoint_state()
                 )
-                # The checkpoint now holds everything ever ingested; a
-                # restart that resumes it may keep this token (and the
-                # answers cached under it).
-                self.store.runtime.set_checkpoint_seq(
-                    name, self._live_seqs[name][1]
-                )
-            return written
+                for name, window in self._windows.items()
+                if window.events
+            ]
 
     def __repr__(self) -> str:
         return (

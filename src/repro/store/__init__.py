@@ -4,12 +4,13 @@ The storage layer between the ingestion engine and the query
 engine: :mod:`repro.store.codec` serializes sketches, samplers, summaries,
 and checkpoints to a versioned zero-copy binary format;
 :mod:`repro.store.store` keeps the resulting artifacts in a namespace- and
-time-bucket-partitioned on-disk registry with atomic writes and exact
+time-bucket-partitioned registry with one-transaction mutations and exact
 merge-based rollups; :mod:`repro.store.runtime` is the WAL-mode SQLite
-runtime tier beneath it (transactional manifest, persistent query-result
-cache, telemetry counters); :mod:`repro.store.checkpoint` freezes and
-resumes ingestion bit-identically.  ``python -m repro.store``
-exposes the write/ls/compact/query/stats workflow on the command line.
+runtime tier beneath it (manifest and artifact bytes, persistent
+query-result cache, telemetry counters); :mod:`repro.store.checkpoint`
+freezes and resumes ingestion bit-identically.  ``python -m repro.store``
+exposes the write/ls/compact/export/query/stats workflow on the command
+line.
 """
 
 from repro.store.checkpoint import load_checkpoint, save_checkpoint

@@ -8,18 +8,21 @@ buckets up, and answer aggregate queries from disk:
     python -m repro.store ls --root /tmp/flows [--json]
     python -m repro.store stats --root /tmp/flows [--json]
     python -m repro.store compact --root /tmp/flows --namespace web --to hour
-    python -m repro.store prune --root /tmp/flows
+    python -m repro.store export --root /tmp/flows --namespace web \\
+        --bucket 20260728T12 --part rollup-0000 --out rollup.cws
     python -m repro.store query --root /tmp/flows --namespace web \\
         --function max --assignments hour12 hour13
 
 ``write`` reads ``key,weight`` CSV lines (events may repeat keys; they are
 pre-aggregated before sampling), or generates a synthetic stream with
 ``--demo N``.  ``ls --json`` prints the machine-readable listing the
-service's ``/status`` endpoint embeds; ``prune`` garbage-collects data
-files retired by overwrites, compactions, and removals.  ``compact`` and ``query`` accept ``--executor SPEC``
-(``thread:4``, ``process:4``, ...; see :mod:`repro.engine.parallel`) to
-roll buckets up — or serve several ``--namespace`` values — concurrently,
-with identical results to serial mode.  Also installed as the
+service's ``/status`` endpoint embeds; ``export`` writes one artifact's
+exact codec bytes to a standalone ``.cws`` file (readable with
+:func:`~repro.store.codec.read_file`).  ``compact`` and ``query`` accept
+``--executor SPEC`` (``thread:4``, ``process:4``, ...; see
+:mod:`repro.engine.parallel`) to roll buckets up — or serve several
+``--namespace`` values — concurrently, with identical results to serial
+mode.  Also installed as the
 ``repro-store`` console script.
 """
 
@@ -34,7 +37,7 @@ from repro.core.aggregates import AggregationSpec
 from repro.ranks.families import get_rank_family
 from repro.ranks.hashing import KeyHasher
 from repro.sampling.bottomk import BottomKStreamSampler, aggregate_stream
-from repro.store.codec import SketchBundle
+from repro.store.codec import SketchBundle, atomic_write_bytes
 from repro.store.store import GRANULARITIES, SummaryStore
 
 __all__ = ["main", "build_parser"]
@@ -130,15 +133,14 @@ def _cmd_ls(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_prune(args: argparse.Namespace) -> int:
+def _cmd_export(args: argparse.Namespace) -> int:
     store = SummaryStore(args.root, create=False)
-    removed = store.prune()
-    if not removed:
-        print("nothing to prune (no unreferenced files)")
-        return 0
-    for path in removed:
-        print(f"pruned {path}")
-    print(f"pruned {len(removed)} file(s)")
+    blob = store.read_blob(args.namespace, args.bucket, args.part)
+    atomic_write_bytes(args.out, blob)
+    print(
+        f"exported {args.namespace}/{args.bucket}/{args.part} "
+        f"({len(blob):,} bytes) -> {args.out}"
+    )
     return 0
 
 
@@ -268,12 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
                          "versions, byte sizes)")
     ls.set_defaults(func=_cmd_ls)
 
-    prune = commands.add_parser(
-        "prune",
-        help="garbage-collect data files the manifest no longer references",
+    export = commands.add_parser(
+        "export", help="write one artifact's exact bytes to a .cws file"
     )
-    prune.add_argument("--root", required=True)
-    prune.set_defaults(func=_cmd_prune)
+    export.add_argument("--root", required=True)
+    export.add_argument("--namespace", required=True)
+    export.add_argument("--bucket", required=True)
+    export.add_argument("--part", required=True)
+    export.add_argument("--out", required=True, metavar="FILE")
+    export.set_defaults(func=_cmd_export)
 
     stats = commands.add_parser(
         "stats",

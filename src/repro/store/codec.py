@@ -1291,8 +1291,10 @@ def atomic_write_bytes(path, data: bytes) -> None:
     The bytes are staged to a temporary file beside the target, fsynced,
     and published with :func:`os.replace`, so a crash mid-write never
     leaves a truncated or half-written file at ``path``.  Parent
-    directories are created as needed.  Shared by :func:`write_file` and
-    every :class:`~repro.store.SummaryStore` blob/manifest publication.
+    directories are created as needed.  Serves standalone files only —
+    :func:`write_file` checkpoints and ``repro-store export``; a
+    :class:`~repro.store.SummaryStore` keeps its artifacts as rows of its
+    runtime tier.
     """
     path = os.fspath(path)
     directory, name = os.path.split(path)

@@ -8,6 +8,9 @@ files or evaporate with the process:
   transactions (``BEGIN IMMEDIATE``), so a write + retire + compaction
   publishes atomically instead of rewriting a whole JSON file under a
   cross-process lock file;
+* the **artifact bytes** — an ``artifacts`` row per manifest row, same
+  key, written and deleted in the manifest row's transaction (a sibling
+  table: handles re-read the whole manifest, the bytes only on a load);
 * **revision counters** — a monotonic per-namespace (and global)
   revision that moves on every manifest mutation, plus a ``bundle``
   revision that moves only when *query-servable* entries (sketch
@@ -38,11 +41,12 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import sqlite3
 import threading
 import time
 from pathlib import Path
+
+from repro.store.codec import UnsupportedFormatError
 
 __all__ = ["RuntimeStore", "RUNTIME_FILENAME"]
 
@@ -53,7 +57,8 @@ RUNTIME_FILENAME = "runtime.sqlite"
 #: coordinators' alike
 RESULT_CACHE_ENTRIES = 1024
 
-_SCHEMA_VERSION = 1
+#: v2: artifact bytes in ``artifacts`` (v1: files named by manifest.path)
+_SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -66,12 +71,18 @@ CREATE TABLE IF NOT EXISTS manifest (
     part        TEXT    NOT NULL,
     kind        TEXT    NOT NULL,
     assignments TEXT    NOT NULL,
-    path        TEXT    NOT NULL,
     nbytes      INTEGER NOT NULL,
     seq         INTEGER NOT NULL,
     PRIMARY KEY (namespace, bucket, part)
 );
 CREATE INDEX IF NOT EXISTS manifest_seq ON manifest (seq);
+CREATE TABLE IF NOT EXISTS artifacts (
+    namespace TEXT NOT NULL,
+    bucket    TEXT NOT NULL,
+    part      TEXT NOT NULL,
+    data      BLOB NOT NULL,
+    PRIMARY KEY (namespace, bucket, part)
+);
 CREATE TABLE IF NOT EXISTS revisions (
     namespace  TEXT PRIMARY KEY,
     rev        INTEGER NOT NULL,
@@ -175,23 +186,61 @@ class RuntimeStore:
             isolation_level=None,
         )
         self._conn.row_factory = sqlite3.Row
-        with self._lock:
-            self._conn.execute(f"PRAGMA busy_timeout = {int(timeout * 1000)}")
-            with contextlib.suppress(sqlite3.OperationalError):
-                self._conn.execute("PRAGMA journal_mode = WAL")
-                self._conn.execute("PRAGMA synchronous = NORMAL")
-            self._conn.executescript(_SCHEMA)
-            self._migrate_columns()
+        try:
+            with self._lock:
+                self._open()
+        except BaseException:
+            self._conn.close()
+            raise
+
+    def _open(self) -> None:
+        self._conn.execute(
+            f"PRAGMA busy_timeout = {int(self.timeout * 1000)}"
+        )
+        try:
             version = self.get_meta("schema_version")
-            if version is None:
-                with self.transaction():
-                    self.set_meta("schema_version", str(_SCHEMA_VERSION))
-            elif int(version) != _SCHEMA_VERSION:
-                self._conn.close()
-                raise ValueError(
-                    f"runtime tier schema version {version} at {self.path} "
-                    f"is not supported (supported: {_SCHEMA_VERSION})"
+        except sqlite3.OperationalError:  # a new database: no tables yet
+            version = None
+        if version is None:
+            # only a database without tables takes an auto_vacuum mode
+            self._conn.execute("PRAGMA auto_vacuum = INCREMENTAL")
+        elif version == "1":
+            self._upgrade_v1()
+        elif version != str(_SCHEMA_VERSION):
+            raise ValueError(
+                f"runtime tier schema version {version} at {self.path} "
+                f"is not supported (supported: {_SCHEMA_VERSION})"
+            )
+        with contextlib.suppress(sqlite3.OperationalError):
+            self._conn.execute("PRAGMA journal_mode = WAL")
+            self._conn.execute("PRAGMA synchronous = NORMAL")
+        self._conn.executescript(_SCHEMA)
+        self._migrate_columns()
+        if version is None:
+            self.set_meta("schema_version", str(_SCHEMA_VERSION))
+
+    def _upgrade_v1(self) -> None:
+        """Upgrade a v1 tier in place — only while its manifest is empty.
+
+        A v1 row names a codec file under ``data/``, which this version
+        never reads, so such a root is refused, unchanged.  An empty v1
+        manifest (every coordinator root) is dropped with the version
+        bump; the schema script re-creates it without ``path``.
+        """
+        with self.transaction():
+            rows = self._conn.execute(
+                "SELECT COUNT(*) AS n FROM manifest"
+            ).fetchone()["n"]
+            if rows:
+                raise UnsupportedFormatError(
+                    f"{self.path} is a schema-v1 runtime tier whose manifest "
+                    f"lists {rows} artifact(s) kept as files under data/; "
+                    "this version keeps artifact bytes inside "
+                    f"{RUNTIME_FILENAME} and no longer reads that layout — "
+                    "write the artifacts into a new root instead"
                 )
+            self._conn.execute("DROP TABLE manifest")
+            self.set_meta("schema_version", str(_SCHEMA_VERSION))
 
     def _migrate_columns(self) -> None:
         """Additive column migrations (no schema-version bump needed).
@@ -222,6 +271,11 @@ class RuntimeStore:
             self._conn.close()
 
     # -- transactions ---------------------------------------------------------
+
+    @property
+    def depth(self) -> int:
+        """Open :meth:`transaction` scopes (meaningful to the lock holder)."""
+        return self._depth
 
     @contextlib.contextmanager
     def transaction(self):
@@ -289,8 +343,8 @@ class RuntimeStore:
             "part": row["part"],
             "kind": row["kind"],
             "assignments": tuple(json.loads(row["assignments"])),
-            "path": row["path"],
             "nbytes": row["nbytes"],
+            "seq": row["seq"],
         }
 
     def manifest_snapshot(self) -> dict:
@@ -331,41 +385,75 @@ class RuntimeStore:
         return {row["part"] for row in rows}
 
     def _next_seq(self) -> int:
-        row = self._conn.execute(
-            "SELECT COALESCE(MAX(seq), 0) AS top FROM manifest"
-        ).fetchone()
-        return int(row["top"]) + 1
+        """The next publication number: monotonic and never reused, so
+        ``(namespace, bucket, part, seq)`` names one write for good."""
+        self._conn.execute(
+            "INSERT INTO meta (key, value) VALUES ('seq', 1) "
+            "ON CONFLICT(key) DO UPDATE SET value = value + 1"
+        )
+        return int(self.get_meta("seq"))
 
-    def replace_entry(self, entry: dict) -> None:
-        """Upsert one manifest row at the end of publication order.
+    def replace_entry(
+        self, namespace, bucket, part, kind, assignments, data: bytes
+    ) -> int:
+        """Upsert one artifact — manifest row and bytes — at the end of
+        publication order; returns its publication number (``seq``).
 
         Must run inside :meth:`transaction` alongside the revision bump
         (:meth:`record_mutation`) — callers compose write + retire +
         rollup into one atomic publication.
         """
         with self.transaction():
+            seq = self._next_seq()
             self._conn.execute(
                 "INSERT INTO manifest (namespace, bucket, part, kind, "
-                "assignments, path, nbytes, seq) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?) "
+                "assignments, nbytes, seq) VALUES (?, ?, ?, ?, ?, ?, ?) "
                 "ON CONFLICT(namespace, bucket, part) DO UPDATE SET "
                 "kind = excluded.kind, assignments = excluded.assignments, "
-                "path = excluded.path, nbytes = excluded.nbytes, "
-                "seq = excluded.seq",
+                "nbytes = excluded.nbytes, seq = excluded.seq",
                 (
-                    entry["namespace"], entry["bucket"], entry["part"],
-                    entry["kind"], json.dumps(list(entry["assignments"])),
-                    entry["path"], int(entry["nbytes"]), self._next_seq(),
+                    namespace, bucket, part, kind,
+                    json.dumps(list(assignments)), len(data), seq,
                 ),
             )
+            self._conn.execute(
+                "INSERT INTO artifacts (namespace, bucket, part, data) "
+                "VALUES (?, ?, ?, ?) ON CONFLICT(namespace, bucket, part) "
+                "DO UPDATE SET data = excluded.data",
+                (namespace, bucket, part, data),
+            )
+            return seq
 
     def delete_entry(self, namespace: str, bucket: str, part: str) -> None:
+        """Drop one artifact's manifest row and bytes together."""
+        key = (namespace, bucket, part)
         with self.transaction():
-            self._conn.execute(
-                "DELETE FROM manifest WHERE namespace = ? AND bucket = ? "
-                "AND part = ?",
-                (namespace, bucket, part),
-            )
+            for table in ("manifest", "artifacts"):
+                self._conn.execute(
+                    f"DELETE FROM {table} WHERE namespace = ? AND "
+                    "bucket = ? AND part = ?",
+                    key,
+                )
+
+    def artifact_bytes(
+        self, namespace: str, bucket: str, part: str, seq: int
+    ) -> bytes | None:
+        """The bytes of publication ``seq`` of one artifact, or ``None``
+        once that publication was removed or overwritten."""
+        row = self._execute(
+            "SELECT artifacts.data FROM artifacts JOIN manifest "
+            "USING (namespace, bucket, part) WHERE namespace = ? "
+            "AND bucket = ? AND part = ? AND seq = ?",
+            (namespace, bucket, part, seq),
+        ).fetchone()
+        return None if row is None else row["data"]
+
+    def incremental_vacuum(self) -> None:
+        """Hand the pages freed by deleted artifacts back to the file
+        system (a no-op inside a transaction: they stay free for reuse)."""
+        with self._lock:
+            if not self._depth:  # executescript steps it to completion
+                self._conn.executescript("PRAGMA incremental_vacuum;")
 
     def record_mutation(
         self, namespace: str, bundles_changed: bool
@@ -404,7 +492,7 @@ class RuntimeStore:
         ``(0, 0, 0)`` when the namespace has never ingested.
         ``checkpoint_seq`` records the ingest position the namespace's
         live-window checkpoint was frozen at — equal to ``ingest_seq``
-        exactly when the on-disk checkpoint holds everything ever
+        exactly when the stored checkpoint holds everything ever
         ingested (a clean shutdown), which is what lets a restart keep
         its version token and its cached answers.
         """

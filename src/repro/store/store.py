@@ -1,24 +1,23 @@
-"""Disk-backed summary registry: namespaces, time buckets, exact rollups.
+"""Durable summary registry: namespaces, time buckets, exact rollups.
 
 :class:`SummaryStore` persists the engine's artifacts so summaries survive
 process restarts and can be served long after ingestion:
 
-* **layout** — artifacts live under ``root/data/<namespace>/<bucket>/`` as
-  codec blobs (``.cws`` files, format v1); a WAL-mode SQLite
-  ``runtime.sqlite`` at the root (the :class:`~repro.store.runtime.
-  RuntimeStore` tier) is the source of truth for what the store contains;
-* **atomic writes** — every blob is staged to a temporary file in the
-  target directory and published with :func:`os.replace`, so readers
-  never observe a half-written artifact; the manifest row lands in the
-  same runtime-tier transaction (``BEGIN IMMEDIATE``) that allocated the
-  part name, so concurrent writers sharing one root compose instead of
-  losing each other's entries — a crash can leave orphaned data files,
-  never a corrupt or half-applied manifest;
+* **layout** — one WAL-mode SQLite ``runtime.sqlite`` at the root (the
+  :class:`~repro.store.runtime.RuntimeStore` tier) holds a manifest row
+  per artifact and, under the same key, its codec bytes (format v1, what
+  a ``.cws`` file holds; ``repro-store export`` writes one out);
+* **one transaction per mutation** — :meth:`write`, :meth:`remove` and
+  :meth:`compact` each touch rows only, in one ``BEGIN IMMEDIATE``
+  transaction with the part allocation and revision bumps, and
+  :meth:`transaction` composes several into one commit.  A crash leaves
+  the state before a commit or after it; concurrent writers sharing one
+  root compose instead of losing each other's entries;
 * **legacy roots are refused, not read** — a root that still holds the
-  pre-runtime-tier JSON ``manifest.json`` and no ``runtime.sqlite`` raises
-  :class:`~repro.store.codec.UnsupportedFormatError` on open (the PR 6–16
-  trees migrate such a root in place); an empty runtime tier is never
-  initialized over it;
+  pre-runtime-tier JSON ``manifest.json`` and no ``runtime.sqlite``, or a
+  schema-v1 tier whose manifest names files under ``data/``, raises
+  :class:`~repro.store.codec.UnsupportedFormatError` on open and is left
+  unchanged;
 * **time buckets** — bucket ids are UTC timestamps at ``minute``
   (``YYYYMMDDTHHMM``), ``hour`` (``YYYYMMDDTHH``), or ``day``
   (``YYYYMMDD``) granularity, so a bucket id *is* its coarsening prefix;
@@ -41,6 +40,7 @@ stored as-is), and :class:`~repro.store.codec.SummarizerCheckpoint`
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -53,7 +53,6 @@ from repro.store.codec import (
     SketchBundle,
     SummarizerCheckpoint,
     UnsupportedFormatError,
-    atomic_write_bytes,
     decode,
     encode,
 )
@@ -180,15 +179,19 @@ def bucket_bounds(bucket: str) -> tuple[datetime, datetime]:
 
 @dataclass(frozen=True)
 class StoreEntry:
-    """One manifest row: where an artifact lives and what it holds."""
+    """One manifest row: which artifact, what it holds, which write.
+
+    ``seq`` numbers the write (monotonic, never reused), so loading an
+    entry whose part was since overwritten or removed raises
+    :class:`FileNotFoundError` rather than reading other bytes."""
 
     namespace: str
     bucket: str
     part: str
     kind: str  # "bottomk" | "poisson" | "summary" | "checkpoint"
     assignments: tuple[str, ...]
-    path: str  # store-root-relative POSIX path
     nbytes: int
+    seq: int
 
     @property
     def granularity(self) -> str:
@@ -201,8 +204,8 @@ class StoreEntry:
             "part": self.part,
             "kind": self.kind,
             "assignments": list(self.assignments),
-            "path": self.path,
             "nbytes": self.nbytes,
+            "seq": self.seq,
         }
 
 
@@ -278,6 +281,24 @@ class SummaryStore:
     def refresh(self) -> None:
         """Re-read the manifest (picks up other processes' mutations)."""
         self._sync()
+
+    @contextlib.contextmanager
+    def transaction(self):
+        """Compose several mutations into ONE runtime-tier commit.
+
+        :meth:`write`, :meth:`remove` and :meth:`compact` each run in one;
+        nested scopes join the outermost.  Once the outermost commits — or
+        rolls back — the handle's cached manifest is re-read, so it never
+        shows a rolled-back row.
+        """
+        outermost = False
+        try:
+            with self.runtime.transaction():
+                outermost = self.runtime.depth == 1
+                yield self
+        finally:
+            if outermost:
+                self._sync()
 
     # -- listing --------------------------------------------------------------
 
@@ -469,17 +490,6 @@ class SummaryStore:
             f"SummarizerCheckpoint artifacts, got {type(obj).__name__}"
         )
 
-    def _free_part(self, namespace: str, bucket: str, stem: str) -> str:
-        taken = {
-            entry.part
-            for entry in self._entries
-            if entry.namespace == namespace and entry.bucket == bucket
-        }
-        index = 0
-        while f"{stem}-{index:04d}" in taken:
-            index += 1
-        return f"{stem}-{index:04d}"
-
     def _free_part_tx(self, namespace: str, bucket: str, stem: str) -> str:
         """Transaction-consistent part allocation (committed rows + ours)."""
         taken = self.runtime.slot_parts(namespace, bucket)
@@ -487,6 +497,17 @@ class SummaryStore:
         while f"{stem}-{index:04d}" in taken:
             index += 1
         return f"{stem}-{index:04d}"
+
+    def _publish(
+        self, namespace, bucket, part, kind, assignments, blob: bytes
+    ) -> StoreEntry:
+        """Upsert one artifact's row and bytes (inside a transaction)."""
+        seq = self.runtime.replace_entry(
+            namespace, bucket, part, kind, assignments, blob
+        )
+        return StoreEntry(
+            namespace, bucket, part, kind, tuple(assignments), len(blob), seq
+        )
 
     def write(
         self,
@@ -496,20 +517,16 @@ class SummaryStore:
         part: str | None = None,
         overwrite: bool = False,
     ) -> StoreEntry:
-        """Atomically publish one artifact and record it in the manifest.
+        """Encode one artifact and publish it in one transaction.
 
         ``part`` names the artifact within its (namespace, bucket) slot and
         defaults to the next free ``part-NNNN``; writing an existing part
         raises unless ``overwrite=True``.
 
-        The part allocation, existence check, blob publication, and
-        manifest row all happen inside one runtime-tier write transaction,
-        so concurrent writers sharing one root cannot lose each other's
-        entries or collide on part names.  An overwrite stages the
-        replacement blob under a new revisioned file name, swaps the
-        manifest row, and only then unlinks the old file — a crash at any
-        point leaves the manifest describing an intact artifact (at worst
-        an orphaned data file is stranded).
+        The part allocation, existence check, row and bytes, and revision
+        bump commit together, so concurrent writers sharing one root
+        cannot lose each other's entries or collide on part names, and an
+        overwrite replaces the bytes exactly when it replaces the row.
         """
         if not _NAME_RE.match(namespace):
             raise ValueError(
@@ -524,61 +541,33 @@ class SummaryStore:
             )
         kind, assignments = self._kind_of(obj)
         blob = encode(obj)
-        retired_path: str | None = None
-        with self.runtime.transaction():
+        with self.transaction():
             if part is None:
                 part = self._free_part_tx(namespace, bucket, "part")
-            existing = self.runtime.get_entry(namespace, bucket, part)
-            if existing is not None and not overwrite:
+            if not overwrite and self.runtime.get_entry(
+                namespace, bucket, part
+            ) is not None:
                 raise FileExistsError(
                     f"artifact {namespace}/{bucket}/{part} already exists; "
                     "pass overwrite=True to replace it"
                 )
-            rel_path = f"data/{namespace}/{bucket}/{part}.cws"
-            if existing is not None:
-                # Never replace the current file in place: stage the new
-                # revision beside it so the manifest always points at an
-                # intact blob, whichever side of the swap a crash lands on.
-                match = re.search(r"\.r(\d+)\.cws$", existing["path"])
-                revision = int(match.group(1)) + 1 if match else 1
-                rel_path = (
-                    f"data/{namespace}/{bucket}/{part}.r{revision}.cws"
-                )
-                if existing["path"] != rel_path:
-                    retired_path = existing["path"]
-            atomic_write_bytes(self.root / rel_path, blob)
-            entry = StoreEntry(
-                namespace=namespace,
-                bucket=bucket,
-                part=part,
-                kind=kind,
-                assignments=assignments,
-                path=rel_path,
-                nbytes=len(blob),
+            entry = self._publish(
+                namespace, bucket, part, kind, assignments, blob
             )
-            self.runtime.replace_entry(entry.to_json())
             self.runtime.record_mutation(
                 namespace, bundles_changed=kind in BUNDLE_KINDS
             )
-        self._sync()
-        if retired_path is not None:
-            old_path = self.root / retired_path
-            if old_path.exists():
-                old_path.unlink()
         return entry
 
     def remove(
         self, namespace: str, bucket: str, part: str, missing_ok: bool = False
     ) -> StoreEntry | None:
-        """Drop one artifact: manifest row first, then its data file.
+        """Drop one artifact — row and bytes — in one transaction.
 
-        Manifest-first ordering keeps the crash contract of :meth:`write`:
-        an interruption can strand an orphaned ``.cws`` file (reclaimed by
-        :meth:`prune`) but the manifest never references missing data.
         Returns the removed entry, or ``None`` when ``missing_ok`` and no
         such artifact exists.
         """
-        with self.runtime.transaction():
+        with self.transaction():
             row = self.runtime.get_entry(namespace, bucket, part)
             if row is None:
                 if missing_ok:
@@ -586,54 +575,11 @@ class SummaryStore:
                 raise KeyError(
                     f"no artifact {namespace}/{bucket}/{part} in the store"
                 )
-            entry = StoreEntry(**row)
             self.runtime.delete_entry(namespace, bucket, part)
             self.runtime.record_mutation(
-                namespace, bundles_changed=entry.kind in BUNDLE_KINDS
+                namespace, bundles_changed=row["kind"] in BUNDLE_KINDS
             )
-        self._sync()
-        path = self.root / entry.path
-        if path.exists():
-            path.unlink()
-        return entry
-
-    def prune(self) -> list[str]:
-        """Garbage-collect data files the manifest no longer references.
-
-        Overwrites, compactions, and removals publish the manifest first
-        and unlink retired blobs afterwards, so a crash between the two
-        steps — or a killed worker that already staged its output — leaves
-        orphaned ``.cws`` revisions and ``.*.tmp.*`` staging files on disk.
-        ``prune`` scans ``data/`` inside one runtime-tier write transaction
-        (mutually exclusive with writers, which publish their blobs inside
-        their own transactions), deletes every file the manifest does not
-        claim (plus stale staging files at the root), drops now-empty
-        bucket directories, and returns the root-relative paths it
-        removed.  Artifacts named by the manifest are never touched.
-        """
-        removed: list[str] = []
-        with self.runtime.transaction():
-            self._sync()
-            referenced = {entry.path for entry in self._entries}
-            data_dir = self.root / "data"
-            if data_dir.is_dir():
-                for path in sorted(data_dir.rglob("*")):
-                    if not path.is_file():
-                        continue
-                    rel = path.relative_to(self.root).as_posix()
-                    if rel not in referenced:
-                        path.unlink()
-                        removed.append(rel)
-                for directory in sorted(
-                    (p for p in data_dir.rglob("*") if p.is_dir()),
-                    reverse=True,
-                ):
-                    if not any(directory.iterdir()):
-                        directory.rmdir()
-            for stale in self.root.glob(f".{_LEGACY_MANIFEST}.tmp.*"):
-                stale.unlink()
-                removed.append(stale.name)
-        return removed
+        return StoreEntry(**row)
 
     # -- reading --------------------------------------------------------------
 
@@ -647,11 +593,24 @@ class SummaryStore:
                 return entry
         raise KeyError(f"no artifact {namespace}/{bucket}/{part} in the store")
 
+    def _bytes(self, entry: StoreEntry) -> bytes:
+        data = self.runtime.artifact_bytes(
+            entry.namespace, entry.bucket, entry.part, entry.seq
+        )
+        if data is None:
+            raise FileNotFoundError(
+                f"artifact {entry.namespace}/{entry.bucket}/{entry.part} "
+                f"(publication {entry.seq}) is no longer in the store"
+            )
+        return data
+
     def load(self, entry: StoreEntry, writable: bool = False):
-        """Decode one artifact (CRC-verified; arrays read-only by default)."""
-        with open(self.root / entry.path, "rb") as handle:
-            data = handle.read()
-        return decode(data, writable=writable, verify=True)
+        """Decode one artifact (CRC-verified; arrays read-only by default).
+
+        Raises :class:`FileNotFoundError` when the entry's publication was
+        removed or overwritten since the entry was listed.
+        """
+        return decode(self._bytes(entry), writable=writable, verify=True)
 
     def read(self, namespace: str, bucket: str, part: str, **kwargs):
         """Convenience: :meth:`load` by (namespace, bucket, part)."""
@@ -662,12 +621,10 @@ class SummaryStore:
 
         No decode on the serving side: the blob was CRC-stamped by
         :func:`~repro.store.codec.encode` at write time and the receiver
-        verifies it, so shipping the file bytes verbatim is both the
+        verifies it, so shipping the stored bytes verbatim is both the
         cheapest and the safest transport.
         """
-        entry = self._resolve(namespace, bucket, part)
-        with open(self.root / entry.path, "rb") as handle:
-            return handle.read()
+        return self._bytes(self._resolve(namespace, bucket, part))
 
     def import_bundle(
         self,
@@ -742,20 +699,15 @@ class SummaryStore:
 
         ``executor`` (``None``, a ``mode[:workers]`` spec string or a
         caller-owned :class:`concurrent.futures.Executor`; see
-        :mod:`repro.engine.parallel`) parallelizes the per-group load +
+        :mod:`repro.engine.parallel`) parallelizes the per-group decode +
         merge + encode work — coarse buckets are independent, so they
-        roll up concurrently.
-        Manifest mutations always stay in the calling process inside one
-        runtime-tier transaction (the whole compaction publishes
-        atomically), and because the merge and the codec are
+        roll up concurrently.  Workers are handed the group's bytes and
+        return the rollup's; they never open the store.  Every rollup and
+        every retired part commits in the calling process's one
+        transaction, and because the merge and the codec are
         deterministic, every executor mode produces byte-identical
-        artifacts and an identical manifest.
-
-        Crash safety: the new artifacts are published first, then the
-        manifest transaction commits (old entries out, new entries in),
-        then old files are unlinked — a crash (or a failed worker) can
-        strand orphaned ``.cws`` files but the manifest never references
-        missing or double-counted data.
+        artifacts and an identical manifest.  Once it commits, the pages
+        the retired parts held go back to the file system.
 
         ``exclude_buckets`` names coarse (target-granularity) bucket ids
         to leave alone — the service uses it to skip the group its live
@@ -771,21 +723,16 @@ class SummaryStore:
         from repro.engine.parallel import executor_scope
 
         # the scope opens first: a bad spec raises even when nothing rolls up
-        with executor_scope(executor) as ex, self.runtime.transaction():
+        with executor_scope(executor) as ex, self.transaction():
             self._sync()
-            written, retired = self._compact_locked(
-                namespace, to, ex, exclude_buckets
-            )
-        self._sync()
-        for rel in retired:
-            old = self.root / rel
-            if old.exists():
-                old.unlink()
+            written = self._compact_locked(namespace, to, ex, exclude_buckets)
+        if written:
+            self.runtime.incremental_vacuum()
         return written
 
     def _compact_locked(
         self, namespace: str, to: str, executor, exclude_buckets=None
-    ) -> tuple[list[StoreEntry], list[str]]:
+    ) -> list[StoreEntry]:
         from repro.engine.parallel import compact_group_task
 
         excluded = set() if exclude_buckets is None else set(exclude_buckets)
@@ -811,49 +758,34 @@ class SummaryStore:
             if coarse in excluded:
                 continue
             groups.setdefault(coarse, []).append(entry)
-        plan: list[tuple[str, list[StoreEntry], str, str]] = []
-        for coarse_bucket, group in sorted(groups.items()):
-            if len(group) == 1 and group[0].bucket == coarse_bucket:
-                continue  # nothing to roll up
-            part = self._free_part_tx(namespace, coarse_bucket, "rollup")
-            rel_path = f"data/{namespace}/{coarse_bucket}/{part}.cws"
-            plan.append((coarse_bucket, group, part, rel_path))
+        plan = [
+            (coarse_bucket, group,
+             self._free_part_tx(namespace, coarse_bucket, "rollup"))
+            for coarse_bucket, group in sorted(groups.items())
+            if len(group) > 1 or group[0].bucket != coarse_bucket
+        ]
         if not plan:
-            return [], []
-        root = str(self.root)
-        merged = list(executor.map(
+            return []
+        merged = executor.map(
             compact_group_task,
-            (
-                {
-                    "root": root,
-                    "bucket": coarse_bucket,
-                    "paths": [entry.path for entry in group],
-                    "target": rel_path,
-                }
-                for coarse_bucket, group, _part, rel_path in plan
-            ),
-        ))
+            ([self._bytes(entry) for entry in group] for _, group, _ in plan),
+        )
         written: list[StoreEntry] = []
-        retired_paths: list[str] = []
-        for (coarse_bucket, group, part, rel_path), result in zip(plan, merged):
-            new_entry = StoreEntry(
-                namespace=namespace,
-                bucket=coarse_bucket,
-                part=part,
-                kind=result["kind"],
-                assignments=tuple(result["assignments"]),
-                path=rel_path,
-                nbytes=result["nbytes"],
-            )
+        for (coarse_bucket, group, part), blob in zip(plan, merged):
             for entry in group:
                 self.runtime.delete_entry(
                     entry.namespace, entry.bucket, entry.part
                 )
-                retired_paths.append(entry.path)
-            self.runtime.replace_entry(new_entry.to_json())
-            written.append(new_entry)
+            # the merge's assignments: the union, first-encounter order
+            assignments = dict.fromkeys(
+                name for entry in group for name in entry.assignments
+            )
+            written.append(self._publish(
+                namespace, coarse_bucket, part, group[0].kind,
+                tuple(assignments), blob,
+            ))
         self.runtime.record_mutation(namespace, bundles_changed=True)
-        return written, retired_paths
+        return written
 
     def __repr__(self) -> str:
         return (

@@ -174,7 +174,7 @@ def test_soak_survives_faults_and_a_crash(tmp_path, seed):
     # the daemon's runtime tier survived the crash: revision moved on,
     # same schema, and the query cache is warm for a replay
     stats = clean.status()["runtime"]
-    assert stats["schema_version"] == 1
+    assert stats["schema_version"] == 2
     again = clean.estimate("soak", "max", ["h1", "h2"])
     assert again["cached"] is True
 

@@ -38,6 +38,7 @@ from repro.service.cluster import (
     CoordinatorThread,
     slot_namespace_configs,
 )
+from repro.service.cluster import coordinator as coordinator_module
 
 NS = NamespaceConfig("web", ("h1", "h2"), k=16, salt=4)
 N_SLOTS = 4
@@ -397,14 +398,17 @@ class TestJournal:
 
 
 class TestConcurrentHeartbeat:
-    def test_blackholed_worker_does_not_serialize_the_round(self, tmp_path):
+    def test_blackholed_worker_does_not_serialize_the_round(
+        self, tmp_path, monkeypatch
+    ):
         """Regression for the serial-probe stall: with three workers
         black-holing ``/health``, a concurrent round costs ~one probe
         budget, not three stacked ones — and marks exactly the
         black-holed workers dead."""
+        monkeypatch.setattr(coordinator_module, "WORKER_RETRIES", 0)
         cluster = Cluster(
             tmp_path, n_workers=4, replication=2,
-            probe_timeout_s=0.5, worker_retries=0, probe_concurrency=8,
+            probe_timeout_s=0.5, probe_concurrency=8,
         )
         try:
             for worker_id in ("w1", "w2", "w3"):
@@ -488,11 +492,14 @@ class TestRouterRefresh:
 
 
 class TestAcceptance:
-    def test_autonomous_detection_and_re_replication(self, tmp_path):
+    def test_autonomous_detection_and_re_replication(
+        self, tmp_path, monkeypatch
+    ):
         """ISSUE 9 acceptance: replication=2, SIGKILL a primary, and the
         background loops alone — real clock, no test-side driving — must
         detect, promote, and restore full replication within a bounded
         window, with answers bit-exact throughout."""
+        monkeypatch.setattr(coordinator_module, "WORKER_RETRIES", 0)
         clock = Clock()  # workers may share a frozen ingest clock ...
         workers: dict[str, ServiceThread] = {}
         config = CoordinatorConfig(
@@ -504,7 +511,6 @@ class TestAcceptance:
             salt=SALT,
             heartbeat_s=0.2,  # ... but the coordinator runs in real time
             probe_timeout_s=0.5,
-            worker_retries=0,
             fail_after_s=0.6,
             repair_interval_s=0.2,
         )

@@ -654,6 +654,20 @@ class TestCoordinatorConfig:
         ):
             CoordinatorConfig.from_json({**payload, "result_cache_size": 1024})
 
+    @pytest.mark.parametrize("cls,what,root,key", [
+        (ServiceConfig, "service", "store_root", "max_body_bytes"),
+        (CoordinatorConfig, "coordinator", "root", "max_body_bytes"),
+        (CoordinatorConfig, "coordinator", "root", "worker_retries"),
+    ])
+    def test_constant_knobs_are_unknown_keys(self, cls, what, root, key):
+        """The body limit and the worker retry count are module constants
+        now; a config file that still sets one is refused, not ignored."""
+        payload = cls(**{root: "/tmp/x", "namespaces": (NS,)}).to_json()
+        with pytest.raises(
+            ValueError, match=f"unknown {what} config keys: {key}"
+        ):
+            cls.from_json({**payload, key: 7})
+
 
 class TestCoordinatorApi:
     def test_health_and_cluster_view(self, cluster2):

@@ -174,7 +174,7 @@ class TestStorePipelines:
     def test_compact_is_byte_identical(
         self, tmp_path, executor, serial_compacted
     ):
-        serial_root, serial_store = serial_compacted
+        _serial_root, serial_store = serial_compacted
         store = _fill_store(tmp_path, np.random.default_rng(11))
         for namespace in ("web", "api"):
             store.compact(namespace, to="hour", executor=executor)
@@ -184,10 +184,9 @@ class TestStorePipelines:
         assert store.runtime.manifest_snapshot() == (
             serial_store.runtime.manifest_snapshot()
         )
-        for entry in entries:
-            assert (serial_root / entry["path"]).read_bytes() == (
-                tmp_path / entry["path"]
-            ).read_bytes()
+        for entry in serial_store.entries():
+            key = (entry.namespace, entry.bucket, entry.part)
+            assert store.read_blob(*key) == serial_store.read_blob(*key)
 
     def test_compact_refuses_a_bad_spec_even_with_nothing_to_do(
         self, tmp_path

@@ -519,10 +519,20 @@ class TestServeManyEdgeCases:
         # by request validation: still an exception, never a silent skip.
         from repro.store import CodecError
 
+        import sqlite3
+
         store = self.fill_store(tmp_path / "store")
         entry = store.entries("api")[0]
-        blob_path = tmp_path / "store" / entry.path
-        blob_path.write_bytes(b"garbage" + blob_path.read_bytes()[7:])
+        key = (entry.namespace, entry.bucket, entry.part)
+        blob = store.read_blob(*key)
+        db = sqlite3.connect(tmp_path / "store" / "runtime.sqlite")
+        with db:
+            db.execute(
+                "UPDATE artifacts SET data = ? WHERE namespace = ? "
+                "AND bucket = ? AND part = ?",
+                (b"garbage" + blob[7:], *key),
+            )
+        db.close()
         spec = AggregationSpec("max", ("h1", "h2"))
         with pytest.raises(CodecError):
             QueryEngine.serve_many(

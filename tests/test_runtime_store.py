@@ -128,6 +128,79 @@ class TestRuntimeStore:
             RuntimeStore(tmp_path)
 
 
+#: the schema-v1 tables the v1 → v2 upgrade looks at (v1 kept artifact
+#: bytes in files under data/, named by ``manifest.path``)
+_V1_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE manifest (
+    namespace TEXT NOT NULL, bucket TEXT NOT NULL, part TEXT NOT NULL,
+    kind TEXT NOT NULL, assignments TEXT NOT NULL, path TEXT NOT NULL,
+    nbytes INTEGER NOT NULL, seq INTEGER NOT NULL,
+    PRIMARY KEY (namespace, bucket, part)
+);
+CREATE INDEX manifest_seq ON manifest (seq);
+CREATE TABLE counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL);
+INSERT INTO meta VALUES ('schema_version', '1');
+INSERT INTO counters VALUES ('repairs_enqueued', 3);
+"""
+
+
+def make_v1_tier(root, manifest_rows=()):
+    import sqlite3
+
+    root.mkdir(parents=True, exist_ok=True)
+    db = sqlite3.connect(root / "runtime.sqlite")
+    db.execute("PRAGMA journal_mode = WAL")
+    db.executescript(_V1_SCHEMA)
+    for row in manifest_rows:
+        db.execute(
+            "INSERT INTO manifest VALUES (?, ?, ?, ?, ?, ?, ?, ?)", row
+        )
+    db.commit()
+    db.close()
+
+
+class TestSchemaUpgrade:
+    def test_empty_v1_tier_upgrades_in_place(self, tmp_path):
+        """Every coordinator root is a v1 tier with an empty manifest: it
+        opens as v2 and keeps its other state."""
+        make_v1_tier(tmp_path)
+        runtime = RuntimeStore(tmp_path)
+        assert runtime.get_meta("schema_version") == "2"
+        assert runtime.counters() == {"repairs_enqueued": 3}
+        columns = {
+            row["name"] for row in
+            runtime._conn.execute("PRAGMA table_info(manifest)")
+        }
+        assert "path" not in columns and "seq" in columns
+        runtime.close()
+        store = SummaryStore(tmp_path, create=False)
+        entry = store.write("web", "20260728T1200", make_bundle((0, 10)))
+        assert store.load(entry).equals(make_bundle((0, 10)))
+
+    def test_v1_tier_with_artifacts_is_refused_unchanged(self, tmp_path):
+        """A v1 manifest row names a file under data/ that this version
+        never reads: the root is refused by name, byte for byte as it was,
+        never opened as a store whose rows have no bytes."""
+        from repro.store import UnsupportedFormatError
+
+        make_v1_tier(tmp_path, [(
+            "web", "20260728T1200", "part-0000", "bottomk",
+            '["h1", "h2"]', "data/web/20260728T1200/part-0000.cws", 10, 1,
+        )])
+        before = (tmp_path / "runtime.sqlite").read_bytes()
+        for attempt in range(2):
+            with pytest.raises(
+                UnsupportedFormatError,
+                match=r"schema-v1 runtime tier.*1 artifact.*under data/",
+            ):
+                SummaryStore(tmp_path, create=False)
+        assert (tmp_path / "runtime.sqlite").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "runtime.sqlite"
+        ]
+
+
 class TestVersionTokens:
     def test_version_derives_from_revisions(self, tmp_path):
         store = SummaryStore(tmp_path)
@@ -208,8 +281,7 @@ class TestCrossProcess:
         assert len(listing) == 2 * n
         assert len({entry.part for entry in listing}) == 2 * n
         for entry in listing:
-            assert (tmp_path / entry.path).exists()
-            store.load(entry)  # decodes cleanly
+            store.load(entry)  # its bytes landed with its row
         assert store.runtime.manifest_snapshot()["global_rev"] == 2 * n
 
     def test_concurrent_mixed_mutations_stay_exact(self, tmp_path):

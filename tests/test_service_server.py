@@ -387,9 +387,12 @@ class TestBackpressure:
                 service.manager.ingest = original
             client.close()
 
-    def test_oversized_body_413(self, tmp_path):
+    def test_oversized_body_413(self, tmp_path, monkeypatch):
         # The Content-Length gate fires before the body is even read.
-        config = make_config(tmp_path / "store", max_body_bytes=100)
+        from repro.service import httpbase
+
+        monkeypatch.setattr(httpbase, "MAX_BODY_BYTES", 100)
+        config = make_config(tmp_path / "store")
         with ServiceThread(config) as thread:
             client = ServiceClient(port=thread.service.port)
             client.wait_ready()

@@ -298,35 +298,6 @@ class TestRotation:
             == offline.estimate(spec)
         )
 
-    def test_rescue_is_idempotent_across_its_own_crash(self, tmp_path):
-        # A rescue that crashed between its recovered-part write and the
-        # LIVE_PART remove must not duplicate the bundle on the next
-        # start (two overlapping-key artifacts would poison every merge).
-        clock = FakeClock()
-        manager = make_manager(tmp_path, clock)
-        manager.ingest("web", *batch(0))
-        manager.rotate(force=True)
-        manager.store.remove("web", "20260728T1200", CHECKPOINT_PART)
-        # simulate the half-done rescue: recovered copy written, orphan
-        # still in place
-        bundle = manager.store.read("web", "20260728T1200", "live")
-        manager.store.write("web", "20260728T1200", bundle,
-                            part="recovered-0000")
-        del manager
-
-        revived = make_manager(tmp_path, clock)
-        assert [
-            (e.part, e.kind) for e in revived.store.entries("web")
-        ] == [("recovered-0000", "bottomk")]
-        spec = AggregationSpec("max", ("h1", "h2"))
-        offline = offline_engine([batch(0)])
-        assert (
-            QueryPlanner(revived).estimate("web", "max", ("h1", "h2"))[
-                "estimate"
-            ]
-            == offline.estimate(spec)
-        )
-
     def test_flush_checkpoint_never_staler_than_bundle(self, tmp_path):
         # Review repro: clean shutdown (checkpoint E1) -> restart resumes
         # (checkpoint stays on disk) -> ingest E2 -> flush -> crash.  The
@@ -360,16 +331,16 @@ class TestRotation:
     def test_boundary_rotation_crash_before_checkpoint_retire(
         self, tmp_path, monkeypatch
     ):
-        # A closing window with an on-disk checkpoint (left by a flush)
-        # must refresh it BEFORE publishing the final bundle: a crash
-        # after the bundle write but before the checkpoint retire then
-        # resumes the full window, not the flush-time prefix that would
-        # mask and overwrite the newer bundle.
+        # A boundary rotation is one transaction: a failure after the
+        # final bundle write but before the checkpoint retire rolls the
+        # bundle back too.  The restart finds the flush-time checkpoint
+        # and the flush-time bundle it covers — never a newer bundle that
+        # the resumed prefix would mask and overwrite.
         clock = FakeClock()
         manager = make_manager(tmp_path, clock)
         manager.ingest("web", *batch(0))
         manager.rotate(force=True)  # checkpoint + bundle hold E1
-        manager.ingest("web", *batch(100))  # E2, same bucket
+        manager.ingest("web", *batch(100))  # E2, same bucket, in memory
         clock.advance(60.0)
 
         def dying_remove(*args, **kwargs):
@@ -377,15 +348,21 @@ class TestRotation:
 
         monkeypatch.setattr(manager.store, "remove", dying_remove)
         with pytest.raises(RuntimeError, match="checkpoint retire"):
-            manager.rotate()  # final bundle published, then "crash"
+            manager.rotate()  # final bundle written, then "crash"
+        # nothing committed, so the manager did not move on either
+        assert manager.live_info("web")["bucket"] == "20260728T1200"
+        assert manager.live_info("web")["buffered_events"] == 80
         del manager
 
         revived = make_manager(tmp_path, clock)
-        assert revived.live_info("web")["buffered_events"] == 80  # E1+E2
+        assert revived.live_info("web")["buffered_events"] == 40  # E1
+        assert [
+            (e.part, e.kind) for e in revived.store.entries("web")
+        ] == [(CHECKPOINT_PART, "checkpoint"), ("live", "bottomk")]
         clock.advance(60.0)
         revived.rotate()
         spec = AggregationSpec("max", ("h1", "h2"))
-        offline = offline_engine([batch(0), batch(100)])
+        offline = offline_engine([batch(0)])
         assert (
             QueryPlanner(revived).estimate("web", "max", ("h1", "h2"))[
                 "estimate"

@@ -1,4 +1,4 @@
-"""SummaryStore behavior: buckets, manifest, atomic writes, exact rollups.
+"""SummaryStore behavior: buckets, manifest, transactions, exact rollups.
 
 The acceptance property pinned here: a compacted (rolled-up) store answers
 QueryEngine estimates *identically* to merging the raw shard artifacts in
@@ -8,6 +8,7 @@ memory — compaction is pure, exact sketch algebra.
 from __future__ import annotations
 
 import json
+import sqlite3
 from datetime import datetime, timezone
 
 import numpy as np
@@ -30,6 +31,15 @@ from repro.store import (
 
 SALT = 13
 ASSIGNMENTS = ["h1", "h2"]
+
+
+def artifact_keys(root) -> list[tuple[str, str, str]]:
+    """The (namespace, bucket, part) keys of every stored artifact's bytes,
+    read straight from the runtime tier."""
+    with sqlite3.connect(f"file:{root}/runtime.sqlite?mode=ro", uri=True) as db:
+        return sorted(db.execute(
+            "SELECT namespace, bucket, part FROM artifacts"
+        ).fetchall())
 
 
 def make_bundle(key_range, seed=0, k=40, salt=SALT) -> SketchBundle:
@@ -141,31 +151,26 @@ class TestWriteRead:
         assert entry.kind == "summary"
         assert store.load(entry).equals(summary)
 
-    def test_corrupt_file_caught_on_load(self, tmp_path):
-        store = SummaryStore(tmp_path)
-        entry = store.write("flows", "20260728", make_bundle((0, 50)))
-        path = tmp_path / entry.path
-        raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CodecError, match="checksum"):
-            store.load(entry)
-
     @pytest.mark.parametrize("create", [True, False])
     def test_legacy_manifest_root_refuses_to_open(self, tmp_path, create):
         """A pre-runtime-tier root (``manifest.json``, no ``runtime.sqlite``)
         is refused by name and left byte-for-byte as it was — never
         opened as an empty store over the artifacts the manifest lists."""
         from repro.store import UnsupportedFormatError
+        from repro.store.codec import encode
 
-        store = SummaryStore(tmp_path / "modern")
-        entry = store.write("flows", "20260728", make_bundle((0, 50)))
+        rel = "data/flows/20260728/part-0000.cws"
         root = tmp_path / "legacy"
-        (root / entry.path).parent.mkdir(parents=True)
-        (root / entry.path).write_bytes((store.root / entry.path).read_bytes())
-        (root / "manifest.json").write_text(
-            json.dumps({"version": 1, "entries": [entry.to_json()]})
-        )
+        (root / rel).parent.mkdir(parents=True)
+        (root / rel).write_bytes(encode(make_bundle((0, 50))))
+        (root / "manifest.json").write_text(json.dumps({
+            "version": 1,
+            "entries": [{
+                "namespace": "flows", "bucket": "20260728",
+                "part": "part-0000", "kind": "bottomk",
+                "assignments": ASSIGNMENTS, "path": rel,
+            }],
+        }))
 
         def tree():
             return {
@@ -188,21 +193,55 @@ class TestWriteRead:
         strays = [p for p in tmp_path.rglob("*") if ".tmp." in p.name]
         assert strays == []
 
-    def test_overwrite_stages_a_new_revision(self, tmp_path):
-        # An overwrite must never replace the referenced file in place: the
-        # manifest points at an intact blob on either side of the swap.
+    def test_overwrite_is_a_new_publication(self, tmp_path):
+        # An overwrite replaces row and bytes together under a fresh
+        # publication number; an entry listed before it no longer loads
+        # (so a reader re-plans instead of mixing old and new bytes).
         store = SummaryStore(tmp_path)
         first = store.write("flows", "20260728", make_bundle((0, 50)),
                             part="p")
         second = store.write("flows", "20260728", make_bundle((50, 80)),
                              part="p", overwrite=True)
-        third = store.write("flows", "20260728", make_bundle((80, 90)),
+        third_bundle = make_bundle((80, 90))
+        third = store.write("flows", "20260728", third_bundle,
                             part="p", overwrite=True)
-        assert first.path != second.path != third.path
-        assert not (tmp_path / first.path).exists()  # retired after swap
-        assert not (tmp_path / second.path).exists()
-        assert (tmp_path / third.path).exists()
-        assert len(store.entries("flows")) == 1
+        assert first.seq < second.seq < third.seq
+        for stale in (first, second):
+            with pytest.raises(FileNotFoundError, match="no longer"):
+                store.load(stale)
+        assert store.load(third).equals(third_bundle)
+        assert store.entries("flows") == [third]
+        assert artifact_keys(tmp_path) == [("flows", "20260728", "p")]
+
+    def test_publication_numbers_are_never_reused(self, tmp_path):
+        store = SummaryStore(tmp_path)
+        first = store.write("flows", "20260728", make_bundle((0, 50)),
+                            part="p")
+        store.remove("flows", "20260728", "p")
+        again = store.write("flows", "20260728", make_bundle((50, 80)),
+                            part="p")
+        assert again.seq > first.seq
+        with pytest.raises(FileNotFoundError):
+            store.load(first)
+
+    def test_root_holds_only_the_runtime_tier(self, tmp_path):
+        # write, overwrite, remove and compact touch rows only: no data/
+        # directory, no staging file, nothing but runtime.sqlite*
+        store = SummaryStore(tmp_path)
+        store.write("flows", "20260728T1201", make_bundle((0, 50)))
+        store.write("flows", "20260728T1202", make_bundle((50, 90)),
+                    part="p")
+        store.write("flows", "20260728T1202", make_bundle((50, 100)),
+                    part="p", overwrite=True)
+        store.write("flows", "20260728T1203", make_bundle((100, 150)))
+        store.remove("flows", "20260728T1203", "part-0000")
+        store.compact("flows", to="hour")
+        assert {
+            path.name for path in tmp_path.iterdir()
+        } <= {"runtime.sqlite", "runtime.sqlite-wal", "runtime.sqlite-shm"}
+        assert artifact_keys(tmp_path) == [
+            ("flows", "20260728T12", "rollup-0000")
+        ]
 
     def test_concurrent_handles_do_not_lose_entries(self, tmp_path):
         # Two long-lived handles on one root: each write re-reads the
@@ -314,16 +353,24 @@ class TestCompaction:
         expected = bundles[0].merge(*bundles[1:]).summary()
         assert store.summary("flows").equals(expected)
 
-    def test_old_files_removed(self, tmp_path):
+    def test_retired_parts_leave_no_bytes(self, tmp_path):
         store = SummaryStore(tmp_path)
         self.fill(store)
         store.compact("flows", to="day")
-        on_disk = sorted(p.name for p in tmp_path.rglob("*.cws"))
-        manifest_files = sorted(
-            p.split("/")[-1] for p in
-            (e.path for e in store.entries())
+        assert artifact_keys(tmp_path) == sorted(
+            (e.namespace, e.bucket, e.part) for e in store.entries()
         )
-        assert on_disk == manifest_files
+
+    def test_compaction_returns_freed_pages(self, tmp_path):
+        # auto_vacuum=INCREMENTAL + incremental_vacuum after the commit:
+        # the retired parts' pages leave the file instead of idling on
+        # the freelist
+        store = SummaryStore(tmp_path)
+        self.fill(store)
+        store.compact("flows", to="day")
+        conn = store.runtime._conn
+        assert conn.execute("PRAGMA auto_vacuum").fetchone()[0] == 2
+        assert conn.execute("PRAGMA freelist_count").fetchone()[0] == 0
 
     def test_single_entry_at_target_untouched(self, tmp_path):
         store = SummaryStore(tmp_path)
@@ -449,14 +496,18 @@ class TestVersionWatch:
 
 
 class TestRemove:
-    def test_remove_drops_entry_and_file(self, tmp_path):
+    def test_remove_drops_entry_and_bytes(self, tmp_path):
         store = SummaryStore(tmp_path)
         entry = store.write("flows", "20260728T1201", make_bundle((0, 50)))
-        assert (tmp_path / entry.path).exists()
+        assert artifact_keys(tmp_path) == [
+            ("flows", "20260728T1201", entry.part)
+        ]
         removed = store.remove("flows", "20260728T1201", entry.part)
         assert removed == entry
         assert store.entries("flows") == []
-        assert not (tmp_path / entry.path).exists()
+        assert artifact_keys(tmp_path) == []
+        with pytest.raises(FileNotFoundError, match="no longer"):
+            store.load(entry)
         assert SummaryStore(tmp_path).entries("flows") == []
 
     def test_remove_missing(self, tmp_path):
@@ -468,53 +519,36 @@ class TestRemove:
         ) is None
 
 
-class TestPrune:
-    def test_prune_removes_only_unreferenced_files(self, tmp_path):
+class TestTransaction:
+    def test_mutations_compose_into_one_commit(self, tmp_path):
         store = SummaryStore(tmp_path)
-        entry = store.write("flows", "20260728T1201", make_bundle((0, 50)))
-        blob_dir = (tmp_path / entry.path).parent
-        # Simulate the crash windows prune exists for: a retired revision
-        # whose unlink never ran, and a staging file a killed writer left.
-        orphan = blob_dir / "part-0000.r1.cws"
-        orphan.write_bytes(b"retired revision")
-        staging = blob_dir / ".part-0001.cws.tmp.12345"
-        staging.write_bytes(b"staged then killed")
-        stale_manifest = tmp_path / ".manifest.json.tmp.999"
-        stale_manifest.write_bytes(b"{}")
-        removed = store.prune()
-        assert sorted(removed) == sorted([
-            ".manifest.json.tmp.999",
-            f"data/flows/20260728T1201/{orphan.name}",
-            f"data/flows/20260728T1201/{staging.name}",
-        ])
-        assert not orphan.exists() and not staging.exists()
-        assert not stale_manifest.exists()
-        assert (tmp_path / entry.path).exists()  # live artifact untouched
-        assert store.load(entry) is not None
+        kept = store.write("flows", "20260728T1201", make_bundle((0, 50)))
+        other = SummaryStore(tmp_path)  # a second handle sees commits only
+        with store.transaction():
+            store.write("flows", "20260728T1202", make_bundle((50, 90)))
+            store.remove("flows", "20260728T1201", kept.part)
+            inside = [e.bucket for e in store.entries("flows")]
+        assert inside == ["20260728T1201"]  # the cache is re-read at commit
+        assert [e.bucket for e in store.entries("flows")] == ["20260728T1202"]
+        other.refresh()
+        assert other.entries("flows") == store.entries("flows")
+        assert store.version("flows") == "flows.r3"
 
-    def test_prune_drops_empty_bucket_directories(self, tmp_path):
+    def test_rollback_restores_everything(self, tmp_path):
         store = SummaryStore(tmp_path)
-        entry = store.write("flows", "20260728T1201", make_bundle((0, 50)))
-        store.remove("flows", "20260728T1201", entry.part)
-        # remove() already unlinked the blob; only the empty dirs remain.
-        assert (tmp_path / entry.path).parent.exists()
-        assert store.prune() == []
-        assert not (tmp_path / entry.path).parent.exists()
-
-    def test_prune_empty_store(self, tmp_path):
-        assert SummaryStore(tmp_path).prune() == []
-
-    def test_staged_but_retired_compaction_files_removed(self, tmp_path):
-        # A compaction whose manifest rewrite never happened: the rollup
-        # blob exists on disk but no entry references it.
-        store = SummaryStore(tmp_path)
-        store.write("flows", "20260728T1201", make_bundle((0, 50)))
-        ghost = tmp_path / "data" / "flows" / "20260728T12" / "rollup-0000.cws"
-        ghost.parent.mkdir(parents=True)
-        ghost.write_bytes(b"staged rollup, manifest never swapped")
-        removed = store.prune()
-        assert removed == ["data/flows/20260728T12/rollup-0000.cws"]
-        assert not ghost.exists()
+        kept = store.write("flows", "20260728T1201", make_bundle((0, 50)))
+        before = (store.entries(), store.version(), artifact_keys(tmp_path))
+        with pytest.raises(RuntimeError, match="mid-transaction"):
+            with store.transaction():
+                store.write("flows", "20260728T1202", make_bundle((50, 90)))
+                store.remove("flows", "20260728T1201", kept.part)
+                raise RuntimeError("mid-transaction failure")
+        assert (
+            store.entries(), store.version(), artifact_keys(tmp_path)
+        ) == before
+        assert store.load(kept).equals(make_bundle((0, 50)))
+        reopened = SummaryStore(tmp_path)
+        assert reopened.entries() == before[0]
 
 
 class TestLsJson:

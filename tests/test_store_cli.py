@@ -155,7 +155,7 @@ class TestErrors:
                   "--input", str(bad)])
 
 
-class TestLsJsonAndPrune:
+class TestLsJsonAndExport:
     def test_ls_json_machine_readable(self, tmp_path, capsys):
         import json
 
@@ -186,20 +186,38 @@ class TestLsJsonAndPrune:
         listing = json.loads(capsys.readouterr().out)
         assert listing["namespaces"] == []
 
-    def test_prune_removes_retired_files(self, tmp_path, capsys):
+    def test_export_writes_the_exact_bytes(self, tmp_path, capsys):
+        from repro.store import SummaryStore
+        from repro.store.codec import read_file
+
         root = tmp_path / "store"
         write_bucket(root, "20260728T1201", "h1", "a-")
-        orphan = root / "data" / "web" / "20260728T1201" / "part-0000.r3.cws"
-        orphan.write_bytes(b"retired")
-        capsys.readouterr()
-        assert main(["prune", "--root", str(root)]) == 0
-        out = capsys.readouterr().out
-        assert "part-0000.r3.cws" in out and "pruned 1 file(s)" in out
-        assert not orphan.exists()
+        out = tmp_path / "out" / "part.cws"
+        assert main([
+            "export", "--root", str(root), "--namespace", "web",
+            "--bucket", "20260728T1201", "--part", "part-0000",
+            "--out", str(out),
+        ]) == 0
+        assert "exported web/20260728T1201/part-0000" in (
+            capsys.readouterr().out
+        )
+        store = SummaryStore(root, create=False)
+        assert out.read_bytes() == store.read_blob(
+            "web", "20260728T1201", "part-0000"
+        )
+        assert read_file(out).equals(store.read("web", "20260728T1201",
+                                                "part-0000"))
 
-        assert main(["prune", "--root", str(root)]) == 0
-        assert "nothing to prune" in capsys.readouterr().out
-
-    def test_prune_requires_existing_store(self, tmp_path):
+    def test_export_refuses_a_missing_artifact(self, tmp_path):
+        root = tmp_path / "store"
+        write_bucket(root, "20260728T1201", "h1", "a-")
+        out = tmp_path / "part.cws"
+        with pytest.raises(SystemExit, match="no artifact web/20260728T1201"):
+            main(["export", "--root", str(root), "--namespace", "web",
+                  "--bucket", "20260728T1201", "--part", "nope",
+                  "--out", str(out)])
+        assert not out.exists()
         with pytest.raises(SystemExit, match="no store at"):
-            main(["prune", "--root", str(tmp_path / "missing")])
+            main(["export", "--root", str(tmp_path / "missing"),
+                  "--namespace", "web", "--bucket", "20260728T1201",
+                  "--part", "part-0000", "--out", str(out)])
