@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
     parse_prometheus_text,
     quantile_from_buckets,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
-    "default_registry",
     "parse_prometheus_text",
     "quantile_from_buckets",
     "Span",

@@ -13,14 +13,15 @@ Three instrument kinds, mirroring the Prometheus data model:
   cumulative bucket counts with log-linear interpolation, so percentile
   reporting needs no per-observation storage.
 
-Every daemon owns an injectable :class:`MetricsRegistry` instance (two
-daemons in one test process must not share series); library code that
-has no daemon handy uses :func:`default_registry`.  All mutation is
-lock-guarded and safe under concurrent request handlers and background
-threads.  :func:`MetricsRegistry.render` emits the Prometheus text
-format (``# HELP`` / ``# TYPE`` / sample lines) and
-:func:`parse_prometheus_text` parses it back — benches and CI scrape
-``GET /metrics`` through that pair.
+Every daemon owns its own :class:`MetricsRegistry` (two daemons in one
+test process must not share series), and every count a daemon reports
+is one of its registry's series, read through
+:meth:`MetricsRegistry.counts`.  All mutation is lock-guarded and safe
+under concurrent request handlers and background threads.
+:func:`MetricsRegistry.render` emits the Prometheus text format (``#
+HELP`` / ``# TYPE`` / sample lines) and :func:`parse_prometheus_text`
+parses it back — benches and CI scrape ``GET /metrics`` through that
+pair.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from collections.abc import Mapping
 
 __all__ = [
     "Counter",
@@ -35,7 +37,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
-    "default_registry",
     "parse_prometheus_text",
     "quantile_from_buckets",
 ]
@@ -90,6 +91,8 @@ class _Metric:
     """Shared per-metric machinery: label children behind one lock."""
 
     kind = "untyped"
+    #: set by a disabled registry: ``inc`` / ``observe`` then return at once
+    enabled = True
 
     def __init__(self, name, help_text, labelnames=()):
         if not _NAME_RE.match(name):
@@ -104,8 +107,14 @@ class _Metric:
         self._children: dict = {}
 
     def labels(self, **labels):
-        """The child series for one label combination (created on first
-        use, so only observed combinations appear in the exposition)."""
+        """The child series for one label combination — no labels for a
+        label-less metric (created on first use, so only observed
+        combinations appear in the exposition)."""
+        if self.labelnames and not labels:
+            raise ValueError(
+                f"metric {self.name} declares labels "
+                f"{list(self.labelnames)}; use .labels(...)"
+            )
         key = _validate_labels(self.labelnames, labels)
         with self._lock:
             child = self._children.get(key)
@@ -113,21 +122,16 @@ class _Metric:
                 child = self._children[key] = self._make_child()
             return child
 
-    def _default_child(self):
-        if self.labelnames:
-            raise ValueError(
-                f"metric {self.name} declares labels "
-                f"{list(self.labelnames)}; use .labels(...)"
-            )
-        with self._lock:
-            child = self._children.get(())
-            if child is None:
-                child = self._children[()] = self._make_child()
-            return child
+    _default_child = labels  # a label-less metric's one child
 
     def _snapshot(self):
         with self._lock:
             return list(self._children.items())
+
+    def _counted(self, labels):
+        """The child ``labels`` names, or all of them; creates none."""
+        key = labels and _validate_labels(self.labelnames, labels)
+        return [c for k, c in self._snapshot() if not labels or k == key]
 
 
 class Counter(_Metric):
@@ -152,14 +156,15 @@ class Counter(_Metric):
         return Counter._Child()
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if labels:
+        if self.enabled:
             self.labels(**labels).inc(amount)
-        else:
-            self._default_child().inc(amount)
 
     def value(self, **labels) -> float:
-        child = self.labels(**labels) if labels else self._default_child()
-        return child.value
+        return self.labels(**labels).value
+
+    def count(self, **labels) -> int:
+        """One series' total, or every series' summed (no ``labels``)."""
+        return int(sum(child.value for child in self._counted(labels)))
 
     def _samples(self):
         for key, child in self._snapshot():
@@ -210,23 +215,16 @@ class Gauge(_Metric):
         return Gauge._Child(self._callback)
 
     def set(self, value: float, **labels) -> None:
-        if labels:
-            self.labels(**labels).set(value)
-        else:
-            self._default_child().set(value)
+        self.labels(**labels).set(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if labels:
-            self.labels(**labels).inc(amount)
-        else:
-            self._default_child().inc(amount)
+        self.labels(**labels).inc(amount)
 
     def dec(self, amount: float = 1.0, **labels) -> None:
         self.inc(-amount, **labels)
 
     def value(self, **labels) -> float:
-        child = self.labels(**labels) if labels else self._default_child()
-        return child.value()
+        return self.labels(**labels).value()
 
     def _samples(self):
         if self._callback is not None and not self._children:
@@ -292,14 +290,15 @@ class Histogram(_Metric):
         return Histogram._Child(self.buckets)
 
     def observe(self, value: float, **labels) -> None:
-        if labels:
+        if self.enabled:
             self.labels(**labels).observe(value)
-        else:
-            self._default_child().observe(value)
 
     def quantile(self, q: float, **labels) -> float:
-        child = self.labels(**labels) if labels else self._default_child()
-        return child.quantile(q)
+        return self.labels(**labels).quantile(q)
+
+    def count(self, **labels) -> int:
+        """One series' observations, or every series' (no ``labels``)."""
+        return sum(child.total for child in self._counted(labels))
 
     def _samples(self):
         for key, child in self._snapshot():
@@ -354,10 +353,11 @@ class MetricsRegistry:
 
     ``get_or_create`` semantics: asking twice for the same name returns
     the same instrument (kind and label names must agree), so callers
-    never coordinate registration order.  ``enabled=False`` builds a
-    registry whose instruments still exist but whose exposition renders
-    from whatever was recorded — the cheap "off switch" is owned by the
-    instrumented layer, which skips recording entirely.
+    never coordinate registration order.  ``enabled=False`` is the off
+    switch, and the registry owns it: its counters' ``inc`` and its
+    histograms' ``observe`` return at once, so nothing is recorded, no
+    series renders and every :meth:`counts` reads 0.  Gauges are state,
+    not counts, and still read.
     """
 
     def __init__(self, enabled: bool = True):
@@ -381,6 +381,7 @@ class MetricsRegistry:
                     )
                 return metric
             metric = cls(name, help_text, labelnames, **kwargs)
+            metric.enabled = self.enabled
             self._metrics[name] = metric
             return metric
 
@@ -404,6 +405,12 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
+    def counts(self, series: dict) -> "_CountView":
+        """A live read-only ``{key: count}``: ``series`` maps each key to
+        the counter or histogram counting it — ``name`` (the sum over its
+        label sets) or ``(name, labels)`` — read at each lookup."""
+        return _CountView(self, series)
+
     def render(self) -> str:
         """The registry as Prometheus text format (version 0.0.4)."""
         with self._lock:
@@ -419,6 +426,22 @@ class MetricsRegistry:
                 labels = _render_labels(labelnames, labelvalues, extra)
                 lines.append(f"{sample}{labels} {_format_value(value)}")
         return "\n".join(lines) + "\n"
+
+
+class _CountView(Mapping):
+    def __init__(self, registry: MetricsRegistry, series: dict):
+        self._registry, self._series = registry, series
+
+    def __getitem__(self, key) -> int:
+        spec = self._series[key]
+        name, labels = (spec, {}) if isinstance(spec, str) else spec
+        return self._registry.get(name).count(**labels)
+
+    def __iter__(self):
+        return iter(self._series)
+
+    def __len__(self) -> int:
+        return len(self._series)
 
 
 _SAMPLE_RE = re.compile(
@@ -470,11 +493,3 @@ def parse_prometheus_text(text: str) -> dict:
             value = float(raw_value)
         samples[(match.group("name"), tuple(sorted(labels)))] = value
     return samples
-
-
-_DEFAULT_REGISTRY = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-global registry, for code with no daemon instance."""
-    return _DEFAULT_REGISTRY

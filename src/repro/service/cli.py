@@ -10,8 +10,7 @@ Run the daemon, check it, and talk to it:
         --input events.csv --sync
     repro-serve query --port 8765 --namespace web --function max \\
         --assignments bytes packets
-    repro-serve stats --port 8765            # ops telemetry via /status
-    repro-serve stats --root /tmp/flows      # read runtime.sqlite directly
+    repro-serve stats --port 8765            # counts + tier via /status
     repro-serve metrics --port 8765          # Prometheus text scrape
     repro-serve trace --port 8765 --limit 20 # recent request/span traces
 
@@ -446,14 +445,6 @@ def _cmd_watch_poll(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.root is not None:
-        # Offline / sidecar read: WAL mode lets this open the runtime
-        # tier concurrently with a running daemon.
-        from repro.store.store import SummaryStore
-
-        stats = SummaryStore(args.root, create=False).runtime.stats()
-        print(json.dumps(stats, indent=1, sort_keys=True))
-        return 0
     with _client(args) as client:
         status = client.status()
     subset = {
@@ -763,14 +754,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = commands.add_parser(
         "stats",
-        help="ops telemetry: counters, cache hit rates, revisions",
+        help="a daemon's counts, cache and runtime tier (repro-store "
+             "stats reads a root offline)",
     )
     _add_client_args(stats)
-    stats.add_argument(
-        "--root", default=None, metavar="DIR",
-        help="read the store's runtime tier directly instead of asking "
-             "a daemon (works alongside a running daemon)",
-    )
     stats.set_defaults(func=_cmd_stats)
 
     metrics = commands.add_parser(

@@ -188,7 +188,7 @@ class CoordinatorConfig:
     #: re-probe and repair stale-marked copies every tick (not just on
     #: membership churn)
     anti_entropy: bool = True
-    #: metrics + tracing on/off
+    #: metrics + tracing on/off (off: no spans, every /status count is 0)
     observability: bool = True
     #: optional JSONL file finished spans are appended to
     trace_log: str | None = None
@@ -259,6 +259,22 @@ class CoordinatorService(HttpServerBase):
     """The cluster coordinator daemon (see module docstring)."""
 
     role = "coordinator"
+    series_prefix = "repro_cluster_"
+    counted = {
+        **HttpServerBase.counted,
+        "ingest_batches": "Client batches routed.",
+        "ingested_events": "Client events routed.",
+        "queries": "/query requests.",
+        "partial_answers": "Answers marked partial (a slot went unanswered).",
+        "failovers": "Slots answered by an owner other than the first asked.",
+        "handoff_artifacts": "Artifacts copied by handoff and repair.",
+        "heartbeat_rounds": "Heartbeat rounds run.",
+        "promotions": "Workers promoted to failed.",
+        "repair_ticks": "Self-healing control-loop passes.",
+        "memo_hits": "Queries answered by the memoized merged engine.",
+    }
+    #: one merge per engine-memo rebuild
+    stats_series = {"memo_rebuilds": "repro_cluster_merge_seconds"}
 
     def __init__(
         self,
@@ -270,11 +286,6 @@ class CoordinatorService(HttpServerBase):
         super().__init__(config, clock)
         os.makedirs(config.root, exist_ok=True)
         self.runtime = RuntimeStore(config.root)
-        self.metrics.gauge(
-            "repro_result_cache_entries",
-            "Entries in the persistent cluster query-result cache.",
-            callback=lambda: self.runtime.cache_stats()["entries"],
-        )
         self._slot_fetch_seconds = self.metrics.histogram(
             "repro_cluster_slot_fetch_seconds",
             "Latency of one multi-slot bundle fetch from a worker.",
@@ -297,19 +308,6 @@ class CoordinatorService(HttpServerBase):
         )
         self.topology = config.topology
         self.namespaces = {ns.name: ns for ns in config.namespaces}
-        self.stats.update({
-            "ingest_batches": 0,
-            "ingested_events": 0,
-            "queries": 0,
-            "partial_answers": 0,
-            "failovers": 0,
-            "handoff_artifacts": 0,
-            "heartbeat_rounds": 0,
-            "promotions": 0,
-            "repair_ticks": 0,
-            "memo_hits": 0,
-            "memo_rebuilds": 0,
-        })
         #: serializes membership changes against routing decisions
         self._cluster_lock = threading.RLock()
         self._fanout = ThreadPoolExecutor(
@@ -425,11 +423,11 @@ class CoordinatorService(HttpServerBase):
             await asyncio.sleep(self.config.heartbeat_s)
             try:
                 await loop.run_in_executor(None, self._heartbeat_round)
-                self.stats["heartbeat_rounds"] += 1
+                self.count["heartbeat_rounds"].inc()
             except asyncio.CancelledError:
                 raise
             except Exception as err:  # keep beating; surface via /cluster
-                self.stats["last_error"] = f"heartbeat: {err}"
+                self.last_error = f"heartbeat: {err}"
 
     def _heartbeat_round(self) -> None:
         """Probe every member concurrently; one hung worker costs one
@@ -471,7 +469,7 @@ class CoordinatorService(HttpServerBase):
             except asyncio.CancelledError:
                 raise
             except Exception as err:  # keep healing; surface via /repairs
-                self.stats["last_error"] = f"repair: {err}"
+                self.last_error = f"repair: {err}"
 
     # -- membership + handoff -------------------------------------------------
 
@@ -582,7 +580,7 @@ class CoordinatorService(HttpServerBase):
                 degraded_now.append(slot)
         if degraded_now or stale_repaired:
             self._save_health_meta()
-        self.stats["handoff_artifacts"] += copied_total
+        self.count["handoff_artifacts"].inc(copied_total)
         return {"artifacts": copied_total, "degraded": sorted(degraded_now)}
 
     def _join(self, worker_id: str, host: str, port: int) -> dict:
@@ -789,8 +787,8 @@ class CoordinatorService(HttpServerBase):
                     for worker, (outcome, detail) in sorted(outcomes.items())
                 ),
             )
-        self.stats["ingest_batches"] += 1
-        self.stats["ingested_events"] += len(keys)
+        self.count["ingest_batches"].inc()
+        self.count["ingested_events"].inc(len(keys))
         result = {
             "ok": True,
             "events": len(keys),
@@ -841,10 +839,9 @@ class CoordinatorService(HttpServerBase):
                 except Exception as err:  # one owner must not sink the rest
                     outcome, detail = "unknown", str(err) or type(err).__name__
                 span.annotate(outcome=outcome)
-            if self.metrics.enabled:
-                self._delivery_seconds.observe(
-                    time.perf_counter() - started, worker=worker
-                )
+            self._delivery_seconds.observe(
+                time.perf_counter() - started, worker=worker
+            )
             return outcome, detail
 
         items = sorted(frames.items())
@@ -964,12 +961,11 @@ class CoordinatorService(HttpServerBase):
                         self._slot_memo.popitem(last=False)
             changed = states.count("bundle")
             span.annotate(changed=changed, bytes=nbytes)
-        if self.metrics.enabled:
-            self._slot_fetch_seconds.observe(
-                time.perf_counter() - started, worker=worker
-            )
-            for state in set(states):
-                self._slot_fetches.inc(states.count(state), outcome=state)
+        self._slot_fetch_seconds.observe(
+            time.perf_counter() - started, worker=worker
+        )
+        for state in set(states):
+            self._slot_fetches.inc(states.count(state), outcome=state)
         return copies, changed, nbytes
 
     def _gather(self, namespace: str, since, until) -> tuple:
@@ -1045,7 +1041,7 @@ class CoordinatorService(HttpServerBase):
                     del asking[slot]
                     answered[slot] = (slot, worker, *copies[position])
                     if slot in rerouted:
-                        self.stats["failovers"] += 1
+                        self.count["failovers"].inc()
         missing = sorted(set(range(self.topology.n_slots)) - set(answered))
         return sorted(answered.values()), missing, fetched
 
@@ -1056,19 +1052,17 @@ class CoordinatorService(HttpServerBase):
             memo = self._engine_memo.get(selection)
             if memo is not None and memo[0] == vector:
                 self._engine_memo.move_to_end(selection)
-                self.stats["memo_hits"] += 1
+                self.count["memo_hits"].inc()
                 return memo[1]
         merge_started = time.perf_counter()
         with self.tracer.span("merge", bundles=len(bundles)):
             engine = QueryEngine.from_bundles(bundles)
-        if self.metrics.enabled:
-            self._merge_seconds.observe(time.perf_counter() - merge_started)
+        self._merge_seconds.observe(time.perf_counter() - merge_started)
         with self._memo_lock:
             self._engine_memo[selection] = (vector, engine)
             self._engine_memo.move_to_end(selection)
             while len(self._engine_memo) > _MEMO_ENGINES:
                 self._engine_memo.popitem(last=False)
-            self.stats["memo_rebuilds"] += 1
         return engine
 
     def _answer_query(self, request: dict) -> dict:
@@ -1101,6 +1095,7 @@ class CoordinatorService(HttpServerBase):
                     outcome="miss" if hit is None else "hit"
                 )
             if hit is not None:
+                self._cache_lookups.inc(outcome="hit")
                 return {**hit, "cached": True}
         sources = {
             "slots": self.topology.n_slots,
@@ -1122,12 +1117,13 @@ class CoordinatorService(HttpServerBase):
         if partial:
             # Loud, never cached: the answer covers only the slots that
             # responded, so it may change the instant a worker returns.
-            self.stats["partial_answers"] += 1
+            self.count["partial_answers"].inc()
             answer["partial"] = True
             answer["missing_slots"] = sorted(missing)
             return {**answer, "cached": False}
         answer["partial"] = False  # before cache_put: replays keep the marker
         self.runtime.cache_put(cache_key, namespace, version, answer)
+        self._cache_lookups.inc(outcome="miss")
         return {**answer, "cached": False}
 
     # -- handlers -------------------------------------------------------------
@@ -1186,7 +1182,7 @@ class CoordinatorService(HttpServerBase):
         )
 
     async def _handle_query(self, params, body):
-        self.stats["queries"] += 1
+        self.count["queries"].inc()
         return await self._in_executor(
             self._answer_query, self._query_fields(params, body)
         )
@@ -1216,7 +1212,7 @@ class CoordinatorService(HttpServerBase):
                 row["worker_id"] for row in workers if row["failed"]
             ),
             "repairs": self.runtime.repair_stats(),
-            "stats": dict(self.stats),
+            "stats": {**self.stats, "last_error": self.last_error},
             "cache": self.runtime.cache_stats(),
         }
 
@@ -1229,11 +1225,19 @@ class CoordinatorService(HttpServerBase):
         with self._cluster_lock:
             rows = self._worker_rows()
         members = self._member_ids(rows)
+        sections = self._count_sections()
+        # the repair counts are the journal's own durable tallies
+        journal = sections["runtime"]["repairs"]
+        sections["runtime"]["counters"].update(
+            repairs_enqueued=journal["total"],
+            repairs_completed=journal["done"],
+            repairs_failed=journal["failed"],
+        )
         return {
             "ok": True,
             "role": "coordinator",
             "uptime_s": uptime,
-            "stats": dict(self.stats),
+            **sections,
             "cluster": {
                 "workers": len(rows),
                 "members": len(members),
@@ -1242,8 +1246,7 @@ class CoordinatorService(HttpServerBase):
                 ),
                 "failed": len(rows) - len(members),
             },
-            "repairs": self.runtime.repair_stats(),
-            "runtime": self.runtime.stats(),
+            "repairs": journal,
         }
 
 

@@ -138,7 +138,6 @@ class RepairPlanner:
                     detail="slot degraded: no complete copy survives",
                     now=now,
                 )
-                svc.runtime.add_counter("repairs_failed", 1)
                 continue
             for target in new:
                 if target in holders:
@@ -149,7 +148,7 @@ class RepairPlanner:
                     reason=f"worker {worker_id} failed", now=now,
                 )
         svc._save_health_meta()
-        svc.stats["promotions"] += 1
+        svc.count["promotions"].inc()
 
     # -- phase 2: anti-entropy planning ---------------------------------------
 
@@ -230,7 +229,6 @@ class RepairPlanner:
                 f"{op['attempts'] + 1} attempts)",
                 bump_attempts=True, now=now,
             )
-            svc.runtime.add_counter("repairs_failed", 1)
             return "failed"
         svc.runtime.repair_update(
             op["id"], "queued", detail=why, bump_attempts=True, now=now
@@ -254,16 +252,15 @@ class RepairPlanner:
         ) as span:
             outcome = self._execute_locked(op)
             span.annotate(outcome=outcome)
-        if svc.metrics.enabled:
-            svc.metrics.counter(
-                "repro_repair_ops_total",
-                "Executed repair ops, by outcome.",
-                labelnames=("outcome",),
-            ).inc(outcome=outcome)
-            svc.metrics.histogram(
-                "repro_repair_op_seconds",
-                "Latency of one repair-op execution.",
-            ).observe(time.perf_counter() - started)
+        svc.metrics.counter(
+            "repro_repair_ops_total",
+            "Executed repair ops, by outcome.",
+            labelnames=("outcome",),
+        ).inc(outcome=outcome)
+        svc.metrics.histogram(
+            "repro_repair_op_seconds",
+            "Latency of one repair-op execution.",
+        ).observe(time.perf_counter() - started)
         return outcome
 
     def _execute_locked(self, op: dict) -> str:
@@ -295,7 +292,6 @@ class RepairPlanner:
                     detail="slot degraded: no complete copy survives",
                     now=now,
                 )
-                svc.runtime.add_counter("repairs_failed", 1)
                 return "failed"
             if slot not in svc._stale.get(target, set()):
                 svc.runtime.repair_update(
@@ -349,12 +345,11 @@ class RepairPlanner:
                 return self._requeue(op, "no reachable healthy source")
             svc._stale.get(target, set()).discard(slot)
             svc._save_health_meta()
-            svc.stats["handoff_artifacts"] += copied
+            svc.count["handoff_artifacts"].inc(copied)
             svc.runtime.repair_update(
                 op["id"], "done", source=used_source,
                 detail=f"{copied} artifacts copied", now=now,
             )
-            svc.runtime.add_counter("repairs_completed", 1)
             return "done"
 
     # -- the tick -------------------------------------------------------------
@@ -364,7 +359,7 @@ class RepairPlanner:
         promoted = self.promote_failed()
         enqueued = self.plan_anti_entropy()
         drained = self.drain()
-        self.service.stats["repair_ticks"] += 1
+        self.service.count["repair_ticks"].inc()
         return {
             "ok": True,
             "promoted": promoted,

@@ -144,7 +144,7 @@ class ServiceConfig:
     ingest_queue_batches: int = 64
     #: max events accepted in one ingest batch
     max_batch_events: int = MAX_BATCH_EVENTS
-    #: metrics + tracing on/off (off is the bench's bare baseline)
+    #: metrics + tracing on/off (off: no spans, every /status count is 0)
     observability: bool = True
     #: optional JSONL file finished spans are appended to
     trace_log: str | None = None

@@ -32,7 +32,7 @@ import numpy as np
 from repro.obs import MetricsRegistry, Tracer
 from repro.service.config import unknown_namespace
 from repro.service.jsonutil import dumps_strict, sanitize_non_finite
-from repro.service.planner import query_request_from_params
+from repro.service.planner import QueryPlanner, query_request_from_params
 from repro.store.codec import MAGIC, event_batch_namespaces
 
 __all__ = [
@@ -165,14 +165,41 @@ class HttpServerBase:
 
     #: "worker" | "coordinator": the /health payload and fault scope
     role = "daemon"
+    #: counters the daemon bumps with ``self.count[key].inc()``: key ->
+    #: help.  ``/status`` ``stats.<key>`` reads the registry series
+    #: ``<series_prefix><key>_total``
+    counted = {
+        "requests": "HTTP requests parsed (counted on arrival, before "
+                    "dispatch; repro_http_requests_total counts replies).",
+    }
+    series_prefix = "repro_"
+    #: more ``stats`` keys, read from series counted elsewhere
+    stats_series: dict = {}
+    #: ``/status`` ``runtime.counters`` key -> series; a key that is also
+    #: a ``stats`` or ``planner`` key names the same series
+    counter_series = {
+        "faults_injected": "repro_faults_injected_total",
+        "cache_hits": QueryPlanner.stats_series["hits"],
+        "cache_misses": QueryPlanner.stats_series["misses"],
+    }
 
     def __init__(self, config, clock: Callable[[], float] = time.time):
         self.config = config
         self.clock = clock
-        self.stats = {"requests": 0, "last_error": None}
-        # per-daemon instances (never the process-global registry) keep
-        # two daemons in one test process from interleaving series
+        #: the last unexpected failure (``/status`` ``stats.last_error``)
+        self.last_error = None
+        # per-daemon instances keep two daemons in one test process from
+        # interleaving series
         self.metrics = MetricsRegistry(enabled=config.observability)
+        series = {
+            key: f"{self.series_prefix}{key}_total" for key in self.counted
+        }
+        self.count = {
+            key: self.metrics.counter(name, self.counted[key])
+            for key, name in series.items()
+        }
+        #: live read-only counts, each read from its registry series
+        self.stats = self.metrics.counts({**series, **self.stats_series})
         self.tracer = Tracer(
             capacity=512, log_path=config.trace_log,
             enabled=config.observability,
@@ -186,6 +213,21 @@ class HttpServerBase:
             "repro_http_request_seconds",
             "End-to-end request handling latency in seconds.",
             labelnames=("path",),
+        )
+        self._faults_injected = self.metrics.counter(
+            "repro_faults_injected_total",
+            "Requests intercepted by a server-side fault plan.",
+        )
+        # both daemons answer from their runtime tier's result cache
+        self._cache_lookups = self.metrics.counter(
+            "repro_result_cache_lookups_total",
+            "Persistent result-cache probes, by outcome.",
+            labelnames=("outcome",),
+        )
+        self.metrics.gauge(
+            "repro_result_cache_entries",
+            "Entries in the persistent query-result cache.",
+            callback=lambda: self.runtime.cache_stats()["entries"],
         )
         #: ``(method, path) -> async handler(params, body)``; the metric
         #: path labels, 404-vs-405 and the ``endpoints:`` message all
@@ -208,6 +250,15 @@ class HttpServerBase:
         self._stopping = False
         self._fault_plan = None
         self._fault_scope = self.role
+
+    def _count_sections(self) -> dict:
+        """``/status``'s ``stats`` and ``runtime`` (with ``counters``)."""
+        runtime = self.runtime.stats()
+        runtime["counters"] = dict(self.metrics.counts(self.counter_series))
+        return {
+            "stats": {**self.stats, "last_error": self.last_error},
+            "runtime": runtime,
+        }
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -327,8 +378,8 @@ class HttpServerBase:
         Server-side faults fire after the request bytes are fully read:
         an ``error`` answers without dispatching, a ``drop`` closes the
         connection silently, a ``blackhole`` holds it open for the
-        rule's delay and then drops it.  Each firing bumps the
-        ``faults_injected`` runtime counter (``/status``, stats verbs).
+        rule's delay and then drops it.  Each firing counts in ``/status``
+        ``runtime.counters.faults_injected``.
         """
         self._fault_plan = plan
         self._fault_scope = self.role if scope is None else scope
@@ -358,8 +409,7 @@ class HttpServerBase:
             self._fault_scope, method, path, namespace=namespace
         )
         if decision is not None:
-            with contextlib.suppress(Exception):
-                self.runtime.add_counter("faults_injected", 1)
+            self._faults_injected.inc()
         return decision
 
     @property
@@ -389,7 +439,7 @@ class HttpServerBase:
                 keep_alive = (
                     headers.get("connection", "keep-alive").lower() != "close"
                 )
-                self.stats["requests"] += 1
+                self.count["requests"].inc()
                 fault = self._fault_decision(method, path, params, body)
                 if fault is not None:
                     if fault.action == "delay":
@@ -431,7 +481,7 @@ class HttpServerBase:
                             message = err.args[0] if err.args else str(err)
                             status, payload = 404, {"error": str(message)}
                         except Exception as err:  # never kill the loop
-                            self.stats["last_error"] = f"{path}: {err}"
+                            self.last_error = f"{path}: {err}"
                             status, payload = 500, {"error": str(err)}
                         if status >= 400:
                             span.fail(
@@ -445,13 +495,10 @@ class HttpServerBase:
                                 and span.recording
                             ):
                                 payload.setdefault("trace", span.header())
-                    if self.metrics.enabled:
-                        self._http_latency.observe(
-                            time.perf_counter() - started, path=route
-                        )
-                        self._http_requests.inc(
-                            path=route, status=str(status)
-                        )
+                    self._http_latency.observe(
+                        time.perf_counter() - started, path=route
+                    )
+                    self._http_requests.inc(path=route, status=str(status))
                     self._write_response(
                         writer, status, payload, keep_alive,
                         trace=span.header() if span.recording else None,

@@ -53,7 +53,7 @@ from itertools import groupby, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from repro.core.aggregates import AggregationSpec
-from repro.obs import default_registry, default_tracer
+from repro.obs import default_tracer
 from repro.core.predicates import key_in
 from repro.engine.merge import disjoint_union, refuse_duplicates
 from repro.engine.queries import ESTIMATORS, QueryEngine, jaccard_from_summary
@@ -73,6 +73,8 @@ FUNCTIONS = ("single", "min", "max", "l1", "lth_largest")
 
 #: merged engines kept per planner (LRU)
 _MAX_CACHED_ENGINES = 8
+
+_MEMO_LOOKUPS = "repro_partial_memo_lookups_total"
 
 
 def query_request_from_params(params: dict) -> dict:
@@ -379,7 +381,21 @@ class _Snapshot(NamedTuple):
 
 
 class QueryPlanner:
-    """Merged live + stored query answering behind revision-keyed caches."""
+    """Merged live + stored query answering behind revision-keyed caches.
+
+    It counts in its manager's registry (``metrics`` overrides it); its
+    :attr:`stats` read those counters.
+    """
+
+    #: :attr:`stats` key -> the registry series that counts it
+    stats_series = {
+        "hits": ("repro_result_cache_lookups_total", {"outcome": "hit"}),
+        "misses": ("repro_result_cache_lookups_total", {"outcome": "miss"}),
+        "engine_builds": "repro_engine_build_seconds",
+        "partial_hits": (_MEMO_LOOKUPS, {"outcome": "hit"}),
+        "partial_builds": (_MEMO_LOOKUPS, {"outcome": "build"}),
+        "window_queries": "repro_window_queries_total",
+    }
 
     def __init__(
         self,
@@ -389,9 +405,7 @@ class QueryPlanner:
         tracer=None,
     ) -> None:
         self.manager = manager
-        # the daemon injects its per-process registry/tracer; offline
-        # users (notebooks, benches without a daemon) get the globals
-        self._metrics = metrics if metrics is not None else default_registry()
+        self._metrics = metrics if metrics is not None else manager.metrics
         self._tracer = tracer if tracer is not None else default_tracer()
         self._plan_seconds = self._metrics.histogram(
             "repro_query_plan_seconds",
@@ -414,6 +428,14 @@ class QueryPlanner:
             "build).",
             labelnames=("outcome",),
         )
+        self._memo_lookups = self._metrics.counter(
+            _MEMO_LOOKUPS, "Stored-partial memo probes (a view's, and each "
+            "bucket's of a multi-bucket selection), by outcome.",
+            labelnames=("outcome",),
+        )
+        self._window_queries = self._metrics.counter(
+            "repro_window_queries_total", "Window-series answers computed."
+        )
         self.max_cached_partials = max(1, max_cached_partials)
         self._engines: OrderedDict[tuple, tuple[QueryEngine, dict]] = (
             OrderedDict()
@@ -428,10 +450,8 @@ class QueryPlanner:
         # only contends with the short snapshot, never with kernel
         # computation.
         self._lock = threading.RLock()
-        self.stats = {
-            "hits": 0, "misses": 0, "engine_builds": 0,
-            "partial_hits": 0, "partial_builds": 0, "window_queries": 0,
-        }
+        #: live read-only counts, each read from its registry series
+        self.stats = self._metrics.counts(self.stats_series)
 
     # -- planning -------------------------------------------------------------
 
@@ -451,7 +471,6 @@ class QueryPlanner:
                 self._engines.move_to_end(key)
                 return cached
             self._engines[key] = (engine, sources)
-            self.stats["engine_builds"] += 1
             while len(self._engines) > _MAX_CACHED_ENGINES:
                 self._engines.popitem(last=False)
             return engine, sources
@@ -577,7 +596,7 @@ class QueryPlanner:
             partial = self._partials.get(key)
             if partial is not None:
                 self._partials.move_to_end(key)
-                self.stats["partial_hits"] += 1
+                self._memo_lookups.inc(outcome="hit")
             return partial
 
     def _partial_put(self, key: tuple, partial: StoredPartial) -> tuple:
@@ -587,7 +606,7 @@ class QueryPlanner:
             cached = self._partial_get(key)
             if cached is not None:
                 return cached, "hit"
-            self.stats["partial_builds"] += 1
+            self._memo_lookups.inc(outcome="build")
             # a build that outlived its revision can never hit: not kept
             if bundle_rev == self.manager.store.bundle_version(namespace):
                 if self._partial_revs.get(namespace) != bundle_rev:
@@ -628,8 +647,7 @@ class QueryPlanner:
                         namespace, snap.bundle_rev, snap.entries
                     )
                     span.annotate(outcome=outcome)
-                if self._metrics.enabled:
-                    self._partial_lookups.inc(outcome=outcome)
+                self._partial_lookups.inc(outcome=outcome)
             return stored, snap.live, snap.version, {
                 "stored_entries": len(snap.entries),
                 "live_events": snap.live_events,
@@ -658,10 +676,9 @@ class QueryPlanner:
             with self._tracer.span("plan", namespace=namespace):
                 return self._plan(namespace, since, until)
         finally:
-            if self._metrics.enabled:
-                self._plan_seconds.observe(
-                    time.perf_counter() - started, namespace=namespace
-                )
+            self._plan_seconds.observe(
+                time.perf_counter() - started, namespace=namespace
+            )
 
     def _plan(
         self, namespace: str, since: str | None, until: str | None
@@ -680,10 +697,7 @@ class QueryPlanner:
             "engine-build", namespace=namespace, bundles=len(bundles)
         ):
             engine = QueryEngine.from_bundles(bundles)
-        if self._metrics.enabled:
-            self._engine_build_seconds.observe(
-                time.perf_counter() - build_started
-            )
+        self._engine_build_seconds.observe(time.perf_counter() - build_started)
         sources["union_keys"] = engine.summary.n_union
         engine, sources = self._engine_cache_put(
             (namespace, version, since, until), engine, sources
@@ -809,8 +823,7 @@ class QueryPlanner:
                         "start": w_lo.isoformat(), "end": w_hi.isoformat(),
                         **answer,
                     })
-                with self._lock:
-                    self.stats["window_queries"] += 1
+                self._window_queries.inc()
                 result.update(
                     windows=rows, window_s=spec.window_s, step_s=spec.step_s
                 )
@@ -832,10 +845,7 @@ class QueryPlanner:
             span.annotate(outcome="miss" if hit is None else "hit")
         if hit is None:
             return None
-        if self._metrics.enabled:
-            self._result_cache_lookups.inc(outcome="hit")
-        with self._lock:
-            self.stats["hits"] += 1
+        self._result_cache_lookups.inc(outcome="hit")
         return {**hit, "cached": True}
 
     def _cached(
@@ -850,10 +860,7 @@ class QueryPlanner:
         # byte-identical to the first serving.
         result = sanitize_non_finite(compute())
         self._runtime.cache_put(key, namespace, version, result)
-        if self._metrics.enabled:
-            self._result_cache_lookups.inc(outcome="miss")
-        with self._lock:
-            self.stats["misses"] += 1
+        self._result_cache_lookups.inc(outcome="miss")
         return {**result, "cached": False}
 
     def _served(self, spec: QuerySpec) -> dict:

@@ -87,6 +87,27 @@ class SummaryService(HttpServerBase):
     """The ``repro-serve`` daemon (see module docstring)."""
 
     role = "worker"
+    counted = {
+        **HttpServerBase.counted,
+        "ingest_batches": "Ingest batches applied (a JSON body or a frame).",
+        "ingest_rejected": "Ingest batches refused with 429 (queue full).",
+        "ingest_errors": "Queued ingest batches that failed to apply.",
+        "queries": "Parsed /query requests.",
+    }
+    stats_series = {  # the window manager's
+        "ingested_events": "repro_ingest_events_total",
+        "rotations": "repro_window_rotations_total",
+        "compactions": "repro_compactions_total",
+    }
+    counter_series = {
+        **HttpServerBase.counter_series,
+        "ingest_batches": "repro_ingest_batches_total",
+        "ingested_events": "repro_ingest_events_total",
+        "rejected_batches": "repro_ingest_rejected_total",
+        "ingest_errors": "repro_ingest_errors_total",
+        "rotations": "repro_window_rotations_total",
+        "compactions": "repro_compactions_total",
+    }
 
     def __init__(
         self,
@@ -104,11 +125,7 @@ class SummaryService(HttpServerBase):
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        self.planner = QueryPlanner(
-            self.manager,
-            metrics=self.metrics,
-            tracer=self.tracer,
-        )
+        self.planner = QueryPlanner(self.manager, tracer=self.tracer)
         # point-in-time state, read by /status and the stats verb through
         # the registry rather than recomputed ad hoc per request
         self.metrics.gauge(
@@ -122,20 +139,6 @@ class SummaryService(HttpServerBase):
             "repro_ingest_queue_capacity",
             "Ingest queue size that triggers 429 backpressure.",
         ).set(config.ingest_queue_batches)
-        self.metrics.gauge(
-            "repro_result_cache_entries",
-            "Entries in the persistent query-result cache.",
-            callback=lambda: self.store.runtime.cache_stats()["entries"],
-        )
-        self.stats.update({
-            "ingest_batches": 0,
-            "ingested_events": 0,
-            "ingest_rejected": 0,
-            "ingest_errors": 0,
-            "queries": 0,
-            "rotations": 0,
-            "compactions": 0,
-        })
         self._queue: asyncio.Queue | None = None
         self._tasks: list[asyncio.Task] = []
         self.routes.update({
@@ -191,9 +194,8 @@ class SummaryService(HttpServerBase):
                         None, self._apply_batch, batch
                     )
                 except Exception as err:
-                    self.stats["ingest_errors"] += 1
-                    self.store.runtime.add_counter("ingest_errors", 1)
-                    self.stats["last_error"] = f"ingest: {err}"
+                    self.count["ingest_errors"].inc()
+                    self.last_error = f"ingest: {err}"
                     if future is not None and not future.done():
                         # A frame was validated whole, so a failure here
                         # is the server's and may have landed some
@@ -204,8 +206,7 @@ class SummaryService(HttpServerBase):
                             f"ingest failed: {err}",
                         ))
                 else:
-                    self.stats["ingest_batches"] += 1
-                    self.stats["ingested_events"] += result["events"]
+                    self.count["ingest_batches"].inc()
                     if future is not None and not future.done():
                         future.set_result(result)
             finally:
@@ -238,25 +239,21 @@ class SummaryService(HttpServerBase):
         while True:
             await asyncio.sleep(self.config.tick_s)
             try:
-                written = await loop.run_in_executor(
-                    None, self.manager.rotate
-                )
-                self.stats["rotations"] += len(written)
+                await loop.run_in_executor(None, self.manager.rotate)
                 if (
                     self.config.compact_to is not None
                     and time.monotonic() - last_compact
                     >= self.config.compact_every_s
                 ):
                     last_compact = time.monotonic()
-                    compacted = await loop.run_in_executor(
+                    await loop.run_in_executor(
                         None, self.manager.compact, self.config.compact_to
                     )
-                    self.stats["compactions"] += len(compacted)
                 await self._evaluate_due_watches(loop)
             except asyncio.CancelledError:
                 raise
             except Exception as err:  # keep ticking; surface via /status
-                self.stats["last_error"] = f"ticker: {err}"
+                self.last_error = f"ticker: {err}"
 
     async def _evaluate_due_watches(self, loop) -> None:
         """Re-evaluate every registration whose cadence has elapsed."""
@@ -322,6 +319,11 @@ class SummaryService(HttpServerBase):
     async def _handle_status(self, params, body):
         loop = asyncio.get_running_loop()
 
+        def gauge(name: str) -> int:
+            # point-in-time values read through the registry's gauges —
+            # the same series /metrics exposes
+            return int(self.metrics.get(name).value())
+
         def snapshot() -> dict:
             with self.manager.lock:
                 return {
@@ -334,30 +336,15 @@ class SummaryService(HttpServerBase):
                         for name in self.manager.configs
                     },
                     "store": self.store.ls_json(),
-                    # point-in-time values read through the registry's
-                    # gauges — the same series /metrics exposes
                     "queue": {
-                        "depth": int(
-                            self.metrics.gauge(
-                                "repro_ingest_queue_depth"
-                            ).value()
-                        ),
-                        "capacity": int(
-                            self.metrics.gauge(
-                                "repro_ingest_queue_capacity"
-                            ).value()
-                        ),
+                        "depth": gauge("repro_ingest_queue_depth"),
+                        "capacity": gauge("repro_ingest_queue_capacity"),
                     },
                     "result_cache": {
-                        "entries": int(
-                            self.metrics.gauge(
-                                "repro_result_cache_entries"
-                            ).value()
-                        ),
+                        "entries": gauge("repro_result_cache_entries"),
                     },
                     "planner": dict(self.planner.stats),
-                    "stats": dict(self.stats),
-                    "runtime": self.store.runtime.stats(),
+                    **self._count_sections(),
                 }
 
         return 200, await loop.run_in_executor(None, snapshot)
@@ -434,8 +421,7 @@ class SummaryService(HttpServerBase):
         try:
             self._queue.put_nowait((batch, future))
         except asyncio.QueueFull:
-            self.stats["ingest_rejected"] += 1
-            self.store.runtime.add_counter("rejected_batches", 1)
+            self.count["ingest_rejected"].inc()
             raise _HttpError(
                 429,
                 f"ingest queue full ({self.config.ingest_queue_batches} "
@@ -452,7 +438,7 @@ class SummaryService(HttpServerBase):
     async def _handle_query(self, params, body):
         with self.tracer.span("parse"):
             spec = self._parse_query(self._query_fields(params, body))
-        self.stats["queries"] += 1
+        self.count["queries"].inc()
         loop = asyncio.get_running_loop()
         # executor threads do not inherit the task's context: carry the
         # request span over so planner child spans join this trace
@@ -585,7 +571,6 @@ class SummaryService(HttpServerBase):
         written = await loop.run_in_executor(
             None, lambda: self.manager.rotate(force=True)
         )
-        self.stats["rotations"] += len(written)
         return 200, {
             "ok": True,
             "written": [

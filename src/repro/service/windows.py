@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.obs import default_registry, default_tracer
+from repro.obs import MetricsRegistry, default_tracer
 from repro.service.config import NamespaceConfig, unknown_namespace
 from repro.store.store import (
     BUNDLE_KINDS,
@@ -104,6 +104,10 @@ class LiveWindowManager:
     clock:
         injectable UTC-seconds source (tests drive rotation
         deterministically through it).
+    metrics:
+        the :class:`~repro.obs.MetricsRegistry` the manager (and a
+        planner over it) counts in; a manager built without one makes
+        its own.
 
     Construction *resumes*: any ``live-window`` checkpoint artifact left
     by a previous shutdown or flush is restored into the live window.
@@ -125,30 +129,31 @@ class LiveWindowManager:
         self.store = store
         self.granularity = granularity
         self.clock = clock
-        self._metrics = (
-            metrics if metrics is not None else default_registry()
-        )
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else default_tracer()
-        self._ingest_events = self._metrics.counter(
+        self._ingest_events = self.metrics.counter(
             "repro_ingest_events_total",
             "Events applied to live windows, by namespace.",
             labelnames=("namespace",),
         )
-        self._ingest_seconds = self._metrics.histogram(
+        self._ingest_seconds = self.metrics.histogram(
             "repro_ingest_apply_seconds",
             "Latency of applying one ingest batch to its live window.",
             labelnames=("namespace",),
         )
-        self._live_finalize_seconds = self._metrics.histogram(
+        self._live_finalize_seconds = self.metrics.histogram(
             "repro_live_finalize_seconds",
             "Latency of building a live window's sketch bundle (folding "
             "its new events).",
         )
-        self._rotations = self._metrics.counter(
+        self._rotations = self.metrics.counter(
             "repro_window_rotations_total",
             "Live-window bundles published into the store.",
         )
-        self._rotation_seconds = self._metrics.histogram(
+        self._compactions = self.metrics.counter(
+            "repro_compactions_total", "Coarse buckets written by compaction."
+        )
+        self._rotation_seconds = self.metrics.histogram(
             "repro_rotation_seconds",
             "Latency of rotations that published at least one bundle.",
         )
@@ -351,10 +356,7 @@ class LiveWindowManager:
             started = time.perf_counter()
             with self._tracer.span("live-finalize", namespace=namespace):
                 bundle = window.summarizer.sketch_bundle()
-            if self._metrics.enabled:
-                self._live_finalize_seconds.observe(
-                    time.perf_counter() - started
-                )
+            self._live_finalize_seconds.observe(time.perf_counter() - started)
             return window.bucket, window.events, bundle
 
     # -- mutation -------------------------------------------------------------
@@ -380,12 +382,11 @@ class LiveWindowManager:
             window = self._windows[namespace]  # rotation may have replaced it
             window.summarizer.ingest_multi(keys, weights_by_assignment)
             count = len(keys)
-            if self._metrics.enabled:
-                self._ingest_events.inc(count, namespace=namespace)
-                self._ingest_seconds.observe(
-                    time.perf_counter() - started, namespace=namespace
-                )
-            ingest_seq = self.store.runtime.record_ingest(namespace, count)
+            self._ingest_events.inc(count, namespace=namespace)
+            self._ingest_seconds.observe(
+                time.perf_counter() - started, namespace=namespace
+            )
+            ingest_seq = self.store.runtime.record_ingest(namespace)
             window_seq, _ = self._live_seqs[namespace]
             self._live_seqs[namespace] = (window_seq, ingest_seq)
             return {
@@ -447,7 +448,6 @@ class LiveWindowManager:
                             name, window.bucket, bundle,
                             part=LIVE_PART, overwrite=True,
                         ))
-                        self.store.runtime.add_counter("rotations", 1)
                         if closing:  # the bundle supersedes the checkpoint
                             self.store.remove(
                                 name, window.bucket, CHECKPOINT_PART,
@@ -460,7 +460,7 @@ class LiveWindowManager:
                         self.configs[name], now_bucket
                     )
                     self._live_seqs[name] = (ingest_seq, ingest_seq)
-            if written and self._metrics.enabled:
+            if written:
                 self._rotations.inc(len(written))
                 self._rotation_seconds.observe(time.perf_counter() - started)
             return written
@@ -494,7 +494,7 @@ class LiveWindowManager:
                     self.store.remove(
                         namespace, entry.bucket, entry.part, missing_ok=True
                     )
-                ingest_seq = self.store.runtime.record_ingest(namespace, 0)
+                ingest_seq = self.store.runtime.record_ingest(namespace)
                 self.store.runtime.set_window_seq(namespace, ingest_seq)
             bucket = bucket_for(self.clock(), self.granularity)
             self._windows[namespace] = self._fresh_window(
@@ -535,8 +535,7 @@ class LiveWindowManager:
                         name, to=to, exclude_buckets=exclude
                     )
                 )
-            if written:
-                self.store.runtime.add_counter("compactions", len(written))
+            self._compactions.inc(len(written))
             return written
 
     def checkpoint(self) -> list[StoreEntry]:

@@ -7,7 +7,7 @@ and checkpoints to a versioned zero-copy binary format;
 time-bucket-partitioned registry with one-transaction mutations and exact
 merge-based rollups; :mod:`repro.store.runtime` is the WAL-mode SQLite
 runtime tier beneath it (manifest and artifact bytes, persistent
-query-result cache, telemetry counters); :mod:`repro.store.checkpoint`
+query-result cache, cluster and repair journals); :mod:`repro.store.checkpoint`
 freezes and resumes ingestion bit-identically.  ``python -m repro.store``
 exposes the write/ls/compact/export/query/stats workflow on the command
 line.

@@ -170,8 +170,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"{repairs['active']} active, {repairs['done']} done, "
             f"{repairs['failed']} failed"
         )
-    for name, value in stats["counters"].items():
-        print(f"counter       {name} = {value}")
     return 0
 
 
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = commands.add_parser(
         "stats",
-        help="runtime-tier telemetry: revisions, counters, query cache",
+        help="runtime-tier state: revisions, query cache, repair journal",
     )
     stats.add_argument("--root", required=True)
     stats.add_argument("--json", action="store_true",

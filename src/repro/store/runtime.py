@@ -1,4 +1,4 @@
-"""Durable SQLite runtime tier: manifest, query cache, ops telemetry.
+"""Durable SQLite runtime tier: manifest, artifacts, query cache, journals.
 
 :class:`RuntimeStore` is one WAL-mode ``runtime.sqlite`` per store root,
 holding every piece of *runtime state* that used to live in ad-hoc JSON
@@ -24,10 +24,12 @@ files or evaporate with the process:
   version fingerprint with hit counts and timestamps, evicted
   coldest-first (fewest hits, then least recently hit) at a capacity
   bound;
-* **ops telemetry counters** — ingested events/batches, rejected
-  batches, rotations, compactions, cache hits/misses — read by the
-  service's ``/status`` endpoint and the ``repro-serve stats`` /
-  ``repro-store stats`` CLI verbs.
+* a coordinator's **membership** and **repair journal**, a worker's
+  **continuous-query registrations**.
+
+No event counts live here (a daemon's registry counts them, per
+process): the tallies :meth:`RuntimeStore.stats` reports are durable,
+each read from its own table.
 
 Concurrency: every connection takes a process-wide thread lock around
 its statements and relies on SQLite's own cross-process locking (WAL +
@@ -103,10 +105,7 @@ CREATE TABLE IF NOT EXISTS query_cache (
     created_at  REAL NOT NULL,
     last_hit_at REAL NOT NULL
 );
-CREATE TABLE IF NOT EXISTS counters (
-    name  TEXT PRIMARY KEY,
-    value INTEGER NOT NULL
-);
+DROP TABLE IF EXISTS counters;
 CREATE TABLE IF NOT EXISTS cluster_workers (
     worker_id TEXT PRIMARY KEY,
     host      TEXT    NOT NULL,
@@ -509,12 +508,11 @@ class RuntimeStore:
             int(row["checkpoint_seq"]),
         )
 
-    def record_ingest(self, namespace: str, events: int) -> int:
-        """Advance the namespace's ingest position; bump ingest counters.
+    def record_ingest(self, namespace: str, events: int = 0) -> int:
+        """Advance the namespace's ingest position by one batch.
 
-        Returns the new ``ingest_seq``.  One transaction per batch: the
-        sequence move and the ``ingest_batches`` / ``ingested_events``
-        telemetry land together.
+        Returns the new ``ingest_seq``.  The batch size ``events`` is not
+        stored: a daemon's registry counts events.
         """
         with self.transaction():
             self._conn.execute(
@@ -523,8 +521,6 @@ class RuntimeStore:
                 "ingest_seq = ingest_seq + 1",
                 (namespace,),
             )
-            self.add_counter("ingest_batches", 1)
-            self.add_counter("ingested_events", events)
             row = self._conn.execute(
                 "SELECT ingest_seq FROM live_state WHERE namespace = ?",
                 (namespace,),
@@ -567,7 +563,6 @@ class RuntimeStore:
                 "WHERE key = ?",
                 (time.time(), key),
             )
-            self.add_counter("cache_hits", 1)
         return json.loads(row["payload"])
 
     def cache_put(
@@ -601,7 +596,6 @@ class RuntimeStore:
                 "last_hit_at = excluded.last_hit_at",
                 (key, namespace, version, blob, now, now),
             )
-            self.add_counter("cache_misses", 1)
             count = self._conn.execute(
                 "SELECT COUNT(*) AS n FROM query_cache"
             ).fetchone()["n"]
@@ -628,15 +622,6 @@ class RuntimeStore:
             "FROM query_cache"
         ).fetchone()
         return {"entries": int(row["entries"]), "hits": int(row["hits"])}
-
-    def cache_entries(self, limit: int = 20) -> list[dict]:
-        """The hottest cached answers (for the ``stats`` CLI verbs)."""
-        rows = self._execute(
-            "SELECT namespace, version, hits, created_at, last_hit_at "
-            "FROM query_cache ORDER BY hits DESC, last_hit_at DESC LIMIT ?",
-            (limit,),
-        ).fetchall()
-        return [dict(row) for row in rows]
 
     # -- cluster membership (coordinator runtime tier) ------------------------
 
@@ -783,7 +768,6 @@ class RuntimeStore:
                 "VALUES (?, ?, ?, ?, 'queued', ?, 0, ?, ?)",
                 (kind, int(slot), target, source, reason, now, now),
             )
-            self.add_counter("repairs_enqueued", 1)
             return int(cursor.lastrowid)
 
     def repair_claim(
@@ -924,7 +908,6 @@ class RuntimeStore:
                     time.time(),
                 ),
             )
-            self.add_counter("watch_registrations", 1)
             return int(cursor.lastrowid)
 
     def watches(self, namespace: str | None = None) -> list[dict]:
@@ -964,10 +947,9 @@ class RuntimeStore:
         """Materialize one evaluation's outcome; returns the new update_seq.
 
         Every evaluation bumps ``update_seq`` (the long-poll wake
-        cursor) and the ``watch_evaluations`` counter; a triggered one
-        additionally bumps ``triggered_count`` / ``watch_triggers``.
-        The last answer row is what ``repro-serve stats`` and
-        ``GET /watch`` report as registered-query health.
+        cursor) and ``evaluations``; a triggered one additionally bumps
+        ``triggered_count``.  The last answer row is what ``repro-serve
+        stats`` and ``GET /watch`` report as registered-query health.
         """
         with self.transaction():
             self._conn.execute(
@@ -989,9 +971,6 @@ class RuntimeStore:
                     int(watch_id),
                 ),
             )
-            self.add_counter("watch_evaluations", 1)
-            if triggered:
-                self.add_counter("watch_triggers", 1)
             row = self._conn.execute(
                 "SELECT update_seq FROM registrations WHERE id = ?",
                 (int(watch_id),),
@@ -1018,30 +997,13 @@ class RuntimeStore:
             "erroring": int(row["erroring"]),
         }
 
-    # -- telemetry counters ---------------------------------------------------
-
-    def add_counter(self, name: str, delta: int) -> None:
-        with self.transaction():
-            self._conn.execute(
-                "INSERT INTO counters (name, value) VALUES (?, ?) "
-                "ON CONFLICT(name) DO UPDATE SET value = value + "
-                "excluded.value",
-                (name, delta),
-            )
-
-    def counters(self) -> dict:
-        rows = self._execute(
-            "SELECT name, value FROM counters ORDER BY name"
-        ).fetchall()
-        return {row["name"]: int(row["value"]) for row in rows}
-
     # -- inspection -----------------------------------------------------------
 
     def stats(self) -> dict:
         """One machine-readable snapshot of the whole runtime tier.
 
-        The payload behind ``repro-store stats`` / ``repro-serve stats``
-        and the ``runtime`` section of the service's ``/status``.
+        The payload behind ``repro-store stats`` and the ``runtime``
+        section of a daemon's ``/status``.
         """
         snapshot = self.manifest_snapshot()
         per_namespace: dict[str, dict] = {}
@@ -1062,7 +1024,6 @@ class RuntimeStore:
             "schema_version": _SCHEMA_VERSION,
             "revision": snapshot["global_rev"],
             "namespaces": per_namespace,
-            "counters": self.counters(),
             "cache": self.cache_stats(),
             "watches": self.watch_stats(),
             "repairs": self.repair_stats(),

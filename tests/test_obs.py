@@ -30,7 +30,6 @@ from repro.obs import (
     bind_parent,
     current_span,
     current_trace_header,
-    default_registry,
     default_tracer,
     format_trace_header,
     parse_prometheus_text,
@@ -201,8 +200,58 @@ class TestRegistry:
         with pytest.raises(ValueError, match="invalid label name"):
             Counter("ok", "help", labelnames=("bad-label",))
 
-    def test_default_registry_is_singleton(self):
-        assert default_registry() is default_registry()
+    def test_disabled_registry_records_nothing(self):
+        registry = MetricsRegistry(enabled=False)
+        counter = registry.counter("c_total", "", labelnames=("path",))
+        hist = registry.histogram("h_seconds", "")
+        counter.inc(path="/query")
+        hist.observe(0.5)
+        registry.gauge("depth", "").set(3)  # state, not a count: still set
+        samples = parse_prometheus_text(registry.render())
+        assert samples == {("depth", ()): 3}
+        assert counter.count() == 0 and hist.count() == 0
+
+
+class TestCounts:
+    def test_count_reads_a_series_or_the_sum_without_creating_one(self):
+        registry = MetricsRegistry()
+        counter = registry.counter(
+            "c_total", "", labelnames=("path", "status")
+        )
+        counter.inc(2, path="/query", status="200")
+        counter.inc(path="/query", status="404")
+        counter.inc(path="/ingest", status="200")
+        assert counter.count() == 4
+        assert counter.count(path="/query", status="404") == 1
+        assert counter.count(path="/bundle", status="200") == 0
+        with pytest.raises(ValueError, match="do not match"):
+            counter.count(path="/query")
+        hist = registry.histogram("h_seconds", "", labelnames=("path",))
+        hist.observe(0.1, path="/query")
+        hist.observe(9.0, path="/query")
+        assert hist.count() == 2 and hist.count(path="/ingest") == 0
+        # reading created no series: only the observed paths render
+        rendered = parse_prometheus_text(registry.render())
+        assert {dict(labels)["path"] for _name, labels in rendered} == {
+            "/query", "/ingest",
+        }
+
+    def test_counts_is_a_live_read_only_view(self):
+        registry = MetricsRegistry()
+        lookups = registry.counter("l_total", "", labelnames=("outcome",))
+        registry.histogram("build_seconds", "").observe(0.2)
+        view = registry.counts({
+            "hits": ("l_total", {"outcome": "hit"}),
+            "lookups": "l_total",
+            "builds": "build_seconds",
+        })
+        assert dict(view) == {"hits": 0, "lookups": 0, "builds": 1}
+        lookups.inc(outcome="hit")
+        lookups.inc(outcome="miss")
+        assert view["hits"] == 1 and view["lookups"] == 2
+        assert list(view) == ["hits", "lookups", "builds"]
+        with pytest.raises(TypeError):
+            view["hits"] = 5
 
 
 class TestExpositionRoundTrip:

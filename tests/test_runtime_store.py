@@ -73,17 +73,29 @@ class TestRuntimeStore:
         assert snapshot["revisions"]["a"] == (2, 1)  # one bundle change
         assert snapshot["revisions"]["b"] == (1, 1)
 
-    def test_counters_accumulate(self, tmp_path):
+    def test_record_ingest_advances_the_ingest_seq(self, tmp_path):
         runtime = RuntimeStore(tmp_path)
-        runtime.add_counter("rotations", 2)
-        runtime.add_counter("rotations", 3)
-        runtime.record_ingest("web", events=10)
-        runtime.record_ingest("web", events=4)
-        counters = runtime.counters()
-        assert counters["rotations"] == 5
-        assert counters["ingest_batches"] == 2
-        assert counters["ingested_events"] == 14
+        assert runtime.record_ingest("web", events=10) == 1
+        assert runtime.record_ingest("web") == 2
         assert runtime.live_seqs("web") == (0, 2, 0)
+
+    def test_counters_table_is_dropped_on_open(self, tmp_path):
+        """Event counts live in each daemon's registry; a tier written by
+        a version that kept a ``counters`` table loses it on open."""
+        runtime = RuntimeStore(tmp_path)
+        runtime._conn.executescript(
+            "CREATE TABLE counters (name TEXT PRIMARY KEY, value INTEGER);"
+            "INSERT INTO counters VALUES ('cache_hits', 3);"
+        )
+        runtime.close()
+        runtime = RuntimeStore(tmp_path)
+        tables = {
+            row["name"] for row in runtime._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        assert "counters" not in tables and "query_cache" in tables
+        assert "counters" not in runtime.stats()
 
     def test_cache_hit_counts_and_persistence(self, tmp_path):
         runtime = RuntimeStore(tmp_path)
@@ -97,8 +109,6 @@ class TestRuntimeStore:
         reopened = RuntimeStore(tmp_path)
         assert reopened.cache_get("q1") == payload
         assert reopened.cache_stats() == {"entries": 1, "hits": 3}
-        assert reopened.counters()["cache_hits"] == 3
-        assert reopened.counters()["cache_misses"] == 1
 
     def test_cache_evicts_coldest_first(self, tmp_path):
         runtime = RuntimeStore(tmp_path)
@@ -140,8 +150,18 @@ CREATE TABLE manifest (
 );
 CREATE INDEX manifest_seq ON manifest (seq);
 CREATE TABLE counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL);
+CREATE TABLE repairs (
+    id INTEGER PRIMARY KEY AUTOINCREMENT, kind TEXT NOT NULL,
+    slot INTEGER NOT NULL, target TEXT NOT NULL, source TEXT,
+    status TEXT NOT NULL DEFAULT 'queued', reason TEXT, detail TEXT,
+    attempts INTEGER NOT NULL DEFAULT 0, created_at REAL NOT NULL,
+    updated_at REAL NOT NULL
+);
 INSERT INTO meta VALUES ('schema_version', '1');
 INSERT INTO counters VALUES ('repairs_enqueued', 3);
+INSERT INTO repairs (kind, slot, target, created_at, updated_at) VALUES
+    ('re_replicate', 0, 'w1', 0, 0), ('re_replicate', 1, 'w1', 0, 0),
+    ('anti_entropy', 2, 'w2', 0, 0);
 """
 
 
@@ -167,7 +187,7 @@ class TestSchemaUpgrade:
         make_v1_tier(tmp_path)
         runtime = RuntimeStore(tmp_path)
         assert runtime.get_meta("schema_version") == "2"
-        assert runtime.counters() == {"repairs_enqueued": 3}
+        assert runtime.repair_stats()["total"] == 3
         columns = {
             row["name"] for row in
             runtime._conn.execute("PRAGMA table_info(manifest)")

@@ -143,6 +143,43 @@ class TestRoundTrip:
             "web", kind="checkpoint"
         )
 
+    def test_stats_verb_reads_a_live_daemon(self, tmp_path, capsys):
+        import json
+
+        from repro.service import NamespaceConfig, ServiceConfig
+        from repro.service.client import ServiceClient
+        from repro.service.server import ServiceThread
+
+        config = ServiceConfig(
+            store_root=str(tmp_path / "store"),
+            namespaces=(NamespaceConfig("web", ("h1",), k=16),),
+            port=0, compact_to=None, tick_s=3600.0,
+        )
+        with ServiceThread(config) as thread:
+            port = thread.service.port
+            with ServiceClient(port=port) as client:
+                client.ingest("web", ["a", "b"], {"h1": [1.0, 2.0]},
+                              sync=True)
+                for _ in range(2):
+                    client.estimate("web", "single", ["h1"])
+            assert main(["stats", "--port", str(port)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert set(stats) == {"stats", "planner", "runtime", "queue"}
+        assert stats["stats"]["ingest_batches"] == 1
+        assert stats["planner"] == {
+            "hits": 1, "misses": 1, "engine_builds": 1, "partial_hits": 0,
+            "partial_builds": 0, "window_queries": 0,
+        }
+        counters = stats["runtime"]["counters"]
+        assert counters["cache_hits"] == 1 and counters["ingest_batches"] == 1
+        assert stats["runtime"]["cache"]["hits"] == 1
+
+    def test_stats_root_flag_is_gone(self, capsys):
+        # a root is read offline by `repro-store stats --root`
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["stats", "--root", "r"])
+        assert "unrecognized arguments: --root" in capsys.readouterr().err
+
     def test_client_error_is_clean_exit(self, tmp_path):
         with pytest.raises(SystemExit, match="error:"):
             main(["status", "--port", str(free_port()), "--timeout", "0.2"])

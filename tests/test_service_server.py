@@ -387,6 +387,47 @@ class TestBackpressure:
                 service.manager.ingest = original
             client.close()
 
+    def test_event_loop_never_waits_on_sqlite(self, tmp_path):
+        """Regression: the 429 branch counted the rejection with a SQLite
+        write on the event-loop thread.  While another process held the
+        runtime tier's write lock, the ingest worker's apply waited on
+        it holding the store's lock, the loop waited on the worker, and
+        the whole daemon froze — the 429 and ``/health`` included."""
+        import sqlite3
+
+        config = make_config(tmp_path / "store", ingest_queue_batches=1)
+        with ServiceThread(config) as thread:
+            service = thread.service
+            client = ServiceClient(port=service.port, timeout=10.0, retries=0)
+            client.wait_ready()
+            holder = sqlite3.connect(
+                str(tmp_path / "store" / "runtime.sqlite"),
+                isolation_level=None,
+            )
+            holder.execute("BEGIN IMMEDIATE")
+            try:
+                keys, weights = event_batch(0, n=5)
+                # batch 1: dequeued; its apply waits on the held lock
+                client.ingest("web", keys, weights)
+                deadline = time.monotonic() + 5.0
+                while service._queue.qsize():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.002)
+                client.ingest("web", keys, weights)  # fills the queue
+                started = time.monotonic()
+                with pytest.raises(ServiceError) as excinfo:
+                    client.ingest("web", keys, weights)
+                assert excinfo.value.status == 429
+                assert time.monotonic() - started < 1.0
+                started = time.monotonic()
+                assert client.health()["ok"]
+                assert time.monotonic() - started < 1.0
+            finally:
+                holder.execute("ROLLBACK")
+                holder.close()
+            assert client.status()["stats"]["ingest_rejected"] == 1
+            client.close()
+
     def test_oversized_body_413(self, tmp_path, monkeypatch):
         # The Content-Length gate fires before the body is even read.
         from repro.service import httpbase

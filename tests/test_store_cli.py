@@ -221,3 +221,31 @@ class TestLsJsonAndExport:
             main(["export", "--root", str(tmp_path / "missing"),
                   "--namespace", "web", "--bucket", "20260728T1201",
                   "--part", "part-0000", "--out", str(out)])
+
+
+class TestStats:
+    def test_table_and_json_report_the_durable_tallies(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro.store import SummaryStore
+
+        root = tmp_path / "store"
+        write_bucket(root, "20260728T1201", "h1", "a-")
+        runtime = SummaryStore(root, create=False).runtime
+        runtime.cache_put("q1", "web", "r1", {"estimate": 1.0})
+        runtime.cache_get("q1")
+        runtime.close()
+        capsys.readouterr()
+        assert main(["stats", "--root", str(root), "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["cache"] == {"entries": 1, "hits": 1}
+        assert stats["namespaces"]["web"]["entries"] == 1
+        # event counts live in a daemon's registry, not in the root
+        assert "counters" not in stats
+        assert main(["stats", "--root", str(root)]) == 0
+        table = capsys.readouterr().out
+        assert "query cache   1 entries, 1 hits" in table
+        assert "namespace     web: 1 entries" in table
+        assert "counter" not in table
