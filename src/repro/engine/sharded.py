@@ -27,14 +27,19 @@ Each assignment keeps one aggregated table; a batch is only queued as
    :class:`~repro.ranks.families.RankFamily`), so an untouched key outside
    the old ``k + 1`` can never enter the new one.  Folded events are
    dropped — the table *is* the buffer — so a query after new data sorts,
-   hashes and ranks O(new events) (plus one array copy of each touched
-   table, which is replaced, never written into), and memory is
-   O(distinct keys + pending events), not O(events).  The per-assignment
+   hashes and ranks O(new events), and memory is O(distinct keys +
+   pending events), not O(events).  A numeric table is a large sorted
+   *base* plus a small sorted *delta* of the keys touched since the two
+   were last merged: a fold looks its keys up in both (O(touched · log))
+   and writes a new delta (O(delta + touched)), never copying the base
+   until the delta outgrows ``_DELTA_SHARE`` of it.  The per-assignment
    sketches are assembled into the union summary with
    :func:`~repro.core.summary.build_summary_from_sketches`.
 
 Every step is deterministic given the hasher salt — rank ties (a ~2⁻⁵³
-event) are broken by key (by seed where keys cannot be ordered), never by
+event, except between keys that hash alike, such as a ``str`` and its
+UTF-8 ``bytes``) are broken by key (where keys cannot be ordered, by
+seed and then by :func:`~repro.ranks.hashing.tie_order`), never by
 arrival — so two deployments that never communicate — different batch
 boundaries, different event order, different moments of finalization —
 produce the *same* summary for the same totals.  (Totals are float sums
@@ -57,24 +62,41 @@ from repro.core.summary import (
     build_summary_from_sketches,
 )
 from repro.ranks.families import IppsRanks, RankFamily
-from repro.ranks.hashing import KeyHasher, _object_array, as_key_array
+from repro.ranks.hashing import (
+    KeyHasher,
+    _object_array,
+    as_key_array,
+    tie_order,
+)
 from repro.sampling.bottomk import BottomKSketch
 
 __all__ = ["ShardedSummarizer"]
 
 
-def _smallest(ranks: np.ndarray, tiebreak: np.ndarray, limit: int) -> np.ndarray:
+def _smallest(
+    ranks: np.ndarray, tiebreak: np.ndarray, limit: int, keys=None
+) -> np.ndarray:
     """Indices of the ``limit`` smallest ``(rank, tiebreak)`` pairs, ascending.
 
     Ties at the cut are all kept for the final sort, so the selection is a
-    function of the pairs alone, never of their order in the input.
+    function of the pairs alone, never of their order in the input.  Given
+    the ``keys``, equal pairs are ordered by :func:`tie_order` of the key.
     """
     if len(ranks) > limit:
         cut = np.partition(ranks, limit - 1)[limit - 1]
         pool = np.flatnonzero(ranks <= cut)
     else:
         pool = np.arange(len(ranks))
-    return pool[np.lexsort((tiebreak[pool], ranks[pool]))[:limit]]
+    pool = pool[np.lexsort((tiebreak[pool], ranks[pool]))]
+    if keys is not None and len(pool) > 1:
+        tied = (ranks[pool[1:]] == ranks[pool[:-1]]) & (
+            tiebreak[pool[1:]] == tiebreak[pool[:-1]]
+        )
+        if tied.any():
+            pool = np.array(sorted(pool.tolist(), key=lambda at: (
+                ranks[at], tiebreak[at], tie_order(keys[at])
+            )))
+    return pool[:limit]
 
 
 _NO_KEYS = np.empty(0, dtype=np.int64)
@@ -85,8 +107,9 @@ class ShardEntries(NamedTuple):
     """A table's ``k + 1`` positive-total keys of smallest rank, ascending.
 
     The k sample entries plus the key that sets the threshold.  Ties in
-    rank are broken by key in a numeric table and by seed in a generic one
-    (whose keys need not be orderable).
+    rank are broken by key in a numeric table and by seed, then by
+    :func:`~repro.ranks.hashing.tie_order`, in a generic one (whose keys
+    need not be orderable).
     """
 
     keys: np.ndarray = _NO_KEYS
@@ -116,15 +139,16 @@ class ShardDelta(NamedTuple):
     new bottom-(k+1).  ``touched`` is sorted, in the table's dtype, when
     the fold stayed numeric, and an object array of Python keys in
     first-arrival order when it went generic.  ``at`` places the touched
-    keys in the numeric table the delta was computed against (their
-    ``np.searchsorted`` positions; ``None`` when that table was empty or
-    the fold went generic), so applying the delta need not search again.
+    keys in the numeric table the delta was computed against: their
+    ``np.searchsorted`` positions in its delta and in its base (``None``
+    when that table was empty or the fold went generic), so applying the
+    delta need not search again.
     """
 
     touched: np.ndarray
     sums: np.ndarray
     entries: ShardEntries
-    at: "np.ndarray | None" = None
+    at: "tuple[np.ndarray, np.ndarray] | None" = None
 
 
 class ShardState:
@@ -132,8 +156,12 @@ class ShardState:
 
     The aggregated table comes in two forms:
 
-    * **numeric** — ``keys`` is a sorted array of the unique keys (one
-      numeric dtype) and ``totals`` the aligned running sums;
+    * **numeric** — two sorted tables of unique keys (one numeric dtype)
+      and aligned running sums: the *base* ``keys`` / ``totals``, and the
+      *delta* ``delta_keys`` / ``delta_totals`` of the keys touched since
+      the two were last merged, whose totals override the base's.
+      ``delta_at`` holds the delta keys' ``np.searchsorted`` positions in
+      the base, and ``size`` counts the distinct keys of both;
     * **generic** (strings, tuples, mixed dtypes) — ``keys`` is ``None``
       and ``totals`` a ``dict`` from key to running sum, in first-arrival
       order.  A numeric table turns generic, once, when a chunk of another
@@ -143,26 +171,47 @@ class ShardState:
     the pending events change, :meth:`apply` builds the state after the
     change.  Nothing is written before :meth:`apply`, so a fold that fails
     or is interrupted leaves the state as it was.  Numeric-form arrays are
-    never written after construction — :meth:`apply` builds new ones — so
-    a checkpoint snapshot may share them.  A generic table's dict is
+    never written after construction — :meth:`apply` builds a new delta,
+    and a new base only when the delta outgrows ``_DELTA_SHARE`` of it —
+    so a checkpoint snapshot may share them.  A generic table's dict is
     updated in place and copied out by :meth:`chunk`.
     """
 
-    __slots__ = ("keys", "totals", "entries")
+    __slots__ = (
+        "keys", "totals", "delta_keys", "delta_totals", "delta_at", "size",
+        "entries",
+    )
 
     def __init__(
         self,
         keys: "np.ndarray | None" = _NO_KEYS,
         totals: "np.ndarray | dict" = _NO_FLOATS,
         entries: ShardEntries = ShardEntries(),
+        delta: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None,
+        size: "int | None" = None,
     ) -> None:
         self.keys = keys
         self.totals = totals
         self.entries = entries
+        self.delta_keys, self.delta_totals, self.delta_at = (
+            (_NO_KEYS, _NO_FLOATS, _NO_KEYS) if delta is None else delta
+        )
+        self.size = len(totals) if size is None else size
 
     def __len__(self) -> int:
         """Distinct keys in the table."""
-        return len(self.totals)
+        return self.size if self.keys is not None else len(self.totals)
+
+    def merged(self) -> "ShardState":
+        """The same table with its delta merged into the base (``self``
+        when the delta is empty or the table generic)."""
+        if self.keys is None or not len(self.delta_keys):
+            return self
+        keys, (totals,) = _insert(
+            self.keys, (self.totals,), self.delta_keys, (self.delta_totals,),
+            self.delta_at,
+        )
+        return ShardState(keys, totals, self.entries, size=self.size)
 
     def chunk(self) -> tuple[np.ndarray, np.ndarray]:
         """The table as one pre-aggregated ``(keys, totals)`` chunk.
@@ -171,7 +220,8 @@ class ShardState:
         (``0 + T == T``), which is how a checkpoint carries it.
         """
         if self.keys is not None:
-            return self.keys, self.totals
+            merged = self.merged()
+            return merged.keys, merged.totals
         return _object_array(list(self.totals)), np.fromiter(
             self.totals.values(), dtype=float, count=len(self.totals)
         )
@@ -196,7 +246,8 @@ class ShardState:
         """The table in generic form (the dict itself, if already generic)."""
         if self.keys is None:
             return self.totals
-        return dict(zip(self.keys.tolist(), self.totals.tolist()))
+        table = self.merged()
+        return dict(zip(table.keys.tolist(), table.totals.tolist()))
 
     def delta(
         self,
@@ -251,7 +302,10 @@ class ShardState:
         ])
         weights = np.concatenate([old.weights[untouched], weights])
         seeds = np.concatenate([old.seeds[untouched], seeds])
-        best = _smallest(ranks, keys if numeric else seeds, k + 1)
+        if numeric:
+            best = _smallest(ranks, keys, k + 1)
+        else:
+            best = _smallest(ranks, seeds, k + 1, keys)
         return ShardDelta(
             touched, sums,
             ShardEntries(keys[best], ranks[best], weights[best], seeds[best]),
@@ -259,18 +313,23 @@ class ShardState:
         )
 
     def _continue_numeric(self, chunks):
-        """``(touched keys, their new totals, their table positions)``."""
+        """``(touched keys, their new totals, their (delta, base)
+        positions)``."""
         # The weights are concatenated only once the key copy and the
         # sort inside np.unique are gone: the peak holds one of the two.
         touched, inverse = np.unique(
             np.concatenate([keys for keys, _ in chunks]), return_inverse=True
         )
         weights = np.concatenate([weights for _, weights in chunks])
-        size = len(self.keys)
-        if size:
-            at = np.searchsorted(self.keys, touched)
-            slot = np.minimum(at, size - 1)
-            sums = np.where(self.keys[slot] == touched, self.totals[slot], 0.0)
+        if len(self):
+            at = (
+                np.searchsorted(self.delta_keys, touched),
+                np.searchsorted(self.keys, touched),
+            )
+            sums = _stored(
+                self.delta_keys, self.delta_totals, touched, at[0],
+                _stored(self.keys, self.totals, touched, at[1], 0.0),
+            )
         else:
             at, sums = None, np.zeros(len(touched))
         np.add.at(sums, inverse, weights)
@@ -298,27 +357,23 @@ class ShardState:
             totals = self._as_dict()
             totals.update(zip(touched.tolist(), sums.tolist()))
             return ShardState(None, totals, entries)
-        size = len(self.keys)
-        if size == 0:
+        if not len(self):
             return ShardState(touched, sums, entries)
-        fresh = ~_member(self.keys, touched, at)
-        n_fresh = int(np.count_nonzero(fresh))
-        if n_fresh == 0:
-            totals = self.totals.copy()
-            totals[at] = sums
-            return ShardState(self.keys, totals, entries)
-        # Merge the sorted fresh keys into the sorted table: a touched key
-        # lands after the old keys below it and the fresh keys before it.
-        dest = at + np.cumsum(fresh) - fresh
-        old = np.ones(size + n_fresh, dtype=bool)
-        old[dest[fresh]] = False
-        keys = np.empty(size + n_fresh, dtype=self.keys.dtype)
-        keys[old] = self.keys
-        keys[dest[fresh]] = touched[fresh]
-        totals = np.empty(size + n_fresh)
-        totals[old] = self.totals
-        totals[dest] = sums
-        return ShardState(keys, totals, entries)
+        delta_at, base_at = at
+        known = _member(self.keys, touched, base_at)
+        if len(self.delta_keys):
+            known |= _member(self.delta_keys, touched, delta_at)
+        delta_keys, delta_columns = _insert(
+            self.delta_keys, (self.delta_totals, self.delta_at),
+            touched, (sums, base_at), delta_at,
+        )
+        state = ShardState(
+            self.keys, self.totals, entries, (delta_keys, *delta_columns),
+            self.size + len(touched) - int(np.count_nonzero(known)),
+        )
+        if len(delta_keys) > _DELTA_SHARE * len(self.keys):
+            return state.merged()
+        return state
 
 
 def _member(
@@ -329,15 +384,66 @@ def _member(
     return haystack[np.minimum(at, len(haystack) - 1)] == needles
 
 
+def _stored(keys, totals, needles, at, missing):
+    """``totals`` of the ``needles`` found in the sorted ``keys`` (given
+    their positions ``at``), ``missing`` for the others."""
+    if not len(keys):
+        return missing
+    slot = np.minimum(at, len(keys) - 1)
+    return np.where(keys[slot] == needles, totals[slot], missing)
+
+
+def _insert(keys, columns, rows, row_columns, at):
+    """Sorted ``keys`` and their aligned ``columns`` with the sorted
+    ``rows`` and aligned ``row_columns`` written in, given the rows'
+    ``np.searchsorted`` positions ``at`` in ``keys``: a row whose key is
+    present overwrites its columns, the others are inserted in order.
+    Returns new arrays (or ``rows`` itself into empty ``keys``); nothing
+    is written into an argument."""
+    if not len(keys):
+        return rows, row_columns
+    fresh = ~_member(keys, rows, at)
+    n_fresh = int(np.count_nonzero(fresh))
+    if n_fresh == 0:
+        out = tuple(column.copy() for column in columns)
+        for column, values in zip(out, row_columns):
+            column[at] = values
+        return keys, out
+    # A row lands after the old keys below it and the fresh rows before it.
+    dest = at + np.cumsum(fresh) - fresh
+    old = np.ones(len(keys) + n_fresh, dtype=bool)
+    old[dest[fresh]] = False
+    merged = np.empty(len(old), dtype=keys.dtype)
+    merged[old] = keys
+    merged[dest[fresh]] = rows[fresh]
+    out = []
+    for column, values in zip(columns, row_columns):
+        written = np.empty(len(old), dtype=column.dtype)
+        written[old] = column
+        written[dest] = values
+        out.append(written)
+    return merged, tuple(out)
+
+
 # Rows one fold step takes on.  A step's transients (sort, inverse, seeds,
 # ranks: about ten arrays) are O(rows it folds), so a backlog of more
 # pending rows than this is folded in several steps and peaks at one
-# step's transients plus the old and new table.  Every extra step merges
-# into the table once more (a 120k-row first fold takes 1.4x as long in
-# two steps), so a step is as large as the memory gate allows: measured
-# on a 200k-row backlog, the peak is 2 MiB above 32k-row steps', where
-# one step over all of it is 5 MiB above.
+# step's transients plus the old and new table.  A step of a large
+# backlog touches more than _DELTA_SHARE of the base, so each extra step
+# still merges into the base once more: a 120k-row first fold takes 1.4x
+# as long in two steps, with the delta as without it.  A step is
+# therefore as large as the memory gate allows: measured on a 200k-row
+# backlog, the peak is 2 MiB above 32k-row steps', where one step over
+# all of it is 5 MiB above.
 _FOLD_ROWS = 1 << 17
+
+# A delta of more keys than this share of the base is merged into it.  A
+# fold copies the delta, so a larger share makes every fold dearer; a
+# merge copies the base, so a smaller one makes merges more frequent.
+# Measured on a 2-CPU host, 220k keys, k=256, two assignments, 60 folds
+# of 2 000 events: mean fold 1.9 ms at 1/8, 2.0-2.4 ms at 1/4, 1.9-2.5 ms
+# at 1/16 (and 3.2-3.5 ms when every fold copied the table).
+_DELTA_SHARE = 1 / 8
 
 
 class _Shard:
@@ -350,7 +456,11 @@ class _Shard:
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []
 
     def chunks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Table chunk (if any) then pending chunks: the checkpoint form."""
+        """Table chunk (if any) then pending chunks: the checkpoint form.
+
+        The merged table is kept as the new base, so the next checkpoint
+        of an unchanged table costs nothing."""
+        self.state = self.state.merged()
         table = [self.state.chunk()] if len(self.state) else []
         return table + self.pending
 

@@ -26,6 +26,7 @@ __all__ = [
     "hash_to_unit",
     "as_key_array",
     "key_array_to_uint64",
+    "tie_order",
     "KeyHasher",
 ]
 
@@ -206,6 +207,31 @@ def _key_to_int(key: Hashable) -> int:
         (word,) = struct.unpack("<Q", chunk.ljust(8, b"\0"))
         acc = splitmix64(acc ^ word ^ len(chunk))
     return acc
+
+
+def tie_order(key: Hashable) -> tuple:
+    """Sort key of one total order over keys of every type.
+
+    Keys of different types can hash alike — a ``str`` and its UTF-8
+    ``bytes`` always do, and so do tuples that differ only in that way —
+    so two such keys of equal weight tie on rank *and* seed, where Python
+    cannot compare them.  The samplers break such a full tie with this
+    order: numbers (bool, int, float) before ``str`` before ``bytes``
+    before tuples (component by component) before any other key (by type
+    name, then ``repr``).  Keys of one type keep Python's own order.
+
+    >>> sorted([b"a", ("a",), "a", 2], key=tie_order)
+    [2, 'a', b'a', ('a',)]
+    """
+    if isinstance(key, (bool, int, float, np.bool_, np.integer, np.floating)):
+        return (0, key)
+    if isinstance(key, str):
+        return (1, key)
+    if isinstance(key, bytes):
+        return (2, key)
+    if isinstance(key, tuple):
+        return (3, tuple(map(tie_order, key)))
+    return (4, type(key).__qualname__, repr(key))
 
 
 def hash_to_unit(key: Hashable, salt: int = 0) -> float:

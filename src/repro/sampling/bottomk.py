@@ -47,7 +47,7 @@ from typing import Hashable, Iterable, Iterator
 import numpy as np
 
 from repro.ranks.families import RankFamily
-from repro.ranks.hashing import KeyHasher, as_key_array
+from repro.ranks.hashing import KeyHasher, as_key_array, tie_order
 
 __all__ = [
     "BottomKSketch",
@@ -282,6 +282,21 @@ def bottomk_sketch_matrix(
     return out
 
 
+class _HeapKey:
+    """A key as the sampler's heap compares it: of two entries tied on
+    rank and seed, the one whose key is later in :func:`tie_order` is the
+    larger — evicted first, sorted last.  Keys are never compared raw, so
+    a ``str`` tied with its ``bytes`` twin cannot raise."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Hashable) -> None:
+        self.key = key
+
+    def __lt__(self, other: "_HeapKey") -> bool:
+        return tie_order(other.key) < tie_order(self.key)
+
+
 class BottomKStreamSampler:
     """One-pass bottom-k sampler over an aggregated (key, weight) stream.
 
@@ -289,7 +304,10 @@ class BottomKStreamSampler:
     stream of n aggregated items costs O(n log k).  Ranks come from
     ``family.rank(weight, hasher(key))`` — with a shared hasher, samplers
     run over different weight assignments produce *coordinated* sketches
-    without any communication (the dispersed model, Section 4).
+    without any communication (the dispersed model, Section 4).  Rank
+    ties are broken by seed, then by :func:`~repro.ranks.hashing.tie_order`
+    of the key, as in a :class:`~repro.engine.ShardedSummarizer`'s generic
+    table, so the sample never depends on arrival order.
 
     >>> from repro.ranks import IppsRanks, KeyHasher
     >>> sampler = BottomKStreamSampler(k=2, family=IppsRanks(),
@@ -307,9 +325,9 @@ class BottomKStreamSampler:
         self.k = k
         self.family = family
         self.hasher = hasher
-        # heap entries: (-rank, key, rank, weight, seed); heap[0] is the
-        # largest rank among the kept k+1 candidates.
-        self._heap: list[tuple[float, Hashable, float, float, float]] = []
+        # heap entries: (-rank, -seed, _HeapKey(key), weight); heap[0] is
+        # the largest (rank, seed, key) among the kept k+1 candidates.
+        self._heap: list[tuple[float, float, _HeapKey, float]] = []
         self._seen: set[Hashable] = set()
 
     def process(self, key: Hashable, weight: float) -> None:
@@ -401,51 +419,55 @@ class BottomKStreamSampler:
         k = self.k
         heappush = heapq.heappush
         heapreplace = heapq.heapreplace
+        # A candidate tied with the bound (or the cut) on rank may still
+        # win on seed or key, so both prunes keep ties.
         if len(heap) > k:
-            below = np.flatnonzero(ranks < -heap[0][0])
-            candidates, ranks, seeds = candidates[below], ranks[below], seeds[below]
+            keep = np.flatnonzero(ranks <= -heap[0][0])
+            candidates, ranks, seeds = candidates[keep], ranks[keep], seeds[keep]
         limit = k + 1
         if ranks.size > limit:
-            part = np.argpartition(ranks, limit - 1)[:limit]
-        else:
-            part = np.arange(ranks.size)
+            keep = np.flatnonzero(
+                ranks <= np.partition(ranks, limit - 1)[limit - 1]
+            )
+            candidates, ranks, seeds = candidates[keep], ranks[keep], seeds[keep]
         # Ascending fold: once a candidate fails to beat the heap bound,
-        # no later (larger-rank) candidate can succeed either.  The k + 1
-        # surviving entries are gathered to Python scalars in one pass
-        # instead of per-iteration numpy scalar indexing.
-        part = part[np.argsort(ranks[part], kind="stable")]
-        positions = candidates[part]
-        fold_ranks = ranks[part].tolist()
-        fold_seeds = seeds[part].tolist()
-        fold_weights = weights[positions].tolist()
-        fold_positions = positions.tolist()
-        for j, rank in enumerate(fold_ranks):
+        # no later (larger) candidate can succeed either.  The surviving
+        # entries are gathered to Python scalars in one pass instead of
+        # per-iteration numpy scalar indexing; the lexsort orders them by
+        # (rank, seed), so the Python sort only reorders full ties.
+        order = np.lexsort((seeds, ranks))
+        positions = candidates[order].tolist()
+        fold = sorted(
+            zip(
+                (-ranks[order]).tolist(),
+                (-seeds[order]).tolist(),
+                [_HeapKey(key_list[pos]) for pos in positions],
+                weights[positions].tolist(),
+            ),
+            reverse=True,
+        )
+        for entry in fold:
             if len(heap) <= k:
-                pos = fold_positions[j]
-                heappush(
-                    heap,
-                    (-rank, key_list[pos], rank, fold_weights[j],
-                     fold_seeds[j]),
-                )
-            elif rank < -heap[0][0]:
-                pos = fold_positions[j]
-                heapreplace(
-                    heap,
-                    (-rank, key_list[pos], rank, fold_weights[j],
-                     fold_seeds[j]),
-                )
+                heappush(heap, entry)
+            elif heap[0] < entry:
+                heapreplace(heap, entry)
             else:
                 break
 
     def state(self) -> tuple[list[tuple], frozenset]:
         """Snapshot ``(heap entries, seen keys)`` for checkpointing.
 
-        The heap entries are returned in internal list order (a valid heap
-        layout), so :meth:`from_state` restores a sampler that behaves
-        bit-identically — including duplicate-key detection, which needs
-        the seen set and not just the heap.  Both containers are copies.
+        The heap entries are ``(-rank, key, rank, weight, seed)`` tuples
+        in internal list order (a valid heap layout), so
+        :meth:`from_state` restores a sampler that behaves bit-identically
+        — including duplicate-key detection, which needs the seen set and
+        not just the heap.  Both containers are copies.
         """
-        return list(self._heap), frozenset(self._seen)
+        heap = [
+            (neg_rank, slot.key, -neg_rank, weight, -neg_seed)
+            for neg_rank, neg_seed, slot, weight in self._heap
+        ]
+        return heap, frozenset(self._seen)
 
     @classmethod
     def from_state(
@@ -466,7 +488,10 @@ class BottomKStreamSampler:
         bit-identical sketches to the original under any continued stream.
         """
         sampler = cls(k, family, hasher)
-        sampler._heap = [tuple(entry) for entry in heap]
+        sampler._heap = [
+            (-rank, -seed, _HeapKey(key), weight)
+            for _, key, rank, weight, seed in heap
+        ]
         heapq.heapify(sampler._heap)
         sampler._seen = set(seen)
         if len(sampler._heap) > k + 1:
@@ -478,27 +503,27 @@ class BottomKStreamSampler:
 
     def sketch(self) -> BottomKSketch:
         """Materialize the sketch from the current sampler state."""
-        entries = sorted(self._heap, key=lambda e: e[2])
+        entries = sorted(self._heap, reverse=True)
         if len(entries) > self.k:
             sample = entries[: self.k]
-            threshold = entries[self.k][2]
-            kth_rank = sample[-1][2]
+            threshold = -entries[self.k][0]
+            kth_rank = -sample[-1][0]
         else:
             sample = entries
             threshold = _INF
-            kth_rank = sample[-1][2] if len(sample) == self.k else _INF
+            kth_rank = -sample[-1][0] if len(sample) == self.k else _INF
         # Elementwise fill: np.array would explode tuple keys into 2-D.
         keys = np.empty(len(sample), dtype=object)
         for pos, entry in enumerate(sample):
-            keys[pos] = entry[1]
+            keys[pos] = entry[2].key
         return BottomKSketch(
             k=self.k,
             keys=keys,
-            ranks=np.array([e[2] for e in sample], dtype=float),
+            ranks=-np.array([e[0] for e in sample], dtype=float),
             weights=np.array([e[3] for e in sample], dtype=float),
             kth_rank=kth_rank,
             threshold=threshold,
-            seeds=np.array([e[4] for e in sample], dtype=float),
+            seeds=-np.array([e[1] for e in sample], dtype=float),
         )
 
 

@@ -11,6 +11,8 @@ same events and to one ``BottomKStreamSampler`` over ``aggregate_stream``.
 from __future__ import annotations
 
 import contextlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -81,14 +83,32 @@ def scripts(draw):
 
 
 @contextlib.contextmanager
-def fold_rows(limit):
-    """Fold at most ``limit`` pending rows (one chunk at least) a step."""
-    saved = sharded_module._FOLD_ROWS
-    sharded_module._FOLD_ROWS = limit
+def patched(name, value):
+    """Set a module constant of ``repro.engine.sharded`` for a block."""
+    saved = getattr(sharded_module, name)
+    setattr(sharded_module, name, value)
     try:
         yield
     finally:
-        sharded_module._FOLD_ROWS = saved
+        setattr(sharded_module, name, saved)
+
+
+def fold_rows(limit):
+    """Fold at most ``limit`` pending rows (one chunk at least) a step."""
+    return patched("_FOLD_ROWS", limit)
+
+
+#: the delta share at which folds always merge into the base, never do,
+#: or do as shipped
+DELTA_SHARES = {
+    "always": 0.0, "never": math.inf, "default": sharded_module._DELTA_SHARE,
+}
+
+
+def delta_share(merge):
+    """Merge a table's delta into its base ``always``, ``never`` or as
+    by ``default``."""
+    return patched("_DELTA_SHARE", DELTA_SHARES[merge])
 
 
 def feed(engine, keys, by_name):
@@ -130,12 +150,13 @@ class TestInterleavings:
         family=st.sampled_from(sorted(FAMILIES)),
         salt=st.integers(0, 2**32),
         step_rows=st.sampled_from([1, 40, sharded_module._FOLD_ROWS]),
+        merge=st.sampled_from(sorted(DELTA_SHARES)),
     )
     @settings(max_examples=200, deadline=None)
     def test_any_interleaving_equals_one_shot(
-        self, script, k, family, salt, step_rows
+        self, script, k, family, salt, step_rows, merge
     ):
-        with fold_rows(step_rows):
+        with fold_rows(step_rows), delta_share(merge):
             self.check_interleaving(script, k, FAMILIES[family], salt)
 
     def check_interleaving(self, script, k, fam, salt):
@@ -278,25 +299,148 @@ class TestRankTies:
         assert sketch.kth_rank == sketch.threshold == 0.5
 
 
+class TestCrossTypeTies:
+    """A ``str`` and its UTF-8 ``bytes`` hash alike (so do tuples that
+    differ only so): at equal weight they tie on rank *and* seed.  Both
+    samplers break the tie by ``tie_order`` (``str`` before ``bytes``),
+    whatever the arrival order and batch boundaries."""
+
+    #: keys that hash alike, each group listed in ``tie_order``
+    GROUPS = {
+        "empty": ["", b""],
+        "a": ["a", b"a"],
+        "tuples": [("a", "a"), ("a", b"a"), (b"a", "a"), (b"a", b"a")],
+    }
+
+    @staticmethod
+    def sampler(k, batches, per_item=False):
+        sampler = BottomKStreamSampler(k, IppsRanks(), KeyHasher(0))
+        for batch in batches:
+            if per_item:
+                for key in batch:
+                    sampler.process(key, 2.0)
+            elif batch:
+                sampler.process_batch(batch, np.full(len(batch), 2.0))
+        return sampler
+
+    @pytest.mark.parametrize("group", sorted(GROUPS))
+    def test_every_arrival_order_keeps_the_same_keys(self, group):
+        keys = self.GROUPS[group]
+        for k in range(1, len(keys)):
+            reference = None
+            for order in itertools.permutations(keys):
+                order = list(order)
+                for cut in range(len(order) + 1):
+                    batches = [order[:cut], order[cut:]]
+                    for per_item in (False, True):
+                        sketch = self.sampler(k, batches, per_item).sketch()
+                        assert sketch.keys.tolist() == keys[:k]
+                        if reference is None:
+                            reference = sketch
+                        assert sketch.equals(reference)
+                    engine = ShardedSummarizer(k, ["h"], hasher=KeyHasher(0))
+                    for batch in batches:
+                        if batch:
+                            engine.ingest("h", batch, np.full(len(batch), 2.0))
+                            engine.summary()
+                    assert engine.sketches()["h"].equals(reference)
+
+    def test_a_tied_sampler_survives_state_and_codec(self):
+        sampler = self.sampler(1, [["a", "zz", b"a"]])
+        state = sampler.state()
+        for restored in (
+            BottomKStreamSampler.from_state(
+                1, IppsRanks(), KeyHasher(0), *state
+            ),
+            decode(encode(sampler)),
+        ):
+            assert restored.sketch().equals(sampler.sketch())
+            assert encode(restored) == encode(sampler)
+            restored.process_batch([b"", ""], [2.0, 2.0])
+            again = self.sampler(1, [["a", "zz", b"a"], [b"", ""]])
+            assert restored.sketch().equals(again.sketch())
+
+
+class TestBaseAndDelta:
+    """A numeric table is a sorted base plus a sorted delta of the keys
+    touched since their last merge; a small fold writes only a delta."""
+
+    def test_a_small_fold_leaves_the_base_alone(self):
+        rng = np.random.default_rng(12)
+        engine = ShardedSummarizer(64, NAMES, hasher=KeyHasher(2))
+        window = rng.permutation(100_000)
+        engine.ingest_multi(
+            window, {n: rng.pareto(1.3, len(window)) for n in NAMES}
+        )
+        engine.summary()
+        before = {name: engine._shards[name].state for name in NAMES}
+        batch = rng.integers(0, 120_000, 400)
+        engine.ingest_multi(batch, {n: rng.pareto(1.3, 400) for n in NAMES})
+        engine.summary()
+        for name in NAMES:
+            state = engine._shards[name].state
+            assert state.keys is before[name].keys
+            assert state.totals is before[name].totals
+            assert np.isin(state.delta_keys, batch).all()
+            assert len(state.delta_keys) <= len(np.unique(batch))
+            assert len(state) == len(np.union1d(window, batch))
+
+    @pytest.mark.parametrize("merge", sorted(DELTA_SHARES))
+    def test_buffered_events_is_exact_whether_folds_merge_or_not(
+        self, merge
+    ):
+        rng = np.random.default_rng(13)
+        engine = ShardedSummarizer(4, NAMES, hasher=KeyHasher(1))
+        distinct = {name: set() for name in NAMES}
+        with delta_share(merge):
+            for step in range(12):
+                keys = rng.integers(0, 50 + 40 * step, 60)
+                names = NAMES if step % 3 else ["h1"]
+                held = engine.buffered_events
+                engine.ingest_multi(
+                    keys, {n: rng.pareto(1.3, 60) for n in names}
+                )
+                assert engine.buffered_events == held + 60 * len(names)
+                engine.summary()
+                for name in names:
+                    distinct[name].update(keys.tolist())
+                assert engine.buffered_events == sum(
+                    len(seen) for seen in distinct.values()
+                )
+
+
 class TestSnapshotIsolation:
     """checkpoint_state() shares arrays; a later fold must not reach them."""
 
     @pytest.mark.parametrize("kind", ["int", "str"])
     @pytest.mark.parametrize("later_ids", [60, 120], ids=["known", "fresh"])
-    def test_snapshot_restores_the_earlier_summary(self, kind, later_ids):
-        """Take a snapshot of a folded window, ingest more — totals of
-        known keys only, or fresh keys too — finalize, and restore."""
+    @pytest.mark.parametrize("merge", ["always", "never"])
+    def test_snapshot_restores_the_earlier_summary(
+        self, kind, later_ids, merge
+    ):
+        """Take a snapshot of a folded window — its delta merged into
+        the base, or not — ingest more (totals of known keys only, or
+        fresh keys too), finalize, and restore."""
         make = KEY_KINDS[kind]
         rng = np.random.default_rng(4)
         engine = ShardedSummarizer(8, NAMES, hasher=KeyHasher(9))
         first = make(list(range(60)) + rng.integers(0, 60, 140).tolist())
-        engine.ingest_multi(first, {n: rng.pareto(1.3, 200) for n in NAMES})
-        earlier = engine.summary()  # folds: the snapshot holds a table
-        snapshot = engine.checkpoint_state()
-        wire = encode(snapshot)
-        second = make(rng.integers(0, later_ids, 300).tolist())
-        engine.ingest_multi(second, {n: rng.pareto(1.3, 300) for n in NAMES})
-        later = engine.summary()
+        with delta_share(merge):
+            engine.ingest_multi(first, {n: rng.pareto(1.3, 200) for n in NAMES})
+            engine.summary()
+            touch = make(rng.integers(50, 70, 20).tolist())
+            engine.ingest_multi(touch, {n: rng.pareto(1.3, 20) for n in NAMES})
+            earlier = engine.summary()  # the snapshot holds a table
+            state = engine._shards["h1"].state
+            if kind == "int":
+                assert bool(len(state.delta_keys)) == (merge == "never")
+            snapshot = engine.checkpoint_state()
+            wire = encode(snapshot)
+            second = make(rng.integers(0, later_ids, 300).tolist())
+            engine.ingest_multi(
+                second, {n: rng.pareto(1.3, 300) for n in NAMES}
+            )
+            later = engine.summary()
         assert not later.equals(earlier)
         assert encode(snapshot) == wire
         assert snapshot.restore().summary().equals(earlier)
