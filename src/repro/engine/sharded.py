@@ -36,6 +36,16 @@ Each assignment keeps one aggregated table; a batch is only queued as
    sketches are assembled into the union summary with
    :func:`~repro.core.summary.build_summary_from_sketches`.
 
+The paper's assignments are weights over *one* key set, and
+:meth:`ShardedSummarizer.ingest_multi` stores them so: its assignments
+share one key chunk, and tables folded from shared chunks share their key
+arrays.  A fold step is therefore planned once per *group* — the
+assignments whose table key arrays and folded key chunks are the same
+objects — and its key side (the ``np.unique``, the lookups in base and
+delta, the seeds, the new key layout) is paid once per batch, not once
+per assignment; each assignment then continues its own sums, ranks and
+entries.  A group of one is the same code.
+
 Every step is deterministic given the hasher salt — rank ties (a ~2⁻⁵³
 event, except between keys that hash alike, such as a ``str`` and its
 UTF-8 ``bytes``) are broken by key (where keys cannot be ordered, by
@@ -87,7 +97,12 @@ def _smallest(
         pool = np.flatnonzero(ranks <= cut)
     else:
         pool = np.arange(len(ranks))
-    pool = pool[np.lexsort((tiebreak[pool], ranks[pool]))]
+    pooled = ranks[pool]
+    order = np.argsort(pooled)
+    pooled = pooled[order]
+    if (pooled[1:] == pooled[:-1]).any():  # rank ties: the slower full sort
+        order = np.lexsort((tiebreak[pool], ranks[pool]))
+    pool = pool[order]
     if keys is not None and len(pool) > 1:
         tied = (ranks[pool[1:]] == ranks[pool[:-1]]) & (
             tiebreak[pool[1:]] == tiebreak[pool[:-1]]
@@ -131,26 +146,6 @@ class ShardEntries(NamedTuple):
         )
 
 
-class ShardDelta(NamedTuple):
-    """What folding some events changes in a table: O(touched keys).
-
-    ``touched`` are the distinct keys the events carried and ``sums`` their
-    new running totals (zero totals included); ``entries`` is the table's
-    new bottom-(k+1).  ``touched`` is sorted, in the table's dtype, when
-    the fold stayed numeric, and an object array of Python keys in
-    first-arrival order when it went generic.  ``at`` places the touched
-    keys in the numeric table the delta was computed against: their
-    ``np.searchsorted`` positions in its delta and in its base (``None``
-    when that table was empty or the fold went generic), so applying the
-    delta need not search again.
-    """
-
-    touched: np.ndarray
-    sums: np.ndarray
-    entries: ShardEntries
-    at: "tuple[np.ndarray, np.ndarray] | None" = None
-
-
 class ShardState:
     """Everything one assignment keeps of the events it has folded.
 
@@ -167,14 +162,16 @@ class ShardState:
       order.  A numeric table turns generic, once, when a chunk of another
       dtype arrives.
 
-    A fold is two steps: :meth:`delta` reads the table and computes what
-    the pending events change, :meth:`apply` builds the state after the
-    change.  Nothing is written before :meth:`apply`, so a fold that fails
-    or is interrupted leaves the state as it was.  Numeric-form arrays are
-    never written after construction — :meth:`apply` builds a new delta,
-    and a new base only when the delta outgrows ``_DELTA_SHARE`` of it —
-    so a checkpoint snapshot may share them.  A generic table's dict is
-    updated in place and copied out by :meth:`chunk`.
+    :meth:`fold` builds the state after some events and writes nothing
+    into this one before the last step, so a fold that fails or is
+    interrupted leaves the state as it was.  Numeric-form arrays are never
+    written after construction — a fold builds a new delta, and a new base
+    only when the delta outgrows ``_DELTA_SHARE`` of it — so a checkpoint
+    snapshot may share them, and so may the assignments of an
+    :meth:`~ShardedSummarizer.ingest_multi` batch: their folds share one
+    :class:`_KeyPlan`, and every state it builds holds the plan's key
+    arrays, so the key column of such a group is held once.  A generic
+    table's dict is updated in place and copied out by :meth:`chunk`.
     """
 
     __slots__ = (
@@ -205,13 +202,7 @@ class ShardState:
     def merged(self) -> "ShardState":
         """The same table with its delta merged into the base (``self``
         when the delta is empty or the table generic)."""
-        if self.keys is None or not len(self.delta_keys):
-            return self
-        keys, (totals,) = _insert(
-            self.keys, (self.totals,), self.delta_keys, (self.delta_totals,),
-            self.delta_at,
-        )
-        return ShardState(keys, totals, self.entries, size=self.size)
+        return _merged([self])[0]
 
     def chunk(self) -> tuple[np.ndarray, np.ndarray]:
         """The table as one pre-aggregated ``(keys, totals)`` chunk.
@@ -249,131 +240,84 @@ class ShardState:
         table = self.merged()
         return dict(zip(table.keys.tolist(), table.totals.tolist()))
 
-    def delta(
+    def fold(
         self,
+        chunks: "list[tuple[np.ndarray, np.ndarray]]",
+        plan: "_KeyPlan | None",
         k: int,
         family: RankFamily,
         hasher: KeyHasher,
-        chunks: "list[tuple[np.ndarray, np.ndarray]]",
-    ) -> ShardDelta:
-        """What also aggregating ``chunks`` (arrival order) changes.
+    ) -> "ShardState":
+        """The state after also aggregating ``chunks`` (arrival order).
 
-        Continues each touched key's sum from its stored total with the
-        same float additions a one-shot aggregation performs, re-ranks the
-        touched keys only, and selects the new bottom-(k+1) from the
-        untouched old entries plus the touched keys.
+        ``plan`` is the key side of the fold (:meth:`_KeyPlan.build` of
+        this state's key arrays and the chunks' keys), ``None`` when the
+        fold goes generic.  Continues each touched key's sum from its
+        stored total with the same float additions a one-shot aggregation
+        performs, re-ranks the touched keys only, and selects the new
+        bottom-(k+1) from the untouched old entries plus the touched keys.
         """
-        old = self.entries
+        if plan is not None:
+            return plan.fold(
+                self, np.concatenate([weights for _, weights in chunks]),
+                k, family,
+            )
         chunks = [chunk for chunk in chunks if len(chunk[0])]
         if not chunks:
-            return ShardDelta(_NO_KEYS, _NO_FLOATS, old)
-        numeric = self.stays_numeric(chunks)
-        at = None
-        if numeric:
-            touched, sums, at = self._continue_numeric(chunks)
-            untouched = ~_member(
-                touched, old.keys, np.searchsorted(touched, old.keys)
-            )
-            ranked = touched
-        else:
-            running = self._continue_generic(chunks)
-            untouched = np.fromiter(
-                (key not in running for key in old.keys.tolist()),
-                dtype=bool, count=len(old.keys),
-            )
-            touched = _object_array(list(running))
-            sums = np.fromiter(
-                running.values(), dtype=float, count=len(running)
-            )
-            # The key forms process_batch would sample: one canonical
-            # array for hashing, Python natives in the entries.
-            ranked = as_key_array(list(running))
-        live = np.flatnonzero(sums > 0.0)
-        ranked, weights = ranked[live], sums[live]
-        seeds = hasher.hash_array(ranked)
-        if not numeric:
-            ranked = ranked.astype(object)
-        # No concatenation with an empty array of another dtype: int64
-        # beside uint64 would promote the keys to float64.
-        kept = old.keys[untouched]
-        keys = np.concatenate([kept, ranked]) if len(kept) else ranked
-        ranks = np.concatenate([
-            old.ranks[untouched], family.ranks_array(weights, seeds)
-        ])
-        weights = np.concatenate([old.weights[untouched], weights])
-        seeds = np.concatenate([old.seeds[untouched], seeds])
-        if numeric:
-            best = _smallest(ranks, keys, k + 1)
-        else:
-            best = _smallest(ranks, seeds, k + 1, keys)
-        return ShardDelta(
-            touched, sums,
-            ShardEntries(keys[best], ranks[best], weights[best], seeds[best]),
-            at,
-        )
-
-    def _continue_numeric(self, chunks):
-        """``(touched keys, their new totals, their (delta, base)
-        positions)``."""
-        # The weights are concatenated only once the key copy and the
-        # sort inside np.unique are gone: the peak holds one of the two.
-        touched, inverse = np.unique(
-            np.concatenate([keys for keys, _ in chunks]), return_inverse=True
-        )
-        weights = np.concatenate([weights for _, weights in chunks])
-        if len(self):
-            at = (
-                np.searchsorted(self.delta_keys, touched),
-                np.searchsorted(self.keys, touched),
-            )
-            sums = _stored(
-                self.delta_keys, self.delta_totals, touched, at[0],
-                _stored(self.keys, self.totals, touched, at[1], 0.0),
-            )
-        else:
-            at, sums = None, np.zeros(len(touched))
-        np.add.at(sums, inverse, weights)
-        return touched, sums, at
-
-    def _continue_generic(self, chunks) -> dict:
-        """Dict-form twin of :meth:`_continue_numeric`: touched key -> new
-        total, in first-arrival order."""
-        stored = self._as_dict()
-        running: dict = {}
-        for chunk_keys, chunk_weights in chunks:
-            for key, weight in zip(chunk_keys.tolist(), chunk_weights.tolist()):
-                total = running.get(key)
-                if total is None:
-                    total = stored.get(key, 0.0)
-                running[key] = total + weight
-        return running
-
-    def apply(self, delta: ShardDelta) -> "ShardState":
-        """The state after ``delta``, which was computed against this one."""
-        touched, sums, entries, at = delta
-        if len(touched) == 0:
             return self
-        if self.keys is None or touched.dtype.hasobject:
-            totals = self._as_dict()
-            totals.update(zip(touched.tolist(), sums.tolist()))
-            return ShardState(None, totals, entries)
-        if not len(self):
-            return ShardState(touched, sums, entries)
-        delta_at, base_at = at
-        known = _member(self.keys, touched, base_at)
-        if len(self.delta_keys):
-            known |= _member(self.delta_keys, touched, delta_at)
-        delta_keys, delta_columns = _insert(
-            self.delta_keys, (self.delta_totals, self.delta_at),
-            touched, (sums, base_at), delta_at,
+        old = self.entries
+        stored = self._as_dict()
+        running = _continue_generic(stored, chunks)
+        untouched = np.fromiter(
+            (key not in running for key in old.keys.tolist()),
+            dtype=bool, count=len(old.keys),
         )
-        state = ShardState(
-            self.keys, self.totals, entries, (delta_keys, *delta_columns),
-            self.size + len(touched) - int(np.count_nonzero(known)),
+        sums = np.fromiter(running.values(), dtype=float, count=len(running))
+        # The key forms process_batch would sample: one canonical array
+        # for hashing, Python natives in the entries.
+        live = np.flatnonzero(sums > 0.0)
+        ranked, weights = as_key_array(list(running))[live], sums[live]
+        seeds = hasher.hash_array(ranked)
+        entries = _select(
+            old, untouched, ranked.astype(object), weights, seeds, k, family,
+            by_key=False,
         )
-        if len(delta_keys) > _DELTA_SHARE * len(self.keys):
-            return state.merged()
-        return state
+        stored.update(running)
+        return ShardState(None, stored, entries)
+
+
+def _continue_generic(stored: dict, chunks) -> dict:
+    """Touched key -> new total, in first-arrival order: each key's sum
+    continued from its ``stored`` total, event by event."""
+    running: dict = {}
+    for chunk_keys, chunk_weights in chunks:
+        for key, weight in zip(chunk_keys.tolist(), chunk_weights.tolist()):
+            total = running.get(key)
+            if total is None:
+                total = stored.get(key, 0.0)
+            running[key] = total + weight
+    return running
+
+
+def _select(old, untouched, keys, weights, seeds, k, family, by_key):
+    """The new bottom-(k+1): the ``old`` entries not touched plus the
+    touched ``keys`` of positive total (with their ``weights`` and
+    ``seeds``), ties in rank broken by key (``by_key``) or by seed, then
+    :func:`tie_order`."""
+    # No concatenation with an empty array of another dtype: int64 beside
+    # uint64 would promote the keys to float64.
+    kept = old.keys[untouched]
+    keys = np.concatenate([kept, keys]) if len(kept) else keys
+    ranks = np.concatenate([
+        old.ranks[untouched], family.ranks_array(weights, seeds)
+    ])
+    weights = np.concatenate([old.weights[untouched], weights])
+    seeds = np.concatenate([old.seeds[untouched], seeds])
+    if by_key:
+        best = _smallest(ranks, keys, k + 1)
+    else:
+        best = _smallest(ranks, seeds, k + 1, keys)
+    return ShardEntries(keys[best], ranks[best], weights[best], seeds[best])
 
 
 def _member(
@@ -384,31 +328,31 @@ def _member(
     return haystack[np.minimum(at, len(haystack) - 1)] == needles
 
 
-def _stored(keys, totals, needles, at, missing):
-    """``totals`` of the ``needles`` found in the sorted ``keys`` (given
-    their positions ``at``), ``missing`` for the others."""
-    if not len(keys):
-        return missing
-    slot = np.minimum(at, len(keys) - 1)
-    return np.where(keys[slot] == needles, totals[slot], missing)
+def _lookup(haystack: np.ndarray, needles: np.ndarray):
+    """``(np.searchsorted positions, membership)`` of the sorted
+    ``needles`` in the sorted, non-empty ``haystack``."""
+    at = np.searchsorted(haystack, needles)
+    return at, _member(haystack, needles, at)
 
 
-def _insert(keys, columns, rows, row_columns, at):
-    """Sorted ``keys`` and their aligned ``columns`` with the sorted
-    ``rows`` and aligned ``row_columns`` written in, given the rows'
-    ``np.searchsorted`` positions ``at`` in ``keys``: a row whose key is
-    present overwrites its columns, the others are inserted in order.
-    Returns new arrays (or ``rows`` itself into empty ``keys``); nothing
-    is written into an argument."""
-    if not len(keys):
-        return rows, row_columns
+def _stored(totals, found, missing):
+    """``totals`` at the positions of a :func:`_lookup` where it found
+    the key, ``missing`` elsewhere."""
+    at, hit = found
+    return np.where(hit, totals.take(at, mode="clip"), missing)
+
+
+def _layout(keys, rows, at):
+    """The key half of writing the sorted ``rows`` into the sorted,
+    non-empty ``keys``, given the rows' ``np.searchsorted`` positions
+    ``at``: a row whose key is present overwrites it, the others are
+    inserted in order.  Returns the new keys (``keys`` itself when every
+    row is present) and the place :func:`_write` writes a column by;
+    nothing is written into an argument."""
     fresh = ~_member(keys, rows, at)
     n_fresh = int(np.count_nonzero(fresh))
     if n_fresh == 0:
-        out = tuple(column.copy() for column in columns)
-        for column, values in zip(out, row_columns):
-            column[at] = values
-        return keys, out
+        return keys, (None, at)
     # A row lands after the old keys below it and the fresh rows before it.
     dest = at + np.cumsum(fresh) - fresh
     old = np.ones(len(keys) + n_fresh, dtype=bool)
@@ -416,13 +360,136 @@ def _insert(keys, columns, rows, row_columns, at):
     merged = np.empty(len(old), dtype=keys.dtype)
     merged[old] = keys
     merged[dest[fresh]] = rows[fresh]
-    out = []
-    for column, values in zip(columns, row_columns):
+    return merged, (old, dest)
+
+
+def _write(column, values, place):
+    """The column half: a new ``column`` (aligned with the old keys) with
+    the rows' ``values`` written in, at the ``place`` of a
+    :func:`_layout`."""
+    old, dest = place
+    if old is None:
+        written = column.copy()
+    else:
         written = np.empty(len(old), dtype=column.dtype)
         written[old] = column
-        written[dest] = values
-        out.append(written)
-    return merged, tuple(out)
+    written[dest] = values
+    return written
+
+
+def _merged(states: "list[ShardState]") -> "list[ShardState]":
+    """``states`` that share their key arrays, each with its delta merged
+    into its base (``states`` itself when the delta is empty or the tables
+    generic); the key half of the merge is computed once and the merged
+    keys are shared."""
+    lead = states[0]
+    if lead.keys is None or not len(lead.delta_keys):
+        return states
+    keys, place = _layout(lead.keys, lead.delta_keys, lead.delta_at)
+    return [
+        ShardState(
+            keys, _write(state.totals, state.delta_totals, place),
+            state.entries, size=state.size,
+        )
+        for state in states
+    ]
+
+
+class _KeyPlan:
+    """The key side of one numeric fold step, computed once for every
+    assignment whose table has the same key arrays and whose step folds
+    the same key chunks: the touched keys and the events' places among
+    them, the keys' seeds, their places in the table, and the key arrays
+    of the new table.  :meth:`fold` is one assignment's share — its sums,
+    ranks, entries and total columns — whose transients die with the
+    call, so a group's fold peaks at the plan plus one assignment's
+    transients."""
+
+    __slots__ = (
+        "touched", "inverse", "seeds", "base", "delta", "size", "insert",
+        "keys", "delta_keys", "delta_at", "merge",
+    )
+
+    @classmethod
+    def build(cls, state, chunks, hasher) -> "_KeyPlan | None":
+        """The plan of folding ``chunks`` into ``state`` (and every state
+        sharing its key arrays), ``None`` when the fold goes generic."""
+        chunks = [chunk for chunk in chunks if len(chunk[0])]
+        if chunks and state.stays_numeric(chunks):
+            return cls(state, chunks, hasher)
+        return None
+
+    def __init__(self, state, chunks, hasher) -> None:
+        touched, inverse = np.unique(
+            np.concatenate([keys for keys, _ in chunks]), return_inverse=True
+        )
+        if len(touched) <= np.iinfo(np.int32).max:
+            inverse = inverse.astype(np.int32)
+        self.touched, self.inverse = touched, inverse
+        self.seeds = hasher.hash_array(touched)
+        self.delta = self.insert = self.merge = None
+        self.delta_keys = self.delta_at = None
+        if not len(state):  # the touched keys become the table
+            self.base, self.keys, self.size = None, touched, len(touched)
+            return
+        self.base = _lookup(state.keys, touched)
+        known = self.base[1]
+        if len(state.delta_keys):
+            self.delta = _lookup(state.delta_keys, touched)
+            known = known | self.delta[1]
+            self.delta_keys, self.insert = _layout(
+                state.delta_keys, touched, self.delta[0]
+            )
+            self.delta_at = _write(state.delta_at, self.base[0], self.insert)
+        else:  # the touched keys become the delta
+            self.delta_keys, self.delta_at = touched, self.base[0]
+        self.size = state.size + len(touched) - int(np.count_nonzero(known))
+        self.keys = state.keys
+        if len(self.delta_keys) > _DELTA_SHARE * len(state.keys):
+            self.keys, self.merge = _layout(
+                state.keys, self.delta_keys, self.delta_at
+            )
+
+    def fold(self, state, weights, k, family) -> ShardState:
+        """``state`` after the step, given the folded events' ``weights``
+        in arrival order."""
+        touched = self.touched
+        if self.base is None:
+            sums = np.zeros(len(touched))
+        else:
+            sums = _stored(state.totals, self.base, 0.0)
+            if self.delta is not None:
+                sums = _stored(state.delta_totals, self.delta, sums)
+        np.add.at(sums, self.inverse, weights)
+        live = sums > 0.0
+        if live.all():  # no copies
+            ranked, positive, seeds = touched, sums, self.seeds
+        else:
+            live = np.flatnonzero(live)
+            ranked, positive = touched[live], sums[live]
+            seeds = self.seeds[live]
+        old = state.entries
+        untouched = ~_member(
+            touched, old.keys, np.searchsorted(touched, old.keys)
+        )
+        entries = _select(
+            old, untouched, ranked, positive, seeds, k, family, by_key=True
+        )
+        if self.base is None:
+            return ShardState(touched, sums, entries)
+        delta_totals = (
+            sums if self.insert is None
+            else _write(state.delta_totals, sums, self.insert)
+        )
+        if self.merge is not None:
+            return ShardState(
+                self.keys, _write(state.totals, delta_totals, self.merge),
+                entries, size=self.size,
+            )
+        return ShardState(
+            self.keys, state.totals, entries,
+            (self.delta_keys, delta_totals, self.delta_at), self.size,
+        )
 
 
 # Rows one fold step takes on.  A step's transients (sort, inverse, seeds,
@@ -456,31 +523,74 @@ class _Shard:
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []
 
     def chunks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Table chunk (if any) then pending chunks: the checkpoint form.
-
-        The merged table is kept as the new base, so the next checkpoint
-        of an unchanged table costs nothing."""
-        self.state = self.state.merged()
+        """Table chunk (if any) then pending chunks: the checkpoint form."""
         table = [self.state.chunk()] if len(self.state) else []
         return table + self.pending
 
-    def fold(self, k: int, family: RankFamily, hasher: KeyHasher) -> int:
-        """Fold the leading pending chunks — as many as fit in
-        :data:`_FOLD_ROWS` rows, at least one — into the state; returns
-        the change in rows held (table keys + pending events).  A fold
-        that raises leaves state and pending chunks as they were."""
+    def step(self) -> int:
+        """How many leading pending chunks the next fold step takes: as
+        many as fit in :data:`_FOLD_ROWS` rows, at least one."""
         rows = count = 0
         for keys, _ in self.pending:
             if count and rows + len(keys) > _FOLD_ROWS:
                 break
             rows += len(keys)
             count += 1
+        return count
+
+    def fold(
+        self,
+        count: int,
+        plan: "_KeyPlan | None",
+        k: int,
+        family: RankFamily,
+        hasher: KeyHasher,
+    ) -> int:
+        """Fold the leading ``count`` pending chunks, whose key side is
+        ``plan``, into the state; returns the change in rows held (table
+        keys + pending events).  A fold that raises leaves state and
+        pending chunks as they were."""
+        chunks = self.pending[:count]
+        rows = sum(len(keys) for keys, _ in chunks)
         distinct = len(self.state)
-        self.state = self.state.apply(
-            self.state.delta(k, family, hasher, self.pending[:count])
-        )
+        self.state = self.state.fold(chunks, plan, k, family, hasher)
         del self.pending[:count]
         return len(self.state) - distinct - rows
+
+
+def _table_id(state: ShardState) -> tuple:
+    """The identity of a table's key arrays: states that share it share
+    their key layout."""
+    return id(state.keys), id(state.delta_keys), id(state.delta_at)
+
+
+def _steps(shards: "list[_Shard]") -> "list[tuple[int, list[_Shard]]]":
+    """``(chunk count, group)`` per group of ``shards`` whose next fold
+    step has one key side: the same table key arrays and the same key
+    chunks to fold — the same *objects*, never an O(n) comparison."""
+    steps: dict = {}
+    for shard in shards:
+        count = shard.step()
+        ident = (
+            _table_id(shard.state),
+            *(id(keys) for keys, _ in shard.pending[:count]),
+        )
+        steps.setdefault(ident, (count, []))[1].append(shard)
+    return list(steps.values())
+
+
+def _shared(keys: np.ndarray, seen: "list[np.ndarray]") -> np.ndarray:
+    """An array of ``seen`` equal to the numeric ``keys`` (same dtype, same
+    values) if there is one, else ``keys``, recorded in ``seen``."""
+    if keys.dtype.kind not in "biuf":
+        return keys
+    for twin in seen:
+        if twin is keys or (
+            twin.dtype == keys.dtype and np.array_equal(twin, keys)
+        ):
+            return twin
+    seen.append(keys)
+    return keys
 
 
 class ShardedSummarizer:
@@ -574,10 +684,13 @@ class ShardedSummarizer:
         """Feed one key batch carrying weights for several assignments.
 
         Equivalent to calling :meth:`ingest` once per assignment with the
-        same ``keys`` (bit-identical pending chunks), but the key array is
-        canonicalized and copied once and shared, which matters when every
-        event updates all assignments (e.g. bytes and packet-count weights
-        of one flow record).
+        same ``keys`` (bit-identical pending chunks and summaries), but the
+        key array is canonicalized and copied once and shared, and so is
+        the key side of folding it: assignments whose tables share their
+        key arrays fold it as one group, with one ``np.unique``, one
+        lookup and one hash of its keys, and keep sharing one key column.
+        That matters when every event updates all assignments (e.g. bytes
+        and packet-count weights of one flow record).
         """
         names = list(weights_by_assignment)
         shards = [self._shard_for(name) for name in names]
@@ -613,28 +726,41 @@ class ShardedSummarizer:
         """Finalized per-assignment sketches, cached until the next ingest.
 
         Folds every assignment that has pending chunks (the others are
-        already current), a bounded number of rows at a time and the
-        assignments in turn — the peak holds one assignment's old and new
-        table plus one step's transients, a key chunk that
+        already current), a bounded number of rows at a time, one group
+        of assignments with a shared key side at a time (see
+        :class:`_KeyPlan`) and the group's assignments in turn — the peak
+        holds the group's key plan, one assignment's old and new columns
+        and that assignment's transients; a key chunk that
         :meth:`ingest_multi` shared is freed as soon as every assignment
-        has folded it, and a fold that raises leaves its pending chunks
-        to be folded again by the next call.  These are internal state:
-        callers go through :meth:`sketches`, which hands out defensive
-        copies.
+        has folded it, and a fold that raises leaves the assignments
+        already folded folded and the others' pending chunks to be folded
+        again by the next call.  These are internal state: callers go
+        through :meth:`sketches`, which hands out defensive copies.
         """
         if self._sketch_cache is None:
             behind = [
                 shard for shard in self._shards.values() if shard.pending
             ]
             while behind:
-                for shard in behind:
-                    self._rows += shard.fold(self.k, self.family, self.hasher)
+                for count, group in _steps(behind):
+                    self._fold_step(count, group)
                 behind = [shard for shard in behind if shard.pending]
             self._sketch_cache = {
                 name: shard.state.entries.sketch(self.k)
                 for name, shard in self._shards.items()
             }
         return self._sketch_cache
+
+    def _fold_step(self, count: int, group: "list[_Shard]") -> None:
+        """One fold step of a group: its key plan once, then each
+        assignment in turn, each committed (state, pending chunks, rows
+        held) before the next one starts."""
+        lead = group[0]
+        plan = _KeyPlan.build(lead.state, lead.pending[:count], self.hasher)
+        for shard in group:
+            self._rows += shard.fold(
+                count, plan, self.k, self.family, self.hasher
+            )
 
     def sketches(self) -> dict[str, BottomKSketch]:
         """Aggregate and sample: one bottom-k sketch per assignment.
@@ -703,6 +829,17 @@ class ShardedSummarizer:
                 "checkpointing requires a plain KeyHasher (a custom hasher "
                 "cannot be re-instantiated from its salt)"
             )
+        # Each table's delta is merged into its base, once per group of
+        # shared key arrays; the merged tables are kept, so the group
+        # survives and the next checkpoint of an unchanged table costs
+        # nothing.
+        tables: dict = {}
+        for shard in self._shards.values():
+            tables.setdefault(_table_id(shard.state), []).append(shard)
+        for group in tables.values():
+            merged = _merged([shard.state for shard in group])
+            for shard, state in zip(group, merged):
+                shard.state = state
         return SummarizerCheckpoint(
             k=self.k,
             assignments=list(self.assignments),
@@ -721,7 +858,10 @@ class ShardedSummarizer:
 
         The restored instance has the same configuration, salt, and
         chunks (pending, in checkpoint order), so continuing the stream
-        produces summaries bit-identical to an uninterrupted run.
+        produces summaries bit-identical to an uninterrupted run.  A key
+        chunk equal to another assignment's at the same position is
+        replaced by it (one comparison per chunk), so the assignments of
+        an :meth:`ingest_multi` window fold as one group again.
         """
         restored = cls(
             k=state.k,
@@ -729,8 +869,12 @@ class ShardedSummarizer:
             family=state.family,
             hasher=KeyHasher(state.hasher_salt),
         )
+        seen: dict[int, list[np.ndarray]] = {}
         for name, shard in restored._shards.items():
-            shard.pending = list(state.chunks[name])
+            shard.pending = [
+                (_shared(keys, seen.setdefault(at, [])), weights)
+                for at, (keys, weights) in enumerate(state.chunks[name])
+            ]
         restored._rows = state.buffered_events
         return restored
 

@@ -6,7 +6,10 @@ must never reach an artifact: every bundle and checkpoint of a
 deterministic history — a 200k-row load over 130k distinct int keys, 30
 small folds that cross several base merges, a resume, and a ``str``-key
 window — hashes to the SHA-256 recorded below, which the single-table
-engine that preceded the split produced for the same history.
+engine that preceded the split produced for the same history.  Nor may
+the sharing of a table's key side between assignments: a 4-assignment
+window that folds as one group hashes to what the per-assignment fold
+produced.
 """
 
 from __future__ import annotations
@@ -110,6 +113,62 @@ SHA256 = {
 }
 
 
+QUAD = ["q1", "q2", "q3", "q4"]
+
+
+def quad_history():
+    """``(label, engine, blob)`` of a 4-assignment ``ingest_multi``
+    window: a 60k-row load over 40k int keys, 12 small folds that cross
+    base merges, a mid-window flush (a checkpoint of the live summarizer,
+    which goes on) and a resume.  Its assignments fold as one group."""
+    rng = np.random.default_rng(2029)
+    engine = ShardedSummarizer(128, QUAD, hasher=KeyHasher(12))
+
+    def feed(keys):
+        engine.ingest_multi(keys, {
+            name: rng.pareto(1.1 + 0.2 * at, len(keys))
+            for at, name in enumerate(QUAD)
+        })
+
+    ids = rng.permutation(np.arange(40_000, dtype=np.int64) * 5 + 2)
+    feed(np.concatenate([ids, rng.choice(ids, 20_000)]))
+    yield from _artifacts(engine, "quad load", checkpoint=True)
+    for fold in range(12):
+        feed(np.concatenate([
+            rng.choice(ids, 1_000), rng.integers(0, 1 << 40, 600),
+        ]))
+        yield from _artifacts(engine, f"quad fold {fold}", fold == 6)
+    engine = ShardedSummarizer.from_checkpoint(
+        decode(encode(engine.checkpoint_state()))
+    )
+    for fold in range(3):
+        feed(rng.integers(0, 300_000, 1_500))
+        yield from _artifacts(engine, f"quad resume {fold}", fold == 2)
+
+
+SHA256_QUAD = {
+    "quad load bundle": "2ea63cf9bb210c03084c567a173de1a9ce524246972b128b7c9613df49b02c85",
+    "quad load checkpoint": "dc94e60205a005fc48a79fbe5bf580ba30533f037a8b36b1757511043e836a4b",
+    "quad fold 0 bundle": "2e97c4b4555cde368ff9a5d08a9c98931314c19042c6d534544c6bc35ec7459e",
+    "quad fold 1 bundle": "7254a5f07b635b59d7332b9e5c51114171b0438c5d8a0c04445350ed7b6ffc5d",
+    "quad fold 2 bundle": "8245d49f04a2c4d5ac7558b9cedc3bbcc6c2abed6e1c58307a2d0d605b14595f",
+    "quad fold 3 bundle": "f832b4badc2bf593db3333cc9e8f7aa34f04ecbf251fd65dbdc8a14d81cdbb9e",
+    "quad fold 4 bundle": "01b98d73025bf91fd7b981e741722bdd5accfedf4b8bb1a6e1275cd50113f541",
+    "quad fold 5 bundle": "4b7aef3fbed6e38cfb2748c5dd0fff70b90b34b5d7117f54078919de0b76a792",
+    "quad fold 6 bundle": "4c44f81e8953f2c73d712eeb26592f0dde1a494a584879a8048d20bb0872eee3",
+    "quad fold 6 checkpoint": "ec5741be24134ff29ea5904787e76ea8a40c719b0260243af3ea96d2678e26e7",
+    "quad fold 7 bundle": "69c1937d597b81cd9b4240548833c45c428f5b608e8ee946e78776c162359b0b",
+    "quad fold 8 bundle": "7bd1dbff764c659e9b7522b087566167cb2eaafc611ddb5543e70d1945b77f59",
+    "quad fold 9 bundle": "15edb3c71469dd836b694ce3fee5bbdf6d58a46d88dc409d4d223cbaea4dfe98",
+    "quad fold 10 bundle": "519f2b2b275b6f26a8c885a5a0326cb6e8d857eb2141df7349d7c1b5345063c7",
+    "quad fold 11 bundle": "46f9c3cc4c540c4792a8b1e49e8411bf6c6b14a44c501385aa084896b997d477",
+    "quad resume 0 bundle": "95a0be2e988654b1291c3b1c388f84940c1a93a0ca4c6ea66ea98e84d8d56a2c",
+    "quad resume 1 bundle": "ce5ab951535aee83e5db9cde9c44cda6c3ea8a727fc352853b59fb4a31094b0e",
+    "quad resume 2 bundle": "e8abaf2739b95a32fc17873d2bdc27cfe9e604228770cb96d34ed8fa5a6c167d",
+    "quad resume 2 checkpoint": "c94c95471e6c9376c40c459cd7f175d25934a7f63fbc30a93f3597e66a0284f8",
+}
+
+
 def test_every_artifact_has_the_recorded_bytes():
     digests = {
         label: hashlib.sha256(blob).hexdigest()
@@ -129,4 +188,28 @@ def test_the_history_crosses_base_merges_between_checkpoints():
             merges += state.keys is not base
             assert len(state.delta_keys) <= len(state.keys) / 8
         base = state.keys
+    assert merges >= 2
+
+
+def test_every_quad_artifact_has_the_recorded_bytes():
+    digests = {
+        label: hashlib.sha256(blob).hexdigest()
+        for label, _, blob in quad_history()
+    }
+    assert digests == SHA256_QUAD
+
+
+def test_the_quad_window_crosses_merges_as_one_group():
+    merges = 0
+    base = None
+    for label, engine, _ in quad_history():
+        states = [engine._shards[name].state for name in QUAD]
+        for attr in ("keys", "delta_keys", "delta_at"):
+            assert all(
+                getattr(state, attr) is getattr(states[0], attr)
+                for state in states
+            ), label
+        if label.startswith("quad fold") and label.endswith("bundle"):
+            merges += states[0].keys is not base
+        base = states[0].keys
     assert merges >= 2

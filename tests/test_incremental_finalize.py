@@ -409,6 +409,183 @@ class TestBaseAndDelta:
                 )
 
 
+@st.composite
+def multi_scripts(draw):
+    """``(n assignments, steps, step at which a0 turns generic or None)``;
+    a step is ``(key ids, assignment indices, the index whose weights are
+    half zero or None, finalize after it)``."""
+    n = draw(st.integers(1, 4))
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=40))
+        if n > 1 and draw(st.integers(0, 3)) == 0:  # one assignment alone
+            chosen = [draw(st.integers(0, n - 1))]
+        else:
+            chosen = list(range(n))
+        zero = draw(st.sampled_from([None, *chosen]))
+        steps.append((ids, chosen, zero, draw(st.booleans())))
+    generic_at = draw(st.one_of(st.none(), st.integers(0, len(steps) - 1)))
+    return n, steps, generic_at
+
+
+def assert_same_engines(got, want):
+    assert_equal_sketches(got.sketches(), want.sketches())
+    assert encode(got.sketch_bundle()) == encode(want.sketch_bundle())
+    assert got.buffered_events == want.buffered_events
+
+
+def shared_key_arrays(engine, names):
+    """Do the tables of ``names`` share their key arrays (one group)?"""
+    states = [engine._shards[name].state for name in names]
+    return all(
+        getattr(state, attr) is getattr(states[0], attr)
+        for state in states
+        for attr in ("keys", "delta_keys", "delta_at")
+    )
+
+
+class _RanksFailOnce(IppsRanks):
+    """IPPS ranks whose ``fail_at``-th ``ranks_array`` call from now
+    raises, once (``0``: never)."""
+
+    fail_at = 0
+
+    def ranks_array(self, weights, seeds):
+        if self.fail_at:
+            self.fail_at -= 1
+            if not self.fail_at:
+                raise RuntimeError("boom")
+        return super().ranks_array(weights, seeds)
+
+
+class TestGroupFold:
+    """The assignments of an ``ingest_multi`` batch fold as one group: one
+    key side (unique, lookups, seeds, key layout), each assignment its own
+    sums, ranks and entries.  Per-assignment ``ingest`` calls copy the keys
+    per call, so a summarizer fed that way never groups: it is the
+    reference."""
+
+    @given(
+        script=multi_scripts(),
+        seed=st.integers(0, 2**32 - 1),
+        merge=st.sampled_from(sorted(DELTA_SHARES)),
+        step_rows=st.sampled_from([30, sharded_module._FOLD_ROWS]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ingest_multi_equals_per_assignment_ingest(
+        self, script, seed, merge, step_rows
+    ):
+        n, steps, generic_at = script
+        names = [f"a{i}" for i in range(n)]
+        rng = np.random.default_rng(seed)
+        grouped, alone = (
+            ShardedSummarizer(4, names, hasher=KeyHasher(5)) for _ in range(2)
+        )
+        with fold_rows(step_rows), delta_share(merge):
+            for at, (ids, chosen, zero, finalize) in enumerate(steps):
+                if at == generic_at:
+                    words = [f"key-{i}" for i in ids]
+                    word_weights = rng.pareto(1.3, len(ids))
+                    for engine in (grouped, alone):
+                        engine.ingest(names[0], words, word_weights)
+                keys = np.array(ids, dtype=np.int64)
+                by_name = {}
+                for index in chosen:
+                    batch_weights = rng.pareto(1.3, len(keys))
+                    if index == zero:  # some keys total zero
+                        batch_weights[::2] = 0.0
+                    by_name[names[index]] = batch_weights
+                grouped.ingest_multi(keys, by_name)
+                for name, batch_weights in by_name.items():
+                    alone.ingest(name, keys, batch_weights)
+                if finalize:
+                    assert_same_engines(grouped, alone)
+            assert_same_engines(grouped, alone)
+
+    def test_a_group_keeps_one_key_column_across_merges(self):
+        rng = np.random.default_rng(21)
+        names = ["a0", "a1", "a2", "a3"]
+        engine = ShardedSummarizer(16, names, hasher=KeyHasher(4))
+        merges, base = 0, None
+        for step in range(12):
+            keys = rng.integers(0, 3_000 + 400 * step, 500)
+            engine.ingest_multi(keys, {n: rng.pareto(1.3, 500) for n in names})
+            engine.summary()
+            assert shared_key_arrays(engine, names)
+            state = engine._shards["a0"].state
+            merges += base is not None and state.keys is not base
+            base = state.keys
+        assert merges >= 2
+
+    def test_a_fold_that_raises_mid_group_keeps_the_folded_ones(self):
+        """The third of four assignments fails: the first two keep their
+        fold, the last two their pending chunks, and the next summary
+        equals an uninterrupted run's."""
+        rng = np.random.default_rng(22)
+        names = ["a0", "a1", "a2", "a3"]
+        engine = ShardedSummarizer(
+            8, names, family=_RanksFailOnce(), hasher=KeyHasher(6)
+        )
+        reference = ShardedSummarizer(8, names, hasher=KeyHasher(6))
+        for size in (2_000, 300):
+            keys = rng.integers(0, 1_500, size)
+            by_name = {n: rng.pareto(1.3, size) for n in names}
+            for each in (engine, reference):
+                each.ingest_multi(keys, by_name)
+            if size == 2_000:  # the failing fold lands on a table
+                engine.summary()
+        engine.family.fail_at = 3
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.summary()
+        assert [bool(engine._shards[n].pending) for n in names] == [
+            False, False, True, True
+        ]
+        assert engine.buffered_events == sum(
+            len(engine._shards[n].state)
+            + sum(len(keys) for keys, _ in engine._shards[n].pending)
+            for n in names
+        )
+        assert_equal_sketches(engine.sketches(), reference.sketches())
+        assert engine.buffered_events == reference.buffered_events
+        assert shared_key_arrays(engine, names[:2])
+        assert shared_key_arrays(engine, names[2:])
+
+
+class TestGroupSurvivesCheckpoints:
+    """A checkpoint merges each group's deltas once and keeps the merged
+    keys shared; a resume re-shares equal key chunks, so neither splits a
+    group for the rest of the window."""
+
+    def test_flush_and_resume_keep_the_group(self):
+        rng = np.random.default_rng(31)
+        names = ["a0", "a1", "a2"]
+        engine, uninterrupted = (
+            ShardedSummarizer(16, names, hasher=KeyHasher(8)) for _ in range(2)
+        )
+
+        def feed_all(engines, size, span):
+            keys = rng.integers(0, span, size)
+            by_name = {n: rng.pareto(1.3, size) for n in names}
+            for each in engines:
+                each.ingest_multi(keys, by_name)
+                each.summary()
+
+        feed_all([engine, uninterrupted], 5_000, 4_000)
+        feed_all([engine, uninterrupted], 300, 4_500)
+        assert len(engine._shards["a0"].state.delta_keys)  # a delta to merge
+        wire = encode(engine.checkpoint_state())  # a flush: the engine goes on
+        resumed = ShardedSummarizer.from_checkpoint(decode(wire))
+        for span in (5_000, 5_500):  # a resumed table's first fold merges
+            feed_all([engine, resumed, uninterrupted], 100, span)
+        for each in (engine, resumed):
+            assert shared_key_arrays(each, names)
+            assert len(each._shards["a0"].state.delta_keys)
+            assert_same_engines(each, uninterrupted)
+            assert encode(each.checkpoint_state()) == encode(
+                uninterrupted.checkpoint_state()
+            )
+
+
 class TestSnapshotIsolation:
     """checkpoint_state() shares arrays; a later fold must not reach them."""
 
