@@ -199,6 +199,11 @@ class MultiAssignmentDataset:
     def n_assignments(self) -> int:
         return len(self.assignments)
 
+    @property
+    def key_index(self) -> Mapping[Hashable, int]:
+        """Key → row mapping (read-only by convention, do not mutate)."""
+        return self._key_index
+
     def key_position(self, key: Hashable) -> int:
         """Row index of ``key`` (raises ``KeyError`` if absent)."""
         return self._key_index[key]

@@ -11,6 +11,11 @@ Predicates are evaluated in two ways:
   truth / exact answers);
 * :meth:`Predicate.select` — per-key decision given the key and its
   attributes (what an estimator applies to sampled keys).
+
+:class:`KeyIn` never loops over the keys it is evaluated on: it looks its
+own keys up in a key → row index (the dataset's, or a stream summary's
+:attr:`~repro.core.summary.MultiAssignmentSummary.key_index`), so a key
+predicate costs O(|keys|) however large the dataset or the summary is.
 """
 
 from __future__ import annotations
@@ -99,16 +104,17 @@ class KeyIn(Predicate):
     def select(self, key: Hashable, attributes: Mapping[str, object]) -> bool:
         return key in self.keys
 
+    def rows_in(self, index: Mapping[Hashable, int]) -> np.ndarray:
+        """Rows of the selected keys present in a key → row ``index``."""
+        rows = [row for row in map(index.get, self.keys) if row is not None]
+        return np.array(rows, dtype=np.int64)
+
     def mask_at(
         self, dataset: MultiAssignmentDataset, positions: np.ndarray
     ) -> np.ndarray:
-        positions = np.asarray(positions, dtype=np.int64)
-        keys = dataset.keys
-        wanted = self.keys
-        return np.fromiter(
-            (keys[pos] in wanted for pos in positions.tolist()),
-            dtype=bool,
-            count=len(positions),
+        return np.isin(
+            np.asarray(positions, dtype=np.int64),
+            self.rows_in(dataset.key_index),
         )
 
     def __repr__(self) -> str:

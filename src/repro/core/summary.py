@@ -161,11 +161,32 @@ class MultiAssignmentSummary:
             self.__dict__["_views"] = cache
         return cache
 
+    @property
+    def key_index(self) -> dict | None:
+        """Row of each raw key identifier in :attr:`keys`, built once.
+
+        ``None`` when ``positions`` index a dataset directly.  A cache, not
+        a field: :func:`build_summary_from_sketches` hands over the dict it
+        assembled the union with, any other summary builds it on first
+        use.  Treat it as read-only.
+        """
+        if self.keys is None:
+            return None
+        index = self.__dict__.get("_key_index")
+        if index is None:
+            index = dict(zip(self.keys, range(self.n_union)))
+            if len(index) != self.n_union:
+                raise ValueError("summary keys are not distinct")
+            self.__dict__["_key_index"] = index
+        return index
+
     def __getstate__(self) -> dict:
-        """Pickle and copy the fields only: cached views are rebuilt on
-        demand, and their weak back-references cannot be pickled."""
+        """Pickle and copy the fields only: cached views and the key index
+        are rebuilt on demand (the views' weak back-references cannot be
+        pickled)."""
         state = self.__dict__.copy()
         state.pop("_views", None)
+        state.pop("_key_index", None)
         return state
 
     def equals(self, other: "MultiAssignmentSummary") -> bool:
@@ -174,7 +195,8 @@ class MultiAssignmentSummary:
         Float arrays are compared by raw bytes, so ``+inf`` thresholds and
         ``NaN`` dispersed-weight placeholders compare exactly.  This is the
         contract behind checkpoint/resume ("bit-identical summaries") and
-        the store codec round-trip tests; cached views are ignored.
+        the store codec round-trip tests; cached views and the key index
+        are ignored.
         """
 
         def bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
@@ -556,7 +578,10 @@ def build_summary_from_sketches(
     first-encounter order over the sketches) and uses row indices
     internally.  One dictionary pass per sketch maps its keys to rows;
     its ranks, weights and seeds then land with one fancy-index
-    assignment each, later sketches overwriting a shared key's seed.
+    assignment each, later sketches overwriting a shared key's seed.  The
+    key → row dictionary is kept as the summary's
+    :attr:`~MultiAssignmentSummary.key_index`, which key predicates look
+    up.
     """
     from repro.ranks.assignments import get_rank_method
 
@@ -599,7 +624,7 @@ def build_summary_from_sketches(
         if seeds is not None and sk.seeds is not None:
             seeds[row] = sk.seeds
     thresholds = np.where(member, rank_kplus1[None, :], rank_k[None, :])
-    return MultiAssignmentSummary(
+    summary = MultiAssignmentSummary(
         mode=DISPERSED,
         kind="bottomk",
         assignments=assignments,
@@ -617,6 +642,8 @@ def build_summary_from_sketches(
         consistent=method.consistent,
         keys=union_keys,
     )
+    summary.__dict__["_key_index"] = key_index
+    return summary
 
 
 def build_poisson_summary(

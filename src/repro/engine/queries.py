@@ -13,10 +13,13 @@ summary on the vectorized fast path:
   is cached by ``(estimator, function, R, ℓ)``, so fifty queries that
   differ only in their predicate pay for one kernel run, and the L1
   estimator reuses the cached max/min vectors (Eq. (17));
-* **predicate pushdown** — predicates are evaluated *once per distinct
-  predicate* on the summary's union keys only
+* **predicate pushdown** — a key predicate (``key_in``) is an
+  O(|keys|) lookup in a key → row index (the summary's
+  :attr:`~repro.core.summary.MultiAssignmentSummary.key_index`, or the
+  dataset's); any other predicate is evaluated *once per distinct
+  predicate object* on the summary's union keys only
   (:meth:`~repro.core.predicates.Predicate.mask_at`), never on the full
-  dataset, and each query reduces to a masked sum.
+  dataset.  Each query reduces to a masked sum.
 
 Estimates are numerically identical to the reference estimators (see
 ``tests/test_kernel_parity.py`` and ``tests/test_query_engine.py``).
@@ -420,11 +423,15 @@ class QueryEngine:
     def predicate_mask(self, predicate: Predicate) -> np.ndarray | None:
         """Boolean mask over the summary's union rows (``None`` = all).
 
-        Evaluated once per distinct predicate object, on the union keys
-        only — never on the full dataset.
+        A :class:`~repro.core.predicates.KeyIn` looks its keys up in a
+        key → row index, which is cheaper than memoizing its mask.  Any
+        other predicate is evaluated once per distinct predicate object,
+        on the union keys only — never on the full dataset.
         """
         if isinstance(predicate, AllKeys):
             return None
+        if isinstance(predicate, KeyIn):
+            return self._evaluate_predicate(predicate)
         key = id(predicate)
         if key in self._predicate_masks:
             return self._predicate_masks[key]
@@ -440,25 +447,24 @@ class QueryEngine:
     def _evaluate_predicate(self, predicate: Predicate) -> np.ndarray:
         summary = self.summary
         # Stream-built summaries index keys by synthetic row numbers; their
-        # real identifiers live in summary.keys and must be mapped to
-        # dataset rows before any attribute lookup.
+        # real identifiers live in summary.keys.  A key predicate finds its
+        # rows through the summary's own key index; anything else must map
+        # the keys to dataset rows before an attribute lookup.
         if summary.keys is not None:
+            if isinstance(predicate, KeyIn):
+                mask = np.zeros(summary.n_union, dtype=bool)
+                mask[predicate.rows_in(summary.key_index)] = True
+                return mask
             if self.dataset is not None:
                 return np.asarray(
                     predicate.mask_at(self.dataset, self._stream_positions()),
                     dtype=bool,
                 )
-            if not isinstance(predicate, KeyIn):
-                raise ValueError(
-                    f"{predicate!r} may read key attributes, which this "
-                    "engine cannot supply (no dataset attached); pass a "
-                    "dataset to QueryEngine, or select by key with "
-                    "key_in/all_keys"
-                )
-            return np.fromiter(
-                (predicate.select(key, {}) for key in summary.keys),
-                dtype=bool,
-                count=summary.n_union,
+            raise ValueError(
+                f"{predicate!r} may read key attributes, which this "
+                "engine cannot supply (no dataset attached); pass a "
+                "dataset to QueryEngine, or select by key with "
+                "key_in/all_keys"
             )
         if self.dataset is not None:
             return np.asarray(

@@ -268,7 +268,8 @@ class QuerySpec:
 
     @cached_property
     def _key_sel(self):
-        return None if self.keys is None else sorted(map(repr, self.keys))
+        # a repeated key selects no new row, so it names no new cache row
+        return None if self.keys is None else sorted(set(map(repr, self.keys)))
 
     def cache_key(self, version: str, prefix: str = "", anchor=None) -> str:
         """The result-cache row of this query at data ``version``.
@@ -914,8 +915,8 @@ class QueryPlanner:
         """One aggregate estimate over the merged live + stored view.
 
         ``keys`` (optional) restricts the subpopulation with a
-        :func:`~repro.core.predicates.key_in` predicate, evaluated on the
-        summary's union keys only (predicate pushdown).  ``decay`` (an
+        :func:`~repro.core.predicates.key_in` predicate, looked up in the
+        summary's key index (predicate pushdown).  ``decay`` (an
         exponential half-life duration, e.g. ``"5m"``) weights each
         bucket by its age at ``anchor`` (default: the end of the
         selected data span) via the exact rank-scaling transform.
