@@ -1,13 +1,14 @@
-"""QUERY — batch QueryEngine throughput vs looping the reference estimators.
+"""QUERY — batch QueryEngine throughput vs looping the per-spec estimators.
 
 Shape: a 50-query batch (min/max/L1/ℓ-th-largest/single specs × assignment
 subsets × attribute predicates) over a summary of a 100k-key dataset runs
 at least 5x faster through :class:`repro.engine.queries.QueryEngine` than
-looping the per-spec reference estimators with dense predicate masks,
-while returning numerically identical estimates.  The engine wins twice:
-kernels share per-summary cached views (one CDF matrix, one sort per
-assignment subset), and predicates are pushed down to the summary's union
-keys instead of being materialized over all 100k dataset keys per query.
+looping the per-spec estimators (one kernel run per query, wrapped as
+sparse adjusted weights) with dense predicate masks, while returning
+numerically identical estimates.  The engine wins twice: each kernel runs
+once per spec and its dense output is shared by every predicate, and
+predicates are pushed down to the summary's union keys instead of being
+materialized over all 100k dataset keys per query.
 
 Run under pytest (`pytest benchmarks/bench_query_throughput.py`) or
 standalone (`PYTHONPATH=src python benchmarks/bench_query_throughput.py`).

@@ -117,7 +117,8 @@ class AggregationSpec:
     assignments:
         the relevant assignments ``R`` (for ``"single"``, exactly one).
     ell:
-        required when ``function == "lth_largest"``; 1-indexed from the top.
+        required when ``function == "lth_largest"``; 1-indexed from the
+        top, so ``1 <= ell <= |R|``.
     predicate:
         selection predicate ``d``; default selects every key.
 
@@ -140,10 +141,16 @@ class AggregationSpec:
             )
         if self.function == "single" and len(self.assignments) != 1:
             raise ValueError("'single' aggregates take exactly one assignment")
-        if self.function == "lth_largest" and self.ell is None:
-            raise ValueError("'lth_largest' aggregates require ell")
         if not self.assignments:
             raise ValueError("assignments must be non-empty")
+        if self.function == "lth_largest":
+            if self.ell is None:
+                raise ValueError("'lth_largest' aggregates require ell")
+            if not 1 <= self.ell <= len(self.assignments):
+                raise ValueError(
+                    f"ell must be between 1 and |R|={len(self.assignments)}, "
+                    f"got {self.ell}"
+                )
 
     @property
     def dependence_ell(self) -> int:

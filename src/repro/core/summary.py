@@ -257,7 +257,7 @@ class SummaryViews:
 
     Arbitrary derived arrays can be memoized with :meth:`cached`, which the
     estimation kernels use for method-specific quantities (e.g. the
-    independent-differences inclusion probabilities).
+    colocated inclusion probabilities).
 
     The summary owns its views, so the way back is a weak proxy: a
     reference cycle would keep every superseded summary (and the query
@@ -271,11 +271,17 @@ class SummaryViews:
         self._cache: dict[object, object] = {}
 
     def cached(self, key: object, compute: Callable[[], _T]) -> _T:
-        """Memoize an arbitrary derived array under ``key``."""
+        """Memoize an arbitrary derived array under ``key``.
+
+        A stored ndarray is made read-only: every later caller shares it,
+        so an in-place edit would corrupt their answers.
+        """
         try:
             return self._cache[key]  # type: ignore[return-value]
         except KeyError:
             value = compute()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             self._cache[key] = value
             return value
 

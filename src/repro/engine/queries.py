@@ -1,10 +1,10 @@
 """Batch query answering over multi-assignment summaries.
 
-The reference estimators in :mod:`repro.estimators` answer one
-:class:`~repro.core.aggregates.AggregationSpec` at a time and recompute
-every intermediate per call.  :class:`QueryEngine` serves a *batch* of
-queries (many specs × assignment subsets × key predicates) from one
-summary on the vectorized fast path:
+The per-spec estimators in :mod:`repro.estimators` answer one
+:class:`~repro.core.aggregates.AggregationSpec` at a time as sparse
+adjusted weights.  :class:`QueryEngine` serves a *batch* of queries (many
+specs × assignment subsets × key predicates) from one summary by running
+the same kernels and sharing their dense outputs:
 
 * **per-summary view cache** — CDF matrices, per-subset sorts and
   thresholds live on :meth:`MultiAssignmentSummary.views` and are computed
@@ -21,8 +21,9 @@ summary on the vectorized fast path:
   (:meth:`~repro.core.predicates.Predicate.mask_at`), never on the full
   dataset.  Each query reduces to a masked sum.
 
-Estimates are numerically identical to the reference estimators (see
-``tests/test_kernel_parity.py`` and ``tests/test_query_engine.py``).
+Adjusted weights are bit-identical to the per-spec estimators, which
+wrap the same kernels (``tests/test_query_engine.py``); the kernels are
+pinned against an independent oracle in ``tests/test_kernel_parity.py``.
 """
 
 from __future__ import annotations
@@ -38,15 +39,10 @@ from repro.core.dataset import MultiAssignmentDataset
 from repro.core.predicates import AllKeys, KeyIn, Predicate
 from repro.core.summary import MultiAssignmentSummary
 from repro.estimators.base import AdjustedWeights
-from repro.estimators.kernels import (
-    colocated_kernel,
-    dense_to_adjusted,
-    generic_kernel,
-    ht_kernel,
-    lset_kernel,
-    plain_rc_kernel,
-    sset_kernel,
-)
+from repro.estimators.colocated import colocated_kernel, generic_kernel
+from repro.estimators.dispersed import lset_kernel, sset_kernel
+from repro.estimators.horvitz_thompson import ht_kernel
+from repro.estimators.rank_conditioning import plain_rc_kernel
 
 __all__ = ["Query", "QueryResult", "QueryEngine", "jaccard_from_summary"]
 
@@ -355,6 +351,8 @@ class QueryEngine:
         dense = self._dense.get(key)
         if dense is None:
             dense = self._compute_dense(spec, estimator)
+            # shared by every later query of this spec: no in-place edits
+            dense.setflags(write=False)
             self._dense[key] = dense
         return dense
 
@@ -378,7 +376,7 @@ class QueryEngine:
                     f"{estimator!r} answers 'l1' specs; got {spec.function!r}"
                 )
             if estimator not in ("l1-s", "l1-l"):
-                # mirror the reference: sset/lset reject the L1 aggregate
+                # sset and lset reject the L1 aggregate
                 raise ValueError(
                     "the L1 aggregate is not top-ℓ dependent; use estimator "
                     f"'l1-s' or 'l1-l' (a^max − a^min), got {estimator!r}"
@@ -412,7 +410,7 @@ class QueryEngine:
             self.default_estimator(spec) if estimator == "auto" else estimator
         )
         dense = self.adjusted_dense(spec, resolved)
-        return dense_to_adjusted(
+        return AdjustedWeights.from_dense(
             self.summary,
             dense,
             label or f"{resolved}[{spec.function}:{','.join(spec.assignments)}]",

@@ -9,10 +9,14 @@ weights over sampled keys in ``J`` (Section 3, "Adjusted weights").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-__all__ = ["AdjustedWeights", "combine_difference"]
+if TYPE_CHECKING:
+    from repro.core.summary import MultiAssignmentSummary
+
+__all__ = ["AdjustedWeights", "single_sketch_dense"]
 
 
 @dataclass
@@ -38,6 +42,18 @@ class AdjustedWeights:
         self.values = np.asarray(self.values, dtype=float)
         if self.positions.shape != self.values.shape:
             raise ValueError("positions and values must have equal length")
+
+    @classmethod
+    def from_dense(
+        cls, summary: MultiAssignmentSummary, dense: np.ndarray, label: str = ""
+    ) -> AdjustedWeights:
+        """Sparse adjusted weights from a dense kernel output over union rows.
+
+        Rows with zero adjusted weight are dropped: they contribute nothing
+        to any query.
+        """
+        rows = np.flatnonzero(dense)
+        return cls(summary.positions[rows], dense[rows], label)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -86,21 +102,22 @@ class AdjustedWeights:
         return on_sample + float((f_values**2).sum())
 
 
-def combine_difference(
-    upper: AdjustedWeights, lower: AdjustedWeights, label: str = ""
-) -> AdjustedWeights:
-    """Adjusted weights for ``f = f_upper − f_lower`` (e.g. L1 = max − min).
+def single_sketch_dense(
+    summary: MultiAssignmentSummary, assignment: str
+) -> np.ndarray:
+    """Dense ``w(i)/F_{w(i)}(θ_ib)`` over the members of one sketch (Section 3).
 
-    Keys present only in ``upper`` keep their value; keys present only in
-    ``lower`` get the negated value (unbiasedness is preserved either way —
-    for the paper's L1 estimator over consistent ranks, lower-selected keys
-    are always upper-selected too, so no negative-only keys occur).
+    ``θ_ib`` is ``r^(b)_{k+1}(I)`` for members of a bottom-k sketch (plain
+    RC) and ``τ^(b)`` for a Poisson sketch (HT); either way it is the
+    member cell of the shared ``F_w(θ)`` view.
     """
-    dense: dict[int, float] = {}
-    for pos, val in zip(upper.positions.tolist(), upper.values):
-        dense[pos] = float(val)
-    for pos, val in zip(lower.positions.tolist(), lower.values):
-        dense[pos] = dense.get(pos, 0.0) - float(val)
-    positions = np.array(sorted(dense), dtype=np.int64)
-    values = np.array([dense[pos] for pos in positions], dtype=float)
-    return AdjustedWeights(positions, values, label or f"{upper.label}-{lower.label}")
+    b = summary.columns([assignment])[0]
+    member = summary.member[:, b]
+    probabilities = summary.views().cdf_weight_threshold[:, b]
+    weights = np.where(member, summary.weights[:, b], 0.0)
+    return np.divide(
+        weights,
+        probabilities,
+        out=np.zeros_like(weights),
+        where=(probabilities > 0.0) & member,
+    )

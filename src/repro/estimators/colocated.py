@@ -21,10 +21,9 @@ The same code paths serve Poisson summaries by substituting the fixed
 ``τ^(b)`` for ``r^(b)_k(I∖{i})`` (the summary's ``thresholds`` matrix
 already encodes the right quantity for its kind).
 
-These per-spec functions are the *reference implementations*; the batch
-fast path (:func:`repro.estimators.kernels.colocated_kernel`) computes the
-spec-independent inclusion probabilities once per summary and is proven
-numerically identical in ``tests/test_kernel_parity.py``.
+The inclusion probabilities do not depend on the aggregate, so
+:func:`inclusion_probabilities` computes them once per summary (in its
+views cache) and every colocated query shares them.
 """
 
 from __future__ import annotations
@@ -37,6 +36,8 @@ from repro.estimators.base import AdjustedWeights
 
 __all__ = [
     "inclusion_probabilities",
+    "colocated_kernel",
+    "generic_kernel",
     "colocated_estimator",
     "generic_consistent_estimator",
 ]
@@ -48,18 +49,6 @@ def _require_colocated(summary: MultiAssignmentSummary) -> None:
             "inclusive colocated estimators need full weight vectors; "
             f"summary is {summary.mode!r}"
         )
-
-
-def _independent_probabilities(summary: MultiAssignmentSummary) -> np.ndarray:
-    """Eq. (5): ``1 − Π_b (1 − F_{w_b}(θ_b))`` per union key."""
-    per_assignment = summary.family.cdf_matrix(summary.weights, summary.thresholds)
-    return 1.0 - np.prod(1.0 - per_assignment, axis=1)
-
-
-def _shared_seed_probabilities(summary: MultiAssignmentSummary) -> np.ndarray:
-    """Eq. (6): ``max_b F_{w_b}(θ_b)`` per union key."""
-    per_assignment = summary.family.cdf_matrix(summary.weights, summary.thresholds)
-    return per_assignment.max(axis=1)
 
 
 def _independent_differences_probabilities(
@@ -97,18 +86,27 @@ def _independent_differences_probabilities(
 def inclusion_probabilities(summary: MultiAssignmentSummary) -> np.ndarray:
     """Conditional probability that each union key enters the summary (Eq. (4)).
 
-    Dispatches on the rank-assignment method the summary was drawn with.
+    Dispatches on the rank-assignment method the summary was drawn with:
+    Eq. (5) for independent ranks, Eq. (6) for shared-seed ranks, the
+    ``Pr[A_ℓ]`` recursion for independent differences.  Computed once per
+    summary and returned read-only from its views cache.
     """
     _require_colocated(summary)
-    if summary.method_name == "independent":
-        return _independent_probabilities(summary)
-    if summary.method_name == "shared_seed":
-        return _shared_seed_probabilities(summary)
-    if summary.method_name == "independent_differences":
-        if summary.family.name != "exp":
-            raise ValueError("independent-differences requires EXP ranks")
-        return _independent_differences_probabilities(summary)
-    raise ValueError(f"unknown rank method {summary.method_name!r}")
+    views = summary.views()
+
+    def compute() -> np.ndarray:
+        cdf = views.cdf_weight_threshold
+        if summary.method_name == "independent":
+            return 1.0 - np.prod(1.0 - cdf, axis=1)
+        if summary.method_name == "shared_seed":
+            return cdf.max(axis=1)
+        if summary.method_name == "independent_differences":
+            if summary.family.name != "exp":
+                raise ValueError("independent-differences requires EXP ranks")
+            return _independent_differences_probabilities(summary)
+        raise ValueError(f"unknown rank method {summary.method_name!r}")
+
+    return views.cached("inclusion_probabilities", compute)
 
 
 def _f_values_from_summary(
@@ -127,10 +125,48 @@ def _f_values_from_summary(
         return block.max(axis=1) - block.min(axis=1)
     if spec.function == "lth_largest":
         assert spec.ell is not None
-        if not 1 <= spec.ell <= block.shape[1]:
-            raise ValueError(f"ell={spec.ell} out of range for |R|={block.shape[1]}")
         return -np.sort(-block, axis=1)[:, spec.ell - 1]
     raise ValueError(f"unknown aggregate function {spec.function!r}")
+
+
+def colocated_kernel(
+    summary: MultiAssignmentSummary, spec: AggregationSpec
+) -> np.ndarray:
+    """Dense inclusive adjusted weights ``f(i)/p(i)`` over union rows."""
+    f_values = _f_values_from_summary(summary, spec)
+    probabilities = inclusion_probabilities(summary)
+    return np.divide(
+        f_values,
+        probabilities,
+        out=np.zeros_like(f_values),
+        where=probabilities > 0.0,
+    )
+
+
+def generic_kernel(
+    summary: MultiAssignmentSummary, spec: AggregationSpec
+) -> np.ndarray:
+    """Dense generic consistent-ranks adjusted weights (Eq. (7)).
+
+    Selection: ``min_{b∈R} r^(b)(i) < r^(min R)_k(I∖{i})``; probability
+    ``F_{w^(max R)(i)}(r^(min R)_k(I∖{i}))``.
+    """
+    _require_colocated(summary)
+    if not summary.consistent:
+        raise ValueError("the generic estimator requires consistent ranks")
+    cols = summary.columns(list(spec.assignments))
+    sub = summary.views().subset(cols)
+    theta_min = sub.theta_min
+    selected = sub.ranks.min(axis=1) < theta_min
+    max_weight = summary.weights[:, cols].max(axis=1)
+    probabilities = summary.family.cdf_matrix(max_weight, theta_min)
+    f_values = _f_values_from_summary(summary, spec)
+    return np.divide(
+        f_values,
+        probabilities,
+        out=np.zeros_like(f_values),
+        where=(probabilities > 0.0) & selected,
+    )
 
 
 def colocated_estimator(
@@ -145,18 +181,9 @@ def colocated_estimator(
     which needs no special treatment here because the full weight vector is
     stored with every sampled key (unlike the dispersed model).
     """
-    _require_colocated(summary)
-    f_values = _f_values_from_summary(summary, spec)
-    probabilities = inclusion_probabilities(summary)
-    values = np.divide(
-        f_values,
-        probabilities,
-        out=np.zeros_like(f_values),
-        where=probabilities > 0.0,
-    )
-    return AdjustedWeights(
-        summary.positions.copy(),
-        values,
+    return AdjustedWeights.from_dense(
+        summary,
+        colocated_kernel(summary, spec),
         label or f"inclusive[{spec.function}:{','.join(spec.assignments)}]",
     )
 
@@ -168,31 +195,12 @@ def generic_consistent_estimator(
 ) -> AdjustedWeights:
     """The generic consistent-ranks estimator (Eq. (7)) — an ablation baseline.
 
-    Selection: ``min_{b∈R} r^(b)(i) < r^(min R)_k(I∖{i})``; probability
-    ``F_{w^(max R)(i)}(r^(min R)_k(I∖{i}))``.  Simpler and universal across
-    consistent rank distributions, but strictly less inclusive than the
-    tailored shared-seed / independent-differences estimators, hence weaker
-    (Lemma 5.1).
+    Simpler and universal across consistent rank distributions, but
+    strictly less inclusive than the tailored shared-seed /
+    independent-differences estimators, hence weaker (Lemma 5.1).
     """
-    _require_colocated(summary)
-    if not summary.consistent:
-        raise ValueError("the generic estimator requires consistent ranks")
-    cols = summary.columns(list(spec.assignments))
-    theta_min = summary.thresholds[:, cols].min(axis=1)
-    min_rank = summary.ranks[:, cols].min(axis=1)
-    selected = min_rank < theta_min
-    max_weight = summary.weights[:, cols].max(axis=1)
-    probabilities = summary.family.cdf_matrix(max_weight, theta_min)
-    f_values = _f_values_from_summary(summary, spec)
-    values = np.divide(
-        f_values,
-        probabilities,
-        out=np.zeros_like(f_values),
-        where=(probabilities > 0.0) & selected,
-    )
-    rows = np.flatnonzero(selected)
-    return AdjustedWeights(
-        summary.positions[rows],
-        values[rows],
+    return AdjustedWeights.from_dense(
+        summary,
+        generic_kernel(summary, spec),
         label or f"generic[{spec.function}:{','.join(spec.assignments)}]",
     )

@@ -24,25 +24,24 @@ The L1/range aggregate is not top-ℓ dependent for any ℓ; it is estimated as
 ``a^(L1) = a^(max) − a^(min)`` (Eq. (17)), which is unbiased and, for
 consistent IPPS/EXP ranks, non-negative (Lemma 7.5).
 
-These per-spec functions are the *reference implementations*: each call
-recomputes its intermediates from the summary matrices.  The batch fast
-path lives in :mod:`repro.estimators.kernels` (:func:`sset_kernel`,
-:func:`lset_kernel`, :func:`l1_kernel`), which reads them from the cached
-summary views and is proven numerically identical in
-``tests/test_kernel_parity.py``.
+The kernels (:func:`sset_kernel`, :func:`lset_kernel`, :func:`l1_kernel`)
+read their intermediates (thresholds, sorts, CDF matrices) from the
+summary's cached views, so queries over the same ``R`` share them; the
+per-spec functions wrap a kernel's dense output as sparse adjusted weights.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from repro.core.aggregates import AggregationSpec
 from repro.core.summary import MultiAssignmentSummary
-from repro.estimators.base import AdjustedWeights, combine_difference
+from repro.estimators.base import AdjustedWeights
 
 __all__ = [
+    "sset_kernel",
+    "lset_kernel",
+    "l1_kernel",
     "sset_estimator",
     "lset_estimator",
     "max_estimator",
@@ -50,8 +49,6 @@ __all__ = [
     "independent_min_estimator",
     "dispersed_estimator",
 ]
-
-_NEG_INF = -math.inf
 
 
 def _resolve_ell(spec: AggregationSpec) -> int:
@@ -63,40 +60,25 @@ def _resolve_ell(spec: AggregationSpec) -> int:
     return spec.dependence_ell
 
 
-def _member_weights(
-    summary: MultiAssignmentSummary, cols: list[int]
-) -> np.ndarray:
-    """Weights over the R columns with unknown entries set to −inf.
-
-    In dispersed mode unknown weights are stored as NaN; colocated
-    summaries can also be fed to these estimators (the estimator then simply
-    ignores the extra knowledge), so non-member entries are masked the same
-    way there.
-    """
-    weights = summary.weights[:, cols]
-    member = summary.member[:, cols]
-    return np.where(member & ~np.isnan(weights), weights, _NEG_INF)
-
-
 def _f_from_topell(
     sorted_desc: np.ndarray, ell: int, spec: AggregationSpec
 ) -> np.ndarray:
     """Evaluate ``f`` from the ℓ largest recovered weights (sorted desc)."""
     if spec.function in ("max", "single"):
         return sorted_desc[:, 0]
-    if spec.function == "min":
-        return sorted_desc[:, ell - 1]
-    if spec.function == "lth_largest":
+    if spec.function in ("min", "lth_largest"):
         return sorted_desc[:, ell - 1]
     raise ValueError(f"{spec.function!r} is not a top-ℓ dependent aggregate")
 
 
-def sset_estimator(
-    summary: MultiAssignmentSummary,
-    spec: AggregationSpec,
-    label: str = "",
-) -> AdjustedWeights:
-    """The s-set top-ℓ estimator (Section 7.1).
+def _spec_label(template: str, spec: AggregationSpec) -> str:
+    return f"{template}[{spec.function}:{','.join(spec.assignments)}]"
+
+
+def sset_kernel(
+    summary: MultiAssignmentSummary, spec: AggregationSpec
+) -> np.ndarray:
+    """Dense s-set top-ℓ adjusted weights over union rows (Section 7.1).
 
     Selection: ``R'(i) = {b ∈ R : r^(b)(i) < r^(min R)_k(I∖{i})}`` has at
     least ℓ members.  Consistency makes ``R'`` weight-downward-closed, so
@@ -108,20 +90,15 @@ def sset_estimator(
     with ``p(i) = Π_b F_{w^(b)(i)}(r^(min R)_{k+1}(I))`` (Section 7.1.1).
     """
     ell = _resolve_ell(spec)
-    cols = summary.columns(list(spec.assignments))
-    if not summary.consistent and ell != len(cols):
+    sub = summary.views().subset(summary.columns(list(spec.assignments)))
+    if not summary.consistent and ell != len(sub.cols):
         raise ValueError(
             "s-set estimation over independent sketches is only defined for "
             "min-dependence (ℓ = |R|)"
         )
-    theta = summary.thresholds[:, cols]
-    theta_min = theta.min(axis=1)
-    ranks = summary.ranks[:, cols]
-    in_prime = ranks < theta_min[:, None]
-    counts = in_prime.sum(axis=1)
-    weights = np.where(in_prime, _member_weights(summary, cols), _NEG_INF)
-    sorted_desc = -np.sort(-weights, axis=1)
-    selected = counts >= ell
+    theta_min = sub.theta_min
+    selected = sub.in_prime_counts >= ell
+    sorted_desc = sub.sset_sorted_desc
     w_ellth = sorted_desc[:, ell - 1]
     if summary.consistent:
         probabilities = summary.family.cdf_matrix(
@@ -131,68 +108,28 @@ def sset_estimator(
         # Independent ranks, min-dependence: every weight is known (the key
         # is in all |R| sketches) and inclusions are independent.
         per_b = summary.family.cdf_matrix(
-            np.where(selected[:, None], weights, 0.0), theta_min[:, None]
+            np.where(selected[:, None], sub.sset_weights, 0.0),
+            theta_min[:, None],
         )
         probabilities = np.prod(per_b, axis=1)
     f_values = np.where(selected, _f_from_topell(sorted_desc, ell, spec), 0.0)
-    values = np.divide(
+    return np.divide(
         f_values,
         probabilities,
         out=np.zeros_like(f_values),
         where=(probabilities > 0.0) & selected,
     )
-    rows = np.flatnonzero(selected)
-    return AdjustedWeights(
-        summary.positions[rows],
-        values[rows],
-        label or f"sset[{spec.function}:{','.join(spec.assignments)}]",
-    )
 
 
-def _lset_seed_conditions(
-    summary: MultiAssignmentSummary,
-    cols: list[int],
-    top_mask: np.ndarray,
-    w_ellth: np.ndarray,
-    candidate: np.ndarray,
+def lset_kernel(
+    summary: MultiAssignmentSummary, spec: AggregationSpec
 ) -> np.ndarray:
-    """Check ``u^(b)(i) < F_{w_ℓth}(θ_ib)`` for every b outside the top-ℓ.
-
-    Returns a boolean per candidate row.  Rows not in ``candidate`` return
-    False.  Requires known seeds (shared-seed or independent-with-seeds).
-    """
-    if summary.seeds is None:
-        raise ValueError(
-            "the l-set estimator needs known seeds; this summary's rank "
-            "method does not expose them"
-        )
-    theta = summary.thresholds[:, cols]
-    caps = summary.family.cdf_matrix(
-        np.where(candidate[:, None], np.maximum(w_ellth[:, None], 0.0), 0.0),
-        theta,
-    )
-    if summary.seeds.ndim == 1:
-        seed_matrix = np.broadcast_to(
-            summary.seeds[:, None], (summary.n_union, len(cols))
-        )
-    else:
-        seed_matrix = summary.seeds[:, cols]
-    below = seed_matrix < caps
-    # Only assignments outside the observed top-ℓ constrain the selection.
-    ok = below | top_mask
-    return candidate & ok.all(axis=1)
-
-
-def lset_estimator(
-    summary: MultiAssignmentSummary,
-    spec: AggregationSpec,
-    label: str = "",
-) -> AdjustedWeights:
-    """The l-set top-ℓ estimator (Section 7.2) — dominates s-set.
+    """Dense l-set top-ℓ adjusted weights over union rows (Section 7.2).
 
     Selection: at least ℓ sketch memberships among R, plus seed conditions
-    certifying that every assignment outside the observed top-ℓ has weight
-    at most the ℓ-th largest observed weight.  Probabilities:
+    ``u^(b)(i) < F_{w_ℓth}(θ_b)`` certifying that every assignment outside
+    the observed top-ℓ has weight at most the ℓ-th largest observed
+    weight.  Probabilities:
 
     * shared-seed (Eq. (13)):
       ``min( min_{b∈top-ℓ} F_{w_b}(θ_b), min_{b∉top-ℓ} F_{w_ℓth}(θ_b) )``
@@ -202,57 +139,100 @@ def lset_estimator(
     where ``θ_b = r^(b)_k(I∖{i})`` throughout.
     """
     ell = _resolve_ell(spec)
-    cols = summary.columns(list(spec.assignments))
-    m = len(cols)
-    member = summary.member[:, cols]
-    counts = member.sum(axis=1)
-    candidate = counts >= ell
-    weights = _member_weights(summary, cols)
-    order = np.argsort(-weights, axis=1, kind="stable")
-    sorted_desc = np.take_along_axis(weights, order, axis=1)
+    sub = summary.views().subset(summary.columns(list(spec.assignments)))
+    m = len(sub.cols)
+    member = sub.member
+    candidate = sub.member_counts >= ell
+    sorted_desc = sub.sorted_desc
     w_ellth = sorted_desc[:, ell - 1]
-    # Boolean mask of the ℓ top-weight member assignments per row.
-    top_mask = np.zeros_like(member)
-    np.put_along_axis(top_mask, order[:, :ell], True, axis=1)
-    top_mask &= member  # only real members can be in the top-ℓ
+    top_mask = (sub.col_rank < ell) & member
+    theta = sub.theta
     if ell < m:
-        selected = _lset_seed_conditions(
-            summary, cols, top_mask, w_ellth, candidate
+        seed_matrix = sub.seed_matrix
+        if seed_matrix is None:
+            raise ValueError(
+                "the l-set estimator needs known seeds; this summary's rank "
+                "method does not expose them"
+            )
+        caps = summary.family.cdf_matrix(
+            np.where(candidate[:, None], np.maximum(w_ellth[:, None], 0.0), 0.0),
+            theta,
         )
+        # Only assignments outside the observed top-ℓ constrain the selection.
+        selected = candidate & ((seed_matrix < caps) | top_mask).all(axis=1)
     else:
         selected = candidate
-    theta = summary.thresholds[:, cols]
-    safe_w = np.where(top_mask, np.where(weights > _NEG_INF, weights, 0.0), 0.0)
-    member_terms = summary.family.cdf_matrix(safe_w, theta)
+    member_terms = sub.member_cdf
     cap_terms = summary.family.cdf_matrix(
-        np.maximum(np.where(selected[:, None], w_ellth[:, None], 0.0), 0.0), theta
+        np.maximum(np.where(selected[:, None], w_ellth[:, None], 0.0), 0.0),
+        theta,
     )
+    per_b = np.where(top_mask, member_terms, cap_terms)
     if summary.method_name == "shared_seed":
-        per_b = np.where(top_mask, member_terms, cap_terms)
         probabilities = per_b.min(axis=1)
     elif summary.method_name == "independent":
-        per_b = np.where(top_mask, member_terms, cap_terms)
         probabilities = np.prod(per_b, axis=1)
     elif summary.consistent:
         raise ValueError(
             "closed-form l-set probabilities are implemented for shared-seed "
             "consistent ranks and independent ranks with known seeds; "
-            f"got {summary.method_name!r} (use sset_estimator instead)"
+            f"got {summary.method_name!r} (use the s-set estimator instead)"
         )
     else:
         raise ValueError(f"unknown rank method {summary.method_name!r}")
     f_values = np.where(selected, _f_from_topell(sorted_desc, ell, spec), 0.0)
-    values = np.divide(
+    return np.divide(
         f_values,
         probabilities,
         out=np.zeros_like(f_values),
         where=(probabilities > 0.0) & selected,
     )
-    rows = np.flatnonzero(selected)
-    return AdjustedWeights(
-        summary.positions[rows],
-        values[rows],
-        label or f"lset[{spec.function}:{','.join(spec.assignments)}]",
+
+
+def l1_kernel(
+    summary: MultiAssignmentSummary,
+    spec: AggregationSpec,
+    min_variant: str = "l",
+) -> np.ndarray:
+    """Dense L1 adjusted weights ``a^(max) − a^(min)`` (Eq. (17)).
+
+    ``min_variant`` selects the s-set or l-set min estimator.  For
+    consistent IPPS/EXP ranks the result is non-negative per key
+    (Lemma 7.5): min-selection implies max-selection and
+    ``p^max/p^min <= w^max/w^min`` (Lemma 7.4).
+    """
+    if min_variant not in ("s", "l"):
+        raise ValueError(f"min_variant must be 's' or 'l', got {min_variant!r}")
+    max_spec = AggregationSpec("max", spec.assignments)
+    min_spec = AggregationSpec("min", spec.assignments)
+    dense_max = sset_kernel(summary, max_spec)
+    if min_variant == "s":
+        dense_min = sset_kernel(summary, min_spec)
+    else:
+        dense_min = lset_kernel(summary, min_spec)
+    return dense_max - dense_min
+
+
+def sset_estimator(
+    summary: MultiAssignmentSummary,
+    spec: AggregationSpec,
+    label: str = "",
+) -> AdjustedWeights:
+    """The s-set top-ℓ estimator (Section 7.1); see :func:`sset_kernel`."""
+    return AdjustedWeights.from_dense(
+        summary, sset_kernel(summary, spec), label or _spec_label("sset", spec)
+    )
+
+
+def lset_estimator(
+    summary: MultiAssignmentSummary,
+    spec: AggregationSpec,
+    label: str = "",
+) -> AdjustedWeights:
+    """The l-set top-ℓ estimator (Section 7.2) — dominates s-set; see
+    :func:`lset_kernel`."""
+    return AdjustedWeights.from_dense(
+        summary, lset_kernel(summary, spec), label or _spec_label("lset", spec)
     )
 
 
@@ -272,24 +252,14 @@ def l1_estimator(
     min_variant: str = "l",
     label: str = "",
 ) -> AdjustedWeights:
-    """Adjusted ``w^(L1 R)``-weights: ``a^(max) − a^(min)`` (Eq. (17)).
-
-    ``min_variant`` selects the s-set or l-set min estimator.  For
-    consistent IPPS/EXP ranks the result is non-negative per key
-    (Lemma 7.5): min-selection implies max-selection and
-    ``p^max/p^min <= w^max/w^min`` (Lemma 7.4).
-    """
-    assignments = tuple(assignments)
-    if min_variant not in ("s", "l"):
-        raise ValueError(f"min_variant must be 's' or 'l', got {min_variant!r}")
-    a_max = max_estimator(summary, assignments)
-    min_spec = AggregationSpec("min", assignments)
-    if min_variant == "s":
-        a_min = sset_estimator(summary, min_spec)
-    else:
-        a_min = lset_estimator(summary, min_spec)
-    combined = combine_difference(a_max, a_min, label or f"l1-{min_variant}")
-    return combined
+    """Adjusted ``w^(L1 R)``-weights: ``a^(max) − a^(min)`` (Eq. (17));
+    see :func:`l1_kernel`."""
+    spec = AggregationSpec("l1", tuple(assignments))
+    return AdjustedWeights.from_dense(
+        summary,
+        l1_kernel(summary, spec, min_variant),
+        label or f"l1-{min_variant}",
+    )
 
 
 def independent_min_estimator(

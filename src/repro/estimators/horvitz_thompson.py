@@ -6,10 +6,6 @@ estimator applies directly: ``a(i) = w(i) / F_{w(i)}(τ)`` (Section 3).
 HT adjusted weights minimize ``VAR[a(i)]`` per key for the given sampling
 distribution, and with IPPS ranks the whole design minimizes the sum of
 per-key variances at a given expected size.
-
-Reference implementation; the batch fast path is
-:func:`repro.estimators.kernels.ht_kernel` (proven identical in
-``tests/test_kernel_parity.py``).
 """
 
 from __future__ import annotations
@@ -17,11 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.summary import MultiAssignmentSummary
-from repro.estimators.base import AdjustedWeights
+from repro.estimators.base import AdjustedWeights, single_sketch_dense
 from repro.ranks.families import RankFamily
 from repro.sampling.poisson import PoissonSketch
 
-__all__ = ["ht_adjusted_weights", "ht_from_summary"]
+__all__ = ["ht_adjusted_weights", "ht_from_summary", "ht_kernel"]
 
 
 def ht_adjusted_weights(
@@ -47,6 +43,13 @@ def ht_adjusted_weights(
     return AdjustedWeights(sketch.keys.astype(np.int64), values, label)
 
 
+def ht_kernel(summary: MultiAssignmentSummary, assignment: str) -> np.ndarray:
+    """Dense HT adjusted weights ``w(i)/F_{w(i)}(τ)`` over union rows."""
+    if summary.kind != "poisson":
+        raise ValueError("ht_kernel requires a Poisson summary")
+    return single_sketch_dense(summary, assignment)
+
+
 def ht_from_summary(
     summary: MultiAssignmentSummary, assignment: str, label: str = ""
 ) -> AdjustedWeights:
@@ -55,17 +58,6 @@ def ht_from_summary(
     Uses only the keys that are members of that assignment's sketch —
     the baseline the inclusive estimators improve upon.
     """
-    if summary.kind != "poisson":
-        raise ValueError("ht_from_summary requires a Poisson summary")
-    b = summary.columns([assignment])[0]
-    rows = np.flatnonzero(summary.member[:, b])
-    weights = summary.weights[rows, b]
-    tau = summary.thresholds[rows, b]
-    probabilities = summary.family.cdf_matrix(weights, tau)
-    values = np.divide(
-        weights, probabilities, out=np.zeros_like(weights),
-        where=probabilities > 0.0,
-    )
-    return AdjustedWeights(
-        summary.positions[rows], values, label or f"ht[{assignment}]"
+    return AdjustedWeights.from_dense(
+        summary, ht_kernel(summary, assignment), label or f"ht[{assignment}]"
     )

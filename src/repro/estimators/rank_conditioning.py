@@ -10,10 +10,8 @@ With IPPS ranks this is the priority-sampling estimator, whose sum of
 per-key variances is at most that of HT over an IPPS Poisson sample of
 expected size k+1.
 
-Reference implementation; the batch fast path
-(:func:`repro.estimators.kernels.plain_rc_kernel`) reads the shared
-``F_w(θ)`` view instead and is proven identical in
-``tests/test_kernel_parity.py``.
+:func:`plain_rc_kernel` is the estimator over a summary; it reads the
+member cells of the shared ``F_w(θ)`` view.
 """
 
 from __future__ import annotations
@@ -21,11 +19,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.summary import MultiAssignmentSummary
-from repro.estimators.base import AdjustedWeights
+from repro.estimators.base import AdjustedWeights, single_sketch_dense
 from repro.ranks.families import RankFamily
 from repro.sampling.bottomk import BottomKSketch
 
-__all__ = ["plain_rc_adjusted_weights", "plain_rc_from_summary"]
+__all__ = [
+    "plain_rc_adjusted_weights",
+    "plain_rc_from_summary",
+    "plain_rc_kernel",
+]
 
 
 def plain_rc_adjusted_weights(
@@ -51,6 +53,18 @@ def plain_rc_adjusted_weights(
     return AdjustedWeights(sketch.keys.astype(np.int64), values, label)
 
 
+def plain_rc_kernel(
+    summary: MultiAssignmentSummary, assignment: str
+) -> np.ndarray:
+    """Dense plain-RC adjusted weights ``w(i)/F_{w(i)}(r_{k+1})`` over union rows.
+
+    For members of b's sketch ``θ_ib`` *is* ``r^(b)_{k+1}(I)``.
+    """
+    if summary.kind != "bottomk":
+        raise ValueError("plain_rc_kernel requires a bottom-k summary")
+    return single_sketch_dense(summary, assignment)
+
+
 def plain_rc_from_summary(
     summary: MultiAssignmentSummary, assignment: str, label: str = ""
 ) -> AdjustedWeights:
@@ -61,18 +75,8 @@ def plain_rc_from_summary(
     estimators of :mod:`repro.estimators.colocated` dominate it by also
     exploiting keys sampled for the other assignments (Lemma 8.2).
     """
-    if summary.kind != "bottomk":
-        raise ValueError("plain_rc_from_summary requires a bottom-k summary")
-    b = summary.columns([assignment])[0]
-    rows = np.flatnonzero(summary.member[:, b])
-    weights = summary.weights[rows, b]
-    assert summary.rank_kplus1 is not None
-    threshold = summary.rank_kplus1[b]
-    probabilities = summary.family.cdf_array(weights, threshold)
-    values = np.divide(
-        weights, probabilities, out=np.zeros_like(weights),
-        where=probabilities > 0.0,
-    )
-    return AdjustedWeights(
-        summary.positions[rows], values, label or f"plain_rc[{assignment}]"
+    return AdjustedWeights.from_dense(
+        summary,
+        plain_rc_kernel(summary, assignment),
+        label or f"plain_rc[{assignment}]",
     )

@@ -32,6 +32,8 @@ from repro.core.aggregates import (
 from repro.core.dataset import MultiAssignmentDataset
 from repro.core.summary import MultiAssignmentSummary
 from repro.engine.queries import Query, QueryEngine
+from repro.estimators.base import AdjustedWeights
+from repro.estimators.colocated import inclusion_probabilities
 from repro.estimators.jaccard import kmins_match_fraction
 from repro.evaluation.analytic import (
     colocated_inclusion_p,
@@ -679,11 +681,8 @@ def experiment_unweighted_baseline(
 
     def unweighted_estimate(
         summary: MultiAssignmentSummary, column: int
-    ) -> "object":
-        from repro.estimators.base import AdjustedWeights
-        from repro.estimators.kernels import inclusion_probabilities_cached
-
-        probabilities = inclusion_probabilities_cached(summary)
+    ) -> AdjustedWeights:
+        probabilities = inclusion_probabilities(summary)
         f_at = true_weights[summary.positions, column]
         values = np.divide(
             f_at, probabilities, out=np.zeros_like(f_at),

@@ -95,6 +95,12 @@ class TestAggregationSpec:
         with pytest.raises(ValueError, match="require ell"):
             AggregationSpec("lth_largest", ("a", "b"))
 
+    @pytest.mark.parametrize("ell", [0, -1, 4])
+    def test_lth_largest_ell_out_of_range(self, ell):
+        """ℓ outside 1..|R| has no meaning; it must not reach an estimator."""
+        with pytest.raises(ValueError, match="between 1 and"):
+            AggregationSpec("lth_largest", ("a", "b", "c"), ell=ell)
+
     def test_unknown_function(self):
         with pytest.raises(ValueError, match="unknown aggregate"):
             AggregationSpec("median", ("a",))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.estimators.base import AdjustedWeights, combine_difference
+from repro.estimators.base import AdjustedWeights
 
 
 class TestAdjustedWeights:
@@ -55,23 +55,3 @@ class TestAdjustedWeights:
         h_over_f = np.array([0.5, 2.0])
         mask = np.array([False, True])
         assert aw.ratio_estimate(mask, h_over_f) == pytest.approx(12.0)
-
-
-class TestCombineDifference:
-    def test_overlapping_positions_subtract(self):
-        upper = AdjustedWeights(np.array([0, 1]), np.array([5.0, 3.0]), "max")
-        lower = AdjustedWeights(np.array([1]), np.array([1.0]), "min")
-        combined = combine_difference(upper, lower)
-        assert combined.positions.tolist() == [0, 1]
-        np.testing.assert_allclose(combined.values, [5.0, 2.0])
-
-    def test_lower_only_key_goes_negative(self):
-        upper = AdjustedWeights(np.array([0]), np.array([5.0]))
-        lower = AdjustedWeights(np.array([2]), np.array([1.0]))
-        combined = combine_difference(upper, lower)
-        assert combined.values.tolist() == [5.0, -1.0]
-
-    def test_label_defaults_to_pair(self):
-        upper = AdjustedWeights(np.array([0]), np.array([1.0]), "a")
-        lower = AdjustedWeights(np.array([0]), np.array([1.0]), "b")
-        assert combine_difference(upper, lower).label == "a-b"

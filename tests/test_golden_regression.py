@@ -7,8 +7,7 @@ silently changes any estimate will fail here even if unbiasedness-style
 statistical tests keep passing.
 
 The snapshots were produced by the vectorized kernels, which
-tests/test_kernel_parity.py proves identical to the reference estimators —
-so these values pin *both* paths.  If a deliberate semantic change shifts
+tests/test_kernel_parity.py proves identical to its in-file oracle.  If a deliberate semantic change shifts
 them, regenerate with the script in this file's docstring history (build
 the same summaries and print ``engine.estimate`` per key below).
 """

@@ -1,19 +1,23 @@
-"""Property suite: vectorized kernels == reference estimators.
+"""Property suite: the shipped estimator kernels == the per-spec oracle.
 
-Every kernel in :mod:`repro.estimators.kernels` must produce adjusted
-weights numerically identical (exact, or within 1e-9 relative) to the
-retained per-spec reference implementations in
-:mod:`repro.estimators.dispersed` / ``colocated`` / ``rank_conditioning`` /
-``horvitz_thompson``, across rank families (EXP/IPPS), rank-assignment
-methods, colocated/dispersed modes, and degenerate inputs (empty
-summaries, single keys, subsets with no known weights, k ≥ n, Poisson
-summaries with k = 0).
+Each estimator over a summary ships once, as the dense kernel in its
+paper-section module (:mod:`repro.estimators.dispersed` / ``colocated`` /
+``rank_conditioning`` / ``horvitz_thompson``).  This file keeps an
+independent, straightforward per-spec implementation of every one of them
+(the oracle below: each call recomputes every intermediate from the
+summary matrices, no views cache) and checks that the kernels produce
+numerically identical adjusted weights (exact, or within 1e-9 relative)
+across rank families (EXP/IPPS), rank-assignment methods,
+colocated/dispersed modes, and degenerate inputs (empty summaries, single
+keys, subsets with no known weights, k ≥ n, Poisson summaries with k = 0).
 
-Where a reference estimator rejects a configuration (e.g. l-set without
-seeds), the kernel must reject it too.
+Where the oracle rejects a configuration (e.g. l-set without seeds), the
+kernel must reject it too.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -23,26 +27,341 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.aggregates import AggregationSpec
 from repro.core.summary import (
+    MultiAssignmentSummary,
     build_bottomk_summary,
     build_poisson_summary,
     build_summary_from_sketches,
 )
-from repro.estimators import kernels
-from repro.estimators.colocated import (
-    colocated_estimator,
-    generic_consistent_estimator,
+from repro.estimators import (
+    AdjustedWeights,
+    colocated_kernel,
+    generic_kernel,
+    ht_kernel,
+    l1_kernel,
+    lset_kernel,
+    plain_rc_kernel,
+    sset_kernel,
 )
-from repro.estimators.dispersed import (
-    l1_estimator,
-    lset_estimator,
-    sset_estimator,
-)
-from repro.estimators.horvitz_thompson import ht_from_summary
-from repro.estimators.rank_conditioning import plain_rc_from_summary
 from repro.ranks.assignments import get_rank_method
 from repro.ranks.families import get_rank_family
 from repro.sampling.bottomk import BottomKStreamSampler
 from repro.sampling.poisson import calibrate_tau
+
+
+# ---------------------------------------------------------------------------
+# the oracle: per-spec reference estimators
+# ---------------------------------------------------------------------------
+
+_NEG_INF = -math.inf
+
+
+def combine_difference(
+    upper: AdjustedWeights, lower: AdjustedWeights, label: str = ""
+) -> AdjustedWeights:
+    """Adjusted weights for ``f = f_upper − f_lower`` (Eq. (17)).
+
+    Keys only in ``upper`` keep their value; keys only in ``lower`` get the
+    negated value.
+    """
+    dense: dict[int, float] = {}
+    for pos, val in zip(upper.positions.tolist(), upper.values):
+        dense[pos] = float(val)
+    for pos, val in zip(lower.positions.tolist(), lower.values):
+        dense[pos] = dense.get(pos, 0.0) - float(val)
+    positions = np.array(sorted(dense), dtype=np.int64)
+    values = np.array([dense[pos] for pos in positions], dtype=float)
+    return AdjustedWeights(positions, values, label or f"{upper.label}-{lower.label}")
+
+
+def _resolve_ell(spec: AggregationSpec) -> int:
+    if spec.function == "l1":
+        raise ValueError("the L1 aggregate is not top-ℓ dependent")
+    return spec.dependence_ell
+
+
+def _member_weights(
+    summary: MultiAssignmentSummary, cols: list[int]
+) -> np.ndarray:
+    """Weights over the R columns with unknown entries set to −inf."""
+    weights = summary.weights[:, cols]
+    member = summary.member[:, cols]
+    return np.where(member & ~np.isnan(weights), weights, _NEG_INF)
+
+
+def _f_from_topell(
+    sorted_desc: np.ndarray, ell: int, spec: AggregationSpec
+) -> np.ndarray:
+    if spec.function in ("max", "single"):
+        return sorted_desc[:, 0]
+    if spec.function == "min":
+        return sorted_desc[:, ell - 1]
+    if spec.function == "lth_largest":
+        return sorted_desc[:, ell - 1]
+    raise ValueError(f"{spec.function!r} is not a top-ℓ dependent aggregate")
+
+
+def sset_estimator(summary, spec, label=""):
+    """s-set template, Section 7.1 (independent ranks: Section 7.1.1)."""
+    ell = _resolve_ell(spec)
+    cols = summary.columns(list(spec.assignments))
+    if not summary.consistent and ell != len(cols):
+        raise ValueError("s-set over independent sketches needs ℓ = |R|")
+    theta = summary.thresholds[:, cols]
+    theta_min = theta.min(axis=1)
+    ranks = summary.ranks[:, cols]
+    in_prime = ranks < theta_min[:, None]
+    counts = in_prime.sum(axis=1)
+    weights = np.where(in_prime, _member_weights(summary, cols), _NEG_INF)
+    sorted_desc = -np.sort(-weights, axis=1)
+    selected = counts >= ell
+    w_ellth = sorted_desc[:, ell - 1]
+    if summary.consistent:
+        probabilities = summary.family.cdf_matrix(
+            np.where(selected, w_ellth, 0.0), theta_min
+        )
+    else:
+        per_b = summary.family.cdf_matrix(
+            np.where(selected[:, None], weights, 0.0), theta_min[:, None]
+        )
+        probabilities = np.prod(per_b, axis=1)
+    f_values = np.where(selected, _f_from_topell(sorted_desc, ell, spec), 0.0)
+    values = np.divide(
+        f_values,
+        probabilities,
+        out=np.zeros_like(f_values),
+        where=(probabilities > 0.0) & selected,
+    )
+    rows = np.flatnonzero(selected)
+    return AdjustedWeights(summary.positions[rows], values[rows], label)
+
+
+def _lset_seed_conditions(summary, cols, top_mask, w_ellth, candidate):
+    """``u^(b)(i) < F_{w_ℓth}(θ_ib)`` for every b outside the top-ℓ."""
+    if summary.seeds is None:
+        raise ValueError("the l-set estimator needs known seeds")
+    theta = summary.thresholds[:, cols]
+    caps = summary.family.cdf_matrix(
+        np.where(candidate[:, None], np.maximum(w_ellth[:, None], 0.0), 0.0),
+        theta,
+    )
+    if summary.seeds.ndim == 1:
+        seed_matrix = np.broadcast_to(
+            summary.seeds[:, None], (summary.n_union, len(cols))
+        )
+    else:
+        seed_matrix = summary.seeds[:, cols]
+    below = seed_matrix < caps
+    ok = below | top_mask
+    return candidate & ok.all(axis=1)
+
+
+def lset_estimator(summary, spec, label=""):
+    """l-set template, Section 7.2, Eq. (13)/(14)."""
+    ell = _resolve_ell(spec)
+    cols = summary.columns(list(spec.assignments))
+    m = len(cols)
+    member = summary.member[:, cols]
+    counts = member.sum(axis=1)
+    candidate = counts >= ell
+    weights = _member_weights(summary, cols)
+    order = np.argsort(-weights, axis=1, kind="stable")
+    sorted_desc = np.take_along_axis(weights, order, axis=1)
+    w_ellth = sorted_desc[:, ell - 1]
+    top_mask = np.zeros_like(member)
+    np.put_along_axis(top_mask, order[:, :ell], True, axis=1)
+    top_mask &= member
+    if ell < m:
+        selected = _lset_seed_conditions(
+            summary, cols, top_mask, w_ellth, candidate
+        )
+    else:
+        selected = candidate
+    theta = summary.thresholds[:, cols]
+    safe_w = np.where(top_mask, np.where(weights > _NEG_INF, weights, 0.0), 0.0)
+    member_terms = summary.family.cdf_matrix(safe_w, theta)
+    cap_terms = summary.family.cdf_matrix(
+        np.maximum(np.where(selected[:, None], w_ellth[:, None], 0.0), 0.0), theta
+    )
+    if summary.method_name == "shared_seed":
+        per_b = np.where(top_mask, member_terms, cap_terms)
+        probabilities = per_b.min(axis=1)
+    elif summary.method_name == "independent":
+        per_b = np.where(top_mask, member_terms, cap_terms)
+        probabilities = np.prod(per_b, axis=1)
+    elif summary.consistent:
+        raise ValueError("no closed-form l-set probabilities for this method")
+    else:
+        raise ValueError(f"unknown rank method {summary.method_name!r}")
+    f_values = np.where(selected, _f_from_topell(sorted_desc, ell, spec), 0.0)
+    values = np.divide(
+        f_values,
+        probabilities,
+        out=np.zeros_like(f_values),
+        where=(probabilities > 0.0) & selected,
+    )
+    rows = np.flatnonzero(selected)
+    return AdjustedWeights(summary.positions[rows], values[rows], label)
+
+
+def l1_estimator(summary, assignments, min_variant="l", label=""):
+    """``a^(max) − a^(min)``, Eq. (17)."""
+    assignments = tuple(assignments)
+    if min_variant not in ("s", "l"):
+        raise ValueError(f"min_variant must be 's' or 'l', got {min_variant!r}")
+    a_max = sset_estimator(summary, AggregationSpec("max", assignments))
+    min_spec = AggregationSpec("min", assignments)
+    if min_variant == "s":
+        a_min = sset_estimator(summary, min_spec)
+    else:
+        a_min = lset_estimator(summary, min_spec)
+    return combine_difference(a_max, a_min, label or f"l1-{min_variant}")
+
+
+def _require_colocated(summary) -> None:
+    if summary.mode != "colocated":
+        raise ValueError("inclusive colocated estimators need full weight vectors")
+
+
+def _independent_differences_probabilities(summary) -> np.ndarray:
+    """Pr[union inclusion] for independent-differences EXP ranks:
+    ``p = Σ_ℓ Π_{j<ℓ}(1 − F_{Δ_j}(M_j)) · F_{Δ_ℓ}(M_ℓ)``."""
+    weights = summary.weights
+    thresholds = summary.thresholds
+    order = np.argsort(weights, axis=1, kind="stable")
+    sorted_w = np.take_along_axis(weights, order, axis=1)
+    sorted_theta = np.take_along_axis(thresholds, order, axis=1)
+    suffix_max = np.maximum.accumulate(sorted_theta[:, ::-1], axis=1)[:, ::-1]
+    increments = np.diff(sorted_w, axis=1, prepend=0.0)
+    fire = summary.family.cdf_matrix(increments, suffix_max)
+    survive = np.cumprod(1.0 - fire, axis=1)
+    shifted = np.concatenate(
+        [np.ones((len(fire), 1)), survive[:, :-1]], axis=1
+    )
+    return (shifted * fire).sum(axis=1)
+
+
+def inclusion_probabilities(summary) -> np.ndarray:
+    """Eq. (4): Eq. (5) independent, Eq. (6) shared-seed, Pr[A_ℓ] idiff."""
+    _require_colocated(summary)
+    per_assignment = summary.family.cdf_matrix(summary.weights, summary.thresholds)
+    if summary.method_name == "independent":
+        return 1.0 - np.prod(1.0 - per_assignment, axis=1)
+    if summary.method_name == "shared_seed":
+        return per_assignment.max(axis=1)
+    if summary.method_name == "independent_differences":
+        if summary.family.name != "exp":
+            raise ValueError("independent-differences requires EXP ranks")
+        return _independent_differences_probabilities(summary)
+    raise ValueError(f"unknown rank method {summary.method_name!r}")
+
+
+def _f_values_from_summary(summary, spec) -> np.ndarray:
+    cols = summary.columns(list(spec.assignments))
+    block = summary.weights[:, cols]
+    if spec.function == "single":
+        return block[:, 0].copy()
+    if spec.function == "min":
+        return block.min(axis=1)
+    if spec.function == "max":
+        return block.max(axis=1)
+    if spec.function == "l1":
+        return block.max(axis=1) - block.min(axis=1)
+    if spec.function == "lth_largest":
+        return -np.sort(-block, axis=1)[:, spec.ell - 1]
+    raise ValueError(f"unknown aggregate function {spec.function!r}")
+
+
+def colocated_estimator(summary, spec, label=""):
+    """Inclusive ``a(i) = f(i)/p(i)``, Section 6."""
+    _require_colocated(summary)
+    f_values = _f_values_from_summary(summary, spec)
+    probabilities = inclusion_probabilities(summary)
+    values = np.divide(
+        f_values,
+        probabilities,
+        out=np.zeros_like(f_values),
+        where=probabilities > 0.0,
+    )
+    return AdjustedWeights(summary.positions.copy(), values, label)
+
+
+def generic_consistent_estimator(summary, spec, label=""):
+    """Generic consistent-ranks estimator, Eq. (7)."""
+    _require_colocated(summary)
+    if not summary.consistent:
+        raise ValueError("the generic estimator requires consistent ranks")
+    cols = summary.columns(list(spec.assignments))
+    theta_min = summary.thresholds[:, cols].min(axis=1)
+    min_rank = summary.ranks[:, cols].min(axis=1)
+    selected = min_rank < theta_min
+    max_weight = summary.weights[:, cols].max(axis=1)
+    probabilities = summary.family.cdf_matrix(max_weight, theta_min)
+    f_values = _f_values_from_summary(summary, spec)
+    values = np.divide(
+        f_values,
+        probabilities,
+        out=np.zeros_like(f_values),
+        where=(probabilities > 0.0) & selected,
+    )
+    rows = np.flatnonzero(selected)
+    return AdjustedWeights(summary.positions[rows], values[rows], label)
+
+
+def plain_rc_from_summary(summary, assignment, label=""):
+    """Plain RC ``w(i)/F_{w(i)}(r_{k+1})``, Section 3."""
+    if summary.kind != "bottomk":
+        raise ValueError("plain RC requires a bottom-k summary")
+    b = summary.columns([assignment])[0]
+    rows = np.flatnonzero(summary.member[:, b])
+    weights = summary.weights[rows, b]
+    threshold = summary.rank_kplus1[b]
+    probabilities = summary.family.cdf_array(weights, threshold)
+    values = np.divide(
+        weights, probabilities, out=np.zeros_like(weights),
+        where=probabilities > 0.0,
+    )
+    return AdjustedWeights(summary.positions[rows], values, label)
+
+
+def ht_from_summary(summary, assignment, label=""):
+    """Horvitz–Thompson ``w(i)/F_{w(i)}(τ)``, Section 3."""
+    if summary.kind != "poisson":
+        raise ValueError("HT requires a Poisson summary")
+    b = summary.columns([assignment])[0]
+    rows = np.flatnonzero(summary.member[:, b])
+    weights = summary.weights[rows, b]
+    tau = summary.thresholds[rows, b]
+    probabilities = summary.family.cdf_matrix(weights, tau)
+    values = np.divide(
+        weights, probabilities, out=np.zeros_like(weights),
+        where=probabilities > 0.0,
+    )
+    return AdjustedWeights(summary.positions[rows], values, label)
+
+
+class TestCombineDifference:
+    def test_overlapping_positions_subtract(self):
+        upper = AdjustedWeights(np.array([0, 1]), np.array([5.0, 3.0]), "max")
+        lower = AdjustedWeights(np.array([1]), np.array([1.0]), "min")
+        combined = combine_difference(upper, lower)
+        assert combined.positions.tolist() == [0, 1]
+        np.testing.assert_allclose(combined.values, [5.0, 2.0])
+
+    def test_lower_only_key_goes_negative(self):
+        upper = AdjustedWeights(np.array([0]), np.array([5.0]))
+        lower = AdjustedWeights(np.array([2]), np.array([1.0]))
+        combined = combine_difference(upper, lower)
+        assert combined.values.tolist() == [5.0, -1.0]
+
+    def test_label_defaults_to_pair(self):
+        upper = AdjustedWeights(np.array([0]), np.array([1.0]), "a")
+        lower = AdjustedWeights(np.array([0]), np.array([1.0]), "b")
+        assert combine_difference(upper, lower).label == "a-b"
+
+
+# ---------------------------------------------------------------------------
+# parity: shipped kernels vs the oracle
+# ---------------------------------------------------------------------------
 
 MAX_KEYS = 18
 
@@ -70,7 +389,7 @@ def dense_of(summary, adjusted) -> np.ndarray:
 
 
 def assert_parity(summary, reference_call, kernel_call, label) -> None:
-    """Reference and kernel agree: same values, or both reject."""
+    """Oracle and kernel agree: same values, or both reject."""
     try:
         reference = dense_of(summary, reference_call())
     except ValueError:
@@ -120,13 +439,13 @@ class TestDispersedKernels:
             assert_parity(
                 summary,
                 lambda: sset_estimator(summary, spec),
-                lambda: kernels.sset_kernel(summary, spec),
+                lambda: sset_kernel(summary, spec),
                 f"sset {spec.function} ell={spec.ell}",
             )
             assert_parity(
                 summary,
                 lambda: lset_estimator(summary, spec),
-                lambda: kernels.lset_kernel(summary, spec),
+                lambda: lset_kernel(summary, spec),
                 f"lset {spec.function} ell={spec.ell}",
             )
 
@@ -140,7 +459,7 @@ class TestDispersedKernels:
         assert_parity(
             summary,
             lambda: l1_estimator(summary, names, min_variant=variant),
-            lambda: kernels.l1_kernel(summary, spec, min_variant=variant),
+            lambda: l1_kernel(summary, spec, min_variant=variant),
             f"l1-{variant}",
         )
 
@@ -153,7 +472,7 @@ class TestDispersedKernels:
             assert_parity(
                 summary,
                 lambda: plain_rc_from_summary(summary, b),
-                lambda: kernels.plain_rc_kernel(summary, b),
+                lambda: plain_rc_kernel(summary, b),
                 f"plain_rc[{b}]",
             )
 
@@ -170,13 +489,13 @@ class TestColocatedKernels:
             assert_parity(
                 summary,
                 lambda: colocated_estimator(summary, spec),
-                lambda: kernels.colocated_kernel(summary, spec),
+                lambda: colocated_kernel(summary, spec),
                 f"colocated {spec.function} ell={spec.ell}",
             )
             assert_parity(
                 summary,
                 lambda: generic_consistent_estimator(summary, spec),
-                lambda: kernels.generic_kernel(summary, spec),
+                lambda: generic_kernel(summary, spec),
                 f"generic {spec.function} ell={spec.ell}",
             )
 
@@ -191,7 +510,7 @@ class TestColocatedKernels:
             assert_parity(
                 summary,
                 lambda: colocated_estimator(summary, spec),
-                lambda: kernels.colocated_kernel(summary, spec),
+                lambda: colocated_kernel(summary, spec),
                 f"idiff colocated {spec.function} ell={spec.ell}",
             )
 
@@ -220,7 +539,7 @@ class TestPoissonKernels:
             assert_parity(
                 summary,
                 lambda: ht_from_summary(summary, b),
-                lambda: kernels.ht_kernel(summary, b),
+                lambda: ht_kernel(summary, b),
                 f"ht[{b}]",
             )
         if mode == "colocated":
@@ -228,7 +547,7 @@ class TestPoissonKernels:
                 assert_parity(
                     summary,
                     lambda: colocated_estimator(summary, spec),
-                    lambda: kernels.colocated_kernel(summary, spec),
+                    lambda: colocated_kernel(summary, spec),
                     f"poisson colocated {spec.function}",
                 )
 
@@ -239,13 +558,13 @@ class TestDegenerateCases:
             assert_parity(
                 summary,
                 lambda: sset_estimator(summary, spec),
-                lambda: kernels.sset_kernel(summary, spec),
+                lambda: sset_kernel(summary, spec),
                 f"sset {spec.function}",
             )
             assert_parity(
                 summary,
                 lambda: lset_estimator(summary, spec),
-                lambda: kernels.lset_kernel(summary, spec),
+                lambda: lset_kernel(summary, spec),
                 f"lset {spec.function}",
             )
 
@@ -283,7 +602,7 @@ class TestDegenerateCases:
         assert_parity(
             summary,
             lambda: sset_estimator(summary, spec),
-            lambda: kernels.sset_kernel(summary, spec),
+            lambda: sset_kernel(summary, spec),
             "all-NaN subset rows",
         )
 
@@ -294,7 +613,7 @@ class TestDegenerateCases:
         self._check_all(summary)
 
     def test_stream_built_summary(self):
-        """Sketch-assembled dispersed summaries go through the same kernels."""
+        """Sketch-assembled dispersed summaries go through the same """
         from repro.ranks.hashing import KeyHasher
 
         rng = np.random.default_rng(0)
