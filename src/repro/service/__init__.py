@@ -19,10 +19,10 @@ multicore execution layer together behind an asyncio HTTP JSON API:
   HTTP client;
 * :mod:`repro.service.cli` — the ``repro-serve`` command
   (serve / coordinate / status / ingest / query / cluster-* / shutdown);
-* :mod:`repro.service.cluster` — distributed cluster mode: slot-routed
-  ingest across workers (:class:`ClusterClient`) and a coordinator
-  daemon (:class:`CoordinatorService`) answering queries as the exact
-  merge of per-worker sketch-bundle partials.
+* :mod:`repro.service.cluster` — distributed cluster mode: a coordinator
+  daemon (:class:`CoordinatorService`) that routes ingest to slot owners
+  and answers queries as the exact merge of per-worker sketch-bundle
+  partials, and :class:`ClusterClient`, its client.
 
 Service answers are *exact* relative to the offline path: a query served
 over (live window + stored buckets) returns bit-identical estimates to a

@@ -1,10 +1,11 @@
 """Thin Python client for the ``repro-serve`` HTTP JSON API.
 
 :class:`ServiceClient` wraps the daemon's endpoints in typed methods over
-a keep-alive :class:`http.client.HTTPConnection` (stdlib only).  Weights
-travel as JSON doubles, which round-trip IEEE-754 exactly — so an
-estimate fetched through the client is bit-identical to one computed
-in-process over the same data.
+a keep-alive :class:`http.client.HTTPConnection` (stdlib only).  Ingest
+batches travel as binary codec ``event_batch`` frames (raw ``<f8``
+weights), answers as JSON doubles; both round-trip IEEE-754 exactly —
+so an estimate fetched through the client is bit-identical to one
+computed in-process over the same data.
 
 >>> client = ServiceClient("127.0.0.1", 8765)      # doctest: +SKIP
 >>> client.ingest("web", ["k1", "k2"],             # doctest: +SKIP
@@ -24,7 +25,9 @@ from typing import Callable, Sequence
 from urllib.parse import urlencode
 
 from repro.obs import TRACE_HEADER, current_trace_header
+from repro.ranks.hashing import as_key_array
 from repro.service.jsonutil import restore_non_finite
+from repro.store.codec import encode_event_batch, encode_event_section
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -342,16 +345,12 @@ class ServiceClient:
         weights: dict,
         sync: bool = False,
     ) -> dict:
-        """POST one event batch; ``sync=True`` waits until it is applied."""
-        return self._request("POST", "/ingest", {
-            "namespace": namespace,
-            "keys": list(keys),
-            "weights": {
-                name: [float(w) for w in values]
-                for name, values in weights.items()
-            },
-            "sync": sync,
-        })
+        """POST one event batch as a one-section frame; ``sync=True``
+        waits until it is applied."""
+        section = encode_event_section(namespace, as_key_array(keys), weights)
+        return self.ingest_frame(
+            encode_event_batch([(namespace, section)], sync), [namespace]
+        )
 
     def ingest_frame(
         self, frame: bytes, namespaces: Sequence[str] = ()
@@ -360,9 +359,9 @@ class ServiceClient:
         (:func:`repro.store.codec.encode_event_batch`): several
         namespaces' events in one request, accepted or refused whole.
 
-        Never retried, like :meth:`ingest`.  ``namespaces`` — the
-        frame's section namespaces — only feeds slot matching in an
-        installed fault plan.
+        Never retried: a resent ``/ingest`` could double-count.
+        ``namespaces`` — the frame's section namespaces — only feeds
+        slot matching in an installed fault plan.
         """
         status, _headers, data = self._raw_request(
             "POST", "/ingest", frame,

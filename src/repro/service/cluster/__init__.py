@@ -9,13 +9,15 @@ top of the existing single-node daemon:
   layer: a fixed number of key **slots** (stable splitmix64 hash of the
   key), each assigned to ``replication`` workers by rendezvous (HRW)
   hashing, and one worker-side namespace per (logical namespace, slot);
-* :mod:`repro.service.cluster.client` — :class:`ClusterClient`, the
-  router: partitions ingest batches by slot and delivers each slot's
-  sub-batch to every assigned worker (replicas receive identical ordered
-  feeds, so their sketches stay bit-identical);
+* :mod:`repro.service.cluster.client` — :class:`ClusterClient`: one
+  client per worker, with ingest and queries passed through to the
+  coordinator;
 * :mod:`repro.service.cluster.coordinator` — :class:`CoordinatorService`
   (``repro-serve coordinate``): membership in its own ``runtime.sqlite``
-  (join/leave verbs, ``/health`` heartbeats), query planning as an exact
+  (join/leave verbs, ``/health`` heartbeats), the only ingest router
+  (one frame per owner worker, so replicas receive identical ordered
+  feeds and their sketches stay bit-identical, and a replica that
+  misses a slot is marked stale), query planning as an exact
   merge of per-slot partials — one conditional ``GET /bundle`` per
   worker, a version-keyed memo of the decoded slot bundles — via
   :meth:`~repro.engine.queries.QueryEngine.from_bundles`, a

@@ -13,7 +13,8 @@ the union of every ingested event.
 
 The routes are ``CoordinatorService.routes``; ``/query`` speaks the
 worker's grammar (:class:`~repro.service.planner.QuerySpec`) minus the
-temporal fields, ``/ingest`` takes the worker's JSON body.
+temporal fields, ``/ingest`` takes the worker's JSON body or a
+one-section ``event_batch`` frame, through the worker's accept step.
 
 **Query gather.**  Per query every contacted worker gets **one**
 conditional ``GET /bundle`` naming the slots asked of it and the version
@@ -52,8 +53,9 @@ tier keyed on the **version vector** — the sorted per-slot
 an unchanged cluster costs one SQLite lookup, and any ingest, rotation,
 or failover that changes which data would be merged changes the key.
 
-**Routed ingest.**  ``POST /ingest`` validates the whole client batch
-with the worker's own validator (a bad batch is a 400/413 with nothing
+**Routed ingest.**  The coordinator is the cluster's only ingest
+router.  ``POST /ingest`` validates the whole client batch with the
+worker's own accept step (a bad batch is a 400/404/413 with nothing
 sent), partitions it once by slot, encodes each slot's section once,
 and sends every owner worker **one** codec ``event_batch`` frame
 holding, in ascending slot order, the sections of all the slots it owns
@@ -102,7 +104,7 @@ import numpy as np
 
 from repro.engine.queries import QueryEngine
 from repro.obs import bind_parent, current_span
-from repro.ranks.hashing import _key_to_int, as_key_array, splitmix64
+from repro.ranks.hashing import _key_to_int, splitmix64
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.config import (
     MAX_BATCH_EVENTS,
@@ -114,7 +116,6 @@ from repro.service.httpbase import (
     DaemonThread,
     HttpServerBase,
     _HttpError,
-    validate_ingest_batch,
 )
 from repro.service.jsonutil import sanitize_non_finite
 from repro.service.planner import QuerySpec
@@ -728,25 +729,28 @@ class CoordinatorService(HttpServerBase):
 
     # -- ingest routing -------------------------------------------------------
 
-    def _route_ingest(self, payload: dict) -> dict:
+    def _route_ingest(self, body: bytes) -> dict:
         """Validate once, partition once, one frame per owner worker.
 
-        Nothing is sent until the whole client batch has passed the
-        worker's own validator.  Each slot's section is encoded once
-        and rides in the frame of every owner; a worker accepts or
-        refuses its frame whole, so every slot it owns shares its
-        outcome.  Batches are serialized by ``_cluster_lock``: every
-        replica of a slot sees the identical, identically ordered feed.
+        Nothing is sent until the whole client batch (a JSON body or a
+        one-section frame) has passed the worker's own accept step.
+        Each slot's section is encoded once and rides in the frame of
+        every owner; a worker accepts or refuses its frame whole, so
+        every slot it owns shares its outcome.  Batches are serialized
+        by ``_cluster_lock``: every replica of a slot sees the
+        identical, identically ordered feed.
         """
-        namespace, keys = payload.get("namespace"), payload.get("keys")
-        weights = validate_ingest_batch(
-            self.namespaces, namespace, keys, payload.get("weights"),
-            MAX_BATCH_EVENTS,
+        accepted, sync = self._ingest_sections(
+            body, self.namespaces, MAX_BATCH_EVENTS
         )
-        sync = bool(payload.get("sync", False))
-        if not keys:
+        if len(accepted) != 1:
+            raise _HttpError(
+                400, f"a routed frame carries one section, got "
+                f"{len(accepted)}"
+            )
+        [(namespace, key_array, weights)] = accepted
+        if not len(key_array):
             return {"ok": True, "events": 0, "slots": 0, "deliveries": 0}
-        key_array = as_key_array(keys)  # a NaN key is a ValueError: 400
         order, bounds = partition_by_slot(
             self.topology.slots_for_keys(key_array), self.topology.n_slots
         )
@@ -788,10 +792,10 @@ class CoordinatorService(HttpServerBase):
                 ),
             )
         self.count["ingest_batches"].inc()
-        self.count["ingested_events"].inc(len(keys))
+        self.count["ingested_events"].inc(len(key_array))
         result = {
             "ok": True,
-            "events": len(keys),
+            "events": len(key_array),
             "slots": len(sections),
             "deliveries": sum(
                 len(slots) for worker, slots in frames.items()
@@ -1177,9 +1181,7 @@ class CoordinatorService(HttpServerBase):
 
     async def _handle_ingest(self, params, body):
         self._refuse_if_stopping()
-        return await self._in_executor(
-            self._route_ingest, self._json_body(body)
-        )
+        return await self._in_executor(self._route_ingest, body)
 
     async def _handle_query(self, params, body):
         self.count["queries"].inc()

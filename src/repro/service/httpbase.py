@@ -30,10 +30,15 @@ import json
 import numpy as np
 
 from repro.obs import MetricsRegistry, Tracer
+from repro.ranks.hashing import as_key_array
 from repro.service.config import unknown_namespace
 from repro.service.jsonutil import dumps_strict, sanitize_non_finite
 from repro.service.planner import QueryPlanner, query_request_from_params
-from repro.store.codec import MAGIC, event_batch_namespaces
+from repro.store.codec import (
+    MAGIC,
+    decode_event_batch,
+    event_batch_namespaces,
+)
 
 __all__ = [
     "BinaryResponse", "DaemonThread", "HttpServerBase", "_HttpError",
@@ -66,18 +71,14 @@ class _HttpError(Exception):
         self.status = status
 
 
-def validate_ingest_batch(
-    configs, namespace, keys, weights, max_events: int
-) -> dict:
-    """The one check an ingest batch passes before anything is applied.
+def validate_ingest_batch(configs, namespace, keys, weights) -> dict:
+    """The check one ingest section passes before anything is applied.
 
-    Shared by the worker's JSON and frame paths and by the coordinator
-    (which must refuse a bad client batch *before* routing any of it).
     ``configs`` maps namespace name to its ``NamespaceConfig``; ``keys``
     is a JSON list, or what an ingest frame decoded to (a numeric array
     or a list of key values).  Returns the weights as validated float
     arrays; every failure is an :class:`_HttpError` (404 unknown
-    namespace, 413 too many events, 400 otherwise).
+    namespace, 400 otherwise).
     """
     if namespace not in configs:
         raise _HttpError(404, unknown_namespace(namespace, configs))
@@ -88,12 +89,6 @@ def validate_ingest_batch(
             400,
             "ingest body needs 'keys' (list) and 'weights' "
             "(assignment -> list of numbers)",
-        )
-    if len(keys) > max_events:
-        raise _HttpError(
-            413,
-            f"batch of {len(keys)} events exceeds max_batch_events="
-            f"{max_events}; split the batch",
         )
     known = set(configs[namespace].assignments)
     unknown = set(weights) - known
@@ -629,6 +624,46 @@ class HttpServerBase:
         if body:
             return self._json_body(body)
         return query_request_from_params(params)
+
+    def _ingest_sections(self, body: bytes, configs, max_events: int):
+        """The accept step of ``POST /ingest``, shared by both daemons.
+
+        ``body`` is a JSON object or a codec ``event_batch`` frame, told
+        apart by :data:`MAGIC`.  Returns ``(sections, sync)``: validated
+        ``(namespace, key array, weights)`` tuples in body order, so
+        nothing that can refuse the batch is left for apply time.  A
+        frame that does not decode or a bad section is a 400, an
+        unknown namespace a 404, more than ``max_events`` events in all
+        a 413.
+        """
+        if body[:4] == MAGIC:
+            frame = decode_event_batch(body)  # CodecError is a ValueError
+            sync = frame.sync
+            raw = [(s.namespace, s.keys, s.weights) for s in frame.sections]
+        else:
+            payload = self._json_body(body)
+            sync = bool(payload.get("sync", False))
+            raw = [(
+                payload.get("namespace"), payload.get("keys"),
+                payload.get("weights"),
+            )]
+        events = sum(
+            len(keys) for _, keys, _ in raw
+            if isinstance(keys, (list, np.ndarray))
+        )
+        if events > max_events:
+            raise _HttpError(
+                413,
+                f"batch of {events} events exceeds max_batch_events="
+                f"{max_events}; split the batch",
+            )
+        sections = []
+        for namespace, keys, weights in raw:
+            checked = validate_ingest_batch(configs, namespace, keys, weights)
+            # normalised now, not at apply time: a NaN key must refuse
+            # the batch, not fail it after it was acknowledged
+            sections.append((namespace, as_key_array(keys), checked))
+        return sections, sync
 
     @staticmethod
     def _json_body(body: bytes) -> dict:

@@ -27,7 +27,8 @@ them); what the table cannot say::
     POST /ingest        {"namespace", "keys", "weights": {assignment:
                         [...]}, "sync"} — or a codec ``event_batch``
                         frame (binary, recognised by its magic): several
-                        namespaces' events, accepted or refused whole
+                        namespaces' events; either is validated whole
+                        and accepted or refused whole
     /query              one grammar, POST body or GET query string:
                         :class:`~repro.service.planner.QuerySpec`
     GET /bundle         codec-encoded partials (binary): the merged
@@ -60,24 +61,17 @@ import time
 from typing import Callable
 
 from repro.obs import bind_parent, current_span
-from repro.ranks.hashing import as_key_array
 from repro.service.config import ServiceConfig, unknown_namespace
 from repro.service.httpbase import (
     BinaryResponse,
     DaemonThread,
     HttpServerBase,
     _HttpError,
-    validate_ingest_batch,
 )
 from repro.service.jsonutil import restore_non_finite
 from repro.service.planner import QueryPlanner, QuerySpec, view_bundles
 from repro.service.windows import LiveWindowManager
-from repro.store.codec import (
-    MAGIC,
-    decode_event_batch,
-    encode,
-    encode_bundle_batch,
-)
+from repro.store.codec import encode, encode_bundle_batch
 from repro.store.store import SummaryStore
 
 __all__ = ["SummaryService", "ServiceThread"]
@@ -188,22 +182,21 @@ class SummaryService(HttpServerBase):
             try:
                 if item is None:
                     return
-                batch, future = item
+                sections, span, future = item
                 try:
                     result = await loop.run_in_executor(
-                        None, self._apply_batch, batch
+                        None, self._apply_batch, sections, span
                     )
                 except Exception as err:
                     self.count["ingest_errors"].inc()
                     self.last_error = f"ingest: {err}"
                     if future is not None and not future.done():
-                        # A frame was validated whole, so a failure here
-                        # is the server's and may have landed some
+                        # The batch was validated whole, so a failure
+                        # here is the server's and may have landed some
                         # sections: 500, never one of the refusal
                         # statuses that promise nothing was applied.
                         future.set_exception(_HttpError(
-                            500 if batch["frame"] else 400,
-                            f"ingest failed: {err}",
+                            500, f"ingest failed: {err}"
                         ))
                 else:
                     self.count["ingest_batches"].inc()
@@ -212,17 +205,13 @@ class SummaryService(HttpServerBase):
             finally:
                 self._queue.task_done()
 
-    def _apply_batch(self, batch: dict) -> dict:
-        # Weights were converted and validated at accept time.  A JSON
-        # batch's span is a trace root — the accepting request may long
-        # be answered (async ingest) by the time the worker applies the
-        # batch; a frame's span hangs under the request span that
-        # carried it, which the sender's X-Repro-Trace parented.
-        sections = batch["sections"]
-        tags = {} if batch["frame"] else {"namespace": sections[0][0]}
+    def _apply_batch(self, sections: list, parent) -> dict:
+        # Keys and weights were normalised and validated at accept time.
+        # The span hangs under the request span that carried the batch
+        # (which the sender's X-Repro-Trace parented), even when an
+        # async reply went out long before the apply.
         with self.tracer.span(
-            "ingest-apply", parent=batch["span"], sections=len(sections),
-            **tags,
+            "ingest-apply", parent=parent, sections=len(sections),
         ) as span:
             for namespace, keys, weights in sections:
                 result = self.manager.ingest(namespace, keys, weights)
@@ -350,76 +339,23 @@ class SummaryService(HttpServerBase):
         return 200, await loop.run_in_executor(None, snapshot)
 
     async def _handle_ingest(self, params, body):
-        if body[:4] == MAGIC:
-            return await self._handle_ingest_frame(body)
-        payload = self._json_body(body)
-        namespace, keys = payload.get("namespace"), payload.get("keys")
-        checked = validate_ingest_batch(
-            self.manager.configs, namespace, keys, payload.get("weights"),
-            self.config.max_batch_events,
-        )
-        result = await self._enqueue(
-            [(namespace, keys, checked)], bool(payload.get("sync", False))
-        )
-        if result is None:
-            return 200, {"ok": True, "queued": len(keys), "applied": False}
-        return 200, {
-            "ok": True,
-            "queued": len(keys),
-            "applied": True,
-            **result,
-        }
-
-    async def _handle_ingest_frame(self, body: bytes):
-        """One ``event_batch`` frame: every section is validated before
-        anything is queued, the frame takes one queue slot, and its
-        sections apply in frame order — so any refusal (400, 404, 413,
-        429, 503) provably applied nothing on this worker."""
-        frame = decode_event_batch(body)  # CodecError is a ValueError: 400
-        if frame.events > self.config.max_batch_events:
-            raise _HttpError(
-                413,
-                f"frame of {frame.events} events exceeds max_batch_events="
-                f"{self.config.max_batch_events}; split the batch",
-            )
-        sections = [
-            (
-                section.namespace,
-                # normalised now, not at apply time: a NaN key must
-                # refuse the frame, not fail it between two sections
-                as_key_array(section.keys),
-                validate_ingest_batch(
-                    self.manager.configs, section.namespace, section.keys,
-                    section.weights, self.config.max_batch_events,
-                ),
-            )
-            for section in frame.sections
-        ]
-        result = await self._enqueue(sections, frame.sync, frame=True)
-        reply = {
-            "ok": True, "queued": frame.events, "sections": len(sections),
-            "applied": result is not None,
-        }
-        if result is not None:
-            reply["events"] = result["events"]
-        return 200, reply
-
-    async def _enqueue(self, sections: list, sync: bool, frame=False):
-        """Queue validated ``(namespace, keys, weights)`` sections as one
-        batch; ``sync`` waits for (and returns) the apply result."""
-        batch = {
-            "sections": sections, "frame": frame,
-            "span": current_span() if frame else None,
-        }
-        future = (
-            asyncio.get_running_loop().create_future() if sync else None
+        """One ingest batch, a JSON body or an ``event_batch`` frame:
+        every section is validated before anything is queued, the batch
+        takes one queue slot, and its sections apply in order — so any
+        refusal (400, 404, 413, 429, 503) provably applied nothing on
+        this worker."""
+        sections, sync = self._ingest_sections(
+            body, self.manager.configs, self.config.max_batch_events
         )
         if self._stopping:
             raise _HttpError(
                 503, "service is shutting down; batch not accepted"
             )
+        future = (
+            asyncio.get_running_loop().create_future() if sync else None
+        )
         try:
-            self._queue.put_nowait((batch, future))
+            self._queue.put_nowait((sections, current_span(), future))
         except asyncio.QueueFull:
             self.count["ingest_rejected"].inc()
             raise _HttpError(
@@ -427,7 +363,15 @@ class SummaryService(HttpServerBase):
                 f"ingest queue full ({self.config.ingest_queue_batches} "
                 "batches queued); retry with backoff",
             ) from None
-        return None if future is None else await future
+        reply = {
+            "ok": True,
+            "queued": sum(len(keys) for _, keys, _ in sections),
+            "sections": len(sections),
+            "applied": sync,
+        }
+        if sync:  # wait for the apply: its events, bucket and version
+            reply.update(await future)
+        return 200, reply
 
     def _parse_query(self, request: dict) -> QuerySpec:
         """Shared by ``/query``, watch registration and the ticker's

@@ -767,8 +767,22 @@ class TestClusterClient:
         for indices in plan.values():
             assert indices == sorted(indices)  # stream order preserved
 
-    def test_direct_routing_matches_coordinator_path(self, cluster2):
+    def test_ingest_routes_through_the_coordinator(self, replicated2):
         keys, weights = event_batch(0)
+        with ClusterClient.from_coordinator(
+            port=replicated2.coordinator.service.port
+        ) as router:
+            result = router.ingest("web", keys, weights, sync=True)
+            assert result["events"] == len(keys)
+            assert result["deliveries"] == 2 * result["slots"]
+            served = router.estimate("web", "max", ["h1", "h2"])
+        offline = offline_engine([(keys, weights)])
+        assert served["estimate"] == offline.estimate(
+            AggregationSpec("max", ("h1", "h2"))
+        )
+
+    def test_ingest_without_a_coordinator_raises(self, cluster2):
+        before = worker_versions(cluster2)
         router = ClusterClient(
             {
                 worker_id: ("127.0.0.1", thread.service.port)
@@ -776,18 +790,6 @@ class TestClusterClient:
             },
             cluster2.coordinator.service.topology,
         )
-        with router:
-            result = router.ingest("web", keys, weights, sync=True)
-        assert result["events"] == len(keys)
-        served = cluster2.client.estimate("web", "max", ["h1", "h2"])
-        offline = offline_engine([(keys, weights)])
-        assert served["estimate"] == offline.estimate(
-            AggregationSpec("max", ("h1", "h2"))
-        )
-
-    def test_ingest_validates_weight_lengths(self):
-        client = ClusterClient({})
-        with pytest.raises(ValueError):
-            client.ingest("web", ["a", "b"], {"h1": [1.0]})
-        with pytest.raises(ClusterError):  # no workers
-            client.ingest("web", ["a"], {"h1": [1.0]})
+        with router, pytest.raises(ClusterError, match="coordinator"):
+            router.ingest("web", *event_batch(0), sync=True)
+        assert worker_versions(cluster2) == before

@@ -34,6 +34,7 @@ from repro.service import (
     ServiceError,
     ServiceThread,
 )
+from repro.service.config import MAX_BATCH_EVENTS
 from repro.service.cluster import (
     ClusterTopology,
     CoordinatorConfig,
@@ -211,15 +212,16 @@ class Rig:
             ).append(index)
         for slot in sorted(by_slot):
             picks = by_slot[slot]
-            self.reference.ingest(
-                slot_namespace("web", slot),
-                [keys[i] for i in picks],
-                {
+            # a raw JSON body: ServiceClient.ingest would send a frame
+            self.reference._request("POST", "/ingest", {
+                "namespace": slot_namespace("web", slot),
+                "keys": [keys[i] for i in picks],
+                "weights": {
                     name: [values[i] for i in picks]
                     for name, values in weights.items()
                 },
-                sync=True,
-            )
+                "sync": True,
+            })
 
     def close(self) -> None:
         self.client.close()
@@ -280,6 +282,104 @@ def test_frame_routed_ingest_is_bit_identical_to_per_slot_json(
                 assert served[slot] == (
                     reference[slot] if owned else None
                 ), f"slot {slot} on {worker_id} diverged for {batches!r}"
+
+    try:
+        run()
+    finally:
+        rig.close()
+
+
+# -- one contract: a JSON body and a frame ------------------------------------
+
+#: what each defect must answer, through either form, to either daemon
+_DEFECTS = {
+    "none": 200,
+    "unknown-namespace": 404,
+    "too-many-events": 413,
+    "negative-weight": 400,
+    "nan-weight": 400,
+    "nan-key": 400,
+}
+
+
+def with_defect(defect: str, namespace: str, keys, weights) -> tuple:
+    keys = list(keys)
+    weights = {name: list(values) for name, values in weights.items()}
+    first = next(iter(weights))
+    if defect == "unknown-namespace":
+        namespace = "nope"
+    elif defect == "too-many-events":
+        extra = MAX_BATCH_EVENTS + 1 - len(keys)
+        keys += list(range(extra))
+        for values in weights.values():
+            values += [1.0] * extra
+    elif defect == "negative-weight":
+        weights[first][0] = -1.0
+    elif defect == "nan-weight":
+        weights[first][-1] = float("nan")
+    elif defect == "nan-key":
+        keys[-1] = float("nan")
+    return namespace, keys, weights
+
+
+def json_body(namespace: str, keys, weights) -> bytes:
+    return json.dumps({
+        "namespace": namespace, "keys": keys, "weights": weights,
+        "sync": True,
+    }).encode("utf-8")
+
+
+def frame_body(namespace: str, keys, weights) -> bytes:
+    """The same events as a one-section frame: all-float keys as a raw
+    buffer, any other list as the Python values it holds."""
+    if all(type(key) is float for key in keys):
+        key_array = np.array(keys, dtype=float)
+    else:
+        key_array = np.empty(len(keys), dtype=object)
+        key_array[:] = keys
+    blob = encode_event_section(namespace, key_array, {
+        name: np.array(values, dtype=float)
+        for name, values in weights.items()
+    })
+    return encode_event_batch([(namespace, blob)], sync=True)
+
+
+def test_json_and_frames_are_one_contract(tmp_path):
+    """Posted as a raw JSON body or as a one-section frame, to a worker
+    or to a coordinator, the same events leave bit-identical slot
+    bundles, and the same defect gets the same refusal."""
+    rig = Rig(tmp_path, n_workers=2, replication=2)
+    targets = {
+        "worker": (rig.reference, slot_namespace("web", 1), [rig.reference]),
+        "coordinator": (rig.client, "web", list(rig.clients.values())),
+    }
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        batch=event_batches(),
+        defect=st.sampled_from(sorted(_DEFECTS)),
+        target=st.sampled_from(sorted(targets)),
+    )
+    def run(batch, defect, target):
+        client, namespace, holders = targets[target]
+        namespace, keys, weights = with_defect(defect, namespace, *batch)
+        seen = []
+        for encode in (json_body, frame_body):
+            rig.reset()
+            status, _headers, data = client._raw_request(
+                "POST", "/ingest", encode(namespace, keys, weights), {},
+                False,
+            )
+            seen.append(
+                (status, [slot_bundles(holder) for holder in holders])
+            )
+            assert status == _DEFECTS[defect], data
+        (_, from_json), (_, from_frame) = seen
+        assert from_json == from_frame
+        applied = any(
+            bundle is not None for bundles in from_json for bundle in bundles
+        )
+        assert applied == (defect == "none")
 
     try:
         run()
@@ -526,7 +626,8 @@ class TestWorkerFrameContract:
         )
         assert result == {
             "ok": True, "queued": 8, "sections": 4, "applied": True,
-            "events": 8,
+            "events": 8, "bucket": result["bucket"],
+            "version": result["version"],
         }
         assert all(a != b for a, b in zip(before, versions(client)))
         applies = [
@@ -710,9 +811,10 @@ def test_keys_numpy_would_merge_stay_distinct_through_ingest(
     weights = [float(2**i) for i in range(len(keys))]
     try:
         if wire == "json":
-            result = client.ingest(
-                namespace, keys, {"h1": weights}, sync=True
-            )
+            result = client._request("POST", "/ingest", {
+                "namespace": namespace, "keys": keys,
+                "weights": {"h1": weights}, "sync": True,
+            })
         else:
             # an object array: the frame carries the Python values
             blob = encode_event_section(

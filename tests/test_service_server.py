@@ -269,6 +269,24 @@ class TestErrorMapping:
             assert excinfo.value.status == 400
         assert client.status()["stats"]["ingest_errors"] == 0
 
+    def test_nan_key_is_refused_at_accept_sync_or_async(self, service):
+        # Regression: an async JSON batch with a NaN key was acked 200 and
+        # then failed at apply (ingest_errors went up, nothing landed);
+        # the sync form answered 400 only after it had been queued.
+        _thread, client = service
+        for sync in (False, True):
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", "/ingest", {
+                    "namespace": "web", "keys": [1.5, float("nan")],
+                    "weights": {"h1": [1.0, 2.0]}, "sync": sync,
+                })
+            assert excinfo.value.status == 400
+        # a sync batch applies only after everything queued before it
+        client.ingest("web", ["ok"], {"h1": [1.0]}, sync=True)
+        stats = client.status()["stats"]
+        assert stats["ingest_errors"] == 0
+        assert stats["ingest_batches"] == 1
+
     def test_malformed_content_length_400(self, service):
         import socket as socket_module
 
