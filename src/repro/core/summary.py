@@ -56,6 +56,13 @@ class MultiAssignmentSummary:
 
     All per-key arrays are aligned with :attr:`positions`, the sorted
     distinct dataset positions of the union of the embedded samples.
+    The builders store the ``(u, m)`` matrices column-major (Fortran
+    order), one contiguous column per assignment, as the estimators
+    reduce across the assignments of each key.  The layout is invisible
+    to values, :meth:`equals` and the codec, which writes every array in
+    C order; a decoded summary keeps its matrices as the zero-copy
+    row-major views the codec returns, and the estimators give the same
+    bits on them.
 
     Attributes
     ----------
@@ -166,9 +173,11 @@ class MultiAssignmentSummary:
         """Row of each raw key identifier in :attr:`keys`, built once.
 
         ``None`` when ``positions`` index a dataset directly.  A cache, not
-        a field: :func:`build_summary_from_sketches` hands over the dict it
-        assembled the union with, any other summary builds it on first
-        use.  Treat it as read-only.
+        a field: a union assembled by a dictionary pass (object, mixed,
+        bool or float keys) hands over that dictionary; a union of one
+        integer dtype (sorted, no dictionary), a decoded, unpickled or
+        ``dataclasses.replace``d summary builds it here, on the first
+        lookup.  Treat it as read-only.
         """
         if self.keys is None:
             return None
@@ -250,8 +259,8 @@ class SummaryViews:
       ``τ^(b)`` (Poisson).  This single matrix drives the colocated
       inclusion probabilities (Eq. (5)/(6)), the plain RC / HT estimators
       (Section 3), and the l-set membership terms (Eq. (13)/(14)).
-    * :attr:`seed_matrix` — per-(key, assignment) seeds ``u^(b)(i)``
-      broadcast to ``(u, m)``, used by the l-set seed conditions.
+    * :meth:`cdf_column` — one assignment's column of that matrix, for
+      the single-sketch estimators.
     * :meth:`subset` — per assignment-subset ``R`` sort/threshold caches
       (:class:`SubsetViews`) shared by every query over the same ``R``.
 
@@ -291,18 +300,16 @@ class SummaryViews:
         summary = self.summary
         return summary.family.cdf_matrix(summary.weights, summary.thresholds)
 
-    @cached_property
-    def seed_matrix(self) -> np.ndarray | None:
-        """Seeds broadcast to ``(u, m)``; ``None`` when the method has none."""
-        seeds = self.summary.seeds
-        if seeds is None:
-            return None
-        if seeds.ndim == 1:
-            return np.broadcast_to(
-                seeds[:, None],
-                (self.summary.n_union, self.summary.n_assignments),
-            )
-        return seeds
+    def cdf_column(self, b: int) -> np.ndarray:
+        """Column ``b`` of :attr:`cdf_weight_threshold`, computed on that
+        one column unless the full matrix is already built."""
+        full = self.__dict__.get("cdf_weight_threshold")
+        if full is not None:
+            return full[:, b]
+        summary = self.summary
+        return summary.family.cdf_matrix(
+            summary.weights[:, b], summary.thresholds[:, b]
+        )
 
     def subset(self, cols: Sequence[int]) -> "SubsetViews":
         """Shared per-``R`` views for the assignment columns ``cols``."""
@@ -319,19 +326,29 @@ class SubsetViews:
 
     All attributes are lazy and aligned with the summary's union rows; a
     query batch touching the same ``R`` with several aggregate functions
-    (min, max, L1, ℓ-th largest) shares one sort and one threshold matrix.
+    (min, max, L1, ℓ-th largest) shares one threshold matrix.  The
+    ``(u, |R|)`` views keep the summary's layout — over every column in
+    order they *are* the summary's matrices — so on a built (column-major)
+    summary the per-key reductions across R walk contiguous columns.  The top-ℓ quantities
+    need no per-row sort at the two extremes: ℓ = 1 is a column max and
+    ℓ = |R| a column min; only 1 < ℓ < |R| sorts.
     """
 
     def __init__(self, views: SummaryViews, cols: tuple[int, ...]) -> None:
         # Owned by the views object, as that is by the summary: weak, too.
         self._views = weakref.proxy(views)
         self.cols = cols
-        self._col_list = list(cols)
+        every = cols == tuple(range(views.summary.n_assignments))
+        self._col_list = None if every else list(cols)
+
+    def _over_r(self, matrix: np.ndarray) -> np.ndarray:
+        """The columns of R of a ``(u, m)`` summary matrix."""
+        return matrix if self._col_list is None else matrix[:, self._col_list]
 
     @cached_property
     def theta(self) -> np.ndarray:
         """``(u, |R|)`` conditioning thresholds ``r^(b)_k(I∖{i})`` over R."""
-        return self._views.summary.thresholds[:, self._col_list]
+        return self._over_r(self._views.summary.thresholds)
 
     @cached_property
     def theta_min(self) -> np.ndarray:
@@ -340,11 +357,11 @@ class SubsetViews:
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        return self._views.summary.ranks[:, self._col_list]
+        return self._over_r(self._views.summary.ranks)
 
     @cached_property
     def member(self) -> np.ndarray:
-        return self._views.summary.member[:, self._col_list]
+        return self._over_r(self._views.summary.member)
 
     @cached_property
     def member_counts(self) -> np.ndarray:
@@ -353,11 +370,26 @@ class SubsetViews:
 
     @cached_property
     def masked_weights(self) -> np.ndarray:
-        """Weights over R with unknown entries set to ``−inf`` (l-set sort)."""
-        summary = self._views.summary
-        weights = summary.weights[:, self._col_list]
-        member = summary.member[:, self._col_list]
-        return np.where(member & ~np.isnan(weights), weights, -math.inf)
+        """Weights over R with unknown entries set to ``−inf`` (l-set top-ℓ)."""
+        weights = self._over_r(self._views.summary.weights)
+        return np.where(self.member & ~np.isnan(weights), weights, -math.inf)
+
+    @cached_property
+    def weight_max(self) -> np.ndarray:
+        """Largest :attr:`masked_weights` per key."""
+        return self.masked_weights.max(axis=1)
+
+    @cached_property
+    def first_max(self) -> np.ndarray:
+        """Per key, the first column holding :attr:`weight_max` — the one a
+        stable descending sort ranks first."""
+        at_max = self.masked_weights == self.weight_max[:, None]
+        first = np.zeros(at_max.shape, dtype=bool, order="F")
+        free = np.ones(len(at_max), dtype=bool)
+        for b in range(at_max.shape[1]):
+            np.logical_and(at_max[:, b], free, out=first[:, b])
+            free &= ~at_max[:, b]
+        return first
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -380,6 +412,16 @@ class SubsetViews:
         )
         return ranks
 
+    def top(self, ell: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(w_ℓth, top_mask)``: each key's ℓ-th largest masked weight, and
+        its member cells among the ℓ largest (ties to the lower column, as
+        the stable sort orders them)."""
+        if ell == len(self.cols):
+            return self.masked_weights.min(axis=1), self.member
+        if ell == 1:
+            return self.weight_max, self.first_max & self.member
+        return self.sorted_desc[:, ell - 1], (self.col_rank < ell) & self.member
+
     @cached_property
     def in_prime(self) -> np.ndarray:
         """s-set membership test ``r^(b)(i) < r^(min R)_k(I∖{i})`` per cell."""
@@ -394,10 +436,13 @@ class SubsetViews:
         """Weights restricted to the s-set selection ``R'`` (−inf outside)."""
         return np.where(self.in_prime, self.masked_weights, -math.inf)
 
-    @cached_property
-    def sset_sorted_desc(self) -> np.ndarray:
-        """:attr:`sset_weights` sorted descending along R."""
-        return -np.sort(-self.sset_weights, axis=1)
+    def sset_top(self, ell: int) -> np.ndarray:
+        """Each key's ℓ-th largest :attr:`sset_weights`."""
+        if ell == len(self.cols):
+            return self.sset_weights.min(axis=1)
+        if ell == 1:
+            return self.sset_weights.max(axis=1)
+        return -np.sort(-self.sset_weights, axis=1)[:, ell - 1]
 
     @cached_property
     def member_cdf(self) -> np.ndarray:
@@ -415,10 +460,12 @@ class SubsetViews:
     @cached_property
     def seed_matrix(self) -> np.ndarray | None:
         """Seeds broadcast to ``(u, |R|)`` (``None`` without known seeds)."""
-        full = self._views.seed_matrix
-        if full is None:
+        seeds = self._views.summary.seeds
+        if seeds is None:
             return None
-        return full[:, self._col_list]
+        if seeds.ndim == 1:
+            return np.broadcast_to(seeds[:, None], (len(seeds), len(self.cols)))
+        return self._over_r(seeds)
 
 
 def _union_and_matrices(
@@ -433,8 +480,8 @@ def _union_and_matrices(
     else:
         union = np.empty(0, dtype=np.int64)
     u = len(union)
-    member = np.zeros((u, n_assignments), dtype=bool)
-    ranks = np.full((u, n_assignments), _INF, dtype=float)
+    member = np.zeros((u, n_assignments), dtype=bool, order="F")
+    ranks = np.full((u, n_assignments), _INF, dtype=float, order="F")
     for b, (keys, rank_values) in enumerate(zip(sketch_keys, sketch_ranks)):
         if len(keys) == 0:
             continue
@@ -459,7 +506,29 @@ def _seed_matrix_for_union(
         return None
     if draw.seeds.ndim == 1:
         return draw.seeds[union].copy()
-    return draw.seeds[union].copy()
+    return np.asfortranarray(draw.seeds[union])
+
+
+def _thresholds(
+    member: np.ndarray, rank_k: np.ndarray, rank_kplus1: np.ndarray
+) -> np.ndarray:
+    """Bottom-k ``r_k(I∖{i})`` per cell, column-major: ``r_{k+1}(I)`` for
+    members, ``r_k(I)`` for non-members."""
+    thresholds = np.empty(member.shape, order="F")
+    thresholds[...] = rank_k
+    np.copyto(thresholds, rank_kplus1, where=member)
+    return thresholds
+
+
+def _union_weights(
+    weights: np.ndarray, union: np.ndarray, member: np.ndarray, mode: str
+) -> np.ndarray:
+    """The union rows of a dense weight matrix, column-major; in dispersed
+    mode a key's weight is known only where it was sampled."""
+    union_weights = np.asfortranarray(weights[union])
+    if mode == DISPERSED:
+        union_weights[~member] = np.nan
+    return union_weights
 
 
 def build_bottomk_summary(
@@ -512,11 +581,7 @@ def build_bottomk_summary(
     )
     rank_k = np.array([sk.kth_rank for sk in sketches], dtype=float)
     rank_kplus1 = np.array([sk.threshold for sk in sketches], dtype=float)
-    # r_k(I \ {i}): r_{k+1}(I) for members, r_k(I) for non-members.
-    thresholds = np.where(member, rank_kplus1[None, :], rank_k[None, :])
-    union_weights = weights[union].copy()
-    if mode == DISPERSED:
-        union_weights = np.where(member, union_weights, np.nan)
+    thresholds = _thresholds(member, rank_k, rank_kplus1)
     return MultiAssignmentSummary(
         mode=mode,
         kind="bottomk",
@@ -525,7 +590,7 @@ def build_bottomk_summary(
         positions=union,
         member=member,
         ranks=ranks,
-        weights=union_weights,
+        weights=_union_weights(weights, union, member, mode),
         thresholds=thresholds,
         rank_k=rank_k,
         rank_kplus1=rank_kplus1,
@@ -582,12 +647,13 @@ def build_summary_from_sketches(
     Sketch ``keys`` are raw key identifiers here; the resulting summary
     carries them in ``summary.keys`` (each key object as first met, in
     first-encounter order over the sketches) and uses row indices
-    internally.  One dictionary pass per sketch maps its keys to rows;
-    its ranks, weights and seeds then land with one fancy-index
-    assignment each, later sketches overwriting a shared key's seed.  The
-    key → row dictionary is kept as the summary's
-    :attr:`~MultiAssignmentSummary.key_index`, which key predicates look
-    up.
+    internally.  Sketches whose key arrays share one integer dtype (as
+    :meth:`~repro.engine.ShardedSummarizer.summary` passes them) are
+    united by sorting; any others (object, mixed, bool or float keys) by
+    one dictionary pass, which the summary keeps as its
+    :attr:`~MultiAssignmentSummary.key_index`.  Either way each sketch's
+    ranks, weights and seeds then land with one fancy-index assignment
+    per column, later sketches overwriting a shared key's seed.
     """
     from repro.ranks.assignments import get_rank_method
 
@@ -602,20 +668,28 @@ def build_summary_from_sketches(
             raise ValueError(
                 f"sketch sizes differ: {name} has k={sk.k}, expected {k}"
             )
-    key_index: dict = {}
-    row_of = key_index.setdefault
-    rows = [
-        np.array(
-            [row_of(key, len(key_index)) for key in sk.keys.tolist()],
-            dtype=np.intp,
-        )
-        for sk in sketches.values()
-    ]
-    union_keys = list(key_index)
+    key_arrays = [sk.keys for sk in sketches.values()]
+    dtypes = {keys.dtype for keys in key_arrays if len(keys)}
+    dtype = dtypes.pop() if len(dtypes) == 1 else None
+    key_index: dict | None = None
+    if dtype is not None and dtype.kind in "iu":
+        union, rows = _sorted_union(key_arrays, dtype)
+        union_keys = union.tolist()
+    else:
+        key_index = {}
+        row_of = key_index.setdefault
+        rows = [
+            np.array(
+                [row_of(key, len(key_index)) for key in keys.tolist()],
+                dtype=np.intp,
+            )
+            for keys in key_arrays
+        ]
+        union_keys = list(key_index)
     u = len(union_keys)
-    member = np.zeros((u, m), dtype=bool)
-    ranks = np.full((u, m), _INF, dtype=float)
-    weights = np.full((u, m), np.nan, dtype=float)
+    member = np.zeros((u, m), dtype=bool, order="F")
+    ranks = np.full((u, m), _INF, dtype=float, order="F")
+    weights = np.full((u, m), np.nan, dtype=float, order="F")
     seeds: np.ndarray | None = None
     if method_name == "shared_seed":
         seeds = np.full(u, np.nan, dtype=float)
@@ -629,7 +703,7 @@ def build_summary_from_sketches(
         weights[row, b] = sk.weights
         if seeds is not None and sk.seeds is not None:
             seeds[row] = sk.seeds
-    thresholds = np.where(member, rank_kplus1[None, :], rank_k[None, :])
+    thresholds = _thresholds(member, rank_k, rank_kplus1)
     summary = MultiAssignmentSummary(
         mode=DISPERSED,
         kind="bottomk",
@@ -648,8 +722,38 @@ def build_summary_from_sketches(
         consistent=method.consistent,
         keys=union_keys,
     )
-    summary.__dict__["_key_index"] = key_index
+    if key_index is not None:
+        summary.__dict__["_key_index"] = key_index
     return summary
+
+
+def _sorted_union(
+    key_arrays: list[np.ndarray], dtype: np.dtype
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """First-encounter union of integer key arrays, and each array's rows.
+
+    The same union and rows as a dictionary pass, by sorting: a quicksort
+    groups the equal keys of the concatenation, ``np.minimum.reduceat``
+    finds each group's first position, and those positions, read in
+    order, are the union in first-encounter order.
+    (``np.unique(..., return_index=True)`` would find them with a stable
+    sort, which is slower than the dictionary at a few thousand keys.)
+    At least one array is non-empty.
+    """
+    flat = np.concatenate([keys.astype(dtype, copy=False) for keys in key_arrays])
+    order = np.argsort(flat)
+    ordered = flat[order]
+    new_group = np.empty(len(flat), dtype=bool)
+    new_group[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_group[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(new_group))
+    is_first = np.zeros(len(flat), dtype=bool)
+    is_first[first] = True
+    row_at = np.cumsum(is_first) - 1  # the row of the key first met there
+    rows = np.empty(len(flat), dtype=np.intp)
+    rows[order] = row_at[first][np.cumsum(new_group) - 1]
+    bounds = np.cumsum([len(keys) for keys in key_arrays])[:-1]
+    return flat[is_first], np.split(rows, bounds)
 
 
 def build_poisson_summary(
@@ -673,10 +777,8 @@ def build_poisson_summary(
     union, member, ranks = _union_and_matrices(
         [sk.keys for sk in sketches], [sk.ranks for sk in sketches], m
     )
-    thresholds = np.broadcast_to(taus[None, :], (len(union), m)).copy()
-    union_weights = weights[union].copy()
-    if mode == DISPERSED:
-        union_weights = np.where(member, union_weights, np.nan)
+    thresholds = np.empty((len(union), m), order="F")
+    thresholds[...] = taus
     return MultiAssignmentSummary(
         mode=mode,
         kind="poisson",
@@ -685,7 +787,7 @@ def build_poisson_summary(
         positions=union,
         member=member,
         ranks=ranks,
-        weights=union_weights,
+        weights=_union_weights(weights, union, member, mode),
         thresholds=thresholds,
         rank_k=None,
         rank_kplus1=None,

@@ -33,7 +33,7 @@ Each assignment keeps one aggregated table; a batch is only queued as
    were last merged: a fold looks its keys up in both (O(touched · log))
    and writes a new delta (O(delta + touched)), never copying the base
    until the delta outgrows ``_DELTA_SHARE`` of it.  The per-assignment
-   sketches are assembled into the union summary with
+   samples are assembled into the union summary with
    :func:`~repro.core.summary.build_summary_from_sketches`.
 
 The paper's assignments are weights over *one* key set, and
@@ -62,6 +62,7 @@ streams that share the hasher salt publish bundles that
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
@@ -133,11 +134,18 @@ class ShardEntries(NamedTuple):
     seeds: np.ndarray = _NO_FLOATS
 
     def sketch(self, k: int) -> BottomKSketch:
-        """The table's bottom-k sketch, as a stream sampler would emit it."""
+        """The table's bottom-k sketch, as a stream sampler would emit it
+        (object keys)."""
+        return dataclasses.replace(
+            self.sample(k), keys=self.keys[:k].astype(object)
+        )
+
+    def sample(self, k: int) -> BottomKSketch:
+        """:meth:`sketch` with the keys in the table's own dtype."""
         held = len(self.ranks)
         return BottomKSketch(
             k=k,
-            keys=self.keys[:k].astype(object),
+            keys=self.keys[:k],
             ranks=self.ranks[:k],
             weights=self.weights[:k],
             kth_rank=float(self.ranks[k - 1]) if held >= k else math.inf,
@@ -725,7 +733,19 @@ class ShardedSummarizer:
     def _current_sketches(self) -> dict[str, BottomKSketch]:
         """Finalized per-assignment sketches, cached until the next ingest.
 
-        Folds every assignment that has pending chunks (the others are
+        These are internal state: callers go through :meth:`sketches`,
+        which hands out defensive copies.
+        """
+        if self._sketch_cache is None:
+            self._fold()
+            self._sketch_cache = {
+                name: shard.state.entries.sketch(self.k)
+                for name, shard in self._shards.items()
+            }
+        return self._sketch_cache
+
+    def _fold(self) -> None:
+        """Fold every assignment that has pending chunks (the others are
         already current), a bounded number of rows at a time, one group
         of assignments with a shared key side at a time (see
         :class:`_KeyPlan`) and the group's assignments in turn — the peak
@@ -734,22 +754,13 @@ class ShardedSummarizer:
         :meth:`ingest_multi` shared is freed as soon as every assignment
         has folded it, and a fold that raises leaves the assignments
         already folded folded and the others' pending chunks to be folded
-        again by the next call.  These are internal state: callers go
-        through :meth:`sketches`, which hands out defensive copies.
+        again by the next call.
         """
-        if self._sketch_cache is None:
-            behind = [
-                shard for shard in self._shards.values() if shard.pending
-            ]
-            while behind:
-                for count, group in _steps(behind):
-                    self._fold_step(count, group)
-                behind = [shard for shard in behind if shard.pending]
-            self._sketch_cache = {
-                name: shard.state.entries.sketch(self.k)
-                for name, shard in self._shards.items()
-            }
-        return self._sketch_cache
+        behind = [shard for shard in self._shards.values() if shard.pending]
+        while behind:
+            for count, group in _steps(behind):
+                self._fold_step(count, group)
+            behind = [shard for shard in behind if shard.pending]
 
     def _fold_step(self, count: int, group: "list[_Shard]") -> None:
         """One fold step of a group: its key plan once, then each
@@ -777,9 +788,20 @@ class ShardedSummarizer:
         }
 
     def summary(self) -> MultiAssignmentSummary:
-        """Assemble the dispersed multi-assignment summary."""
+        """Assemble the dispersed multi-assignment summary.
+
+        Equals :func:`~repro.core.summary.build_summary_from_sketches` of
+        :meth:`sketches`, but from samples that keep the tables' typed
+        key columns, so a summarizer of one integer key dtype unites its
+        samples by sorting.
+        """
+        self._fold()
+        samples = {
+            name: shard.state.entries.sample(self.k)
+            for name, shard in self._shards.items()
+        }
         return build_summary_from_sketches(
-            self._current_sketches(), self.family, method_name="shared_seed"
+            samples, self.family, method_name="shared_seed"
         )
 
     def sketch_bundle(self) -> "SketchBundle":

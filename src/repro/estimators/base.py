@@ -109,11 +109,12 @@ def single_sketch_dense(
 
     ``θ_ib`` is ``r^(b)_{k+1}(I)`` for members of a bottom-k sketch (plain
     RC) and ``τ^(b)`` for a Poisson sketch (HT); either way it is the
-    member cell of the shared ``F_w(θ)`` view.
+    member cell of the shared ``F_w(θ)`` view, of which only column b is
+    computed.
     """
     b = summary.columns([assignment])[0]
     member = summary.member[:, b]
-    probabilities = summary.views().cdf_weight_threshold[:, b]
+    probabilities = summary.views().cdf_column(b)
     weights = np.where(member, summary.weights[:, b], 0.0)
     return np.divide(
         weights,

@@ -80,7 +80,10 @@ def _independent_differences_probabilities(
     shifted = np.concatenate(
         [np.ones((len(fire), 1)), survive[:, :-1]], axis=1
     )
-    return (shifted * fire).sum(axis=1)
+    # Row-major whatever the summary's layout: numpy pairs the terms of a
+    # contiguous axis but adds a strided axis's in sequence, and from
+    # m = 8 on the two differ in the last bits.
+    return np.ascontiguousarray(shifted * fire).sum(axis=1)
 
 
 def inclusion_probabilities(summary: MultiAssignmentSummary) -> np.ndarray:

@@ -25,7 +25,7 @@ The L1/range aggregate is not top-ℓ dependent for any ℓ; it is estimated as
 consistent IPPS/EXP ranks, non-negative (Lemma 7.5).
 
 The kernels (:func:`sset_kernel`, :func:`lset_kernel`, :func:`l1_kernel`)
-read their intermediates (thresholds, sorts, CDF matrices) from the
+read their intermediates (thresholds, top-ℓ weights, CDF matrices) from the
 summary's cached views, so queries over the same ``R`` share them; the
 per-spec functions wrap a kernel's dense output as sparse adjusted weights.
 """
@@ -60,17 +60,6 @@ def _resolve_ell(spec: AggregationSpec) -> int:
     return spec.dependence_ell
 
 
-def _f_from_topell(
-    sorted_desc: np.ndarray, ell: int, spec: AggregationSpec
-) -> np.ndarray:
-    """Evaluate ``f`` from the ℓ largest recovered weights (sorted desc)."""
-    if spec.function in ("max", "single"):
-        return sorted_desc[:, 0]
-    if spec.function in ("min", "lth_largest"):
-        return sorted_desc[:, ell - 1]
-    raise ValueError(f"{spec.function!r} is not a top-ℓ dependent aggregate")
-
-
 def _spec_label(template: str, spec: AggregationSpec) -> str:
     return f"{template}[{spec.function}:{','.join(spec.assignments)}]"
 
@@ -98,8 +87,7 @@ def sset_kernel(
         )
     theta_min = sub.theta_min
     selected = sub.in_prime_counts >= ell
-    sorted_desc = sub.sset_sorted_desc
-    w_ellth = sorted_desc[:, ell - 1]
+    w_ellth = sub.sset_top(ell)
     if summary.consistent:
         probabilities = summary.family.cdf_matrix(
             np.where(selected, w_ellth, 0.0), theta_min
@@ -112,7 +100,9 @@ def sset_kernel(
             theta_min[:, None],
         )
         probabilities = np.prod(per_b, axis=1)
-    f_values = np.where(selected, _f_from_topell(sorted_desc, ell, spec), 0.0)
+    # Every top-ℓ dependent f is the ℓ-th largest weight (max: ℓ = 1,
+    # min: ℓ = |R|).
+    f_values = np.where(selected, w_ellth, 0.0)
     return np.divide(
         f_values,
         probabilities,
@@ -140,14 +130,10 @@ def lset_kernel(
     """
     ell = _resolve_ell(spec)
     sub = summary.views().subset(summary.columns(list(spec.assignments)))
-    m = len(sub.cols)
-    member = sub.member
     candidate = sub.member_counts >= ell
-    sorted_desc = sub.sorted_desc
-    w_ellth = sorted_desc[:, ell - 1]
-    top_mask = (sub.col_rank < ell) & member
+    w_ellth, top_mask = sub.top(ell)
     theta = sub.theta
-    if ell < m:
+    if ell < len(sub.cols):
         seed_matrix = sub.seed_matrix
         if seed_matrix is None:
             raise ValueError(
@@ -155,19 +141,16 @@ def lset_kernel(
                 "method does not expose them"
             )
         caps = summary.family.cdf_matrix(
-            np.where(candidate[:, None], np.maximum(w_ellth[:, None], 0.0), 0.0),
-            theta,
+            np.where(candidate, np.maximum(w_ellth, 0.0), 0.0)[:, None], theta
         )
         # Only assignments outside the observed top-ℓ constrain the selection.
         selected = candidate & ((seed_matrix < caps) | top_mask).all(axis=1)
     else:
         selected = candidate
-    member_terms = sub.member_cdf
     cap_terms = summary.family.cdf_matrix(
-        np.maximum(np.where(selected[:, None], w_ellth[:, None], 0.0), 0.0),
-        theta,
+        np.maximum(np.where(selected, w_ellth, 0.0), 0.0)[:, None], theta
     )
-    per_b = np.where(top_mask, member_terms, cap_terms)
+    per_b = np.where(top_mask, sub.member_cdf, cap_terms)
     if summary.method_name == "shared_seed":
         probabilities = per_b.min(axis=1)
     elif summary.method_name == "independent":
@@ -180,7 +163,7 @@ def lset_kernel(
         )
     else:
         raise ValueError(f"unknown rank method {summary.method_name!r}")
-    f_values = np.where(selected, _f_from_topell(sorted_desc, ell, spec), 0.0)
+    f_values = np.where(selected, w_ellth, 0.0)
     return np.divide(
         f_values,
         probabilities,

@@ -161,12 +161,12 @@ class ExponentialRanks(RankFamily):
     def cdf_matrix(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
         x = np.asarray(x, dtype=float)
-        positive = (weights > 0.0) & (x > 0.0)
-        finite_x = np.where(np.isfinite(x), x, 0.0)
+        # An infinite threshold needs no case of its own: a positive
+        # weight gives 1 either way, and a zero weight's 0 · inf = NaN is
+        # masked out with every other non-positive cell.
         with np.errstate(invalid="ignore"):
-            vals = -np.expm1(-weights * finite_x)
-        vals = np.where(positive & ~np.isfinite(x), 1.0, vals)
-        return np.where(positive, vals, 0.0)
+            vals = -np.expm1(-weights * x)
+        return np.where((weights > 0.0) & (x > 0.0), vals, 0.0)
 
 
 class IppsRanks(RankFamily):
@@ -212,12 +212,12 @@ class IppsRanks(RankFamily):
     def cdf_matrix(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
         x = np.asarray(x, dtype=float)
-        positive = (weights > 0.0) & (x > 0.0)
-        finite_x = np.where(np.isfinite(x), x, 0.0)
+        # An infinite threshold needs no case of its own: a positive
+        # weight gives 1 either way, and a zero weight's 0 · inf = NaN is
+        # masked out with every other non-positive cell.
         with np.errstate(invalid="ignore"):
-            vals = np.minimum(1.0, weights * finite_x)
-        vals = np.where(positive & ~np.isfinite(x), 1.0, vals)
-        return np.where(positive, vals, 0.0)
+            vals = np.minimum(1.0, weights * x)
+        return np.where((weights > 0.0) & (x > 0.0), vals, 0.0)
 
 
 _FAMILIES: dict[str, RankFamily] = {

@@ -106,19 +106,17 @@ class BottomKSketch:
     seeds: np.ndarray | None = None
     _members: set = field(default=None, repr=False)  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if self._members is None:
-            self._members = set(self.keys.tolist())
-
     def __len__(self) -> int:
         return len(self.keys)
 
     def __contains__(self, key: Hashable) -> bool:
+        if self._members is None:  # built on the first lookup
+            self._members = set(self.keys.tolist())
         return key in self._members
 
     def rank_k_excluding(self, key: Hashable) -> float:
         """``r_k(I \\ {key})``, recoverable from the sketch alone."""
-        return self.threshold if key in self._members else self.kth_rank
+        return self.threshold if key in self else self.kth_rank
 
     def copy(self) -> "BottomKSketch":
         """Deep copy: arrays and membership set are not shared.

@@ -46,14 +46,12 @@ class PoissonSketch:
     seeds: np.ndarray | None = None
     _members: set = field(default=None, repr=False)  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if self._members is None:
-            self._members = set(self.keys.tolist())
-
     def __len__(self) -> int:
         return len(self.keys)
 
     def __contains__(self, key: Hashable) -> bool:
+        if self._members is None:  # built on the first lookup
+            self._members = set(self.keys.tolist())
         return key in self._members
 
     def items(self) -> Iterator[tuple[Hashable, float, float]]:

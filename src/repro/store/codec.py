@@ -521,13 +521,13 @@ class _BlobWriter:
     def add_array(self, name: str, arr: np.ndarray) -> None:
         """Store an array raw when its dtype allows, tag-packed otherwise."""
         if arr.dtype.kind in _RAW_KINDS:
-            contiguous = np.ascontiguousarray(arr)
+            # C-order bytes in one copy, whatever the array's layout
             self._append(
                 name,
-                contiguous.tobytes(),
+                arr.tobytes(order="C"),
                 {
                     "enc": "raw",
-                    "dtype": contiguous.dtype.str,
+                    "dtype": arr.dtype.str,
                     "shape": list(arr.shape),
                 },
             )
