@@ -36,6 +36,7 @@ __all__ = [
     "lth_largest_weights",
     "key_values",
     "AggregationSpec",
+    "FUNCTIONS",
     "exact_aggregate",
     "jaccard_similarity",
 ]
@@ -97,6 +98,9 @@ def lth_largest_weights(
     return -np.sort(-block, axis=1)[:, ell - 1]
 
 
+#: the aggregate functions an :class:`AggregationSpec` (and a query) names
+FUNCTIONS = ("single", "min", "max", "l1", "lth_largest")
+
 #: Builders for the named aggregate functions; signature (dataset, R) -> values.
 _FUNCTION_BUILDERS: dict[str, Callable[..., np.ndarray]] = {
     "min": min_weights,
@@ -133,11 +137,10 @@ class AggregationSpec:
     predicate: Predicate = field(default_factory=all_keys)
 
     def __post_init__(self) -> None:
-        known = {"single", "min", "max", "l1", "lth_largest"}
-        if self.function not in known:
+        if self.function not in FUNCTIONS:
             raise ValueError(
                 f"unknown aggregate function {self.function!r}; known: "
-                f"{sorted(known)}"
+                f"{sorted(FUNCTIONS)}"
             )
         if self.function == "single" and len(self.assignments) != 1:
             raise ValueError("'single' aggregates take exactly one assignment")

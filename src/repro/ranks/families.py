@@ -24,7 +24,10 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-__all__ = ["RankFamily", "ExponentialRanks", "IppsRanks", "get_rank_family"]
+__all__ = [
+    "RankFamily", "ExponentialRanks", "IppsRanks", "RANK_FAMILIES",
+    "get_rank_family",
+]
 
 _INF = math.inf
 
@@ -221,9 +224,12 @@ class IppsRanks(RankFamily):
 
 
 _FAMILIES: dict[str, RankFamily] = {
-    ExponentialRanks.name: ExponentialRanks(),
     IppsRanks.name: IppsRanks(),
+    ExponentialRanks.name: ExponentialRanks(),
 }
+
+#: the names :func:`get_rank_family` accepts (the CLIs' ``--family``)
+RANK_FAMILIES = tuple(_FAMILIES)
 
 
 def get_rank_family(name: str) -> RankFamily:

@@ -370,6 +370,22 @@ class ServiceClient:
         )
         return self._json_reply(status, data)
 
+    def query(
+        self, namespace: str, timeout: float | None = None, **fields
+    ) -> dict:
+        """POST one ``/query`` body: ``namespace`` plus ``fields``.
+
+        A field that is ``None`` is left out, so the daemon applies its
+        default.  A query is a read: safe to retry on connection failures.
+        """
+        body = {"namespace": namespace}
+        body.update(
+            (name, value) for name, value in fields.items()
+            if value is not None
+        )
+        return self._request("POST", "/query", body, idempotent=True,
+                             timeout=timeout)
+
     def estimate(
         self,
         namespace: str,
@@ -390,28 +406,13 @@ class ServiceClient:
         stored buckets' weights, anchored at ``anchor`` (POSIX seconds;
         defaults to the end of the available data).
         """
-        body = {
-            "kind": "estimate",
-            "namespace": namespace,
-            "function": function,
-            "assignments": list(assignments),
-            "estimator": estimator,
-        }
-        if ell is not None:
-            body["ell"] = ell
-        if keys is not None:
-            body["keys"] = list(keys)
-        if since is not None:
-            body["since"] = since
-        if until is not None:
-            body["until"] = until
-        if decay is not None:
-            body["decay"] = decay
-        if anchor is not None:
-            body["anchor"] = float(anchor)
-        # A query POST is a read: safe to retry on connection failures.
-        return self._request("POST", "/query", body, idempotent=True,
-                             timeout=timeout)
+        return self.query(
+            namespace, timeout, kind="estimate", function=function,
+            assignments=list(assignments), estimator=estimator, ell=ell,
+            keys=None if keys is None else list(keys), since=since,
+            until=until, decay=decay,
+            anchor=None if anchor is None else float(anchor),
+        )
 
     def window_series(
         self,
@@ -436,30 +437,14 @@ class ServiceClient:
         smaller than ``window`` gives overlapping sliding windows, served
         from the planner's shared per-bucket partial merges.
         """
-        body = {
-            "kind": "estimate",
-            "namespace": namespace,
-            "function": function,
-            "assignments": list(assignments),
-            "estimator": estimator,
-            "window": window,
-        }
-        if step is not None:
-            body["step"] = step
-        if decay is not None:
-            body["decay"] = decay
-        if anchor is not None:
-            body["anchor"] = float(anchor)
-        if ell is not None:
-            body["ell"] = ell
-        if keys is not None:
-            body["keys"] = list(keys)
-        if since is not None:
-            body["since"] = since
-        if until is not None:
-            body["until"] = until
-        return self._request("POST", "/query", body, idempotent=True,
-                             timeout=timeout)
+        return self.query(
+            namespace, timeout, kind="estimate", function=function,
+            assignments=list(assignments), estimator=estimator,
+            window=window, step=step, decay=decay,
+            anchor=None if anchor is None else float(anchor), ell=ell,
+            keys=None if keys is None else list(keys), since=since,
+            until=until,
+        )
 
     def jaccard(
         self,
@@ -471,18 +456,11 @@ class ServiceClient:
         timeout: float | None = None,
     ) -> dict:
         """Weighted Jaccard ratio estimate between assignments."""
-        body = {
-            "kind": "jaccard",
-            "namespace": namespace,
-            "assignments": list(assignments),
-            "variant": variant,
-        }
-        if since is not None:
-            body["since"] = since
-        if until is not None:
-            body["until"] = until
-        return self._request("POST", "/query", body, idempotent=True,
-                             timeout=timeout)
+        return self.query(
+            namespace, timeout, kind="jaccard",
+            assignments=list(assignments), variant=variant, since=since,
+            until=until,
+        )
 
     # -- sketch-bundle transport (cluster) -------------------------------------
 

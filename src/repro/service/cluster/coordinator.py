@@ -97,7 +97,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -108,9 +108,8 @@ from repro.ranks.hashing import _key_to_int, splitmix64
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.config import (
     MAX_BATCH_EVENTS,
+    DaemonConfig,
     NamespaceConfig,
-    config_from_json,
-    config_to_json,
 )
 from repro.service.httpbase import (
     DaemonThread,
@@ -162,8 +161,11 @@ _MEMO_ENGINES = 8
 
 
 @dataclass(frozen=True)
-class CoordinatorConfig:
+class CoordinatorConfig(DaemonConfig):
     """One coordinator: state root, logical namespaces, topology, knobs."""
+
+    _kind = "coordinator"
+    _root_field = "root"
 
     root: str
     namespaces: tuple[NamespaceConfig, ...]
@@ -195,20 +197,7 @@ class CoordinatorConfig:
     trace_log: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "namespaces",
-            tuple(
-                ns if isinstance(ns, NamespaceConfig)
-                else NamespaceConfig.from_json(ns)
-                for ns in self.namespaces
-            ),
-        )
-        if not self.namespaces:
-            raise ValueError("a coordinator needs at least one namespace")
-        names = [ns.name for ns in self.namespaces]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate namespace names in {names!r}")
+        self._check_namespaces()
         if self.heartbeat_s <= 0:
             raise ValueError("heartbeat_s must be positive")
         if self.probe_concurrency < 1:
@@ -227,21 +216,6 @@ class CoordinatorConfig:
             replication=self.replication,
             salt=self.salt,
         )
-
-    def with_port(self, port: int) -> "CoordinatorConfig":
-        return replace(self, port=port)
-
-    def to_json(self) -> dict:
-        return config_to_json(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "CoordinatorConfig":
-        return config_from_json(cls, payload, "coordinator", "root")
-
-    @classmethod
-    def from_file(cls, path) -> "CoordinatorConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
 
 
 def _handoff_part(source: str, part: str) -> str:

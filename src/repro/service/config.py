@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 from repro.store.store import GRANULARITIES
 
-__all__ = ["MAX_BATCH_EVENTS", "NamespaceConfig", "ServiceConfig"]
+__all__ = [
+    "MAX_BATCH_EVENTS", "DaemonConfig", "NamespaceConfig", "ServiceConfig",
+]
 
 #: default cap on the events of one ingest batch — a worker's
 #: ``max_batch_events`` default, and what a coordinator (which cannot see
@@ -101,31 +104,72 @@ def unknown_namespace(name, known) -> str:
     return f"unknown namespace {name!r}; known: {', '.join(known)}"
 
 
-def config_to_json(config) -> dict:
-    """A daemon config's fields, in declaration order, as JSON."""
-    payload = {f.name: getattr(config, f.name) for f in fields(config)}
-    payload["namespaces"] = [ns.to_json() for ns in config.namespaces]
-    return payload
+class DaemonConfig:
+    """What a daemon's config shares: namespaces, a port override, and
+    the JSON and file round trips.  Subclasses are frozen dataclasses
+    with ``namespaces`` and ``port`` fields, and set ``_kind`` (the
+    config's name in errors) and ``_root_field`` (its state directory)."""
 
+    _kind: ClassVar[str]
+    _root_field: ClassVar[str]
 
-def config_from_json(cls, payload: dict, what: str, root_field: str):
-    """Build daemon config ``cls`` from JSON; an unknown key is refused
-    (a typo'd knob must not fall back to its default)."""
-    unknown = set(payload) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(
-            f"unknown {what} config keys: {', '.join(sorted(unknown))}"
-        )
-    if root_field not in payload or "namespaces" not in payload:
-        raise ValueError(
-            f"{what} config needs {root_field!r} and 'namespaces'"
-        )
-    return cls(**payload)
+    def _check_namespaces(self) -> None:
+        """JSON rows become :class:`NamespaceConfig`; none or a repeated
+        name is refused."""
+        object.__setattr__(self, "namespaces", tuple(
+            ns if isinstance(ns, NamespaceConfig)
+            else NamespaceConfig.from_json(ns)
+            for ns in self.namespaces
+        ))
+        names = [ns.name for ns in self.namespaces]
+        if not names:
+            raise ValueError(f"a {self._kind} needs at least one namespace")
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate namespace names in {names!r}")
+
+    def with_port(self, port: int):
+        return replace(self, port=port)
+
+    def to_json(self) -> dict:
+        """The config's fields, in declaration order, as JSON."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["namespaces"] = [ns.to_json() for ns in self.namespaces]
+        return payload
+
+    @classmethod
+    def from_json(cls, payload: dict):
+        """Build from JSON; an unknown key is refused (a typo'd knob must
+        not fall back to its default)."""
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(
+                f"unknown {cls._kind} config keys: "
+                f"{', '.join(sorted(unknown))}"
+            )
+        if cls._root_field not in payload or "namespaces" not in payload:
+            raise ValueError(
+                f"{cls._kind} config needs {cls._root_field!r} and "
+                "'namespaces'"
+            )
+        return cls(**payload)
+
+    @classmethod
+    def from_file(cls, path):
+        with open(path, "r", encoding="utf-8") as handle:
+            return cls.from_json(json.load(handle))
+
+    def dump(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(self.to_json(), handle, indent=1, sort_keys=True)
+            handle.write("\n")
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(DaemonConfig):
     """One ``repro-serve`` daemon: store, namespaces, bind, runtime knobs."""
+
+    _kind = "service"
+    _root_field = "store_root"
 
     store_root: str
     namespaces: tuple[NamespaceConfig, ...]
@@ -150,20 +194,7 @@ class ServiceConfig:
     trace_log: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "namespaces",
-            tuple(
-                ns if isinstance(ns, NamespaceConfig)
-                else NamespaceConfig.from_json(ns)
-                for ns in self.namespaces
-            ),
-        )
-        names = [ns.name for ns in self.namespaces]
-        if not names:
-            raise ValueError("a service needs at least one namespace")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate namespace names in {names!r}")
+        self._check_namespaces()
         if self.granularity not in GRANULARITIES:
             raise ValueError(
                 f"unknown granularity {self.granularity!r}; known: "
@@ -189,23 +220,3 @@ class ServiceConfig:
         raise KeyError(
             unknown_namespace(name, (ns.name for ns in self.namespaces))
         )
-
-    def with_port(self, port: int) -> "ServiceConfig":
-        return replace(self, port=port)
-
-    def to_json(self) -> dict:
-        return config_to_json(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ServiceConfig":
-        return config_from_json(cls, payload, "service", "store_root")
-
-    @classmethod
-    def from_file(cls, path) -> "ServiceConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=1, sort_keys=True)
-            handle.write("\n")

@@ -52,7 +52,7 @@ from functools import cached_property
 from itertools import groupby, repeat
 from typing import Mapping, NamedTuple, Sequence
 
-from repro.core.aggregates import AggregationSpec
+from repro.core.aggregates import FUNCTIONS, AggregationSpec
 from repro.obs import default_tracer
 from repro.core.predicates import key_in
 from repro.engine.merge import disjoint_union, refuse_duplicates
@@ -67,9 +67,6 @@ __all__ = [
     "QueryPlanner", "QuerySpec", "StoredPartial",
     "query_request_from_params", "view_bundles",
 ]
-
-#: aggregate functions the service exposes
-FUNCTIONS = ("single", "min", "max", "l1", "lth_largest")
 
 #: merged engines kept per planner (LRU)
 _MAX_CACHED_ENGINES = 8

@@ -5,35 +5,31 @@ buckets up, and answer aggregate queries from disk:
 
     python -m repro.store write --root /tmp/flows --namespace web \\
         --bucket 20260728T1201 --assignment hour12 --k 256 --input events.csv
-    python -m repro.store ls --root /tmp/flows [--json]
-    python -m repro.store stats --root /tmp/flows [--json]
+    python -m repro.store ls | stats --root /tmp/flows [--json]
     python -m repro.store compact --root /tmp/flows --namespace web --to hour
-    python -m repro.store export --root /tmp/flows --namespace web \\
-        --bucket 20260728T12 --part rollup-0000 --out rollup.cws
     python -m repro.store query --root /tmp/flows --namespace web \\
         --function max --assignments hour12 hour13
 
 ``write`` reads ``key,weight`` CSV lines (events may repeat keys; they are
 pre-aggregated before sampling), or generates a synthetic stream with
-``--demo N``.  ``ls --json`` prints the machine-readable listing the
-service's ``/status`` endpoint embeds; ``export`` writes one artifact's
-exact codec bytes to a standalone ``.cws`` file (readable with
-:func:`~repro.store.codec.read_file`).  ``compact`` and ``query`` accept
-``--executor SPEC`` (``thread:4``, ``process:4``, ...; see
-:mod:`repro.engine.parallel`) to roll buckets up — or serve several
-``--namespace`` values — concurrently, with identical results to serial
-mode.  Also installed as the
-``repro-store`` console script.
+``--demo N``.  ``ls --json`` prints the listing the service's ``/status``
+embeds; ``export`` writes one artifact's exact codec bytes to a ``.cws``
+file.  ``compact`` and ``query`` take ``--executor SPEC`` (``thread:4``,
+``process:4``; see :mod:`repro.engine.parallel`) and give the serial
+results.  Also installed as the ``repro-store`` console script.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 
 import numpy as np
 
-from repro.core.aggregates import AggregationSpec
+from repro.cliutil import (
+    ESTIMATOR, SAMPLING, Verb, flag, print_json, read_events, run,
+    verb_parser,
+)
+from repro.core.aggregates import FUNCTIONS, AggregationSpec
 from repro.ranks.families import get_rank_family
 from repro.ranks.hashing import KeyHasher
 from repro.sampling.bottomk import BottomKStreamSampler, aggregate_stream
@@ -41,34 +37,6 @@ from repro.store.codec import SketchBundle, atomic_write_bytes
 from repro.store.store import GRANULARITIES, SummaryStore
 
 __all__ = ["main", "build_parser"]
-
-
-def _read_events(path: str) -> list[tuple[str, float]]:
-    """Parse ``key,weight`` CSV lines (a header row is skipped if present)."""
-    events: list[tuple[str, float]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                key, weight = line.rsplit(",", 1)
-            except ValueError:
-                raise SystemExit(
-                    f"{path}:{lineno}: expected 'key,weight', got {line!r}"
-                ) from None
-            try:
-                events.append((key, float(weight)))
-            except ValueError:
-                # Skip line 1 as a header only when the weight field looks
-                # like a column name (no digits); a malformed first data
-                # row like "alice,12x3" must abort, not silently vanish.
-                if lineno == 1 and not any(ch.isdigit() for ch in weight):
-                    continue
-                raise SystemExit(
-                    f"{path}:{lineno}: non-numeric weight {weight!r}"
-                ) from None
-    return events
 
 
 def _demo_events(
@@ -88,7 +56,7 @@ def _cmd_write(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.demo is None):
         raise SystemExit("pass exactly one of --input or --demo")
     events = (
-        _read_events(args.input)
+        read_events(args.input)
         if args.input is not None
         else _demo_events(args.demo, args.demo_seed, args.demo_prefix)
     )
@@ -120,14 +88,11 @@ def _cmd_write(args: argparse.Namespace) -> int:
 
 
 def _cmd_ls(args: argparse.Namespace) -> int:
-    import json
-
     store = SummaryStore(args.root, create=False)
     if args.json:
         # One machine-readable format shared with the service's /status
         # endpoint (SummaryStore.ls_json), so scripts parse either.
-        print(json.dumps(store.ls_json(args.namespace), indent=1,
-                         sort_keys=True))
+        print_json(store.ls_json(args.namespace))
     else:
         print(store.ls(args.namespace))
     return 0
@@ -145,12 +110,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    import json
-
     store = SummaryStore(args.root, create=False)
     stats = store.runtime.stats()
     if args.json:
-        print(json.dumps(stats, indent=1, sort_keys=True))
+        print_json(stats)
         return 0
     print(f"runtime tier  {stats['path']}")
     print(f"schema        v{stats['schema_version']}")
@@ -188,157 +151,117 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.engine.parallel import parse_executor_spec
     from repro.engine.queries import Query, QueryEngine
 
-    parse_executor_spec(args.executor)  # even on the 1-namespace path
-    store = SummaryStore(args.root, create=False)
-    spec = AggregationSpec(
-        args.function, tuple(args.assignments), ell=args.ell
+    query = Query(
+        AggregationSpec(args.function, tuple(args.assignments), ell=args.ell),
+        estimator=args.estimator,
     )
-    names = ",".join(args.assignments)
-    namespaces = args.namespace
-    if len(namespaces) == 1:
-        engine = QueryEngine.from_store(
-            store, namespaces[0], buckets=args.buckets
-        )
-        estimate = engine.estimate(spec, estimator=args.estimator)
-        print(f"{args.function}({names}) ~= {estimate:.6g}")
-        return 0
-    # Multi-namespace serving: one worker per namespace, each sharing its
-    # decoded summary views across the batch (QueryEngine.serve_many).
-    query = Query(spec, estimator=args.estimator)
+    # one worker per namespace, each sharing its decoded summary views
+    # across the batch; one namespace is answered alone, unprefixed
     answers = QueryEngine.serve_many(
-        store,
-        {namespace: [query] for namespace in namespaces},
+        args.root,
+        {namespace: [query] for namespace in args.namespace},
         executor=args.executor,
         buckets=(
-            None
-            if args.buckets is None
-            else {namespace: args.buckets for namespace in namespaces}
+            None if args.buckets is None
+            else dict.fromkeys(args.namespace, args.buckets)
         ),
     )
-    for namespace in namespaces:
-        estimate = answers[namespace][0].estimate
-        print(f"{namespace}: {args.function}({names}) ~= {estimate:.6g}")
+    names = ",".join(args.assignments)
+    for namespace in args.namespace:
+        prefix = f"{namespace}: " if len(args.namespace) > 1 else ""
+        print(
+            f"{prefix}{args.function}({names}) ~= "
+            f"{answers[namespace][0].estimate:.6g}"
+        )
     return 0
 
 
+#: every verb's store
+_ROOT = flag("--root", required=True, help="store root directory")
+_NAMESPACE = flag("--namespace", required=True)
+_EXECUTOR_HELP = (
+    "execution mode: 'serial' (default), 'thread[:workers]', or "
+    "'process[:workers]'; results are identical across modes"
+)
+
+_VERBS = (
+    Verb("write", "sample an event stream into a bucketed artifact",
+         _cmd_write, (
+             _ROOT,
+             _NAMESPACE,
+             flag("--bucket", required=True,
+                  help="time bucket id (YYYYMMDDTHHMM / YYYYMMDDTHH / "
+                       "YYYYMMDD)"),
+             flag("--assignment", required=True,
+                  help="weight-assignment name for the sampled sketch"),
+             SAMPLING,
+             flag("--part", default=None,
+                  help="artifact part name (default: next part-NNNN)"),
+             flag("--overwrite", action="store_true"),
+             flag("--input", default=None, help="CSV of key,weight events"),
+             flag("--demo", type=int, default=None, metavar="N",
+                  help="generate N synthetic events instead of --input"),
+             flag("--demo-seed", type=int, default=0),
+             flag("--demo-prefix", default="key",
+                  help="key prefix for --demo events (distinct prefixes "
+                       "keep buckets key-disjoint)"),
+         )),
+    Verb("ls", "list the store manifest", _cmd_ls, (
+        _ROOT,
+        flag("--namespace", default=None),
+        flag("--json", action="store_true",
+             help="machine-readable listing (namespaces, buckets, "
+                  "versions, byte sizes)"),
+    )),
+    Verb("export", "write one artifact's exact bytes to a .cws file",
+         _cmd_export, (
+             _ROOT,
+             _NAMESPACE,
+             flag("--bucket", required=True),
+             flag("--part", required=True),
+             flag("--out", required=True, metavar="FILE"),
+         )),
+    Verb("stats", "runtime-tier state: revisions, query cache, repair journal",
+         _cmd_stats, (
+             _ROOT,
+             flag("--json", action="store_true",
+                  help="machine-readable stats"),
+         )),
+    Verb("compact", "roll fine buckets up into coarser ones (exact merge)",
+         _cmd_compact, (
+             _ROOT,
+             _NAMESPACE,
+             flag("--to", default="hour", choices=list(GRANULARITIES)),
+             flag("--executor", default=None, metavar="SPEC",
+                  help=f"{_EXECUTOR_HELP} (buckets roll up concurrently)"),
+         )),
+    Verb("query", "estimate an aggregate from the stored summaries",
+         _cmd_query, (
+             _ROOT,
+             flag("--namespace", required=True, nargs="+",
+                  help="namespace(s) to answer from; several namespaces "
+                       "are served concurrently under --executor"),
+             flag("--function", required=True, choices=FUNCTIONS),
+             flag("--assignments", required=True, nargs="+"),
+             flag("--buckets", default=None, nargs="+",
+                  help="restrict to these bucket ids (default: all)"),
+             ESTIMATOR,
+             flag("--executor", default=None, metavar="SPEC",
+                  help=_EXECUTOR_HELP),
+         )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.store",
-        description="Persistent summary store: write, list, compact, query.",
+    return verb_parser(
+        "python -m repro.store",
+        "Persistent summary store: write, list, compact, query.",
+        _VERBS,
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    write = commands.add_parser(
-        "write", help="sample an event stream into a bucketed artifact"
-    )
-    write.add_argument("--root", required=True, help="store root directory")
-    write.add_argument("--namespace", required=True)
-    write.add_argument("--bucket", required=True,
-                       help="time bucket id (YYYYMMDDTHHMM / YYYYMMDDTHH / "
-                            "YYYYMMDD)")
-    write.add_argument("--assignment", required=True,
-                       help="weight-assignment name for the sampled sketch")
-    write.add_argument("--k", type=int, default=256,
-                       help="bottom-k sample size (default 256)")
-    write.add_argument("--family", default="ipps", choices=["ipps", "exp"])
-    write.add_argument("--salt", type=int, default=0,
-                       help="key-hasher salt (must match across "
-                            "coordinated writers)")
-    write.add_argument("--part", default=None,
-                       help="artifact part name (default: next part-NNNN)")
-    write.add_argument("--overwrite", action="store_true")
-    write.add_argument("--input", default=None,
-                       help="CSV of key,weight events")
-    write.add_argument("--demo", type=int, default=None, metavar="N",
-                       help="generate N synthetic events instead of --input")
-    write.add_argument("--demo-seed", type=int, default=0)
-    write.add_argument("--demo-prefix", default="key",
-                       help="key prefix for --demo events (distinct prefixes "
-                            "keep buckets key-disjoint)")
-    write.set_defaults(func=_cmd_write)
-
-    ls = commands.add_parser("ls", help="list the store manifest")
-    ls.add_argument("--root", required=True)
-    ls.add_argument("--namespace", default=None)
-    ls.add_argument("--json", action="store_true",
-                    help="machine-readable listing (namespaces, buckets, "
-                         "versions, byte sizes)")
-    ls.set_defaults(func=_cmd_ls)
-
-    export = commands.add_parser(
-        "export", help="write one artifact's exact bytes to a .cws file"
-    )
-    export.add_argument("--root", required=True)
-    export.add_argument("--namespace", required=True)
-    export.add_argument("--bucket", required=True)
-    export.add_argument("--part", required=True)
-    export.add_argument("--out", required=True, metavar="FILE")
-    export.set_defaults(func=_cmd_export)
-
-    stats = commands.add_parser(
-        "stats",
-        help="runtime-tier state: revisions, query cache, repair journal",
-    )
-    stats.add_argument("--root", required=True)
-    stats.add_argument("--json", action="store_true",
-                       help="machine-readable stats")
-    stats.set_defaults(func=_cmd_stats)
-
-    executor_help = (
-        "execution mode: 'serial' (default), 'thread[:workers]', "
-        "or 'process[:workers]'; results are identical across "
-        "modes"
-    )
-
-    compact = commands.add_parser(
-        "compact", help="roll fine buckets up into coarser ones (exact merge)"
-    )
-    compact.add_argument("--root", required=True)
-    compact.add_argument("--namespace", required=True)
-    compact.add_argument("--to", default="hour", choices=list(GRANULARITIES))
-    compact.add_argument("--executor", default=None, metavar="SPEC",
-                         help=f"{executor_help} (buckets roll up "
-                              "concurrently)")
-    compact.set_defaults(func=_cmd_compact)
-
-    query = commands.add_parser(
-        "query", help="estimate an aggregate from the stored summaries"
-    )
-    query.add_argument("--root", required=True)
-    query.add_argument("--namespace", required=True, nargs="+",
-                       help="namespace(s) to answer from; several "
-                            "namespaces are served concurrently under "
-                            "--executor")
-    query.add_argument("--function", required=True,
-                       choices=["single", "min", "max", "l1", "lth_largest"])
-    query.add_argument("--assignments", required=True, nargs="+")
-    query.add_argument("--buckets", default=None, nargs="+",
-                       help="restrict to these bucket ids (default: all)")
-    query.add_argument("--estimator", default="auto")
-    query.add_argument("--ell", type=int, default=None,
-                       help="ℓ for lth_largest")
-    query.add_argument("--executor", default=None, metavar="SPEC",
-                       help=executor_help)
-    query.set_defaults(func=_cmd_query)
-
-    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (
-        ValueError, KeyError, FileNotFoundError, FileExistsError,
-        TimeoutError,
-    ) as err:
-        # str(KeyError) wraps its message in quotes; unwrap for clean output
-        message = err.args[0] if isinstance(err, KeyError) and err.args else err
-        raise SystemExit(f"error: {message}") from err
+    return run(build_parser(), argv)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

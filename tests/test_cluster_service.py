@@ -793,3 +793,65 @@ class TestClusterClient:
         with router, pytest.raises(ClusterError, match="coordinator"):
             router.ingest("web", *event_batch(0), sync=True)
         assert worker_versions(cluster2) == before
+
+
+class TestCli:
+    """``repro-serve`` against a coordinator: empty, partial, stats."""
+
+    @staticmethod
+    def query(cluster, *extra) -> int:
+        from repro.service.cli import main
+
+        return main([
+            "query", "--port", str(cluster.coordinator.service.port),
+            "--namespace", "web", "--assignments", "h1", "h2", *extra,
+        ])
+
+    def test_empty_cluster_prints_no_data(self, tmp_path, capsys):
+        cluster = Cluster(tmp_path, n_workers=1)
+        try:
+            served = cluster.client.estimate("web", "max", ["h1", "h2"])
+            assert served["empty"] is True and served["estimate"] is None
+            assert self.query(cluster, "--function", "max") == 0
+        finally:
+            cluster.close()
+        out = capsys.readouterr().out
+        assert out == (
+            f"web: max(h1,h2) no data [version {served['version']}, "
+            "cached]\n"
+        )
+
+    @pytest.mark.parametrize("kind", [["--function", "max"], ["--jaccard"]])
+    def test_partial_answer_is_loud_and_exits_3(self, kind, cluster2, capsys):
+        keys, weights = event_batch(0)
+        cluster2.client.ingest("web", keys, weights, sync=True)
+        cluster2.kill("w2")
+        missing = cluster2.client.estimate(
+            "web", "max", ["h1", "h2"]
+        )["missing_slots"]
+        assert missing
+        assert self.query(cluster2, *kind) == 3
+        line = capsys.readouterr().out.strip()
+        label = "jaccard" if kind == ["--jaccard"] else "max"
+        assert line.startswith(f"web: {label}(h1,h2) ~= ")
+        assert line.endswith(f"computed] PARTIAL, missing slots {missing}")
+
+    def test_exact_answer_exits_0(self, cluster2, capsys):
+        keys, weights = event_batch(0)
+        cluster2.client.ingest("web", keys, weights, sync=True)
+        assert self.query(cluster2, "--function", "max") == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("web: max(h1,h2) ~= ")
+        assert "PARTIAL" not in line
+
+    def test_stats_prints_only_the_coordinator_sections(self, cluster2,
+                                                        capsys):
+        import json
+
+        from repro.service.cli import main
+
+        port = cluster2.coordinator.service.port
+        assert main(["stats", "--port", str(port)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert set(stats) == {"stats", "runtime", "repairs"}
+        assert None not in stats.values()
