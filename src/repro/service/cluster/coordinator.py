@@ -392,13 +392,15 @@ class CoordinatorService(HttpServerBase):
         self.runtime.close()
 
     async def _heartbeat_loop(self) -> None:
-        """Probe every worker's lock-free ``/health`` on a fixed cadence."""
+        """Probe every worker's lock-free ``/health`` on a fixed cadence,
+        and write the result cache behind."""
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.config.heartbeat_s)
             try:
                 await loop.run_in_executor(None, self._heartbeat_round)
                 self.count["heartbeat_rounds"].inc()
+                await loop.run_in_executor(None, self.runtime.cache_flush)
             except asyncio.CancelledError:
                 raise
             except Exception as err:  # keep beating; surface via /cluster

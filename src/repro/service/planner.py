@@ -26,10 +26,21 @@ stored partials  ``(namespace, bundle_rev, entry       ``bundle_rev`` only:
                                                        remove — **not**
                                                        ingest
 results          request signature + the full          every ingest,
-(runtime.sqlite, version                               rotation and store
-persistent)                                            mutation; survives
-                                                       a clean restart
+(LRU, memory     version                               rotation and store
+index over                                             mutation; survives
+runtime.sqlite,                                        a clean restart.
+written behind)                                        A SIGKILL loses
+                                                       the rows put or
+                                                       hit since the last
+                                                       flush: recomputed,
+                                                       never wrong
 ===============  ====================================  ==================
+
+A query whose answer or engine is already in memory is answered by one
+memo step (:meth:`QueryPlanner.answer_in_memory`): the result probe,
+then the estimate on the memoized engine and the put.  The daemon runs it
+on its event loop without waiting for a lock; :meth:`QueryPlanner.answer`
+runs the same step, waiting, before it plans.
 
 The stored-partial memo is what a fresh query under ingest lives on: the
 merge of the stored buckets is a pure function of the store's bundle
@@ -72,6 +83,22 @@ __all__ = [
 _MAX_CACHED_ENGINES = 8
 
 _MEMO_LOOKUPS = "repro_partial_memo_lookups_total"
+
+
+class _Busy(Exception):
+    """A lock the non-blocking memo step needed was held elsewhere."""
+
+
+@contextlib.contextmanager
+def _held(lock, blocking: bool):
+    """Hold ``lock``; without ``blocking``, raise :class:`_Busy` rather
+    than wait for it."""
+    if not lock.acquire(blocking):
+        raise _Busy
+    try:
+        yield
+    finally:
+        lock.release()
 
 
 def query_request_from_params(params: dict) -> dict:
@@ -830,14 +857,14 @@ class QueryPlanner:
                     self._span_answer(spec, frame, *span, anchor),
                     anchor=anchor,
                 )
-            return self._cached(cache_key, namespace, version, lambda: result)
+            return self._put(cache_key, namespace, version, result)
 
         return self._stable(namespace, attempt)
 
     # -- answering ------------------------------------------------------------
 
     def _probe(self, key: str) -> dict | None:
-        """Persistent-cache probe; counts a hit, returns ``None`` on miss."""
+        """Result-cache probe; counts a hit, returns ``None`` on miss."""
         with self._tracer.span("cache-probe") as span:
             hit = self._runtime.cache_get(key)
             span.annotate(outcome="miss" if hit is None else "hit")
@@ -846,44 +873,101 @@ class QueryPlanner:
         self._result_cache_lookups.inc(outcome="hit")
         return {**hit, "cached": True}
 
-    def _cached(
-        self, key: str, namespace: str, version: str, compute
+    def _put(
+        self, key: str, namespace: str, version: str, result: dict,
+        blocking: bool = True,
     ) -> dict:
-        hit = self._probe(key)
-        if hit is not None:
-            return hit
-        # Sanitize *before* caching: the persistent row and the wire
-        # carry the same RFC 8259-strict form (non-finite floats as null
-        # + "non_finite" markers), so a replayed answer is
-        # byte-identical to the first serving.
-        result = sanitize_non_finite(compute())
-        self._runtime.cache_put(key, namespace, version, result)
+        """Cache one computed answer and count the miss it answered."""
+        # Sanitize *before* caching: the cache row and the wire carry
+        # the same RFC 8259-strict form (non-finite floats as null +
+        # "non_finite" markers), so a replayed answer is byte-identical
+        # to the first serving.
+        result = sanitize_non_finite(result)
+        with _held(self._runtime.cache_lock, blocking):
+            self._runtime.cache_put(key, namespace, version, result)
         self._result_cache_lookups.inc(outcome="miss")
         return {**result, "cached": False}
 
-    def _served(self, spec: QuerySpec) -> dict:
-        """Probe at the current version; on a miss, plan and evaluate.
+    def _evaluate(
+        self, spec: QuerySpec, key: str, version: str, engine, sources,
+        blocking: bool = True,
+    ) -> dict:
+        """Estimate on ``engine`` and put the answer (planner lock held)."""
+        with self._tracer.span("estimate"):
+            answer = spec.answer(engine)
+        return self._put(key, spec.namespace, version, {
+            **answer, "namespace": spec.namespace, "version": version,
+            "sources": sources,
+        }, blocking)
 
-        The first probe is the fast path — a previously served answer,
-        possibly from an earlier daemon run, needs no engine at all; the
-        second (in :meth:`_cached`) is keyed on the version the plan
-        actually read.
+    def _from_memory(
+        self, spec: QuerySpec, blocking: bool = True,
+        max_work: "int | None" = None,
+    ) -> tuple:
+        """The memo step: ``(answer | None, version, key)``.
+
+        Probes the result cache at the current version, then the engine
+        memo; an engine hit is evaluated and put, unless its union rows
+        plus the predicate's keys exceed ``max_work``.  ``None`` means
+        the caller must plan.  Without ``blocking`` a busy lock raises
+        :class:`_Busy`.  Locks are taken one at a time (manager, then
+        the cache's, then planner → cache), never the manager's together
+        with the planner's.
         """
-        namespace = spec.namespace
-        with self.manager.lock:
-            version = self.manager.version(namespace)
-        hit = self._probe(spec.cache_key(version))
+        with _held(self.manager.lock, blocking):
+            version = self.manager.version(spec.namespace)
+        key = spec.cache_key(version)
+        with _held(self._runtime.cache_lock, blocking):
+            hit = self._probe(key)
         if hit is not None:
-            return hit
-        engine, version, sources = self.plan(namespace, spec.since, spec.until)
-        with self._lock:
-            return self._cached(
-                spec.cache_key(version), namespace, version,
-                lambda: {
-                    **spec.answer(engine), "namespace": namespace,
-                    "version": version, "sources": sources,
-                },
+            return hit, version, key
+        with _held(self._lock, blocking):
+            cached = self._engine_cache_get(
+                (spec.namespace, version, spec.since, spec.until)
             )
+            if cached is None or max_work is not None and (
+                cached[1]["union_keys"] + len(spec.keys or ()) > max_work
+            ):
+                return None, version, key
+            return self._evaluate(
+                spec, key, version, *cached, blocking
+            ), version, key
+
+    def answer_in_memory(self, spec: QuerySpec, max_work: int) -> dict | None:
+        """:meth:`answer` when the memo step alone answers it, without
+        waiting for any lock; else ``None``.
+
+        For the daemon's event loop: it runs no SQL and never loads,
+        merges or builds.  ``None`` for a temporal spec, a memo miss, a
+        busy lock, or an estimate over more than ``max_work`` union rows
+        plus predicate keys.  The answer is the one :meth:`answer` gives.
+        """
+        if spec.temporal:
+            return None
+        with contextlib.suppress(_Busy):
+            return self._from_memory(spec, False, max_work)[0]
+        return None
+
+    def _served(self, spec: QuerySpec) -> dict:
+        """The memo step, waiting for its locks; on a miss, plan and
+        evaluate.
+
+        The cache key is computed once and probed once — again only when
+        the plan read a newer version than the memo step did.
+        """
+        answer, version, key = self._from_memory(spec)
+        if answer is not None:
+            return answer
+        engine, planned, sources = self.plan(
+            spec.namespace, spec.since, spec.until
+        )
+        if planned != version:
+            version, key = planned, spec.cache_key(planned)
+            hit = self._probe(key)
+            if hit is not None:
+                return hit
+        with self._lock:
+            return self._evaluate(spec, key, version, engine, sources)
 
     def answer(self, spec: QuerySpec) -> dict:
         """Answer one validated query over the merged live + stored view.

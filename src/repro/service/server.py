@@ -76,6 +76,13 @@ from repro.store.store import SummaryStore
 
 __all__ = ["SummaryService", "ServiceThread"]
 
+#: the most union rows plus predicate keys a query may estimate on the
+#: event-loop thread; a larger one is answered on the executor.  Over
+#: about 3.4k rows a memoized engine's key_in estimate took 0.1 ms, and
+#: the first one on an engine (it builds the key index) 0.6-0.8 ms, on a
+#: 2-CPU host
+LOOP_WORK_ROWS = 1 << 12
+
 
 class SummaryService(HttpServerBase):
     """The ``repro-serve`` daemon (see module docstring)."""
@@ -221,14 +228,16 @@ class SummaryService(HttpServerBase):
             return {**result, "events": events}
 
     async def _ticker(self) -> None:
-        """Rotate on bucket boundaries; compact on the configured cadence;
-        re-evaluate due continuous-query registrations."""
+        """Rotate on bucket boundaries; write the result cache behind;
+        compact on the configured cadence; re-evaluate due
+        continuous-query registrations."""
         loop = asyncio.get_running_loop()
         last_compact = time.monotonic()
         while True:
             await asyncio.sleep(self.config.tick_s)
             try:
                 await loop.run_in_executor(None, self.manager.rotate)
+                await loop.run_in_executor(None, self.runtime.cache_flush)
                 if (
                     self.config.compact_to is not None
                     and time.monotonic() - last_compact
@@ -380,15 +389,24 @@ class SummaryService(HttpServerBase):
         return QuerySpec.parse(request, self.manager.configs)
 
     async def _handle_query(self, params, body):
+        """Answer from memory on the loop when the planner's memo step
+        can without waiting (see :meth:`QueryPlanner.answer_in_memory`);
+        anything else — a plan, a temporal spec, a busy lock — on the
+        executor.  The request span is tagged ``path=loop|executor``."""
         with self.tracer.span("parse"):
             spec = self._parse_query(self._query_fields(params, body))
         self.count["queries"].inc()
-        loop = asyncio.get_running_loop()
-        # executor threads do not inherit the task's context: carry the
-        # request span over so planner child spans join this trace
-        result = await loop.run_in_executor(
-            None, bind_parent, current_span(), self.planner.answer, spec
-        )
+        request, path = current_span(), "loop"
+        result = self.planner.answer_in_memory(spec, LOOP_WORK_ROWS)
+        if result is None:
+            path = "executor"
+            # executor threads do not inherit the task's context: carry
+            # the request span over so planner child spans join this trace
+            result = await asyncio.get_running_loop().run_in_executor(
+                None, bind_parent, request, self.planner.answer, spec
+            )
+        if request is not None:
+            request.annotate(path=path)
         return 200, {"ok": True, **result}
 
     async def _handle_watch_register(self, params, body):

@@ -547,17 +547,20 @@ class LiveWindowManager:
         stream bit-identically.  Every window's checkpoint and ingest
         position commit in one transaction; a restart that resumes a
         checkpoint frozen at the stream head keeps the version token (and
-        the answers cached under it).  Windows stay usable after
+        the answers cached under it).  The result cache's pending rows
+        are written in the same transaction.  Windows stay usable after
         checkpointing.
         """
         with self._lock, self.store.transaction():
-            return [
+            written = [
                 self._write_checkpoint(
                     name, window, window.summarizer.checkpoint_state()
                 )
                 for name, window in self._windows.items()
                 if window.events
             ]
+            self.store.runtime.cache_flush()
+            return written
 
     def __repr__(self) -> str:
         return (

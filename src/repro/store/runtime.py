@@ -21,22 +21,26 @@ files or evaporate with the process:
   clean restart (which is what lets the result cache below keep
   serving across daemon restarts);
 * a **persistent query-result cache** — answers keyed by the planner's
-  version fingerprint with hit counts and timestamps, evicted
-  coldest-first (fewest hits, then least recently hit) at a capacity
-  bound;
+  version fingerprint with hit counts and timestamps, evicted least
+  recently used first at a capacity bound.  Its rows live in memory,
+  loaded once at open: a probe or a put runs no SQL, and
+  :meth:`RuntimeStore.cache_flush` writes what changed since the last
+  flush (puts, hit counts, evictions) behind, in one transaction;
 * a coordinator's **membership** and **repair journal**, a worker's
   **continuous-query registrations**.
 
 No event counts live here (a daemon's registry counts them, per
 process): the tallies :meth:`RuntimeStore.stats` reports are durable,
-each read from its own table.
+each read from its own table — the result cache's from its rows in
+memory, which the next flush writes.
 
 Concurrency: every connection takes a process-wide thread lock around
 its statements and relies on SQLite's own cross-process locking (WAL +
 ``busy_timeout``) between processes, so several ``SummaryStore`` writers
 sharing one root compose without an advisory lock file.  A transaction
 that cannot acquire the database write lock within the timeout raises
-:class:`TimeoutError`.
+:class:`TimeoutError`.  The in-memory result cache has a lock of its own
+(:attr:`RuntimeStore.cache_lock`), never held across a statement.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ import json
 import sqlite3
 import threading
 import time
+from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.store.codec import UnsupportedFormatError
@@ -163,6 +169,27 @@ def _json_default(obj):
     )
 
 
+@dataclass(slots=True)
+class _CachedAnswer:
+    """One result-cache row held in memory (``payload`` as persisted)."""
+
+    namespace: str
+    version: str
+    payload: str
+    hits: int
+    created_at: float
+    last_hit_at: float
+
+
+_CACHE_UPSERT = (
+    "INSERT INTO query_cache (key, namespace, version, payload, hits, "
+    "created_at, last_hit_at) VALUES (?, ?, ?, ?, ?, ?, ?) "
+    "ON CONFLICT(key) DO UPDATE SET payload = excluded.payload, "
+    "version = excluded.version, hits = excluded.hits, "
+    "last_hit_at = excluded.last_hit_at"
+)
+
+
 class RuntimeStore:
     """Thread-safe handle on one store root's ``runtime.sqlite``.
 
@@ -180,6 +207,12 @@ class RuntimeStore:
         self.timeout = timeout
         self._lock = threading.RLock()
         self._depth = 0
+        self._cache_lock = threading.RLock()
+        # the query_cache rows, least recently used first, and the keys
+        # changed (put or hit) / evicted since the last flush
+        self._results: OrderedDict[str, _CachedAnswer] = OrderedDict()
+        self._dirty: set[str] = set()
+        self._evicted: set[str] = set()
         self._conn = sqlite3.connect(
             self.path, timeout=timeout, check_same_thread=False,
             isolation_level=None,
@@ -217,6 +250,12 @@ class RuntimeStore:
         self._migrate_columns()
         if version is None:
             self.set_meta("schema_version", str(_SCHEMA_VERSION))
+        for row in self._conn.execute(
+            "SELECT key, namespace, version, payload, hits, created_at, "
+            "last_hit_at FROM query_cache ORDER BY last_hit_at, created_at"
+        ):
+            self._results[row["key"]] = _CachedAnswer(*tuple(row)[1:])
+        self._evict(RESULT_CACHE_ENTRIES)
 
     def _upgrade_v1(self) -> None:
         """Upgrade a v1 tier in place — only while its manifest is empty.
@@ -266,8 +305,12 @@ class RuntimeStore:
             )
 
     def close(self) -> None:
+        """Flush the result cache, then close the connection."""
         with self._lock:
-            self._conn.close()
+            try:
+                self.cache_flush()
+            finally:
+                self._conn.close()
 
     # -- transactions ---------------------------------------------------------
 
@@ -550,20 +593,32 @@ class RuntimeStore:
 
     # -- persistent query-result cache ----------------------------------------
 
+    @property
+    def cache_lock(self) -> threading.RLock:
+        """The in-memory result cache's lock.
+
+        Held only around dictionary work, never across SQL, so a caller
+        that must not wait (the daemon's event loop) can take it with
+        ``acquire(blocking=False)`` and go elsewhere when it is busy.
+        """
+        return self._cache_lock
+
     def cache_get(self, key: str) -> dict | None:
-        """The cached payload for ``key``, bumping its hit count — or None."""
-        with self.transaction():
-            row = self._conn.execute(
-                "SELECT payload FROM query_cache WHERE key = ?", (key,)
-            ).fetchone()
+        """The cached payload for ``key``, bumping its hit count — or None.
+
+        Memory only: the hit reaches ``runtime.sqlite`` at the next
+        :meth:`cache_flush`.
+        """
+        with self._cache_lock:
+            row = self._results.get(key)
             if row is None:
                 return None
-            self._conn.execute(
-                "UPDATE query_cache SET hits = hits + 1, last_hit_at = ? "
-                "WHERE key = ?",
-                (time.time(), key),
-            )
-        return json.loads(row["payload"])
+            self._results.move_to_end(key)
+            row.hits += 1
+            row.last_hit_at = time.time()
+            self._dirty.add(key)
+            payload = row.payload
+        return json.loads(payload)
 
     def cache_put(
         self,
@@ -573,11 +628,13 @@ class RuntimeStore:
         payload: dict,
         max_entries: int = RESULT_CACHE_ENTRIES,
     ) -> None:
-        """Persist one computed answer; evict coldest entries past capacity.
+        """Keep one computed answer; evict least recently used entries
+        past capacity, never the one just put.
 
-        Eviction is hit-count-based: the entries with the fewest hits
-        (ties broken by least-recent hit) go first, so hot repeated
-        queries survive restarts and version churn.
+        Memory only: the row reaches ``runtime.sqlite`` at the next
+        :meth:`cache_flush`, so a process killed before it loses the row
+        (the next start recomputes that answer, it never serves a wrong
+        one).
         """
         # allow_nan=False: cache rows obey the same RFC 8259-strict
         # contract as the wire (the planner sanitizes non-finite floats
@@ -587,41 +644,89 @@ class RuntimeStore:
         # unparseable row.
         blob = json.dumps(payload, default=_json_default, allow_nan=False)
         now = time.time()
-        with self.transaction():
-            self._conn.execute(
-                "INSERT INTO query_cache (key, namespace, version, payload, "
-                "hits, created_at, last_hit_at) VALUES (?, ?, ?, ?, 0, ?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET "
-                "payload = excluded.payload, version = excluded.version, "
-                "last_hit_at = excluded.last_hit_at",
-                (key, namespace, version, blob, now, now),
-            )
-            count = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM query_cache"
-            ).fetchone()["n"]
-            if count > max_entries:
-                self._conn.execute(
-                    "DELETE FROM query_cache WHERE key IN ("
-                    "SELECT key FROM query_cache "
-                    "ORDER BY hits ASC, last_hit_at ASC LIMIT ?)",
-                    (count - max_entries,),
+        with self._cache_lock:
+            row = self._results.get(key)
+            if row is None:
+                self._results[key] = _CachedAnswer(
+                    namespace, version, blob, 0, now, now
                 )
+            else:
+                row.version, row.payload, row.last_hit_at = version, blob, now
+                self._results.move_to_end(key)
+            self._dirty.add(key)
+            self._evicted.discard(key)
+            self._evict(max_entries)
+
+    def _evict(self, max_entries: int) -> None:
+        """Drop least recently used rows down to ``max_entries`` (at
+        least the most recent row stays); the caller holds the lock."""
+        while len(self._results) > max(1, max_entries):
+            key, _row = self._results.popitem(last=False)
+            self._dirty.discard(key)
+            self._evicted.add(key)
+
+    def cache_flush(self) -> int:
+        """Write the result cache's changes since the last flush —
+        puts, hit counts and evictions — in one transaction; returns the
+        rows written or deleted.
+
+        The cache lock is held only to take the changes, never across
+        the SQL; the connection lock is held throughout, so a
+        :meth:`cache_purge` cannot interleave and be undone.  A failed
+        write leaves the changes pending for the next flush.
+        """
+        with self._lock:
+            with self._cache_lock:
+                rows = [
+                    (key, row.namespace, row.version, row.payload, row.hits,
+                     row.created_at, row.last_hit_at)
+                    for key in self._dirty
+                    for row in (self._results[key],)
+                ]
+                gone = [(key,) for key in self._evicted]
+                self._dirty, self._evicted = set(), set()
+            if not rows and not gone:
+                return 0
+            try:
+                with self.transaction():
+                    self._conn.executemany(
+                        "DELETE FROM query_cache WHERE key = ?", gone
+                    )
+                    self._conn.executemany(_CACHE_UPSERT, rows)
+            except BaseException:
+                with self._cache_lock:
+                    self._dirty.update(
+                        row[0] for row in rows if row[0] in self._results
+                    )
+                    self._evicted.update(
+                        key for (key,) in gone if key not in self._results
+                    )
+                raise
+            return len(rows) + len(gone)
 
     def cache_purge(self, fragment: str) -> None:
         """Delete the cached answers whose version string contains
-        ``fragment``."""
-        with self.transaction():
-            self._conn.execute(
-                "DELETE FROM query_cache WHERE instr(version, ?) > 0",
-                (fragment,),
-            )
+        ``fragment`` — from memory and, at once, from ``runtime.sqlite``
+        (a purge is what keeps a reissued version token from hitting a
+        stale row, so it is not written behind)."""
+        with self._lock:
+            with self._cache_lock:
+                for key in [
+                    key for key, row in self._results.items()
+                    if fragment in row.version
+                ]:
+                    del self._results[key]
+                    self._dirty.discard(key)
+            with self.transaction():
+                self._conn.execute(
+                    "DELETE FROM query_cache WHERE instr(version, ?) > 0",
+                    (fragment,),
+                )
 
     def cache_stats(self) -> dict:
-        row = self._execute(
-            "SELECT COUNT(*) AS entries, COALESCE(SUM(hits), 0) AS hits "
-            "FROM query_cache"
-        ).fetchone()
-        return {"entries": int(row["entries"]), "hits": int(row["hits"])}
+        """Entries and total hits, read from memory without a lock."""
+        rows = list(self._results.values())
+        return {"entries": len(rows), "hits": sum(row.hits for row in rows)}
 
     # -- cluster membership (coordinator runtime tier) ------------------------
 
