@@ -647,11 +647,16 @@ def build_summary_from_sketches(
     Sketch ``keys`` are raw key identifiers here; the resulting summary
     carries them in ``summary.keys`` (each key object as first met, in
     first-encounter order over the sketches) and uses row indices
-    internally.  Sketches whose key arrays share one integer dtype (as
-    :meth:`~repro.engine.ShardedSummarizer.summary` passes them) are
-    united by sorting; any others (object, mixed, bool or float keys) by
-    one dictionary pass, which the summary keeps as its
-    :attr:`~MultiAssignmentSummary.key_index`.  Either way each sketch's
+    internally.  Sketches whose key arrays share one integer dtype are
+    united by sorting — those of an integer-keyed
+    :class:`~repro.engine.ShardedSummarizer`, whether taken in process,
+    decoded from a stored or fetched bundle (int64) or merged from such
+    bundles; any others (object, mixed, bool or float keys, and uint64
+    keys beyond int64 once decoded) by one dictionary pass, which the
+    summary keeps as its :attr:`~MultiAssignmentSummary.key_index`.
+    ``summary.keys`` holds Python objects either way (an integer union's
+    ``tolist()``), so a key dictionary or a JSON answer cannot tell the
+    two apart.  Either way each sketch's
     ranks, weights and seeds then land with one fancy-index assignment
     per column, later sketches overwriting a shared key's seed.
     """

@@ -44,30 +44,60 @@ __all__ = [
 ]
 
 _INF = math.inf
+_NO_KEYS = np.empty(0, dtype=np.int64)
 
 
-def refuse_duplicates(seen: set, keys) -> None:
-    """Raise the merges' duplicate-key ``ValueError`` for a key in ``seen``."""
-    if not seen.isdisjoint(keys):
-        raise ValueError(
-            f"key {next(iter(seen.intersection(keys)))!r} is present in more "
-            "than one sketch; merging requires key-disjoint partitions "
-            "(aggregate per key before sampling, or partition the stream by "
-            "key)"
-        )
+def _refuse(key) -> None:
+    raise ValueError(
+        f"key {key!r} is present in more than one sketch; merging requires "
+        "key-disjoint partitions (aggregate per key before sampling, or "
+        "partition the stream by key)"
+    )
 
 
-def disjoint_union(key_sets) -> set:
-    """Union of the parts' key sets, refusing a key two parts share."""
+def _typed(keys) -> bool:
+    return isinstance(keys, np.ndarray) and keys.dtype == np.int64
+
+
+def disjoint_union(parts):
+    """Union of the parts' keys, refusing a key present twice.
+
+    A part is a key array or an earlier union.  When every non-empty part
+    is an int64 array, the check is one concatenate + sort + adjacent-equal
+    and the union a sorted int64 array; otherwise the union is a ``set``
+    (keys of any hashable type, as the sketches hold them).
+    """
+    parts = [part for part in parts if len(part)]
+    if all(map(_typed, parts)):
+        union = np.sort(np.concatenate(parts)) if parts else _NO_KEYS
+        shared = union[1:][union[1:] == union[:-1]]
+        if len(shared):
+            _refuse(shared[0].item())
+        return union
     seen: set = set()
-    for members in key_sets:
+    for part in parts:
+        members = part.tolist() if isinstance(part, np.ndarray) else part
         refuse_duplicates(seen, members)
         seen.update(members)
     return seen
 
 
-def _check_disjoint(sketches) -> None:
-    disjoint_union(sk.keys.tolist() for sk in sketches)
+def refuse_duplicates(seen, keys) -> None:
+    """Raise the merges' duplicate-key ``ValueError`` for a key of ``keys``
+    in ``seen``, a :func:`disjoint_union` (the smallest such key when both
+    hold int64 keys: a binary search of ``seen``)."""
+    if isinstance(seen, np.ndarray) and _typed(keys):
+        if len(seen) and len(keys):
+            at = np.searchsorted(seen, keys).clip(max=len(seen) - 1)
+            shared = keys[seen[at] == keys]
+            if len(shared):
+                _refuse(shared.min().item())
+        return
+    members = keys.tolist() if isinstance(keys, np.ndarray) else keys
+    if isinstance(seen, np.ndarray):
+        seen = set(seen.tolist())
+    if not seen.isdisjoint(members):
+        _refuse(next(iter(seen.intersection(members))))
 
 
 def _concat_entries(sketches):
@@ -77,7 +107,11 @@ def _concat_entries(sketches):
         first = sketches[0]
         seeds = None if first.seeds is None else np.empty(0, dtype=float)
         return first.keys[:0].copy(), np.empty(0), np.empty(0), seeds
-    keys = np.concatenate([sk.keys for sk in non_empty])
+    keys = [sk.keys for sk in non_empty]
+    if len({part.dtype for part in keys}) > 1:
+        # never a lossy promotion (int64 beside uint64 is float64)
+        keys = [part.astype(object) for part in keys]
+    keys = np.concatenate(keys)
     ranks = np.concatenate([sk.ranks for sk in non_empty]).astype(float)
     weights = np.concatenate([sk.weights for sk in non_empty]).astype(float)
     if all(sk.seeds is not None for sk in non_empty):
@@ -97,8 +131,8 @@ def merge_bottomk(
     same hasher) would produce over the concatenated partitions — including
     ``kth_rank`` and ``threshold``, so rank-conditioning estimators apply
     to merged sketches unchanged.  ``disjoint=True`` is a caller's word
-    that it already refused duplicate keys (:func:`disjoint_union` over
-    the parts' key sets), so the merge does not build those sets again.
+    that it already refused duplicate keys (:func:`disjoint_union` of the
+    parts' keys), so the merge does not check them again.
 
     >>> from repro.sampling.bottomk import bottomk_from_ranks
     >>> r = np.array([0.3, 0.1, 0.7, 0.2])
@@ -121,7 +155,7 @@ def merge_bottomk(
         if sk.k != k:
             raise ValueError(f"sketch sizes differ: got k={sk.k}, expected {k}")
     if not disjoint:
-        _check_disjoint(sketches)
+        disjoint_union([sk.keys for sk in sketches])
     keys, ranks, weights, seeds = _concat_entries(sketches)
     order = np.argsort(ranks, kind="stable")
     sample = order[: min(k, len(order))]
@@ -162,7 +196,7 @@ def merge_poisson(
                 f"Poisson thresholds differ: got tau={sk.tau}, expected {tau}"
             )
     if not disjoint:
-        _check_disjoint(sketches)
+        disjoint_union([sk.keys for sk in sketches])
     keys, ranks, weights, seeds = _concat_entries(sketches)
     order = np.argsort(ranks, kind="stable")
     return PoissonSketch(

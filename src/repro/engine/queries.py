@@ -160,6 +160,7 @@ class QueryEngine:
         bundles,
         dataset: MultiAssignmentDataset | None = None,
         scales: "Sequence[float] | None" = None,
+        disjoint: bool = False,
     ) -> "QueryEngine":
         """Engine over the exact merge of several sketch bundles.
 
@@ -170,7 +171,8 @@ class QueryEngine:
         offline run over the equivalently merged artifacts.  Raises
         ``ValueError`` on an empty bundle list, on incompatible
         coordination metadata, and on duplicate keys (not a key-disjoint
-        partition).
+        partition) unless ``disjoint=True`` says the caller refused them
+        already (see :meth:`~repro.store.codec.SketchBundle.merge`).
 
         ``scales`` (one positive factor per bundle) applies
         :meth:`~repro.store.codec.SketchBundle.scaled` before merging —
@@ -189,7 +191,7 @@ class QueryEngine:
                     f"for {len(bundles)} bundles"
                 )
             bundles = [b.scaled(s) for b, s in zip(bundles, scales)]
-        merged = bundles[0].merge(*bundles[1:])
+        merged = bundles[0].merge(*bundles[1:], disjoint=disjoint)
         return cls(merged.summary(), dataset)
 
     @classmethod

@@ -62,7 +62,6 @@ streams that share the hasher salt publish bundles that
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
@@ -134,18 +133,18 @@ class ShardEntries(NamedTuple):
     seeds: np.ndarray = _NO_FLOATS
 
     def sketch(self, k: int) -> BottomKSketch:
-        """The table's bottom-k sketch, as a stream sampler would emit it
-        (object keys)."""
-        return dataclasses.replace(
-            self.sample(k), keys=self.keys[:k].astype(object)
-        )
+        """The table's bottom-k sketch, as a stream sampler would emit it.
 
-    def sample(self, k: int) -> BottomKSketch:
-        """:meth:`sketch` with the keys in the table's own dtype."""
+        An integer table's keys keep their dtype — one array the codec
+        writes as the Python ints it holds, the duplicate checks sort and
+        the summary unites by sorting; float and bool keys are Python
+        objects, as the sampler's are.
+        """
         held = len(self.ranks)
+        keys = self.keys[:k]
         return BottomKSketch(
             k=k,
-            keys=self.keys[:k],
+            keys=keys if keys.dtype.kind in "iuO" else keys.astype(object),
             ranks=self.ranks[:k],
             weights=self.weights[:k],
             kth_rank=float(self.ranks[k - 1]) if held >= k else math.inf,
@@ -790,18 +789,12 @@ class ShardedSummarizer:
     def summary(self) -> MultiAssignmentSummary:
         """Assemble the dispersed multi-assignment summary.
 
-        Equals :func:`~repro.core.summary.build_summary_from_sketches` of
-        :meth:`sketches`, but from samples that keep the tables' typed
-        key columns, so a summarizer of one integer key dtype unites its
-        samples by sorting.
+        :func:`~repro.core.summary.build_summary_from_sketches` of
+        :meth:`sketches`: an integer table's sample keeps its integer key
+        column, so the samples unite by sorting.
         """
-        self._fold()
-        samples = {
-            name: shard.state.entries.sample(self.k)
-            for name, shard in self._shards.items()
-        }
         return build_summary_from_sketches(
-            samples, self.family, method_name="shared_seed"
+            self._current_sketches(), self.family, method_name="shared_seed"
         )
 
     def sketch_bundle(self) -> "SketchBundle":

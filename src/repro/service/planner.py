@@ -344,11 +344,13 @@ class QuerySpec:
 class StoredPartial:
     """The exact merge of some stored entries — one memo value.
 
-    ``sample_keys`` keeps, per assignment, every key any part sampled: a
-    superset of the merged sketches' keys, because a merge drops all but
-    the k smallest ranks.  A later merge checks against it, so a key that
-    recurs in a part still raises the merges' duplicate-key ``ValueError``
-    even when an earlier merge no longer carries it.
+    ``sample_keys`` keeps, per assignment, every key any part sampled, as
+    :func:`~repro.engine.merge.disjoint_union` holds them (one sorted
+    int64 array for integer keys, a set for generic ones): a superset of
+    the merged sketches' keys, because a merge drops all but the k
+    smallest ranks.  A later merge checks against it, so a key that
+    recurs in a part still raises the merges' duplicate-key
+    ``ValueError`` even when an earlier merge no longer carries it.
     """
 
     bundle: object  # SketchBundle, parts merged in entry order
@@ -358,17 +360,18 @@ class StoredPartial:
     @classmethod
     def leaf(cls, bundle) -> "StoredPartial":
         return cls(bundle, {
-            name: set(sk.keys.tolist()) for name, sk in bundle.sketches.items()
+            name: disjoint_union([sk.keys])
+            for name, sk in bundle.sketches.items()
         }, 1)
 
     @classmethod
     def merged(cls, parts: "Sequence[StoredPartial]") -> "StoredPartial":
         # the unions are the duplicate-key check, built once and kept
         sample_keys = {
-            name: disjoint_union(
+            name: disjoint_union([
                 part.sample_keys[name]
                 for part in parts if name in part.sample_keys
-            )
+            ])
             for name in dict.fromkeys(n for p in parts for n in p.sample_keys)
         }
         bundle = parts[0].bundle.merge(
@@ -380,7 +383,7 @@ class StoredPartial:
         """Raise if the live bundle sampled a key a stored part sampled."""
         for name, sketch in live.sketches.items():
             if name in self.sample_keys:
-                refuse_duplicates(self.sample_keys[name], sketch.keys.tolist())
+                refuse_duplicates(self.sample_keys[name], sketch.keys)
 
 
 def view_bundles(stored: "StoredPartial | None", live) -> list:
@@ -721,7 +724,7 @@ class QueryPlanner:
         with self._tracer.span(
             "engine-build", namespace=namespace, bundles=len(bundles)
         ):
-            engine = QueryEngine.from_bundles(bundles)
+            engine = QueryEngine.from_bundles(bundles, disjoint=True)
         self._engine_build_seconds.observe(time.perf_counter() - build_started)
         sources["union_keys"] = engine.summary.n_union
         engine, sources = self._engine_cache_put(

@@ -35,11 +35,16 @@ produce equal bytes.
 Key arrays are stored raw when their dtype allows (ints, floats, bools,
 fixed-width str/bytes) and otherwise element-wise with a tagged packing
 that covers every key type the hash layer accepts (int of any magnitude,
-float, str, bytes, bool, and arbitrarily nested tuples).  A key list of
-plain Python ints that all fit int64 — what a summarizer's object key
-arrays usually hold — is packed and read back in one NumPy pass over a
-``(tag, <i8)`` record array instead of one interpreted step per key; the
-bytes are exactly the per-key packer's, so the format is unchanged.
+float, str, bytes, bool, and arbitrarily nested tuples).  A sketch's key
+column is always tag-packed when it holds integers: an integer table's
+sketch carries its int64 (or other integer) column, and the column is
+written in one NumPy pass into a ``(tag, <i8)`` record array — exactly
+the bytes the per-key packer writes for the same keys as Python ints, so
+typed and object sketches of one sample encode alike and the format is
+unchanged.  The way back is one pass too: a sketch's key buffer whose
+keys are all ``b"i"``-tagged reads as an int64 array
+(:meth:`_BlobReader.key_array`); any other key buffer — and every key
+buffer read through :meth:`_BlobReader.array` — reads as Python objects.
 
 The same layout carries **ingest frames** (kind ``event_batch``): the
 header names the section namespaces in order and each ``part<i>`` buffer
@@ -393,19 +398,23 @@ def _pack_key(value: Hashable, out: bytearray) -> None:
 _TAGGED_I64 = np.dtype([("tag", "S1"), ("value", "<i8")])
 
 
+def _pack_ints(ints: np.ndarray) -> bytes:
+    """Integers that fit int64, packed in one pass into the bytes the
+    per-key loop writes for them as Python ints."""
+    packed = np.empty(len(ints), dtype=_TAGGED_I64)
+    packed["tag"] = b"i"
+    packed["value"] = ints
+    return packed.tobytes()
+
+
 def _pack_keys(values: Sequence[Hashable]) -> bytes:
     # plain ints (not bools, not numpy scalars) that fit int64 are packed
-    # in one pass, into the same bytes as the per-key loop
+    # in one pass
     if values and set(map(type, values)) == {int}:
         try:
-            ints = np.array(values, dtype=np.int64)
+            return _pack_ints(np.array(values, dtype=np.int64))
         except OverflowError:
             pass
-        else:
-            packed = np.empty(len(ints), dtype=_TAGGED_I64)
-            packed["tag"] = b"i"
-            packed["value"] = ints
-            return packed.tobytes()
     out = bytearray()
     for value in values:
         _pack_key(value, out)
@@ -542,6 +551,18 @@ class _BlobWriter:
                 f"cannot serialize array {name!r} of dtype {arr.dtype}"
             )
 
+    def add_key_column(self, name: str, keys: np.ndarray) -> None:
+        """Store a sketch's key column: an integer column tag-packed (the
+        bytes of its keys as Python ints), any other as :meth:`add_array`."""
+        if keys.dtype.kind not in "iu":
+            self.add_array(name, keys)
+        elif keys.dtype.kind == "u" and len(keys) and keys.max() > _INT64_MAX:
+            self.add_keys(name, keys.tolist())
+        else:
+            self._append(
+                name, _pack_ints(keys), {"enc": "obj", "count": len(keys)}
+            )
+
     def add_keys(self, name: str, values: Sequence[Hashable]) -> None:
         """Store a sequence of key identifiers with the tagged packing."""
         values = list(values)
@@ -670,6 +691,16 @@ class _BlobReader:
         ).reshape(shape)
         return arr.copy() if self.writable else arr
 
+    def key_array(self, name: str) -> np.ndarray:
+        """A sketch's key column: :meth:`array`, except that a buffer of
+        ``b"i"``-tagged keys only reads as one int64 array."""
+        spec = self.arrays.get(name)
+        if isinstance(spec, dict) and spec.get("enc") == "obj":
+            ints = _tagged_ints(self._slice(spec), spec.get("count"))
+            if ints is not None:
+                return ints.copy()  # contiguous and aligned
+        return self.array(name)
+
     def keys(self, name: str) -> list[Hashable]:
         spec = self._spec(name, "obj")
         return _unpack_keys(self._slice(spec), spec["count"])
@@ -767,7 +798,7 @@ def _hasher_salt(hasher: KeyHasher) -> int:
 
 def _encode_bottomk_sketch(sk: BottomKSketch) -> bytes:
     writer = _BlobWriter("bottomk_sketch", {"k": sk.k})
-    writer.add_array("keys", sk.keys)
+    writer.add_key_column("keys", sk.keys)
     writer.add_array("ranks", np.asarray(sk.ranks, dtype="<f8"))
     writer.add_array("weights", np.asarray(sk.weights, dtype="<f8"))
     writer.add_scalars("scalars", [sk.kth_rank, sk.threshold])
@@ -780,7 +811,7 @@ def _decode_bottomk_sketch(reader: _BlobReader) -> BottomKSketch:
     kth_rank, threshold = reader.scalars("scalars", 2)
     return BottomKSketch(
         k=int(reader.meta["k"]),
-        keys=reader.array("keys"),
+        keys=reader.key_array("keys"),
         ranks=reader.array("ranks"),
         weights=reader.array("weights"),
         kth_rank=kth_rank,
@@ -791,7 +822,7 @@ def _decode_bottomk_sketch(reader: _BlobReader) -> BottomKSketch:
 
 def _encode_poisson_sketch(sk: PoissonSketch) -> bytes:
     writer = _BlobWriter("poisson_sketch", {})
-    writer.add_array("keys", sk.keys)
+    writer.add_key_column("keys", sk.keys)
     writer.add_array("ranks", np.asarray(sk.ranks, dtype="<f8"))
     writer.add_array("weights", np.asarray(sk.weights, dtype="<f8"))
     writer.add_scalars("scalars", [sk.tau])
@@ -804,7 +835,7 @@ def _decode_poisson_sketch(reader: _BlobReader) -> PoissonSketch:
     (tau,) = reader.scalars("scalars", 1)
     return PoissonSketch(
         tau=tau,
-        keys=reader.array("keys"),
+        keys=reader.key_array("keys"),
         ranks=reader.array("ranks"),
         weights=reader.array("weights"),
         seeds=reader.array("seeds") if reader.has("seeds") else None,

@@ -58,9 +58,17 @@ def offline_engine(batches) -> QueryEngine:
     return QueryEngine(summarizer.summary())
 
 
+#: 2026-01-01T00:10:30Z, mid-minute: the ``service`` fixture's clock
+#: stands still there, so no bucket boundary can rotate the live window
+#: between two requests of a test
+MID_BUCKET = 1_767_226_230.0
+
+
 @pytest.fixture
 def service(tmp_path):
-    with ServiceThread(make_config(tmp_path / "store")) as thread:
+    with ServiceThread(
+        make_config(tmp_path / "store"), clock=lambda: MID_BUCKET
+    ) as thread:
         client = ServiceClient(port=thread.service.port)
         client.wait_ready()
         yield thread, client

@@ -504,7 +504,7 @@ class TestDuplicateRefusal:
         """A stored sample key the stored merge no longer carries."""
         stored, _live, _version, _sources = planner.view("web")
         kept = set(stored.bundle.sketches["h1"].keys.tolist())
-        dropped = sorted(stored.sample_keys["h1"] - kept)
+        dropped = sorted(set(stored.sample_keys["h1"].tolist()) - kept)
         assert dropped, "the merge must have dropped sample keys"
         return dropped[0]
 
