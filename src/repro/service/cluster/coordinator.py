@@ -6,28 +6,29 @@ own — its state is a :class:`~repro.store.runtime.RuntimeStore`
 (``runtime.sqlite`` under its root) holding the worker membership table,
 the persistent query-result cache, and the routing health bookkeeping —
 and it answers a query from one sketch bundle per key slot, merged in
-slot order with :meth:`~repro.engine.queries.QueryEngine.from_bundles`.
-Because slots partition the key space and the bundle merge is exact, the
-merged answer is bit-identical to an offline single-process engine over
-the union of every ingested event.
+slot order by the worker's own
+:class:`~repro.service.planner.QueryPlanner`, for which the coordinator
+is the source.  Because slots partition the key space and the bundle
+merge is exact, the merged answer is bit-identical to an offline
+single-process engine over the union of every ingested event.
 
 The routes are ``CoordinatorService.routes``; ``/query`` speaks the
 worker's grammar (:class:`~repro.service.planner.QuerySpec`) minus the
 temporal fields, ``/ingest`` takes the worker's JSON body or a
 one-section ``event_batch`` frame, through the worker's accept step.
 
-**Query gather.**  Per query every contacted worker gets **one**
-conditional ``GET /bundle`` naming the slots asked of it and the version
-token the coordinator already holds for each, workers in parallel; the
-reply is one CRC-checked codec ``bundle_batch`` frame in which a slot
-whose token still matches is an ``unchanged`` marker.  A memo keyed
-``(namespace, slot, worker, since, until)`` keeps each slot's
-``(version, decoded bundle)`` — a new version replaces the old — and,
-per ``(namespace, since, until)``, the engine merged from the current
-version vector: a query over unchanged slots moves tokens, not bundles,
-and reuses the engine.  A worker that is unreachable, answers an error
-or sends a frame that does not decode did not answer: its slots are
-re-asked of their next usable owner.
+**Query gather.**  The planner's source read is the gather: per query
+every contacted worker gets **one** conditional ``GET /bundle`` naming
+the slots asked of it and the version token the coordinator already
+holds for each, workers in parallel; the reply is one CRC-checked codec
+``bundle_batch`` frame in which a slot whose token still matches is an
+``unchanged`` marker.  A memo keyed ``(namespace, slot, worker, since,
+until)`` keeps each slot's ``(version, decoded bundle)`` — a new version
+replaces the old — so a query over unchanged slots moves tokens, not
+bundles, and the planner's engine memo still holds the engine merged
+from them.  A worker that is unreachable, answers an error or sends a
+frame that does not decode did not answer: its slots are re-asked of
+their next usable owner.
 
 **The partial-answer contract.**  An answer is either exact or loudly
 ``partial`` — never silently wrong:
@@ -48,10 +49,11 @@ re-asked of their next usable owner.
   answer partial.
 
 Partial answers are never cached.  Exact answers cache in the runtime
-tier keyed on the **version vector** — the sorted per-slot
-``(slot, worker, version-token)`` triples — so a repeated query against
-an unchanged cluster costs one SQLite lookup, and any ingest, rotation,
-or failover that changes which data would be merged changes the key.
+tier's result cache keyed on the **version vector** — the sorted
+per-slot ``(slot, worker, version-token)`` triples — so a repeated query
+against an unchanged cluster costs one gather of ``unchanged`` markers
+and an in-memory probe, and any ingest, rotation, or failover that
+changes which data would be merged changes the key.
 
 **Routed ingest.**  The coordinator is the cluster's only ingest
 router.  ``POST /ingest`` validates the whole client batch with the
@@ -102,7 +104,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.engine.queries import QueryEngine
 from repro.obs import bind_parent, current_span
 from repro.ranks.hashing import _key_to_int, splitmix64
 from repro.service.client import ServiceClient, ServiceError
@@ -116,8 +117,7 @@ from repro.service.httpbase import (
     HttpServerBase,
     _HttpError,
 )
-from repro.service.jsonutil import sanitize_non_finite
-from repro.service.planner import QuerySpec
+from repro.service.planner import QueryPlanner, QuerySpec, SourceView
 from repro.service.cluster.repair import RepairPlanner
 from repro.service.cluster.topology import (
     ClusterTopology,
@@ -154,10 +154,8 @@ WORKER_RETRIES = 1
 #: (the threads of the one long-lived fan-out pool)
 _FANOUT = 16
 
-#: query-memo caps, least recently used out first: decoded slot bundles
-#: and merged engines (one per ``(namespace, since, until)`` selection)
+#: decoded slot bundles the query memo keeps, least recently used out first
 _MEMO_SLOTS = 4096
-_MEMO_ENGINES = 8
 
 
 @dataclass(frozen=True)
@@ -235,21 +233,25 @@ class CoordinatorService(HttpServerBase):
 
     role = "coordinator"
     series_prefix = "repro_cluster_"
+    #: the result-cache key prefix of the planner's answers
+    cache_prefix = "cluster-"
     counted = {
         **HttpServerBase.counted,
         "ingest_batches": "Client batches routed.",
         "ingested_events": "Client events routed.",
-        "queries": "/query requests.",
         "partial_answers": "Answers marked partial (a slot went unanswered).",
         "failovers": "Slots answered by an owner other than the first asked.",
         "handoff_artifacts": "Artifacts copied by handoff and repair.",
         "heartbeat_rounds": "Heartbeat rounds run.",
         "promotions": "Workers promoted to failed.",
         "repair_ticks": "Self-healing control-loop passes.",
-        "memo_hits": "Queries answered by the memoized merged engine.",
     }
-    #: one merge per engine-memo rebuild
-    stats_series = {"memo_rebuilds": "repro_cluster_merge_seconds"}
+    #: the planner's engine memo: answered from it, and one merge per
+    #: rebuild
+    stats_series = {
+        "memo_hits": "repro_engine_memo_hits_total",
+        "memo_rebuilds": QueryPlanner.stats_series["engine_builds"],
+    }
 
     def __init__(
         self,
@@ -277,23 +279,19 @@ class CoordinatorService(HttpServerBase):
             "Latency of delivering one ingest frame to a worker.",
             labelnames=("worker",),
         )
-        self._merge_seconds = self.metrics.histogram(
-            "repro_cluster_merge_seconds",
-            "Latency of merging per-slot bundles into one engine.",
-        )
         self.topology = config.topology
-        self.namespaces = {ns.name: ns for ns in config.namespaces}
+        self.configs = {ns.name: ns for ns in config.namespaces}
         #: serializes membership changes against routing decisions
         self._cluster_lock = threading.RLock()
         self._fanout = ThreadPoolExecutor(
             max_workers=_FANOUT, thread_name_prefix="repro-fanout"
         )
-        #: guards the query memo and serializes kernel runs on its
-        #: engines (queries share them; their view caches are not
-        #: thread-safe)
+        #: guards the slot memo
         self._memo_lock = threading.RLock()
         self._slot_memo: OrderedDict[tuple, tuple] = OrderedDict()
-        self._engine_memo: OrderedDict[tuple, tuple] = OrderedDict()
+        self.planner = QueryPlanner(
+            source=self, metrics=self.metrics, tracer=self.tracer
+        )
         self._clients: dict[str, ServiceClient] = {}
         for row in self.runtime.cluster_workers():
             self._clients[row["worker_id"]] = self._make_client(
@@ -460,7 +458,7 @@ class CoordinatorService(HttpServerBase):
         """
         src, dst = self._clients[source], self._clients[target]
         copied = 0
-        for namespace in self.namespaces:
+        for namespace in self.configs:
             ns = slot_namespace(namespace, slot)
             listing = src.bundle_entries(ns)
             for entry in listing.get("entries", []):
@@ -476,7 +474,7 @@ class CoordinatorService(HttpServerBase):
     def _reset_slot(self, target: str, slot: int) -> None:
         """Purge the target's copy of one slot (every logical namespace)."""
         client = self._clients[target]
-        for namespace in self.namespaces:
+        for namespace in self.configs:
             client.reset_bundles(slot_namespace(namespace, slot))
 
     def _handoff(
@@ -579,7 +577,7 @@ class CoordinatorService(HttpServerBase):
             with self._memo_lock:
                 for key in [k for k in self._slot_memo if k[2] == worker_id]:
                     del self._slot_memo[key]
-                self._engine_memo.clear()
+            self.planner.forget_engines()
             # and so may the result cache's version vectors naming it
             self.runtime.cache_purge(f":{worker_id}:")
             if rejoining:
@@ -717,7 +715,7 @@ class CoordinatorService(HttpServerBase):
         identical, identically ordered feed.
         """
         accepted, sync = self._ingest_sections(
-            body, self.namespaces, MAX_BATCH_EVENTS
+            body, self.configs, MAX_BATCH_EVENTS
         )
         if len(accepted) != 1:
             raise _HttpError(
@@ -1025,86 +1023,42 @@ class CoordinatorService(HttpServerBase):
         missing = sorted(set(range(self.topology.n_slots)) - set(answered))
         return sorted(answered.values()), missing, fetched
 
-    def _merged_engine(self, selection, vector, bundles) -> QueryEngine:
-        """The engine over ``bundles`` (slot order), built once per
-        version ``vector`` of a ``(namespace, since, until)`` selection."""
-        with self._memo_lock:
-            memo = self._engine_memo.get(selection)
-            if memo is not None and memo[0] == vector:
-                self._engine_memo.move_to_end(selection)
-                self.count["memo_hits"].inc()
-                return memo[1]
-        merge_started = time.perf_counter()
-        with self.tracer.span("merge", bundles=len(bundles)):
-            engine = QueryEngine.from_bundles(bundles)
-        self._merge_seconds.observe(time.perf_counter() - merge_started)
-        with self._memo_lock:
-            self._engine_memo[selection] = (vector, engine)
-            self._engine_memo.move_to_end(selection)
-            while len(self._engine_memo) > _MEMO_ENGINES:
-                self._engine_memo.popitem(last=False)
-        return engine
+    def current_version(self, namespace, blocking=True) -> None:
+        """Known only after a gather: the planner's memo step passes."""
+        return None
 
-    def _answer_query(self, request: dict) -> dict:
-        with self.tracer.span("parse"):
-            spec = QuerySpec.parse(request, self.namespaces)
-            if spec.temporal:
-                raise ValueError(
-                    "'window', 'step' and 'decay' are not supported by the "
-                    "coordinator (temporal queries need per-bucket "
-                    "partials; query a worker directly)"
-                )
-        namespace, since, until = spec.namespace, spec.since, spec.until
+    def read(self, namespace: str, since, until) -> SourceView:
+        """The planner's source: every answered slot's bundle in slot
+        order, versioned by the vector of ``(slot, worker, token)``; the
+        slots nobody answered are ``missing``."""
         with self.tracer.span("gather", namespace=namespace) as gather_span:
             answered, missing, fetched = self._gather(namespace, since, until)
             gather_span.annotate(
                 answered_slots=len(answered), missing_slots=len(missing),
                 fetched_slots=fetched["slots"], bytes=fetched["bytes"],
             )
-        vector = tuple(row[:3] for row in answered)
-        bundles = [row[3] for row in answered if row[3] is not None]
-        partial = bool(missing)
         version = "v[" + ",".join(
-            f"s{slot}:{worker}:{token}" for slot, worker, token in vector
+            f"s{slot}:{worker}:{token}" for slot, worker, token, _ in answered
         ) + "]"
-        cache_key = spec.cache_key(version, prefix="cluster-")
-        if not partial:
-            with self.tracer.span("cache-probe") as probe_span:
-                hit = self.runtime.cache_get(cache_key)
-                probe_span.annotate(
-                    outcome="miss" if hit is None else "hit"
-                )
-            if hit is not None:
-                self._cache_lookups.inc(outcome="hit")
-                return {**hit, "cached": True}
-        sources = {
-            "slots": self.topology.n_slots,
-            "answered_slots": len(vector),
-            "bundles": len(bundles),
-            "workers": len({worker for _, worker, _ in vector}),
-        }
-        answer = {"namespace": namespace, "version": version,
-                  "sources": sources}
-        if not bundles:
-            answer.update(estimate=None, empty=True)
-        else:
-            engine = self._merged_engine(
-                (namespace, since, until), vector, bundles
-            )
-            with self._memo_lock:
-                answer.update(spec.answer(engine))
-        answer = sanitize_non_finite(answer)
-        if partial:
-            # Loud, never cached: the answer covers only the slots that
-            # responded, so it may change the instant a worker returns.
+        bundles = [row[3] for row in answered if row[3] is not None]
+        if missing:  # one partial answer per read that missed a slot
             self.count["partial_answers"].inc()
-            answer["partial"] = True
-            answer["missing_slots"] = sorted(missing)
-            return {**answer, "cached": False}
-        answer["partial"] = False  # before cache_put: replays keep the marker
-        self.runtime.cache_put(cache_key, namespace, version, answer)
-        self._cache_lookups.inc(outcome="miss")
-        return {**answer, "cached": False}
+        return SourceView(version, bundles, {
+            "slots": self.topology.n_slots,
+            "answered_slots": len(answered),
+            "bundles": len(bundles),
+            "workers": len({row[1] for row in answered}),
+        }, missing)
+
+    def _parse_query(self, request: dict) -> QuerySpec:
+        spec = super()._parse_query(request)
+        if spec.temporal:
+            raise ValueError(
+                "'window', 'step' and 'decay' are not supported by the "
+                "coordinator (temporal queries need per-bucket "
+                "partials; query a worker directly)"
+            )
+        return spec
 
     # -- handlers -------------------------------------------------------------
 
@@ -1159,12 +1113,6 @@ class CoordinatorService(HttpServerBase):
         self._refuse_if_stopping()
         return await self._in_executor(self._route_ingest, body)
 
-    async def _handle_query(self, params, body):
-        self.count["queries"].inc()
-        return await self._in_executor(
-            self._answer_query, self._query_fields(params, body)
-        )
-
     def _cluster_view(self) -> dict:
         with self._cluster_lock:
             workers = self.runtime.cluster_workers()
@@ -1176,7 +1124,7 @@ class CoordinatorService(HttpServerBase):
         return {
             "ok": True,
             "topology": self.topology.to_json(),
-            "namespaces": sorted(self.namespaces),
+            "namespaces": sorted(self.configs),
             "workers": workers,
             "assignment": {
                 str(slot): list(owners)

@@ -7,11 +7,13 @@ CoordinatorService`) — speak the same deliberately small HTTP/1.1 subset
 on :func:`asyncio.start_server`: request line, headers, Content-Length
 bodies, keep-alive.  :class:`HttpServerBase` is the one daemon shell:
 that plumbing, the lifecycle (bind, serve, drain in-flight requests,
-stop), the observability endpoints and dispatch through a per-daemon
-``{(method, path): handler}`` table.  A handler takes ``(params, body)``
-and returns ``(status, payload)`` where the payload is either a JSON-able
-dict or a :class:`BinaryResponse` (the zero-copy codec path of ``GET
-/bundle``, which ships encoded sketch bundles without a JSON detour).
+stop), the observability endpoints, the one ``/query`` handler (over the
+daemon's :class:`~repro.service.planner.QueryPlanner`) and dispatch
+through a per-daemon ``{(method, path): handler}`` table.  A handler
+takes ``(params, body)`` and returns ``(status, payload)`` where the
+payload is either a JSON-able dict or a :class:`BinaryResponse` (the
+zero-copy codec path of ``GET /bundle``, which ships encoded sketch
+bundles without a JSON detour).
 :class:`DaemonThread` runs either daemon on a background thread.
 """
 
@@ -29,11 +31,15 @@ import json
 
 import numpy as np
 
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, bind_parent, current_span
 from repro.ranks.hashing import as_key_array
 from repro.service.config import unknown_namespace
 from repro.service.jsonutil import dumps_strict, sanitize_non_finite
-from repro.service.planner import QueryPlanner, query_request_from_params
+from repro.service.planner import (
+    QueryPlanner,
+    QuerySpec,
+    query_request_from_params,
+)
 from repro.store.codec import (
     MAGIC,
     decode_event_batch,
@@ -153,9 +159,9 @@ class HttpServerBase:
 
     A subclass passes its config (``host``, ``port``, ``namespaces``,
     ``observability``, ``trace_log``), sets
-    ``self.runtime`` (its :class:`~repro.store.runtime.RuntimeStore`),
-    adds its routes to ``self.routes`` and implements :meth:`_launch`
-    and :meth:`_finish`.
+    ``self.runtime`` (its :class:`~repro.store.runtime.RuntimeStore`) and
+    ``self.planner`` (what ``/query`` answers through), adds its routes
+    to ``self.routes`` and implements :meth:`_launch` and :meth:`_finish`.
     """
 
     #: "worker" | "coordinator": the /health payload and fault scope
@@ -166,6 +172,7 @@ class HttpServerBase:
     counted = {
         "requests": "HTTP requests parsed (counted on arrival, before "
                     "dispatch; repro_http_requests_total counts replies).",
+        "queries": "Parsed /query requests.",
     }
     series_prefix = "repro_"
     #: more ``stats`` keys, read from series counted elsewhere
@@ -177,6 +184,11 @@ class HttpServerBase:
         "cache_hits": QueryPlanner.stats_series["hits"],
         "cache_misses": QueryPlanner.stats_series["misses"],
     }
+    #: fields the daemon's ``/query`` reply carries beside the answer
+    query_reply: dict = {}
+    #: the most union rows plus predicate keys a query may estimate on
+    #: the event-loop thread
+    loop_work_rows = 0
 
     def __init__(self, config, clock: Callable[[], float] = time.time):
         self.config = config
@@ -214,11 +226,6 @@ class HttpServerBase:
             "Requests intercepted by a server-side fault plan.",
         )
         # both daemons answer from their runtime tier's result cache
-        self._cache_lookups = self.metrics.counter(
-            "repro_result_cache_lookups_total",
-            "Persistent result-cache probes, by outcome.",
-            labelnames=("outcome",),
-        )
         self.metrics.gauge(
             "repro_result_cache_entries",
             "Entries in the persistent query-result cache.",
@@ -365,6 +372,40 @@ class HttpServerBase:
         # run() does the rest.
         asyncio.get_running_loop().call_soon(self.request_shutdown)
         return 200, {"ok": True, "stopping": True}
+
+    def _parse_query(self, request: dict) -> QuerySpec:
+        """A query body as the spec the planner answers (a worker's
+        watch registrations and re-evaluations parse here too)."""
+        return QuerySpec.parse(request, self.planner.source.configs)
+
+    async def _handle_query(self, params, body):
+        """Answer from memory on the loop when the planner's memo step
+        can without waiting (see :meth:`QueryPlanner.answer_in_memory`);
+        anything else — a plan, a gather, a temporal spec, a busy lock —
+        on the executor.  The request span is tagged
+        ``path=loop|executor``."""
+        with self.tracer.span("parse"):
+            spec = self._parse_query(self._query_fields(params, body))
+        self.count["queries"].inc()
+        request, path = current_span(), "loop"
+        result = self.planner.answer_in_memory(spec, self.loop_work_rows)
+        if result is None:
+            path = "executor"
+            # executor threads do not inherit the task's context: carry
+            # the request span over so planner child spans join this trace
+            result = await asyncio.get_running_loop().run_in_executor(
+                None, bind_parent, request, self._answer_query, spec
+            )
+        if request is not None:
+            request.annotate(path=path)
+        return 200, {**self.query_reply, **result}
+
+    def _answer_query(self, query) -> dict:
+        """One query answered on this thread, as ``/query`` answers it on
+        the executor: a parsed :class:`QuerySpec`, or a body to parse."""
+        if not isinstance(query, QuerySpec):
+            query = self._parse_query(query)
+        return self.planner.answer(query)
 
     def install_faults(self, plan, scope: "str | None" = None) -> None:
         """Inject a :class:`~repro.service.faults.FaultPlan` into every

@@ -1,14 +1,16 @@
-"""Query planning over live windows merged with stored buckets.
+"""Query planning over a source's merged view.
 
-:class:`QueryPlanner` answers service queries as **merge(stored partial,
-live view)**: it selects the namespace's sketch-bundle artifacts
-(optionally restricted to an inclusive ``since``/``until`` bucket window),
-takes their exact merge from the stored-partial memo, merges the in-memory
-live-window bundle on top when the window is non-empty and in range, and
-routes the request through the vectorized
-:class:`~repro.engine.queries.QueryEngine` — so a service answer is
-bit-identical to an offline engine run over the equivalently merged
-summaries (stored parts first in entry order, the live window last).
+:class:`QueryPlanner` answers service queries from what its **source**
+reads for a selection — a namespace, optionally restricted to an
+inclusive ``since``/``until`` bucket window — as a :class:`SourceView`:
+sketch bundles in merge order and the version naming them.  It routes
+the request through the vectorized :class:`~repro.engine.queries.
+QueryEngine` merged from them, so an answer is bit-identical to an
+offline engine run over the equivalently merged summaries.  A worker's
+source is the planner itself: the stored partial (the exact merge of the
+selected stored entries) with the live-window bundle on top.  The
+coordinator's is the slot bundles its gather fetched; slots no owner
+answered make the answer ``partial``, never cached.
 
 Three caches sit in front of the work, each invalidated by its key — a
 stale entry can never be served, because its key names a state that no
@@ -17,9 +19,9 @@ longer exists:
 ===============  ====================================  ==================
 cache            key                                   invalidated by
 ===============  ====================================  ==================
-engines          ``(namespace, version, since,         every ingest,
-(LRU, memory)    until)`` — the full                   rotation and store
-                 :meth:`LiveWindowManager.version`     mutation
+engines          ``(namespace, since, until)``: one    the source's
+(memory, 8       engine, replaced when the version     version moving
+selections)      moves
 stored partials  ``(namespace, bundle_rev, entry       ``bundle_rev`` only:
 (LRU, memory)    paths)`` — ``store.bundle_version``   flush, rotation,
                                                        compaction, import,
@@ -38,9 +40,9 @@ written behind)                                        A SIGKILL loses
 
 A query whose answer or engine is already in memory is answered by one
 memo step (:meth:`QueryPlanner.answer_in_memory`): the result probe,
-then the estimate on the memoized engine and the put.  The daemon runs it
+then the estimate on the memoized engine and the put.  A worker runs it
 on its event loop without waiting for a lock; :meth:`QueryPlanner.answer`
-runs the same step, waiting, before it plans.
+runs the same step, waiting, before it reads the source.
 
 The stored-partial memo is what a fresh query under ingest lives on: the
 merge of the stored buckets is a pure function of the store's bundle
@@ -75,11 +77,11 @@ from repro.service.windows import LIVE_PART, LiveWindowManager
 from repro.store.store import bucket_bounds
 
 __all__ = [
-    "QueryPlanner", "QuerySpec", "StoredPartial",
+    "QueryPlanner", "QuerySpec", "SourceView", "StoredPartial",
     "query_request_from_params", "view_bundles",
 ]
 
-#: merged engines kept per planner (LRU)
+#: selections a planner keeps a merged engine for (LRU), one engine each
 _MAX_CACHED_ENGINES = 8
 
 _MEMO_LOOKUPS = "repro_partial_memo_lookups_total"
@@ -397,6 +399,20 @@ def view_bundles(stored: "StoredPartial | None", live) -> list:
     return bundles
 
 
+class SourceView(NamedTuple):
+    """What a planner's source read for one selection: the version naming
+    it, bundles in merge order, the counts the answer reports (a
+    ``union_keys`` entry is filled in from the engine), the slots no
+    owner answered (``None``: a source that cannot miss one) and whether
+    the source already refused bundles sharing a sample key."""
+
+    version: str
+    bundles: list
+    sources: dict
+    missing: "list | None" = None
+    disjoint: bool = False
+
+
 class _Snapshot(NamedTuple):
     """One consistent read of a namespace under the manager lock."""
 
@@ -409,11 +425,16 @@ class _Snapshot(NamedTuple):
 
 
 class QueryPlanner:
-    """Merged live + stored query answering behind revision-keyed caches.
+    """Query answering over a source's merged view behind version-keyed
+    caches.
 
-    It counts in its manager's registry (``metrics`` overrides it); its
-    :attr:`stats` read those counters.
+    Over a worker's ``manager`` the planner is its own source and counts
+    in the manager's registry (``metrics`` overrides it).  A ``source``
+    has the ``configs``, ``runtime``, ``cache_prefix``,
+    :meth:`current_version` and :meth:`read` a worker's planner has.
     """
+
+    cache_prefix = ""  # the worker source's result-cache keys
 
     #: :attr:`stats` key -> the registry series that counts it
     stats_series = {
@@ -427,12 +448,17 @@ class QueryPlanner:
 
     def __init__(
         self,
-        manager: LiveWindowManager,
+        manager: "LiveWindowManager | None" = None,
         max_cached_partials: int = 128,
         metrics=None,
         tracer=None,
+        source=None,
     ) -> None:
         self.manager = manager
+        if source is None:
+            self.configs, self.runtime = manager.configs, manager.store.runtime
+            source = self
+        self.source = source
         self._metrics = metrics if metrics is not None else manager.metrics
         self._tracer = tracer if tracer is not None else default_tracer()
         self._plan_seconds = self._metrics.histogram(
@@ -444,6 +470,10 @@ class QueryPlanner:
         self._engine_build_seconds = self._metrics.histogram(
             "repro_engine_build_seconds",
             "Latency of building a merged QueryEngine on a cache miss.",
+        )
+        self._engine_hits = self._metrics.counter(
+            "repro_engine_memo_hits_total",
+            "Answers estimated on a memoized merged engine.",
         )
         self._result_cache_lookups = self._metrics.counter(
             "repro_result_cache_lookups_total",
@@ -465,14 +495,13 @@ class QueryPlanner:
             "repro_window_queries_total", "Window-series answers computed."
         )
         self.max_cached_partials = max(1, max_cached_partials)
-        self._engines: OrderedDict[tuple, tuple[QueryEngine, dict]] = (
-            OrderedDict()
-        )
+        #: (namespace, since, until) -> (version, engine, sources)
+        self._engines: OrderedDict[tuple, tuple] = OrderedDict()
         # (namespace, bundle_rev, entry paths) -> StoredPartial, and the
         # revision each namespace's memo entries belong to
         self._partials: OrderedDict[tuple, StoredPartial] = OrderedDict()
         self._partial_revs: dict[str, str] = {}
-        self._runtime = manager.store.runtime
+        self._runtime = source.runtime
         # Serializes planner cache mutation and engine kernel runs among
         # query threads.  Deliberately NOT the manager's lock: ingestion
         # only contends with the short snapshot, never with kernel
@@ -483,25 +512,51 @@ class QueryPlanner:
 
     # -- planning -------------------------------------------------------------
 
-    def _engine_cache_get(self, key: tuple) -> "tuple | None":
-        """Locked LRU probe: the cached ``(engine, sources)`` or ``None``."""
-        with self._lock:
-            cached = self._engines.get(key)
-            if cached is not None:
-                self._engines.move_to_end(key)
-            return cached
+    def _memoized(self, selection: tuple, version: str) -> "tuple | None":
+        """The memo's ``(engine, sources)`` for ``selection`` at
+        ``version``, or ``None`` (planner lock held)."""
+        memo = self._engines.get(selection)
+        if memo is None or memo[0] != version:
+            return None
+        self._engines.move_to_end(selection)
+        return memo[1:]
 
-    def _engine_cache_put(self, key: tuple, engine, sources) -> tuple:
-        """Insert unless a concurrent build won; returns the cached pair."""
+    def _engine(self, selection: tuple, view: SourceView) -> tuple:
+        """``(engine, sources)`` over ``view``: the memoized one at its
+        version, else built outside the lock and put in its place;
+        ``(None, sources)`` for a view without bundles."""
+        if not view.bundles:
+            return None, view.sources
         with self._lock:
-            cached = self._engines.get(key)
-            if cached is not None:
-                self._engines.move_to_end(key)
-                return cached
-            self._engines[key] = (engine, sources)
+            memo = self._memoized(selection, view.version)
+            if memo is not None:
+                self._engine_hits.inc()
+                return memo
+        build_started = time.perf_counter()
+        with self._tracer.span(
+            "engine-build", namespace=selection[0], bundles=len(view.bundles)
+        ):
+            engine = QueryEngine.from_bundles(
+                view.bundles, disjoint=view.disjoint
+            )
+        self._engine_build_seconds.observe(time.perf_counter() - build_started)
+        sources = view.sources
+        if "union_keys" in sources:
+            sources = {**sources, "union_keys": engine.summary.n_union}
+        with self._lock:
+            memo = self._memoized(selection, view.version)
+            if memo is not None:
+                return memo
+            self._engines[selection] = (view.version, engine, sources)
+            self._engines.move_to_end(selection)
             while len(self._engines) > _MAX_CACHED_ENGINES:
                 self._engines.popitem(last=False)
-            return engine, sources
+        return engine, sources
+
+    def forget_engines(self) -> None:
+        """Drop the memoized engines: a source's tokens may repeat."""
+        with self._lock:
+            self._engines.clear()
 
     @staticmethod
     def _live_in_window(
@@ -661,7 +716,7 @@ class QueryPlanner:
         without stored entries), ``live`` the live-window bundle (``None``
         when empty or outside the window); :func:`view_bundles` puts them
         in merge order.  ``sources`` counts the stored *entries* and live
-        events behind them.  What :meth:`plan` builds its engine from and
+        events behind them.  What :meth:`read` serves a query from and
         the worker's ``GET /bundle`` encodes.
         """
         def attempt():
@@ -683,54 +738,21 @@ class QueryPlanner:
 
         return self._stable(namespace, attempt)
 
-    def plan(
-        self,
-        namespace: str,
-        since: str | None = None,
-        until: str | None = None,
-    ) -> tuple[QueryEngine, str, dict]:
-        """Merged engine for a namespace and time window, version-cached.
+    def current_version(self, namespace: str, blocking: bool = True) -> str:
+        """The worker source's version, read before any view: a memo
+        step can answer without one.  ``KeyError`` when unknown."""
+        with _held(self.manager.lock, blocking):
+            return self.manager.version(namespace)
 
-        Returns ``(engine, version, sources)`` where ``sources`` counts the
-        stored entries and live events the merged view covers.  Raises
-        ``KeyError`` for an unknown namespace and ``LookupError`` when the
-        selection holds no data at all.
-
-        An engine-cache miss cannot stall ingestion or rotation (see
-        :meth:`_snapshot`); the view reads its own fresh version.
-        """
-        started = time.perf_counter()
-        try:
-            with self._tracer.span("plan", namespace=namespace):
-                return self._plan(namespace, since, until)
-        finally:
-            self._plan_seconds.observe(
-                time.perf_counter() - started, namespace=namespace
-            )
-
-    def _plan(
-        self, namespace: str, since: str | None, until: str | None
-    ) -> tuple[QueryEngine, str, dict]:
-        with self.manager.lock:
-            version = self.manager.version(namespace)  # KeyError if unknown
-        cached = self._engine_cache_get((namespace, version, since, until))
-        if cached is not None:
-            return cached[0], version, cached[1]
+    def read(self, namespace: str, since=None, until=None) -> SourceView:
+        """The worker source: :meth:`view` in merge order, refused if its
+        parts share a sample key; ``LookupError`` when it holds no data."""
         stored, live, version, sources = self.view(namespace, since, until)
         bundles = view_bundles(stored, live)
         if not bundles:
             raise self._no_data(namespace, since, until)
-        build_started = time.perf_counter()
-        with self._tracer.span(
-            "engine-build", namespace=namespace, bundles=len(bundles)
-        ):
-            engine = QueryEngine.from_bundles(bundles, disjoint=True)
-        self._engine_build_seconds.observe(time.perf_counter() - build_started)
-        sources["union_keys"] = engine.summary.n_union
-        engine, sources = self._engine_cache_put(
-            (namespace, version, since, until), engine, sources
-        )
-        return engine, version, sources
+        sources["union_keys"] = None
+        return SourceView(version, bundles, sources, disjoint=True)
 
     # -- temporal planning ----------------------------------------------------
 
@@ -812,7 +834,7 @@ class QueryPlanner:
         """A window series, or one time-decayed estimate of the whole
         selected span (see :meth:`window_series`, :meth:`estimate`).
 
-        Same merged view as :meth:`plan`, but each bucket's partial is
+        Same merged view as :meth:`read`, but each bucket's partial is
         scaled by its decay factor before the merge.  A decayed
         estimate's anchor defaults to the end of the selected data span
         (deterministic — no wall clock), a window's is its own end; the
@@ -893,57 +915,72 @@ class QueryPlanner:
 
     def _evaluate(
         self, spec: QuerySpec, key: str, version: str, engine, sources,
-        blocking: bool = True,
+        blocking: bool = True, missing: "list | None" = None,
     ) -> dict:
-        """Estimate on ``engine`` and put the answer (planner lock held)."""
-        with self._tracer.span("estimate"):
-            answer = spec.answer(engine)
-        return self._put(key, spec.namespace, version, {
+        """Estimate on ``engine`` (``None``: no data) and put the answer,
+        unless ``missing`` slots make it ``partial`` (planner lock held)."""
+        if engine is None:
+            answer = {"estimate": None, "empty": True}
+        else:
+            with self._tracer.span("estimate"):
+                answer = spec.answer(engine)
+        result = {
             **answer, "namespace": spec.namespace, "version": version,
             "sources": sources,
-        }, blocking)
+        }
+        if missing is not None:
+            result["partial"] = bool(missing)
+        if missing:
+            # Loud, never cached nor counted as a miss: the answer covers
+            # only the slots that responded, so it may change the
+            # instant a worker returns.
+            result = sanitize_non_finite(result)
+            return {**result, "missing_slots": missing, "cached": False}
+        return self._put(key, spec.namespace, version, result, blocking)
 
     def _from_memory(
         self, spec: QuerySpec, blocking: bool = True,
         max_work: "int | None" = None,
     ) -> tuple:
-        """The memo step: ``(answer | None, version, key)``.
+        """The memo step: ``(answer | None, version | None)``.
 
-        Probes the result cache at the current version, then the engine
-        memo; an engine hit is evaluated and put, unless its union rows
-        plus the predicate's keys exceed ``max_work``.  ``None`` means
-        the caller must plan.  Without ``blocking`` a busy lock raises
-        :class:`_Busy`.  Locks are taken one at a time (manager, then
-        the cache's, then planner → cache), never the manager's together
-        with the planner's.
+        Probes the result cache at the source's current version, then
+        the engine memo; an engine hit is evaluated and put, unless its
+        union rows plus the predicate's keys exceed ``max_work``.
+        ``None`` means the caller must read the source — always, for a
+        source whose version is known only after a read.  Without
+        ``blocking`` a busy lock raises :class:`_Busy`.  Locks are taken
+        one at a time (manager, then the cache's, then planner → cache),
+        never the manager's together with the planner's.
         """
-        with _held(self.manager.lock, blocking):
-            version = self.manager.version(spec.namespace)
-        key = spec.cache_key(version)
+        version = self.source.current_version(spec.namespace, blocking)
+        if version is None:
+            return None, None
+        key = spec.cache_key(version, self.source.cache_prefix)
         with _held(self._runtime.cache_lock, blocking):
             hit = self._probe(key)
         if hit is not None:
-            return hit, version, key
+            return hit, version
         with _held(self._lock, blocking):
-            cached = self._engine_cache_get(
-                (spec.namespace, version, spec.since, spec.until)
+            memo = self._memoized(
+                (spec.namespace, spec.since, spec.until), version
             )
-            if cached is None or max_work is not None and (
-                cached[1]["union_keys"] + len(spec.keys or ()) > max_work
+            if memo is None or max_work is not None and (
+                memo[0].summary.n_union + len(spec.keys or ()) > max_work
             ):
-                return None, version, key
-            return self._evaluate(
-                spec, key, version, *cached, blocking
-            ), version, key
+                return None, version
+            self._engine_hits.inc()
+            return self._evaluate(spec, key, version, *memo, blocking), version
 
     def answer_in_memory(self, spec: QuerySpec, max_work: int) -> dict | None:
         """:meth:`answer` when the memo step alone answers it, without
         waiting for any lock; else ``None``.
 
-        For the daemon's event loop: it runs no SQL and never loads,
-        merges or builds.  ``None`` for a temporal spec, a memo miss, a
-        busy lock, or an estimate over more than ``max_work`` union rows
-        plus predicate keys.  The answer is the one :meth:`answer` gives.
+        For a daemon's event loop: it runs no SQL and never reads the
+        source, merges or builds.  ``None`` for a temporal spec, a memo
+        miss, a busy lock, a source whose version is known only after a
+        read, or an estimate over more than ``max_work`` union rows plus
+        predicate keys.  The answer is the one :meth:`answer` gives.
         """
         if spec.temporal:
             return None
@@ -952,36 +989,47 @@ class QueryPlanner:
         return None
 
     def _served(self, spec: QuerySpec) -> dict:
-        """The memo step, waiting for its locks; on a miss, plan and
-        evaluate.
+        """The memo step, waiting for its locks; on a miss, :meth:`plan`."""
+        answer, seen = self._from_memory(spec)
+        return self.plan(spec, seen) if answer is None else answer
 
-        The cache key is computed once and probed once — again only when
-        the plan read a newer version than the memo step did.
-        """
-        answer, version, key = self._from_memory(spec)
-        if answer is not None:
-            return answer
-        engine, planned, sources = self.plan(
-            spec.namespace, spec.since, spec.until
-        )
-        if planned != version:
-            version, key = planned, spec.cache_key(planned)
-            hit = self._probe(key)
-            if hit is not None:
-                return hit
+    def plan(self, spec: QuerySpec, seen: "str | None" = None) -> dict:
+        """Read the source, then answer from its view: the result cache
+        if it names a version other than ``seen`` (the memo step's, which
+        probed it) and misses no slot, else the view's engine, memoized
+        or built."""
+        selection = (spec.namespace, spec.since, spec.until)
+        started = time.perf_counter()
+        try:
+            with self._tracer.span("plan", namespace=spec.namespace):
+                view = self.source.read(*selection)
+                key = spec.cache_key(view.version, self.source.cache_prefix)
+                if view.version != seen and not view.missing:
+                    hit = self._probe(key)
+                    if hit is not None:
+                        return hit
+                engine, sources = self._engine(selection, view)
+        finally:
+            self._plan_seconds.observe(
+                time.perf_counter() - started, namespace=spec.namespace
+            )
         with self._lock:
-            return self._evaluate(spec, key, version, engine, sources)
+            return self._evaluate(
+                spec, key, view.version, engine, sources,
+                missing=view.missing,
+            )
 
     def answer(self, spec: QuerySpec) -> dict:
-        """Answer one validated query over the merged live + stored view.
+        """Answer one validated query over the source's merged view.
 
         A ``window`` makes it a sliding/tumbling series, a ``decay`` one
-        time-decayed estimate; results are version-cached either way.
+        time-decayed estimate (a worker's); results are version-cached
+        either way.
         """
         return self._temporal(spec) if spec.temporal else self._served(spec)
 
     def _query(self, **request) -> dict:
-        return self.answer(QuerySpec.parse(request, self.manager.configs))
+        return self.answer(QuerySpec.parse(request, self.source.configs))
 
     def estimate(
         self,

@@ -69,18 +69,17 @@ from repro.service.httpbase import (
     _HttpError,
 )
 from repro.service.jsonutil import restore_non_finite
-from repro.service.planner import QueryPlanner, QuerySpec, view_bundles
+from repro.service.planner import QueryPlanner, view_bundles
 from repro.service.windows import LiveWindowManager
 from repro.store.codec import encode, encode_bundle_batch
 from repro.store.store import SummaryStore
 
 __all__ = ["SummaryService", "ServiceThread"]
 
-#: the most union rows plus predicate keys a query may estimate on the
-#: event-loop thread; a larger one is answered on the executor.  Over
-#: about 3.4k rows a memoized engine's key_in estimate took 0.1 ms, and
-#: the first one on an engine (it builds the key index) 0.6-0.8 ms, on a
-#: 2-CPU host
+#: the worker's ``loop_work_rows``: a larger query is answered on the
+#: executor.  Over about 3.4k rows a memoized engine's key_in estimate
+#: took 0.1 ms, and the first one on an engine (it builds the key index)
+#: 0.6-0.8 ms, on a 2-CPU host
 LOOP_WORK_ROWS = 1 << 12
 
 
@@ -93,7 +92,6 @@ class SummaryService(HttpServerBase):
         "ingest_batches": "Ingest batches applied (a JSON body or a frame).",
         "ingest_rejected": "Ingest batches refused with 429 (queue full).",
         "ingest_errors": "Queued ingest batches that failed to apply.",
-        "queries": "Parsed /query requests.",
     }
     stats_series = {  # the window manager's
         "ingested_events": "repro_ingest_events_total",
@@ -109,6 +107,11 @@ class SummaryService(HttpServerBase):
         "rotations": "repro_window_rotations_total",
         "compactions": "repro_compactions_total",
     }
+    query_reply = {"ok": True}
+
+    @property
+    def loop_work_rows(self) -> int:
+        return LOOP_WORK_ROWS
 
     def __init__(
         self,
@@ -381,33 +384,6 @@ class SummaryService(HttpServerBase):
         if sync:  # wait for the apply: its events, bucket and version
             reply.update(await future)
         return 200, reply
-
-    def _parse_query(self, request: dict) -> QuerySpec:
-        """Shared by ``/query``, watch registration and the ticker's
-        re-evaluations: a registered spec is validated by the code that
-        will answer it."""
-        return QuerySpec.parse(request, self.manager.configs)
-
-    async def _handle_query(self, params, body):
-        """Answer from memory on the loop when the planner's memo step
-        can without waiting (see :meth:`QueryPlanner.answer_in_memory`);
-        anything else — a plan, a temporal spec, a busy lock — on the
-        executor.  The request span is tagged ``path=loop|executor``."""
-        with self.tracer.span("parse"):
-            spec = self._parse_query(self._query_fields(params, body))
-        self.count["queries"].inc()
-        request, path = current_span(), "loop"
-        result = self.planner.answer_in_memory(spec, LOOP_WORK_ROWS)
-        if result is None:
-            path = "executor"
-            # executor threads do not inherit the task's context: carry
-            # the request span over so planner child spans join this trace
-            result = await asyncio.get_running_loop().run_in_executor(
-                None, bind_parent, request, self.planner.answer, spec
-            )
-        if request is not None:
-            request.annotate(path=path)
-        return 200, {"ok": True, **result}
 
     async def _handle_watch_register(self, params, body):
         """Register a continuous query: (spec, threshold, cadence).

@@ -236,10 +236,8 @@ class RuntimeStore:
         if version is None:
             # only a database without tables takes an auto_vacuum mode
             self._conn.execute("PRAGMA auto_vacuum = INCREMENTAL")
-        elif version == "1":
-            self._upgrade_v1()
         elif version != str(_SCHEMA_VERSION):
-            raise ValueError(
+            raise UnsupportedFormatError(
                 f"runtime tier schema version {version} at {self.path} "
                 f"is not supported (supported: {_SCHEMA_VERSION})"
             )
@@ -247,7 +245,6 @@ class RuntimeStore:
             self._conn.execute("PRAGMA journal_mode = WAL")
             self._conn.execute("PRAGMA synchronous = NORMAL")
         self._conn.executescript(_SCHEMA)
-        self._migrate_columns()
         if version is None:
             self.set_meta("schema_version", str(_SCHEMA_VERSION))
         for row in self._conn.execute(
@@ -256,53 +253,6 @@ class RuntimeStore:
         ):
             self._results[row["key"]] = _CachedAnswer(*tuple(row)[1:])
         self._evict(RESULT_CACHE_ENTRIES)
-
-    def _upgrade_v1(self) -> None:
-        """Upgrade a v1 tier in place — only while its manifest is empty.
-
-        A v1 row names a codec file under ``data/``, which this version
-        never reads, so such a root is refused, unchanged.  An empty v1
-        manifest (every coordinator root) is dropped with the version
-        bump; the schema script re-creates it without ``path``.
-        """
-        with self.transaction():
-            rows = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM manifest"
-            ).fetchone()["n"]
-            if rows:
-                raise UnsupportedFormatError(
-                    f"{self.path} is a schema-v1 runtime tier whose manifest "
-                    f"lists {rows} artifact(s) kept as files under data/; "
-                    "this version keeps artifact bytes inside "
-                    f"{RUNTIME_FILENAME} and no longer reads that layout — "
-                    "write the artifacts into a new root instead"
-                )
-            self._conn.execute("DROP TABLE manifest")
-            self.set_meta("schema_version", str(_SCHEMA_VERSION))
-
-    def _migrate_columns(self) -> None:
-        """Additive column migrations (no schema-version bump needed).
-
-        ``cluster_workers.failed`` / ``failed_at`` arrived with the
-        self-healing control loop; a database created before them gains
-        the columns in place with defaults older readers never see, so
-        both code generations keep opening the same file.
-        """
-        have = {
-            row["name"]
-            for row in self._conn.execute(
-                "PRAGMA table_info(cluster_workers)"
-            ).fetchall()
-        }
-        if "failed" not in have:
-            self._conn.execute(
-                "ALTER TABLE cluster_workers "
-                "ADD COLUMN failed INTEGER NOT NULL DEFAULT 0"
-            )
-        if "failed_at" not in have:
-            self._conn.execute(
-                "ALTER TABLE cluster_workers ADD COLUMN failed_at REAL"
-            )
 
     def close(self) -> None:
         """Flush the result cache, then close the connection."""

@@ -593,7 +593,7 @@ def test_concurrent_queries_share_the_memo_safely(stubbed):
     assert not any(t.is_alive() for t in (*threads, flipper))
     assert not failures, failures[0]
     assert len(service._slot_memo) <= 2 * N_SLOTS
-    assert len(service._engine_memo) == 1
+    assert len(service.planner._engines) == 1  # one engine per selection
 
 
 @pytest.mark.parametrize("sabotage", [

@@ -85,8 +85,8 @@ COORDINATOR_SERIES = {
     "stats.heartbeat_rounds": "repro_cluster_heartbeat_rounds_total",
     "stats.promotions": "repro_cluster_promotions_total",
     "stats.repair_ticks": "repro_cluster_repair_ticks_total",
-    "stats.memo_hits": "repro_cluster_memo_hits_total",
-    "stats.memo_rebuilds": "repro_cluster_merge_seconds_count",
+    "stats.memo_hits": "repro_engine_memo_hits_total",
+    "stats.memo_rebuilds": "repro_engine_build_seconds_count",
     "runtime.counters.cache_hits": (
         "repro_result_cache_lookups_total", {"outcome": "hit"}
     ),

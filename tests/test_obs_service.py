@@ -301,7 +301,8 @@ class TestClusterObservability:
         assert all(span["parent"] is not None for span in fetches)
         merges = [
             span for span in spans
-            if span["name"] == "merge" and span["trace"] == root["trace"]
+            if span["name"] == "engine-build"
+            and span["trace"] == root["trace"]
         ]
         assert merges and merges[0]["tags"]["bundles"] == N_SLOTS
 
@@ -339,7 +340,7 @@ class TestClusterObservability:
             dict(labels)["worker"] for _name, labels in fetch_counts
         } == {"w1", "w2"}
         assert coordinator_samples[
-            ("repro_cluster_merge_seconds_count", ())
+            ("repro_engine_build_seconds_count", ())
         ] >= 1
         for worker_client in cluster.worker_clients.values():
             worker_samples = parse_prometheus_text(worker_client.metrics())

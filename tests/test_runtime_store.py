@@ -181,22 +181,24 @@ def make_v1_tier(root, manifest_rows=()):
 
 
 class TestSchemaUpgrade:
-    def test_empty_v1_tier_upgrades_in_place(self, tmp_path):
-        """Every coordinator root is a v1 tier with an empty manifest: it
-        opens as v2 and keeps its other state."""
+    def test_empty_v1_tier_is_refused_unchanged(self, tmp_path):
+        """An empty v1 tier (every coordinator root of that release) is
+        no longer upgraded in place: it is refused by the generic schema
+        check, byte for byte as it was."""
+        from repro.store import UnsupportedFormatError
+
         make_v1_tier(tmp_path)
-        runtime = RuntimeStore(tmp_path)
-        assert runtime.get_meta("schema_version") == "2"
-        assert runtime.repair_stats()["total"] == 3
-        columns = {
-            row["name"] for row in
-            runtime._conn.execute("PRAGMA table_info(manifest)")
-        }
-        assert "path" not in columns and "seq" in columns
-        runtime.close()
-        store = SummaryStore(tmp_path, create=False)
-        entry = store.write("web", "20260728T1200", make_bundle((0, 10)))
-        assert store.load(entry).equals(make_bundle((0, 10)))
+        before = (tmp_path / "runtime.sqlite").read_bytes()
+        for attempt in range(2):
+            with pytest.raises(
+                UnsupportedFormatError,
+                match=r"schema version 1 .* is not supported",
+            ):
+                RuntimeStore(tmp_path)
+        assert (tmp_path / "runtime.sqlite").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "runtime.sqlite"
+        ]
 
     def test_v1_tier_with_artifacts_is_refused_unchanged(self, tmp_path):
         """A v1 manifest row names a file under data/ that this version
@@ -212,7 +214,7 @@ class TestSchemaUpgrade:
         for attempt in range(2):
             with pytest.raises(
                 UnsupportedFormatError,
-                match=r"schema-v1 runtime tier.*1 artifact.*under data/",
+                match=r"schema version 1 .* is not supported",
             ):
                 SummaryStore(tmp_path, create=False)
         assert (tmp_path / "runtime.sqlite").read_bytes() == before

@@ -91,7 +91,13 @@ def coordinator_merge(tmp_path, left, right) -> None:
         n_slots=2, replication=1, salt=5,
     ))
     try:
-        service._merged_engine(("web", None, None), (), [left, right])
+        service._gather = lambda namespace, since, until: (
+            [(0, "w1", "t1", left), (1, "w2", "t1", right)], [],
+            {"slots": 2, "bytes": 0},
+        )
+        service._answer_query({
+            "namespace": "web", "function": "single", "assignments": ["h1"],
+        })
     finally:
         service._fanout.shutdown()
         service.runtime.close()
