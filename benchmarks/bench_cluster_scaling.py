@@ -45,9 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from emit import write_bench_json
+from emit import cpus, write_bench_json
 from repro.core.aggregates import AggregationSpec
-from repro.engine.parallel import available_workers
 from repro.engine.queries import QueryEngine
 from repro.service import ClusterClient, NamespaceConfig, ServiceClient
 from repro.service.cluster import ClusterTopology, slot_namespace
@@ -226,7 +225,7 @@ def measure(n_events: int = N_EVENTS) -> dict:
     return {
         "n_events": n_events,
         "batch": BATCH,
-        "cpus": available_workers(),
+        "cpus": cpus(),
         "single": single,
         "dual": dual,
         "speedup": single["seconds"] / dual["seconds"],

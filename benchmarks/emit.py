@@ -20,6 +20,7 @@ CI uploads the ``BENCH_*.json`` files as workflow artifacts.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import platform
 import re
@@ -28,11 +29,17 @@ import subprocess
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def _host() -> dict:
-    from repro.engine.parallel import available_workers
+def cpus() -> int:
+    """CPUs actually available to this process (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
 
+
+def _host() -> dict:
     return {
-        "cpus": available_workers(),
+        "cpus": cpus(),
         "python": platform.python_version(),
         "machine": platform.machine(),
     }

@@ -50,8 +50,6 @@ from repro.engine import (
     QueryEngine,
     QueryResult,
     ShardedSummarizer,
-    available_workers,
-    get_executor,
     jaccard_from_summary,
     merge_bottomk,
     merge_poisson,
@@ -116,8 +114,6 @@ __all__ = [
     "QueryEngine",
     "QueryResult",
     "jaccard_from_summary",
-    "get_executor",
-    "available_workers",
     "AdjustedWeights",
     "colocated_estimator",
     "dispersed_estimator",

@@ -226,55 +226,41 @@ class QueryEngine:
 
     @staticmethod
     def serve_many(
-        store,
-        requests,
-        executor: "str | None | object" = None,
-        buckets=None,
+        store, requests, buckets=None
     ) -> "dict[str, list[QueryResult]]":
-        """Answer query batches across many stored namespaces concurrently.
+        """Answer query batches across many stored namespaces.
 
         Parameters
         ----------
         store:
-            a :class:`~repro.store.SummaryStore` or a store root path.
+            a :class:`~repro.store.SummaryStore` or a store root path; the
+            root is opened once, so every namespace is answered from the
+            manifest as it stands at the call.
         requests:
             mapping of namespace -> sequence of :class:`Query` (or bare
             :class:`~repro.core.aggregates.AggregationSpec`) items.
-        executor:
-            execution mode (``None``, a ``mode[:workers]`` spec string or
-            a caller-owned :class:`concurrent.futures.Executor`; see
-            :mod:`repro.engine.parallel`).  Namespaces are
-            independent, so each worker merges one namespace's bundles
-            once, builds one engine over the summary, and serves that
-            namespace's whole batch from shared decoded views and kernel
-            caches.  Under a process executor the queries must be
-            picklable (``attribute_predicate`` lambdas are not; key-based
-            and attribute-equality predicates are).
         buckets:
             optional mapping of namespace -> bucket ids to restrict to.
 
-        Returns ``{namespace: [QueryResult, ...]}`` with result order
-        matching each batch's query order; estimates are identical across
-        executor modes (the engine fast path is deterministic).
+        Each namespace's bundles are merged once into one engine, which
+        answers that namespace's whole batch from shared decoded views
+        and kernel caches.  Returns ``{namespace: [QueryResult, ...]}`` in
+        request order, with result order matching each batch's query
+        order; an unknown namespace raises :class:`KeyError`.
         """
-        from repro.engine.parallel import executor_scope, serve_namespace_task
+        from repro.store.store import SummaryStore
 
         root = store if isinstance(store, (str, os.PathLike)) else store.root
-        names = list(requests)
-        with executor_scope(executor) as ex:
-            answers = list(ex.map(
-                serve_namespace_task,
-                (
-                    {
-                        "root": str(root),
-                        "namespace": name,
-                        "queries": list(requests[name]),
-                        "buckets": None if buckets is None else buckets.get(name),
-                    }
-                    for name in names
-                ),
-            ))
-        return dict(zip(names, answers))
+        store = SummaryStore(root, create=False)
+        try:
+            return {
+                name: QueryEngine.from_store(
+                    store, name, None if buckets is None else buckets.get(name)
+                ).run(queries)
+                for name, queries in requests.items()
+            }
+        finally:
+            store.runtime.close()
 
     @classmethod
     def for_summary(

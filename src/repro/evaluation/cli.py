@@ -110,12 +110,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"unknown experiment {args.experiment!r}; known: {known}"
         )
-    if args.executor is not None:
-        from repro.engine.parallel import parse_executor_spec
-        from repro.evaluation.runner import set_default_executor
-
-        parse_executor_spec(args.executor)  # refuse before any work
-        set_default_executor(args.executor)
     _summary, mode, experiment = _EXPERIMENTS[args.experiment]
     result = experiment(
         _workload(args.workload, args.scale, mode), list(args.k), args.runs,
@@ -136,11 +130,6 @@ _FLAGS = (
     flag("--seed", type=int, default=0),
     flag("--scale", type=float, default=1.0,
          help="multiply workload key counts"),
-    flag("--executor", default=None, metavar="SPEC",
-         help="parallelize experiment runs: 'serial' (default), "
-              "'thread[:workers]', or 'process[:workers]' (process mode "
-              "needs picklable tasks; prefer thread here). Results are "
-              "bit-identical across modes."),
 )
 
 

@@ -37,24 +37,7 @@ __all__ = [
     "VarianceResult",
     "run_sigma_v",
     "run_sharing_index",
-    "set_default_executor",
 ]
-
-#: executor used by :func:`run_sigma_v` when no explicit one is passed;
-#: set from the CLI's ``--executor`` flag (``None`` = serial).
-_default_executor: "str | None | object" = None
-
-
-def set_default_executor(spec: "str | None | object") -> None:
-    """Set the runner-wide default executor (see :mod:`repro.engine.parallel`).
-
-    Experiment entry points (:mod:`repro.evaluation.experiments`) call
-    :func:`run_sigma_v` without an executor argument; this default lets
-    the CLI parallelize them without threading a parameter through every
-    experiment signature.
-    """
-    global _default_executor
-    _default_executor = spec
 
 
 @dataclass
@@ -130,16 +113,21 @@ class VarianceResult:
         ]
 
 
-def _sigma_v_one_run(payload: tuple) -> tuple[dict, dict]:
-    """One run's ΣV and union-size contributions (executor map unit).
+def _sigma_v_one_run(
+    dataset: MultiAssignmentDataset,
+    tasks: Sequence[EstimatorTask],
+    k_values: list[int],
+    methods: list[str],
+    family: RankFamily,
+    seed: int,
+    run: int,
+    metric: str,
+) -> tuple[dict, dict]:
+    """One run's ΣV and union-size contributions.
 
-    The run is fully determined by ``(seed, run)`` — draws come from
-    ``default_rng([seed, run])`` exactly as in the serial loop — so runs
-    may execute on any worker in any order; the caller reduces the
-    returned per-run dicts in run-index order, keeping float accumulation
-    order (and therefore results) bit-identical to the serial path.
+    The run is fully determined by ``(seed, run)``: its draws come from
+    ``default_rng([seed, run])``.
     """
-    (dataset, tasks, k_values, methods, family, seed, run, metric) = payload
     weights = dataset.weights
     run_totals: dict[str, dict[int, float]] = {
         task.name: {} for task in tasks
@@ -194,23 +182,12 @@ def run_sigma_v(
     family: RankFamily | str = "ipps",
     seed: int = 0,
     metric: str = "analytic",
-    executor: "str | None | object" = None,
 ) -> VarianceResult:
     """ΣV of every task at every k over ``runs`` repeated draws.
 
-    ``executor`` (``None``, a ``mode[:workers]`` spec string or a
-    caller-owned :class:`concurrent.futures.Executor`; see
-    :mod:`repro.engine.parallel`) distributes the independent runs across
-    workers; per-run contributions are reduced in run-index order, so
-    every mode returns bit-identical results.  Thread mode suits the stock
-    experiment tasks (their estimator callables are closures, which
-    processes cannot pickle); process mode additionally requires picklable
-    tasks.
+    Runs execute and are summed in run-index order, so a fixed ``seed``
+    gives bit-identical results.
     """
-    from repro.engine.parallel import executor_scope
-
-    if executor is None:
-        executor = _default_executor
     if metric not in ("analytic", "empirical"):
         raise ValueError(f"metric must be 'analytic' or 'empirical', got {metric!r}")
     if isinstance(family, str):
@@ -231,16 +208,10 @@ def run_sigma_v(
     size_totals: dict[str, dict[int, float]] = {
         name: {k: 0.0 for k in k_values} for name in methods
     }
-    tasks = list(tasks)
-    with executor_scope(executor) as ex:
-        per_run = list(ex.map(
-            _sigma_v_one_run,
-            (
-                (dataset, tasks, k_values, methods, family, seed, run, metric)
-                for run in range(runs)
-            ),
-        ))
-    for run_totals, run_sizes in per_run:
+    for run in range(runs):
+        run_totals, run_sizes = _sigma_v_one_run(
+            dataset, tasks, k_values, methods, family, seed, run, metric
+        )
         for name, by_k in run_totals.items():
             for k, value in by_k.items():
                 totals[name][k] += value

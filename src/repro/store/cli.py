@@ -14,9 +14,8 @@ buckets up, and answer aggregate queries from disk:
 pre-aggregated before sampling), or generates a synthetic stream with
 ``--demo N``.  ``ls --json`` prints the listing the service's ``/status``
 embeds; ``export`` writes one artifact's exact codec bytes to a ``.cws``
-file.  ``compact`` and ``query`` take ``--executor SPEC`` (``thread:4``,
-``process:4``; see :mod:`repro.engine.parallel`) and give the serial
-results.  Also installed as the ``repro-store`` console script.
+file; ``query`` answers one or several namespaces.  Also installed as
+the ``repro-store`` console script.
 """
 
 from __future__ import annotations
@@ -138,7 +137,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_compact(args: argparse.Namespace) -> int:
     store = SummaryStore(args.root, create=False)
-    written = store.compact(args.namespace, to=args.to, executor=args.executor)
+    written = store.compact(args.namespace, to=args.to)
     if not written:
         print(f"nothing to compact for namespace {args.namespace!r}")
         return 0
@@ -157,12 +156,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         AggregationSpec(args.function, tuple(args.assignments), ell=args.ell),
         estimator=args.estimator,
     )
-    # one worker per namespace, each sharing its decoded summary views
-    # across the batch; one namespace is answered alone, unprefixed
+    # one engine per namespace; one namespace is answered alone, unprefixed
     answers = QueryEngine.serve_many(
         args.root,
         {namespace: [query] for namespace in args.namespace},
-        executor=args.executor,
         buckets=(
             None if args.buckets is None
             else dict.fromkeys(args.namespace, args.buckets)
@@ -181,10 +178,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
 #: every verb's store
 _ROOT = flag("--root", required=True, help="store root directory")
 _NAMESPACE = flag("--namespace", required=True)
-_EXECUTOR_HELP = (
-    "execution mode: 'serial' (default), 'thread[:workers]', or "
-    "'process[:workers]'; results are identical across modes"
-)
 
 _VERBS = (
     Verb("write", "sample an event stream into a bucketed artifact",
@@ -234,22 +227,17 @@ _VERBS = (
              _ROOT,
              _NAMESPACE,
              flag("--to", default="hour", choices=list(GRANULARITIES)),
-             flag("--executor", default=None, metavar="SPEC",
-                  help=f"{_EXECUTOR_HELP} (buckets roll up concurrently)"),
          )),
     Verb("query", "estimate an aggregate from the stored summaries",
          _cmd_query, (
              _ROOT,
              flag("--namespace", required=True, nargs="+",
-                  help="namespace(s) to answer from; several namespaces "
-                       "are served concurrently under --executor"),
+                  help="namespace(s) to answer from"),
              flag("--function", required=True, choices=FUNCTIONS),
              flag("--assignments", required=True, nargs="+"),
              flag("--buckets", default=None, nargs="+",
                   help="restrict to these bucket ids (default: all)"),
              ESTIMATOR,
-             flag("--executor", default=None, metavar="SPEC",
-                  help=_EXECUTOR_HELP),
          )),
 )
 

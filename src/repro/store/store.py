@@ -684,7 +684,6 @@ class SummaryStore:
         self,
         namespace: str,
         to: str = "hour",
-        executor=None,
         exclude_buckets: Sequence[str] | None = None,
     ) -> list[StoreEntry]:
         """Roll sketch bundles up to coarser time buckets, exactly.
@@ -697,17 +696,12 @@ class SummaryStore:
         granularity are left untouched.  Summary and checkpoint artifacts
         never participate.
 
-        ``executor`` (``None``, a ``mode[:workers]`` spec string or a
-        caller-owned :class:`concurrent.futures.Executor`; see
-        :mod:`repro.engine.parallel`) parallelizes the per-group decode +
-        merge + encode work — coarse buckets are independent, so they
-        roll up concurrently.  Workers are handed the group's bytes and
-        return the rollup's; they never open the store.  Every rollup and
-        every retired part commits in the calling process's one
-        transaction, and because the merge and the codec are
-        deterministic, every executor mode produces byte-identical
-        artifacts and an identical manifest.  Once it commits, the pages
-        the retired parts held go back to the file system.
+        Coarse buckets roll up one after another, in bucket order: each
+        group's parts are loaded (CRC-verified), merged and encoded, and
+        the rollup is published, all inside one transaction.  A merge of
+        k-key sketches costs less than handing it to a worker, so there
+        is no pool.  Once it commits, the pages the retired parts held go
+        back to the file system.
 
         ``exclude_buckets`` names coarse (target-granularity) bucket ids
         to leave alone — the service uses it to skip the group its live
@@ -720,21 +714,16 @@ class SummaryStore:
             raise ValueError(
                 f"unknown granularity {to!r}; known: {', '.join(GRANULARITIES)}"
             )
-        from repro.engine.parallel import executor_scope
-
-        # the scope opens first: a bad spec raises even when nothing rolls up
-        with executor_scope(executor) as ex, self.transaction():
+        with self.transaction():
             self._sync()
-            written = self._compact_locked(namespace, to, ex, exclude_buckets)
+            written = self._compact_locked(namespace, to, exclude_buckets)
         if written:
             self.runtime.incremental_vacuum()
         return written
 
     def _compact_locked(
-        self, namespace: str, to: str, executor, exclude_buckets=None
+        self, namespace: str, to: str, exclude_buckets=None
     ) -> list[StoreEntry]:
-        from repro.engine.parallel import compact_group_task
-
         excluded = set() if exclude_buckets is None else set(exclude_buckets)
         # A live-window checkpoint marks a bucket whose bundle may still
         # be re-published (the stopped service resumes from it and
@@ -766,12 +755,10 @@ class SummaryStore:
         ]
         if not plan:
             return []
-        merged = executor.map(
-            compact_group_task,
-            ([self._bytes(entry) for entry in group] for _, group, _ in plan),
-        )
         written: list[StoreEntry] = []
-        for (coarse_bucket, group, part), blob in zip(plan, merged):
+        for coarse_bucket, group, part in plan:
+            bundles = [self.load(entry) for entry in group]
+            blob = encode(bundles[0].merge(*bundles[1:]))
             for entry in group:
                 self.runtime.delete_entry(
                     entry.namespace, entry.bucket, entry.part

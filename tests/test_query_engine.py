@@ -645,36 +645,29 @@ class TestServeManyEdgeCases:
         assert [result.estimate for result in answers["hollow"]] == [0.0, 0.0]
         assert [result.n_selected for result in answers["hollow"]] == [0, 0]
 
-    def test_failure_mid_batch_propagates_and_pool_survives(self, tmp_path):
-        # One namespace of the batch fails (unknown) while others are in
-        # flight: the error must propagate — not a partial dict — and a
-        # caller-owned executor must stay usable for the next call.
-        from concurrent.futures import ThreadPoolExecutor
-
+    def test_failure_mid_batch_propagates_and_a_retry_answers(self, tmp_path):
+        # One namespace of the batch fails (unknown) between two good
+        # ones: the error must propagate — not a partial dict — and the
+        # next call over the same store must answer.
         store = self.fill_store(tmp_path / "store")
         spec = AggregationSpec("max", ("h1", "h2"))
         requests = {"web": [spec], "ghost": [spec], "api": [spec]}
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            with pytest.raises(KeyError, match="ghost"):
-                QueryEngine.serve_many(store, requests, executor=executor)
-            retry = QueryEngine.serve_many(
-                store, {"web": [spec], "api": [spec]}, executor=executor
-            )
-            assert set(retry) == {"web", "api"}
-            expected = {
-                namespace: QueryEngine.from_store(
-                    store, namespace
-                ).estimate(spec)
-                for namespace in ("web", "api")
-            }
-            assert {
-                namespace: results[0].estimate
-                for namespace, results in retry.items()
-            } == expected
+        with pytest.raises(KeyError, match="ghost"):
+            QueryEngine.serve_many(store, requests)
+        retry = QueryEngine.serve_many(store, {"web": [spec], "api": [spec]})
+        assert set(retry) == {"web", "api"}
+        expected = {
+            namespace: QueryEngine.from_store(store, namespace).estimate(spec)
+            for namespace in ("web", "api")
+        }
+        assert {
+            namespace: results[0].estimate
+            for namespace, results in retry.items()
+        } == expected
 
     def test_corrupt_artifact_mid_batch_propagates(self, tmp_path):
-        # Executor failure caused by the worker itself (decode error), not
-        # by request validation: still an exception, never a silent skip.
+        # A failure in loading (decode error), not in request
+        # validation: still an exception, never a silent skip.
         from repro.store import CodecError
 
         import sqlite3

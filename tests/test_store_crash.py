@@ -1,13 +1,13 @@
 """Crash at every transaction: SIGKILL just before or just after COMMIT.
 
 Every durable mutation commits as ONE runtime-tier transaction: a store
-write (new part and overwrite), a remove, a compaction (serial and on a
-``process:2`` pool), a live window's flush, a boundary rotation, the
-rescue of an orphaned flush, and a namespace reset.  Run to completion,
-each makes exactly one COMMIT that changes the database.  A child
-process prepares the operation, arms a trap on its store's SQLite
-connection and runs it; the trap SIGKILLs the child at that COMMIT —
-before the statement runs, or right after it returns.
+write (new part and overwrite), a remove, a compaction (to the hour and
+to the day), a live window's flush, a boundary rotation, the rescue of
+an orphaned flush, and a namespace reset.  Run to completion, each makes
+exactly one COMMIT that changes the database.  A child process prepares the operation, arms a
+trap on its store's SQLite connection and runs it; the trap SIGKILLs the
+child at that COMMIT — before the statement runs, or right after it
+returns.
 
 The reopened root must then equal the state before the operation (every
 entry, the SHA-256 of every artifact's bytes, the live sequence
@@ -157,11 +157,9 @@ CASES = {
         setup=_store_setup, pre=[0, 1, 2], post=[0, 1, 2],
         run=lambda store, arm: (arm(), store.compact("web", to="hour")),
     ),
-    "compact_process2": dict(
+    "compact_day": dict(
         setup=_store_setup, pre=[0, 1, 2], post=[0, 1, 2],
-        run=lambda store, arm: (
-            arm(), store.compact("web", to="hour", executor="process:2")
-        ),
+        run=lambda store, arm: (arm(), store.compact("web", to="day")),
     ),
     "flush": dict(
         setup=_windows_setup, run=_flush, clock=T0, pre=[0], post=[0, 1],
@@ -190,9 +188,9 @@ class _Stop(Exception):
 
 class _TrapAtCommit:
     """A SQLite connection trapped at each COMMIT that changes the
-    database: ``"before"`` SIGKILLs the process (and the pool workers it
-    started, which share its process group) instead of committing,
-    ``"after"`` right after committing, ``"post"`` counts them."""
+    database: ``"before"`` SIGKILLs the child's process group instead of
+    committing, ``"after"`` right after committing, ``"post"`` counts
+    them."""
 
     def __init__(self, conn, when: str) -> None:
         self._conn = conn
