@@ -3,13 +3,15 @@
 A two-hour network monitor again (see sharded_pipeline.py), but this time
 the process "crashes" halfway through ingestion:
 
-1. ingest hour1 fully and half of hour2, checkpoint to disk, drop the
-   summarizer (the crash);
-2. restore from the checkpoint in a "new process" and finish the stream —
-   the resulting summary is **bit-identical** to an uninterrupted run;
-3. publish the per-hour sketches into a time-bucketed SummaryStore (one
-   artifact per collector), roll the minute buckets up to one hour bucket
-   (an exact merge), and answer aggregate queries straight from disk with
+1. ingest hour1 fully and half of hour2, checkpoint into a time-bucketed
+   SummaryStore (the checkpoint is one more artifact, stored like the
+   sketches), drop the summarizer (the crash);
+2. reopen the store in a "new process", restore from the checkpoint and
+   finish the stream — the resulting summary is **bit-identical** to an
+   uninterrupted run — then remove the consumed checkpoint;
+3. publish the per-hour sketches into the same store (one artifact per
+   collector), roll the minute buckets up to one hour bucket (an exact
+   merge), and answer aggregate queries straight from disk with
    QueryEngine.from_store — identical estimates before and after rollup.
 
 Run:  python examples/checkpointed_pipeline.py
@@ -34,6 +36,7 @@ N_FLOWS = 4_000
 EVENTS_PER_HOUR = 40_000
 K = 400
 HOURS = ["hour1", "hour2"]
+BUCKET = "20260728T1201"
 
 
 def synth_hour(rng: np.random.Generator, churn: float):
@@ -58,7 +61,7 @@ def main() -> None:
     hours = {"hour1": synth_hour(rng, 0.10), "hour2": synth_hour(rng, 0.25)}
 
     with tempfile.TemporaryDirectory() as workdir:
-        checkpoint_path = Path(workdir) / "ingest.ckpt"
+        root = Path(workdir) / "store"
 
         # --- baseline: one uninterrupted run -----------------------------
         baseline = fresh_summarizer()
@@ -69,23 +72,29 @@ def main() -> None:
         engine = fresh_summarizer()
         feed(engine, "hour1", *hours["hour1"], 0, EVENTS_PER_HOUR)
         feed(engine, "hour2", *hours["hour2"], 0, EVENTS_PER_HOUR // 2)
-        nbytes = engine.save_checkpoint(checkpoint_path)
+        entry = SummaryStore(root).write(
+            "flows", BUCKET, engine.checkpoint_state(), part="ingest"
+        )
         print(f"checkpointed {engine!r}")
-        print(f"  -> {checkpoint_path.name} ({nbytes:,} bytes)")
+        print(f"  -> {entry.namespace}/{entry.bucket}/{entry.part} "
+              f"({entry.kind}, {entry.nbytes:,} bytes)")
         del engine  # the crash
 
-        resumed = ShardedSummarizer.load_checkpoint(checkpoint_path)
+        store = SummaryStore(root, create=False)  # the new process
+        resumed = ShardedSummarizer.from_checkpoint(
+            store.read("flows", BUCKET, "ingest")
+        )
         feed(resumed, "hour2", *hours["hour2"], EVENTS_PER_HOUR // 2,
              EVENTS_PER_HOUR)
         identical = resumed.summary().equals(baseline.summary())
         print(f"resumed summary bit-identical to uninterrupted run: "
               f"{identical}")
+        store.remove("flows", BUCKET, "ingest")  # consumed
 
-        # --- publish to a time-bucketed store, roll up, query ------------
-        store = SummaryStore(Path(workdir) / "store")
+        # --- publish to the store, roll up, query ------------------------
         # Each collector publishes its bucket's sketches as one artifact;
         # here one artifact carries both hours for minute 12:01.
-        store.write("flows", "20260728T1201", resumed.sketch_bundle())
+        store.write("flows", BUCKET, resumed.sketch_bundle())
         spec_rows = [
             ("hour1 total", AggregationSpec("single", ("hour1",))),
             ("max(h1,h2)", AggregationSpec("max", tuple(HOURS))),

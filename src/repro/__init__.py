@@ -86,8 +86,6 @@ from repro.store import (
     SketchBundle,
     SummarizerCheckpoint,
     SummaryStore,
-    load_checkpoint,
-    save_checkpoint,
 )
 
 __version__ = "1.0.0"
@@ -139,8 +137,6 @@ __all__ = [
     "SketchBundle",
     "SummarizerCheckpoint",
     "SummaryStore",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 

@@ -825,7 +825,11 @@ class ShardedSummarizer:
     # -- checkpoint / resume --------------------------------------------------
 
     def checkpoint_state(self) -> "SummarizerCheckpoint":
-        """Freeze the summarizer for :mod:`repro.store.checkpoint`.
+        """Freeze the summarizer mid-stream.
+
+        The snapshot lives in memory, or durably as a store artifact:
+        ``store.write(namespace, bucket, summarizer.checkpoint_state())``,
+        restored with ``from_checkpoint(store.load(entry))``.
 
         Captures configuration, the coordination salt, and per assignment
         its aggregated table as one pre-aggregated ``(keys, totals)`` chunk
@@ -892,19 +896,6 @@ class ShardedSummarizer:
             ]
         restored._rows = state.buffered_events
         return restored
-
-    def save_checkpoint(self, path) -> int:
-        """Write a checkpoint blob to ``path``; returns bytes written."""
-        from repro.store.checkpoint import save_checkpoint
-
-        return save_checkpoint(path, self)
-
-    @classmethod
-    def load_checkpoint(cls, path) -> "ShardedSummarizer":
-        """Restore a summarizer from a checkpoint file."""
-        from repro.store.checkpoint import load_checkpoint
-
-        return load_checkpoint(path)
 
     @property
     def buffered_events(self) -> int:

@@ -452,53 +452,6 @@ class BottomKStreamSampler:
             else:
                 break
 
-    def state(self) -> tuple[list[tuple], frozenset]:
-        """Snapshot ``(heap entries, seen keys)`` for checkpointing.
-
-        The heap entries are ``(-rank, key, rank, weight, seed)`` tuples
-        in internal list order (a valid heap layout), so
-        :meth:`from_state` restores a sampler that behaves bit-identically
-        — including duplicate-key detection, which needs the seen set and
-        not just the heap.  Both containers are copies.
-        """
-        heap = [
-            (neg_rank, slot.key, -neg_rank, weight, -neg_seed)
-            for neg_rank, neg_seed, slot, weight in self._heap
-        ]
-        return heap, frozenset(self._seen)
-
-    @classmethod
-    def from_state(
-        cls,
-        k: int,
-        family: RankFamily,
-        hasher: KeyHasher,
-        heap: Iterable[tuple],
-        seen: Iterable[Hashable],
-    ) -> "BottomKStreamSampler":
-        """Rebuild a sampler from a :meth:`state` snapshot.
-
-        Entries are re-heapified defensively (``heap`` may arrive in any
-        order).  The internal list layout may therefore differ from the
-        snapshot, but every observable output is layout-independent: the
-        kept entries are determined by rank comparisons alone and
-        :meth:`sketch` sorts them, so a restored sampler produces
-        bit-identical sketches to the original under any continued stream.
-        """
-        sampler = cls(k, family, hasher)
-        sampler._heap = [
-            (-rank, -seed, _HeapKey(key), weight)
-            for _, key, rank, weight, seed in heap
-        ]
-        heapq.heapify(sampler._heap)
-        sampler._seen = set(seen)
-        if len(sampler._heap) > k + 1:
-            raise ValueError(
-                f"heap holds {len(sampler._heap)} entries; a bottom-{k} "
-                "sampler keeps at most k + 1"
-            )
-        return sampler
-
     def sketch(self) -> BottomKSketch:
         """Materialize the sketch from the current sampler state."""
         entries = sorted(self._heap, reverse=True)

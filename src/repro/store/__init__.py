@@ -1,19 +1,20 @@
-"""Persistent summary store: codec, disk registry, and checkpoint/resume.
+"""Persistent summary store: codec, registry, and the runtime tier.
 
 The storage layer between the ingestion engine and the query
-engine: :mod:`repro.store.codec` serializes sketches, samplers, summaries,
+engine: :mod:`repro.store.codec` serializes sketches, summaries,
 and checkpoints to a versioned zero-copy binary format;
 :mod:`repro.store.store` keeps the resulting artifacts in a namespace- and
 time-bucket-partitioned registry with one-transaction mutations and exact
 merge-based rollups; :mod:`repro.store.runtime` is the WAL-mode SQLite
 runtime tier beneath it (manifest and artifact bytes, persistent
-query-result cache, cluster and repair journals); :mod:`repro.store.checkpoint`
-freezes and resumes ingestion bit-identically.  ``python -m repro.store``
+query-result cache, cluster and repair journals).  The registry is the
+one durable medium: a mid-stream
+:class:`~repro.store.codec.SummarizerCheckpoint` is stored like any other
+artifact and resumes ingestion bit-identically.  ``python -m repro.store``
 exposes the write/ls/compact/export/query/stats workflow on the command
 line.
 """
 
-from repro.store.checkpoint import load_checkpoint, save_checkpoint
 from repro.store.codec import (
     CodecError,
     SketchBundle,
@@ -21,8 +22,6 @@ from repro.store.codec import (
     UnsupportedFormatError,
     decode,
     encode,
-    read_file,
-    write_file,
 )
 from repro.store.runtime import RUNTIME_FILENAME, RuntimeStore
 from repro.store.store import (
@@ -43,10 +42,6 @@ __all__ = [
     "SummarizerCheckpoint",
     "encode",
     "decode",
-    "write_file",
-    "read_file",
-    "save_checkpoint",
-    "load_checkpoint",
     "BUNDLE_KINDS",
     "GRANULARITIES",
     "RUNTIME_FILENAME",

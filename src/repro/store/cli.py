@@ -10,12 +10,13 @@ buckets up, and answer aggregate queries from disk:
     python -m repro.store query --root /tmp/flows --namespace web \\
         --function max --assignments hour12 hour13
 
-``write`` reads ``key,weight`` CSV lines (events may repeat keys; they are
-pre-aggregated before sampling), or generates a synthetic stream with
-``--demo N``.  ``ls --json`` prints the listing the service's ``/status``
-embeds; ``export`` writes one artifact's exact codec bytes to a ``.cws``
-file; ``query`` answers one or several namespaces.  Also installed as
-the ``repro-store`` console script.
+``write`` reads ``key,weight`` CSV lines (events may repeat keys; the
+:class:`~repro.engine.ShardedSummarizer` every writer samples with sums
+them per key), or generates a synthetic stream with ``--demo N``.
+``ls --json`` prints the listing the service's ``/status`` embeds;
+``export`` writes one artifact's exact codec bytes to a ``.cws`` file;
+``query`` answers one or several namespaces.  Also installed as the
+``repro-store`` console script.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from repro.cliutil import (
     verb_parser,
 )
 from repro.core.aggregates import FUNCTIONS, AggregationSpec
+from repro.engine.sharded import ShardedSummarizer
 from repro.ranks.families import get_rank_family
 from repro.ranks.hashing import KeyHasher
-from repro.sampling.bottomk import BottomKStreamSampler, aggregate_stream
-from repro.store.codec import SketchBundle, atomic_write_bytes
+from repro.store.codec import atomic_write_bytes
 from repro.store.store import GRANULARITIES, SummaryStore
 
 __all__ = ["main", "build_parser"]
@@ -59,19 +60,12 @@ def _cmd_write(args: argparse.Namespace) -> int:
         if args.input is not None
         else _demo_events(args.demo, args.demo_seed, args.demo_prefix)
     )
-    family = get_rank_family(args.family)
-    hasher = KeyHasher(args.salt)
-    totals = aggregate_stream(events)
-    sampler = BottomKStreamSampler(args.k, family, hasher)
-    sampler.process_batch(list(totals), np.fromiter(
-        totals.values(), dtype=float, count=len(totals)
-    ))
-    bundle = SketchBundle(
-        kind="bottomk",
-        sketches={args.assignment: sampler.sketch()},
-        family=family,
-        hasher_salt=args.salt,
+    engine = ShardedSummarizer(
+        args.k, [args.assignment], get_rank_family(args.family),
+        KeyHasher(args.salt),
     )
+    engine.ingest_stream(args.assignment, events)
+    bundle = engine.sketch_bundle()
     store = SummaryStore(args.root)
     entry = store.write(
         args.namespace, args.bucket, bundle, part=args.part,

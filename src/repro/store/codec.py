@@ -1,8 +1,8 @@
-"""Versioned binary codec for summaries, sketches, and sampler state.
+"""Versioned binary codec for summaries, sketches, and checkpoints.
 
-Everything the engine can produce — :class:`~repro.sampling.bottomk.BottomKSketch`,
+Everything a :class:`~repro.store.SummaryStore` holds or a daemon ships —
+:class:`~repro.sampling.bottomk.BottomKSketch`,
 :class:`~repro.sampling.poisson.PoissonSketch`,
-:class:`~repro.sampling.bottomk.BottomKStreamSampler` state,
 :class:`~repro.core.summary.MultiAssignmentSummary`, per-assignment
 :class:`SketchBundle` artifacts, and :class:`SummarizerCheckpoint` snapshots
 — round-trips through one self-describing binary format:
@@ -20,7 +20,11 @@ Everything the engine can produce — :class:`~repro.sampling.bottomk.BottomKSke
   keep hashing new keys consistently with the process that wrote it;
 * **versioned** — every blob starts with magic + format version; unknown
   versions are refused with :class:`UnsupportedFormatError` instead of
-  being misread (``tests/data/golden_store_v1.cws`` pins v1 against drift).
+  being misread (``tests/data/golden_store_v1.cws`` pins v1 against drift);
+* **typed failures** — :func:`decode` believes a blob's header only as
+  far as it can check it: a lying header (a wrong type, a missing field,
+  a count its buffers cannot back) raises :class:`CodecError`, never a
+  bare ``KeyError`` or ``TypeError``, so a service can answer it 400.
 
 Layout of one encoded blob (all integers little-endian)::
 
@@ -74,8 +78,7 @@ import numpy as np
 
 from repro.core.summary import MultiAssignmentSummary
 from repro.ranks.families import RankFamily, get_rank_family
-from repro.ranks.hashing import KeyHasher
-from repro.sampling.bottomk import BottomKSketch, BottomKStreamSampler
+from repro.sampling.bottomk import BottomKSketch
 from repro.sampling.poisson import PoissonSketch
 
 __all__ = [
@@ -97,8 +100,6 @@ __all__ = [
     "event_batch_namespaces",
     "encode_bundle_batch",
     "decode_bundle_batch",
-    "write_file",
-    "read_file",
     "atomic_write_bytes",
 ]
 
@@ -781,16 +782,6 @@ def _family_name(family: RankFamily) -> str:
     return name
 
 
-def _hasher_salt(hasher: KeyHasher) -> int:
-    if type(hasher) is not KeyHasher:
-        raise CodecError(
-            f"only plain KeyHasher instances can be stored, got "
-            f"{type(hasher).__name__}; custom hashers cannot be "
-            "re-instantiated from a salt alone"
-        )
-    return hasher.salt
-
-
 # ---------------------------------------------------------------------------
 # per-kind encoders
 # ---------------------------------------------------------------------------
@@ -839,54 +830,6 @@ def _decode_poisson_sketch(reader: _BlobReader) -> PoissonSketch:
         ranks=reader.array("ranks"),
         weights=reader.array("weights"),
         seeds=reader.array("seeds") if reader.has("seeds") else None,
-    )
-
-
-def _encode_sampler(sampler: BottomKStreamSampler) -> bytes:
-    heap, seen = sampler.state()
-    writer = _BlobWriter(
-        "bottomk_sampler",
-        {
-            "k": sampler.k,
-            "family": _family_name(sampler.family),
-            "salt": _hasher_salt(sampler.hasher),
-        },
-    )
-    writer.add_keys("heap_keys", [entry[1] for entry in heap])
-    writer.add_scalars("heap_ranks", [entry[2] for entry in heap])
-    writer.add_scalars("heap_weights", [entry[3] for entry in heap])
-    writer.add_scalars("heap_seeds", [entry[4] for entry in heap])
-    # Sets have no stable iteration order (str hashing is salted per
-    # process); sort by packed representation so encoding is deterministic.
-    packed = []
-    for key in seen:
-        buf = bytearray()
-        _pack_key(key, buf)
-        packed.append(bytes(buf))
-    writer._append(
-        "seen", b"".join(sorted(packed)), {"enc": "obj", "count": len(packed)}
-    )
-    return writer.render()
-
-
-def _decode_sampler(reader: _BlobReader) -> BottomKStreamSampler:
-    meta = reader.meta
-    keys = reader.keys("heap_keys")
-    ranks = reader.array("heap_ranks")
-    weights = reader.array("heap_weights")
-    seeds = reader.array("heap_seeds")
-    if not (len(keys) == len(ranks) == len(weights) == len(seeds)):
-        raise CodecError("sampler heap buffers have inconsistent lengths")
-    heap = [
-        (-float(rank), key, float(rank), float(weight), float(seed))
-        for key, rank, weight, seed in zip(keys, ranks, weights, seeds)
-    ]
-    return BottomKStreamSampler.from_state(
-        k=int(meta["k"]),
-        family=get_rank_family(meta["family"]),
-        hasher=KeyHasher(int(meta["salt"])),
-        heap=heap,
-        seen=reader.keys("seen"),
     )
 
 
@@ -1189,18 +1132,7 @@ def _decode_bundle_batch(reader: _BlobReader) -> tuple[BundleSection, ...]:
                     f"section {index} has kind {part.kind!r}, expected "
                     "'sketch_bundle'"
                 )
-            try:
-                bundle = _decode_bundle(part)
-            except CodecError:
-                raise
-            except (ArithmeticError, AttributeError, LookupError,
-                    TypeError, ValueError, struct.error) as err:
-                # the sketch decoders trust their headers; over the
-                # network a lie in one must surface as a typed error
-                raise CodecError(
-                    f"section {index} ({name!r}) is not a decodable "
-                    f"sketch bundle: {err}"
-                ) from None
+            bundle = _decode_kind(part)
         sections.append(BundleSection(name, state, version, bundle))
     return tuple(sections)
 
@@ -1208,7 +1140,6 @@ def _decode_bundle_batch(reader: _BlobReader) -> tuple[BundleSection, ...]:
 _DECODERS: dict[str, Callable[[_BlobReader], Any]] = {
     "bottomk_sketch": _decode_bottomk_sketch,
     "poisson_sketch": _decode_poisson_sketch,
-    "bottomk_sampler": _decode_sampler,
     "summary": _decode_summary,
     "sketch_bundle": _decode_bundle,
     "checkpoint": _decode_checkpoint,
@@ -1233,8 +1164,6 @@ def encode(obj) -> bytes:
         return _encode_bottomk_sketch(obj)
     if isinstance(obj, PoissonSketch):
         return _encode_poisson_sketch(obj)
-    if isinstance(obj, BottomKStreamSampler):
-        return _encode_sampler(obj)
     if isinstance(obj, MultiAssignmentSummary):
         return _encode_summary(obj)
     if isinstance(obj, SketchBundle):
@@ -1243,8 +1172,8 @@ def encode(obj) -> bytes:
         return _encode_checkpoint(obj)
     raise CodecError(
         f"cannot serialize object of type {type(obj).__name__}; supported: "
-        "BottomKSketch, PoissonSketch, BottomKStreamSampler, "
-        "MultiAssignmentSummary, SketchBundle, SummarizerCheckpoint"
+        "BottomKSketch, PoissonSketch, MultiAssignmentSummary, "
+        "SketchBundle, SummarizerCheckpoint"
     )
 
 
@@ -1257,12 +1186,25 @@ def decode(data, *, writable: bool = False, verify: bool = False):
     payload CRC — recommended when reading from storage, skipped by
     default so hot-path loads stay O(header).
     """
-    reader = _BlobReader(data, writable=writable, verify=verify)
+    return _decode_kind(_BlobReader(data, writable=writable, verify=verify))
+
+
+def _decode_kind(reader: _BlobReader):
     try:
         decoder = _DECODERS[reader.kind]
-    except KeyError:
+    except (KeyError, TypeError):
         raise CodecError(f"unknown blob kind {reader.kind!r}") from None
-    return decoder(reader)
+    try:
+        return decoder(reader)
+    except CodecError:
+        raise
+    except (ArithmeticError, AttributeError, LookupError, TypeError,
+            ValueError, struct.error) as err:
+        # the per-kind decoders trust their headers; a lie in one must
+        # surface as a typed error, wherever the bytes came from
+        raise CodecError(
+            f"{reader.kind} blob does not decode: {err!r}"
+        ) from None
 
 
 def decode_event_batch(data) -> EventBatch:
@@ -1322,10 +1264,9 @@ def atomic_write_bytes(path, data: bytes) -> None:
     The bytes are staged to a temporary file beside the target, fsynced,
     and published with :func:`os.replace`, so a crash mid-write never
     leaves a truncated or half-written file at ``path``.  Parent
-    directories are created as needed.  Serves standalone files only —
-    :func:`write_file` checkpoints and ``repro-store export``; a
-    :class:`~repro.store.SummaryStore` keeps its artifacts as rows of its
-    runtime tier.
+    directories are created as needed.  Serves ``repro-store export``
+    only; a :class:`~repro.store.SummaryStore` keeps its artifacts as rows
+    of its runtime tier.
     """
     path = os.fspath(path)
     directory, name = os.path.split(path)
@@ -1341,21 +1282,3 @@ def atomic_write_bytes(path, data: bytes) -> None:
     finally:
         if os.path.exists(staging):
             os.unlink(staging)
-
-
-def write_file(path, obj) -> int:
-    """Atomically encode ``obj`` into ``path``; returns bytes written.
-
-    Atomicity is the property checkpoint files depend on: overwriting the
-    previous good checkpoint must not destroy it if the writer crashes.
-    """
-    blob = encode(obj)
-    atomic_write_bytes(path, blob)
-    return len(blob)
-
-
-def read_file(path, *, writable: bool = False, verify: bool = True):
-    """Read and decode one blob file (CRC-verified by default)."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    return decode(data, writable=writable, verify=verify)

@@ -35,7 +35,9 @@ The store holds three artifact kinds: :class:`~repro.store.codec.SketchBundle`
 (per-assignment sketches — the unit of rollups and query serving),
 :class:`~repro.core.summary.MultiAssignmentSummary` (assembled summaries,
 stored as-is), and :class:`~repro.store.codec.SummarizerCheckpoint`
-(mid-ingestion snapshots; see :mod:`repro.store.checkpoint`).
+(mid-ingestion snapshots of a
+:class:`~repro.engine.ShardedSummarizer`, restored with
+``ShardedSummarizer.from_checkpoint(store.load(entry))``).
 """
 
 from __future__ import annotations

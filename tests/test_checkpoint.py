@@ -15,7 +15,8 @@ import pytest
 from repro.engine.sharded import ShardedSummarizer
 from repro.ranks.families import ExponentialRanks, IppsRanks
 from repro.ranks.hashing import KeyHasher
-from repro.store import SummaryStore, load_checkpoint, save_checkpoint
+from repro.store import SummaryStore
+from repro.store.cli import main as store_cli
 from repro.store.codec import SummarizerCheckpoint, decode, encode
 
 
@@ -51,11 +52,16 @@ def test_resume_is_bit_identical(tmp_path, family):
 
     interrupted = fresh()
     feed(interrupted, "h1", keys[:half], weights[:half])
-    path = tmp_path / "ingest.ckpt"
-    interrupted.save_checkpoint(path)
+    SummaryStore(tmp_path).write(
+        "flows", "20260728T1201", interrupted.checkpoint_state(),
+        part="ingest",
+    )
     del interrupted  # the "crash"
 
-    resumed = ShardedSummarizer.load_checkpoint(path)
+    store = SummaryStore(tmp_path, create=False)  # a fresh process
+    resumed = ShardedSummarizer.from_checkpoint(
+        store.read("flows", "20260728T1201", "ingest")
+    )
     feed(resumed, "h1", keys[half:], weights[half:])
     feed(resumed, "h2", keys[::2], weights[::2] * 3.0)
 
@@ -94,21 +100,26 @@ def test_checkpoint_into_store(tmp_path):
     assert restored.summary().equals(engine.summary())
 
 
-def test_checkpoint_functions_and_type_guard(tmp_path):
+def test_exported_checkpoint_restores(tmp_path, capsys):
+    """A stored checkpoint leaves the store as exact codec bytes
+    (``repro-store export``) and restores from them."""
     engine = ShardedSummarizer(k=4, assignments=["a"], hasher=KeyHasher(1))
     engine.ingest("a", np.arange(20), np.ones(20))
+    root = tmp_path / "store"
+    SummaryStore(root).write(
+        "flows", "20260728T1201", engine.checkpoint_state(), part="ingest"
+    )
     path = tmp_path / "cp.cws"
-    assert save_checkpoint(path, engine) == path.stat().st_size
-    assert load_checkpoint(path).summary().equals(engine.summary())
-    # also accepts an already-captured state
-    save_checkpoint(path, engine.checkpoint_state())
-
-    sketch_path = tmp_path / "sk.cws"
-    from repro.store.codec import write_file
-
-    write_file(sketch_path, engine.sketches()["a"])
-    with pytest.raises(TypeError, match="SummarizerCheckpoint"):
-        load_checkpoint(sketch_path)
+    assert store_cli([
+        "export", "--root", str(root), "--namespace", "flows",
+        "--bucket", "20260728T1201", "--part", "ingest", "--out", str(path),
+    ]) == 0
+    assert "exported flows/20260728T1201/ingest" in capsys.readouterr().out
+    state = decode(path.read_bytes(), verify=True)
+    assert isinstance(state, SummarizerCheckpoint)
+    restored = ShardedSummarizer.from_checkpoint(state)
+    assert restored.summary().equals(engine.summary())
+    assert encode(state) == path.read_bytes()
 
 
 def test_checkpoint_requires_plain_hasher():
@@ -189,19 +200,6 @@ def test_multi_shard_checkpoint_of_the_parent_layout_resumes():
     assert encode(resumed.sketch_bundle()) == encode(
         uninterrupted.sketch_bundle()
     )
-
-
-def test_save_checkpoint_overwrite_is_atomic(tmp_path):
-    """Re-checkpointing to the same path must stage + rename, never truncate."""
-    engine = ShardedSummarizer(k=4, assignments=["a"], hasher=KeyHasher(1))
-    engine.ingest("a", np.arange(20), np.ones(20))
-    path = tmp_path / "cp.cws"
-    engine.save_checkpoint(path)
-    engine.ingest("a", np.arange(20, 40), np.ones(20))
-    engine.save_checkpoint(path)  # overwrite in place
-    assert load_checkpoint(path).summary().equals(engine.summary())
-    strays = [p for p in tmp_path.iterdir() if ".tmp." in p.name]
-    assert strays == []
 
 
 def test_buffered_events_property():

@@ -345,20 +345,18 @@ class TestCrossTypeTies:
                             engine.summary()
                     assert engine.sketches()["h"].equals(reference)
 
-    def test_a_tied_sampler_survives_state_and_codec(self):
-        sampler = self.sampler(1, [["a", "zz", b"a"]])
-        state = sampler.state()
-        for restored in (
-            BottomKStreamSampler.from_state(
-                1, IppsRanks(), KeyHasher(0), *state
-            ),
-            decode(encode(sampler)),
-        ):
-            assert restored.sketch().equals(sampler.sketch())
-            assert encode(restored) == encode(sampler)
-            restored.process_batch([b"", ""], [2.0, 2.0])
-            again = self.sampler(1, [["a", "zz", b"a"], [b"", ""]])
-            assert restored.sketch().equals(again.sketch())
+    def test_a_tied_summarizer_survives_checkpoint_and_codec(self):
+        engine = ShardedSummarizer(1, ["h"], hasher=KeyHasher(0))
+        engine.ingest("h", ["a", "zz", b"a"], np.full(3, 2.0))
+        first = self.sampler(1, [["a", "zz", b"a"]]).sketch()
+        assert engine.sketches()["h"].equals(first)  # folded into a table
+        state = engine.checkpoint_state()
+        restored = ShardedSummarizer.from_checkpoint(decode(encode(state)))
+        assert restored.sketches()["h"].equals(first)
+        assert encode(restored.checkpoint_state()) == encode(state)
+        restored.ingest("h", [b"", ""], np.full(2, 2.0))
+        again = self.sampler(1, [["a", "zz", b"a"], [b"", ""]])
+        assert restored.sketches()["h"].equals(again.sketch())
 
 
 class TestBaseAndDelta:

@@ -188,7 +188,7 @@ class TestLsJsonAndExport:
 
     def test_export_writes_the_exact_bytes(self, tmp_path, capsys):
         from repro.store import SummaryStore
-        from repro.store.codec import read_file
+        from repro.store.codec import decode
 
         root = tmp_path / "store"
         write_bucket(root, "20260728T1201", "h1", "a-")
@@ -205,8 +205,37 @@ class TestLsJsonAndExport:
         assert out.read_bytes() == store.read_blob(
             "web", "20260728T1201", "part-0000"
         )
-        assert read_file(out).equals(store.read("web", "20260728T1201",
-                                                "part-0000"))
+        assert decode(out.read_bytes(), verify=True).equals(
+            store.read("web", "20260728T1201", "part-0000")
+        )
+
+    def test_export_overwrite_is_atomic(self, tmp_path, capsys):
+        """Re-exporting to the same path must stage + rename, never
+        truncate: a reader holding the old file keeps its whole bytes."""
+        from repro.store import SummaryStore
+
+        root = tmp_path / "store"
+        write_bucket(root, "20260728T1201", "h1", "a-")
+        write_bucket(root, "20260728T1202", "h1", "b-", seed=1)
+        out = tmp_path / "part.cws"
+
+        def export(bucket):
+            assert main([
+                "export", "--root", str(root), "--namespace", "web",
+                "--bucket", bucket, "--part", "part-0000", "--out", str(out),
+            ]) == 0
+
+        store = SummaryStore(root, create=False)
+        first = store.read_blob("web", "20260728T1201", "part-0000")
+        second = store.read_blob("web", "20260728T1202", "part-0000")
+        assert first != second
+        export("20260728T1201")
+        with open(out, "rb") as held:
+            export("20260728T1202")  # overwrite in place
+            assert held.read() == first
+        assert out.read_bytes() == second
+        assert [p.name for p in tmp_path.iterdir() if ".tmp." in p.name] == []
+        capsys.readouterr()
 
     def test_export_refuses_a_missing_artifact(self, tmp_path):
         root = tmp_path / "store"

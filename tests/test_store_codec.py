@@ -3,12 +3,13 @@
 The contract under test (``repro.store.codec``):
 
 * ``decode(encode(x))`` equals ``x`` bit for bit, across EXP/IPPS rank
-  families, bottom-k / Poisson / combined summaries, samplers mid-stream,
-  tuple and string keys, and empty / degenerate objects (hypothesis
-  property plus directed cases);
+  families, bottom-k / Poisson / combined summaries, summarizer
+  checkpoints, tuple and string keys, and empty / degenerate objects
+  (hypothesis property plus directed cases);
 * encoding is deterministic — equal objects give byte-identical blobs;
-* unknown format versions, bad magic, truncation, and payload corruption
-  are refused with clear errors, never misread;
+* unknown format versions, bad magic, truncation, payload corruption and
+  a header that lies under a valid checksum are refused with a
+  :class:`CodecError`, never misread;
 * ``tests/data/golden_store_v1.cws`` pins the v1 binary format: the
   checked-in bytes must decode to today's objects *and* today's encoder
   must reproduce them exactly (regenerate with
@@ -41,11 +42,11 @@ from repro.store.codec import (
     MAGIC,
     SketchBundle,
     UnsupportedFormatError,
+    atomic_write_bytes,
     decode,
     encode,
-    read_file,
-    write_file,
 )
+from tests.test_ingest_frames import reheader
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA_DIR / "golden_store_v1.cws"
@@ -151,40 +152,29 @@ class TestSketchRoundTrip:
         assert "a" in back and "missing" not in back
 
 
-class TestSamplerRoundTrip:
-    def test_resumed_sampler_matches(self):
+class TestSamplerIsNotAnArtifact:
+    """A stream sampler has no codec kind: a store keeps its sketches,
+    and a mid-stream snapshot is a summarizer checkpoint."""
+
+    def test_encode_refuses_a_stream_sampler(self):
         sampler = BottomKStreamSampler(3, IppsRanks(), KeyHasher(11))
-        sampler.process_stream(
-            [("a", 5.0), ("b", 1.0), ("c", 0.0), ("d", 2.0)]
+        sampler.process_stream([("a", 5.0), ("b", 1.0)])
+        with pytest.raises(CodecError, match="cannot serialize"):
+            encode(sampler)
+
+    def test_a_sampler_blob_is_an_unknown_kind(self):
+        from repro.store.codec import _BlobWriter
+
+        writer = _BlobWriter(
+            "bottomk_sampler", {"k": 3, "family": "ipps", "salt": 11}
         )
-        resumed = roundtrip(sampler)
-        for item in [("e", 9.0), ("f", 0.25)]:
-            sampler.process(*item)
-            resumed.process(*item)
-        assert resumed.sketch().equals(sampler.sketch())
-
-    def test_seen_set_survives(self):
-        sampler = BottomKStreamSampler(2, ExponentialRanks(), KeyHasher(0))
-        sampler.process("zero", 0.0)  # dropped from heap, but seen
-        resumed = decode(encode(sampler))
-        with pytest.raises(ValueError, match="seen twice"):
-            resumed.process("zero", 1.0)
-
-    def test_custom_hasher_refused(self):
-        class SaltierHasher(KeyHasher):
-            pass
-
-        sampler = BottomKStreamSampler(2, IppsRanks(), SaltierHasher(1))
-        with pytest.raises(CodecError, match="KeyHasher"):
-            encode(sampler)
-
-    def test_unregistered_family_refused(self):
-        class HomebrewRanks(IppsRanks):
-            name = "homebrew"
-
-        sampler = BottomKStreamSampler(2, HomebrewRanks(), KeyHasher(1))
-        with pytest.raises(CodecError, match="registry"):
-            encode(sampler)
+        writer.add_keys("heap_keys", ["a"])
+        writer.add_scalars("heap_ranks", [0.25])
+        writer.add_keys("seen", ["a"])
+        with pytest.raises(
+            CodecError, match="unknown blob kind 'bottomk_sampler'"
+        ):
+            decode(writer.render(), verify=True)
 
 
 def _summary(mode, method, family, kind="bottomk", n=30, m=3, k=5, seed=0):
@@ -279,6 +269,17 @@ class TestBundleRoundTrip:
                 "poisson", {"h": stream_sketch([("a", 1.0)])}, IppsRanks()
             )
 
+    def test_unregistered_family_refused(self):
+        class HomebrewRanks(IppsRanks):
+            name = "homebrew"
+
+        bundle = SketchBundle(
+            "bottomk", {"h": stream_sketch([("a", 1.0)])}, HomebrewRanks(),
+            hasher_salt=7,
+        )
+        with pytest.raises(CodecError, match="registry"):
+            encode(bundle)
+
     def test_summary_from_decoded_bundle_matches(self):
         bundle = golden_bundle()
         assert decode(encode(bundle)).summary().equals(bundle.summary())
@@ -316,6 +317,9 @@ class TestErrorPaths:
         blob = _BlobWriter("hologram", {}).render()
         with pytest.raises(CodecError, match="unknown blob kind"):
             decode(blob)
+        unhashable = reheader(blob, lambda header: header.update(kind=[1]))
+        with pytest.raises(CodecError, match="unknown blob kind"):
+            decode(unhashable)
 
     def test_unsupported_object(self):
         with pytest.raises(CodecError, match="cannot serialize"):
@@ -342,6 +346,57 @@ class TestErrorPaths:
             reader.keys("keys")
 
 
+def _checkpoint():
+    from repro.engine.sharded import ShardedSummarizer
+
+    engine = ShardedSummarizer(3, ["h1"], hasher=KeyHasher(4))
+    engine.ingest("h1", ["a", "b"], [1.0, 2.0])
+    return engine.checkpoint_state()
+
+
+def _set(section, field, value):
+    return lambda header: header[section].__setitem__(field, value)
+
+
+#: (object, header edit): lies a per-kind decoder trips over as a bare
+#: TypeError, AttributeError or KeyError
+LIES = {
+    "bottomk_sketch-k-list": (
+        lambda: stream_sketch([("a", 1.0), ("b", 2.0)]),
+        _set("meta", "k", [2]),
+    ),
+    "poisson_sketch-shape-int": (
+        lambda: poisson_from_ranks(
+            np.array([0.1, 0.5]), np.array([1.0, 2.0]), tau=0.3
+        ),
+        lambda header: header["arrays"]["ranks"].__setitem__("shape", 2),
+    ),
+    "summary-assignments-int": (
+        lambda: _summary("dispersed", "shared_seed", IppsRanks()),
+        _set("meta", "assignments", 3),
+    ),
+    "sketch_bundle-family-int": (golden_bundle, _set("meta", "family", 5)),
+    "sketch_bundle-names-missing": (
+        golden_bundle, lambda header: header["meta"].pop("names"),
+    ),
+    "sketch_bundle-names-int": (golden_bundle, _set("meta", "names", 3)),
+    "checkpoint-layout-str": (_checkpoint, _set("meta", "layout", [["x"]])),
+}
+
+
+class TestLyingHeaders:
+    """A header that lies under a valid checksum is a :class:`CodecError`
+    from :func:`decode`, whatever the kind."""
+
+    @pytest.mark.parametrize("case", sorted(LIES))
+    def test_lie_raises_codec_error(self, case):
+        make, edit = LIES[case]
+        blob = encode(make())
+        assert decode(blob, verify=True) is not None
+        with pytest.raises(CodecError, match=case.split("-")[0]):
+            decode(reheader(blob, edit), verify=True)
+
+
 class TestZeroCopy:
     def test_decoded_arrays_are_views(self):
         sk = stream_sketch([("a", 3.0), ("b", 1.0)])
@@ -357,9 +412,8 @@ class TestZeroCopy:
     def test_file_round_trip(self, tmp_path):
         sk = stream_sketch([("a", 3.0), ("b", 1.0)])
         path = tmp_path / "sk.cws"
-        nbytes = write_file(path, sk)
-        assert path.stat().st_size == nbytes
-        assert read_file(path).equals(sk)
+        atomic_write_bytes(path, encode(sk))
+        assert decode(path.read_bytes(), verify=True).equals(sk)
 
 
 # -- hypothesis property: decode(encode(x)) == x over generated objects ------
@@ -389,14 +443,12 @@ _weight_strategy = st.one_of(
 )
 # a str and its UTF-8 bytes hash alike: equal weights tie on rank and seed
 @example(items={"": 1.0, b"": 1.0}, k=1, family_ipps=True, salt=0)
-def test_roundtrip_property_sketch_and_sampler(items, k, family_ipps, salt):
+def test_roundtrip_property_sketch(items, k, family_ipps, salt):
     family: RankFamily = IppsRanks() if family_ipps else ExponentialRanks()
     sampler = BottomKStreamSampler(k, family, KeyHasher(salt))
     sampler.process_stream(items.items())
     sketch = sampler.sketch()
     assert roundtrip(sketch).equals(sketch)
-    resumed = roundtrip(sampler)
-    assert resumed.sketch().equals(sketch)
 
 
 @settings(deadline=None, max_examples=25)

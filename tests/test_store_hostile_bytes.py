@@ -33,7 +33,8 @@ from repro.service.cluster import (
 from repro.service.planner import QueryPlanner
 from repro.service.windows import LiveWindowManager
 from repro.store import CodecError, SummaryStore
-from repro.store.codec import decode
+from repro.store.codec import decode, encode
+from tests.test_ingest_frames import reheader
 
 NS = NamespaceConfig("web", ("h1", "h2"), k=16, salt=9)
 BUCKET = "20260728T1100"
@@ -154,3 +155,37 @@ def test_import_bundle_refuses(damaged, tmp_path):
         receiver.import_bundle("web", BUCKET, "ho-0000", blob)
     assert receiver.entries() == []
     assert receiver.version() == "r0"
+
+
+def test_post_bundle_with_a_lying_header_is_a_400(tmp_path):
+    """A ``POST /bundle`` body whose checksum holds but whose header lies
+    is the sender's fault: a 400 naming the codec, never a 404 or a 500,
+    and nothing is published or counted as the daemon's own failure."""
+    summarizer = NS.make_summarizer()
+    summarizer.ingest_multi(["a", "b"], {"h1": [1.0, 2.0], "h2": [3.0, 4.0]})
+    blob = encode(summarizer.sketch_bundle())
+    lies = [
+        lambda header: header["meta"].__setitem__("family", 5),
+        lambda header: header["meta"].pop("names"),
+        lambda header: header["meta"].__setitem__("names", 3),
+    ]
+    config = ServiceConfig(
+        store_root=str(tmp_path / "store"), namespaces=(NS,), port=0,
+        compact_to=None, tick_s=3600.0,
+    )
+    with ServiceThread(config, clock=lambda: T0) as thread:
+        client = ServiceClient(port=thread.service.port)
+        client.wait_ready()
+        for index, edit in enumerate(lies):
+            with pytest.raises(ServiceError) as excinfo:
+                client.put_bundle(
+                    "web", BUCKET, f"ho-{index:04d}", reheader(blob, edit)
+                )
+            assert excinfo.value.status == 400
+            assert "sketch_bundle blob does not decode" in str(excinfo.value)
+        assert client.status()["stats"]["last_error"] is None
+        client.put_bundle("web", BUCKET, "ho-0000", blob)  # the honest one
+        client.close()
+    assert [entry.part for entry in SummaryStore(
+        tmp_path / "store", create=False
+    ).entries("web")] == ["ho-0000"]
