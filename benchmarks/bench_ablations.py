@@ -19,10 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.aggregates import AggregationSpec, key_values
-from repro.estimators.colocated import (
-    colocated_estimator,
-    generic_consistent_estimator,
-)
+from repro.engine.queries import QueryEngine
 from repro.evaluation.experiments import (
     dispersed_tasks,
     experiment_unweighted_baseline,
@@ -85,7 +82,9 @@ def test_a3_generic_vs_tailored(benchmark, emit):
         name="tailored (Eq.6)",
         rank_method="shared_seed",
         mode="colocated",
-        estimate=lambda s: colocated_estimator(s, spec),
+        estimate=lambda s: QueryEngine.for_summary(s).adjusted(
+            spec, "colocated"
+        ),
         f_values=f_values,
         sigma_v=lambda ctx: sv_colocated_inclusive(ctx, f_values),
     )
@@ -93,7 +92,9 @@ def test_a3_generic_vs_tailored(benchmark, emit):
         name="generic (Eq.7)",
         rank_method="shared_seed",
         mode="colocated",
-        estimate=lambda s: generic_consistent_estimator(s, spec),
+        estimate=lambda s: QueryEngine.for_summary(s).adjusted(
+            spec, "generic"
+        ),
         f_values=f_values,
     )
 
@@ -130,7 +131,9 @@ def test_a4_indep_diff_vs_shared_seed(benchmark, emit):
             name=method,
             rank_method=method,
             mode="colocated",
-            estimate=lambda s: colocated_estimator(s, spec),
+            estimate=lambda s: QueryEngine.for_summary(s).adjusted(
+            spec, "colocated"
+        ),
             f_values=f_values,
             sigma_v=lambda ctx: sv_colocated_inclusive(ctx, f_values),
         )

@@ -1,14 +1,14 @@
-"""QUERY — batch QueryEngine throughput vs looping the per-spec estimators.
+"""QUERY — batch QueryEngine throughput vs one fresh engine per query.
 
 Shape: a 50-query batch (min/max/L1/ℓ-th-largest/single specs × assignment
 subsets × attribute predicates) over a summary of a 100k-key dataset runs
-at least 5x faster through :class:`repro.engine.queries.QueryEngine` than
-looping the per-spec estimators (one kernel run per query, wrapped as
-sparse adjusted weights) with dense predicate masks, while returning
-numerically identical estimates.  The engine wins twice: each kernel runs
-once per spec and its dense output is shared by every predicate, and
-predicates are pushed down to the summary's union keys instead of being
-materialized over all 100k dataset keys per query.
+at least 5x faster through one :class:`repro.engine.queries.QueryEngine`
+than looping the queries with a fresh engine each (one uncached kernel run
+per query, wrapped as sparse adjusted weights) and dense predicate masks,
+while returning numerically identical estimates.  The engine wins twice:
+each kernel runs once per spec and its dense output is shared by every
+predicate, and predicates are pushed down to the summary's union keys
+instead of being materialized over all 100k dataset keys per query.
 
 Run under pytest (`pytest benchmarks/bench_query_throughput.py`) or
 standalone (`PYTHONPATH=src python benchmarks/bench_query_throughput.py`).
@@ -30,13 +30,6 @@ from repro.core.predicates import (
 )
 from repro.core.summary import build_bottomk_summary
 from repro.engine.queries import Query, QueryEngine
-from repro.estimators.colocated import colocated_estimator
-from repro.estimators.dispersed import (
-    l1_estimator,
-    lset_estimator,
-    sset_estimator,
-)
-from repro.estimators.rank_conditioning import plain_rc_from_summary
 from repro.ranks.assignments import get_rank_method
 from repro.ranks.families import get_rank_family
 
@@ -104,20 +97,9 @@ def _make_queries() -> list[Query]:
 
 
 def _reference_answer(summary, dataset, query: Query) -> float:
-    """One query the pre-engine way: per-spec estimator + dense mask."""
-    spec = query.spec
-    if query.estimator == "colocated":
-        adjusted = colocated_estimator(summary, spec)
-    elif query.estimator == "sset":
-        adjusted = sset_estimator(summary, spec)
-    elif query.estimator == "lset":
-        adjusted = lset_estimator(summary, spec)
-    elif query.estimator == "l1-l":
-        adjusted = l1_estimator(summary, spec.assignments, min_variant="l")
-    elif query.estimator == "plain_rc":
-        adjusted = plain_rc_from_summary(summary, spec.assignments[0])
-    else:
-        raise ValueError(query.estimator)
+    """One query on its own: a fresh engine (no shared kernel output) and
+    a dense mask over every dataset key."""
+    adjusted = QueryEngine(summary).adjusted(query.spec, query.estimator)
     mask = query.effective_predicate.mask(dataset)
     return adjusted.subpopulation(mask)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import (
     AggregationSpec,
-    colocated_estimator,
+    QueryEngine,
     exact_aggregate,
     summarize_dataset,
 )
@@ -34,6 +34,7 @@ def main() -> None:
     dataset = netflix_monthly_dataset(NetflixConfig(n_movies=3000), seed=5)
     months = dataset.assignments
     summary = summarize_dataset(dataset, k=K, mode="colocated", seed=77)
+    engine = QueryEngine(summary)
     print(f"summary holds {summary.n_union} distinct movies "
           f"({summary.n_union / dataset.n_keys:.1%} of the catalogue), "
           f"k = {K} per month, {len(months)} months")
@@ -43,7 +44,7 @@ def main() -> None:
     print("\n== monthly rating totals (estimate vs exact) ==")
     for month in months[:6]:
         spec = AggregationSpec("single", (month,))
-        estimate = colocated_estimator(summary, spec).total()
+        estimate = engine.estimate(spec, "colocated")
         exact = exact_aggregate(dataset, spec)
         bar = "#" * int(estimate / 2000)
         print(f"  {month}: {estimate:10.0f} vs {exact:10.0f}  {bar}")
@@ -54,7 +55,7 @@ def main() -> None:
         ("peak interest over H1 (max)", AggregationSpec("max", h1)),
         ("jan→feb churn (L1)", AggregationSpec("l1", (months[0], months[1]))),
     ]:
-        estimate = colocated_estimator(summary, spec).total()
+        estimate = engine.estimate(spec, "colocated")
         exact = exact_aggregate(dataset, spec)
         print(f"\n== {label} ==\n  estimate = {estimate:12.0f}   "
               f"exact = {exact:12.0f}")
@@ -63,7 +64,7 @@ def main() -> None:
     predicate = attribute_equals("genre", "documentary")
     mask = predicate.mask(dataset)
     spec = AggregationSpec("l1", (months[0], months[1]))
-    adjusted = colocated_estimator(summary, spec)
+    adjusted = engine.adjusted(spec, "colocated")
     estimate = adjusted.subpopulation(mask)
     spec_doc = AggregationSpec("l1", (months[0], months[1]),
                                predicate=predicate)

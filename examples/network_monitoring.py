@@ -21,11 +21,11 @@ import numpy as np
 
 from repro import (
     AggregationSpec,
-    BottomKStreamSampler,
     KeyHasher,
     IppsRanks,
+    QueryEngine,
+    ShardedSummarizer,
     aggregate_stream,
-    dispersed_estimator,
     exact_aggregate,
 )
 from repro.core.summary import build_summary_from_sketches
@@ -49,14 +49,18 @@ def main() -> None:
     web_bytes: dict[str, dict[int, float]] = {}
     for period in (0, 1):
         name = f"hour{period + 1}"
-        per_key = aggregate_stream(
-            (record.dst_ip, float(record.bytes))
-            for record in trace
-            if record.period == period
+        router = ShardedSummarizer(
+            k=K, assignments=[name], family=family, hasher=hasher
         )
-        sampler = BottomKStreamSampler(k=K, family=family, hasher=hasher)
-        sampler.process_stream(per_key.items())
-        sketches[name] = sampler.sketch()
+        router.ingest_stream(
+            name,
+            (
+                (record.dst_ip, float(record.bytes))
+                for record in trace
+                if record.period == period
+            ),
+        )
+        sketches[name] = router.sketches()[name]
         web_bytes[name] = aggregate_stream(
             (record.dst_ip, float(record.bytes))
             for record in trace
@@ -67,7 +71,7 @@ def main() -> None:
     summary = build_summary_from_sketches(sketches, family)
     names = ("hour1", "hour2")
     spec_l1 = AggregationSpec("l1", names)
-    l1_weights = dispersed_estimator(summary, spec_l1)
+    l1_weights = QueryEngine(summary).adjusted(spec_l1, "l1-l")
 
     dataset = ip_dispersed_dataset(trace, "destip", "bytes")  # ground truth
     exact_l1 = exact_aggregate(

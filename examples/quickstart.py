@@ -15,8 +15,7 @@ import numpy as np
 from repro import (
     AggregationSpec,
     MultiAssignmentDataset,
-    colocated_estimator,
-    dispersed_estimator,
+    QueryEngine,
     exact_aggregate,
     summarize_dataset,
 )
@@ -40,12 +39,13 @@ def tiny_example() -> None:
     print("== tiny example (paper Figure 2) ==")
     summary = summarize_dataset(dataset, k=3, mode="colocated", seed=7)
     print(f"summary: {summary}")
+    engine = QueryEngine(summary)
     for spec in (
         AggregationSpec("single", ("w2",)),
         AggregationSpec("max", ("w1", "w2", "w3")),
         AggregationSpec("l1", ("w2", "w3")),
     ):
-        estimate = colocated_estimator(summary, spec).total()
+        estimate = engine.estimate(spec, "colocated")
         exact = exact_aggregate(dataset, spec)
         print(
             f"  {spec.function:>6} over {','.join(spec.assignments):<10} "
@@ -63,9 +63,12 @@ def realistic_example() -> None:
     estimates: dict[str, list[float]] = {"min": [], "max": [], "l1": []}
     for seed in range(5):
         summary = summarize_dataset(dataset, k=200, mode="dispersed", seed=seed)
+        engine = QueryEngine(summary)
         for function in estimates:
+            # l-set min (Eq. (15)), s-set == l-set max, L1 = max − l-set min
+            estimator = "l1-l" if function == "l1" else "lset"
             spec = AggregationSpec(function, names)
-            estimates[function].append(dispersed_estimator(summary, spec).total())
+            estimates[function].append(engine.estimate(spec, estimator))
     for function, values in estimates.items():
         exact = exact_aggregate(dataset, AggregationSpec(function, names))
         mean = float(np.mean(values))

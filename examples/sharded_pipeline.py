@@ -17,8 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import AggregationSpec, ShardedSummarizer, jaccard_from_summary
-from repro.estimators import dispersed_estimator
+from repro import (
+    AggregationSpec,
+    QueryEngine,
+    ShardedSummarizer,
+    jaccard_from_summary,
+)
 from repro.ranks import KeyHasher
 
 N_FLOWS = 5_000
@@ -82,8 +86,10 @@ def main() -> None:
         ("L1 change", AggregationSpec("l1", ("hour1", "hour2")),
          exact_max - exact_min),
     ]
+    queries = QueryEngine(summary)
     for label, spec, true_value in rows:
-        estimate = dispersed_estimator(summary, spec).total()
+        estimator = "l1-l" if spec.function == "l1" else "lset"
+        estimate = queries.estimate(spec, estimator)
         error = abs(estimate - true_value) / true_value if true_value else 0.0
         print(f"{label:<14} {estimate:14.0f} {true_value:14.0f} {error:9.1%}")
 

@@ -7,14 +7,15 @@ Quick tour
 ----------
 >>> import numpy as np
 >>> from repro import (MultiAssignmentDataset, AggregationSpec,
-...                    summarize_dataset, dispersed_estimator)
+...                    QueryEngine, summarize_dataset)
 >>> ds = MultiAssignmentDataset(
 ...     keys=["i1", "i2", "i3"],
 ...     assignments=["hour1", "hour2"],
 ...     weights=[[15.0, 20.0], [0.0, 10.0], [10.0, 12.0]],
 ... )
 >>> summary = summarize_dataset(ds, k=2, mode="dispersed", seed=7)
->>> a = dispersed_estimator(summary, AggregationSpec("max", ("hour1", "hour2")))
+>>> engine = QueryEngine(summary)
+>>> a = engine.adjusted(AggregationSpec("max", ("hour1", "hour2")), "sset")
 >>> a.total() > 0
 True
 
@@ -54,19 +55,7 @@ from repro.engine import (
     merge_bottomk,
     merge_poisson,
 )
-from repro.estimators import (
-    AdjustedWeights,
-    colocated_estimator,
-    dispersed_estimator,
-    ht_adjusted_weights,
-    independent_min_estimator,
-    jaccard_from_kmins,
-    l1_estimator,
-    lset_estimator,
-    max_estimator,
-    plain_rc_adjusted_weights,
-    sset_estimator,
-)
+from repro.estimators import AdjustedWeights, jaccard_from_kmins
 from repro.ranks import (
     ExponentialRanks,
     IppsRanks,
@@ -113,15 +102,6 @@ __all__ = [
     "QueryResult",
     "jaccard_from_summary",
     "AdjustedWeights",
-    "colocated_estimator",
-    "dispersed_estimator",
-    "sset_estimator",
-    "lset_estimator",
-    "max_estimator",
-    "l1_estimator",
-    "independent_min_estimator",
-    "ht_adjusted_weights",
-    "plain_rc_adjusted_weights",
     "jaccard_from_kmins",
     "ExponentialRanks",
     "IppsRanks",

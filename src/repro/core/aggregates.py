@@ -146,6 +146,12 @@ class AggregationSpec:
             raise ValueError("'single' aggregates take exactly one assignment")
         if not self.assignments:
             raise ValueError("assignments must be non-empty")
+        if len(set(self.assignments)) != len(self.assignments):
+            # a repeated name would enter an inclusion probability twice
+            raise ValueError(
+                f"duplicate assignment names in {tuple(self.assignments)!r}; "
+                "an aggregate is defined over distinct assignments"
+            )
         if self.function == "lth_largest":
             if self.ell is None:
                 raise ValueError("'lth_largest' aggregates require ell")

@@ -1,10 +1,11 @@
 """Batch query answering over multi-assignment summaries.
 
-The per-spec estimators in :mod:`repro.estimators` answer one
-:class:`~repro.core.aggregates.AggregationSpec` at a time as sparse
-adjusted weights.  :class:`QueryEngine` serves a *batch* of queries (many
-specs × assignment subsets × key predicates) from one summary by running
-the same kernels and sharing their dense outputs:
+:class:`QueryEngine` is the one route from a summary to adjusted weights:
+``adjusted_dense`` / ``adjusted`` / ``estimate`` answer one
+:class:`~repro.core.aggregates.AggregationSpec` with a named estimator
+(:data:`ESTIMATORS`), and ``run`` serves a *batch* of queries (many specs ×
+assignment subsets × key predicates) from one summary by running the
+kernels of :mod:`repro.estimators` once and sharing their dense outputs:
 
 * **per-summary view cache** — CDF matrices, per-subset sorts and
   thresholds live on :meth:`MultiAssignmentSummary.views` and are computed
@@ -21,9 +22,8 @@ the same kernels and sharing their dense outputs:
   (:meth:`~repro.core.predicates.Predicate.mask_at`), never on the full
   dataset.  Each query reduces to a masked sum.
 
-Adjusted weights are bit-identical to the per-spec estimators, which
-wrap the same kernels (``tests/test_query_engine.py``); the kernels are
-pinned against an independent oracle in ``tests/test_kernel_parity.py``.
+The kernels, and the engine's answers through them, are pinned against an
+independent oracle in ``tests/test_kernel_parity.py``.
 """
 
 from __future__ import annotations
@@ -564,11 +564,6 @@ def jaccard_from_summary(
     names = tuple(assignments)
     if len(names) < 2:
         raise ValueError("weighted Jaccard needs at least two assignments")
-    if len(set(names)) != len(names):
-        raise ValueError(
-            f"duplicate assignment names in {names!r}; weighted Jaccard is "
-            "defined over distinct assignments"
-        )
     engine = QueryEngine.for_summary(summary)
     total_max = engine.estimate(AggregationSpec("max", names), "sset")
     if total_max <= 0.0:

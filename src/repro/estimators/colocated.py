@@ -32,15 +32,8 @@ import numpy as np
 
 from repro.core.aggregates import AggregationSpec
 from repro.core.summary import MultiAssignmentSummary
-from repro.estimators.base import AdjustedWeights
 
-__all__ = [
-    "inclusion_probabilities",
-    "colocated_kernel",
-    "generic_kernel",
-    "colocated_estimator",
-    "generic_consistent_estimator",
-]
+__all__ = ["inclusion_probabilities", "colocated_kernel", "generic_kernel"]
 
 
 def _require_colocated(summary: MultiAssignmentSummary) -> None:
@@ -135,7 +128,13 @@ def _f_values_from_summary(
 def colocated_kernel(
     summary: MultiAssignmentSummary, spec: AggregationSpec
 ) -> np.ndarray:
-    """Dense inclusive adjusted weights ``f(i)/p(i)`` over union rows."""
+    """Dense inclusive adjusted weights ``f(i)/p(i)`` over union rows.
+
+    Valid for every aggregate whose per-key value is a function of the
+    weight vector over ``spec.assignments`` — including the L1 difference,
+    which needs no special treatment here because the full weight vector is
+    stored with every sampled key (unlike the dispersed model).
+    """
     f_values = _f_values_from_summary(summary, spec)
     probabilities = inclusion_probabilities(summary)
     return np.divide(
@@ -152,7 +151,10 @@ def generic_kernel(
     """Dense generic consistent-ranks adjusted weights (Eq. (7)).
 
     Selection: ``min_{b∈R} r^(b)(i) < r^(min R)_k(I∖{i})``; probability
-    ``F_{w^(max R)(i)}(r^(min R)_k(I∖{i}))``.
+    ``F_{w^(max R)(i)}(r^(min R)_k(I∖{i}))``.  An ablation baseline:
+    universal across consistent rank distributions, but strictly less
+    inclusive than the tailored shared-seed / independent-differences
+    estimators, hence weaker (Lemma 5.1).
     """
     _require_colocated(summary)
     if not summary.consistent:
@@ -169,41 +171,4 @@ def generic_kernel(
         probabilities,
         out=np.zeros_like(f_values),
         where=(probabilities > 0.0) & selected,
-    )
-
-
-def colocated_estimator(
-    summary: MultiAssignmentSummary,
-    spec: AggregationSpec,
-    label: str = "",
-) -> AdjustedWeights:
-    """Inclusive adjusted ``f``-weights: ``a(i) = f(i)/p(i)`` for union keys.
-
-    Valid for every aggregate whose per-key value is a function of the
-    weight vector over ``spec.assignments`` — including the L1 difference,
-    which needs no special treatment here because the full weight vector is
-    stored with every sampled key (unlike the dispersed model).
-    """
-    return AdjustedWeights.from_dense(
-        summary,
-        colocated_kernel(summary, spec),
-        label or f"inclusive[{spec.function}:{','.join(spec.assignments)}]",
-    )
-
-
-def generic_consistent_estimator(
-    summary: MultiAssignmentSummary,
-    spec: AggregationSpec,
-    label: str = "",
-) -> AdjustedWeights:
-    """The generic consistent-ranks estimator (Eq. (7)) — an ablation baseline.
-
-    Simpler and universal across consistent rank distributions, but
-    strictly less inclusive than the tailored shared-seed /
-    independent-differences estimators, hence weaker (Lemma 5.1).
-    """
-    return AdjustedWeights.from_dense(
-        summary,
-        generic_kernel(summary, spec),
-        label or f"generic[{spec.function}:{','.join(spec.assignments)}]",
     )

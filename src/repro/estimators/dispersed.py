@@ -9,11 +9,11 @@ top-|R| dependent, the ℓ-th largest weight is top-ℓ dependent.
 
 Two template selections are implemented:
 
-* **s-set** (:func:`sset_estimator`) — a key qualifies when at least ℓ of
+* **s-set** (:func:`sset_kernel`) — a key qualifies when at least ℓ of
   its ranks fall below the *global* threshold
   ``r^(min R)_k(I∖{i}) = min_b r^(b)_k(I∖{i})``.  Simple closed form for
   every consistent rank distribution.
-* **l-set** (:func:`lset_estimator`) — the most inclusive selection that
+* **l-set** (:func:`lset_kernel`) — the most inclusive selection that
   still determines the top-ℓ weights: the key is in at least ℓ sketches
   *and* known seeds certify that every other assignment's weight is at most
   the ℓ-th largest observed.  Dominates s-set (Lemma 5.1); closed forms for
@@ -22,12 +22,14 @@ Two template selections are implemented:
 
 The L1/range aggregate is not top-ℓ dependent for any ℓ; it is estimated as
 ``a^(L1) = a^(max) − a^(min)`` (Eq. (17)), which is unbiased and, for
-consistent IPPS/EXP ranks, non-negative (Lemma 7.5).
+consistent IPPS/EXP ranks, non-negative (Lemma 7.5): min-selection implies
+max-selection and ``p^max/p^min <= w^max/w^min`` (Lemma 7.4).
+:class:`~repro.engine.queries.QueryEngine` composes it from the two
+kernels' cached outputs as its ``l1-s`` / ``l1-l`` estimators.
 
-The kernels (:func:`sset_kernel`, :func:`lset_kernel`, :func:`l1_kernel`)
-read their intermediates (thresholds, top-ℓ weights, CDF matrices) from the
-summary's cached views, so queries over the same ``R`` share them; the
-per-spec functions wrap a kernel's dense output as sparse adjusted weights.
+Both kernels read their intermediates (thresholds, top-ℓ weights, CDF
+matrices) from the summary's cached views, so queries over the same ``R``
+share them.
 """
 
 from __future__ import annotations
@@ -36,32 +38,17 @@ import numpy as np
 
 from repro.core.aggregates import AggregationSpec
 from repro.core.summary import MultiAssignmentSummary
-from repro.estimators.base import AdjustedWeights
 
-__all__ = [
-    "sset_kernel",
-    "lset_kernel",
-    "l1_kernel",
-    "sset_estimator",
-    "lset_estimator",
-    "max_estimator",
-    "l1_estimator",
-    "independent_min_estimator",
-    "dispersed_estimator",
-]
+__all__ = ["sset_kernel", "lset_kernel"]
 
 
 def _resolve_ell(spec: AggregationSpec) -> int:
     if spec.function == "l1":
         raise ValueError(
-            "the L1 aggregate is not top-ℓ dependent; use l1_estimator "
-            "(a^max − a^min, Section 7.3)"
+            "the L1 aggregate is not top-ℓ dependent; use the engine's "
+            "'l1-s' or 'l1-l' estimator (a^max − a^min, Section 7.3)"
         )
     return spec.dependence_ell
-
-
-def _spec_label(template: str, spec: AggregationSpec) -> str:
-    return f"{template}[{spec.function}:{','.join(spec.assignments)}]"
 
 
 def sset_kernel(
@@ -170,115 +157,3 @@ def lset_kernel(
         out=np.zeros_like(f_values),
         where=(probabilities > 0.0) & selected,
     )
-
-
-def l1_kernel(
-    summary: MultiAssignmentSummary,
-    spec: AggregationSpec,
-    min_variant: str = "l",
-) -> np.ndarray:
-    """Dense L1 adjusted weights ``a^(max) − a^(min)`` (Eq. (17)).
-
-    ``min_variant`` selects the s-set or l-set min estimator.  For
-    consistent IPPS/EXP ranks the result is non-negative per key
-    (Lemma 7.5): min-selection implies max-selection and
-    ``p^max/p^min <= w^max/w^min`` (Lemma 7.4).
-    """
-    if min_variant not in ("s", "l"):
-        raise ValueError(f"min_variant must be 's' or 'l', got {min_variant!r}")
-    max_spec = AggregationSpec("max", spec.assignments)
-    min_spec = AggregationSpec("min", spec.assignments)
-    dense_max = sset_kernel(summary, max_spec)
-    if min_variant == "s":
-        dense_min = sset_kernel(summary, min_spec)
-    else:
-        dense_min = lset_kernel(summary, min_spec)
-    return dense_max - dense_min
-
-
-def sset_estimator(
-    summary: MultiAssignmentSummary,
-    spec: AggregationSpec,
-    label: str = "",
-) -> AdjustedWeights:
-    """The s-set top-ℓ estimator (Section 7.1); see :func:`sset_kernel`."""
-    return AdjustedWeights.from_dense(
-        summary, sset_kernel(summary, spec), label or _spec_label("sset", spec)
-    )
-
-
-def lset_estimator(
-    summary: MultiAssignmentSummary,
-    spec: AggregationSpec,
-    label: str = "",
-) -> AdjustedWeights:
-    """The l-set top-ℓ estimator (Section 7.2) — dominates s-set; see
-    :func:`lset_kernel`."""
-    return AdjustedWeights.from_dense(
-        summary, lset_kernel(summary, spec), label or _spec_label("lset", spec)
-    )
-
-
-def max_estimator(
-    summary: MultiAssignmentSummary,
-    assignments: tuple[str, ...] | list[str],
-    label: str = "",
-) -> AdjustedWeights:
-    """Adjusted ``w^(max R)``-weights (Eq. (11)); s-set == l-set at ℓ = 1."""
-    spec = AggregationSpec("max", tuple(assignments))
-    return sset_estimator(summary, spec, label or "max")
-
-
-def l1_estimator(
-    summary: MultiAssignmentSummary,
-    assignments: tuple[str, ...] | list[str],
-    min_variant: str = "l",
-    label: str = "",
-) -> AdjustedWeights:
-    """Adjusted ``w^(L1 R)``-weights: ``a^(max) − a^(min)`` (Eq. (17));
-    see :func:`l1_kernel`."""
-    spec = AggregationSpec("l1", tuple(assignments))
-    return AdjustedWeights.from_dense(
-        summary,
-        l1_kernel(summary, spec, min_variant),
-        label or f"l1-{min_variant}",
-    )
-
-
-def independent_min_estimator(
-    summary: MultiAssignmentSummary,
-    assignments: tuple[str, ...] | list[str],
-    label: str = "",
-) -> AdjustedWeights:
-    """``a^(min R)_ind``: the l-set min estimator over *independent* sketches.
-
-    Requires membership in all |R| sketches, with inclusion probability
-    ``Π_b F_{w^(b)(i)}(r^(b)_k(I∖{i}))`` (Eq. (16)) — exponentially smaller
-    in |R| than the coordinated probability (Eq. (15)), which is the whole
-    story of Figure 3.
-    """
-    if summary.consistent:
-        raise ValueError("independent_min_estimator expects independent ranks")
-    spec = AggregationSpec("min", tuple(assignments))
-    return lset_estimator(summary, spec, label or "ind-min")
-
-
-def dispersed_estimator(
-    summary: MultiAssignmentSummary,
-    spec: AggregationSpec,
-    variant: str = "l",
-    label: str = "",
-) -> AdjustedWeights:
-    """Convenience dispatcher: route a spec to the right dispersed estimator.
-
-    ``variant`` ("s" or "l") picks the s-set or l-set template; the L1
-    aggregate is routed to :func:`l1_estimator` with that min variant.
-    """
-    if variant not in ("s", "l"):
-        raise ValueError(f"variant must be 's' or 'l', got {variant!r}")
-    if spec.function == "l1":
-        return l1_estimator(summary, spec.assignments, min_variant=variant,
-                            label=label)
-    if variant == "s":
-        return sset_estimator(summary, spec, label)
-    return lset_estimator(summary, spec, label)

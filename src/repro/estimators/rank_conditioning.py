@@ -11,7 +11,11 @@ per-key variances is at most that of HT over an IPPS Poisson sample of
 expected size k+1.
 
 :func:`plain_rc_kernel` is the estimator over a summary; it reads the
-member cells of the shared ``F_w(θ)`` view.
+member cells of the shared ``F_w(θ)`` view and uses only the keys of one
+assignment's own bottom-k sketch (the ``a_p`` estimator of the evaluation,
+Section 9.3).  The inclusive estimators of
+:mod:`repro.estimators.colocated` dominate it by also exploiting keys
+sampled for the other assignments (Lemma 8.2).
 """
 
 from __future__ import annotations
@@ -19,38 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.summary import MultiAssignmentSummary
-from repro.estimators.base import AdjustedWeights, single_sketch_dense
-from repro.ranks.families import RankFamily
-from repro.sampling.bottomk import BottomKSketch
+from repro.estimators.base import single_sketch_dense
 
-__all__ = [
-    "plain_rc_adjusted_weights",
-    "plain_rc_from_summary",
-    "plain_rc_kernel",
-]
-
-
-def plain_rc_adjusted_weights(
-    sketch: BottomKSketch, family: RankFamily, label: str = "rc"
-) -> AdjustedWeights:
-    """RC adjusted weights ``w(i)/F_{w(i)}(r_{k+1})`` for one bottom-k sketch.
-
-    >>> import numpy as np
-    >>> from repro.ranks import IppsRanks
-    >>> from repro.sampling import bottomk_from_ranks
-    >>> sk = bottomk_from_ranks(np.array([0.011, 0.075, 0.037]),
-    ...                         np.array([20.0, 10.0, 10.0]), k=1)
-    >>> round(float(plain_rc_adjusted_weights(sk, IppsRanks()).values[0]), 2)
-    27.03
-    """
-    probabilities = family.cdf_array(sketch.weights, sketch.threshold)
-    values = np.divide(
-        sketch.weights,
-        probabilities,
-        out=np.zeros_like(sketch.weights),
-        where=probabilities > 0.0,
-    )
-    return AdjustedWeights(sketch.keys.astype(np.int64), values, label)
+__all__ = ["plain_rc_kernel"]
 
 
 def plain_rc_kernel(
@@ -59,24 +34,18 @@ def plain_rc_kernel(
     """Dense plain-RC adjusted weights ``w(i)/F_{w(i)}(r_{k+1})`` over union rows.
 
     For members of b's sketch ``θ_ib`` *is* ``r^(b)_{k+1}(I)``.
+
+    >>> import numpy as np
+    >>> from repro.core.summary import build_bottomk_summary
+    >>> from repro.ranks import IppsRanks, SharedSeedRanks
+    >>> from repro.ranks.assignments import RankDraw
+    >>> draw = RankDraw(np.array([[0.011], [0.075], [0.037]]), None,
+    ...                 SharedSeedRanks())
+    >>> summary = build_bottomk_summary(np.array([[20.0], [10.0], [10.0]]),
+    ...                                 draw, 1, ["b"], IppsRanks())
+    >>> [round(a, 2) for a in plain_rc_kernel(summary, "b").tolist()]
+    [27.03]
     """
     if summary.kind != "bottomk":
         raise ValueError("plain_rc_kernel requires a bottom-k summary")
     return single_sketch_dense(summary, assignment)
-
-
-def plain_rc_from_summary(
-    summary: MultiAssignmentSummary, assignment: str, label: str = ""
-) -> AdjustedWeights:
-    """Plain RC estimator for one assignment embedded in a bottom-k summary.
-
-    Uses only the keys of that assignment's own bottom-k sketch (the
-    ``a_p`` estimator of the evaluation, Section 9.3); the inclusive
-    estimators of :mod:`repro.estimators.colocated` dominate it by also
-    exploiting keys sampled for the other assignments (Lemma 8.2).
-    """
-    return AdjustedWeights.from_dense(
-        summary,
-        plain_rc_kernel(summary, assignment),
-        label or f"plain_rc[{assignment}]",
-    )

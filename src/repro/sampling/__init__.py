@@ -21,11 +21,7 @@ from repro.sampling.poisson import (
     poisson_sketch_matrix,
 )
 from repro.sampling.kmins import KMinsSketch, kmins_sketches
-from repro.sampling.combined import (
-    fixed_size_bottomk,
-    max_weight_sketch,
-    union_positions,
-)
+from repro.sampling.combined import fixed_size_bottomk, union_positions
 
 __all__ = [
     "BottomKSketch",
@@ -40,6 +36,5 @@ __all__ = [
     "KMinsSketch",
     "kmins_sketches",
     "fixed_size_bottomk",
-    "max_weight_sketch",
     "union_positions",
 ]

@@ -4,9 +4,6 @@ Utilities over sets of per-assignment sketches:
 
 * :func:`union_positions` — the distinct keys of the combined sample (its
   storage cost; the numerator of the sharing index, Section 9.3);
-* :func:`max_weight_sketch` — Lemma 4.2: from coordinated sketches of the
-  assignments in R, the k distinct keys of smallest ``r^(min R)`` rank form
-  a valid bottom-k sketch of ``(I, w^(max R))``;
 * :func:`fixed_size_bottomk` — the colocated variant with a *fixed number
   of distinct keys*: the largest per-assignment size ℓ ≥ k such that the
   union of the bottom-ℓ samples holds at most ``|W|·k`` distinct keys
@@ -22,7 +19,7 @@ import numpy as np
 
 from repro.sampling.bottomk import BottomKSketch, bottomk_from_ranks
 
-__all__ = ["union_positions", "max_weight_sketch", "fixed_size_bottomk"]
+__all__ = ["union_positions", "fixed_size_bottomk"]
 
 _INF = math.inf
 
@@ -35,22 +32,6 @@ def union_positions(sketches: Sequence[BottomKSketch]) -> np.ndarray:
     if not parts:
         return np.empty(0, dtype=np.int64)
     return np.unique(np.concatenate(parts))
-
-
-def max_weight_sketch(
-    ranks: np.ndarray, weights: np.ndarray, k: int
-) -> BottomKSketch:
-    """Bottom-k sketch of ``(I, w^(max R))`` from consistent ranks (Lemma 4.2).
-
-    ``ranks``/``weights`` are the ``(n, |R|)`` matrices restricted to the
-    relevant assignments.  For consistent ranks, ``r^(min R)(i)`` is a valid
-    rank for ``w^(max R)(i)`` (Lemma 4.1), so the k smallest values of the
-    row-minimum rank — all of which live in the union of the per-assignment
-    sketches — form the sketch of the maximum weights.
-    """
-    min_ranks = ranks.min(axis=1)
-    max_weights = weights.max(axis=1)
-    return bottomk_from_ranks(min_ranks, max_weights, k)
 
 
 def fixed_size_bottomk(

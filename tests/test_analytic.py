@@ -12,12 +12,7 @@ import pytest
 
 from repro.core.aggregates import AggregationSpec, key_values
 from repro.core.summary import build_bottomk_summary
-from repro.estimators.dispersed import (
-    l1_estimator,
-    lset_estimator,
-    max_estimator,
-    sset_estimator,
-)
+from repro.engine.queries import QueryEngine
 from repro.evaluation.analytic import (
     colocated_inclusion_p,
     make_context,
@@ -87,17 +82,16 @@ class TestAgreementWithEmpirical:
         f_max = key_values(dataset, AggregationSpec("max", names))
         f_l1 = key_values(dataset, AggregationSpec("l1", names))
 
+        spec, estimator = {
+            "max": (AggregationSpec("max", names), "sset"),
+            "min-l": (spec_min, "lset"),
+            "min-s": (spec_min, "sset"),
+            "l1-l": (AggregationSpec("l1", names), "l1-l"),
+            "plain": (AggregationSpec("single", ("w1",)), "plain_rc"),
+        }[label]
+
         def estimate(summary):
-            return {
-                "max": lambda: max_estimator(summary, names),
-                "min-l": lambda: lset_estimator(summary, spec_min),
-                "min-s": lambda: sset_estimator(summary, spec_min),
-                "l1-l": lambda: l1_estimator(summary, names, "l"),
-                "plain": lambda: __import__(
-                    "repro.estimators.rank_conditioning",
-                    fromlist=["plain_rc_from_summary"],
-                ).plain_rc_from_summary(summary, "w1"),
-            }[label]()
+            return QueryEngine(summary).adjusted(spec, estimator)
 
         def analytic(ctx):
             return {
@@ -132,7 +126,6 @@ class TestAgreementWithEmpirical:
         dataset = make_random_dataset(n_keys=15, seed=54)
         f = dataset.column("w1")
         spec = AggregationSpec("single", ("w1",))
-        from repro.estimators.colocated import colocated_estimator
 
         runs = 4000
         empirical = 0.0
@@ -144,7 +137,8 @@ class TestAgreementWithEmpirical:
             summary = build_bottomk_summary(
                 dataset.weights, draw, 5, dataset.assignments, FAMILY
             )
-            empirical += colocated_estimator(summary, spec).squared_error_sum(f)
+            adjusted = QueryEngine(summary).adjusted(spec, "colocated")
+            empirical += adjusted.squared_error_sum(f)
             ctx = make_context(dataset.weights, draw, 5, FAMILY)
             analytic_total += sv_colocated_inclusive(ctx, f)
         assert empirical / runs == pytest.approx(analytic_total / runs, rel=0.2)

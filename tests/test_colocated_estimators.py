@@ -7,18 +7,15 @@ import pytest
 
 from repro.core.aggregates import AggregationSpec, key_values
 from repro.core.summary import build_bottomk_summary
-from repro.estimators.colocated import (
-    colocated_estimator,
-    generic_consistent_estimator,
-    inclusion_probabilities,
-)
-from repro.estimators.rank_conditioning import plain_rc_from_summary
+from repro.engine.queries import QueryEngine
+from repro.estimators.colocated import inclusion_probabilities
 from repro.ranks.assignments import get_rank_method
 from repro.ranks.families import ExponentialRanks, IppsRanks
 
 from tests.conftest import make_random_dataset
 
 FAMILY = IppsRanks()
+W1 = AggregationSpec("single", ("w1",))
 
 
 def summary_for(dataset, method="shared_seed", k=5, seed=0, family=FAMILY,
@@ -31,11 +28,11 @@ def summary_for(dataset, method="shared_seed", k=5, seed=0, family=FAMILY,
 
 
 def mean_total(dataset, spec, method, runs=3000, k=4, family=FAMILY,
-               estimator=colocated_estimator):
+               estimator="colocated"):
     total = 0.0
     for run in range(runs):
         summary = summary_for(dataset, method, k, seed=run, family=family)
-        total += estimator(summary, spec).total()
+        total += QueryEngine(summary).estimate(spec, estimator)
     return total / runs
 
 
@@ -75,7 +72,7 @@ class TestUnbiasedness:
         spec = AggregationSpec("l1", tuple(dataset.assignments))
         exact = float(key_values(dataset, spec).sum())
         mean = mean_total(
-            dataset, spec, "shared_seed", estimator=generic_consistent_estimator
+            dataset, spec, "shared_seed", estimator="generic"
         )
         assert mean == pytest.approx(exact, rel=0.15)
 
@@ -160,15 +157,15 @@ class TestDominance:
         dataset = make_random_dataset(seed=8)
         summary = summary_for(dataset, "shared_seed", k=4)
         spec = AggregationSpec("max", tuple(dataset.assignments))
-        generic = generic_consistent_estimator(summary, spec)
+        generic = QueryEngine(summary).adjusted(spec, "generic")
         assert set(generic.positions) <= set(summary.positions)
 
     def test_generic_requires_consistent_ranks(self):
         dataset = make_random_dataset(seed=8)
         summary = summary_for(dataset, "independent")
         with pytest.raises(ValueError, match="consistent"):
-            generic_consistent_estimator(
-                summary, AggregationSpec("max", tuple(dataset.assignments))
+            QueryEngine(summary).adjusted(
+                AggregationSpec("max", tuple(dataset.assignments)), "generic"
             )
 
 
@@ -176,7 +173,7 @@ class TestPlainRC:
     def test_uses_only_own_sketch_members(self):
         dataset = make_random_dataset(seed=9)
         summary = summary_for(dataset, "shared_seed", k=4)
-        adjusted = plain_rc_from_summary(summary, "w1")
+        adjusted = QueryEngine(summary).adjusted(W1, "plain_rc")
         member_rows = summary.member[:, 0]
         assert set(adjusted.positions) == set(summary.positions[member_rows])
 
@@ -187,7 +184,9 @@ class TestPlainRC:
         runs = 3000
         for run in range(runs):
             summary = summary_for(dataset, "shared_seed", k=4, seed=run)
-            total += plain_rc_from_summary(summary, "w2").total()
+            total += QueryEngine(summary).estimate(
+                AggregationSpec("single", ("w2",)), "plain_rc"
+            )
         assert total / runs == pytest.approx(exact, rel=0.1)
 
     def test_requires_bottomk_summary(self):
@@ -205,4 +204,4 @@ class TestPlainRC:
             dataset.weights, draw, taus, dataset.assignments, FAMILY
         )
         with pytest.raises(ValueError, match="bottom-k"):
-            plain_rc_from_summary(summary, "w1")
+            QueryEngine(summary).adjusted(W1, "plain_rc")

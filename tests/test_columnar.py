@@ -34,12 +34,11 @@ from repro.core.summary import (
     build_poisson_summary,
     build_summary_from_sketches,
 )
-from repro.engine import ShardedSummarizer
+from repro.engine import QueryEngine, ShardedSummarizer
 from repro.estimators import (
     colocated_kernel,
     generic_kernel,
     ht_kernel,
-    l1_kernel,
     lset_kernel,
     plain_rc_kernel,
     sset_kernel,
@@ -95,9 +94,11 @@ def kernel_outcomes(summary) -> dict:
                 spec.ell] = outcome(lambda: kernel(summary, spec))
     for r in subsets:
         for variant in ("s", "l"):
-            out["l1", variant, r] = outcome(lambda: l1_kernel(
-                summary, AggregationSpec("l1", r), variant
-            ))
+            out["l1", variant, r] = outcome(
+                lambda: QueryEngine(summary).adjusted_dense(
+                    AggregationSpec("l1", r), f"l1-{variant}"
+                )
+            )
     for name in names:
         for kernel in (plain_rc_kernel, ht_kernel):
             out[kernel.__name__, name] = outcome(

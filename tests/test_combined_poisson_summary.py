@@ -9,21 +9,17 @@ import pytest
 
 from repro.core.aggregates import AggregationSpec
 from repro.core.summary import build_poisson_summary
-from repro.estimators.colocated import colocated_estimator
-from repro.estimators.horvitz_thompson import ht_from_summary
+from repro.engine.queries import QueryEngine
 from repro.ranks.assignments import get_rank_method
 from repro.ranks.families import IppsRanks
 from repro.sampling.bottomk import bottomk_from_ranks
-from repro.sampling.combined import (
-    fixed_size_bottomk,
-    max_weight_sketch,
-    union_positions,
-)
+from repro.sampling.combined import fixed_size_bottomk, union_positions
 from repro.sampling.poisson import calibrate_tau
 
 from tests.conftest import make_random_dataset
 
 FAMILY = IppsRanks()
+W1 = AggregationSpec("single", ("w1",))
 
 
 class TestUnionPositions:
@@ -46,7 +42,9 @@ class TestMaxWeightSketch:
         rng = np.random.default_rng(1)
         draw = method.draw(FAMILY, dataset.weights, rng)
         k = 6
-        derived = max_weight_sketch(draw.ranks, dataset.weights, k)
+        derived = bottomk_from_ranks(
+            draw.ranks.min(axis=1), dataset.weights.max(axis=1), k
+        )
         per_assignment = [
             bottomk_from_ranks(draw.ranks[:, b], dataset.weights[:, b], k)
             for b in range(dataset.n_assignments)
@@ -133,7 +131,7 @@ class TestPoissonSummaryEstimators:
         runs = 3000
         for run in range(runs):
             summary = self.make_summary(dataset, seed=run)
-            total += ht_from_summary(summary, "w1").total()
+            total += QueryEngine(summary).estimate(W1, "ht")
         assert total / runs == pytest.approx(exact, rel=0.1)
 
     def test_inclusive_over_poisson_unbiased(self):
@@ -148,7 +146,7 @@ class TestPoissonSummaryEstimators:
         runs = 3000
         for run in range(runs):
             summary = self.make_summary(dataset, seed=run)
-            total += colocated_estimator(summary, spec).total()
+            total += QueryEngine(summary).estimate(spec, "colocated")
         assert total / runs == pytest.approx(exact, rel=0.12)
 
     def test_ht_requires_poisson(self):
@@ -161,4 +159,4 @@ class TestPoissonSummaryEstimators:
             dataset.weights, draw, 4, dataset.assignments, FAMILY
         )
         with pytest.raises(ValueError, match="Poisson"):
-            ht_from_summary(summary, "w1")
+            QueryEngine(summary).adjusted(W1, "ht")

@@ -14,8 +14,7 @@ import pytest
 
 from repro.core.aggregates import AggregationSpec
 from repro.core.summary import build_bottomk_summary
-from repro.estimators.colocated import colocated_estimator
-from repro.estimators.dispersed import lset_estimator, max_estimator
+from repro.engine.queries import QueryEngine
 from repro.ranks.assignments import get_rank_method
 from repro.ranks.families import IppsRanks
 
@@ -25,7 +24,7 @@ FAMILY = IppsRanks()
 RUNS = 4000
 
 
-def adjusted_matrix(dataset, estimate, method, mode, k=4, seed=0):
+def adjusted_matrix(dataset, spec, estimator, method, mode, k=4, seed=0):
     """(runs, n_keys) matrix of dense adjusted weights."""
     n = dataset.n_keys
     out = np.zeros((RUNS, n))
@@ -36,7 +35,7 @@ def adjusted_matrix(dataset, estimate, method, mode, k=4, seed=0):
         summary = build_bottomk_summary(
             dataset.weights, draw, k, dataset.assignments, FAMILY, mode=mode
         )
-        out[run] = estimate(summary).dense(n)
+        out[run] = QueryEngine(summary).adjusted(spec, estimator).dense(n)
     return out
 
 
@@ -64,8 +63,7 @@ class TestConjecture81:
         dataset = make_random_dataset(n_keys=8, seed=71)
         spec = AggregationSpec("single", ("w1",))
         samples = adjusted_matrix(
-            dataset, lambda s: colocated_estimator(s, spec), method,
-            "colocated",
+            dataset, spec, "colocated", method, "colocated",
         )
         worst = max_standardized_covariance(samples, dataset.column("w1"))
         # ~28 pairs tested; 4.5 SE keeps false-positive probability tiny.
@@ -75,7 +73,7 @@ class TestConjecture81:
         dataset = make_random_dataset(n_keys=8, seed=72)
         names = tuple(dataset.assignments)
         samples = adjusted_matrix(
-            dataset, lambda s: max_estimator(s, names), "shared_seed",
+            dataset, AggregationSpec("max", names), "sset", "shared_seed",
             "dispersed",
         )
         worst = max_standardized_covariance(
@@ -88,8 +86,7 @@ class TestConjecture81:
         names = tuple(dataset.assignments)
         spec = AggregationSpec("min", names)
         samples = adjusted_matrix(
-            dataset, lambda s: lset_estimator(s, spec), "shared_seed",
-            "dispersed",
+            dataset, spec, "lset", "shared_seed", "dispersed",
         )
         worst = max_standardized_covariance(
             samples, dataset.weights.min(axis=1)
@@ -101,8 +98,7 @@ class TestConjecture81:
         dataset = make_random_dataset(n_keys=8, seed=74)
         spec = AggregationSpec("single", ("w1",))
         samples = adjusted_matrix(
-            dataset, lambda s: colocated_estimator(s, spec), "shared_seed",
-            "colocated",
+            dataset, spec, "colocated", "shared_seed", "colocated",
         )
         f = dataset.column("w1")
         subset = np.array([0, 2, 5])

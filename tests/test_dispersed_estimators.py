@@ -7,14 +7,7 @@ import pytest
 
 from repro.core.aggregates import AggregationSpec, key_values
 from repro.core.summary import build_bottomk_summary
-from repro.estimators.dispersed import (
-    dispersed_estimator,
-    independent_min_estimator,
-    l1_estimator,
-    lset_estimator,
-    max_estimator,
-    sset_estimator,
-)
+from repro.engine.queries import QueryEngine
 from repro.ranks.assignments import get_rank_method
 from repro.ranks.families import ExponentialRanks, IppsRanks
 
@@ -31,11 +24,12 @@ def summary_for(dataset, method="shared_seed", k=5, seed=0, family=FAMILY):
     )
 
 
-def mean_total(dataset, estimate, method="shared_seed", runs=3000, k=5,
-               family=FAMILY):
+def mean_total(dataset, spec, estimator, method="shared_seed", runs=3000,
+               k=5, family=FAMILY):
     total = 0.0
     for run in range(runs):
-        total += estimate(summary_for(dataset, method, k, run, family)).total()
+        summary = summary_for(dataset, method, k, run, family)
+        total += QueryEngine(summary).estimate(spec, estimator)
     return total / runs
 
 
@@ -44,11 +38,9 @@ class TestUnbiasedness:
                              ids=["ipps", "exp"])
     def test_max(self, family):
         dataset = make_random_dataset(n_keys=20, seed=21)
-        names = tuple(dataset.assignments)
-        exact = float(key_values(dataset, AggregationSpec("max", names)).sum())
-        mean = mean_total(
-            dataset, lambda s: max_estimator(s, names), family=family
-        )
+        spec = AggregationSpec("max", tuple(dataset.assignments))
+        exact = float(key_values(dataset, spec).sum())
+        mean = mean_total(dataset, spec, "sset", family=family)
         assert mean == pytest.approx(exact, rel=0.12)
 
     @pytest.mark.parametrize("variant", ["s", "l"])
@@ -57,16 +49,15 @@ class TestUnbiasedness:
         names = tuple(dataset.assignments)
         spec = AggregationSpec("min", names)
         exact = float(key_values(dataset, spec).sum())
-        builder = sset_estimator if variant == "s" else lset_estimator
-        mean = mean_total(dataset, lambda s: builder(s, spec))
+        mean = mean_total(dataset, spec, f"{variant}set")
         assert mean == pytest.approx(exact, rel=0.15)
 
     @pytest.mark.parametrize("variant", ["s", "l"])
     def test_l1(self, variant):
         dataset = make_random_dataset(n_keys=20, seed=23)
-        names = tuple(dataset.assignments)
-        exact = float(key_values(dataset, AggregationSpec("l1", names)).sum())
-        mean = mean_total(dataset, lambda s: l1_estimator(s, names, variant))
+        spec = AggregationSpec("l1", tuple(dataset.assignments))
+        exact = float(key_values(dataset, spec).sum())
+        mean = mean_total(dataset, spec, f"l1-{variant}")
         assert mean == pytest.approx(exact, rel=0.15)
 
     def test_lth_largest(self):
@@ -74,18 +65,19 @@ class TestUnbiasedness:
         names = tuple(dataset.assignments)
         spec = AggregationSpec("lth_largest", names, ell=2)
         exact = float(key_values(dataset, spec).sum())
-        for builder in (sset_estimator, lset_estimator):
-            mean = mean_total(dataset, lambda s: builder(s, spec))
+        for estimator in ("sset", "lset"):
+            mean = mean_total(dataset, spec, estimator)
             assert mean == pytest.approx(exact, rel=0.15)
 
     def test_independent_min(self):
         dataset = make_random_dataset(n_keys=15, n_assignments=2, seed=25,
                                       churn=0.0)
-        names = tuple(dataset.assignments)
-        exact = float(key_values(dataset, AggregationSpec("min", names)).sum())
+        spec = AggregationSpec("min", tuple(dataset.assignments))
+        exact = float(key_values(dataset, spec).sum())
         mean = mean_total(
             dataset,
-            lambda s: independent_min_estimator(s, names),
+            spec,
+            "lset",
             method="independent",
             runs=8000,
             k=8,
@@ -100,7 +92,8 @@ class TestUnbiasedness:
         exact = float(key_values(dataset, spec).sum())
         mean = mean_total(
             dataset,
-            lambda s: sset_estimator(s, spec),
+            spec,
+            "sset",
             method="independent",
             runs=8000,
             k=8,
@@ -112,40 +105,31 @@ class TestL1Properties:
     def test_per_key_nonnegative(self):
         """Lemma 7.5: a^L1(i) >= 0 for consistent IPPS/EXP ranks."""
         dataset = make_random_dataset(n_keys=40, seed=27)
-        names = tuple(dataset.assignments)
+        spec = AggregationSpec("l1", tuple(dataset.assignments))
         for family in (IppsRanks(), ExponentialRanks()):
             for run in range(200):
                 summary = summary_for(dataset, "shared_seed", 6, run, family)
-                for variant in ("s", "l"):
-                    adjusted = l1_estimator(summary, names, variant)
+                engine = QueryEngine(summary)
+                for estimator in ("l1-s", "l1-l"):
+                    adjusted = engine.adjusted(spec, estimator)
                     assert np.all(adjusted.values >= -1e-9)
 
     def test_min_selection_implies_max_selection(self):
         dataset = make_random_dataset(n_keys=40, seed=28)
         names = tuple(dataset.assignments)
         for run in range(100):
-            summary = summary_for(dataset, seed=run)
-            a_max = max_estimator(summary, names)
-            a_min = lset_estimator(summary, AggregationSpec("min", names))
+            engine = QueryEngine(summary_for(dataset, seed=run))
+            a_max = engine.adjusted(AggregationSpec("max", names), "sset")
+            a_min = engine.adjusted(AggregationSpec("min", names), "lset")
             assert set(a_min.positions) <= set(a_max.positions)
-
-    def test_l1_via_dispatcher(self):
-        dataset = make_random_dataset(seed=29)
-        names = tuple(dataset.assignments)
-        summary = summary_for(dataset)
-        spec = AggregationSpec("l1", names)
-        direct = l1_estimator(summary, names, "l")
-        routed = dispersed_estimator(summary, spec, variant="l")
-        np.testing.assert_allclose(direct.values, routed.values)
 
     def test_l1_rejected_by_raw_templates(self):
         dataset = make_random_dataset(seed=29)
         summary = summary_for(dataset)
         spec = AggregationSpec("l1", tuple(dataset.assignments))
-        with pytest.raises(ValueError, match="not top-ℓ dependent"):
-            sset_estimator(summary, spec)
-        with pytest.raises(ValueError, match="not top-ℓ dependent"):
-            lset_estimator(summary, spec)
+        for estimator in ("sset", "lset"):
+            with pytest.raises(ValueError, match="not top-ℓ dependent"):
+                QueryEngine(summary).adjusted(spec, estimator)
 
 
 class TestSelectionStructure:
@@ -155,9 +139,9 @@ class TestSelectionStructure:
         names = tuple(dataset.assignments)
         spec = AggregationSpec("min", names)
         for run in range(100):
-            summary = summary_for(dataset, seed=run)
-            s_keys = set(sset_estimator(summary, spec).positions)
-            l_keys = set(lset_estimator(summary, spec).positions)
+            engine = QueryEngine(summary_for(dataset, seed=run))
+            s_keys = set(engine.adjusted(spec, "sset").positions)
+            l_keys = set(engine.adjusted(spec, "lset").positions)
             assert s_keys <= l_keys
 
     def test_max_sset_equals_lset(self):
@@ -166,20 +150,20 @@ class TestSelectionStructure:
         names = tuple(dataset.assignments)
         spec = AggregationSpec("max", names)
         for run in range(50):
-            summary = summary_for(dataset, seed=run)
-            a_s = sset_estimator(summary, spec)
-            a_l = lset_estimator(summary, spec)
+            engine = QueryEngine(summary_for(dataset, seed=run))
+            a_s = engine.adjusted(spec, "sset")
+            a_l = engine.adjusted(spec, "lset")
             assert a_s.positions.tolist() == a_l.positions.tolist()
             np.testing.assert_allclose(a_s.values, a_l.values)
 
     def test_recovered_weights_match_truth(self):
         """f values used by the estimator equal the true top-ℓ weights."""
         dataset = make_random_dataset(n_keys=40, seed=32)
-        names = tuple(dataset.assignments)
-        true_max = key_values(dataset, AggregationSpec("max", names))
+        spec = AggregationSpec("max", tuple(dataset.assignments))
+        true_max = key_values(dataset, spec)
         for run in range(50):
             summary = summary_for(dataset, seed=run)
-            adjusted = max_estimator(summary, names)
+            adjusted = QueryEngine(summary).adjusted(spec, "sset")
             # a(i) = w_max(i)/p with p <= 1  =>  a(i) >= w_max(i)
             assert np.all(adjusted.values >= true_max[adjusted.positions] - 1e-9)
 
@@ -187,14 +171,15 @@ class TestSelectionStructure:
         dataset = make_random_dataset(seed=33)
         names = tuple(dataset.assignments)
         for run in range(50):
-            summary = summary_for(dataset, seed=run)
+            engine = QueryEngine(summary_for(dataset, seed=run))
             for spec in (
                 AggregationSpec("max", names),
                 AggregationSpec("min", names),
                 AggregationSpec("lth_largest", names, ell=2),
             ):
-                for builder in (sset_estimator, lset_estimator):
-                    assert np.all(builder(summary, spec).values >= 0.0)
+                for estimator in ("sset", "lset"):
+                    adjusted = engine.adjusted(spec, estimator)
+                    assert np.all(adjusted.values >= 0.0)
 
 
 class TestValidation:
@@ -202,15 +187,9 @@ class TestValidation:
         dataset = make_random_dataset(seed=34)
         summary = summary_for(dataset, method="independent")
         with pytest.raises(ValueError, match="min-dependence"):
-            sset_estimator(
-                summary, AggregationSpec("max", tuple(dataset.assignments))
+            QueryEngine(summary).adjusted(
+                AggregationSpec("max", tuple(dataset.assignments)), "sset"
             )
-
-    def test_independent_min_rejects_consistent_summary(self):
-        dataset = make_random_dataset(seed=34)
-        summary = summary_for(dataset, method="shared_seed")
-        with pytest.raises(ValueError, match="independent"):
-            independent_min_estimator(summary, tuple(dataset.assignments))
 
     def test_lset_needs_seeds_for_middle_ell(self):
         from repro.ranks.families import ExponentialRanks
@@ -227,20 +206,20 @@ class TestValidation:
         )
         spec = AggregationSpec("lth_largest", tuple(dataset.assignments), ell=2)
         with pytest.raises(ValueError, match="seeds"):
-            lset_estimator(summary, spec)
+            QueryEngine(summary).adjusted(spec, "lset")
 
-    def test_dispatcher_validates_variant(self):
+    def test_engine_validates_estimator_name(self):
         dataset = make_random_dataset(seed=34)
         summary = summary_for(dataset)
-        with pytest.raises(ValueError, match="variant"):
-            dispersed_estimator(
-                summary,
-                AggregationSpec("max", tuple(dataset.assignments)),
-                variant="x",
+        with pytest.raises(ValueError, match="unknown estimator"):
+            QueryEngine(summary).adjusted(
+                AggregationSpec("max", tuple(dataset.assignments)), "x"
             )
 
     def test_l1_validates_min_variant(self):
         dataset = make_random_dataset(seed=34)
         summary = summary_for(dataset)
-        with pytest.raises(ValueError, match="min_variant"):
-            l1_estimator(summary, tuple(dataset.assignments), min_variant="q")
+        with pytest.raises(ValueError, match="'l1-s' or 'l1-l'"):
+            QueryEngine(summary).adjusted(
+                AggregationSpec("l1", tuple(dataset.assignments)), "l1-q"
+            )

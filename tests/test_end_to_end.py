@@ -11,8 +11,7 @@ from repro import (
     BottomKStreamSampler,
     KeyHasher,
     MultiAssignmentDataset,
-    colocated_estimator,
-    dispersed_estimator,
+    QueryEngine,
     exact_aggregate,
     summarize_dataset,
 )
@@ -37,7 +36,7 @@ class TestPublicApi:
         )
         summary = summarize_dataset(ds, k=3, seed=1)
         spec = AggregationSpec("single", ("bytes",))
-        estimate = colocated_estimator(summary, spec).total()
+        estimate = QueryEngine(summary).estimate(spec, "colocated")
         assert estimate == pytest.approx(exact_aggregate(ds, spec), rel=1.0)
 
     def test_summarize_validates_inputs(self):
@@ -60,7 +59,9 @@ class TestPublicApi:
         )
         mask = attribute_equals("kind", "x").mask(ds)
         summary = summarize_dataset(ds, k=3, seed=0)
-        adjusted = colocated_estimator(summary, AggregationSpec("single", ("w",)))
+        adjusted = QueryEngine(summary).adjusted(
+            AggregationSpec("single", ("w",)), "colocated"
+        )
         # k = n: every key sampled with p = 1, estimate is exact.
         assert adjusted.subpopulation(mask) == pytest.approx(40.0)
 
@@ -96,7 +97,7 @@ class TestDispersedDeployment:
 
         summary = build_summary_from_sketches(sketches, family)
         spec = AggregationSpec("l1", names)
-        estimate = dispersed_estimator(summary, spec).total()
+        estimate = QueryEngine(summary).estimate(spec, "l1-l")
         assert estimate == pytest.approx(exact_l1, rel=0.35)
 
     def test_estimates_improve_with_k(self):
@@ -123,7 +124,7 @@ class TestDispersedDeployment:
                     sampler.process_stream(totals.items())
                     sketches[name] = sampler.sketch()
                 summary = build_summary_from_sketches(sketches, family)
-                estimate = dispersed_estimator(summary, spec).total()
+                estimate = QueryEngine(summary).estimate(spec, "lset")
                 errors.append(abs(estimate - exact) / exact)
             return float(np.mean(errors))
 

@@ -468,7 +468,7 @@ class TestShardedSummarizer:
 
     def test_summary_feeds_dispersed_estimators(self):
         from repro.core.aggregates import AggregationSpec
-        from repro.estimators.dispersed import dispersed_estimator
+        from repro.engine.queries import QueryEngine
 
         rng = np.random.default_rng(3)
         keys = np.arange(150)
@@ -480,7 +480,7 @@ class TestShardedSummarizer:
         summary = engine.summary()
         # k covers every key, so the estimate is exact
         spec = AggregationSpec("max", ("w1", "w2"))
-        estimate = dispersed_estimator(summary, spec).total()
+        estimate = QueryEngine(summary).estimate(spec, "lset")
         assert estimate == pytest.approx(float(np.maximum(w1, w2).sum()))
 
     def test_int_and_float_batches_name_the_same_keys(self):

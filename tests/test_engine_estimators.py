@@ -14,9 +14,7 @@ import pytest
 
 from repro.core.aggregates import AggregationSpec, exact_aggregate, jaccard_similarity
 from repro.core.summary import build_bottomk_summary
-from repro.engine import ShardedSummarizer, jaccard_from_summary
-from repro.estimators.colocated import colocated_estimator
-from repro.estimators.dispersed import l1_estimator, lset_estimator, sset_estimator
+from repro.engine import QueryEngine, ShardedSummarizer, jaccard_from_summary
 from repro.ranks.assignments import SharedSeedRanks
 from repro.ranks.families import IppsRanks
 from repro.ranks.hashing import KeyHasher
@@ -86,18 +84,19 @@ class TestEngineVsMatrixHarness:
     @pytest.mark.parametrize("variant", ["s", "l"])
     def test_l1_totals_agree(self, pipeline, variant):
         _, engine_summary, matrix_summary, _ = pipeline
-        names = tuple(engine_summary.assignments)
-        from_engine = l1_estimator(engine_summary, names, variant).total()
-        from_matrix = l1_estimator(matrix_summary, names, variant).total()
+        spec = AggregationSpec("l1", tuple(engine_summary.assignments))
+        estimator = f"l1-{variant}"
+        from_engine = QueryEngine(engine_summary).estimate(spec, estimator)
+        from_matrix = QueryEngine(matrix_summary).estimate(spec, estimator)
         assert from_engine == pytest.approx(from_matrix, rel=1e-9)
 
     @pytest.mark.parametrize("function", ["max", "min"])
-    @pytest.mark.parametrize("estimator", [sset_estimator, lset_estimator])
+    @pytest.mark.parametrize("estimator", ["sset", "lset"])
     def test_minmax_totals_agree(self, pipeline, function, estimator):
         _, engine_summary, matrix_summary, _ = pipeline
         spec = AggregationSpec(function, tuple(engine_summary.assignments))
-        from_engine = estimator(engine_summary, spec).total()
-        from_matrix = estimator(matrix_summary, spec).total()
+        from_engine = QueryEngine(engine_summary).estimate(spec, estimator)
+        from_matrix = QueryEngine(matrix_summary).estimate(spec, estimator)
         assert from_engine == pytest.approx(from_matrix, rel=1e-9)
 
     @pytest.mark.parametrize("variant", ["s", "l"])
@@ -118,10 +117,8 @@ class TestEngineVsExact:
         names = tuple(dataset.assignments)
         spec = AggregationSpec(function, names)
         exact = exact_aggregate(dataset, spec)
-        if function == "l1":
-            estimate = l1_estimator(engine_summary, names, "l").total()
-        else:
-            estimate = lset_estimator(engine_summary, spec).total()
+        estimator = "l1-l" if function == "l1" else "lset"
+        estimate = QueryEngine(engine_summary).estimate(spec, estimator)
         assert estimate == pytest.approx(exact, rel=0.35)
 
     def test_jaccard_near_exact(self, pipeline):
@@ -138,7 +135,7 @@ class TestEngineVsExact:
         names = tuple(dataset.assignments)
         spec = AggregationSpec("l1", names)
         exact = exact_aggregate(dataset, spec)
-        colocated = colocated_estimator(matrix_colocated, spec).total()
-        dispersed = l1_estimator(engine_summary, names, "l").total()
+        colocated = QueryEngine(matrix_colocated).estimate(spec, "colocated")
+        dispersed = QueryEngine(engine_summary).estimate(spec, "l1-l")
         assert colocated == pytest.approx(exact, rel=0.35)
         assert dispersed == pytest.approx(colocated, rel=0.6)

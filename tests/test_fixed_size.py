@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.aggregates import AggregationSpec, key_values
 from repro.core.summary import build_fixed_size_summary
-from repro.estimators.colocated import colocated_estimator
-from repro.estimators.dispersed import max_estimator
+from repro.engine.queries import QueryEngine
 from repro.ranks.assignments import get_rank_method
 from repro.ranks.families import IppsRanks
 
@@ -68,18 +67,18 @@ class TestEstimation:
         total = 0.0
         for run in range(runs):
             summary = build(dataset, 4, run)
-            total += colocated_estimator(summary, spec).total()
+            total += QueryEngine(summary).estimate(spec, "colocated")
         assert total / runs == pytest.approx(exact, rel=0.1)
 
     def test_dispersed_max_unbiased(self):
         dataset = make_random_dataset(n_keys=25, seed=86)
-        names = tuple(dataset.assignments)
-        exact = float(key_values(dataset, AggregationSpec("max", names)).sum())
+        spec = AggregationSpec("max", tuple(dataset.assignments))
+        exact = float(key_values(dataset, spec).sum())
         runs = 3000
         total = 0.0
         for run in range(runs):
             summary = build(dataset, 4, run, mode="dispersed")
-            total += max_estimator(summary, names).total()
+            total += QueryEngine(summary).estimate(spec, "sset")
         assert total / runs == pytest.approx(exact, rel=0.1)
 
     def test_variance_not_worse_than_fixed_k(self):
@@ -103,8 +102,10 @@ class TestEstimation:
             adaptive = build_fixed_size_summary(
                 dataset.weights, draw, 5, dataset.assignments, FAMILY
             )
-            fixed_err += colocated_estimator(plain, spec).squared_error_sum(f)
-            adaptive_err += colocated_estimator(
-                adaptive, spec
+            fixed_err += QueryEngine(plain).adjusted(
+                spec, "colocated"
+            ).squared_error_sum(f)
+            adaptive_err += QueryEngine(adaptive).adjusted(
+                spec, "colocated"
             ).squared_error_sum(f)
         assert adaptive_err <= fixed_err * 1.05

@@ -151,12 +151,9 @@ def test_exp_colocated_snapshots():
           "exp-coloc/max")
 
 
-def test_reference_estimators_match_snapshots_too():
-    """The reference path hits the same goldens (belt and braces)."""
-    from repro.estimators.dispersed import lset_estimator, sset_estimator
-
-    summary = summary_for("shared_seed", "ipps", "dispersed")
-    check(sset_estimator(summary, AggregationSpec("min", NAMES)).total(),
-          "disp/sset-min")
-    check(lset_estimator(summary, AggregationSpec("min", NAMES)).total(),
-          "disp/lset-min")
+def test_sparse_adjusted_weights_match_snapshots_too():
+    """The sparse ``adjusted`` path hits the same goldens (belt and braces)."""
+    engine = QueryEngine(summary_for("shared_seed", "ipps", "dispersed"))
+    spec = AggregationSpec("min", NAMES)
+    check(engine.adjusted(spec, "sset").total(), "disp/sset-min")
+    check(engine.adjusted(spec, "lset").total(), "disp/lset-min")

@@ -7,9 +7,7 @@ import pytest
 
 from repro.core.aggregates import AggregationSpec, key_values
 from repro.core.summary import build_bottomk_summary
-from repro.estimators.colocated import colocated_estimator
-from repro.estimators.dispersed import max_estimator
-from repro.estimators.rank_conditioning import plain_rc_from_summary
+from repro.engine.queries import QueryEngine
 from repro.ranks.assignments import get_rank_method
 from repro.ranks.families import IppsRanks
 
@@ -56,18 +54,20 @@ class TestEstimation:
         runs = 3000
         total = 0.0
         for run in range(runs):
-            total += colocated_estimator(build(dataset, run), spec).total()
+            total += QueryEngine(build(dataset, run)).estimate(
+                spec, "colocated"
+            )
         assert total / runs == pytest.approx(exact, rel=0.1)
 
     def test_dispersed_max_unbiased(self):
         dataset = make_random_dataset(n_keys=25, seed=63)
-        names = tuple(dataset.assignments)
-        exact = float(key_values(dataset, AggregationSpec("max", names)).sum())
+        spec = AggregationSpec("max", tuple(dataset.assignments))
+        exact = float(key_values(dataset, spec).sum())
         runs = 3000
         total = 0.0
         for run in range(runs):
             summary = build(dataset, run, mode="dispersed")
-            total += max_estimator(summary, names).total()
+            total += QueryEngine(summary).estimate(spec, "sset")
         assert total / runs == pytest.approx(exact, rel=0.1)
 
     def test_plain_rc_per_assignment_unbiased(self):
@@ -75,8 +75,10 @@ class TestEstimation:
         runs = 3000
         totals = {b: 0.0 for b in dataset.assignments}
         for run in range(runs):
-            summary = build(dataset, run)
+            engine = QueryEngine(build(dataset, run))
             for b in dataset.assignments:
-                totals[b] += plain_rc_from_summary(summary, b).total()
+                totals[b] += engine.estimate(
+                    AggregationSpec("single", (b,)), "plain_rc"
+                )
         for b in dataset.assignments:
             assert totals[b] / runs == pytest.approx(dataset.total(b), rel=0.12)

@@ -2,10 +2,12 @@
 
 Each estimator over a summary ships once, as the dense kernel in its
 paper-section module (:mod:`repro.estimators.dispersed` / ``colocated`` /
-``rank_conditioning`` / ``horvitz_thompson``).  This file keeps an
-independent, straightforward per-spec implementation of every one of them
-(the oracle below: each call recomputes every intermediate from the
-summary matrices, no views cache) and checks that the kernels produce
+``rank_conditioning`` / ``horvitz_thompson``), and is reached through one
+front door, :class:`~repro.engine.queries.QueryEngine` (which also
+composes L1 as ``a^max − a^min``).  This file keeps an independent,
+straightforward per-spec implementation of every one of them (the oracle
+below: each call recomputes every intermediate from the summary matrices,
+no views cache) and checks that the kernels and the engine produce
 numerically identical adjusted weights (exact, or within 1e-9 relative)
 across rank families (EXP/IPPS), rank-assignment methods,
 colocated/dispersed modes, and degenerate inputs (empty summaries, single
@@ -32,12 +34,12 @@ from repro.core.summary import (
     build_poisson_summary,
     build_summary_from_sketches,
 )
+from repro.engine.queries import QueryEngine
 from repro.estimators import (
     AdjustedWeights,
     colocated_kernel,
     generic_kernel,
     ht_kernel,
-    l1_kernel,
     lset_kernel,
     plain_rc_kernel,
     sset_kernel,
@@ -459,7 +461,7 @@ class TestDispersedKernels:
         assert_parity(
             summary,
             lambda: l1_estimator(summary, names, min_variant=variant),
-            lambda: l1_kernel(summary, spec, min_variant=variant),
+            lambda: QueryEngine(summary).adjusted_dense(spec, f"l1-{variant}"),
             f"l1-{variant}",
         )
 
@@ -629,3 +631,64 @@ class TestDegenerateCases:
             sketches, get_rank_family("ipps")
         )
         self._check_all(summary)
+
+
+#: the oracle of each engine estimator name, as ``(summary, spec)``
+ORACLE = {
+    "sset": sset_estimator,
+    "lset": lset_estimator,
+    "l1-s": lambda s, spec: l1_estimator(s, spec.assignments, "s"),
+    "l1-l": lambda s, spec: l1_estimator(s, spec.assignments, "l"),
+    "colocated": colocated_estimator,
+    "generic": generic_consistent_estimator,
+    "plain_rc": lambda s, spec: plain_rc_from_summary(s, spec.assignments[0]),
+    "ht": lambda s, spec: ht_from_summary(s, spec.assignments[0]),
+}
+
+
+class TestAutoRouting:
+    """``"auto"`` answers with exactly the estimator it names."""
+
+    @given(
+        weights=weight_matrices,
+        k=ks,
+        seed=seeds,
+        family=families,
+        method=st.sampled_from(
+            ["shared_seed", "independent", "independent_differences"]
+        ),
+        mode=modes,
+        kind=st.sampled_from(["bottomk", "poisson"]),
+    )
+    @settings(deadline=None)
+    def test_auto_equals_oracle_of_default_estimator(
+        self, weights, k, seed, family, method, mode, kind
+    ):
+        if method == "independent_differences":
+            family = "exp"
+        family_obj = get_rank_family(family)
+        draw = get_rank_method(method).draw(
+            family_obj, weights, np.random.default_rng(seed)
+        )
+        names = tuple(f"w{b}" for b in range(weights.shape[1]))
+        if kind == "bottomk":
+            summary = build_bottomk_summary(
+                weights, draw, k, names, family_obj, mode=mode
+            )
+        else:
+            taus = np.array([
+                calibrate_tau(weights[:, b], family_obj, k)
+                for b in range(weights.shape[1])
+            ])
+            summary = build_poisson_summary(
+                weights, draw, taus, names, family_obj, mode=mode
+            )
+        engine = QueryEngine(summary)
+        for spec in all_specs(names) + [AggregationSpec("l1", names)]:
+            name = engine.default_estimator(spec)
+            assert_parity(
+                summary,
+                lambda: ORACLE[name](summary, spec),
+                lambda: engine.adjusted_dense(spec, "auto"),
+                f"auto={name} {spec.function} ell={spec.ell}",
+            )

@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.summary import build_bottomk_summary
-from repro.estimators.horvitz_thompson import ht_adjusted_weights
-from repro.estimators.rank_conditioning import plain_rc_adjusted_weights
+from repro.core.aggregates import AggregationSpec
+from repro.core.summary import build_bottomk_summary, build_poisson_summary
+from repro.engine.queries import QueryEngine
 from repro.ranks.assignments import SharedSeedRanks, RankDraw
 from repro.ranks.families import IppsRanks
 from repro.sampling.bottomk import bottomk_from_ranks
@@ -27,6 +27,26 @@ from tests.conftest import (
 )
 
 FAMILY = IppsRanks()
+#: Figure 1's single weighted set as a one-assignment summary
+FIG1_SPEC = AggregationSpec("single", ("w",))
+FIG1_DRAW = RankDraw(FIG1_RANKS[:, None], FIG1_SEEDS, SharedSeedRanks())
+
+
+def fig1_adjusted(summary, estimator) -> dict[str, float]:
+    """The engine's adjusted weights over Figure 1, by key name."""
+    adjusted = QueryEngine(summary).adjusted(FIG1_SPEC, estimator)
+    return {
+        FIG1_KEYS[pos]: value
+        for pos, value in zip(adjusted.positions, adjusted.values)
+    }
+
+
+def fig1_bottomk(k: int) -> dict[str, float]:
+    """Plain RC adjusted weights of Figure 1's bottom-k sample."""
+    summary = build_bottomk_summary(
+        FIG1_WEIGHTS[:, None], FIG1_DRAW, k, ["w"], FAMILY
+    )
+    return fig1_adjusted(summary, "plain_rc")
 
 
 class TestFigure1Ranks:
@@ -46,8 +66,11 @@ class TestFigure1Poisson:
         assert tau == pytest.approx(k / 82.0, rel=1e-6)
         sketch = poisson_from_ranks(FIG1_RANKS, FIG1_WEIGHTS, tau)
         assert sketch.keys.tolist() == [0]  # sample is {i1} in all cases
-        adjusted = ht_adjusted_weights(sketch, FAMILY)
-        assert adjusted.values[0] == pytest.approx(expected_a_i1, rel=1e-3)
+        summary = build_poisson_summary(
+            FIG1_WEIGHTS[:, None], FIG1_DRAW, np.array([tau]), ["w"], FAMILY
+        )
+        adjusted = fig1_adjusted(summary, "ht")
+        assert adjusted == pytest.approx({"i1": expected_a_i1}, rel=1e-3)
 
     def test_inclusion_probability_row_k1(self):
         """p(i) = min{1, w(i)·τ} row for k = 1 (paper: .24 .12 .15 .24 .12 .12)."""
@@ -65,36 +88,33 @@ class TestFigure1BottomK:
         sketch = bottomk_from_ranks(FIG1_RANKS, FIG1_WEIGHTS, 1)
         assert [FIG1_KEYS[i] for i in sketch.keys] == ["i1"]
         assert sketch.threshold == pytest.approx(0.037)
-        adjusted = plain_rc_adjusted_weights(sketch, FAMILY)
-        assert adjusted.values[0] == pytest.approx(27.02, abs=0.01)
+        assert fig1_bottomk(1) == pytest.approx({"i1": 27.02}, abs=0.01)
 
     def test_k2(self):
         sketch = bottomk_from_ranks(FIG1_RANKS, FIG1_WEIGHTS, 2)
         assert [FIG1_KEYS[i] for i in sketch.keys] == ["i1", "i6"]
         assert sketch.threshold == pytest.approx(0.046)
-        adjusted = plain_rc_adjusted_weights(sketch, FAMILY)
-        np.testing.assert_allclose(adjusted.values, [21.74, 21.74], atol=0.01)
+        assert fig1_bottomk(2) == pytest.approx(
+            {"i1": 21.74, "i6": 21.74}, abs=0.01
+        )
 
     def test_k3(self):
         sketch = bottomk_from_ranks(FIG1_RANKS, FIG1_WEIGHTS, 3)
         assert [FIG1_KEYS[i] for i in sketch.keys] == ["i1", "i6", "i4"]
         assert sketch.threshold == pytest.approx(0.055)
-        adjusted = plain_rc_adjusted_weights(sketch, FAMILY)
         # paper: a(i1) = 20.00, a(i6) = 18.18, a(i4) = 20.00
-        np.testing.assert_allclose(
-            adjusted.values, [20.0, 18.18, 20.0], atol=0.01
+        assert fig1_bottomk(3) == pytest.approx(
+            {"i1": 20.0, "i6": 18.18, "i4": 20.0}, abs=0.01
         )
 
     def test_subpopulation_estimates_from_paper(self):
         """Paper: J = {i2, i4, i6} (w(J)=40) estimates 0 / 21.74 / 38.18."""
         expected = {1: 0.0, 2: 21.74, 3: 38.18}
-        selected = {1, 3, 5}  # positions of i2, i4, i6
+        selected = ("i2", "i4", "i6")
         for k, value in expected.items():
-            sketch = bottomk_from_ranks(FIG1_RANKS, FIG1_WEIGHTS, k)
-            adjusted = plain_rc_adjusted_weights(sketch, FAMILY)
-            mask = np.zeros(6, dtype=bool)
-            mask[list(selected)] = True
-            assert adjusted.subpopulation(mask) == pytest.approx(value, abs=0.01)
+            adjusted = fig1_bottomk(k)
+            estimate = sum(adjusted.get(key, 0.0) for key in selected)
+            assert estimate == pytest.approx(value, abs=0.01)
 
 
 class TestFigure2Ranks:

@@ -14,12 +14,7 @@ import pytest
 
 from repro.core.aggregates import AggregationSpec, key_values
 from repro.core.summary import build_poisson_summary
-from repro.estimators.dispersed import (
-    l1_estimator,
-    lset_estimator,
-    max_estimator,
-    sset_estimator,
-)
+from repro.engine.queries import QueryEngine
 from repro.ranks.assignments import get_rank_method
 from repro.ranks.families import IppsRanks
 from repro.sampling.poisson import calibrate_tau
@@ -44,19 +39,20 @@ def poisson_summary(dataset, method, seed, expected_size=5.0):
     )
 
 
-def mean_total(dataset, estimate, method="shared_seed", runs=3000):
+def mean_total(dataset, spec, estimator, method="shared_seed", runs=3000):
     total = 0.0
     for run in range(runs):
-        total += estimate(poisson_summary(dataset, method, run)).total()
+        summary = poisson_summary(dataset, method, run)
+        total += QueryEngine(summary).estimate(spec, estimator)
     return total / runs
 
 
 class TestPoissonDispersed:
     def test_max_unbiased(self):
         dataset = make_random_dataset(n_keys=20, seed=91)
-        names = tuple(dataset.assignments)
-        exact = float(key_values(dataset, AggregationSpec("max", names)).sum())
-        mean = mean_total(dataset, lambda s: max_estimator(s, names))
+        spec = AggregationSpec("max", tuple(dataset.assignments))
+        exact = float(key_values(dataset, spec).sum())
+        mean = mean_total(dataset, spec, "sset")
         assert mean == pytest.approx(exact, rel=0.12)
 
     @pytest.mark.parametrize("variant", ["s", "l"])
@@ -65,36 +61,33 @@ class TestPoissonDispersed:
         names = tuple(dataset.assignments)
         spec = AggregationSpec("min", names)
         exact = float(key_values(dataset, spec).sum())
-        builder = sset_estimator if variant == "s" else lset_estimator
-        mean = mean_total(dataset, lambda s: builder(s, spec))
+        mean = mean_total(dataset, spec, f"{variant}set")
         assert mean == pytest.approx(exact, rel=0.15)
 
     def test_l1_unbiased_and_nonnegative(self):
         dataset = make_random_dataset(n_keys=20, seed=93)
-        names = tuple(dataset.assignments)
-        exact = float(key_values(dataset, AggregationSpec("l1", names)).sum())
+        spec = AggregationSpec("l1", tuple(dataset.assignments))
+        exact = float(key_values(dataset, spec).sum())
         total = 0.0
         runs = 3000
         for run in range(runs):
             summary = poisson_summary(dataset, "shared_seed", run)
-            adjusted = l1_estimator(summary, names, "l")
+            adjusted = QueryEngine(summary).adjusted(spec, "l1-l")
             assert np.all(adjusted.values >= -1e-9)
             total += adjusted.total()
         assert total / runs == pytest.approx(exact, rel=0.15)
 
     def test_independent_min_unbiased(self):
-        from repro.estimators.dispersed import independent_min_estimator
-
         dataset = make_random_dataset(n_keys=15, n_assignments=2, seed=94,
                                       churn=0.0)
-        names = tuple(dataset.assignments)
-        exact = float(key_values(dataset, AggregationSpec("min", names)).sum())
+        spec = AggregationSpec("min", tuple(dataset.assignments))
+        exact = float(key_values(dataset, spec).sum())
         total = 0.0
         runs = 6000
         for run in range(runs):
             summary = poisson_summary(dataset, "independent", run,
                                       expected_size=8.0)
-            total += independent_min_estimator(summary, names).total()
+            total += QueryEngine(summary).estimate(spec, "lset")
         assert total / runs == pytest.approx(exact, rel=0.2)
 
     def test_thresholds_do_not_depend_on_membership(self):

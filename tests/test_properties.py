@@ -17,16 +17,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.aggregates import AggregationSpec
 from repro.core.summary import build_bottomk_summary
-from repro.estimators.colocated import (
-    colocated_estimator,
-    inclusion_probabilities,
-)
-from repro.estimators.dispersed import (
-    l1_estimator,
-    lset_estimator,
-    max_estimator,
-    sset_estimator,
-)
+from repro.engine.queries import QueryEngine
+from repro.estimators.colocated import inclusion_probabilities
 from repro.evaluation.analytic import make_context
 from repro.ranks.assignments import get_rank_method
 from repro.ranks.families import ExponentialRanks, IppsRanks
@@ -92,9 +84,10 @@ class TestEstimatorInvariants:
     def test_l1_nonnegative_everywhere(self, weights, k, seed):
         summary = make_summary(weights, k, seed, "shared_seed", "ipps",
                                "dispersed")
-        names = tuple(summary.assignments)
-        for variant in ("s", "l"):
-            adjusted = l1_estimator(summary, names, variant)
+        engine = QueryEngine(summary)
+        spec = AggregationSpec("l1", tuple(summary.assignments))
+        for estimator in ("l1-s", "l1-l"):
+            adjusted = engine.adjusted(spec, estimator)
             assert np.all(adjusted.values >= -1e-9)
 
     @given(weights=weight_matrices, k=ks, seed=seeds)
@@ -102,7 +95,9 @@ class TestEstimatorInvariants:
     def test_max_adjusted_at_least_true_max(self, weights, k, seed):
         summary = make_summary(weights, k, seed, "shared_seed", "ipps",
                                "dispersed")
-        adjusted = max_estimator(summary, tuple(summary.assignments))
+        adjusted = QueryEngine(summary).adjusted(
+            AggregationSpec("max", tuple(summary.assignments)), "sset"
+        )
         true_max = weights.max(axis=1)
         assert np.all(
             adjusted.values >= true_max[adjusted.positions] - 1e-9
@@ -114,8 +109,9 @@ class TestEstimatorInvariants:
         summary = make_summary(weights, k, seed, "shared_seed", "ipps",
                                "dispersed")
         spec = AggregationSpec("min", tuple(summary.assignments))
-        s_positions = set(sset_estimator(summary, spec).positions.tolist())
-        l_positions = set(lset_estimator(summary, spec).positions.tolist())
+        engine = QueryEngine(summary)
+        s_positions = set(engine.adjusted(spec, "sset").positions.tolist())
+        l_positions = set(engine.adjusted(spec, "lset").positions.tolist())
         assert s_positions <= l_positions
 
     @given(weights=weight_matrices, k=ks, seed=seeds, family=families)
@@ -129,7 +125,7 @@ class TestEstimatorInvariants:
         summary = make_summary(weights, n, seed, "shared_seed", family,
                                "colocated")
         spec = AggregationSpec("max", tuple(summary.assignments))
-        estimate = colocated_estimator(summary, spec).total()
+        estimate = QueryEngine(summary).estimate(spec, "colocated")
         assert estimate == pytest.approx(float(weights.max(axis=1).sum()))
 
     @given(weights=weight_matrices, k=ks, seed=seeds)
@@ -155,7 +151,8 @@ class TestEstimatorInvariants:
         n = weights.shape[0]
         summary = make_summary(weights, n + 5, seed, "shared_seed", "ipps",
                                "dispersed")
-        names = tuple(summary.assignments)
-        a_max = max_estimator(summary, names)
+        a_max = QueryEngine(summary).adjusted(
+            AggregationSpec("max", tuple(summary.assignments)), "sset"
+        )
         # every positive-weight key is sampled with probability 1
         assert a_max.total() == pytest.approx(float(weights.max(axis=1).sum()))

@@ -1,20 +1,16 @@
 """Behavioral tests for the batch QueryEngine.
 
-Parity of the kernels with an independent oracle is proven in
-test_kernel_parity.py; this file checks the engine semantics: batch ==
-per-query answers, the public per-spec estimators and the engine being
-one implementation, kernel-run and predicate caching (read-only), predicate
-pushdown (union keys only), auto estimator routing, stream-built
-summaries, and the jaccard_from_summary edge cases.
+Parity of the kernels and of the engine's answers with an independent
+oracle is proven in test_kernel_parity.py; this file checks the engine
+semantics: batch == per-query answers, kernel-run and predicate caching
+(read-only), predicate pushdown (union keys only), auto estimator
+routing, stream-built summaries, and the jaccard_from_summary edge cases.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from tests.conftest import make_random_dataset
 from repro.core.aggregates import AggregationSpec
@@ -27,31 +23,15 @@ from repro.core.predicates import (
 )
 from repro.core.summary import (
     build_bottomk_summary,
-    build_poisson_summary,
     build_summary_from_sketches,
 )
 from repro.engine import queries as queries_module
 from repro.engine.queries import Query, QueryEngine, jaccard_from_summary
-from repro.estimators.colocated import (
-    colocated_estimator,
-    generic_consistent_estimator,
-    inclusion_probabilities,
-)
-from repro.estimators.dispersed import (
-    dispersed_estimator,
-    independent_min_estimator,
-    l1_estimator,
-    lset_estimator,
-    max_estimator,
-    sset_estimator,
-)
-from repro.estimators.horvitz_thompson import ht_from_summary
-from repro.estimators.rank_conditioning import plain_rc_from_summary
+from repro.estimators.colocated import inclusion_probabilities
 from repro.ranks.assignments import get_rank_method
 from repro.ranks.families import get_rank_family
 from repro.ranks.hashing import KeyHasher
 from repro.sampling.bottomk import BottomKStreamSampler
-from repro.sampling.poisson import calibrate_tau
 
 
 def make_summary(dataset, k=6, seed=3, method="shared_seed",
@@ -79,26 +59,25 @@ class TestBatchAnswers:
         summary = make_summary(dataset)
         names = tuple(dataset.assignments)
         specs = [
-            (AggregationSpec("min", names), "lset", lset_estimator),
-            (AggregationSpec("max", names), "sset", sset_estimator),
-            (AggregationSpec("single", names[:1]), "colocated",
-             colocated_estimator),
+            (AggregationSpec("min", names), "lset"),
+            (AggregationSpec("max", names), "sset"),
+            (AggregationSpec("single", names[:1]), "colocated"),
         ]
         predicates = [all_keys(), attribute_equals("group", 1),
                       attribute_equals("group", 2)]
         queries = [
             Query(spec, predicate=pred, estimator=estimator)
-            for spec, estimator, _ in specs
+            for spec, estimator in specs
             for pred in predicates
         ]
         engine = QueryEngine(summary, dataset)
         results = engine.run(queries)
         assert len(results) == len(queries)
         for result, query in zip(results, queries):
-            reference_fn = next(
-                fn for spec, _, fn in specs if spec is query.spec
+            # one query on its own: a fresh engine, a dense dataset mask
+            adjusted = QueryEngine(summary).adjusted(
+                query.spec, query.estimator
             )
-            adjusted = reference_fn(summary, query.spec)
             mask = query.effective_predicate.mask(dataset)
             assert result.estimate == pytest.approx(
                 adjusted.subpopulation(mask), rel=1e-12, abs=1e-12
@@ -118,7 +97,7 @@ class TestBatchAnswers:
         spec = AggregationSpec("min", tuple(dataset.assignments))
         pred = attribute_equals("group", 0)
         via_override = engine.estimate(spec, "lset", predicate=pred)
-        reference = lset_estimator(summary, spec).subpopulation(
+        reference = QueryEngine(summary).adjusted(spec, "lset").subpopulation(
             pred.mask(dataset)
         )
         assert via_override == pytest.approx(reference, rel=1e-12)
@@ -289,6 +268,16 @@ class TestRouting:
                 AggregationSpec("min", tuple(dataset.assignments)), "l1-s"
             )
 
+    @pytest.mark.parametrize("function", ["min", "max", "l1"])
+    def test_repeated_assignment_name_rejected(self, dataset, function):
+        """Independent ranks multiply one inclusion probability per name,
+        so min over ("w1", "w1") would count w1 twice and be biased high:
+        the spec itself refuses a repeated name."""
+        summary = make_summary(dataset, mode="dispersed", method="independent")
+        engine = QueryEngine(summary)
+        with pytest.raises(ValueError, match="duplicate"):
+            engine.estimate(AggregationSpec(function, ("w1", "w1")))
+
     def test_l1_specs_reject_sset_lset_like_the_reference(self, dataset):
         summary = make_summary(dataset)
         engine = QueryEngine(summary, dataset)
@@ -296,123 +285,6 @@ class TestRouting:
         for estimator in ("sset", "lset"):
             with pytest.raises(ValueError, match="not top-ℓ dependent"):
                 engine.estimate(spec, estimator)
-
-
-#: each engine estimator's public per-spec name, as ``(summary, spec)``
-PER_SPEC = {
-    "sset": sset_estimator,
-    "lset": lset_estimator,
-    "l1-s": lambda s, spec: l1_estimator(s, spec.assignments, "s"),
-    "l1-l": lambda s, spec: l1_estimator(s, spec.assignments, "l"),
-    "colocated": colocated_estimator,
-    "generic": generic_consistent_estimator,
-    "plain_rc": lambda s, spec: plain_rc_from_summary(s, spec.assignments[0]),
-    "ht": lambda s, spec: ht_from_summary(s, spec.assignments[0]),
-    # wrappers: max / ind-min / the dispersed router
-    "max": lambda s, spec: max_estimator(s, spec.assignments),
-    "ind-min": lambda s, spec: independent_min_estimator(s, spec.assignments),
-    "dispersed-s": lambda s, spec: dispersed_estimator(s, spec, "s"),
-    "dispersed-l": lambda s, spec: dispersed_estimator(s, spec, "l"),
-}
-
-
-def engine_estimator(name: str, spec: AggregationSpec) -> str:
-    """The engine estimator a per-spec name must reproduce exactly."""
-    if name == "max":
-        return "sset"
-    if name == "ind-min":
-        return "lset"
-    if name.startswith("dispersed-"):
-        variant = name[-1]
-        if spec.function == "l1":
-            return f"l1-{variant}"
-        return "sset" if variant == "s" else "lset"
-    return name
-
-
-def specs_for(name: str, names: tuple[str, ...]) -> list[AggregationSpec]:
-    if name in ("plain_rc", "ht"):
-        return [AggregationSpec("single", (b,)) for b in names]
-    if name in ("l1-s", "l1-l"):
-        return [AggregationSpec("l1", names)]
-    if name == "max":
-        return [AggregationSpec("max", names)]
-    if name == "ind-min":
-        return [AggregationSpec("min", names)]
-    specs = [
-        AggregationSpec(function, names) for function in ("min", "max", "l1")
-    ] + [AggregationSpec("single", names[:1])]
-    specs += [
-        AggregationSpec("lth_largest", names, ell=ell)
-        for ell in range(1, len(names) + 1)
-    ]
-    return specs
-
-
-one_impl_weights = st.integers(1, 3).flatmap(
-    lambda m: arrays(
-        np.float64,
-        st.tuples(st.integers(1, 14), st.just(m)),
-        elements=st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
-    )
-)
-
-
-class TestOneImplementation:
-    """Every public per-spec name is the engine's kernel, bit for bit."""
-
-    @given(
-        weights=one_impl_weights,
-        k=st.integers(1, 6),
-        seed=st.integers(0, 2**31),
-        family=st.sampled_from(["ipps", "exp"]),
-        method=st.sampled_from(
-            ["shared_seed", "independent", "independent_differences"]
-        ),
-        mode=st.sampled_from(["colocated", "dispersed"]),
-        kind=st.sampled_from(["bottomk", "poisson"]),
-    )
-    @settings(deadline=None)
-    def test_public_names_equal_engine(
-        self, weights, k, seed, family, method, mode, kind
-    ):
-        if method == "independent_differences":
-            family = "exp"
-        family_obj = get_rank_family(family)
-        draw = get_rank_method(method).draw(
-            family_obj, weights, np.random.default_rng(seed)
-        )
-        names = tuple(f"w{b}" for b in range(weights.shape[1]))
-        if kind == "bottomk":
-            summary = build_bottomk_summary(
-                weights, draw, k, names, family_obj, mode=mode
-            )
-        else:
-            taus = np.array([
-                calibrate_tau(weights[:, b], family_obj, k)
-                for b in range(weights.shape[1])
-            ])
-            summary = build_poisson_summary(
-                weights, draw, taus, names, family_obj, mode=mode
-            )
-        engine = QueryEngine(summary)
-        for name, public in PER_SPEC.items():
-            if name == "ind-min" and summary.consistent:
-                continue  # the wrapper's own guard; the engine has no such name
-            for spec in specs_for(name, names):
-                estimator = engine_estimator(name, spec)
-                try:
-                    expected = public(summary, spec)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        engine.adjusted(spec, estimator)
-                    continue
-                got = engine.adjusted(spec, estimator)
-                context = f"{name} {spec.function} ell={spec.ell}"
-                assert np.array_equal(got.positions, expected.positions), context
-                assert np.array_equal(
-                    got.values, expected.values, equal_nan=True
-                ), context
 
 
 class TestStreamSummaries:

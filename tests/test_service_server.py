@@ -227,6 +227,19 @@ class TestErrorMapping:
             client._request("POST", "/query", {"kind": "estimate"})
         assert excinfo.value.status == 400
 
+    def test_repeated_assignment_name_400(self, service):
+        # a repeated name enters an inclusion probability twice; the
+        # query is refused, not answered from the distinct names
+        _thread, client = service
+        client.ingest("web", ["a", "b"], {"h1": [1.0, 2.0]}, sync=True)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/query", {
+                "kind": "estimate", "namespace": "web", "function": "max",
+                "assignments": ["h1", "h1"],
+            })
+        assert excinfo.value.status == 400
+        assert "duplicate" in str(excinfo.value)
+
     def test_malformed_ingest_bodies_400(self, service):
         _thread, client = service
         for body in (

@@ -226,11 +226,13 @@ class TestSummaryFromSketches:
     def test_estimation_works_end_to_end(self):
         """Stream sketches -> summary -> max estimator, no original data."""
         from repro.core.aggregates import AggregationSpec
-        from repro.estimators.dispersed import max_estimator
+        from repro.engine.queries import QueryEngine
 
         sketches, (w1, w2) = self.build(k=20)
         summary = build_summary_from_sketches(sketches, FAMILY)
-        adjusted = max_estimator(summary, ("p1", "p2"))
+        adjusted = QueryEngine(summary).adjusted(
+            AggregationSpec("max", ("p1", "p2")), "sset"
+        )
         exact = sum(max(w1[key], w2[key]) for key in w1)
         assert adjusted.total() == pytest.approx(exact, rel=0.5)
 
