@@ -18,6 +18,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import select
 import socket
 import threading
 import time
@@ -150,6 +151,25 @@ class ServiceClient:
                 self._idle.append((timeout, conn))
                 return
         conn.close()
+
+    def connected(self, blocking: bool = True) -> bool:
+        """Whether the server still holds the connections this client
+        keeps idle: ``True`` when there is at least one and the server
+        has closed (or written to) none of them.  One zero-timeout
+        ``select``, nothing sent; ``False`` too when, without
+        ``blocking``, the pool is busy."""
+        if not self._pool_lock.acquire(blocking):
+            return False
+        try:  # held: no idle connection is checked out meanwhile
+            sockets = [conn.sock for _timeout, conn in self._idle]
+            if not sockets or None in sockets:
+                return False
+            readable, _, _ = select.select(sockets, [], [], 0)
+        except (OSError, ValueError):
+            return False
+        finally:
+            self._pool_lock.release()
+        return not readable
 
     def close(self) -> None:
         """Close idle connections (in-flight ones close as they finish)."""

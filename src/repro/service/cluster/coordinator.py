@@ -30,6 +30,25 @@ from them.  A worker that is unreachable, answers an error or sends a
 frame that does not decode did not answer: its slots are re-asked of
 their next usable owner.
 
+**Leases.**  Each frame also grants a lease: the seconds for which the
+worker promises that none of its tokens moves except by a write this
+coordinator sends — until its next bucket boundary or compaction, 0
+while it holds an accepted, unapplied ingest batch.  A read that missed
+no slot leases its version vector from the fetch's send time for the
+shortest lease granted, at most ``heartbeat_s``.  While the lease holds,
+:meth:`CoordinatorService.current_version` names that vector, so the
+planner's memo step answers a repeated or warm query from the result
+cache or the memoized engine on the event loop, with no gather.  The
+lease ends early when the epoch moves — on every routed ingest (before
+its deliveries and again once they settle), every handoff or repair
+rotate, reset and copy, every join, leave and promotion, and every
+change to the stale or degraded sets — or when a worker it names closes
+this coordinator's keep-alive connections (a stop or a crash).  A write
+that does not come through the coordinator (a direct ingest, import,
+reset or ``/rotate`` into a slot namespace) shows at the first read
+after the lease, at most ``heartbeat_s`` later; a flush or compaction
+moves a token, never an answer.
+
 **The partial-answer contract.**  An answer is either exact or loudly
 ``partial`` — never silently wrong:
 
@@ -51,9 +70,9 @@ their next usable owner.
 Partial answers are never cached.  Exact answers cache in the runtime
 tier's result cache keyed on the **version vector** — the sorted
 per-slot ``(slot, worker, version-token)`` triples — so a repeated query
-against an unchanged cluster costs one gather of ``unchanged`` markers
-and an in-memory probe, and any ingest, rotation, or failover that
-changes which data would be merged changes the key.
+against an unchanged cluster costs an in-memory probe (inside a lease)
+or one gather of ``unchanged`` markers, and any ingest, rotation, or
+failover that changes which data would be merged changes the key.
 
 **Routed ingest.**  The coordinator is the cluster's only ingest
 router.  ``POST /ingest`` validates the whole client batch with the
@@ -93,7 +112,10 @@ completed handoff doubles as stale-replica repair.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import itertools
 import json
+import math
 import os
 import threading
 import time
@@ -289,6 +311,13 @@ class CoordinatorService(HttpServerBase):
         #: guards the slot memo
         self._memo_lock = threading.RLock()
         self._slot_memo: OrderedDict[tuple, tuple] = OrderedDict()
+        #: the lease epoch: every write this coordinator sends a worker
+        #: and every membership or health change moves it (:meth:`_revoke`)
+        self._epochs = itertools.count()
+        self._epoch = next(self._epochs)
+        #: namespace -> (version vector, expiry on ``clock``, epoch at the
+        #: read's start, workers named) of its last read
+        self._leases: dict[str, tuple] = {}
         self.planner = QueryPlanner(
             source=self, metrics=self.metrics, tracer=self.tracer
         )
@@ -338,7 +367,9 @@ class CoordinatorService(HttpServerBase):
         return json.loads(raw) if raw else []
 
     def _save_health_meta(self) -> None:
-        """Persist stale/degraded bookkeeping (call under _cluster_lock)."""
+        """Persist stale/degraded bookkeeping (call under _cluster_lock);
+        a change to either set ends every lease."""
+        self._revoke()
         self.runtime.set_meta(_STALE_META, json.dumps({
             worker: sorted(slots)
             for worker, slots in self._stale.items()
@@ -347,6 +378,22 @@ class CoordinatorService(HttpServerBase):
         self.runtime.set_meta(_DEGRADED_META, json.dumps(
             sorted(self._degraded)
         ))
+
+    def _revoke(self) -> None:
+        """End every lease: the next query reads through a gather."""
+        self._epoch = next(self._epochs)
+
+    @contextlib.contextmanager
+    def _writing(self):
+        """Bracket a write this coordinator sends workers (or a membership
+        change): every lease ends before it starts and again once it has
+        settled, so a gather that overlaps it cannot lease the state it
+        replaced."""
+        self._revoke()
+        try:
+            yield
+        finally:
+            self._revoke()
 
     def _worker_rows(self) -> dict[str, dict]:
         return {
@@ -458,24 +505,34 @@ class CoordinatorService(HttpServerBase):
         """
         src, dst = self._clients[source], self._clients[target]
         copied = 0
-        for namespace in self.configs:
-            ns = slot_namespace(namespace, slot)
-            listing = src.bundle_entries(ns)
-            for entry in listing.get("entries", []):
-                blob = src.fetch_artifact(ns, entry["bucket"], entry["part"])
-                dst.put_bundle(
-                    ns, entry["bucket"],
-                    _handoff_part(source, entry["part"]),
-                    blob, overwrite=True,
-                )
-                copied += 1
+        with self._writing():
+            for namespace in self.configs:
+                ns = slot_namespace(namespace, slot)
+                listing = src.bundle_entries(ns)
+                for entry in listing.get("entries", []):
+                    blob = src.fetch_artifact(
+                        ns, entry["bucket"], entry["part"]
+                    )
+                    dst.put_bundle(
+                        ns, entry["bucket"],
+                        _handoff_part(source, entry["part"]),
+                        blob, overwrite=True,
+                    )
+                    copied += 1
         return copied
 
     def _reset_slot(self, target: str, slot: int) -> None:
         """Purge the target's copy of one slot (every logical namespace)."""
         client = self._clients[target]
-        for namespace in self.configs:
-            client.reset_bundles(slot_namespace(namespace, slot))
+        with self._writing():
+            for namespace in self.configs:
+                client.reset_bundles(slot_namespace(namespace, slot))
+
+    def _rotate(self, source: str) -> None:
+        """Flush a handoff or repair source's live windows into its store,
+        so the artifacts copied from it cover everything ingested."""
+        with self._writing():
+            self._clients[source].rotate()
 
     def _handoff(
         self,
@@ -514,9 +571,7 @@ class CoordinatorService(HttpServerBase):
                         continue
                     try:
                         if source not in rotated:
-                            # flush the source's live windows so the
-                            # copied artifacts cover everything ingested
-                            self._clients[source].rotate()
+                            self._rotate(source)
                             rotated.add(source)
                     except (ServiceError, *_UNREACHABLE):
                         self.runtime.cluster_mark(
@@ -559,7 +614,7 @@ class CoordinatorService(HttpServerBase):
         return {"artifacts": copied_total, "degraded": sorted(degraded_now)}
 
     def _join(self, worker_id: str, host: str, port: int) -> dict:
-        with self._cluster_lock:
+        with self._cluster_lock, self._writing():
             before_rows = self._worker_rows()
             # failed workers are out of effective membership: a rejoin
             # (which clears the failed flag) plans against the survivors
@@ -633,7 +688,7 @@ class CoordinatorService(HttpServerBase):
             }
 
     def _leave(self, worker_id: str) -> dict:
-        with self._cluster_lock:
+        with self._cluster_lock, self._writing():
             before_rows = self._worker_rows()
             if worker_id not in before_rows:
                 raise _HttpError(
@@ -741,7 +796,10 @@ class CoordinatorService(HttpServerBase):
                 key_array[lo:hi],
                 {name: values[lo:hi] for name, values in weights.items()},
             ))
-        with self._cluster_lock:
+        # the write bracket opens before the lock is taken: a gather that
+        # starts in between can still read the pre-ingest state, and
+        # only the bump after settling ends the lease it would install
+        with self._writing(), self._cluster_lock:
             worker_ids = self._member_ids(self._worker_rows())
             if not worker_ids:
                 raise _HttpError(503, "cluster has no workers")
@@ -880,11 +938,12 @@ class CoordinatorService(HttpServerBase):
     def _fetch_slots(self, parent, selection, worker, slots) -> tuple:
         """One conditional ``GET /bundle`` for ``slots`` of one worker.
 
-        Returns ``(copies, changed, reply bytes)``.  ``copies`` holds one
-        ``(version, bundle | None)`` per slot — the memo's own pair where
-        the worker answered ``unchanged`` — or is ``None`` when the
-        worker did not answer: unreachable (it is marked dead), an error
-        reply, or a frame that does not decode or answer the request.
+        Returns ``(copies, changed, reply bytes, lease seconds)``.
+        ``copies`` holds one ``(version, bundle | None)`` per slot — the
+        memo's own pair where the worker answered ``unchanged`` — or is
+        ``None`` when the worker did not answer: unreachable (it is
+        marked dead), an error reply, or a frame that does not decode or
+        answer the request.
         """
         namespace, since, until = selection
         keys = [
@@ -898,6 +957,7 @@ class CoordinatorService(HttpServerBase):
             for slot, entry in zip(slots, held)
         }
         copies, nbytes, states = None, 0, ["failed"] * len(slots)
+        lease_s = 0.0
         started = time.perf_counter()
         # the worker sees this span's ID in X-Repro-Trace and hangs its
         # request span under it
@@ -930,6 +990,7 @@ class CoordinatorService(HttpServerBase):
                     )
             else:
                 copies, nbytes = fresh, len(frame)
+                lease_s = sections.lease_s
                 states = [section.state for section in sections]
                 with self._memo_lock:
                     for key, copy in zip(keys, copies):
@@ -944,7 +1005,7 @@ class CoordinatorService(HttpServerBase):
         )
         for state in set(states):
             self._slot_fetches.inc(states.count(state), outcome=state)
-        return copies, changed, nbytes
+        return copies, changed, nbytes, lease_s
 
     def _gather(self, namespace: str, since, until) -> tuple:
         """Every slot's current copy: one conditional fetch per worker,
@@ -956,7 +1017,8 @@ class CoordinatorService(HttpServerBase):
         owner answered for, in slot order (an empty slot answers too —
         its version token pins the empty state); ``missing_slots`` lists
         the slots no usable owner answered for; ``fetched`` counts the
-        bundles and reply bytes that crossed the wire.
+        bundles and reply bytes that crossed the wire, and holds the
+        shortest lease a worker whose reply was used granted.
         """
         with self._cluster_lock:
             rows = self._worker_rows()
@@ -993,7 +1055,7 @@ class CoordinatorService(HttpServerBase):
             asking[slot] = usable
         answered: dict[int, tuple] = {}
         rerouted: set[int] = set()
-        fetched = {"slots": 0, "bytes": 0}
+        fetched = {"slots": 0, "bytes": 0, "lease_s": math.inf}
         parent, selection = current_span(), (namespace, since, until)
         while asking:
             by_worker: dict[str, list[int]] = {}
@@ -1004,11 +1066,12 @@ class CoordinatorService(HttpServerBase):
                 for worker, slots in sorted(by_worker.items())
             ]
             replies = self._fan_out(self._fetch_slots, requests)
-            for (_, _, worker, slots), (copies, changed, nbytes) in zip(
-                requests, replies
-            ):
+            for (_, _, worker, slots), reply in zip(requests, replies):
+                copies, changed, nbytes, lease_s = reply
                 fetched["slots"] += changed
                 fetched["bytes"] += nbytes
+                if copies is not None:
+                    fetched["lease_s"] = min(fetched["lease_s"], lease_s)
                 for position, slot in enumerate(slots):
                     if copies is None:
                         rerouted.add(slot)
@@ -1023,14 +1086,40 @@ class CoordinatorService(HttpServerBase):
         missing = sorted(set(range(self.topology.n_slots)) - set(answered))
         return sorted(answered.values()), missing, fetched
 
-    def current_version(self, namespace, blocking=True) -> None:
-        """Known only after a gather: the planner's memo step passes."""
-        return None
+    def current_version(self, namespace, blocking=True) -> "str | None":
+        """The version vector of the last read of ``namespace`` while its
+        lease holds, else ``None`` (the planner reads first).
+
+        A lease holds while the epoch has not moved since that read
+        began, the clock is short of its expiry, and every worker it
+        names still holds this coordinator's keep-alive connections (a
+        worker that stops or restarts closes them).  Takes no lock but,
+        with ``blocking``, the clients' connection pools'.
+        """
+        lease = self._leases.get(namespace)
+        if lease is None or lease[2] != self._epoch:
+            return None
+        version, expiry, _epoch, workers = lease
+        if self.clock() >= expiry:
+            return None
+        for worker in workers:
+            client = self._clients.get(worker)
+            if client is None or not client.connected(blocking):
+                return None
+        return version
 
     def read(self, namespace: str, since, until) -> SourceView:
         """The planner's source: every answered slot's bundle in slot
         order, versioned by the vector of ``(slot, worker, token)``; the
-        slots nobody answered are ``missing``."""
+        slots nobody answered are ``missing``.
+
+        The read leases its vector: from its send time for the shortest
+        lease its workers granted, at most ``heartbeat_s`` — what no
+        reply can reveal (a crash that loses data, a write that did not
+        come through this coordinator) shows within one heartbeat
+        interval.  A read that missed a slot leases nothing.
+        """
+        epoch, sent = self._epoch, self.clock()
         with self.tracer.span("gather", namespace=namespace) as gather_span:
             answered, missing, fetched = self._gather(namespace, since, until)
             gather_span.annotate(
@@ -1041,6 +1130,13 @@ class CoordinatorService(HttpServerBase):
             f"s{slot}:{worker}:{token}" for slot, worker, token, _ in answered
         ) + "]"
         bundles = [row[3] for row in answered if row[3] is not None]
+        # a gather that reports no lease grants none
+        lease_s = 0.0 if missing else min(
+            fetched.get("lease_s", 0.0), self.config.heartbeat_s
+        )
+        self._leases[namespace] = (
+            version, sent + lease_s, epoch, {row[1] for row in answered},
+        )
         if missing:  # one partial answer per read that missed a slot
             self.count["partial_answers"].inc()
         return SourceView(version, bundles, {

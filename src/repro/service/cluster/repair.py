@@ -40,7 +40,10 @@ active ops are requeued on coordinator startup, so a restart mid-repair
 resumes instead of forgetting.  Every mutation of health bookkeeping
 happens under ``_cluster_lock`` and is persisted via the coordinator's
 ``_save_health_meta``, keeping the planner crash-consistent with the
-routing state it repairs.
+routing state it repairs.  Every worker write goes through the
+coordinator's ``_rotate`` / ``_reset_slot`` / ``_copy_slot`` and every
+health change through ``_save_health_meta``, each of which ends the
+coordinator's query leases.
 """
 
 from __future__ import annotations
@@ -312,9 +315,7 @@ class RepairPlanner:
             used_source = None
             for source in holders:
                 try:
-                    # flush the source's live windows so the copied
-                    # artifacts cover everything ingested
-                    svc._clients[source].rotate()
+                    svc._rotate(source)
                 except (ServiceError, *_UNREACHABLE):
                     svc.runtime.cluster_mark(source, alive=False, now=now)
                     continue

@@ -68,6 +68,13 @@ _DRAIN_S = 30.0
 #: largest request body either daemon reads (413 above it)
 MAX_BODY_BYTES = 32 << 20
 
+#: the most union rows plus predicate keys a ``/query`` may estimate on
+#: either daemon's event-loop thread; a larger one goes to the executor.
+#: Over about 3.4k rows a memoized engine's key_in estimate took 0.1 ms,
+#: and the first one on an engine (it builds the key index) 0.6-0.8 ms,
+#: on a 2-CPU host
+LOOP_WORK_ROWS = 1 << 12
+
 
 class _HttpError(Exception):
     """An error with a status code, rendered as a JSON error body."""
@@ -186,9 +193,6 @@ class HttpServerBase:
     }
     #: fields the daemon's ``/query`` reply carries beside the answer
     query_reply: dict = {}
-    #: the most union rows plus predicate keys a query may estimate on
-    #: the event-loop thread
-    loop_work_rows = 0
 
     def __init__(self, config, clock: Callable[[], float] = time.time):
         self.config = config
@@ -388,7 +392,7 @@ class HttpServerBase:
             spec = self._parse_query(self._query_fields(params, body))
         self.count["queries"].inc()
         request, path = current_span(), "loop"
-        result = self.planner.answer_in_memory(spec, self.loop_work_rows)
+        result = self.planner.answer_in_memory(spec, LOOP_WORK_ROWS)
         if result is None:
             path = "executor"
             # executor threads do not inherit the task's context: carry

@@ -40,8 +40,9 @@ written behind)                                        A SIGKILL loses
 
 A query whose answer or engine is already in memory is answered by one
 memo step (:meth:`QueryPlanner.answer_in_memory`): the result probe,
-then the estimate on the memoized engine and the put.  A worker runs it
-on its event loop without waiting for a lock; :meth:`QueryPlanner.answer`
+then the estimate on the memoized engine and the put.  A daemon runs it
+on its event loop without waiting for a lock (a coordinator only inside
+a lease on its last read); :meth:`QueryPlanner.answer`
 runs the same step, waiting, before it reads the source.
 
 The stored-partial memo is what a fresh query under ingest lives on: the
@@ -221,6 +222,15 @@ class QuerySpec:
                     f"unknown assignment {name!r} for namespace "
                     f"{namespace!r}; known: {', '.join(known)}"
                 )
+        if len(set(names)) != len(names):
+            raise ValueError(
+                f"duplicate assignment names in {list(names)!r}; a query "
+                "is over distinct assignments"
+            )
+        if kind == "jaccard" and len(names) < 2:
+            raise ValueError(
+                "a jaccard query needs at least two assignments"
+            )
         fields = {"namespace": namespace, "kind": kind, "names": names}
         for field, name, check in (
             ("since", "since", _bucket_id), ("until", "until", _bucket_id),
@@ -495,7 +505,8 @@ class QueryPlanner:
             "repro_window_queries_total", "Window-series answers computed."
         )
         self.max_cached_partials = max(1, max_cached_partials)
-        #: (namespace, since, until) -> (version, engine, sources)
+        #: (namespace, since, until) -> (version, engine, sources,
+        #: missing)
         self._engines: OrderedDict[tuple, tuple] = OrderedDict()
         # (namespace, bundle_rev, entry paths) -> StoredPartial, and the
         # revision each namespace's memo entries belong to
@@ -513,7 +524,7 @@ class QueryPlanner:
     # -- planning -------------------------------------------------------------
 
     def _memoized(self, selection: tuple, version: str) -> "tuple | None":
-        """The memo's ``(engine, sources)`` for ``selection`` at
+        """The memo's ``(engine, sources, missing)`` for ``selection`` at
         ``version``, or ``None`` (planner lock held)."""
         memo = self._engines.get(selection)
         if memo is None or memo[0] != version:
@@ -531,7 +542,7 @@ class QueryPlanner:
             memo = self._memoized(selection, view.version)
             if memo is not None:
                 self._engine_hits.inc()
-                return memo
+                return memo[:2]
         build_started = time.perf_counter()
         with self._tracer.span(
             "engine-build", namespace=selection[0], bundles=len(view.bundles)
@@ -546,8 +557,10 @@ class QueryPlanner:
         with self._lock:
             memo = self._memoized(selection, view.version)
             if memo is not None:
-                return memo
-            self._engines[selection] = (view.version, engine, sources)
+                return memo[:2]
+            self._engines[selection] = (
+                view.version, engine, sources, view.missing
+            )
             self._engines.move_to_end(selection)
             while len(self._engines) > _MAX_CACHED_ENGINES:
                 self._engines.popitem(last=False)
@@ -947,8 +960,10 @@ class QueryPlanner:
         Probes the result cache at the source's current version, then
         the engine memo; an engine hit is evaluated and put, unless its
         union rows plus the predicate's keys exceed ``max_work``.
-        ``None`` means the caller must read the source — always, for a
-        source whose version is known only after a read.  Without
+        ``None`` means the caller must read the source — always, while
+        the source names no current version (a coordinator outside a
+        lease).  An engine memoized from a view keeps its ``missing``
+        slots, so the answer is shaped as that view's was.  Without
         ``blocking`` a busy lock raises :class:`_Busy`.  Locks are taken
         one at a time (manager, then the cache's, then planner → cache),
         never the manager's together with the planner's.
@@ -969,8 +984,11 @@ class QueryPlanner:
                 memo[0].summary.n_union + len(spec.keys or ()) > max_work
             ):
                 return None, version
+            engine, sources, missing = memo
             self._engine_hits.inc()
-            return self._evaluate(spec, key, version, *memo, blocking), version
+            return self._evaluate(
+                spec, key, version, engine, sources, blocking, missing
+            ), version
 
     def answer_in_memory(self, spec: QuerySpec, max_work: int) -> dict | None:
         """:meth:`answer` when the memo step alone answers it, without
@@ -978,8 +996,8 @@ class QueryPlanner:
 
         For a daemon's event loop: it runs no SQL and never reads the
         source, merges or builds.  ``None`` for a temporal spec, a memo
-        miss, a busy lock, a source whose version is known only after a
-        read, or an estimate over more than ``max_work`` union rows plus
+        miss, a busy lock, a source that names no current version, or an
+        estimate over more than ``max_work`` union rows plus
         predicate keys.  The answer is the one :meth:`answer` gives.
         """
         if spec.temporal:

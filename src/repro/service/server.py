@@ -38,7 +38,8 @@ them); what the table cannot say::
                         ``have={namespace: token|null, ...}``, several
                         views as one ``bundle_batch`` frame, a namespace
                         whose version still equals its token answered
-                        ``unchanged`` without being built
+                        ``unchanged`` without being built, and the
+                        worker's lease (``lease_s``) on the tokens
     POST /bundle        upload one encoded artifact (bucket handoff)
     POST /bundle/reset  purge a namespace (live window + artifacts): a
                         handoff target is reset before the copy so a
@@ -76,11 +77,9 @@ from repro.store.store import SummaryStore
 
 __all__ = ["SummaryService", "ServiceThread"]
 
-#: the worker's ``loop_work_rows``: a larger query is answered on the
-#: executor.  Over about 3.4k rows a memoized engine's key_in estimate
-#: took 0.1 ms, and the first one on an engine (it builds the key index)
-#: 0.6-0.8 ms, on a 2-CPU host
-LOOP_WORK_ROWS = 1 << 12
+#: seconds a ``GET /bundle?have=`` lease stops short of the next token
+#: move this worker schedules itself (a bucket boundary, a compaction)
+LEASE_MARGIN_S = 0.5
 
 
 class SummaryService(HttpServerBase):
@@ -108,10 +107,6 @@ class SummaryService(HttpServerBase):
         "compactions": "repro_compactions_total",
     }
     query_reply = {"ok": True}
-
-    @property
-    def loop_work_rows(self) -> int:
-        return LOOP_WORK_ROWS
 
     def __init__(
         self,
@@ -144,6 +139,11 @@ class SummaryService(HttpServerBase):
             "Ingest queue size that triggers 429 backpressure.",
         ).set(config.ingest_queue_batches)
         self._queue: asyncio.Queue | None = None
+        #: ingest batches acknowledged (or about to be) and not yet
+        #: applied, the one in the apply included; no lease while > 0
+        self._unapplied = 0
+        #: when the ticker next compacts, on ``clock``; ``None``: never
+        self._compact_due: float | None = None
         self._tasks: list[asyncio.Task] = []
         self.routes.update({
             ("GET", "/status"): self._handle_status,
@@ -164,6 +164,8 @@ class SummaryService(HttpServerBase):
 
     def _launch(self) -> None:
         self._queue = asyncio.Queue(maxsize=self.config.ingest_queue_batches)
+        if self.config.compact_to is not None:
+            self._compact_due = self.clock() + self.config.compact_every_s
         self._tasks = [
             asyncio.create_task(self._ingest_worker(), name="ingest-worker"),
             asyncio.create_task(self._ticker(), name="ticker"),
@@ -212,6 +214,7 @@ class SummaryService(HttpServerBase):
                     self.count["ingest_batches"].inc()
                     if future is not None and not future.done():
                         future.set_result(result)
+                self._unapplied -= 1
             finally:
                 self._queue.task_done()
 
@@ -235,26 +238,30 @@ class SummaryService(HttpServerBase):
         compact on the configured cadence; re-evaluate due
         continuous-query registrations."""
         loop = asyncio.get_running_loop()
-        last_compact = time.monotonic()
         while True:
             await asyncio.sleep(self.config.tick_s)
             try:
-                await loop.run_in_executor(None, self.manager.rotate)
+                # one instant per tick: a bucket that closed by it is
+                # published before a compaction due by it runs
+                now = self.clock()
+                await loop.run_in_executor(None, self.manager.rotate, now)
                 await loop.run_in_executor(None, self.runtime.cache_flush)
-                if (
-                    self.config.compact_to is not None
-                    and time.monotonic() - last_compact
-                    >= self.config.compact_every_s
-                ):
-                    last_compact = time.monotonic()
-                    await loop.run_in_executor(
-                        None, self.manager.compact, self.config.compact_to
-                    )
+                await loop.run_in_executor(None, self._compact_if_due, now)
                 await self._evaluate_due_watches(loop)
             except asyncio.CancelledError:
                 raise
             except Exception as err:  # keep ticking; surface via /status
                 self.last_error = f"ticker: {err}"
+
+    def _compact_if_due(self, now: float) -> None:
+        """The ticker's compaction step: roll stored buckets up once
+        ``now`` reaches the due time, then set the next one — only after
+        the rollup is in, so a lease granted meanwhile read a due time
+        already past."""
+        if self._compact_due is None or now < self._compact_due:
+            return
+        self.manager.compact(self.config.compact_to)
+        self._compact_due = self.clock() + self.config.compact_every_s
 
     async def _evaluate_due_watches(self, loop) -> None:
         """Re-evaluate every registration whose cadence has elapsed."""
@@ -366,9 +373,11 @@ class SummaryService(HttpServerBase):
         future = (
             asyncio.get_running_loop().create_future() if sync else None
         )
+        self._unapplied += 1  # before any ack: see _lease_s
         try:
             self._queue.put_nowait((sections, current_span(), future))
         except asyncio.QueueFull:
+            self._unapplied -= 1
             self.count["ingest_rejected"].inc()
             raise _HttpError(
                 429,
@@ -541,15 +550,31 @@ class SummaryService(HttpServerBase):
             blob = encode(merged)
         return blob, version, count
 
+    def _lease_s(self) -> float:
+        """Seconds from now, on ``clock``, for which no version token of
+        this worker moves unless a request moves it: until the oldest
+        live window's bucket ends or the next compaction is due, less
+        :data:`LEASE_MARGIN_S`; 0 while an ingest batch is accepted but
+        not applied (its ack may already be out, its token not yet)."""
+        if self._unapplied:
+            return 0.0
+        due = self.manager.rotation_due()
+        if self._compact_due is not None:
+            due = min(due, self._compact_due)
+        return max(0.0, due - self.clock() - LEASE_MARGIN_S)
+
     def _bundle_frame(self, held: dict, since, until) -> bytes:
         """One ``bundle_batch`` frame answering ``held`` (namespace ->
-        the caller's version token or ``None``) in its order.
+        the caller's version token or ``None``) in its order, with this
+        worker's lease.
 
         A namespace whose current version equals the caller's token is
         an ``unchanged`` section — no view, no merge, no encode; the
         data behind a token never changes, so the caller's copy is
-        still exactly this worker's view.
+        still exactly this worker's view.  The lease is taken before any
+        token is read, so no batch applied after it hides behind it.
         """
+        lease_s = self._lease_s()
         sections = []
         for namespace, token in held.items():
             with self.manager.lock:
@@ -562,7 +587,7 @@ class SummaryService(HttpServerBase):
             )
             state = "empty" if blob is None else "bundle"
             sections.append((namespace, state, version, blob))
-        return encode_bundle_batch(sections)
+        return encode_bundle_batch(sections, lease_s)
 
     def _require_namespace(self, params) -> str:
         namespace = params.get("namespace")

@@ -51,6 +51,7 @@ from repro.store.store import (
     LIVE_CHECKPOINT_PART,
     StoreEntry,
     SummaryStore,
+    bucket_bounds,
     bucket_for,
 )
 
@@ -314,6 +315,14 @@ class LiveWindowManager:
                 f"w{window_seq}.{ingest_seq}:"
                 f"{self.store.bundle_version(namespace)}"
             )
+
+    def rotation_due(self) -> float:
+        """The first instant (POSIX seconds on the manager's clock) at
+        which a boundary rotation can move a token: the end of the
+        oldest live window's bucket."""
+        with self._lock:
+            buckets = {window.bucket for window in self._windows.values()}
+        return min(bucket_bounds(bucket)[1] for bucket in buckets).timestamp()
 
     def live_info(self, namespace: str) -> dict:
         """Status snapshot of one live window (for ``/status``)."""

@@ -62,7 +62,10 @@ reply to one multi-slot ``GET /bundle``.  The header lists one
 ``[namespace, state, version]`` row per requested namespace, in request
 order, and a ``bundle`` row's ``part<i>`` buffer is the nested
 ``sketch_bundle`` blob; ``unchanged`` and ``empty`` rows carry no bytes.
-:func:`decode_bundle_batch` holds it to the same standard.
+An optional one-element ``<f8`` ``lease_s`` buffer is the worker's lease:
+the seconds for which it promises none of the frame's version tokens
+moves except by a write the coordinator sends (a frame without it grants
+none).  :func:`decode_bundle_batch` holds it to the same standard.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
     "BUNDLE_STATES",
+    "BundleBatch",
     "BundleSection",
     "EventBatch",
     "EventSection",
@@ -351,6 +355,14 @@ class BundleSection:
     state: str
     version: str
     bundle: "SketchBundle | None" = None
+
+
+class BundleBatch(tuple):
+    """A decoded ``bundle_batch`` frame: its :class:`BundleSection` rows
+    in request order, plus the lease its sender granted (``lease_s``
+    seconds; 0.0 when the frame carries none)."""
+
+    lease_s: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1074,11 +1086,14 @@ def _decode_event_batch(reader: _BlobReader) -> EventBatch:
 
 def encode_bundle_batch(
     sections: "Sequence[tuple[str, str, str, bytes | None]]",
+    lease_s: "float | None" = None,
 ) -> bytes:
     """A bundle frame from ``(namespace, state, version, blob)`` rows.
 
     ``blob`` is the namespace's already encoded :class:`SketchBundle`
     for state ``"bundle"`` (nested as it is) and ``None`` otherwise.
+    ``lease_s`` (seconds, finite and >= 0) rides in a CRC-covered
+    buffer; ``None`` grants no lease.
     """
     writer = _BlobWriter("bundle_batch", {
         "sections": [
@@ -1093,10 +1108,12 @@ def encode_bundle_batch(
             )
         if blob is not None:
             writer.add_blob(f"part{index}", blob)
+    if lease_s is not None:
+        writer.add_scalars("lease_s", [lease_s])
     return writer.render()
 
 
-def _decode_bundle_batch(reader: _BlobReader) -> tuple[BundleSection, ...]:
+def _decode_bundle_batch(reader: _BlobReader) -> BundleBatch:
     rows = reader.meta.get("sections")
     if not isinstance(rows, list) or not rows or not all(
         isinstance(row, list) and len(row) == 3
@@ -1114,11 +1131,23 @@ def _decode_bundle_batch(reader: _BlobReader) -> tuple[BundleSection, ...]:
     parts = {
         f"part{index}" for index, row in enumerate(rows) if row[1] == "bundle"
     }
-    if set(reader.arrays) != parts:
+    if set(reader.arrays) - {"lease_s"} != parts:
         raise CodecError(
             f"bundle batch carries buffers {sorted(reader.arrays)} but its "
             f"section states call for {sorted(parts)}"
         )
+    lease_s = 0.0
+    if "lease_s" in reader.arrays:
+        lease = reader.vector("lease_s")
+        if not (
+            isinstance(lease, np.ndarray) and lease.dtype == np.dtype("<f8")
+            and len(lease) == 1 and 0.0 <= lease[0] < np.inf
+        ):
+            raise CodecError(
+                "bundle batch lease must be one finite, non-negative <f8, "
+                f"got {list(lease)!r}"
+            )
+        lease_s = float(lease[0])
     sections = []
     for index, (name, state, version) in enumerate(rows):
         bundle = None
@@ -1134,7 +1163,9 @@ def _decode_bundle_batch(reader: _BlobReader) -> tuple[BundleSection, ...]:
                 )
             bundle = _decode_kind(part)
         sections.append(BundleSection(name, state, version, bundle))
-    return tuple(sections)
+    batch = BundleBatch(sections)
+    batch.lease_s = lease_s
+    return batch
 
 
 _DECODERS: dict[str, Callable[[_BlobReader], Any]] = {
@@ -1234,14 +1265,16 @@ def event_batch_namespaces(data) -> tuple[str, ...]:
 
 def decode_bundle_batch(
     data, expect: "Sequence[str] | None" = None
-) -> tuple[BundleSection, ...]:
-    """Decode a worker's multi-slot bundle reply (CRC-verified).
+) -> BundleBatch:
+    """Decode a worker's multi-slot bundle reply (CRC-verified), its
+    sections and the lease it grants.
 
     ``expect`` is the namespaces the request named, in order: a reply
     that answers for anything else is refused.  Every way the bytes can
     be wrong — truncation, a bad checksum, a state without its bytes or
     bytes without their state, a nested blob that is not a decodable
-    sketch bundle — raises :class:`CodecError`.
+    sketch bundle, a lease that is not one finite non-negative ``<f8`` —
+    raises :class:`CodecError`.
     """
     reader = _BlobReader(data, writable=False, verify=True)
     if reader.kind != "bundle_batch":

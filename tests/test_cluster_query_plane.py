@@ -15,10 +15,11 @@ Four contracts:
 * **an owner that did not answer is failed over, never the answer** —
   an error reply, an undecodable frame, an ``unchanged`` for a token
   nobody sent; and reads spread over a slot's replicas;
-* **request counts are exact** — an all-unchanged query is at most one
-  request per contacted worker and moves no bundle; **hostile bytes** in
-  a ``bundle_batch`` frame are a typed :class:`CodecError`, never an
-  allocation sized by a count the bytes do not back.
+* **request counts are exact** — a query inside a lease makes no worker
+  request, the one after a routed ingest one per contacted worker;
+  **hostile bytes** in a ``bundle_batch`` frame are a typed
+  :class:`CodecError`, never an allocation sized by a count the bytes do
+  not back.
 """
 
 from __future__ import annotations
@@ -686,31 +687,28 @@ def test_request_counts_are_exact(rig):
     counts = rig.fetch_counts()
     assert counts["bundle"] + counts["empty"] == N_SLOTS
 
-    # unseen predicate, unchanged slots: one request per worker, no bundle
+    # unseen predicate, unchanged slots, inside the first read's lease:
+    # no worker request, no fetch outcome, no gather — the loop answers
     rig.client.estimate("web", "max", ["h1", "h2"], keys=["k1", "k7"])
-    after_warm = rig.bundle_requests()
-    assert all(after_warm[w] - after_first[w] == 1 for w in before)
-    warm = rig.fetch_counts()
-    assert warm["bundle"] == counts["bundle"]
-    assert warm["unchanged"] == counts["unchanged"] + N_SLOTS
+    assert rig.bundle_requests() == after_first
+    assert rig.fetch_counts() == counts
     spans = rig.client.trace_recent(limit=50)["spans"]
-    gather = next(span for span in spans if span["name"] == "gather")
-    assert gather["tags"]["fetched_slots"] == 0
-    fetches = [
+    query = next(span for span in spans if span["name"] == "POST /query")
+    assert query["tags"]["path"] == "loop"
+    assert not [
         span for span in spans
-        if span["name"] == "slot-fetch" and span["trace"] == gather["trace"]
+        if span["trace"] == query["trace"]
+        and span["name"] in ("plan", "gather", "slot-fetch")
     ]
-    assert len(fetches) == 2
-    assert all(span["tags"]["changed"] == 0 for span in fetches)
     status = rig.client.status()
     assert status["stats"]["memo_hits"] == 1
     assert status["stats"]["memo_rebuilds"] == 1
 
-    # one more batch: still one request per contacted worker
+    # a routed batch ends the lease: one request per contacted worker
     rig.client.ingest("web", *event_batch(500), sync=True)
     rig.client.estimate("web", "max", ["h1", "h2"])
     after_batch = rig.bundle_requests()
-    assert all(after_batch[w] - after_warm[w] == 1 for w in before)
+    assert all(after_batch[w] - after_first[w] == 1 for w in before)
 
 
 def test_single_namespace_form_and_frame_form_agree(rig):

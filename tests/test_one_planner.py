@@ -6,8 +6,8 @@ selection, replaced when the source's version moves: a version token
 never comes back, so an engine kept for an old one could never be hit
 again.  The coordinator answers through the same
 :class:`~repro.service.planner.QueryPlanner` and the same ``/query``
-handler as a worker; its version is known only after a gather, so every
-query is tagged ``path=executor``.
+handler as a worker: a query that must gather is tagged
+``path=executor``, and a repeat inside the gather's lease ``path=loop``.
 """
 
 from __future__ import annotations
@@ -62,7 +62,9 @@ def test_the_engine_memo_keeps_one_engine_per_selection(tmp_path):
         client.close()
 
 
-def test_a_coordinator_query_is_served_on_the_executor(tmp_path):
+def test_a_coordinator_gathers_on_the_executor_and_repeats_on_the_loop(
+    tmp_path,
+):
     worker = ServiceThread(ServiceConfig(
         store_root=str(tmp_path / "w1"),
         namespaces=slot_namespace_configs(NS, 4), port=0,
@@ -87,10 +89,11 @@ def test_a_coordinator_query_is_served_on_the_executor(tmp_path):
         coordinator.stop()
         worker.stop()
     roots = [span for span in spans if span["name"] == "POST /query"]
-    assert len(roots) == 2
-    assert {span["tags"]["path"] for span in roots} == {"executor"}
-    traced = {
-        span["name"] for span in spans if span["trace"] == roots[-1]["trace"]
-    }
+    assert [span["tags"]["path"] for span in roots] == ["loop", "executor"]
+    traced = [
+        {span["name"] for span in spans if span["trace"] == root["trace"]}
+        for root in roots
+    ]
     assert {"parse", "gather", "slot-fetch", "engine-build",
-            "estimate", "cache-probe"} <= traced
+            "estimate", "cache-probe"} <= traced[1]
+    assert traced[0] == {"POST /query", "parse", "cache-probe"}

@@ -30,7 +30,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ServiceThread,
-    server,
+    httpbase,
 )
 from repro.service.cluster import (
     CoordinatorConfig,
@@ -299,7 +299,7 @@ def test_loop_and_executor_answers_are_byte_identical(twins, monkeypatch):
     assert spans["POST /query"]["path"] == "loop"
     assert "estimate" in spans and spans["cache-probe"]["outcome"] == "miss"
     # more union rows plus keys than the loop may take: the executor
-    monkeypatch.setattr(server, "LOOP_WORK_ROWS", 3)
+    monkeypatch.setattr(httpbase, "LOOP_WORK_ROWS", 3)
     body = {**MAX, "keys": ["k6", "k8"]}
     raw, trace = post_query(loop.port, body)
     assert raw == post_query(executor.port, body)[0]
