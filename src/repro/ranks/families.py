@@ -151,7 +151,10 @@ class ExponentialRanks(RankFamily):
             return np.where(weights > 0.0, 1.0, 0.0)
         if x <= 0.0:
             return np.zeros(len(weights))
-        vals = -np.expm1(-weights * x)
+        # an extreme weight overflows -w·x to -inf, and expm1(-inf) = -1
+        # gives F = 1 exactly: the overflow is harmless
+        with np.errstate(over="ignore"):
+            vals = -np.expm1(-weights * x)
         return np.where(weights > 0.0, vals, 0.0)
 
     def ranks_array(self, weights: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -166,8 +169,10 @@ class ExponentialRanks(RankFamily):
         x = np.asarray(x, dtype=float)
         # An infinite threshold needs no case of its own: a positive
         # weight gives 1 either way, and a zero weight's 0 · inf = NaN is
-        # masked out with every other non-positive cell.
-        with np.errstate(invalid="ignore"):
+        # masked out with every other non-positive cell.  An extreme
+        # weight overflows -w·x to -inf, and expm1(-inf) = -1 gives F = 1
+        # exactly: the overflow is harmless too.
+        with np.errstate(invalid="ignore", over="ignore"):
             vals = -np.expm1(-weights * x)
         return np.where((weights > 0.0) & (x > 0.0), vals, 0.0)
 

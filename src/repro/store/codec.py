@@ -4,8 +4,9 @@ Everything a :class:`~repro.store.SummaryStore` holds or a daemon ships —
 :class:`~repro.sampling.bottomk.BottomKSketch`,
 :class:`~repro.sampling.poisson.PoissonSketch`,
 :class:`~repro.core.summary.MultiAssignmentSummary`, per-assignment
-:class:`SketchBundle` artifacts, and :class:`SummarizerCheckpoint` snapshots
-— round-trips through one self-describing binary format:
+:class:`SketchBundle` artifacts, :class:`SummarizerCheckpoint` snapshots,
+and the ingest and bundle frames of the wire — round-trips through one
+self-describing binary format:
 
 * **bit-exact** — float arrays and scalars are stored as raw IEEE-754
   buffers (``+inf`` thresholds, ``NaN`` dispersed-weight placeholders, and
@@ -21,10 +22,12 @@ Everything a :class:`~repro.store.SummaryStore` holds or a daemon ships —
 * **versioned** — every blob starts with magic + format version; unknown
   versions are refused with :class:`UnsupportedFormatError` instead of
   being misread (``tests/data/golden_store_v1.cws`` pins v1 against drift);
-* **typed failures** — :func:`decode` believes a blob's header only as
-  far as it can check it: a lying header (a wrong type, a missing field,
-  a count its buffers cannot back) raises :class:`CodecError`, never a
-  bare ``KeyError`` or ``TypeError``, so a service can answer it 400.
+* **typed failures** — a header is believed only once it has been checked
+  against its kind's row, whether the bytes were stored or arrived from
+  the network: a wrong type, an out-of-range value, a missing or extra
+  buffer, or a count, shape or offset its bytes cannot back raises
+  :class:`CodecError` naming the kind and the field before any buffer is
+  read, so a service can answer it 400.
 
 Layout of one encoded blob (all integers little-endian)::
 
@@ -40,47 +43,30 @@ Key arrays are stored raw when their dtype allows (ints, floats, bools,
 fixed-width str/bytes) and otherwise element-wise with a tagged packing
 that covers every key type the hash layer accepts (int of any magnitude,
 float, str, bytes, bool, and arbitrarily nested tuples).  A sketch's key
-column is always tag-packed when it holds integers: an integer table's
-sketch carries its int64 (or other integer) column, and the column is
-written in one NumPy pass into a ``(tag, <i8)`` record array — exactly
-the bytes the per-key packer writes for the same keys as Python ints, so
-typed and object sketches of one sample encode alike and the format is
-unchanged.  The way back is one pass too: a sketch's key buffer whose
-keys are all ``b"i"``-tagged reads as an int64 array
-(:meth:`_BlobReader.key_array`); any other key buffer — and every key
-buffer read through :meth:`_BlobReader.array` — reads as Python objects.
+column is always tag-packed when it holds integers, written in one NumPy
+pass into a ``(tag, <i8)`` record array — exactly the bytes the per-key
+packer writes for the same keys as Python ints — and a key column whose
+keys are all ``b"i"``-tagged reads back in one pass as an int64 array.
 
-The same layout carries **ingest frames** (kind ``event_batch``): the
-header names the section namespaces in order and each ``part<i>`` buffer
-is a nested ``event_section`` blob — raw numeric or tag-packed ``keys``
-plus one ``<f8`` ``w<j>`` buffer per assignment.  Frames arrive from the
-network, so :func:`decode_event_batch` checks the CRC and believes no
-count the bytes cannot back.
-
-The way back is the same container (kind ``bundle_batch``): a worker's
-reply to one multi-slot ``GET /bundle``.  The header lists one
-``[namespace, state, version]`` row per requested namespace, in request
-order, and a ``bundle`` row's ``part<i>`` buffer is the nested
-``sketch_bundle`` blob; ``unchanged`` and ``empty`` rows carry no bytes.
-An optional one-element ``<f8`` ``lease_s`` buffer is the worker's lease:
-the seconds for which it promises none of the frame's version tokens
-moves except by a write the coordinator sends (a frame without it grants
-none).  :func:`decode_bundle_batch` holds it to the same standard.
+:data:`_KINDS` is the format's specification: one row per kind, declaring
+its header fields, its buffers in payload order with their dimensions,
+and the two functions between an object and its header and buffers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.summary import MultiAssignmentSummary
-from repro.ranks.families import RankFamily, get_rank_family
+from repro.ranks.families import RANK_FAMILIES, RankFamily, get_rank_family
 from repro.sampling.bottomk import BottomKSketch
 from repro.sampling.poisson import PoissonSketch
 
@@ -111,6 +97,7 @@ MAGIC = b"CWSS"
 FORMAT_VERSION = 1
 
 _ALIGN = 16
+_JSON = json.JSONDecoder()
 _HEADER_PREFIX = struct.Struct("<4sHI")  # magic, version, header length
 
 
@@ -509,6 +496,31 @@ def _unpack_keys(buf: memoryview, count: int) -> list[Hashable]:
 _RAW_KINDS = "biufUS"
 
 
+def _object_array(values: list) -> np.ndarray:
+    """A 1-D object array of ``values`` (tuples stay elements)."""
+    out = np.empty(len(values), dtype=object)
+    for pos, value in enumerate(values):
+        out[pos] = value
+    return out
+
+
+def _key_column(buf: memoryview, count: int) -> np.ndarray:
+    """A sketch's tag-packed key column: int64 when every key is
+    ``b"i"``-tagged, Python objects otherwise."""
+    ints = _tagged_ints(buf, count)
+    if ints is not None:
+        return ints.copy()  # contiguous and aligned
+    return _object_array(_unpack_keys(buf, count))
+
+
+def _key_objects(buf: memoryview, count: int) -> np.ndarray:
+    """Tag-packed keys as an object array of Python values."""
+    ints = _tagged_ints(buf, count)
+    if ints is not None:
+        return ints.astype(object)
+    return _object_array(_unpack_keys(buf, count))
+
+
 # ---------------------------------------------------------------------------
 # blob writer / reader
 # ---------------------------------------------------------------------------
@@ -576,6 +588,14 @@ class _BlobWriter:
                 name, _pack_ints(keys), {"enc": "obj", "count": len(keys)}
             )
 
+    def add_numbers(self, name: str, keys: np.ndarray) -> None:
+        """Store a numeric array raw and any other tag-packed, value by
+        value (an ingest section's keys)."""
+        if keys.dtype.kind in "biuf":
+            self.add_array(name, keys)
+        else:
+            self.add_keys(name, keys.tolist())
+
     def add_keys(self, name: str, values: Sequence[Hashable]) -> None:
         """Store a sequence of key identifiers with the tagged packing."""
         values = list(values)
@@ -583,9 +603,9 @@ class _BlobWriter:
             name, _pack_keys(values), {"enc": "obj", "count": len(values)}
         )
 
-    def add_scalars(self, name: str, values: Sequence[float]) -> None:
-        """Store scalar floats as a raw f8 buffer (JSON cannot hold inf)."""
-        self.add_array(name, np.array(values, dtype="<f8"))
+    def add_scalars(self, name: str, values) -> None:
+        """Store floats as a raw <f8 buffer (JSON cannot hold inf)."""
+        self.add_array(name, np.asarray(values, dtype="<f8"))
 
     def add_blob(self, name: str, data: bytes) -> None:
         """Store an opaque nested blob (recursively encoded object)."""
@@ -608,7 +628,11 @@ class _BlobWriter:
 
 
 class _BlobReader:
-    """Resolves named buffers of one decoded blob (zero-copy by default)."""
+    """One blob's parsed header over its payload (zero-copy by default).
+
+    :meth:`read` believes the header only once all of it has been checked
+    against the kind's row of :data:`_KINDS`.
+    """
 
     def __init__(self, data, writable: bool, verify: bool) -> None:
         view = memoryview(data)
@@ -630,10 +654,13 @@ class _BlobReader:
         head_end = _HEADER_PREFIX.size + header_len
         if head_end > len(view):
             raise CodecError("truncated header")
+        text = view[_HEADER_PREFIX.size : head_end]
         try:
-            header = json.loads(view[_HEADER_PREFIX.size : head_end].tobytes())
+            header, end = _JSON.raw_decode(str(text, "utf-8"))
         except ValueError as err:  # bad JSON, or bytes that are not UTF-8
             raise CodecError(f"corrupt header JSON: {err}") from None
+        if end != len(text):
+            raise CodecError("corrupt header JSON: data after the object")
         try:
             self.kind: str = header["kind"]
             self.meta: dict[str, Any] = header["meta"]
@@ -647,136 +674,256 @@ class _BlobReader:
             raise CodecError("header meta and arrays must be objects")
         self._base = head_end + _pad(head_end)
         self._view = view
-        self._data = data
         self.writable = writable
         if verify:
             payload = view[self._base :]
             if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
                 raise CodecError("payload checksum mismatch; blob is corrupt")
 
-    def _slice(self, spec: dict[str, Any]) -> memoryview:
-        offset, nbytes = spec.get("offset"), spec.get("nbytes")
-        if (
-            type(offset) is not int or type(nbytes) is not int
-            or offset < 0 or nbytes < 0
-        ):
-            raise CodecError("buffer spec needs integer offset and nbytes")
-        start = self._base + offset
-        end = start + nbytes
-        if end > len(self._view):
-            raise CodecError("buffer extends past end of blob; truncated?")
-        return self._view[start:end]
-
-    def _spec(self, name: str, enc: str) -> dict[str, Any]:
-        spec = self.arrays.get(name)
-        if not isinstance(spec, dict):
-            raise CodecError(f"blob is missing buffer {name!r}")
-        if spec.get("enc") != enc:
-            raise CodecError(
-                f"buffer {name!r} has encoding {spec.get('enc')!r}, "
-                f"expected {enc!r}"
-            )
-        return spec
-
-    def has(self, name: str) -> bool:
-        return name in self.arrays
-
-    def array(self, name: str) -> np.ndarray:
-        """A named array: zero-copy view for raw, rebuilt for tag-packed."""
-        spec = self.arrays.get(name)
-        if spec is None:
-            raise CodecError(f"blob is missing buffer {name!r}")
-        if spec["enc"] == "obj":
-            ints = _tagged_ints(self._slice(spec), spec.get("count"))
-            if ints is not None:
-                return ints.astype(object)  # Python ints, as per key
-            values = self.keys(name)
-            out = np.empty(len(values), dtype=object)
-            for pos, value in enumerate(values):
-                out[pos] = value
-            return out
-        spec = self._spec(name, "raw")
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(
-            self._slice(spec), dtype=dtype, count=count
-        ).reshape(shape)
-        return arr.copy() if self.writable else arr
-
-    def key_array(self, name: str) -> np.ndarray:
-        """A sketch's key column: :meth:`array`, except that a buffer of
-        ``b"i"``-tagged keys only reads as one int64 array."""
-        spec = self.arrays.get(name)
-        if isinstance(spec, dict) and spec.get("enc") == "obj":
-            ints = _tagged_ints(self._slice(spec), spec.get("count"))
-            if ints is not None:
-                return ints.copy()  # contiguous and aligned
-        return self.array(name)
-
-    def keys(self, name: str) -> list[Hashable]:
-        spec = self._spec(name, "obj")
-        return _unpack_keys(self._slice(spec), spec["count"])
-
-    def vector(self, name: str) -> "np.ndarray | list[Hashable]":
-        """A 1-D numeric array or key list from *untrusted* bytes.
-
-        Unlike :meth:`array`, the header is not believed: the declared
-        count must be exactly what the named bytes can hold, so a lying
-        shape or a huge count is a :class:`CodecError` before anything
-        is allocated for it.
-        """
-        spec = self.arrays.get(name)
-        if not isinstance(spec, dict):
-            raise CodecError(f"blob is missing buffer {name!r}")
-        buf = self._slice(spec)
-        enc = spec.get("enc")
-        if enc == "obj":
-            count = spec.get("count")
-            # the shortest tagged key (a bool) takes two bytes
-            if type(count) is not int or not 0 <= count <= len(buf) // 2:
-                raise CodecError(
-                    f"buffer {name!r} declares {count!r} keys in "
-                    f"{len(buf)} bytes"
-                )
-            return _unpack_keys(buf, count)
-        if enc != "raw":
-            raise CodecError(f"buffer {name!r} has encoding {enc!r}")
-        try:
-            dtype = np.dtype(str(spec.get("dtype")))
-        except (TypeError, ValueError):
-            raise CodecError(
-                f"buffer {name!r} has no usable dtype"
-            ) from None
-        shape = spec.get("shape")
-        if (
-            dtype.kind not in "biuf"
-            or not isinstance(shape, list) or len(shape) != 1
-            or type(shape[0]) is not int
-            or shape[0] * dtype.itemsize != len(buf)
-        ):
-            raise CodecError(
-                f"buffer {name!r}: dtype {dtype} and shape {shape!r} do "
-                f"not describe its {len(buf)} bytes"
-            )
-        return np.frombuffer(buf, dtype=dtype)
-
-    def scalars(self, name: str, count: int) -> tuple[float, ...]:
-        arr = self.array(name)
-        if arr.shape != (count,):
-            raise CodecError(
-                f"scalar buffer {name!r} has shape {arr.shape}, "
-                f"expected ({count},)"
-            )
-        return tuple(float(v) for v in arr)
-
     def blob(self, name: str) -> memoryview:
-        return self._slice(self._spec(name, "blob"))
+        """The bytes of buffer ``name`` (:meth:`read` checks its bounds)."""
+        spec = self.arrays[name]
+        start = self._base + spec["offset"]
+        return self._view[start : start + spec["nbytes"]]
+
+    def read(self, kind: str):
+        """The ``kind`` object this blob holds.  Every header field, the
+        set of buffers and each buffer's spec are checked against the
+        kind's row before any buffer is read."""
+        row, meta, arrays = _KINDS[kind], self.meta, self.arrays
+        for name, rule in row.fields.items():
+            if name not in meta or not rule.check(meta[name]):
+                got = repr(meta[name]) if name in meta else "nothing"
+                raise _lie(kind, f"field {name!r} is {got}, not {rule.want}")
+        plan: list = []
+        dims: dict[str, tuple[int, str]] = {}
+        room = len(self._view) - self._base
+        for name, buf in row.buffers(meta):
+            spec = arrays.get(name)
+            if spec is None:
+                if buf.optional:
+                    continue
+                raise _lie(kind, f"buffer {name!r} is missing")
+            get = spec.get if type(spec) is dict else {}.get
+            offset, nbytes, enc = get("offset"), get("nbytes"), get("enc")
+            if not (
+                type(offset) is int and type(nbytes) is int
+                and 0 <= offset <= offset + nbytes <= room
+            ):
+                raise _lie(kind, f"buffer {name!r} runs past the end")
+            start = self._base + offset
+            want, raw, tagged, _ = buf.form
+            if enc == "raw" and raw:
+                text, sizes = get("dtype"), get("shape")
+                dtype = _dtype(text, raw) if type(text) is str else None
+                if dtype is None or type(sizes) is not list:
+                    raise _lie(kind, f"buffer {name!r} has dtype {text!r} "
+                                     f"and shape {sizes!r}, not {want}")
+            elif enc == "obj" and tagged:
+                # the shortest tagged key (a bool) takes two bytes
+                dtype, sizes = None, [get("count")]
+                if not (type(sizes[0]) is int
+                        and 0 <= sizes[0] <= nbytes // 2):
+                    raise _lie(kind, f"buffer {name!r} declares "
+                                     f"{sizes[0]!r} keys in {nbytes} bytes")
+            elif enc == "blob" and buf.nested:
+                plan.append((name, buf, start, start + nbytes, None, None))
+                continue
+            else:
+                raise _lie(kind, f"buffer {name!r} is {enc!r}, not {want}")
+            tokens = buf.dims
+            if buf.last_optional and len(sizes) == len(tokens) - 1:
+                tokens = tokens[:-1]
+            if len(sizes) != len(tokens):
+                raise _lie(kind, f"buffer {name!r} has shape {sizes!r}")
+            for token, size in zip(tokens, sizes):
+                if type(size) is not int or size < 0:
+                    raise _lie(kind, f"buffer {name!r} has shape {sizes!r}")
+                if type(token) is int:
+                    want = token
+                elif token[0] == "#":
+                    want = len(meta[token[1:]])
+                else:
+                    want = dims.setdefault(token, (size, name))[0]
+                if size != want:
+                    raise _lie(kind, f"buffer {name!r} has {size} where "
+                                     f"{_source(token, dims)} says {want}")
+            if dtype is not None and (
+                math.prod(sizes) * dtype.itemsize != nbytes
+            ):
+                raise _lie(kind, f"buffer {name!r} is not {nbytes} bytes")
+            plan.append((name, buf, start, start + nbytes, dtype, sizes))
+        if len(plan) != len(arrays):
+            extra = sorted(set(arrays) - {name for name, *_ in plan})
+            raise _lie(kind, f"buffers {extra} are not in its row" + (
+                f" (one per entry of field {row.counted_by!r})"
+                if row.counted_by else ""
+            ))
+        if row.limit and dims["n"][0] > meta[row.limit]:
+            raise _lie(kind, f"buffer {dims['n'][1]!r} holds more than "
+                             f"field {row.limit!r} allows")
+        values = {}
+        for name, buf, start, end, dtype, sizes in plan:
+            data = self._view[start:end]
+            if dtype is not None:
+                value = np.frombuffer(data, dtype=dtype)
+                if len(sizes) != 1:
+                    value = value.reshape(sizes)
+                values[name] = value.copy() if self.writable else value
+            elif sizes is not None:
+                values[name] = buf.form[2](data, sizes[0])
+            else:  # the enclosing blob's checksum already covered these bytes
+                part = _BlobReader(data, self.writable, verify=False)
+                if part.kind != buf.nested:
+                    raise _lie(kind, f"buffer {name!r} is no {buf.nested}")
+                values[name] = part.read(buf.nested)
+        return row.build(meta, values)
 
 
 # ---------------------------------------------------------------------------
-# coordination metadata helpers
+# the schema table
 # ---------------------------------------------------------------------------
+
+
+def _lie(kind: str, what: str) -> CodecError:
+    return CodecError(f"{kind} blob does not decode: {what}")
+
+
+def _source(token, dims: dict) -> str:
+    """What set the size a dimension token stands for, in words."""
+    if type(token) is int:
+        return "its row"
+    if token[0] == "#":
+        return f"field {token[1:]!r}"
+    return f"buffer {dims[token][1]!r}"
+
+
+def _dtype(text: str, raw: str) -> "np.dtype | None":
+    """The dtype ``text`` names, if a form storing ``raw`` (one dtype, or
+    dtype kinds) may hold it."""
+    dtype = _DTYPES.get(text)
+    if dtype is None:
+        try:
+            dtype = np.dtype(text)
+        except (TypeError, ValueError):
+            return None
+        if dtype.str != text or not dtype.itemsize:
+            return None
+    if dtype.str != raw if raw[0] in "<|" else dtype.kind not in raw:
+        return None
+    return dtype
+
+
+#: the numeric dtypes by name, parsed once (most of a header's dtypes)
+_DTYPES = {dtype.str: dtype for dtype in map(np.dtype, "?bBhHiIqQefd")}
+
+
+class _Rule(NamedTuple):
+    """What a header field's value must be, in words and as a test."""
+
+    want: str
+    check: Callable[[Any], bool]
+
+
+def _one_of(*choices: str) -> _Rule:
+    return _Rule(
+        f"one of {choices}", lambda v: type(v) is str and v in choices
+    )
+
+
+def _at_least(least: int) -> _Rule:  # a JSON true is a bool, not an int
+    return _Rule(f"an int >= {least}", lambda v: type(v) is int and v >= least)
+
+
+def _names(least: int = 0) -> _Rule:
+    return _Rule(f"at least {least} distinct strings", lambda v: (
+        type(v) is list and len(v) >= least and set(map(type, v)) <= {str}
+        and len(set(v)) == len(v)
+    ))
+
+
+_STR = _Rule("a string", lambda v: type(v) is str)
+_BOOL = _Rule("a bool", lambda v: type(v) is bool)
+_INT = _Rule("an int", lambda v: type(v) is int)
+_SALT = _Rule("an int or null", lambda v: v is None or type(v) is int)
+_FAMILY = _one_of(*RANK_FAMILIES)
+_CHUNK_COUNTS = _Rule("a list of lists of chunk counts", lambda v: (
+    type(v) is list and all(
+        type(counts) is list
+        and all(type(n) is int and n >= 0 for n in counts)
+        for counts in v
+    )
+))
+_SECTIONS = _Rule(
+    "[namespace, state, version] rows with distinct namespaces and a state "
+    f"in {BUNDLE_STATES}",
+    lambda v: type(v) is list and len(v) > 0 and all(
+        type(row) is list and len(row) == 3 and set(map(type, row)) == {str}
+        and row[1] in BUNDLE_STATES for row in v
+    ) and len({row[0] for row in v}) == len(v),
+)
+
+
+# How a buffer's value is stored: (what that is in words, the one dtype it
+# may hold raw or the dtype kinds it may, the reader of its tag-packed
+# keys, the writer).  A buffer whose form is a kind's name holds a nested
+# blob of that kind.
+_F8 = ("raw <f8", "<f8", None, _BlobWriter.add_scalars)
+_B1 = ("raw |b1", "|b1", None, lambda writer, name, value: (
+    writer.add_array(name, np.asarray(value, dtype="|b1"))
+))
+_INTS = ("raw integers", "iu", None, _BlobWriter.add_array)
+_ARRAY = ("an array", _RAW_KINDS, _key_objects, _BlobWriter.add_array)
+_COLUMN = ("a key column", _RAW_KINDS, _key_column, _BlobWriter.add_key_column)
+_NUMBERS = ("numbers or keys", "biuf", _unpack_keys, _BlobWriter.add_numbers)
+_KEYS = ("tag-packed keys", "", _unpack_keys, _BlobWriter.add_keys)
+_NESTED = ("a nested blob", "", None, _BlobWriter.add_blob)
+
+
+class _Buf(NamedTuple):
+    """A buffer of a row (built by :func:`_buf`)."""
+
+    form: tuple
+    dims: tuple
+    optional: bool
+    last_optional: bool
+    nested: "str | None"
+
+
+def _buf(form, dims: str = "", optional: bool = False) -> _Buf:
+    """A buffer of ``form`` (a kind's name: a nested blob of that kind)
+    whose sizes are ``dims``, space separated: a number is fixed,
+    ``#field`` is a header field's length, any other symbol must agree
+    across the buffers that name it, and a trailing ``?`` marks a last
+    size that may be absent.  ``optional``: the buffer may be absent."""
+    nested = form if type(form) is str else None
+    return _Buf(
+        _NESTED if nested else form,
+        tuple(int(t) if t.isdigit() else t.rstrip("?") for t in dims.split()),
+        optional, dims.endswith("?"), nested,
+    )
+
+
+class _Kind(NamedTuple):
+    """One row of :data:`_KINDS`.
+
+    ``fields`` maps each header field to its :class:`_Rule`;
+    ``buffers(meta)`` are the ``(name, buffer)`` pairs the header calls
+    for, in payload order; ``parts(obj)`` maps an object to its header and
+    buffer values, and ``build(meta, values)`` maps them back.
+    ``counted_by`` is the header field whose entries call for buffers;
+    ``limit`` the one that bounds size ``n``.  ``type`` is what
+    :func:`encode` takes (a wire kind has an ``encode_*`` function of its
+    own).
+    """
+
+    type: "type | None"
+    fields: dict[str, _Rule]
+    buffers: Callable[[dict], Iterable[tuple[str, _Buf]]]
+    parts: Callable[[Any], tuple[dict, dict]]
+    build: Callable[[dict, dict], Any]
+    counted_by: "str | None" = None
+    limit: "str | None" = None
 
 
 def _family_name(family: RankFamily) -> str:
@@ -794,390 +941,247 @@ def _family_name(family: RankFamily) -> str:
     return name
 
 
-# ---------------------------------------------------------------------------
-# per-kind encoders
-# ---------------------------------------------------------------------------
+def _numbered(prefix: str, count: int, buf: _Buf):
+    """``(<prefix>0, buf)`` … ``(<prefix><count - 1>, buf)``."""
+    return ((f"{prefix}{index}", buf) for index in range(count))
 
 
-def _encode_bottomk_sketch(sk: BottomKSketch) -> bytes:
-    writer = _BlobWriter("bottomk_sketch", {"k": sk.k})
-    writer.add_key_column("keys", sk.keys)
-    writer.add_array("ranks", np.asarray(sk.ranks, dtype="<f8"))
-    writer.add_array("weights", np.asarray(sk.weights, dtype="<f8"))
-    writer.add_scalars("scalars", [sk.kth_rank, sk.threshold])
-    if sk.seeds is not None:
-        writer.add_array("seeds", np.asarray(sk.seeds, dtype="<f8"))
-    return writer.render()
-
-
-def _decode_bottomk_sketch(reader: _BlobReader) -> BottomKSketch:
-    kth_rank, threshold = reader.scalars("scalars", 2)
-    return BottomKSketch(
-        k=int(reader.meta["k"]),
-        keys=reader.key_array("keys"),
-        ranks=reader.array("ranks"),
-        weights=reader.array("weights"),
-        kth_rank=kth_rank,
-        threshold=threshold,
-        seeds=reader.array("seeds") if reader.has("seeds") else None,
-    )
-
-
-def _encode_poisson_sketch(sk: PoissonSketch) -> bytes:
-    writer = _BlobWriter("poisson_sketch", {})
-    writer.add_key_column("keys", sk.keys)
-    writer.add_array("ranks", np.asarray(sk.ranks, dtype="<f8"))
-    writer.add_array("weights", np.asarray(sk.weights, dtype="<f8"))
-    writer.add_scalars("scalars", [sk.tau])
-    if sk.seeds is not None:
-        writer.add_array("seeds", np.asarray(sk.seeds, dtype="<f8"))
-    return writer.render()
-
-
-def _decode_poisson_sketch(reader: _BlobReader) -> PoissonSketch:
-    (tau,) = reader.scalars("scalars", 1)
-    return PoissonSketch(
-        tau=tau,
-        keys=reader.key_array("keys"),
-        ranks=reader.array("ranks"),
-        weights=reader.array("weights"),
-        seeds=reader.array("seeds") if reader.has("seeds") else None,
-    )
-
-
-def _encode_summary(summary: MultiAssignmentSummary) -> bytes:
-    writer = _BlobWriter(
-        "summary",
-        {
-            "mode": summary.mode,
-            "summary_kind": summary.kind,
-            "assignments": list(summary.assignments),
-            "k": summary.k,
-            "method": summary.method_name,
-            "consistent": bool(summary.consistent),
-            "family": _family_name(summary.family),
-        },
-    )
-    writer.add_array("positions", summary.positions)
-    writer.add_array("member", np.asarray(summary.member, dtype="|b1"))
-    writer.add_array("ranks", np.asarray(summary.ranks, dtype="<f8"))
-    writer.add_array("weights", np.asarray(summary.weights, dtype="<f8"))
-    writer.add_array("thresholds", np.asarray(summary.thresholds, dtype="<f8"))
-    if summary.rank_k is not None:
-        writer.add_array("rank_k", np.asarray(summary.rank_k, dtype="<f8"))
-    if summary.rank_kplus1 is not None:
-        writer.add_array(
-            "rank_kplus1", np.asarray(summary.rank_kplus1, dtype="<f8")
-        )
-    if summary.seeds is not None:
-        writer.add_array("seeds", np.asarray(summary.seeds, dtype="<f8"))
-    if summary.keys is not None:
-        writer.add_keys("union_keys", summary.keys)
-    return writer.render()
-
-
-def _decode_summary(reader: _BlobReader) -> MultiAssignmentSummary:
-    meta = reader.meta
-    return MultiAssignmentSummary(
-        mode=meta["mode"],
-        kind=meta["summary_kind"],
-        assignments=list(meta["assignments"]),
-        k=int(meta["k"]),
-        positions=reader.array("positions"),
-        member=reader.array("member"),
-        ranks=reader.array("ranks"),
-        weights=reader.array("weights"),
-        thresholds=reader.array("thresholds"),
-        rank_k=reader.array("rank_k") if reader.has("rank_k") else None,
-        rank_kplus1=(
-            reader.array("rank_kplus1") if reader.has("rank_kplus1") else None
-        ),
-        seeds=reader.array("seeds") if reader.has("seeds") else None,
-        family=get_rank_family(meta["family"]),
-        method_name=meta["method"],
-        consistent=bool(meta["consistent"]),
-        keys=reader.keys("union_keys") if reader.has("union_keys") else None,
-    )
-
-
-def _encode_bundle(bundle: SketchBundle) -> bytes:
-    writer = _BlobWriter(
-        "sketch_bundle",
-        {
-            "bundle_kind": bundle.kind,
-            "family": _family_name(bundle.family),
-            "salt": bundle.hasher_salt,
-            "method": bundle.method_name,
-            "names": bundle.assignments,
-        },
-    )
-    for index, sk in enumerate(bundle.sketches.values()):
-        writer.add_blob(f"part{index}", encode(sk))
-    return writer.render()
-
-
-def _decode_bundle(reader: _BlobReader) -> SketchBundle:
-    meta = reader.meta
-    sketches = {}
-    for index, name in enumerate(meta["names"]):
-        sketches[name] = decode(
-            reader.blob(f"part{index}"), writable=reader.writable
-        )
-    salt = meta["salt"]
-    return SketchBundle(
-        kind=meta["bundle_kind"],
-        sketches=sketches,
-        family=get_rank_family(meta["family"]),
-        hasher_salt=None if salt is None else int(salt),
-        method_name=meta["method"],
-    )
-
-
-def _encode_checkpoint(cp: SummarizerCheckpoint) -> bytes:
-    # ``layout[assignment]`` lists one chunk count per key-disjoint chunk
-    # list ``s{j}``; a summarizer holds one list per assignment.
-    writer = _BlobWriter(
-        "checkpoint",
-        {
-            "k": cp.k,
-            "assignments": list(cp.assignments),
-            "family": _family_name(cp.family),
-            "salt": cp.hasher_salt,
-            "layout": [[len(cp.chunks[name])] for name in cp.assignments],
-        },
-    )
-    for ai, name in enumerate(cp.assignments):
-        for ci, (keys, weights) in enumerate(cp.chunks[name]):
-            writer.add_array(f"a{ai}.s0.c{ci}.k", keys)
-            writer.add_array(
-                f"a{ai}.s0.c{ci}.w", np.asarray(weights, dtype="<f8")
-            )
-    return writer.render()
-
-
-def _decode_checkpoint(reader: _BlobReader) -> SummarizerCheckpoint:
-    meta = reader.meta
-    assignments = list(meta["assignments"])
-    layout = meta["layout"]
-    if len(layout) != len(assignments):
-        raise CodecError("checkpoint layout does not match assignments")
-    chunks: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for ai, name in enumerate(assignments):
-        # The lists of one assignment are key-disjoint, so reading them one
-        # after another keeps every key's additions in arrival order.
-        chunk_list = []
-        for si, n_chunks in enumerate(layout[ai]):
-            for ci in range(n_chunks):
-                keys = reader.array(f"a{ai}.s{si}.c{ci}.k")
-                weights = reader.array(f"a{ai}.s{si}.c{ci}.w")
-                if len(keys) != len(weights):
-                    raise CodecError(
-                        f"chunk a{ai}.s{si}.c{ci} has {len(keys)} keys but "
-                        f"{len(weights)} weights"
-                    )
-                chunk_list.append((keys, weights))
-        chunks[name] = chunk_list
-    return SummarizerCheckpoint(
-        k=int(meta["k"]),
-        assignments=assignments,
-        family=get_rank_family(meta["family"]),
-        hasher_salt=int(meta["salt"]),
-        chunks=chunks,
-    )
-
-
-def encode_event_section(
-    namespace: str, keys: np.ndarray, weights: "dict[str, np.ndarray]"
-) -> bytes:
-    """One namespace's ``(keys, weights)`` as an ingest-frame section.
-
-    Numeric key arrays are stored raw; every other dtype is tag-packed
-    value by value, so the receiver rebuilds its key array from the
-    same Python values a JSON body would have carried.
-    """
-    writer = _BlobWriter(
-        "event_section", {"namespace": namespace, "names": list(weights)}
-    )
-    if keys.dtype.kind in "biuf":
-        writer.add_array("keys", keys)
-    else:
-        writer.add_keys("keys", keys.tolist())
-    for index, values in enumerate(weights.values()):
-        writer.add_array(f"w{index}", np.asarray(values, dtype="<f8"))
-    return writer.render()
-
-
-def encode_event_batch(
-    sections: "Sequence[tuple[str, bytes]]", sync: bool = False
-) -> bytes:
-    """An ingest frame from ``(namespace, encoded section)`` pairs.
-
-    Sections are nested as they are, so one encoded section can ride
-    in several frames (one per replica) without being encoded again.
-    """
-    writer = _BlobWriter(
-        "event_batch",
-        {"namespaces": [name for name, _ in sections], "sync": bool(sync)},
-    )
-    for index, (_, blob) in enumerate(sections):
-        writer.add_blob(f"part{index}", blob)
-    return writer.render()
-
-
-def _decode_event_section(reader: _BlobReader) -> EventSection:
-    namespace, names = reader.meta.get("namespace"), reader.meta.get("names")
-    if (
-        not isinstance(namespace, str)
-        or not isinstance(names, list)
-        or not all(isinstance(name, str) for name in names)
-        or len(set(names)) != len(names)
-    ):
-        raise CodecError(
-            "event section needs a namespace and distinct assignment names"
-        )
-    keys = reader.vector("keys")
-    weights = {}
-    for index, name in enumerate(names):
-        values = reader.vector(f"w{index}")
-        if not isinstance(values, np.ndarray) or values.dtype != "<f8":
-            raise CodecError(f"weights[{name!r}] must be a raw <f8 buffer")
-        if len(values) != len(keys):
-            raise CodecError(
-                f"weights[{name!r}] has {len(values)} values for "
-                f"{len(keys)} keys"
-            )
-        weights[name] = values
-    return EventSection(namespace, keys, weights)
-
-
-def _decode_event_batch(reader: _BlobReader) -> EventBatch:
-    names, sync = reader.meta.get("namespaces"), reader.meta.get("sync")
-    if (
-        not isinstance(names, list) or not names
-        or not all(isinstance(name, str) for name in names)
-        or not isinstance(sync, bool)
-    ):
-        raise CodecError(
-            "event batch needs at least one section namespace and a "
-            "boolean sync flag"
-        )
-    if len(set(names)) != len(names):
-        raise CodecError(f"duplicate section namespace in {names!r}")
-    sections = []
-    for index, name in enumerate(names):
-        # the frame's checksum already covered the nested bytes
-        part = _BlobReader(
-            reader.blob(f"part{index}"), writable=False, verify=False
-        )
-        if part.kind != "event_section":
-            raise CodecError(
-                f"section {index} has kind {part.kind!r}, expected "
-                "'event_section'"
-            )
-        section = _decode_event_section(part)
-        if section.namespace != name:
-            raise CodecError(
-                f"section {index} is for {section.namespace!r}, the frame "
-                f"header says {name!r}"
-            )
-        sections.append(section)
-    return EventBatch(tuple(sections), sync)
-
-
-def encode_bundle_batch(
-    sections: "Sequence[tuple[str, str, str, bytes | None]]",
-    lease_s: "float | None" = None,
-) -> bytes:
-    """A bundle frame from ``(namespace, state, version, blob)`` rows.
-
-    ``blob`` is the namespace's already encoded :class:`SketchBundle`
-    for state ``"bundle"`` (nested as it is) and ``None`` otherwise.
-    ``lease_s`` (seconds, finite and >= 0) rides in a CRC-covered
-    buffer; ``None`` grants no lease.
-    """
-    writer = _BlobWriter("bundle_batch", {
-        "sections": [
-            [name, state, version] for name, state, version, _ in sections
-        ],
-    })
-    for index, (_, state, _, blob) in enumerate(sections):
-        if (state == "bundle") != (blob is not None):
-            raise CodecError(
-                f"section {index}: state {state!r} "
-                f"{'needs' if blob is None else 'carries no'} bundle bytes"
-            )
-        if blob is not None:
-            writer.add_blob(f"part{index}", blob)
-    if lease_s is not None:
-        writer.add_scalars("lease_s", [lease_s])
-    return writer.render()
-
-
-def _decode_bundle_batch(reader: _BlobReader) -> BundleBatch:
-    rows = reader.meta.get("sections")
-    if not isinstance(rows, list) or not rows or not all(
-        isinstance(row, list) and len(row) == 3
-        and all(isinstance(field, str) for field in row)
-        and row[1] in BUNDLE_STATES
-        for row in rows
-    ):
-        raise CodecError(
-            "bundle batch needs at least one [namespace, state, version] "
-            f"section with a state in {BUNDLE_STATES}"
-        )
-    names = [row[0] for row in rows]
-    if len(set(names)) != len(names):
-        raise CodecError(f"duplicate section namespace in {names!r}")
-    parts = {
-        f"part{index}" for index, row in enumerate(rows) if row[1] == "bundle"
+def _sketch(scalars: str) -> dict[str, _Buf]:
+    return {
+        "keys": _buf(_COLUMN, "n"), "ranks": _buf(_F8, "n"),
+        "weights": _buf(_F8, "n"), "scalars": _buf(_F8, scalars),
+        "seeds": _buf(_F8, "n", True),
     }
-    if set(reader.arrays) - {"lease_s"} != parts:
-        raise CodecError(
-            f"bundle batch carries buffers {sorted(reader.arrays)} but its "
-            f"section states call for {sorted(parts)}"
-        )
-    lease_s = 0.0
-    if "lease_s" in reader.arrays:
-        lease = reader.vector("lease_s")
-        if not (
-            isinstance(lease, np.ndarray) and lease.dtype == np.dtype("<f8")
-            and len(lease) == 1 and 0.0 <= lease[0] < np.inf
-        ):
-            raise CodecError(
-                "bundle batch lease must be one finite, non-negative <f8, "
-                f"got {list(lease)!r}"
-            )
-        lease_s = float(lease[0])
-    sections = []
-    for index, (name, state, version) in enumerate(rows):
-        bundle = None
-        if state == "bundle":
-            # the frame's checksum already covered the nested bytes
-            part = _BlobReader(
-                reader.blob(f"part{index}"), writable=False, verify=False
-            )
-            if part.kind != "sketch_bundle":
-                raise CodecError(
-                    f"section {index} has kind {part.kind!r}, expected "
-                    "'sketch_bundle'"
-                )
-            bundle = _decode_kind(part)
-        sections.append(BundleSection(name, state, version, bundle))
-    batch = BundleBatch(sections)
-    batch.lease_s = lease_s
+
+
+_BOTTOMK, _POISSON = _sketch("2"), _sketch("1")
+
+
+def _sketch_parts(sketch, meta: dict, *scalars: float) -> tuple[dict, dict]:
+    return meta, {
+        "keys": sketch.keys, "ranks": sketch.ranks, "weights": sketch.weights,
+        "scalars": scalars, "seeds": sketch.seeds,
+    }
+
+
+_SUMMARY = {
+    "positions": _buf(_INTS, "u"),
+    "member": _buf(_B1, "u #assignments"),
+    "ranks": _buf(_F8, "u #assignments"),
+    "weights": _buf(_F8, "u #assignments"),
+    "thresholds": _buf(_F8, "u #assignments"),
+    "rank_k": _buf(_F8, "#assignments", True),
+    "rank_kplus1": _buf(_F8, "#assignments", True),
+    "seeds": _buf(_F8, "u #assignments?", True),
+    "union_keys": _buf(_KEYS, "u", True),
+}
+_PART = {
+    kind: _buf(kind)
+    for kind in ("bottomk_sketch", "poisson_sketch", "event_section",
+                 "sketch_bundle")
+}
+_SECTION_KEYS, _SECTION_WEIGHTS = _buf(_NUMBERS, "n"), _buf(_F8, "n")
+_LEASE = _buf(_F8, "1", True)
+
+
+def _chunks(meta: dict) -> Iterable[tuple[str, str]]:
+    """``(assignment, chunk)`` per chunk a checkpoint header names.
+    ``layout[assignment]`` lists one chunk count per key-disjoint chunk
+    list ``s{j}``; a summarizer writes one list per assignment."""
+    if len(meta["layout"]) != len(meta["assignments"]):
+        raise _lie("checkpoint", "field 'layout' has an entry count other "
+                   "than field 'assignments'")
+    for ai, name in enumerate(meta["assignments"]):
+        for si, n_chunks in enumerate(meta["layout"][ai]):
+            for ci in range(n_chunks):
+                yield name, f"a{ai}.s{si}.c{ci}"
+
+
+def _checkpoint(meta: dict, values: dict) -> SummarizerCheckpoint:
+    # The lists of one assignment are key-disjoint, so reading them one
+    # after another keeps every key's additions in arrival order.
+    chunks: dict[str, list] = {name: [] for name in meta["assignments"]}
+    for name, chunk in _chunks(meta):
+        chunks[name].append((values[f"{chunk}.k"], values[f"{chunk}.w"]))
+    return SummarizerCheckpoint(
+        meta["k"], list(meta["assignments"]),
+        get_rank_family(meta["family"]), meta["salt"], chunks,
+    )
+
+
+def _event_batch(meta: dict, values: dict) -> EventBatch:
+    for name, section in zip(meta["namespaces"], values.values()):
+        if section.namespace != name:
+            raise _lie("event_batch", f"a section is for "
+                       f"{section.namespace!r}, field 'namespaces' says "
+                       f"{name!r}")
+    return EventBatch(tuple(values.values()), meta["sync"])
+
+
+def _bundle_batch(meta: dict, values: dict) -> BundleBatch:
+    lease = float(values.get("lease_s", [0.0])[0])
+    if not 0.0 <= lease < math.inf:
+        raise _lie("bundle_batch", f"buffer 'lease_s' holds {lease!r}, "
+                   "not a finite, non-negative <f8")
+    batch = BundleBatch(
+        BundleSection(name, state, version, values.get(f"part{index}"))
+        for index, (name, state, version) in enumerate(meta["sections"])
+    )
+    batch.lease_s = lease
     return batch
 
 
-_DECODERS: dict[str, Callable[[_BlobReader], Any]] = {
-    "bottomk_sketch": _decode_bottomk_sketch,
-    "poisson_sketch": _decode_poisson_sketch,
-    "summary": _decode_summary,
-    "sketch_bundle": _decode_bundle,
-    "checkpoint": _decode_checkpoint,
-    "event_section": _decode_event_section,
-    "event_batch": _decode_event_batch,
-    "bundle_batch": _decode_bundle_batch,
+def _parts(meta: dict, blobs, **more) -> tuple[dict, dict]:
+    """A header and one nested ``part<i>`` per blob (``None``: no part)."""
+    return meta, {f"part{i}": blob for i, blob in enumerate(blobs)} | more
+
+
+#: the format's specification: every kind the codec reads and writes, one
+#: row each
+_KINDS: dict[str, _Kind] = {
+    "bottomk_sketch": _Kind(
+        BottomKSketch, {"k": _at_least(1)}, lambda meta: _BOTTOMK.items(),
+        lambda sk: _sketch_parts(sk, {"k": sk.k}, sk.kth_rank, sk.threshold),
+        lambda meta, v: BottomKSketch(
+            meta["k"], v["keys"], v["ranks"], v["weights"],
+            *map(float, v["scalars"]), v.get("seeds"),
+        ),
+        limit="k",
+    ),
+    "poisson_sketch": _Kind(
+        PoissonSketch, {}, lambda meta: _POISSON.items(),
+        lambda sk: _sketch_parts(sk, {}, sk.tau),
+        lambda meta, v: PoissonSketch(
+            float(v["scalars"][0]), v["keys"], v["ranks"], v["weights"],
+            v.get("seeds"),
+        ),
+    ),
+    "summary": _Kind(
+        MultiAssignmentSummary,
+        {
+            "mode": _one_of("colocated", "dispersed"),
+            "summary_kind": _one_of("bottomk", "poisson"),
+            "assignments": _names(),
+            # Poisson summaries built without an expected size record 0
+            "k": _at_least(0),
+            "method": _STR, "consistent": _BOOL, "family": _FAMILY,
+        },
+        lambda meta: _SUMMARY.items(),
+        lambda s: ({
+            "mode": s.mode, "summary_kind": s.kind, "k": s.k,
+            "assignments": list(s.assignments), "method": s.method_name,
+            "consistent": bool(s.consistent),
+            "family": _family_name(s.family),
+        }, {
+            name: getattr(s, name.replace("union_", "")) for name in _SUMMARY
+        }),
+        lambda meta, v: MultiAssignmentSummary(
+            meta["mode"], meta["summary_kind"], list(meta["assignments"]),
+            meta["k"], *(v.get(name) for name in list(_SUMMARY)[:-1]),
+            get_rank_family(meta["family"]), meta["method"],
+            meta["consistent"], v.get("union_keys"),
+        ),
+    ),
+    "sketch_bundle": _Kind(
+        SketchBundle,
+        {
+            "bundle_kind": _one_of("bottomk", "poisson"), "family": _FAMILY,
+            "salt": _SALT, "method": _STR, "names": _names(1),
+        },
+        lambda meta: _numbered(
+            "part", len(meta["names"]), _PART[f"{meta['bundle_kind']}_sketch"]
+        ),
+        lambda bundle: _parts({
+            "bundle_kind": bundle.kind, "family": _family_name(bundle.family),
+            "salt": bundle.hasher_salt, "method": bundle.method_name,
+            "names": bundle.assignments,
+        }, map(encode, bundle.sketches.values())),
+        lambda meta, v: SketchBundle(
+            meta["bundle_kind"], dict(zip(meta["names"], v.values())),
+            get_rank_family(meta["family"]), meta["salt"], meta["method"],
+        ),
+        counted_by="names",
+    ),
+    "checkpoint": _Kind(
+        SummarizerCheckpoint,
+        {
+            "k": _at_least(1), "assignments": _names(), "family": _FAMILY,
+            "salt": _INT, "layout": _CHUNK_COUNTS,
+        },
+        lambda meta: (
+            (f"{chunk}.{part}", _buf(form, chunk))
+            for _, chunk in _chunks(meta)
+            for part, form in (("k", _ARRAY), ("w", _F8))
+        ),
+        lambda cp: ({
+            "k": cp.k, "assignments": list(cp.assignments),
+            "family": _family_name(cp.family), "salt": cp.hasher_salt,
+            "layout": [[len(cp.chunks[name])] for name in cp.assignments],
+        }, {
+            f"a{ai}.s0.c{ci}.{part}": array
+            for ai, name in enumerate(cp.assignments)
+            for ci, chunk in enumerate(cp.chunks[name])
+            for part, array in zip("kw", chunk)
+        }),
+        _checkpoint,
+        counted_by="layout",
+    ),
+    "event_section": _Kind(
+        None, {"namespace": _STR, "names": _names()},
+        lambda meta: (
+            ("keys", _SECTION_KEYS),
+            *_numbered("w", len(meta["names"]), _SECTION_WEIGHTS),
+        ),
+        lambda section: (
+            {"namespace": section.namespace, "names": list(section.weights)},
+            {"keys": section.keys} | {
+                f"w{index}": weights
+                for index, weights in enumerate(section.weights.values())
+            },
+        ),
+        lambda meta, v: EventSection(meta["namespace"], v.pop("keys"), dict(
+            zip(meta["names"], v.values())  # the weights, in order
+        )),
+        counted_by="names",
+    ),
+    "event_batch": _Kind(
+        None, {"namespaces": _names(1), "sync": _BOOL},
+        lambda meta: _numbered(
+            "part", len(meta["namespaces"]), _PART["event_section"]
+        ),
+        lambda frame: _parts({
+            "namespaces": [name for name, _ in frame[0]], "sync": frame[1],
+        }, (blob for _, blob in frame[0])),
+        _event_batch,
+        counted_by="namespaces",
+    ),
+    "bundle_batch": _Kind(
+        None, {"sections": _SECTIONS},
+        lambda meta: (*(
+            (f"part{index}", _PART["sketch_bundle"])
+            for index, row in enumerate(meta["sections"]) if row[1] == "bundle"
+        ), ("lease_s", _LEASE)),
+        lambda frame: _parts(
+            {"sections": [list(row[:3]) for row in frame[0]]},
+            (row[3] for row in frame[0]),
+            lease_s=None if frame[1] is None else [frame[1]],
+        ),
+        _bundle_batch,
+        counted_by="sections",
+    ),
 }
+
+
+def _write(kind: str, obj) -> bytes:
+    """``obj`` rendered through its kind's row."""
+    row = _KINDS[kind]
+    meta, values = row.parts(obj)
+    writer = _BlobWriter(kind, meta)
+    for name, buf in row.buffers(meta):
+        value = values.get(name)
+        if value is not None:  # else an absent optional buffer
+            buf.form[3](writer, name, value)
+    return writer.render()
 
 
 # ---------------------------------------------------------------------------
@@ -1191,16 +1195,9 @@ def encode(obj) -> bytes:
     Deterministic: equal objects produce byte-identical blobs, which is
     what lets the golden-file test pin format v1 against drift.
     """
-    if isinstance(obj, BottomKSketch):
-        return _encode_bottomk_sketch(obj)
-    if isinstance(obj, PoissonSketch):
-        return _encode_poisson_sketch(obj)
-    if isinstance(obj, MultiAssignmentSummary):
-        return _encode_summary(obj)
-    if isinstance(obj, SketchBundle):
-        return _encode_bundle(obj)
-    if isinstance(obj, SummarizerCheckpoint):
-        return _encode_checkpoint(obj)
+    for kind, row in _KINDS.items():
+        if row.type is not None and isinstance(obj, row.type):
+            return _write(kind, obj)
     raise CodecError(
         f"cannot serialize object of type {type(obj).__name__}; supported: "
         "BottomKSketch, PoissonSketch, MultiAssignmentSummary, "
@@ -1220,22 +1217,43 @@ def decode(data, *, writable: bool = False, verify: bool = False):
     return _decode_kind(_BlobReader(data, writable=writable, verify=verify))
 
 
-def _decode_kind(reader: _BlobReader):
+def _decode_kind(reader: _BlobReader, expect: "str | None" = None):
+    kind = reader.kind
+    if expect is not None and kind != expect:
+        raise CodecError(f"expected a {expect} frame, got kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise CodecError(f"unknown blob kind {kind!r}")
     try:
-        decoder = _DECODERS[reader.kind]
-    except (KeyError, TypeError):
-        raise CodecError(f"unknown blob kind {reader.kind!r}") from None
-    try:
-        return decoder(reader)
+        return reader.read(kind)
     except CodecError:
         raise
     except (ArithmeticError, AttributeError, LookupError, TypeError,
             ValueError, struct.error) as err:
-        # the per-kind decoders trust their headers; a lie in one must
-        # surface as a typed error, wherever the bytes came from
-        raise CodecError(
-            f"{reader.kind} blob does not decode: {err!r}"
-        ) from None
+        # a safety net: the row's checks refuse a lie before this can
+        raise _lie(kind, repr(err)) from None
+
+
+def encode_event_section(
+    namespace: str, keys: np.ndarray, weights: "dict[str, np.ndarray]"
+) -> bytes:
+    """One namespace's ``(keys, weights)`` as an ingest-frame section.
+
+    Numeric key arrays are stored raw; every other dtype is tag-packed
+    value by value, so the receiver rebuilds its key array from the
+    same Python values a JSON body would have carried.
+    """
+    return _write("event_section", EventSection(namespace, keys, weights))
+
+
+def encode_event_batch(
+    sections: "Sequence[tuple[str, bytes]]", sync: bool = False
+) -> bytes:
+    """An ingest frame from ``(namespace, encoded section)`` pairs.
+
+    Sections are nested as they are, so one encoded section can ride
+    in several frames (one per replica) without being encoded again.
+    """
+    return _write("event_batch", (sections, bool(sync)))
 
 
 def decode_event_batch(data) -> EventBatch:
@@ -1246,11 +1264,7 @@ def decode_event_batch(data) -> EventBatch:
     duplicate or missing sections — raises :class:`CodecError`.
     """
     reader = _BlobReader(data, writable=False, verify=True)
-    if reader.kind != "event_batch":
-        raise CodecError(
-            f"expected an event_batch frame, got kind {reader.kind!r}"
-        )
-    return _decode_event_batch(reader)
+    return _decode_kind(reader, "event_batch")
 
 
 def event_batch_namespaces(data) -> tuple[str, ...]:
@@ -1261,6 +1275,26 @@ def event_batch_namespaces(data) -> tuple[str, ...]:
     if reader.kind != "event_batch" or not isinstance(names, list):
         return ()
     return tuple(name for name in names if isinstance(name, str))
+
+
+def encode_bundle_batch(
+    sections: "Sequence[tuple[str, str, str, bytes | None]]",
+    lease_s: "float | None" = None,
+) -> bytes:
+    """A bundle frame from ``(namespace, state, version, blob)`` rows.
+
+    ``blob`` is the namespace's already encoded :class:`SketchBundle`
+    for state ``"bundle"`` (nested as it is) and ``None`` otherwise.
+    ``lease_s`` (seconds, finite and >= 0) rides in a CRC-covered
+    buffer; ``None`` grants no lease.
+    """
+    for index, (_, state, _, blob) in enumerate(sections):
+        if (state == "bundle") != (blob is not None):
+            raise CodecError(
+                f"section {index}: state {state!r} "
+                f"{'needs' if blob is None else 'carries no'} bundle bytes"
+            )
+    return _write("bundle_batch", (sections, lease_s))
 
 
 def decode_bundle_batch(
@@ -1277,11 +1311,7 @@ def decode_bundle_batch(
     raises :class:`CodecError`.
     """
     reader = _BlobReader(data, writable=False, verify=True)
-    if reader.kind != "bundle_batch":
-        raise CodecError(
-            f"expected a bundle_batch frame, got kind {reader.kind!r}"
-        )
-    sections = _decode_bundle_batch(reader)
+    sections = _decode_kind(reader, "bundle_batch")
     names = [section.namespace for section in sections]
     if expect is not None and names != list(expect):
         raise CodecError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,17 @@ class TestExponentialSpecifics:
             seeds = rng.random(3)
             mins.append(min(fam.rank(w, u) for w, u in zip(weights, seeds)))
         assert np.mean(mins) == pytest.approx(1.0 / 6.0, rel=0.1)
+
+    def test_extreme_weight_cdf_is_one_without_a_warning(self):
+        """-w·x overflows to -inf at w = 1e308: F = 1 exactly, and the
+        harmless overflow raises no RuntimeWarning."""
+        fam = ExponentialRanks()
+        weights = np.array([1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fam.cdf_array(weights, 10.0).tolist() == [1.0, 1.0]
+            got = fam.cdf_matrix(weights, np.array([10.0, np.inf]))
+        assert got.tolist() == [1.0, 1.0]
 
 
 class TestIppsSpecifics:

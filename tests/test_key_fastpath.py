@@ -4,9 +4,9 @@ what it produces.
 * **same bytes** — ``codec._pack_keys`` packs a list of plain int64 ints
   in one NumPy pass; every list, of any key types, packs to exactly the
   bytes of the per-key reference packer kept below;
-* **same keys** — the one-pass readers (``_unpack_keys``,
-  ``_BlobReader.array`` / ``vector``) give what the per-key reference
-  parser gives, in value *and* type, and every buffer they do not take
+* **same keys** — the one-pass readers (``_unpack_keys``, and a
+  checkpoint chunk's, a sketch's and an ingest section's decoded key
+  column) give what the per-key reference parser gives, in value *and* type, and every buffer they do not take
   (a foreign tag, a non-int count, a truncation) fails exactly as the
   reference does;
 * **same summary** — ``build_summary_from_sketches`` equals the
@@ -34,10 +34,12 @@ from repro.engine.sharded import ShardedSummarizer
 from repro.ranks.assignments import get_rank_method
 from repro.ranks.families import ExponentialRanks
 from repro.ranks.hashing import KeyHasher
+from repro.ranks.families import IppsRanks
 from repro.sampling.bottomk import BottomKSketch
 from repro.store import codec
 from repro.store.codec import (
     CodecError,
+    SummarizerCheckpoint,
     _BlobReader,
     _BlobWriter,
     _pack_keys,
@@ -48,6 +50,7 @@ from repro.store.codec import (
     encode,
     encode_bundle_batch,
     encode_event_batch,
+    encode_event_section,
 )
 from tests.test_ingest_frames import reheader
 
@@ -214,6 +217,22 @@ class TestSameBytes:
         assert _pack_keys([]) == b""
 
 
+def object_array(values) -> np.ndarray:
+    out = np.empty(len(values), dtype=object)
+    for pos, value in enumerate(values):
+        out[pos] = value
+    return out
+
+
+def decoded_chunk_keys(values) -> np.ndarray:
+    """``values`` through a checkpoint chunk's tag-packed key column."""
+    checkpoint = SummarizerCheckpoint(
+        k=1, assignments=["h1"], family=IppsRanks(), hasher_salt=0,
+        chunks={"h1": [(object_array(values), np.ones(len(values)))]},
+    )
+    return decode(encode(checkpoint), verify=True).chunks["h1"][0][0]
+
+
 class TestSameKeys:
     @given(values=key_lists)
     @settings(max_examples=300, deadline=None)
@@ -221,23 +240,25 @@ class TestSameKeys:
         blob = ref_pack_keys(values)
         want = typed(ref_unpack_keys(memoryview(blob), len(values)))
         assert typed(_unpack_keys(memoryview(blob), len(values))) == want
-        writer = _BlobWriter("keys_only", {})
-        writer.add_keys("keys", values)
-        reader = _BlobReader(writer.render(), writable=False, verify=True)
-        array = reader.array("keys")
+        array = decoded_chunk_keys(values)
         assert array.dtype == object and array.shape == (len(values),)
         assert typed(array.tolist()) == want
-        assert typed(reader.keys("keys")) == want
-        assert typed(list(reader.vector("keys"))) == want
+        column = object_array(values)
+        sketch = BottomKSketch(
+            k=max(1, len(values)), keys=column, ranks=np.zeros(len(values)),
+            weights=np.zeros(len(values)), kth_rank=math.inf,
+            threshold=math.inf,
+        )
+        assert typed(decode(encode(sketch)).keys.tolist()) == want
+        section = encode_event_section("web", column, {})
+        assert typed(decode(section, verify=True).keys) == want
 
     def test_int_keys_decode_as_python_ints(self):
         values = [*INT64_EDGES, 12345]
         blob = ref_pack_keys(values)
         got = _unpack_keys(memoryview(blob), len(values))
         assert got == values and {type(v) for v in got} == {int}
-        writer = _BlobWriter("keys_only", {})
-        writer.add_keys("keys", values)
-        array = _BlobReader(writer.render(), False, False).array("keys")
+        array = decoded_chunk_keys(values)
         assert array.tolist() == values
         assert {type(v) for v in array} == {int}
         assert array.flags.writeable  # a fresh array, like the per-key one
@@ -285,7 +306,10 @@ class TestForeignBuffersFailAsBefore:
                 "event_section", {"namespace": "web", "names": ["h1"]}
             )
             writer._append("keys", buf, {"enc": "obj", "count": count})
-            writer.add_array("w0", np.ones(n, dtype="<f8"))
+            # as many weights as the keys claim: the header agrees with
+            # itself, so the key reader meets the bytes
+            rows = count if type(count) is int else n
+            writer.add_array("w0", np.ones(rows, dtype="<f8"))
             frame = encode_event_batch([("web", writer.render())])
             with pytest.raises(CodecError, match=match):
                 decode_event_batch(frame)

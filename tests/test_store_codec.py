@@ -44,7 +44,9 @@ from repro.store.codec import (
     UnsupportedFormatError,
     atomic_write_bytes,
     decode,
+    decode_bundle_batch,
     encode,
+    encode_bundle_batch,
 )
 from tests.test_ingest_frames import reheader
 
@@ -335,15 +337,17 @@ class TestErrorPaths:
     def test_truncated_key_buffer_raises_codec_error(self):
         # Even without CRC verification, a key buffer cut mid-entry must
         # surface as CodecError, never a raw struct.error.
-        from repro.store.codec import _BlobReader, _BlobWriter, _pack_keys
+        from repro.store.codec import _BlobWriter, _pack_keys
 
         writer = _BlobWriter("bottomk_sketch", {"k": 1})
         packed = _pack_keys(["abcdefgh"])
         # cut inside the 4-byte string-length field
         writer._append("keys", packed[:3], {"enc": "obj", "count": 1})
-        reader = _BlobReader(writer.render(), writable=False, verify=False)
+        writer.add_scalars("ranks", [0.5])
+        writer.add_scalars("weights", [1.0])
+        writer.add_scalars("scalars", [0.5, np.inf])
         with pytest.raises(CodecError, match="truncated key buffer"):
-            reader.keys("keys")
+            decode(writer.render())
 
 
 def _checkpoint():
@@ -358,8 +362,8 @@ def _set(section, field, value):
     return lambda header: header[section].__setitem__(field, value)
 
 
-#: (object, header edit): lies a per-kind decoder trips over as a bare
-#: TypeError, AttributeError or KeyError
+#: (object, header edit): lies that a decoder must refuse by its kind's
+#: row, under a valid checksum
 LIES = {
     "bottomk_sketch-k-list": (
         lambda: stream_sketch([("a", 1.0), ("b", 2.0)]),
@@ -381,6 +385,45 @@ LIES = {
     ),
     "sketch_bundle-names-int": (golden_bundle, _set("meta", "names", 3)),
     "checkpoint-layout-str": (_checkpoint, _set("meta", "layout", [["x"]])),
+    # lies a type check alone lets through: the row's ranges and length
+    # relations refuse them
+    "bottomk_sketch-ranks-short": (
+        lambda: bottomk_from_ranks(np.linspace(0.1, 0.9, 9), np.ones(9), k=8),
+        lambda header: header["arrays"]["ranks"].update(shape=[7], nbytes=56),
+    ),
+    "bottomk_sketch-k-negative": (
+        lambda: stream_sketch([("a", 1.0)]), _set("meta", "k", -3),
+    ),
+    "bottomk_sketch-k-true": (
+        lambda: stream_sketch([("a", 1.0)]), _set("meta", "k", True),
+    ),
+    "summary-assignments-three": (
+        lambda: _summary("dispersed", "shared_seed", IppsRanks(), m=2),
+        _set("meta", "assignments", ["w0", "w1", "w2"]),
+    ),
+    "sketch_bundle-names-short": (
+        golden_bundle, _set("meta", "names", ["hour1"]),
+    ),
+    "sketch_bundle-names-repeated": (
+        golden_bundle, _set("meta", "names", ["hour1", "hour1"]),
+    ),
+}
+
+#: the header field or buffer each lie is about
+LIED_ABOUT = {
+    "bottomk_sketch-k-list": "k",
+    "poisson_sketch-shape-int": "ranks",
+    "summary-assignments-int": "assignments",
+    "sketch_bundle-family-int": "family",
+    "sketch_bundle-names-missing": "names",
+    "sketch_bundle-names-int": "names",
+    "checkpoint-layout-str": "layout",
+    "bottomk_sketch-ranks-short": "ranks",
+    "bottomk_sketch-k-negative": "k",
+    "bottomk_sketch-k-true": "k",
+    "summary-assignments-three": "assignments",
+    "sketch_bundle-names-short": "names",
+    "sketch_bundle-names-repeated": "names",
 }
 
 
@@ -395,6 +438,30 @@ class TestLyingHeaders:
         assert decode(blob, verify=True) is not None
         with pytest.raises(CodecError, match=case.split("-")[0]):
             decode(reheader(blob, edit), verify=True)
+
+    @pytest.mark.parametrize("case", sorted(LIES))
+    def test_the_refusal_names_the_field_lied_about(self, case):
+        """The kind's row refused the lie: its message names the field
+        (the catch-all would name only an exception)."""
+        make, edit = LIES[case]
+        with pytest.raises(CodecError) as err:
+            decode(reheader(encode(make()), edit), verify=True)
+        assert f"{LIED_ABOUT[case]!r}" in str(err.value)
+        assert "Error(" not in str(err.value)
+
+    def test_repeated_names_in_a_bundle_frame(self):
+        """A bundle that names ``h1`` twice reaches a coordinator in a
+        CRC-valid frame: refused, never read as ``h1`` holding ``h2``'s
+        sample."""
+        bundle = SketchBundle("bottomk", {
+            "h1": stream_sketch([("a", 1.0), ("b", 2.0)]),
+            "h2": stream_sketch([("c", 30.0)]),
+        }, IppsRanks(), hasher_salt=7)
+        blob = reheader(encode(bundle), _set("meta", "names", ["h1", "h1"]))
+        frame = encode_bundle_batch([("web--s000", "bundle", "t1", blob)])
+        with pytest.raises(CodecError, match="sketch_bundle") as err:
+            decode_bundle_batch(frame, ["web--s000"])
+        assert "'names'" in str(err.value)
 
 
 class TestZeroCopy:
