@@ -46,6 +46,17 @@ delta, the seeds, the new key layout) is paid once per batch, not once
 per assignment; each assignment then continues its own sums, ranks and
 entries.  A group of one is the same code.
 
+A *slotted* summarizer (``slots=n``) keeps the key-disjoint slots of one
+namespace — the cluster's units of placement — in one table per
+assignment with a slot column: every event arrives with its slot, each
+key keeps the slot it first arrived in, and the entries hold the
+``k + 1`` smallest-rank keys *per slot*, so one fold serves every slot
+and each slot's sketch, checkpoint and row count are exactly those of a
+summarizer fed that slot's events alone.  A slotted table keeps the form
+its first keys give every slot's table — numeric of one key dtype, or
+generic — and a key arriving in a second slot raises
+:class:`SlotConflict` before any state changes.
+
 Every step is deterministic given the hasher salt — rank ties (a ~2⁻⁵³
 event, except between keys that hash alike, such as a ``str`` and its
 UTF-8 ``bytes``) are broken by key (where keys cannot be ordered, by
@@ -63,7 +74,7 @@ streams that share the hasher salt publish bundles that
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,7 +91,12 @@ from repro.ranks.hashing import (
 )
 from repro.sampling.bottomk import BottomKSketch
 
-__all__ = ["ShardedSummarizer"]
+__all__ = ["ShardedSummarizer", "SlotConflict", "SlotSummarizers"]
+
+
+class SlotConflict(ValueError):
+    """A fold of a slotted summarizer met a key in a second slot: the
+    slots are no longer key-disjoint, so one table cannot hold them."""
 
 
 def _smallest(
@@ -114,8 +130,44 @@ def _smallest(
     return pool[:limit]
 
 
+def _smallest_per_slot(
+    ranks: np.ndarray, tiebreak: np.ndarray, slots: np.ndarray, limit: int,
+    keys=None,
+) -> np.ndarray:
+    """Indices of each slot's ``limit`` smallest ``(rank, tiebreak)``
+    pairs, slots ascending and each slot's pairs ascending: the order of
+    one ``lexsort((tiebreak, ranks, slots))``, as two stable argsorts
+    unless two ranks of one slot tie.  Given the ``keys``, equal pairs
+    are ordered by :func:`tie_order` of the key, as :func:`_smallest`
+    orders them."""
+    order = np.argsort(ranks, kind="stable")
+    order = order[np.argsort(slots[order], kind="stable")]
+    ordered = slots[order]
+    tied = (ranks[order[1:]] == ranks[order[:-1]]) & (
+        ordered[1:] == ordered[:-1]
+    )
+    if tied.any():
+        order = np.lexsort((tiebreak, ranks, slots))
+        ordered = slots[order]
+        tied = (ranks[order[1:]] == ranks[order[:-1]]) & (
+            ordered[1:] == ordered[:-1]
+        ) & (tiebreak[order[1:]] == tiebreak[order[:-1]])
+        if keys is not None and tied.any():
+            order = np.array(sorted(order.tolist(), key=lambda at: (
+                slots[at], ranks[at], tiebreak[at], tie_order(keys[at])
+            )), dtype=np.intp)
+            ordered = slots[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(np.r_[starts, len(ordered)])
+    place = np.arange(len(ordered)) - np.repeat(starts, sizes)
+    return order[place < limit]
+
+
 _NO_KEYS = np.empty(0, dtype=np.int64)
 _NO_FLOATS = np.empty(0)
+#: a slot id's dtype: the cluster numbers at most 1 000 slots
+_SLOT = np.int16
+_NO_SLOTS = np.empty(0, dtype=_SLOT)
 
 
 class ShardEntries(NamedTuple):
@@ -124,13 +176,26 @@ class ShardEntries(NamedTuple):
     The k sample entries plus the key that sets the threshold.  Ties in
     rank are broken by key in a numeric table and by seed, then by
     :func:`~repro.ranks.hashing.tie_order`, in a generic one (whose keys
-    need not be orderable).
+    need not be orderable).  A slotted table's entries carry their
+    ``slots``: each slot's ``k + 1``, slots ascending.
     """
 
     keys: np.ndarray = _NO_KEYS
     ranks: np.ndarray = _NO_FLOATS
     weights: np.ndarray = _NO_FLOATS
     seeds: np.ndarray = _NO_FLOATS
+    slots: "np.ndarray | None" = None
+
+    def of_slot(self, slot: int) -> "ShardEntries":
+        """One slot's entries, as an unslotted table of its keys holds
+        them."""
+        if self.slots is None:  # nothing folded yet
+            return ShardEntries()
+        lo, hi = np.searchsorted(self.slots, [slot, slot + 1])
+        return ShardEntries(
+            self.keys[lo:hi], self.ranks[lo:hi], self.weights[lo:hi],
+            self.seeds[lo:hi],
+        )
 
     def sketch(self, k: int) -> BottomKSketch:
         """The table's bottom-k sketch, as a stream sampler would emit it.
@@ -169,6 +234,10 @@ class ShardState:
       order.  A numeric table turns generic, once, when a chunk of another
       dtype arrives.
 
+    A slotted table also holds ``slots`` and ``delta_slots``, the slot
+    of each base and delta key — in a generic one ``slots`` is a ``dict``
+    from key to slot — (``None`` in an unslotted one).
+
     :meth:`fold` builds the state after some events and writes nothing
     into this one before the last step, so a fold that fails or is
     interrupted leaves the state as it was.  Numeric-form arrays are never
@@ -183,7 +252,7 @@ class ShardState:
 
     __slots__ = (
         "keys", "totals", "delta_keys", "delta_totals", "delta_at", "size",
-        "entries",
+        "entries", "slots", "delta_slots",
     )
 
     def __init__(
@@ -193,6 +262,7 @@ class ShardState:
         entries: ShardEntries = ShardEntries(),
         delta: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None,
         size: "int | None" = None,
+        slots: "tuple[np.ndarray, np.ndarray] | None" = None,
     ) -> None:
         self.keys = keys
         self.totals = totals
@@ -200,28 +270,65 @@ class ShardState:
         self.delta_keys, self.delta_totals, self.delta_at = (
             (_NO_KEYS, _NO_FLOATS, _NO_KEYS) if delta is None else delta
         )
+        self.slots, self.delta_slots = (None, None) if slots is None else slots
         self.size = len(totals) if size is None else size
 
     def __len__(self) -> int:
         """Distinct keys in the table."""
         return self.size if self.keys is not None else len(self.totals)
 
+    def holds(self, slot: int) -> bool:
+        """Does the table hold a key of ``slot``?"""
+        if self.slots is None:
+            return False
+        if self.keys is None:
+            return slot in self.slots.values()
+        return bool(
+            (self.slots == slot).any() or (self.delta_slots == slot).any()
+        )
+
+    def slot_entries(self, slot: int) -> ShardEntries:
+        """One slot's entries, as a table of that slot's keys alone holds
+        them — the empty entries of an empty table when it has none."""
+        entries = self.entries.of_slot(slot)
+        if len(entries.keys) or self.holds(slot):
+            return entries
+        return ShardEntries()
+
+    def without(self, slot: int) -> "ShardState":
+        """A generic slotted table without ``slot``'s keys."""
+        slots = {key: at for key, at in self.slots.items() if at != slot}
+        entries = self.entries
+        mine = entries.slots != slot
+        return ShardState(
+            None, {key: self.totals[key] for key in slots},
+            ShardEntries(*(column[mine] for column in entries)),
+            slots=(slots, None),
+        )
+
     def merged(self) -> "ShardState":
         """The same table with its delta merged into the base (``self``
         when the delta is empty or the table generic)."""
         return _merged([self])[0]
 
-    def chunk(self) -> tuple[np.ndarray, np.ndarray]:
-        """The table as one pre-aggregated ``(keys, totals)`` chunk.
+    def chunk(self, slot: "int | None" = None) -> tuple[np.ndarray, np.ndarray]:
+        """The table (or one ``slot`` of it) as one pre-aggregated
+        ``(keys, totals)`` chunk.
 
         Folding it onto an empty state restores the table exactly
         (``0 + T == T``), which is how a checkpoint carries it.
         """
         if self.keys is not None:
             merged = self.merged()
-            return merged.keys, merged.totals
-        return _object_array(list(self.totals)), np.fromiter(
-            self.totals.values(), dtype=float, count=len(self.totals)
+            if slot is None:
+                return merged.keys, merged.totals
+            mine = merged.slots == slot
+            return merged.keys[mine], merged.totals[mine]
+        keys = list(self.totals) if slot is None else [
+            key for key, at in self.slots.items() if at == slot
+        ]
+        return _object_array(keys), np.fromiter(
+            (self.totals[key] for key in keys), dtype=float, count=len(keys)
         )
 
     def stays_numeric(
@@ -235,7 +342,7 @@ class ShardState:
         """
         if self.keys is None:
             return False
-        dtypes = {chunk_keys.dtype for chunk_keys, _ in chunks}
+        dtypes = {chunk[0].dtype for chunk in chunks}
         if len(self):
             dtypes.add(self.keys.dtype)
         return len(dtypes) == 1 and dtypes.pop().kind in "biuf"
@@ -249,13 +356,15 @@ class ShardState:
 
     def fold(
         self,
-        chunks: "list[tuple[np.ndarray, np.ndarray]]",
+        chunks: "list[tuple]",
         plan: "_KeyPlan | None",
         k: int,
         family: RankFamily,
         hasher: KeyHasher,
-    ) -> "ShardState":
-        """The state after also aggregating ``chunks`` (arrival order).
+        n_slots: int = 0,
+    ) -> "tuple[ShardState, np.ndarray | None]":
+        """The state after also aggregating ``chunks`` (arrival order),
+        and in a slotted table the rows each slot gained.
 
         ``plan`` is the key side of the fold (:meth:`_KeyPlan.build` of
         this state's key arrays and the chunks' keys), ``None`` when the
@@ -266,15 +375,21 @@ class ShardState:
         """
         if plan is not None:
             return plan.fold(
-                self, np.concatenate([weights for _, weights in chunks]),
+                self, np.concatenate([chunk[1] for chunk in chunks]),
                 k, family,
-            )
+            ), plan.slot_rows
         chunks = [chunk for chunk in chunks if len(chunk[0])]
         if not chunks:
-            return self
+            return self, None
+        slotted = chunks[0][2] is not None
+        if slotted and self.keys is not None and len(self):
+            raise SlotConflict("a slotted table keeps its first keys' form")
         old = self.entries
         stored = self._as_dict()
-        running = _continue_generic(stored, chunks)
+        stored_slots = None
+        if slotted:
+            stored_slots = self.slots if self.keys is None else {}
+        running, slots = _continue_generic(stored, chunks, stored_slots)
         untouched = np.fromiter(
             (key not in running for key in old.keys.tolist()),
             dtype=bool, count=len(old.keys),
@@ -285,32 +400,72 @@ class ShardState:
         live = np.flatnonzero(sums > 0.0)
         ranked, weights = as_key_array(list(running))[live], sums[live]
         seeds = hasher.hash_array(ranked)
+        slot_rows = arrived = None
+        if slotted:
+            arrived = np.fromiter(slots.values(), dtype=_SLOT, count=len(slots))
+            fresh = np.fromiter(
+                (key not in stored for key in running), dtype=bool,
+                count=len(running),
+            )
+            slot_rows = np.bincount(
+                arrived[fresh], minlength=n_slots
+            ) - np.bincount(
+                np.concatenate([chunk[2] for chunk in chunks]),
+                minlength=n_slots,
+            )
+            arrived = arrived[live]
         entries = _select(
             old, untouched, ranked.astype(object), weights, seeds, k, family,
-            by_key=False,
+            by_key=False, slots=arrived,
         )
         stored.update(running)
-        return ShardState(None, stored, entries)
+        if not slotted:
+            return ShardState(None, stored, entries), None
+        stored_slots.update(slots)
+        return ShardState(
+            None, stored, entries, slots=(stored_slots, None)
+        ), slot_rows
 
 
-def _continue_generic(stored: dict, chunks) -> dict:
+def _continue_generic(stored: dict, chunks, stored_slots=None):
     """Touched key -> new total, in first-arrival order: each key's sum
-    continued from its ``stored`` total, event by event."""
+    continued from its ``stored`` total, event by event; and, given the
+    ``stored_slots`` of a slotted table, touched key -> slot (``None``
+    otherwise), checked against the slot each key is stored under."""
     running: dict = {}
-    for chunk_keys, chunk_weights in chunks:
-        for key, weight in zip(chunk_keys.tolist(), chunk_weights.tolist()):
+    if stored_slots is None:
+        for chunk_keys, chunk_weights, _ in chunks:
+            for key, weight in zip(
+                chunk_keys.tolist(), chunk_weights.tolist()
+            ):
+                total = running.get(key)
+                if total is None:
+                    total = stored.get(key, 0.0)
+                running[key] = total + weight
+        return running, None
+    slots: dict = {}
+    for chunk_keys, chunk_weights, chunk_slots in chunks:
+        for key, weight, slot in zip(
+            chunk_keys.tolist(), chunk_weights.tolist(), chunk_slots.tolist()
+        ):
             total = running.get(key)
             if total is None:
                 total = stored.get(key, 0.0)
+                slots[key] = stored_slots.get(key, slot)
+            if slots[key] != slot:
+                raise SlotConflict("a key arrived in two slots")
             running[key] = total + weight
-    return running
+    return running, slots
 
 
-def _select(old, untouched, keys, weights, seeds, k, family, by_key):
+def _select(
+    old, untouched, keys, weights, seeds, k, family, by_key, slots=None
+):
     """The new bottom-(k+1): the ``old`` entries not touched plus the
     touched ``keys`` of positive total (with their ``weights`` and
     ``seeds``), ties in rank broken by key (``by_key``) or by seed, then
-    :func:`tie_order`."""
+    :func:`tie_order`; given the touched keys' ``slots``, the new
+    bottom-(k+1) of every slot."""
     # No concatenation with an empty array of another dtype: int64 beside
     # uint64 would promote the keys to float64.
     kept = old.keys[untouched]
@@ -320,6 +475,16 @@ def _select(old, untouched, keys, weights, seeds, k, family, by_key):
     ])
     weights = np.concatenate([old.weights[untouched], weights])
     seeds = np.concatenate([old.seeds[untouched], seeds])
+    if slots is not None:
+        if old.slots is not None:
+            slots = np.concatenate([old.slots[untouched], slots])
+        best = (
+            _smallest_per_slot(ranks, keys, slots, k + 1) if by_key
+            else _smallest_per_slot(ranks, seeds, slots, k + 1, keys)
+        )
+        return ShardEntries(
+            keys[best], ranks[best], weights[best], seeds[best], slots[best]
+        )
     if by_key:
         best = _smallest(ranks, keys, k + 1)
     else:
@@ -393,10 +558,13 @@ def _merged(states: "list[ShardState]") -> "list[ShardState]":
     if lead.keys is None or not len(lead.delta_keys):
         return states
     keys, place = _layout(lead.keys, lead.delta_keys, lead.delta_at)
+    slots = None if lead.slots is None else (
+        _write(lead.slots, lead.delta_slots, place), _NO_SLOTS
+    )
     return [
         ShardState(
             keys, _write(state.totals, state.delta_totals, place),
-            state.entries, size=state.size,
+            state.entries, size=state.size, slots=slots,
         )
         for state in states
     ]
@@ -410,25 +578,32 @@ class _KeyPlan:
     of the new table.  :meth:`fold` is one assignment's share — its sums,
     ranks, entries and total columns — whose transients die with the
     call, so a group's fold peaks at the plan plus one assignment's
-    transients."""
+    transients.
+
+    In a slotted table the touched keys' slots are key side too: the
+    plan checks each key against the slot it was stored under, lays out
+    the new slot columns and counts the rows each slot gains
+    (``slot_rows``)."""
 
     __slots__ = (
         "touched", "inverse", "seeds", "base", "delta", "size", "insert",
         "keys", "delta_keys", "delta_at", "merge",
+        "touched_slots", "slots", "delta_slots", "slot_rows",
     )
 
     @classmethod
-    def build(cls, state, chunks, hasher) -> "_KeyPlan | None":
+    def build(cls, state, chunks, hasher, n_slots=0) -> "_KeyPlan | None":
         """The plan of folding ``chunks`` into ``state`` (and every state
         sharing its key arrays), ``None`` when the fold goes generic."""
         chunks = [chunk for chunk in chunks if len(chunk[0])]
         if chunks and state.stays_numeric(chunks):
-            return cls(state, chunks, hasher)
+            return cls(state, chunks, hasher, n_slots)
         return None
 
-    def __init__(self, state, chunks, hasher) -> None:
+    def __init__(self, state, chunks, hasher, n_slots=0) -> None:
         touched, inverse = np.unique(
-            np.concatenate([keys for keys, _ in chunks]), return_inverse=True
+            np.concatenate([chunk[0] for chunk in chunks]),
+            return_inverse=True,
         )
         if len(touched) <= np.iinfo(np.int32).max:
             inverse = inverse.astype(np.int32)
@@ -436,8 +611,23 @@ class _KeyPlan:
         self.seeds = hasher.hash_array(touched)
         self.delta = self.insert = self.merge = None
         self.delta_keys = self.delta_at = None
+        self.touched_slots = self.slots = self.delta_slots = None
+        self.slot_rows = None
+        if chunks[0][2] is not None:
+            arrived = np.concatenate([chunk[2] for chunk in chunks])
+            self.touched_slots = np.empty(len(touched), dtype=_SLOT)
+            self.touched_slots[inverse] = arrived
+            if (self.touched_slots[inverse] != arrived).any():
+                raise SlotConflict("a key arrived in two slots")
+            # each slot gains its new keys and gives up its folded events
+            self.slot_rows = -np.bincount(arrived, minlength=n_slots)
         if not len(state):  # the touched keys become the table
             self.base, self.keys, self.size = None, touched, len(touched)
+            self.slots = self.touched_slots
+            if self.slot_rows is not None:
+                self.slot_rows += np.bincount(
+                    self.touched_slots, minlength=n_slots
+                )
             return
         self.base = _lookup(state.keys, touched)
         known = self.base[1]
@@ -452,10 +642,31 @@ class _KeyPlan:
             self.delta_keys, self.delta_at = touched, self.base[0]
         self.size = state.size + len(touched) - int(np.count_nonzero(known))
         self.keys = state.keys
+        if self.touched_slots is not None:
+            self._lay_slots(state, known, n_slots)
         if len(self.delta_keys) > _DELTA_SHARE * len(state.keys):
             self.keys, self.merge = _layout(
                 state.keys, self.delta_keys, self.delta_at
             )
+            if self.slots is not None:
+                self.slots = _write(self.slots, self.delta_slots, self.merge)
+
+    def _lay_slots(self, state, known, n_slots) -> None:
+        """The slot side of a fold into a non-empty slotted table."""
+        arrived = self.touched_slots
+        for found, stored in (
+            (self.base, state.slots), (self.delta, state.delta_slots),
+        ):
+            if found is not None and (
+                (stored.take(found[0], mode="clip") != arrived) & found[1]
+            ).any():
+                raise SlotConflict("a key arrived in a slot other than its own")
+        self.delta_slots = (
+            arrived if self.delta is None
+            else _write(state.delta_slots, arrived, self.insert)
+        )
+        self.slots = state.slots
+        self.slot_rows += np.bincount(arrived[~known], minlength=n_slots)
 
     def fold(self, state, weights, k, family) -> ShardState:
         """``state`` after the step, given the folded events' ``weights``
@@ -469,21 +680,27 @@ class _KeyPlan:
                 sums = _stored(state.delta_totals, self.delta, sums)
         np.add.at(sums, self.inverse, weights)
         live = sums > 0.0
+        slots = self.touched_slots
         if live.all():  # no copies
             ranked, positive, seeds = touched, sums, self.seeds
         else:
             live = np.flatnonzero(live)
             ranked, positive = touched[live], sums[live]
             seeds = self.seeds[live]
+            slots = None if slots is None else slots[live]
         old = state.entries
         untouched = ~_member(
             touched, old.keys, np.searchsorted(touched, old.keys)
         )
         entries = _select(
-            old, untouched, ranked, positive, seeds, k, family, by_key=True
+            old, untouched, ranked, positive, seeds, k, family, by_key=True,
+            slots=slots,
         )
         if self.base is None:
-            return ShardState(touched, sums, entries)
+            return ShardState(
+                touched, sums, entries,
+                slots=None if slots is None else (self.slots, _NO_SLOTS),
+            )
         delta_totals = (
             sums if self.insert is None
             else _write(state.delta_totals, sums, self.insert)
@@ -492,10 +709,12 @@ class _KeyPlan:
             return ShardState(
                 self.keys, _write(state.totals, delta_totals, self.merge),
                 entries, size=self.size,
+                slots=None if slots is None else (self.slots, _NO_SLOTS),
             )
         return ShardState(
             self.keys, state.totals, entries,
             (self.delta_keys, delta_totals, self.delta_at), self.size,
+            None if slots is None else (self.slots, self.delta_slots),
         )
 
 
@@ -521,24 +740,37 @@ _DELTA_SHARE = 1 / 8
 
 
 class _Shard:
-    """One assignment's folded state plus the chunks that arrived since."""
+    """One assignment's folded state plus the chunks that arrived since:
+    ``(keys, weights, slots)``, ``slots`` ``None`` in an unslotted
+    summarizer."""
 
     __slots__ = ("state", "pending")
 
     def __init__(self) -> None:
         self.state = ShardState()
-        self.pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self.pending: list[tuple] = []
 
-    def chunks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Table chunk (if any) then pending chunks: the checkpoint form."""
-        table = [self.state.chunk()] if len(self.state) else []
-        return table + self.pending
+    def chunks(self, slot: "int | None" = None) -> list[tuple]:
+        """Table chunk (if any) then pending chunks, of the table or of
+        one ``slot``: the checkpoint form."""
+        if slot is None:
+            table = [self.state.chunk()] if len(self.state) else []
+            return table + [(keys, weights) for keys, weights, _ in self.pending]
+        keys, totals = self.state.chunk(slot) if len(self.state) else (
+            _NO_KEYS, None
+        )
+        table = [(keys, totals)] if len(keys) else []
+        return table + [
+            (keys[mine], weights[mine])
+            for keys, weights, slots in self.pending
+            for mine in [slots == slot] if mine.any()
+        ]
 
     def step(self) -> int:
         """How many leading pending chunks the next fold step takes: as
         many as fit in :data:`_FOLD_ROWS` rows, at least one."""
         rows = count = 0
-        for keys, _ in self.pending:
+        for keys, _, _ in self.pending:
             if count and rows + len(keys) > _FOLD_ROWS:
                 break
             rows += len(keys)
@@ -552,17 +784,20 @@ class _Shard:
         k: int,
         family: RankFamily,
         hasher: KeyHasher,
-    ) -> int:
+        n_slots: int = 0,
+    ) -> "tuple[int, np.ndarray | None]":
         """Fold the leading ``count`` pending chunks, whose key side is
         ``plan``, into the state; returns the change in rows held (table
-        keys + pending events).  A fold that raises leaves state and
-        pending chunks as they were."""
+        keys + pending events), in all and, in a slotted table, per slot.
+        A fold that raises leaves state and pending chunks as they were."""
         chunks = self.pending[:count]
-        rows = sum(len(keys) for keys, _ in chunks)
+        rows = sum(len(chunk[0]) for chunk in chunks)
         distinct = len(self.state)
-        self.state = self.state.fold(chunks, plan, k, family, hasher)
+        self.state, slot_rows = self.state.fold(
+            chunks, plan, k, family, hasher, n_slots
+        )
         del self.pending[:count]
-        return len(self.state) - distinct - rows
+        return len(self.state) - distinct - rows, slot_rows
 
 
 def _table_id(state: ShardState) -> tuple:
@@ -580,7 +815,7 @@ def _steps(shards: "list[_Shard]") -> "list[tuple[int, list[_Shard]]]":
         count = shard.step()
         ident = (
             _table_id(shard.state),
-            *(id(keys) for keys, _ in shard.pending[:count]),
+            *(id(chunk[0]) for chunk in shard.pending[:count]),
         )
         steps.setdefault(ident, (count, []))[1].append(shard)
     return list(steps.values())
@@ -615,6 +850,11 @@ class ShardedSummarizer:
         the shared key hasher coordinating all assignments; two
         summarizers with equal hashers produce coordinated summaries,
         and over key-disjoint streams their bundles merge exactly.
+    slots:
+        ``None`` (one stream), or the number of key-disjoint slots the
+        summarizer keeps in one table (see the module docstring): every
+        event then arrives with its slot, and sketches, bundles,
+        checkpoints and row counts are read per slot.
 
     >>> eng = ShardedSummarizer(k=2, assignments=["h1", "h2"])
     >>> eng.ingest("h1", np.array([1, 2, 3]), np.array([5.0, 1.0, 9.0]))
@@ -629,6 +869,7 @@ class ShardedSummarizer:
         assignments: Sequence[str],
         family: RankFamily | None = None,
         hasher: KeyHasher | None = None,
+        slots: "int | None" = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -640,12 +881,19 @@ class ShardedSummarizer:
             raise ValueError("need at least one assignment")
         self.family = family if family is not None else IppsRanks()
         self.hasher = hasher if hasher is not None else KeyHasher(0)
+        if slots is not None and not 1 <= slots <= np.iinfo(_SLOT).max:
+            raise ValueError(f"slots must be in [1, 32767], got {slots}")
+        self.slots = slots
         self._shards = {name: _Shard() for name in self.assignments}
-        # Rows held over all assignments: table keys + pending events.
+        # Rows held over all assignments: table keys + pending events;
+        # in a slotted summarizer also per slot, and the one key dtype.
         self._rows = 0
-        # Finalized per-assignment sketches, recomputed lazily after
-        # every ingest (folding the pending events is O(new events)).
-        self._sketch_cache: dict[str, BottomKSketch] | None = None
+        self._slot_rows = None if slots is None else np.zeros(slots, np.int64)
+        self._dtype: "np.dtype | None" = None
+        # Finalized per-assignment sketches (per slot read, the key
+        # ``None`` when unslotted), recomputed lazily after every ingest
+        # (folding the pending events is O(new events)).
+        self._sketch_cache: dict | None = None
 
     def _shard_for(self, assignment: str) -> _Shard:
         try:
@@ -687,7 +935,30 @@ class ShardedSummarizer:
         """
         self.ingest_multi(keys, {assignment: weights})
 
-    def ingest_multi(self, keys, weights_by_assignment) -> None:
+    def _slot(self, slot) -> "int | None":
+        """``slot``, checked against this summarizer's slotting."""
+        if (slot is None) != (self.slots is None):
+            raise ValueError(
+                "a slotted summarizer is read and fed per slot"
+                if self.slots is not None else
+                "an unslotted summarizer has no slots"
+            )
+        if slot is not None and not 0 <= slot < self.slots:
+            raise ValueError(f"slot must be in [0, {self.slots}), got {slot}")
+        return slot
+
+    def fits(self, keys: np.ndarray) -> bool:
+        """Can a slotted summarizer take this key array?  Its table keeps
+        the form its first keys gave it — numeric of one dtype, or generic
+        — so every slot's table has the form one summarizer per slot
+        would give it."""
+        if self._dtype is None:
+            return True
+        if keys.dtype.kind in "biuf":
+            return keys.dtype == self._dtype
+        return self._dtype.kind not in "biuf"
+
+    def ingest_multi(self, keys, weights_by_assignment, slots=None) -> None:
         """Feed one key batch carrying weights for several assignments.
 
         Equivalent to calling :meth:`ingest` once per assignment with the
@@ -698,7 +969,19 @@ class ShardedSummarizer:
         lookup and one hash of its keys, and keep sharing one key column.
         That matters when every event updates all assignments (e.g. bytes
         and packet-count weights of one flow record).
+
+        A slotted summarizer takes each event's slot in ``slots`` (one
+        int for the whole batch, or one per key), and keys that
+        :meth:`fits`.
         """
+        self.prepare(keys, weights_by_assignment, slots)()
+
+    def prepare(
+        self, keys, weights_by_assignment, slots=None
+    ) -> Callable[[], None]:
+        """:meth:`ingest_multi` in two steps: every check now, raising
+        ``ValueError`` with nothing changed; the returned call applies
+        the batch, and cannot fail."""
         names = list(weights_by_assignment)
         shards = [self._shard_for(name) for name in names]
         keys = as_key_array(keys)
@@ -706,16 +989,53 @@ class ShardedSummarizer:
             name: self._checked_weights(keys, weights_by_assignment[name])
             for name in names
         }
+        if self.slots is not None:
+            slots = self._checked_slots(keys, slots)
+        elif slots is not None:
+            self._slot(0)  # raises: no slots here
         if len(keys) == 0 or not names:
-            return
-        self._sketch_cache = None
-        self._rows += len(keys) * len(names)
+            return lambda: None
         # Copy: without one, a caller refilling a preallocated batch buffer
         # would retroactively corrupt every pending chunk.  One key copy is
         # shared across assignments.
         keys = keys.copy()
-        for name, shard in zip(names, shards):
-            shard.pending.append((keys, checked[name].copy()))
+        chunks = [(keys, checked[name].copy(), slots) for name in names]
+
+        def apply() -> None:
+            self._sketch_cache = None
+            self._rows += len(keys) * len(names)
+            if slots is not None:
+                if self._dtype is None:
+                    self._dtype = keys.dtype
+                self._slot_rows += np.bincount(
+                    slots, minlength=self.slots
+                ) * len(names)
+            for shard, chunk in zip(shards, chunks):
+                shard.pending.append(chunk)
+
+        return apply
+
+    def _checked_slots(self, keys: np.ndarray, slots) -> np.ndarray:
+        """One slot id per key, checked; the keys checked to fit."""
+        if not self.fits(keys):
+            raise ValueError(
+                f"a slotted summarizer keeps the key form of its first "
+                f"keys ({self._dtype}), got keys of dtype {keys.dtype}"
+            )
+        if slots is None:
+            raise ValueError("a slotted summarizer is fed per slot")
+        if np.ndim(slots) == 0:
+            slots = np.full(len(keys), self._slot(int(slots)), dtype=_SLOT)
+        slots = np.asarray(slots)
+        if slots.shape != keys.shape or slots.dtype.kind not in "iu" or (
+            len(slots) and not (
+                0 <= slots.min() and slots.max() < self.slots
+            )
+        ):
+            raise ValueError(
+                f"slots must be one id in [0, {self.slots}) per key"
+            )
+        return slots.astype(_SLOT)
 
     def ingest_stream(
         self, assignment: str, items: Iterable[tuple[Hashable, float]]
@@ -729,19 +1049,37 @@ class ShardedSummarizer:
         if keys:
             self.ingest(assignment, keys, np.asarray(weights, dtype=float))
 
-    def _current_sketches(self) -> dict[str, BottomKSketch]:
-        """Finalized per-assignment sketches, cached until the next ingest.
+    @property
+    def finalized(self) -> bool:
+        """No event is waiting to be folded (the sketches are current)."""
+        return self._sketch_cache is not None
+
+    def finalize(self) -> None:
+        """Fold every pending event now (what the first read does)."""
+        if self._sketch_cache is None:
+            self._fold()
+            self._sketch_cache = {}
+
+    def _current_sketches(self, slot=None) -> dict[str, BottomKSketch]:
+        """Finalized per-assignment sketches (of one ``slot`` of a slotted
+        summarizer), cached until the next ingest: one fold serves every
+        slot.
 
         These are internal state: callers go through :meth:`sketches`,
         which hands out defensive copies.
         """
-        if self._sketch_cache is None:
-            self._fold()
-            self._sketch_cache = {
-                name: shard.state.entries.sketch(self.k)
+        slot = self._slot(slot)
+        self.finalize()
+        sketches = self._sketch_cache.get(slot)
+        if sketches is None:
+            sketches = self._sketch_cache[slot] = {
+                name: (
+                    shard.state.entries if slot is None
+                    else shard.state.slot_entries(slot)
+                ).sketch(self.k)
                 for name, shard in self._shards.items()
             }
-        return self._sketch_cache
+        return sketches
 
     def _fold(self) -> None:
         """Fold every assignment that has pending chunks (the others are
@@ -766,13 +1104,19 @@ class ShardedSummarizer:
         assignment in turn, each committed (state, pending chunks, rows
         held) before the next one starts."""
         lead = group[0]
-        plan = _KeyPlan.build(lead.state, lead.pending[:count], self.hasher)
+        plan = _KeyPlan.build(
+            lead.state, lead.pending[:count], self.hasher, self.slots or 0
+        )
         for shard in group:
-            self._rows += shard.fold(
-                count, plan, self.k, self.family, self.hasher
+            rows, slot_rows = shard.fold(
+                count, plan, self.k, self.family, self.hasher,
+                self.slots or 0,
             )
+            self._rows += rows
+            if slot_rows is not None:
+                self._slot_rows += slot_rows
 
-    def sketches(self) -> dict[str, BottomKSketch]:
+    def sketches(self, slot: "int | None" = None) -> dict[str, BottomKSketch]:
         """Aggregate and sample: one bottom-k sketch per assignment.
 
         Equals what one sampler per assignment would produce over the
@@ -783,10 +1127,11 @@ class ShardedSummarizer:
         calls read.
         """
         return {
-            name: sk.copy() for name, sk in self._current_sketches().items()
+            name: sk.copy()
+            for name, sk in self._current_sketches(slot).items()
         }
 
-    def summary(self) -> MultiAssignmentSummary:
+    def summary(self, slot: "int | None" = None) -> MultiAssignmentSummary:
         """Assemble the dispersed multi-assignment summary.
 
         :func:`~repro.core.summary.build_summary_from_sketches` of
@@ -794,10 +1139,11 @@ class ShardedSummarizer:
         column, so the samples unite by sorting.
         """
         return build_summary_from_sketches(
-            self._current_sketches(), self.family, method_name="shared_seed"
+            self._current_sketches(slot), self.family,
+            method_name="shared_seed",
         )
 
-    def sketch_bundle(self) -> "SketchBundle":
+    def sketch_bundle(self, slot: "int | None" = None) -> "SketchBundle":
         """The storable artifact of this summarizer's current sketches.
 
         A :class:`~repro.store.codec.SketchBundle` carrying the
@@ -816,7 +1162,7 @@ class ShardedSummarizer:
             )
         return SketchBundle(
             kind="bottomk",
-            sketches=self.sketches(),
+            sketches=self.sketches(slot),
             family=self.family,
             hasher_salt=self.hasher.salt,
             method_name="shared_seed",
@@ -824,7 +1170,9 @@ class ShardedSummarizer:
 
     # -- checkpoint / resume --------------------------------------------------
 
-    def checkpoint_state(self) -> "SummarizerCheckpoint":
+    def checkpoint_state(
+        self, slot: "int | None" = None
+    ) -> "SummarizerCheckpoint":
         """Freeze the summarizer mid-stream.
 
         The snapshot lives in memory, or durably as a store artifact:
@@ -839,10 +1187,13 @@ class ShardedSummarizer:
         ``0 + T == T``, then every later addition is the same).  Chunk
         arrays are shared, not copied: the summarizer only ever appends
         chunks and replaces — never writes into — a table's arrays, so the
-        snapshot stays valid while it lives.
+        snapshot stays valid while it lives.  A slotted summarizer
+        checkpoints one ``slot`` at a time, as a summarizer fed that
+        slot's events alone would.
         """
         from repro.store.codec import SummarizerCheckpoint
 
+        slot = self._slot(slot)
         if type(self.hasher) is not KeyHasher:
             raise ValueError(
                 "checkpointing requires a plain KeyHasher (a custom hasher "
@@ -852,6 +1203,21 @@ class ShardedSummarizer:
         # shared key arrays; the merged tables are kept, so the group
         # survives and the next checkpoint of an unchanged table costs
         # nothing.
+        self._merge_tables()
+        return SummarizerCheckpoint(
+            k=self.k,
+            assignments=list(self.assignments),
+            family=self.family,
+            hasher_salt=self.hasher.salt,
+            chunks={
+                name: shard.chunks(slot)
+                for name, shard in self._shards.items()
+            },
+        )
+
+    def _merge_tables(self) -> "list[list[_Shard]]":
+        """Merge each table's delta into its base, once per group of
+        assignments sharing key arrays; returns the groups."""
         tables: dict = {}
         for shard in self._shards.values():
             tables.setdefault(_table_id(shard.state), []).append(shard)
@@ -859,15 +1225,81 @@ class ShardedSummarizer:
             merged = _merged([shard.state for shard in group])
             for shard, state in zip(group, merged):
                 shard.state = state
-        return SummarizerCheckpoint(
-            k=self.k,
-            assignments=list(self.assignments),
-            family=self.family,
-            hasher_salt=self.hasher.salt,
-            chunks={
-                name: shard.chunks() for name, shard in self._shards.items()
-            },
-        )
+        return list(tables.values())
+
+    def restore_slot(self, slot: int, state: "SummarizerCheckpoint") -> None:
+        """Load one slot's checkpoint into this slotted summarizer, whose
+        ``slot`` must hold nothing: continuing is bit-identical to
+        continuing ``from_checkpoint(state)`` fed that slot's events.
+        Raises ``ValueError`` (changing nothing) when the checkpoint's
+        configuration differs or its keys do not :meth:`fits`."""
+        slot = self._slot(slot)
+        if (
+            state.k != self.k or list(state.assignments) != self.assignments
+            or state.family != self.family
+            or state.hasher_salt != self.hasher.salt
+        ):
+            raise ValueError("the checkpoint's configuration differs")
+        arrays = [
+            keys for name in self.assignments for keys, _ in state.chunks[name]
+        ]
+        if self._slot_rows[slot] or not _one_form(
+            arrays + [np.empty(0, self._dtype)] * (self._dtype is not None)
+        ):
+            raise ValueError("the checkpoint does not fit this summarizer")
+        seen: dict[int, list[np.ndarray]] = {}
+        ids: dict[int, np.ndarray] = {}
+        for name, shard in self._shards.items():
+            for at, (keys, weights) in enumerate(state.chunks[name]):
+                keys = _shared(keys, seen.setdefault(at, []))
+                slots = ids.get(id(keys))
+                if slots is None:
+                    slots = ids[id(keys)] = np.full(len(keys), slot, _SLOT)
+                shard.pending.append((keys, weights, slots))
+                if self._dtype is None:
+                    self._dtype = keys.dtype
+        rows = state.buffered_events
+        self._rows += rows
+        self._slot_rows[slot] += rows
+        self._sketch_cache = None
+
+    def drop_slot(self, slot: int) -> None:
+        """Forget everything one slot holds, as if a fresh summarizer
+        replaced that slot's; the other slots keep theirs bit for bit
+        (their entries are their own)."""
+        slot = self._slot(slot)
+        for group in self._merge_tables():
+            lead = group[0].state
+            if not len(lead):
+                continue
+            if lead.keys is None:  # generic: one table per assignment
+                for shard in group:
+                    shard.state = shard.state.without(slot)
+                continue
+            keep = lead.slots != slot
+            keys, slots = lead.keys[keep], lead.slots[keep]
+            for shard in group:
+                entries = shard.state.entries
+                mine = entries.slots != slot
+                shard.state = ShardState(
+                    keys, shard.state.totals[keep],
+                    ShardEntries(*(column[mine] for column in entries)),
+                    slots=(slots, _NO_SLOTS),
+                )
+        kept: dict[int, tuple] = {}
+        for shard in self._shards.values():
+            pending = []
+            for keys, weights, slots in shard.pending:
+                if id(keys) not in kept:
+                    mine = slots != slot
+                    kept[id(keys)] = (mine, keys[mine], slots[mine])
+                mine, kept_keys, kept_slots = kept[id(keys)]
+                if len(kept_keys):
+                    pending.append((kept_keys, weights[mine], kept_slots))
+            shard.pending = pending
+        self._rows -= int(self._slot_rows[slot])
+        self._slot_rows[slot] = 0
+        self._sketch_cache = None
 
     @classmethod
     def from_checkpoint(
@@ -891,7 +1323,7 @@ class ShardedSummarizer:
         seen: dict[int, list[np.ndarray]] = {}
         for name, shard in restored._shards.items():
             shard.pending = [
-                (_shared(keys, seen.setdefault(at, [])), weights)
+                (_shared(keys, seen.setdefault(at, [])), weights, None)
                 for at, (keys, weights) in enumerate(state.chunks[name])
             ]
         restored._rows = state.buffered_events
@@ -912,6 +1344,11 @@ class ShardedSummarizer:
         """
         return self._rows
 
+    def slot_events(self, slot: int) -> int:
+        """:attr:`buffered_events` of one slot of a slotted summarizer:
+        what a summarizer fed that slot's events alone reports."""
+        return int(self._slot_rows[self._slot(slot)])
+
     def __repr__(self) -> str:
         return (
             f"ShardedSummarizer(k={self.k}, "
@@ -919,3 +1356,142 @@ class ShardedSummarizer:
             f"family={self.family.name!r}, "
             f"buffered_events={self.buffered_events})"
         )
+
+
+def _one_form(arrays: "list[np.ndarray]") -> bool:
+    """Do the key arrays give a table one form: all numeric of one dtype,
+    or none numeric?"""
+    numeric = {keys.dtype for keys in arrays if keys.dtype.kind in "biuf"}
+    return not numeric or (
+        len(numeric) == 1 and all(keys.dtype.kind in "biuf" for keys in arrays)
+    )
+
+
+class SlotSummarizers:
+    """The summarizers of one namespace's key-disjoint slots, read and fed
+    per slot exactly as ``n_slots`` separate summarizers would be.
+
+    They are held as one slotted :class:`ShardedSummarizer` — one fold,
+    one key plan per batch for every slot — while that table can hold
+    them: keys of the form its first keys set (numeric of one dtype, or
+    none numeric), each key in one slot.  The first batch or fold it
+    cannot hold (keys of another form, a key in a second slot) splits it, through each slot's checkpoint, into one summarizer
+    per slot, which is exact by the checkpoint's contract.  One slot is
+    one plain summarizer from the start.  ``make(slots)`` builds an empty
+    summarizer (``slots=None``: unslotted).
+    """
+
+    def __init__(self, make: Callable, n_slots: int) -> None:
+        self._make = make
+        self.n_slots = n_slots
+        self._table = make(n_slots) if n_slots > 1 else None
+        self._split = None if n_slots > 1 else [make(None)]
+
+    @property
+    def shared(self) -> bool:
+        """Are the slots still held as one table?"""
+        return self._table is not None
+
+    def _split_up(self) -> None:
+        table, self._table = self._table, None
+        self._split = [
+            ShardedSummarizer.from_checkpoint(table.checkpoint_state(slot))
+            for slot in range(self.n_slots)
+        ]
+
+    def _folded(self, slot: int) -> "tuple[ShardedSummarizer, int | None]":
+        """The summarizer ``slot`` reads from, and the slot to read there,
+        with ``slot``'s events folded — the whole table's while shared; a
+        fold the table cannot hold splits it first."""
+        if self._table is not None:
+            try:
+                self._table.finalize()
+                return self._table, slot
+            except SlotConflict:
+                self._split_up()
+        held = self._split[slot]
+        held.finalize()
+        return held, None
+
+    def ingest(self, sections: "Sequence[tuple[int, object, dict]]") -> None:
+        """Feed ``(slot, keys, weights_by_assignment)`` sections, each
+        slot at most once: one slotted batch per set of assignment names
+        and key dtype (a concatenation keeps every section's dtype) while
+        the table holds them, one batch per section after.  Every section
+        is checked before any is applied."""
+        if self._table is not None:
+            arrays = [as_key_array(keys) for _, keys, _ in sections]
+            if _one_form(arrays) and self._table.fits(arrays[0]):
+                batches: dict = {}
+                for (slot, _, weights), keys in zip(sections, arrays):
+                    batches.setdefault((tuple(weights), keys.dtype), []).append(
+                        (slot, keys, weights)
+                    )
+                applies = [
+                    self._table.prepare(
+                        np.concatenate([keys for _, keys, _ in parts]),
+                        {name: np.concatenate([
+                            np.asarray(weights[name], dtype=float)
+                            for _, _, weights in parts
+                        ]) for name in names[0]},
+                        np.concatenate([
+                            np.full(len(keys), slot, dtype=_SLOT)
+                            for slot, keys, _ in parts
+                        ]),
+                    )
+                    for names, parts in batches.items()
+                ]
+                for apply in applies:
+                    apply()
+                return
+            self._split_up()
+        applies = [
+            self._split[slot].prepare(keys, weights)
+            for slot, keys, weights in sections
+        ]
+        for apply in applies:
+            apply()
+
+    def finalized(self, slot: int) -> bool:
+        """Is ``slot``'s sketch current (no fold pending for it)?"""
+        held = self._table if self._table is not None else self._split[slot]
+        return held.finalized
+
+    def finalize(self, slot: int) -> None:
+        """Fold what ``slot`` reads: the whole table while shared."""
+        self._folded(slot)
+
+    def sketch_bundle(self, slot: int):
+        held, at = self._folded(slot)
+        return held.sketch_bundle(at)
+
+    def sketches(self, slot: int) -> dict[str, BottomKSketch]:
+        held, at = self._folded(slot)
+        return held.sketches(at)
+
+    def checkpoint_state(self, slot: int):
+        if self._table is not None:
+            return self._table.checkpoint_state(slot)
+        return self._split[slot].checkpoint_state()
+
+    def events(self, slot: int) -> int:
+        """``buffered_events`` of ``slot``'s summarizer."""
+        if self._table is not None:
+            return self._table.slot_events(slot)
+        return self._split[slot].buffered_events
+
+    def drop(self, slot: int) -> None:
+        """Replace ``slot``'s summarizer by an empty one."""
+        if self._table is not None:
+            self._table.drop_slot(slot)
+        else:
+            self._split[slot] = self._make(None)
+
+    def restore(self, slot: int, state) -> None:
+        """Load ``slot``'s checkpoint into its (empty) summarizer."""
+        if self._table is not None:
+            try:
+                return self._table.restore_slot(slot, state)
+            except ValueError:
+                self._split_up()
+        self._split[slot] = ShardedSummarizer.from_checkpoint(state)

@@ -249,9 +249,10 @@ class IndependentDifferencesRanks(RankMethod):
         sorted_w = np.take_along_axis(weights, order, axis=1)
         diffs = np.diff(sorted_w, axis=1, prepend=0.0)
         # d_j = E_j / diff_j with E_j ~ Exp(1); diff == 0 gives +inf, which
-        # keeps equal weights at equal ranks and zero weights at rank +inf.
+        # keeps equal weights at equal ranks and zero weights at rank +inf;
+        # a denormal diff overflows to +inf, a rank that is never sampled.
         std_exp = rng.standard_exponential((n, m))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             increments = std_exp / diffs
         increments[diffs == 0.0] = _INF
         sorted_ranks = np.minimum.accumulate(increments, axis=1)

@@ -160,7 +160,9 @@ class ExponentialRanks(RankFamily):
     def ranks_array(self, weights: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
         seeds = np.asarray(seeds, dtype=float)
-        with np.errstate(divide="ignore"):
+        # a denormal weight overflows the quotient to +inf: the rank of a
+        # key that is never sampled, which is the intended answer
+        with np.errstate(divide="ignore", over="ignore"):
             vals = -np.log1p(-seeds) / weights
         return np.where(weights > 0.0, vals, _INF)
 
@@ -213,7 +215,9 @@ class IppsRanks(RankFamily):
     def ranks_array(self, weights: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
         seeds = np.asarray(seeds, dtype=float)
-        with np.errstate(divide="ignore"):
+        # a denormal weight overflows the quotient to +inf: the rank of a
+        # key that is never sampled, which is the intended answer
+        with np.errstate(divide="ignore", over="ignore"):
             vals = seeds / weights
         return np.where(weights > 0.0, vals, _INF)
 

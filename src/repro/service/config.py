@@ -55,8 +55,9 @@ class NamespaceConfig:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
-    def make_summarizer(self):
-        """A fresh live-window summarizer with this namespace's coordination."""
+    def make_summarizer(self, slots: "int | None" = None):
+        """A fresh live-window summarizer with this namespace's
+        coordination (keeping ``slots`` key-disjoint slots, if given)."""
         from repro.engine.sharded import ShardedSummarizer
         from repro.ranks.families import get_rank_family
         from repro.ranks.hashing import KeyHasher
@@ -66,6 +67,7 @@ class NamespaceConfig:
             assignments=list(self.assignments),
             family=get_rank_family(self.family),
             hasher=KeyHasher(self.salt),
+            slots=slots,
         )
 
     def to_json(self) -> dict:

@@ -226,12 +226,12 @@ class SummaryService(HttpServerBase):
         with self.tracer.span(
             "ingest-apply", parent=parent, sections=len(sections),
         ) as span:
-            for namespace, keys, weights in sections:
-                result = self.manager.ingest(namespace, keys, weights)
-            events = sum(len(keys) for _, keys, _ in sections)
-            span.annotate(events=events)
-            # one section: the window's bucket and version ride along
-            return {**result, "events": events}
+            # one apply: the slots of a routed frame land in their
+            # shared table at once; one section's bucket and version
+            # ride along
+            result = self.manager.ingest_sections(sections)
+            span.annotate(events=result["events"])
+            return result
 
     async def _ticker(self) -> None:
         """Rotate on bucket boundaries; write the result cache behind;
@@ -528,11 +528,11 @@ class SummaryService(HttpServerBase):
 
     # -- sketch-bundle transport (cluster) ------------------------------------
 
-    def _merged_bundle_blob(self, namespace, since, until):
-        """Codec-encode the planner's :meth:`~QueryPlanner.view` — the
-        snapshot a query plans from, stored side out of the same memo.
+    def _merged_bundle(self, namespace, since, until):
+        """The planner's :meth:`~QueryPlanner.view` — the snapshot a query
+        plans from, stored side out of the same memo — merged.
 
-        Returns ``(blob | None, version, sources)``: ``None`` when the
+        Returns ``(bundle | None, version, sources)``: ``None`` when the
         selection holds no data; stored entries plus the live window.
         """
         stored, live, version, sources = self.planner.view(
@@ -546,9 +546,17 @@ class SummaryService(HttpServerBase):
         if len(bundles) > 1:
             with self.tracer.span("merge", namespace=namespace, sources=count):
                 merged = bundles[0].merge(*bundles[1:])
-        with self.tracer.span("encode", namespace=namespace):
-            blob = encode(merged)
-        return blob, version, count
+        return merged, version, count
+
+    def _merged_bundle_blob(self, namespace, since, until):
+        """:meth:`_merged_bundle` with the bundle codec-encoded."""
+        bundle, version, sources = self._merged_bundle(
+            namespace, since, until
+        )
+        if bundle is not None:
+            with self.tracer.span("encode", namespace=namespace):
+                bundle = encode(bundle)
+        return bundle, version, sources
 
     def _lease_s(self) -> float:
         """Seconds from now, on ``clock``, for which no version token of
@@ -569,11 +577,16 @@ class SummaryService(HttpServerBase):
         worker's lease.
 
         A namespace whose current version equals the caller's token is
-        an ``unchanged`` section — no view, no merge, no encode; the
-        data behind a token never changes, so the caller's copy is
-        still exactly this worker's view.  The lease is taken before any
-        token is read, so no batch applied after it hides behind it.
+        an ``unchanged`` section — no view, no merge; the data behind a
+        token never changes, so the caller's copy is still exactly this
+        worker's view.  The slot namespaces of one window group fold
+        once for all of them, and the frame is encoded once.  Windows whose bucket has
+        closed rotate first, as an ingest would rotate them, so the lease
+        runs to the next boundary instead of none until the ticker's
+        rotation.  The lease is taken before any token is read, so no
+        batch applied after it hides behind it.
         """
+        self.manager.rotate()
         lease_s = self._lease_s()
         sections = []
         for namespace, token in held.items():
@@ -582,12 +595,13 @@ class SummaryService(HttpServerBase):
             if version == token:
                 sections.append((namespace, "unchanged", version, None))
                 continue
-            blob, version, _sources = self._merged_bundle_blob(
+            bundle, version, _sources = self._merged_bundle(
                 namespace, since, until
             )
-            state = "empty" if blob is None else "bundle"
-            sections.append((namespace, state, version, blob))
-        return encode_bundle_batch(sections, lease_s)
+            state = "empty" if bundle is None else "bundle"
+            sections.append((namespace, state, version, bundle))
+        with self.tracer.span("encode", sections=len(sections)):
+            return encode_bundle_batch(sections, lease_s)
 
     def _require_namespace(self, params) -> str:
         namespace = params.get("namespace")
@@ -658,8 +672,8 @@ class SummaryService(HttpServerBase):
                 "X-Repro-Part": part,
             })
         blob, version, sources = await loop.run_in_executor(
-            None, bind_parent, current_span(),
-            self._merged_bundle_blob, namespace, since, until,
+            None, bind_parent, current_span(), self._merged_bundle_blob,
+            namespace, since, until,
         )
         if blob is None:
             return 200, {

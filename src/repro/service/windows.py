@@ -44,7 +44,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.engine.sharded import SlotSummarizers
 from repro.obs import MetricsRegistry, default_tracer
+from repro.service.cluster.topology import parse_slot_namespace
 from repro.service.config import NamespaceConfig, unknown_namespace
 from repro.store.store import (
     BUNDLE_KINDS,
@@ -70,23 +72,62 @@ CHECKPOINT_PART = LIVE_CHECKPOINT_PART
 LIVE_PART = "live"
 
 
+class _Group:
+    """The live windows that share one bucket and one
+    :class:`~repro.engine.sharded.SlotSummarizers`: the slot namespaces
+    of one logical namespace that share its configuration
+    (``web--s000``, ``web--s001``, … — :func:`parse_slot_namespace`), in
+    slot order, or one namespace alone.  A group rotates, flushes and
+    checkpoints as one: its slots never sit in different buckets."""
+
+    __slots__ = ("names", "config", "bucket", "summarizers")
+
+    def __init__(self, names: list[str], config: NamespaceConfig) -> None:
+        self.names, self.config = names, config
+
+    def open(self, bucket: str) -> None:
+        """A fresh (empty) live window over ``bucket`` for every member."""
+        self.bucket = bucket
+        self.summarizers = SlotSummarizers(
+            self.config.make_summarizer, len(self.names)
+        )
+
+
 @dataclass
 class LiveWindow:
-    """One namespace's in-memory summarizer plus its current bucket.
+    """One namespace's live window: its ``slot`` of its group's
+    summarizers, over the group's current bucket.
 
-    ``events`` is the summarizer's ``buffered_events``: the rows it holds
+    ``events`` is the namespace's ``buffered_events``: the rows it holds
     — aggregated keys plus not-yet-folded events, summed over assignments
     — so it counts raw events until the window's first query or flush and
     distinct keys after one, identically before and after a checkpoint →
     resume.  Zero means rotation has nothing to publish.
     """
 
-    summarizer: object
-    bucket: str
+    group: _Group
+    slot: int
+
+    @property
+    def bucket(self) -> str:
+        return self.group.bucket
 
     @property
     def events(self) -> int:
-        return self.summarizer.buffered_events
+        return self.group.summarizers.events(self.slot)
+
+
+def _groups(configs: dict) -> list[list[str]]:
+    """The namespaces of ``configs`` by window group, each in slot order."""
+    groups: dict = {}
+    for name, config in configs.items():
+        parsed = parse_slot_namespace(name)
+        ident = name if parsed is None else (
+            parsed[0], config.k, tuple(config.assignments), config.salt,
+            config.family,
+        )
+        groups.setdefault(ident, []).append((parsed, name))
+    return [[name for _, name in sorted(group)] for group in groups.values()]
 
 
 class LiveWindowManager:
@@ -109,6 +150,12 @@ class LiveWindowManager:
         the :class:`~repro.obs.MetricsRegistry` the manager (and a
         planner over it) counts in; a manager built without one makes
         its own.
+
+    The slot namespaces of one logical namespace (a cluster worker's) are
+    one window group: their windows share one slotted table, so a batch
+    routed to several of them is one apply and a read of any of them
+    folds all of them once; each keeps its own version token, stored
+    artifacts, checkpoint artifact and reset.
 
     Construction *resumes*: any ``live-window`` checkpoint artifact left
     by a previous shutdown or flush is restored into the live window.
@@ -144,8 +191,7 @@ class LiveWindowManager:
         )
         self._live_finalize_seconds = self.metrics.histogram(
             "repro_live_finalize_seconds",
-            "Latency of building a live window's sketch bundle (folding "
-            "its new events).",
+            "Latency of folding a live window group's new events.",
         )
         self._rotations = self.metrics.counter(
             "repro_window_rotations_total",
@@ -170,38 +216,18 @@ class LiveWindowManager:
         # answers stay valid.
         self._live_seqs: dict[str, tuple[int, int]] = {}
         self._windows: dict[str, LiveWindow] = {}
+        self._groups: list[_Group] = []
         now_bucket = bucket_for(self.clock(), self.granularity)
-        for name, config in self.configs.items():
-            window_seq, ingest_seq, checkpoint_seq = (
-                self.store.runtime.live_seqs(name)
+        for names in _groups(self.configs):
+            group = _Group(names, self.configs[names[0]])
+            self._groups.append(group)
+            self._windows.update(
+                (name, LiveWindow(group, slot))
+                for slot, name in enumerate(names)
             )
-            window = self._resume(config)
-            if window is None:
-                self._rescue_orphan_flush(name, now_bucket)
-                window = self._fresh_window(config, now_bucket)
-                stale = window_seq != ingest_seq
-            else:
-                # A resumed checkpoint frozen at the stream head (a clean
-                # shutdown) reproduces the pre-shutdown state exactly, so
-                # the old token — and every answer cached under it —
-                # remains valid.  A checkpoint older than the stream head
-                # (a crash lost in-memory events) must not.
-                stale = checkpoint_seq != ingest_seq
-            if stale and window_seq != ingest_seq:
-                self.store.runtime.set_window_seq(name, ingest_seq)
-                window_seq = ingest_seq
-            self._windows[name] = window
-            self._live_seqs[name] = (window_seq, ingest_seq)
+            self._resume(group, now_bucket)
 
     # -- construction helpers -------------------------------------------------
-
-    def _fresh_window(
-        self, config: NamespaceConfig, bucket: str
-    ) -> LiveWindow:
-        return LiveWindow(
-            summarizer=config.make_summarizer(),
-            bucket=bucket,
-        )
 
     def _rescue_orphan_flush(self, name: str, bucket: str) -> None:
         """Re-home a flush artifact a crashed window left in ``bucket``.
@@ -229,11 +255,12 @@ class LiveWindowManager:
             self.store.write(name, bucket, bundle, part=part)
             self.store.remove(name, bucket, LIVE_PART)
 
-    def _resume(self, config: NamespaceConfig) -> LiveWindow | None:
-        """Restore a previous shutdown's or flush's checkpoint, if any.
+    def _checkpoint_of(self, config: NamespaceConfig):
+        """``(bucket, checkpoint)`` of a previous shutdown's or flush's
+        checkpoint of one namespace, or ``None``.
 
-        The checkpoint artifact stays in the store: it is only retired when
-        a boundary rotation publishes the window's bundle (which
+        The checkpoint artifact stays in the store: it is only retired
+        when a boundary rotation publishes the window's bundle (which
         supersedes it), so a crash right after a restart cannot lose
         events that were already durable.  Because a mid-bucket flush
         commits the checkpoint together with its bundle (see
@@ -241,7 +268,6 @@ class LiveWindowManager:
         bucket's flush artifact — masking and later overwriting that
         artifact with the resumed window's state is always exact.
         """
-        from repro.engine.sharded import ShardedSummarizer
         from repro.ranks.families import get_rank_family
 
         entries = [
@@ -268,13 +294,62 @@ class LiveWindowManager:
                 f"salt={state.hasher_salt}, family={state.family.name}); "
                 "coordination parameters must not change across restarts"
             )
-        summarizer = ShardedSummarizer.from_checkpoint(state)
         with self.store.transaction():
             for entry in entries[:-1]:  # retire stale extras, keep the newest
                 self.store.remove(
                     entry.namespace, entry.bucket, entry.part, missing_ok=True
                 )
-        return LiveWindow(summarizer=summarizer, bucket=entries[-1].bucket)
+        return entries[-1].bucket, state
+
+    def _resume(self, group: _Group, now_bucket: str) -> None:
+        """Open ``group``'s windows, restoring its members' checkpoints.
+
+        The group opens over its members' checkpoint bucket (``now_bucket``
+        when none has one).  A checkpoint in an older bucket — a store
+        written before its slots were grouped — is published at once, as
+        the boundary rotation it missed would have.
+        """
+        resumed = {
+            name: self._checkpoint_of(self.configs[name])
+            for name in group.names
+        }
+        buckets = [found[0] for found in resumed.values() if found]
+        group.open(max(buckets, default=now_bucket))
+        for slot, name in enumerate(group.names):
+            window_seq, ingest_seq, checkpoint_seq = (
+                self.store.runtime.live_seqs(name)
+            )
+            found = resumed[name]
+            if found is not None and found[0] != group.bucket:
+                self._publish_closed(name, *found)
+                found = None
+            if found is None:
+                self._rescue_orphan_flush(name, group.bucket)
+                stale = window_seq != ingest_seq
+            else:
+                group.summarizers.restore(slot, found[1])
+                # A resumed checkpoint frozen at the stream head (a clean
+                # shutdown) reproduces the pre-shutdown state exactly, so
+                # the old token — and every answer cached under it —
+                # remains valid.  A checkpoint older than the stream head
+                # (a crash lost in-memory events) must not.
+                stale = checkpoint_seq != ingest_seq
+            if stale and window_seq != ingest_seq:
+                self.store.runtime.set_window_seq(name, ingest_seq)
+                window_seq = ingest_seq
+            self._live_seqs[name] = (window_seq, ingest_seq)
+
+    def _publish_closed(self, name: str, bucket: str, state) -> None:
+        """Publish a checkpoint's bundle into its closed ``bucket`` and
+        retire the checkpoint: one transaction."""
+        from repro.engine.sharded import ShardedSummarizer
+
+        bundle = ShardedSummarizer.from_checkpoint(state).sketch_bundle()
+        with self.store.transaction():
+            self.store.write(
+                name, bucket, bundle, part=LIVE_PART, overwrite=True
+            )
+            self.store.remove(name, bucket, CHECKPOINT_PART, missing_ok=True)
 
     # -- introspection --------------------------------------------------------
 
@@ -321,7 +396,7 @@ class LiveWindowManager:
         which a boundary rotation can move a token: the end of the
         oldest live window's bucket."""
         with self._lock:
-            buckets = {window.bucket for window in self._windows.values()}
+            buckets = {group.bucket for group in self._groups}
         return min(bucket_bounds(bucket)[1] for bucket in buckets).timestamp()
 
     def live_info(self, namespace: str) -> dict:
@@ -353,20 +428,26 @@ class LiveWindowManager:
         ``None`` when the window is empty) is guaranteed to belong to the
         returned bucket — the invariant the query planner's temporal
         snapshot needs when it decides which windows the live data falls
-        into.  Building the bundle is where the window's pending events
-        are folded, so it runs under a ``live-finalize`` span and the
-        ``repro_live_finalize_seconds`` histogram; an empty window builds
-        nothing and records nothing.
+        into.  The first read after an ingest folds the new events of the
+        window's whole group, under a ``live-finalize`` span and the
+        ``repro_live_finalize_seconds`` histogram; every other read of
+        the group (and an empty window) folds and records nothing.
         """
         with self._lock:
             window = self._window(namespace)
             if not window.events:
                 return window.bucket, 0, None
-            started = time.perf_counter()
-            with self._tracer.span("live-finalize", namespace=namespace):
-                bundle = window.summarizer.sketch_bundle()
-            self._live_finalize_seconds.observe(time.perf_counter() - started)
-            return window.bucket, window.events, bundle
+            held = window.group.summarizers
+            if not held.finalized(window.slot):
+                started = time.perf_counter()
+                with self._tracer.span("live-finalize", namespace=namespace):
+                    held.finalize(window.slot)
+                self._live_finalize_seconds.observe(
+                    time.perf_counter() - started
+                )
+            return window.bucket, window.events, held.sketch_bundle(
+                window.slot
+            )
 
     # -- mutation -------------------------------------------------------------
 
@@ -377,30 +458,49 @@ class LiveWindowManager:
         weights_by_assignment,
         when: float | None = None,
     ) -> dict:
-        """Feed one event batch into a namespace's live window.
+        """Feed one event batch into a namespace's live window (one
+        section of :meth:`ingest_sections`)."""
+        return self.ingest_sections(
+            [(namespace, keys, weights_by_assignment)], when
+        )
+
+    def ingest_sections(self, sections, when: float | None = None) -> dict:
+        """Apply one batch of ``(namespace, keys, weights_by_assignment)``
+        sections, each namespace at most once, as one apply: one lock,
+        one rotation check, one ingest per window group (so the slots a
+        routed frame carries land in their shared table at once) and one
+        runtime transaction moving every section's ingest position.
 
         Rotates first when the clock has crossed a bucket boundary, so the
         batch always lands in the bucket of its arrival time.  Unknown
         assignment names and malformed weights raise ``ValueError`` before
-        any state changes (the summarizer validates up front).
+        any state changes.  Returns the batch's event count and the last
+        section's bucket and version.
         """
         started = time.perf_counter()
         with self._lock:
-            window = self._window(namespace)
+            for namespace, _, _ in sections:
+                self._window(namespace)  # validates the name
             self.rotate(when=when)
-            window = self._windows[namespace]  # rotation may have replaced it
-            window.summarizer.ingest_multi(keys, weights_by_assignment)
-            count = len(keys)
-            self._ingest_events.inc(count, namespace=namespace)
-            self._ingest_seconds.observe(
-                time.perf_counter() - started, namespace=namespace
-            )
-            ingest_seq = self.store.runtime.record_ingest(namespace)
-            window_seq, _ = self._live_seqs[namespace]
-            self._live_seqs[namespace] = (window_seq, ingest_seq)
+            parts: dict[int, list] = {}
+            for namespace, keys, weights in sections:
+                window = self._windows[namespace]
+                parts.setdefault(id(window.group), [window.group]).append(
+                    (window.slot, keys, weights)
+                )
+            for group, *group_parts in parts.values():
+                group.summarizers.ingest(group_parts)
+            elapsed = time.perf_counter() - started
+            with self.store.transaction():
+                for namespace, keys, _ in sections:
+                    self._ingest_events.inc(len(keys), namespace=namespace)
+                    self._ingest_seconds.observe(elapsed, namespace=namespace)
+                    ingest_seq = self.store.runtime.record_ingest(namespace)
+                    window_seq, _ = self._live_seqs[namespace]
+                    self._live_seqs[namespace] = (window_seq, ingest_seq)
             return {
-                "events": count,
-                "bucket": window.bucket,
+                "events": sum(len(keys) for _, keys, _ in sections),
+                "bucket": self._windows[namespace].bucket,
                 "version": self.version(namespace),
             }
 
@@ -411,16 +511,16 @@ class LiveWindowManager:
 
         A window's bundle is always published under the same
         :data:`LIVE_PART` name with ``overwrite=True``.  Two cases, each
-        ONE store transaction per namespace:
+        ONE store transaction per window group:
 
         * **boundary rotation** — the clock (or ``when``) has moved to a
-          different bucket: the window's final bundle replaces any earlier
-          flush of its bucket, its checkpoint (superseded by that bundle)
-          is retired, the window position moves, and once that commits a
-          fresh window opens;
-        * **flush** (``force`` inside the current bucket) — the window's
+          different bucket: each window's final bundle replaces any
+          earlier flush of its bucket, its checkpoint (superseded by that
+          bundle) is retired, the window positions move, and once that
+          commits fresh windows open;
+        * **flush** (``force`` inside the current bucket) — each window's
           checkpoint, its bundle and the checkpoint's ingest position
-          commit together for crash durability, and the window keeps
+          commit together for crash durability, and the windows keep
           accumulating; because the next publish *overwrites* the same
           parts, keys repeating later in the bucket can never produce two
           store artifacts with overlapping keys.  While the window is
@@ -439,46 +539,56 @@ class LiveWindowManager:
             now = self.clock() if when is None else when
             now_bucket = bucket_for(now, self.granularity)
             written: list[StoreEntry] = []
-            for name, window in list(self._windows.items()):
-                closing = window.bucket != now_bucket
-                if not closing and not (force and window.events):
+            for group in self._groups:
+                closing = group.bucket != now_bucket
+                held = group.summarizers
+                full = [
+                    (slot, name) for slot, name in enumerate(group.names)
+                    if held.events(slot)
+                ]
+                if not closing and not (force and full):
                     continue
-                window_seq, ingest_seq = self._live_seqs[name]
-                state = bundle = None
-                if window.events:
-                    if not closing:
-                        state = window.summarizer.checkpoint_state()
-                    bundle = window.summarizer.sketch_bundle()
+                # every checkpoint before the first bundle folds them
+                states = [
+                    None if closing else held.checkpoint_state(slot)
+                    for slot, _ in full
+                ]
+                bundles = [held.sketch_bundle(slot) for slot, _ in full]
                 with self.store.transaction():
-                    if state is not None:
-                        self._write_checkpoint(name, window, state)
-                    if bundle is not None:
+                    for (_, name), state, bundle in zip(full, states, bundles):
+                        if state is not None:
+                            self._write_checkpoint(name, group.bucket, state)
                         written.append(self.store.write(
-                            name, window.bucket, bundle,
+                            name, group.bucket, bundle,
                             part=LIVE_PART, overwrite=True,
                         ))
                         if closing:  # the bundle supersedes the checkpoint
                             self.store.remove(
-                                name, window.bucket, CHECKPOINT_PART,
+                                name, group.bucket, CHECKPOINT_PART,
                                 missing_ok=True,
                             )
-                    if closing and window_seq != ingest_seq:
-                        self.store.runtime.set_window_seq(name, ingest_seq)
+                    if closing:
+                        for name in group.names:
+                            window_seq, ingest_seq = self._live_seqs[name]
+                            if window_seq != ingest_seq:
+                                self.store.runtime.set_window_seq(
+                                    name, ingest_seq
+                                )
                 if closing:
-                    self._windows[name] = self._fresh_window(
-                        self.configs[name], now_bucket
-                    )
-                    self._live_seqs[name] = (ingest_seq, ingest_seq)
+                    group.open(now_bucket)
+                    for name in group.names:
+                        ingest_seq = self._live_seqs[name][1]
+                        self._live_seqs[name] = (ingest_seq, ingest_seq)
             if written:
                 self._rotations.inc(len(written))
                 self._rotation_seconds.observe(time.perf_counter() - started)
             return written
 
-    def _write_checkpoint(self, name: str, window: LiveWindow, state):
+    def _write_checkpoint(self, name: str, bucket: str, state):
         """Write ``name``'s checkpoint and record the ingest position it
         froze (inside the caller's transaction)."""
         entry = self.store.write(
-            name, window.bucket, state, part=CHECKPOINT_PART, overwrite=True
+            name, bucket, state, part=CHECKPOINT_PART, overwrite=True
         )
         self.store.runtime.set_checkpoint_seq(name, self._live_seqs[name][1])
         return entry
@@ -493,10 +603,13 @@ class LiveWindowManager:
         key-for-key by the incoming copy, and either way the exact merge
         would reject or miscount them.  The ingest sequence advances, so
         the namespace's version token moves and no answer cached against
-        the pre-purge state can replay.
+        the pre-purge state can replay.  The window's group rotates
+        first when its bucket has closed, so the emptied window opens
+        over the current bucket, as its siblings' do.
         """
         with self._lock:
-            self._window(namespace)  # validates the name
+            window = self._window(namespace)
+            self.rotate()
             with self.store.transaction():
                 entries = self.store.entries(namespace)
                 for entry in entries:
@@ -505,10 +618,7 @@ class LiveWindowManager:
                     )
                 ingest_seq = self.store.runtime.record_ingest(namespace)
                 self.store.runtime.set_window_seq(namespace, ingest_seq)
-            bucket = bucket_for(self.clock(), self.granularity)
-            self._windows[namespace] = self._fresh_window(
-                self.configs[namespace], bucket
-            )
+            window.group.summarizers.drop(window.slot)
             self._live_seqs[namespace] = (ingest_seq, ingest_seq)
             return {"namespace": namespace, "removed": len(entries)}
 
@@ -563,7 +673,8 @@ class LiveWindowManager:
         with self._lock, self.store.transaction():
             written = [
                 self._write_checkpoint(
-                    name, window, window.summarizer.checkpoint_state()
+                    name, window.bucket,
+                    window.group.summarizers.checkpoint_state(window.slot),
                 )
                 for name, window in self._windows.items()
                 if window.events

@@ -862,6 +862,16 @@ _SECTIONS = _Rule(
         and row[1] in BUNDLE_STATES for row in v
     ) and len({row[0] for row in v}) == len(v),
 )
+_BUNDLE_META = ("kind", "family", "salt", "method", "names")
+_BUNDLES = _Rule(
+    f"null, or the bundles' {{{', '.join(_BUNDLE_META)}}}",
+    lambda v: v is None or (
+        type(v) is dict and sorted(v) == sorted(_BUNDLE_META)
+        and v["kind"] in ("bottomk", "poisson") and _FAMILY.check(v["family"])
+        and _SALT.check(v["salt"]) and _STR.check(v["method"])
+        and _names(1).check(v["names"])
+    ),
+)
 
 
 # How a buffer's value is stored: (what that is in words, the one dtype it
@@ -1018,17 +1028,174 @@ def _event_batch(meta: dict, values: dict) -> EventBatch:
     return EventBatch(tuple(values.values()), meta["sync"])
 
 
+def _flat_buffers(meta: dict) -> Iterable[tuple[str, _Buf]]:
+    """A ``bundle_batch``'s buffers: with bundles, one entry per part
+    (``lens``, bottom-k ``k``, ``scalars``, ``seeded``) and the parts'
+    columns concatenated (``seeds`` of the seeded parts only)."""
+    bundles = meta["bundles"]
+    if bundles is not None:
+        bottomk = bundles["kind"] == "bottomk"
+        yield "lens", _buf(_INTS, "p")
+        if bottomk:
+            yield "k", _buf(_INTS, "p")
+        yield "scalars", _buf(_F8, "p 2" if bottomk else "p 1")
+        yield "seeded", _buf(_B1, "p")
+        yield "keys", _buf(_COLUMN, "n")
+        yield "ranks", _buf(_F8, "n")
+        yield "weights", _buf(_F8, "n")
+        yield "seeds", _buf(_F8, "s")
+    yield "lease_s", _LEASE
+
+
+def _flat_keys(keys: np.ndarray) -> np.ndarray:
+    """A sketch's key column as its own blob would read back: integers
+    that fit int64 as int64, anything else as Python objects."""
+    if keys.dtype.kind == "i" or (
+        keys.dtype.kind == "u" and not (len(keys) and keys.max() > _INT64_MAX)
+    ):
+        return keys.astype(np.int64, copy=False)
+    return _object_array(keys.tolist())
+
+
+def _part_keys(keys: np.ndarray) -> np.ndarray:
+    """A copy of one part's slice of a decoded key column, as the part's
+    own blob would read back: int64 when every key was ``b"i"``-tagged."""
+    if keys.dtype != np.int64 and all(
+        type(key) is int and _INT64_MIN <= key <= _INT64_MAX for key in keys
+    ):
+        return keys.astype(np.int64)
+    return keys.copy()
+
+
+def _bundle_batch_parts(frame) -> tuple[dict, dict]:
+    """A ``bundle_batch`` frame's header and buffers: one header, and per
+    assignment the bundle sections' sketch columns concatenated."""
+    rows, lease = frame
+    bundles = [row[3] for row in rows if row[3] is not None]
+    meta = {"sections": [list(row[:3]) for row in rows], "bundles": None}
+    values = {"lease_s": None if lease is None else [lease]}
+    if not bundles:
+        return meta, values
+    lead = bundles[0]
+    for bundle in bundles[1:]:
+        if not (
+            lead.compatible_with(bundle)
+            and bundle.assignments == lead.assignments
+        ):
+            raise CodecError(
+                "a bundle batch carries bundles of one kind, family, salt, "
+                "method and assignment list"
+            )
+    meta["bundles"] = {
+        "kind": lead.kind, "family": _family_name(lead.family),
+        "salt": lead.hasher_salt, "method": lead.method_name,
+        "names": lead.assignments,
+    }
+    parts = [
+        bundle.sketches[name]
+        for name in lead.assignments for bundle in bundles
+    ]
+    keys = [_flat_keys(part.keys) for part in parts]
+    if all(column.dtype == np.int64 for column in keys):
+        values["keys"] = np.concatenate(keys)
+    else:
+        values["keys"] = _object_array(
+            [key for column in keys for key in column.tolist()]
+        )
+    bottomk = lead.kind == "bottomk"
+    values.update(
+        lens=np.array([len(part.keys) for part in parts], dtype=np.int64),
+        scalars=[
+            (part.kth_rank, part.threshold) if bottomk else (part.tau,)
+            for part in parts
+        ],
+        seeded=[part.seeds is not None for part in parts],
+        ranks=np.concatenate([part.ranks for part in parts]),
+        weights=np.concatenate([part.weights for part in parts]),
+        seeds=np.concatenate(
+            [_NO_F8] + [part.seeds for part in parts if part.seeds is not None]
+        ),
+    )
+    if bottomk:
+        values["k"] = np.array([part.k for part in parts], dtype=np.int64)
+    return meta, values
+
+
+_NO_F8 = np.empty(0)
+
+
 def _bundle_batch(meta: dict, values: dict) -> BundleBatch:
     lease = float(values.get("lease_s", [0.0])[0])
     if not 0.0 <= lease < math.inf:
         raise _lie("bundle_batch", f"buffer 'lease_s' holds {lease!r}, "
                    "not a finite, non-negative <f8")
+    rows = meta["sections"]
+    sent = [index for index, row in enumerate(rows) if row[1] == "bundle"]
+    bundles = dict(zip(sent, _flat_bundles(meta, values, len(sent))))
     batch = BundleBatch(
-        BundleSection(name, state, version, values.get(f"part{index}"))
-        for index, (name, state, version) in enumerate(meta["sections"])
+        BundleSection(name, state, version, bundles.get(index))
+        for index, (name, state, version) in enumerate(rows)
     )
     batch.lease_s = lease
     return batch
+
+
+def _flat_bundles(meta: dict, values: dict, count: int) -> list:
+    """The ``count`` bundles of a flat ``bundle_batch``, each column a
+    copy of its slice, so no bundle keeps the frame alive."""
+    about = meta["bundles"]
+    if (about is None) != (count == 0):
+        raise _lie("bundle_batch", f"field 'bundles' is {about!r} for "
+                   f"{count} 'bundle' sections")
+    if about is None:
+        return []
+    names, bottomk = about["names"], about["kind"] == "bottomk"
+    lens, seeded = values["lens"], values["seeded"]
+    if len(lens) != count * len(names) or (lens < 0).any() or (
+        lens > len(values["ranks"])
+    ).any():
+        raise _lie("bundle_batch", f"buffer 'lens' holds {len(lens)} parts, "
+                   f"not one per section ({count}) and assignment "
+                   f"({len(names)}), or a length no column backs")
+    ends = np.cumsum(lens).tolist()
+    if (ends[-1] if ends else 0) != len(values["ranks"]) or int(
+        lens[seeded].sum()
+    ) != len(values["seeds"]):
+        raise _lie("bundle_batch", "buffers 'lens' and 'seeded' do not "
+                   "add up to the columns")
+    if bottomk and ((values["k"] < 1).any() or (lens > values["k"]).any()):
+        raise _lie("bundle_batch", "a bottom-k part's 'k' is below 1 or "
+                   "below its length")
+    keys = values["keys"]
+    sketches = []
+    lo = seeds_lo = 0
+    for part, hi in enumerate(ends):
+        seeds = None
+        if seeded[part]:
+            seeds_hi = seeds_lo + hi - lo
+            seeds = values["seeds"][seeds_lo:seeds_hi].copy()
+            seeds_lo = seeds_hi
+        part_keys = _part_keys(keys[lo:hi])
+        ranks = values["ranks"][lo:hi].copy()
+        weights = values["weights"][lo:hi].copy()
+        scalars = values["scalars"][part].tolist()
+        sketches.append(
+            BottomKSketch(int(values["k"][part]), part_keys, ranks, weights,
+                          *scalars, seeds)
+            if bottomk else
+            PoissonSketch(scalars[0], part_keys, ranks, weights, seeds)
+        )
+        lo = hi
+    family = get_rank_family(about["family"])
+    return [
+        SketchBundle(
+            about["kind"],
+            {name: sketches[at * count + index]
+             for at, name in enumerate(names)},
+            family, about["salt"], about["method"],
+        )
+        for index in range(count)
+    ]
 
 
 def _parts(meta: dict, blobs, **more) -> tuple[dict, dict]:
@@ -1156,18 +1323,8 @@ _KINDS: dict[str, _Kind] = {
         counted_by="namespaces",
     ),
     "bundle_batch": _Kind(
-        None, {"sections": _SECTIONS},
-        lambda meta: (*(
-            (f"part{index}", _PART["sketch_bundle"])
-            for index, row in enumerate(meta["sections"]) if row[1] == "bundle"
-        ), ("lease_s", _LEASE)),
-        lambda frame: _parts(
-            {"sections": [list(row[:3]) for row in frame[0]]},
-            (row[3] for row in frame[0]),
-            lease_s=None if frame[1] is None else [frame[1]],
-        ),
-        _bundle_batch,
-        counted_by="sections",
+        None, {"sections": _SECTIONS, "bundles": _BUNDLES},
+        _flat_buffers, _bundle_batch_parts, _bundle_batch,
     ),
 }
 
@@ -1278,21 +1435,34 @@ def event_batch_namespaces(data) -> tuple[str, ...]:
 
 
 def encode_bundle_batch(
-    sections: "Sequence[tuple[str, str, str, bytes | None]]",
+    sections: "Sequence[tuple[str, str, str, SketchBundle | None]]",
     lease_s: "float | None" = None,
 ) -> bytes:
-    """A bundle frame from ``(namespace, state, version, blob)`` rows.
+    """A bundle frame from ``(namespace, state, version, bundle)`` rows.
 
-    ``blob`` is the namespace's already encoded :class:`SketchBundle`
-    for state ``"bundle"`` (nested as it is) and ``None`` otherwise.
-    ``lease_s`` (seconds, finite and >= 0) rides in a CRC-covered
-    buffer; ``None`` grants no lease.
+    ``bundle`` is the namespace's :class:`SketchBundle` (or its
+    encoded bytes) for state ``"bundle"`` and ``None`` otherwise; the
+    frame's bundles share one
+    kind, family, salt, method and assignment list, which its one
+    header names, and per assignment their sketches' columns are
+    concatenated.  ``lease_s`` (seconds, finite and >= 0) rides in a
+    CRC-covered buffer; ``None`` grants no lease.
     """
-    for index, (_, state, _, blob) in enumerate(sections):
-        if (state == "bundle") != (blob is not None):
+    for index, (_, state, _, bundle) in enumerate(sections):
+        if (state == "bundle") != (bundle is not None):
             raise CodecError(
                 f"section {index}: state {state!r} "
-                f"{'needs' if blob is None else 'carries no'} bundle bytes"
+                f"{'needs' if bundle is None else 'carries no'} bundle bytes"
+            )
+    sections = [
+        (*row[:3], decode(row[3]) if isinstance(row[3], bytes) else row[3])
+        for row in sections
+    ]
+    for index, row in enumerate(sections):
+        if row[3] is not None and not isinstance(row[3], SketchBundle):
+            raise CodecError(
+                f"section {index}: a {type(row[3]).__name__} is no "
+                "sketch_bundle"
             )
     return _write("bundle_batch", (sections, lease_s))
 
@@ -1306,9 +1476,10 @@ def decode_bundle_batch(
     ``expect`` is the namespaces the request named, in order: a reply
     that answers for anything else is refused.  Every way the bytes can
     be wrong — truncation, a bad checksum, a state without its bytes or
-    bytes without their state, a nested blob that is not a decodable
-    sketch bundle, a lease that is not one finite non-negative ``<f8`` —
-    raises :class:`CodecError`.
+    bytes without their state, part lengths or counts its columns do not
+    back, a lease that is not one finite non-negative ``<f8`` —
+    raises :class:`CodecError`.  Every decoded column is a copy, so a
+    kept bundle never keeps the frame's bytes alive.
     """
     reader = _BlobReader(data, writable=False, verify=True)
     sections = _decode_kind(reader, "bundle_batch")

@@ -760,19 +760,6 @@ def good_frame() -> bytes:
     ])
 
 
-def with_sketch(mutate) -> bytes:
-    """A one-bundle frame whose first nested *sketch* header was edited."""
-    bundle = bundle_of()
-    reader = _BlobReader(encode(bundle), writable=False, verify=False)
-    # re-nest through the writer: the edited header changes the length
-    writer = _BlobWriter("sketch_bundle", reader.meta)
-    writer.add_blob("part0", reheader(encode(bundle.sketches["h1"]), mutate))
-    writer.add_blob("part1", bytes(reader.blob("part1")))
-    return encode_bundle_batch(
-        [("web--s001", "bundle", "t2", writer.render())]
-    )
-
-
 class TestBundleBatchCodec:
     def test_round_trip_keeps_order_states_and_bits(self):
         sections = decode_bundle_batch(
@@ -829,22 +816,24 @@ class TestBundleBatchCodec:
             1, ["web--s001", "bundle", 2]),
         lambda h: h["meta"]["sections"].__setitem__(
             1, [None, "bundle", "t2"]),
-        lambda h: h["arrays"].pop("part1"),
-        lambda h: h["arrays"].update(part0=dict(h["arrays"]["part1"])),
-        lambda h: h["arrays"]["part1"].update(enc="raw"),
-        lambda h: h["arrays"]["part1"].update(nbytes=2**40),
-        lambda h: h["arrays"]["part1"].update(offset=-16),
+        lambda h: h["arrays"].pop("lens"),
+        lambda h: h["arrays"].update(part0=dict(h["arrays"]["ranks"])),
+        lambda h: h["arrays"]["keys"].update(enc="blob"),
+        lambda h: h["arrays"]["ranks"].update(nbytes=2**40),
+        lambda h: h["arrays"]["ranks"].update(offset=-16),
         lambda h: h.update(kind="event_batch"),
         lambda h: h.update(crc32="x"),
         lambda h: h.pop("crc32"),
+        lambda h: h["meta"].update(bundles=None),
+        lambda h: h["meta"].pop("bundles"),
     ], ids=[
         "zero-sections", "sections-not-a-list", "no-sections",
         "state-without-bytes", "bytes-without-section",
         "duplicate-namespace", "bundle-state-no-part", "part-for-unchanged",
         "unknown-state", "short-row", "version-not-a-string",
-        "null-namespace", "no-part", "extra-part", "part-not-a-blob",
-        "part-past-the-end", "negative-offset", "wrong-kind",
-        "crc-not-an-int", "no-crc",
+        "null-namespace", "no-lens", "extra-buffer", "keys-not-a-column",
+        "ranks-past-the-end", "negative-offset", "wrong-kind",
+        "crc-not-an-int", "no-crc", "null-bundles", "no-bundles",
     ])
     def test_frame_headers_that_lie_are_codec_errors(self, mutate):
         with pytest.raises(CodecError):
@@ -869,21 +858,81 @@ class TestBundleBatchCodec:
         lambda h: h["arrays"].pop("ranks"),
         lambda h: h["arrays"].update(ranks=[1, 2]),
         lambda h: h["arrays"]["scalars"].update(shape=[3], nbytes=24),
-        lambda h: h["meta"].pop("k"),
+        lambda h: h["arrays"].pop("k"),
+        lambda h: h["meta"]["bundles"].update(kind="poisson"),
+        lambda h: h["meta"]["bundles"].update(names=["h1", "h1"]),
+        lambda h: h["meta"]["bundles"].update(names=["h1"]),
+        lambda h: h["meta"]["bundles"].update(salt="21"),
+        lambda h: h["meta"]["bundles"].update(family="uniform"),
+        lambda h: h["meta"]["bundles"].pop("method"),
         lambda h: h.update(kind="no-such-kind"),
         lambda h: h.update(meta=[]),
         lambda h: h.update(arrays=None),
         lambda h: h.pop("kind"),
     ])
-    def test_nested_headers_that_lie_are_codec_errors(self, mutate):
+    def test_column_headers_that_lie_are_codec_errors(self, mutate):
         with pytest.raises(CodecError):
-            decode_bundle_batch(with_sketch(mutate))
+            decode_bundle_batch(reheader(good_frame(), mutate))
 
-    def test_a_nested_blob_of_another_kind_is_refused(self):
+    @pytest.mark.parametrize("column,lie", [
+        ("lens", lambda lens, k: [lens[0], lens[1] - 1]),
+        ("lens", lambda lens, k: [-1, lens[0] + lens[1] + 1]),
+        ("lens", lambda lens, k: [2**62, 2**62]),
+        ("k", lambda lens, k: [k[0], 0]),
+        ("k", lambda lens, k: [k[0], lens[1] - 1]),
+        ("seeded", lambda lens, k: [False, False]),
+    ], ids=[
+        "lens-short-of-the-columns", "negative-len", "lens-past-the-columns",
+        "k-zero", "k-below-its-length", "seeds-nobody-owns",
+    ])
+    def test_part_counts_that_lie_are_codec_errors(self, column, lie):
+        """Per-part entries a header states consistently — right dtype,
+        right count — that the concatenated columns do not back."""
+        reader = _BlobReader(good_frame(), writable=False, verify=False)
+        columns = {
+            name: np.frombuffer(
+                bytes(reader.blob(name)), dtype=spec["dtype"]
+            ).reshape(spec["shape"])
+            for name, spec in reader.arrays.items() if spec["enc"] == "raw"
+        }
+        columns[column] = np.asarray(
+            lie(columns["lens"].tolist(), columns["k"].tolist()),
+            dtype=columns[column].dtype,
+        )
+        writer = _BlobWriter("bundle_batch", reader.meta)
+        for name in ("lens", "k", "scalars", "seeded"):
+            writer.add_array(name, columns[name])
+        writer._append("keys", bytes(reader.blob("keys")),
+                       dict(reader.arrays["keys"]))
+        for name in ("ranks", "weights", "seeds"):
+            writer.add_array(name, columns[name])
+        with pytest.raises(CodecError, match="bundle_batch"):
+            decode_bundle_batch(writer.render())
+
+    def test_a_blob_of_another_kind_is_refused(self):
         sketch = encode(bundle_of().sketches["h1"])
-        frame = encode_bundle_batch([("web--s001", "bundle", "t", sketch)])
         with pytest.raises(CodecError, match="sketch_bundle"):
-            decode_bundle_batch(frame)
+            encode_bundle_batch([("web--s001", "bundle", "t", sketch)])
+
+    def test_bundles_of_another_configuration_share_no_frame(self):
+        other = NamespaceConfig("web", ("h1", "h2"), k=8, salt=22)
+        summarizer = other.make_summarizer()
+        summarizer.ingest_multi([1], {"h1": [1.0], "h2": [1.0]})
+        with pytest.raises(CodecError, match="one kind, family, salt"):
+            encode_bundle_batch([
+                ("web--s000", "bundle", "t", bundle_of()),
+                ("web--s001", "bundle", "t", summarizer.sketch_bundle()),
+            ])
+
+    def test_a_kept_bundle_keeps_no_frame_alive(self):
+        sections = decode_bundle_batch(good_frame())
+        sketch = sections[1].bundle.sketches["h1"]
+        for column in (sketch.keys, sketch.ranks, sketch.weights,
+                       sketch.seeds):
+            assert column.base is None or not isinstance(
+                column.base, (bytes, memoryview)
+            )
+            assert column.flags.owndata
 
     def test_not_a_frame(self):
         for junk in (b"", b"CWSS", b"{}", b"CWSS" + b"\xff" * 64):
@@ -894,13 +943,12 @@ class TestBundleBatchCodec:
 
     def test_declared_sizes_allocate_nothing(self):
         liars = [
-            with_sketch(lambda h: h["arrays"]["ranks"].update(shape=[2**40])),
-            with_sketch(lambda h: h["arrays"]["keys"].update(nbytes=2**40)),
-            with_sketch(lambda h: h["arrays"]["keys"].update(count=2**40)),
-            reheader(
-                good_frame(),
-                lambda h: h["arrays"]["part1"].update(nbytes=2**40),
-            ),
+            reheader(good_frame(), mutate) for mutate in (
+                lambda h: h["arrays"]["ranks"].update(shape=[2**40]),
+                lambda h: h["arrays"]["keys"].update(nbytes=2**40),
+                lambda h: h["arrays"]["keys"].update(count=2**40),
+                lambda h: h["arrays"]["lens"].update(nbytes=2**40),
+            )
         ]
         tracemalloc.start()
         try:

@@ -188,3 +188,23 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown rank family"):
             get_rank_family("gaussian")
+
+
+def test_denormal_weights_rank_infinite_without_warning():
+    """A denormal weight overflows a rank quotient to +inf, the rank of a
+    key that is never sampled: the answer is intended and warns
+    nothing, in both families and in the independent-differences draw."""
+    from repro.ranks.assignments import IndependentDifferencesRanks
+
+    weights = np.array([5e-324, 2.0])
+    seeds = np.array([0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family in FAMILIES:
+            ranks = family.ranks_array(weights, seeds)
+            assert ranks[0] == math.inf and math.isfinite(ranks[1])
+        draw = IndependentDifferencesRanks().draw(
+            ExponentialRanks(), np.array([[5e-324, 5e-324 * 2]]),
+            np.random.default_rng(0),
+        )
+    assert np.isinf(draw.ranks).all()

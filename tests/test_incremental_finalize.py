@@ -540,7 +540,7 @@ class TestGroupFold:
         ]
         assert engine.buffered_events == sum(
             len(engine._shards[n].state)
-            + sum(len(keys) for keys, _ in engine._shards[n].pending)
+            + sum(len(chunk[0]) for chunk in engine._shards[n].pending)
             for n in names
         )
         assert_equal_sketches(engine.sketches(), reference.sketches())
@@ -681,7 +681,7 @@ class TestFailedFoldIsRetrySafe:
         with fold_rows(25), pytest.raises(RuntimeError, match="boom"):
             engine.summary()
         shard = engine._shards["a"]
-        assert [len(keys) for keys, _ in shard.pending] == [20, 20, 20]
+        assert [len(chunk[0]) for chunk in shard.pending] == [20, 20, 20]
         assert engine.buffered_events == len(shard.state) + 60
         with fold_rows(25):
             got = engine.sketches()["a"]

@@ -316,15 +316,10 @@ class TestForeignBuffersFailAsBefore:
 
     def test_a_lying_sketch_key_count_is_refused_in_a_bundle_frame(self):
         bundle = summarizer_over(list(range(40))).sketch_bundle()
-        reader = _BlobReader(encode(bundle), writable=False, verify=False)
-        for count in (39, 2**40, "40", 40.0, None):
-            writer = _BlobWriter("sketch_bundle", reader.meta)
-            writer.add_blob("part0", reheader(
-                bytes(reader.blob("part0")),
-                lambda h: h["arrays"]["keys"].update(count=count),
-            ))
-            frame = encode_bundle_batch(
-                [("web", "bundle", "t", writer.render())]
+        honest = encode_bundle_batch([("web", "bundle", "t", bundle)])
+        for count in (31, 2**40, "32", 32.0, None):
+            frame = reheader(
+                honest, lambda h: h["arrays"]["keys"].update(count=count)
             )
             with pytest.raises(CodecError):
                 decode_bundle_batch(frame)

@@ -393,14 +393,14 @@ class TestBackpressure:
             service = thread.service
             release = threading.Event()
             entered = threading.Event()
-            original = service.manager.ingest
+            original = service.manager.ingest_sections
 
             def blocked(*args, **kwargs):
                 entered.set()
                 release.wait(10.0)
                 return original(*args, **kwargs)
 
-            service.manager.ingest = blocked
+            service.manager.ingest_sections = blocked
             try:
                 keys, weights = event_batch(0, n=5)
                 # batch 1: picked up by the worker, blocks in apply
@@ -423,7 +423,7 @@ class TestBackpressure:
                 assert client.status()["stats"]["ingest_rejected"] >= 1
             finally:
                 release.set()
-                service.manager.ingest = original
+                service.manager.ingest_sections = original
             client.close()
 
     def test_event_loop_never_waits_on_sqlite(self, tmp_path):

@@ -457,11 +457,12 @@ class TestLyingHeaders:
             "h1": stream_sketch([("a", 1.0), ("b", 2.0)]),
             "h2": stream_sketch([("c", 30.0)]),
         }, IppsRanks(), hasher_salt=7)
-        blob = reheader(encode(bundle), _set("meta", "names", ["h1", "h1"]))
-        frame = encode_bundle_batch([("web--s000", "bundle", "t1", blob)])
-        with pytest.raises(CodecError, match="sketch_bundle") as err:
+        frame = encode_bundle_batch([("web--s000", "bundle", "t1", bundle)])
+        frame = reheader(frame, lambda header: header["meta"]["bundles"]
+                         .update(names=["h1", "h1"]))
+        with pytest.raises(CodecError, match="bundle_batch") as err:
             decode_bundle_batch(frame, ["web--s000"])
-        assert "'names'" in str(err.value)
+        assert "'bundles'" in str(err.value)
 
 
 class TestZeroCopy:
