@@ -136,11 +136,13 @@ def _smallest_per_slot(
 ) -> np.ndarray:
     """Indices of each slot's ``limit`` smallest ``(rank, tiebreak)``
     pairs, slots ascending and each slot's pairs ascending: the order of
-    one ``lexsort((tiebreak, ranks, slots))``, as two stable argsorts
-    unless two ranks of one slot tie.  Given the ``keys``, equal pairs
-    are ordered by :func:`tie_order` of the key, as :func:`_smallest`
-    orders them."""
-    order = np.argsort(ranks, kind="stable")
+    one ``lexsort((tiebreak, ranks, slots))``, as one argsort by rank
+    and a stable one by slot unless two ranks of one slot tie.  Given the
+    ``keys``, equal pairs are ordered by :func:`tie_order` of the key, as
+    :func:`_smallest` orders them."""
+    # the rank sort need not be stable: ranks it could order either way
+    # tie, and a tie inside a slot takes the lexsort
+    order = np.argsort(ranks)
     order = order[np.argsort(slots[order], kind="stable")]
     ordered = slots[order]
     tied = (ranks[order[1:]] == ranks[order[:-1]]) & (
@@ -157,9 +159,7 @@ def _smallest_per_slot(
                 slots[at], ranks[at], tiebreak[at], tie_order(keys[at])
             )), dtype=np.intp)
             ordered = slots[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    sizes = np.diff(np.r_[starts, len(ordered)])
-    place = np.arange(len(ordered)) - np.repeat(starts, sizes)
+    place = np.arange(len(ordered)) - np.searchsorted(ordered, ordered)
     return order[place < limit]
 
 
@@ -689,9 +689,17 @@ class _KeyPlan:
             seeds = self.seeds[live]
             slots = None if slots is None else slots[live]
         old = state.entries
-        untouched = ~_member(
-            touched, old.keys, np.searchsorted(touched, old.keys)
-        )
+        if old.slots is None:
+            untouched = ~_member(
+                touched, old.keys, np.searchsorted(touched, old.keys)
+            )
+        else:  # every slot's entries: looked up in key order, the faster
+            by_key = np.argsort(old.keys)
+            ordered = old.keys[by_key]
+            untouched = np.empty(len(ordered), dtype=bool)
+            untouched[by_key] = ~_member(
+                touched, ordered, np.searchsorted(touched, ordered)
+            )
         entries = _select(
             old, untouched, ranked, positive, seeds, k, family, by_key=True,
             slots=slots,
