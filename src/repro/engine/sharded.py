@@ -159,8 +159,9 @@ def _smallest_per_slot(
                 slots[at], ranks[at], tiebreak[at], tie_order(keys[at])
             )), dtype=np.intp)
             ordered = slots[order]
-    place = np.arange(len(ordered)) - np.searchsorted(ordered, ordered)
-    return order[place < limit]
+    counts = np.bincount(ordered)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    return order[np.arange(len(ordered)) - starts < limit]
 
 
 _NO_KEYS = np.empty(0, dtype=np.int64)

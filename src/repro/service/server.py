@@ -36,10 +36,14 @@ them); what the table cannot say::
                         artifact (``bucket`` + ``part``); the JSON
                         artifact listing (``list=1``); or, with
                         ``have={namespace: token|null, ...}``, several
-                        views as one ``bundle_batch`` frame, a namespace
+                        views as one flat ``bundle_batch`` frame (one
+                        header; per assignment the views' sketch
+                        columns concatenated), the slots of one window
+                        group folded once for all of them, a namespace
                         whose version still equals its token answered
                         ``unchanged`` without being built, and the
-                        worker's lease (``lease_s``) on the tokens
+                        worker's lease (``lease_s``) on the tokens,
+                        taken after closed windows rotate
     POST /bundle        upload one encoded artifact (bucket handoff)
     POST /bundle/reset  purge a namespace (live window + artifacts): a
                         handoff target is reset before the copy so a
