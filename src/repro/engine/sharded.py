@@ -187,17 +187,6 @@ class ShardEntries(NamedTuple):
     seeds: np.ndarray = _NO_FLOATS
     slots: "np.ndarray | None" = None
 
-    def of_slot(self, slot: int) -> "ShardEntries":
-        """One slot's entries, as an unslotted table of its keys holds
-        them."""
-        if self.slots is None:  # nothing folded yet
-            return ShardEntries()
-        lo, hi = np.searchsorted(self.slots, [slot, slot + 1])
-        return ShardEntries(
-            self.keys[lo:hi], self.ranks[lo:hi], self.weights[lo:hi],
-            self.seeds[lo:hi],
-        )
-
     def sketch(self, k: int) -> BottomKSketch:
         """The table's bottom-k sketch, as a stream sampler would emit it.
 
@@ -291,9 +280,11 @@ class ShardState:
     def slot_entries(self, slot: int) -> ShardEntries:
         """One slot's entries, as a table of that slot's keys alone holds
         them — the empty entries of an empty table when it has none."""
-        entries = self.entries.of_slot(slot)
-        if len(entries.keys) or self.holds(slot):
-            return entries
+        entries = self.entries
+        if entries.slots is not None:  # folded
+            lo, hi = np.searchsorted(entries.slots, [slot, slot + 1])
+            if hi > lo or self.holds(slot):
+                return ShardEntries(*(column[lo:hi] for column in entries[:4]))
         return ShardEntries()
 
     def without(self, slot: int) -> "ShardState":
@@ -390,7 +381,7 @@ class ShardState:
         stored_slots = None
         if slotted:
             stored_slots = self.slots if self.keys is None else {}
-        running, slots = _continue_generic(stored, chunks, stored_slots)
+        running = _continue_generic(stored, chunks)
         untouched = np.fromiter(
             (key not in running for key in old.keys.tolist()),
             dtype=bool, count=len(old.keys),
@@ -403,6 +394,7 @@ class ShardState:
         seeds = hasher.hash_array(ranked)
         slot_rows = arrived = None
         if slotted:
+            slots = _generic_slots(stored_slots, chunks)
             arrived = np.fromiter(slots.values(), dtype=_SLOT, count=len(slots))
             fresh = np.fromiter(
                 (key not in stored for key in running), dtype=bool,
@@ -428,35 +420,28 @@ class ShardState:
         ), slot_rows
 
 
-def _continue_generic(stored: dict, chunks, stored_slots=None):
+def _continue_generic(stored: dict, chunks) -> dict:
     """Touched key -> new total, in first-arrival order: each key's sum
-    continued from its ``stored`` total, event by event; and, given the
-    ``stored_slots`` of a slotted table, touched key -> slot (``None``
-    otherwise), checked against the slot each key is stored under."""
+    continued from its ``stored`` total, event by event."""
     running: dict = {}
-    if stored_slots is None:
-        for chunk_keys, chunk_weights, _ in chunks:
-            for key, weight in zip(
-                chunk_keys.tolist(), chunk_weights.tolist()
-            ):
-                total = running.get(key)
-                if total is None:
-                    total = stored.get(key, 0.0)
-                running[key] = total + weight
-        return running, None
-    slots: dict = {}
-    for chunk_keys, chunk_weights, chunk_slots in chunks:
-        for key, weight, slot in zip(
-            chunk_keys.tolist(), chunk_weights.tolist(), chunk_slots.tolist()
-        ):
+    for chunk_keys, chunk_weights, _ in chunks:
+        for key, weight in zip(chunk_keys.tolist(), chunk_weights.tolist()):
             total = running.get(key)
             if total is None:
                 total = stored.get(key, 0.0)
-                slots[key] = stored_slots.get(key, slot)
-            if slots[key] != slot:
-                raise SlotConflict("a key arrived in two slots")
             running[key] = total + weight
-    return running, slots
+    return running
+
+
+def _generic_slots(stored_slots: dict, chunks) -> dict:
+    """Touched key -> slot, in first-arrival order, each checked against
+    the slot it is stored under and every slot it arrives in."""
+    slots: dict = {}
+    for chunk_keys, _, chunk_slots in chunks:
+        for key, slot in zip(chunk_keys.tolist(), chunk_slots.tolist()):
+            if slots.setdefault(key, stored_slots.get(key, slot)) != slot:
+                raise SlotConflict("a key arrived in two slots")
+    return slots
 
 
 def _select(
@@ -765,15 +750,12 @@ class _Shard:
         if slot is None:
             table = [self.state.chunk()] if len(self.state) else []
             return table + [(keys, weights) for keys, weights, _ in self.pending]
-        keys, totals = self.state.chunk(slot) if len(self.state) else (
-            _NO_KEYS, None
-        )
-        table = [(keys, totals)] if len(keys) else []
-        return table + [
-            (keys[mine], weights[mine])
+        table = [self.state.chunk(slot)] if self.state.holds(slot) else []
+        pending = [
+            (keys[slots == slot], weights[slots == slot])
             for keys, weights, slots in self.pending
-            for mine in [slots == slot] if mine.any()
         ]
+        return table + [chunk for chunk in pending if len(chunk[0])]
 
     def step(self) -> int:
         """How many leading pending chunks the next fold step takes: as

@@ -1095,15 +1095,10 @@ def _bundle_batch_parts(frame) -> tuple[dict, dict]:
         bundle.sketches[name]
         for name in lead.assignments for bundle in bundles
     ]
-    keys = [_flat_keys(part.keys) for part in parts]
-    if all(column.dtype == np.int64 for column in keys):
-        values["keys"] = np.concatenate(keys)
-    else:
-        values["keys"] = _object_array(
-            [key for column in keys for key in column.tolist()]
-        )
     bottomk = lead.kind == "bottomk"
     values.update(
+        # int64 while every part's keys are; else Python objects
+        keys=np.concatenate([_flat_keys(part.keys) for part in parts]),
         lens=np.array([len(part.keys) for part in parts], dtype=np.int64),
         scalars=[
             (part.kth_rank, part.threshold) if bottomk else (part.tau,)
