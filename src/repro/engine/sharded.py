@@ -287,17 +287,6 @@ class ShardState:
                 return ShardEntries(*(column[lo:hi] for column in entries[:4]))
         return ShardEntries()
 
-    def without(self, slot: int) -> "ShardState":
-        """A generic slotted table without ``slot``'s keys."""
-        slots = {key: at for key, at in self.slots.items() if at != slot}
-        entries = self.entries
-        mine = entries.slots != slot
-        return ShardState(
-            None, {key: self.totals[key] for key in slots},
-            ShardEntries(*(column[mine] for column in entries)),
-            slots=(slots, None),
-        )
-
     def merged(self) -> "ShardState":
         """The same table with its delta merged into the base (``self``
         when the delta is empty or the table generic)."""
@@ -1122,7 +1111,7 @@ class ShardedSummarizer:
             for name, sk in self._current_sketches(slot).items()
         }
 
-    def summary(self, slot: "int | None" = None) -> MultiAssignmentSummary:
+    def summary(self) -> MultiAssignmentSummary:
         """Assemble the dispersed multi-assignment summary.
 
         :func:`~repro.core.summary.build_summary_from_sketches` of
@@ -1130,8 +1119,7 @@ class ShardedSummarizer:
         column, so the samples unite by sorting.
         """
         return build_summary_from_sketches(
-            self._current_sketches(slot), self.family,
-            method_name="shared_seed",
+            self._current_sketches(), self.family, method_name="shared_seed"
         )
 
     def sketch_bundle(self, slot: "int | None" = None) -> "SketchBundle":
@@ -1194,7 +1182,13 @@ class ShardedSummarizer:
         # shared key arrays; the merged tables are kept, so the group
         # survives and the next checkpoint of an unchanged table costs
         # nothing.
-        self._merge_tables()
+        tables: dict = {}
+        for shard in self._shards.values():
+            tables.setdefault(_table_id(shard.state), []).append(shard)
+        for group in tables.values():
+            merged = _merged([shard.state for shard in group])
+            for shard, state in zip(group, merged):
+                shard.state = state
         return SummarizerCheckpoint(
             k=self.k,
             assignments=list(self.assignments),
@@ -1205,18 +1199,6 @@ class ShardedSummarizer:
                 for name, shard in self._shards.items()
             },
         )
-
-    def _merge_tables(self) -> "list[list[_Shard]]":
-        """Merge each table's delta into its base, once per group of
-        assignments sharing key arrays; returns the groups."""
-        tables: dict = {}
-        for shard in self._shards.values():
-            tables.setdefault(_table_id(shard.state), []).append(shard)
-        for group in tables.values():
-            merged = _merged([shard.state for shard in group])
-            for shard, state in zip(group, merged):
-                shard.state = state
-        return list(tables.values())
 
     def restore_slot(self, slot: int, state: "SummarizerCheckpoint") -> None:
         """Load one slot's checkpoint into this slotted summarizer, whose
@@ -1252,44 +1234,6 @@ class ShardedSummarizer:
         rows = state.buffered_events
         self._rows += rows
         self._slot_rows[slot] += rows
-        self._sketch_cache = None
-
-    def drop_slot(self, slot: int) -> None:
-        """Forget everything one slot holds, as if a fresh summarizer
-        replaced that slot's; the other slots keep theirs bit for bit
-        (their entries are their own)."""
-        slot = self._slot(slot)
-        for group in self._merge_tables():
-            lead = group[0].state
-            if not len(lead):
-                continue
-            if lead.keys is None:  # generic: one table per assignment
-                for shard in group:
-                    shard.state = shard.state.without(slot)
-                continue
-            keep = lead.slots != slot
-            keys, slots = lead.keys[keep], lead.slots[keep]
-            for shard in group:
-                entries = shard.state.entries
-                mine = entries.slots != slot
-                shard.state = ShardState(
-                    keys, shard.state.totals[keep],
-                    ShardEntries(*(column[mine] for column in entries)),
-                    slots=(slots, _NO_SLOTS),
-                )
-        kept: dict[int, tuple] = {}
-        for shard in self._shards.values():
-            pending = []
-            for keys, weights, slots in shard.pending:
-                if id(keys) not in kept:
-                    mine = slots != slot
-                    kept[id(keys)] = (mine, keys[mine], slots[mine])
-                mine, kept_keys, kept_slots = kept[id(keys)]
-                if len(kept_keys):
-                    pending.append((kept_keys, weights[mine], kept_slots))
-            shard.pending = pending
-        self._rows -= int(self._slot_rows[slot])
-        self._slot_rows[slot] = 0
         self._sketch_cache = None
 
     @classmethod
@@ -1456,10 +1400,6 @@ class SlotSummarizers:
         held, at = self._folded(slot)
         return held.sketch_bundle(at)
 
-    def sketches(self, slot: int) -> dict[str, BottomKSketch]:
-        held, at = self._folded(slot)
-        return held.sketches(at)
-
     def checkpoint_state(self, slot: int):
         if self._table is not None:
             return self._table.checkpoint_state(slot)
@@ -1472,11 +1412,20 @@ class SlotSummarizers:
         return self._split[slot].buffered_events
 
     def drop(self, slot: int) -> None:
-        """Replace ``slot``'s summarizer by an empty one."""
-        if self._table is not None:
-            self._table.drop_slot(slot)
-        else:
+        """Replace ``slot``'s summarizer by an empty one: a shared table
+        is rebuilt from its other slots' checkpoints (a reset is a
+        handoff's, rare)."""
+        if self._table is None:
             self._split[slot] = self._make(None)
+            return
+        kept = {
+            at: self._table.checkpoint_state(at)
+            for at in range(self.n_slots)
+            if at != slot and self._table.slot_events(at)
+        }
+        self._table = self._make(self.n_slots)
+        for at, state in kept.items():
+            self._table.restore_slot(at, state)
 
     def restore(self, slot: int, state) -> None:
         """Load ``slot``'s checkpoint into its (empty) summarizer."""

@@ -210,7 +210,9 @@ class IppsRanks(RankFamily):
             return np.zeros(len(weights))
         if x == _INF:
             return np.where(weights > 0.0, 1.0, 0.0)
-        return np.where(weights > 0.0, np.minimum(1.0, weights * x), 0.0)
+        # an extreme weight overflows w·x to +inf, and min(1, inf) = 1
+        with np.errstate(over="ignore"):
+            return np.where(weights > 0.0, np.minimum(1.0, weights * x), 0.0)
 
     def ranks_array(self, weights: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
@@ -226,8 +228,9 @@ class IppsRanks(RankFamily):
         x = np.asarray(x, dtype=float)
         # An infinite threshold needs no case of its own: a positive
         # weight gives 1 either way, and a zero weight's 0 · inf = NaN is
-        # masked out with every other non-positive cell.
-        with np.errstate(invalid="ignore"):
+        # masked out with every other non-positive cell, and an extreme
+        # weight overflows w·x to +inf, which min(1, ·) makes 1.
+        with np.errstate(invalid="ignore", over="ignore"):
             vals = np.minimum(1.0, weights * x)
         return np.where((weights > 0.0) & (x > 0.0), vals, 0.0)
 

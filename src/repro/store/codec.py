@@ -987,8 +987,7 @@ _SUMMARY = {
 }
 _PART = {
     kind: _buf(kind)
-    for kind in ("bottomk_sketch", "poisson_sketch", "event_section",
-                 "sketch_bundle")
+    for kind in ("bottomk_sketch", "poisson_sketch", "event_section")
 }
 _SECTION_KEYS, _SECTION_WEIGHTS = _buf(_NUMBERS, "n"), _buf(_F8, "n")
 _LEASE = _buf(_F8, "1", True)

@@ -144,7 +144,7 @@ def run(kind: str, family, k: int, n_slots: int, ops) -> None:
                 assert group.events(slot) == ref.buffered_events
                 same_chunks(group.checkpoint_state(slot), ref.checkpoint_state())
     for slot, ref in enumerate(refs):
-        got, want = group.sketches(slot), ref.sketches()
+        got, want = group.sketch_bundle(slot).sketches, ref.sketches()
         assert list(got) == list(want)
         for name in want:
             assert got[name].equals(want[name]), (slot, name)
