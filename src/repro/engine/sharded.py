@@ -292,7 +292,9 @@ class ShardState:
         when the delta is empty or the table generic)."""
         return _merged([self])[0]
 
-    def chunk(self, slot: "int | None" = None) -> tuple[np.ndarray, np.ndarray]:
+    def chunk(
+        self, slot: "int | None" = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The table (or one ``slot`` of it) as one pre-aggregated
         ``(keys, totals)`` chunk.
 
@@ -384,7 +386,9 @@ class ShardState:
         slot_rows = arrived = None
         if slotted:
             slots = _generic_slots(stored_slots, chunks)
-            arrived = np.fromiter(slots.values(), dtype=_SLOT, count=len(slots))
+            arrived = np.fromiter(
+                slots.values(), dtype=_SLOT, count=len(slots)
+            )
             fresh = np.fromiter(
                 (key not in stored for key in running), dtype=bool,
                 count=len(running),
@@ -635,7 +639,7 @@ class _KeyPlan:
             if found is not None and (
                 (stored.take(found[0], mode="clip") != arrived) & found[1]
             ).any():
-                raise SlotConflict("a key arrived in a slot other than its own")
+                raise SlotConflict("a key arrived outside its own slot")
         self.delta_slots = (
             arrived if self.delta is None
             else _write(state.delta_slots, arrived, self.insert)
@@ -738,7 +742,7 @@ class _Shard:
         one ``slot``: the checkpoint form."""
         if slot is None:
             table = [self.state.chunk()] if len(self.state) else []
-            return table + [(keys, weights) for keys, weights, _ in self.pending]
+            return table + [chunk[:2] for chunk in self.pending]
         table = [self.state.chunk(slot)] if self.state.holds(slot) else []
         pending = [
             (keys[slots == slot], weights[slots == slot])
@@ -1310,9 +1314,10 @@ class SlotSummarizers:
     one key plan per batch for every slot — while that table can hold
     them: keys of the form its first keys set (numeric of one dtype, or
     none numeric), each key in one slot.  The first batch or fold it
-    cannot hold (keys of another form, a key in a second slot) splits it, through each slot's checkpoint, into one summarizer
-    per slot, which is exact by the checkpoint's contract.  One slot is
-    one plain summarizer from the start.  ``make(slots)`` builds an empty
+    cannot hold (keys of another form, a key in a second slot) splits
+    it, through each slot's checkpoint, into one summarizer per slot,
+    which is exact by the checkpoint's contract.  One slot is one plain
+    summarizer from the start.  ``make(slots)`` builds an empty
     summarizer (``slots=None``: unslotted).
     """
 
@@ -1359,9 +1364,9 @@ class SlotSummarizers:
             if _one_form(arrays) and self._table.fits(arrays[0]):
                 batches: dict = {}
                 for (slot, _, weights), keys in zip(sections, arrays):
-                    batches.setdefault((tuple(weights), keys.dtype), []).append(
-                        (slot, keys, weights)
-                    )
+                    batches.setdefault(
+                        (tuple(weights), keys.dtype), []
+                    ).append((slot, keys, weights))
                 applies = [
                     self._table.prepare(
                         np.concatenate([keys for _, keys, _ in parts]),

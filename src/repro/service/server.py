@@ -584,11 +584,11 @@ class SummaryService(HttpServerBase):
         an ``unchanged`` section — no view, no merge; the data behind a
         token never changes, so the caller's copy is still exactly this
         worker's view.  The slot namespaces of one window group fold
-        once for all of them, and the frame is encoded once.  Windows whose bucket has
-        closed rotate first, as an ingest would rotate them, so the lease
-        runs to the next boundary instead of none until the ticker's
-        rotation.  The lease is taken before any token is read, so no
-        batch applied after it hides behind it.
+        once for all of them, and the frame is encoded once.  Windows
+        whose bucket has closed rotate first, as an ingest would rotate
+        them, so the lease runs to the next boundary instead of none
+        until the ticker's rotation.  The lease is taken before any
+        token is read, so no batch applied after it hides behind it.
         """
         self.manager.rotate()
         lease_s = self._lease_s()

@@ -142,7 +142,9 @@ def run(kind: str, family, k: int, n_slots: int, ops) -> None:
         for slot, ref in enumerate(refs):
             if aligned:  # row counts and chunks depend on fold moments
                 assert group.events(slot) == ref.buffered_events
-                same_chunks(group.checkpoint_state(slot), ref.checkpoint_state())
+                same_chunks(
+                    group.checkpoint_state(slot), ref.checkpoint_state()
+                )
     for slot, ref in enumerate(refs):
         got, want = group.sketch_bundle(slot).sketches, ref.sketches()
         assert list(got) == list(want)
