@@ -52,9 +52,9 @@ assignment with a slot column: every event arrives with its slot, each
 key keeps the slot it first arrived in, and the entries hold the
 ``k + 1`` smallest-rank keys *per slot*, so one fold serves every slot
 and each slot's sketch, checkpoint and row count are exactly those of a
-summarizer fed that slot's events alone.  A slotted table keeps the form
-its first keys give every slot's table — numeric of one key dtype, or
-generic — and a key arriving in a second slot raises
+summarizer fed that slot's events alone.  A slotted table holds numeric
+keys of one dtype (generic keys are held one summarizer per slot, see
+:class:`SlotSummarizers`), and a key arriving in a second slot raises
 :class:`SlotConflict` before any state changes.
 
 Every step is deterministic given the hasher salt — rank ties (a ~2⁻⁵³
@@ -131,15 +131,13 @@ def _smallest(
 
 
 def _smallest_per_slot(
-    ranks: np.ndarray, tiebreak: np.ndarray, slots: np.ndarray, limit: int,
-    keys=None,
+    ranks: np.ndarray, keys: np.ndarray, slots: np.ndarray, limit: int
 ) -> np.ndarray:
-    """Indices of each slot's ``limit`` smallest ``(rank, tiebreak)``
-    pairs, slots ascending and each slot's pairs ascending: the order of
-    one ``lexsort((tiebreak, ranks, slots))``, as one argsort by rank
-    and a stable one by slot unless two ranks of one slot tie.  Given the
-    ``keys``, equal pairs are ordered by :func:`tie_order` of the key, as
-    :func:`_smallest` orders them."""
+    """Indices of each slot's ``limit`` smallest ``(rank, key)`` pairs
+    (numeric keys, unique), slots ascending and each slot's pairs
+    ascending: the order of one ``lexsort((keys, ranks, slots))``, as one
+    argsort by rank and a stable one by slot unless two ranks of one slot
+    tie."""
     # the rank sort need not be stable: ranks it could order either way
     # tie, and a tie inside a slot takes the lexsort
     order = np.argsort(ranks)
@@ -149,16 +147,8 @@ def _smallest_per_slot(
         ordered[1:] == ordered[:-1]
     )
     if tied.any():
-        order = np.lexsort((tiebreak, ranks, slots))
+        order = np.lexsort((keys, ranks, slots))
         ordered = slots[order]
-        tied = (ranks[order[1:]] == ranks[order[:-1]]) & (
-            ordered[1:] == ordered[:-1]
-        ) & (tiebreak[order[1:]] == tiebreak[order[:-1]])
-        if keys is not None and tied.any():
-            order = np.array(sorted(order.tolist(), key=lambda at: (
-                slots[at], ranks[at], tiebreak[at], tie_order(keys[at])
-            )), dtype=np.intp)
-            ordered = slots[order]
     counts = np.bincount(ordered)
     starts = np.repeat(np.cumsum(counts) - counts, counts)
     return order[np.arange(len(ordered)) - starts < limit]
@@ -177,8 +167,8 @@ class ShardEntries(NamedTuple):
     The k sample entries plus the key that sets the threshold.  Ties in
     rank are broken by key in a numeric table and by seed, then by
     :func:`~repro.ranks.hashing.tie_order`, in a generic one (whose keys
-    need not be orderable).  A slotted table's entries carry their
-    ``slots``: each slot's ``k + 1``, slots ascending.
+    need not be orderable).  A slotted (numeric) table's entries carry
+    their ``slots``: each slot's ``k + 1``, slots ascending.
     """
 
     keys: np.ndarray = _NO_KEYS
@@ -224,9 +214,9 @@ class ShardState:
       order.  A numeric table turns generic, once, when a chunk of another
       dtype arrives.
 
-    A slotted table also holds ``slots`` and ``delta_slots``, the slot
-    of each base and delta key — in a generic one ``slots`` is a ``dict``
-    from key to slot — (``None`` in an unslotted one).
+    A slotted table is numeric and also holds ``slots`` and
+    ``delta_slots``, the slot of each base and delta key (``None`` in an
+    unslotted one).
 
     :meth:`fold` builds the state after some events and writes nothing
     into this one before the last step, so a fold that fails or is
@@ -271,8 +261,6 @@ class ShardState:
         """Does the table hold a key of ``slot``?"""
         if self.slots is None:
             return False
-        if self.keys is None:
-            return slot in self.slots.values()
         return bool(
             (self.slots == slot).any() or (self.delta_slots == slot).any()
         )
@@ -295,8 +283,8 @@ class ShardState:
     def chunk(
         self, slot: "int | None" = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The table (or one ``slot`` of it) as one pre-aggregated
-        ``(keys, totals)`` chunk.
+        """The table (or one ``slot`` of a slotted one) as one
+        pre-aggregated ``(keys, totals)`` chunk.
 
         Folding it onto an empty state restores the table exactly
         (``0 + T == T``), which is how a checkpoint carries it.
@@ -307,9 +295,7 @@ class ShardState:
                 return merged.keys, merged.totals
             mine = merged.slots == slot
             return merged.keys[mine], merged.totals[mine]
-        keys = list(self.totals) if slot is None else [
-            key for key, at in self.slots.items() if at == slot
-        ]
+        keys = list(self.totals)
         return _object_array(keys), np.fromiter(
             (self.totals[key] for key in keys), dtype=float, count=len(keys)
         )
@@ -344,10 +330,8 @@ class ShardState:
         k: int,
         family: RankFamily,
         hasher: KeyHasher,
-        n_slots: int = 0,
-    ) -> "tuple[ShardState, np.ndarray | None]":
-        """The state after also aggregating ``chunks`` (arrival order),
-        and in a slotted table the rows each slot gained.
+    ) -> "ShardState":
+        """The state after also aggregating ``chunks`` (arrival order).
 
         ``plan`` is the key side of the fold (:meth:`_KeyPlan.build` of
         this state's key arrays and the chunks' keys), ``None`` when the
@@ -360,18 +344,12 @@ class ShardState:
             return plan.fold(
                 self, np.concatenate([chunk[1] for chunk in chunks]),
                 k, family,
-            ), plan.slot_rows
+            )
         chunks = [chunk for chunk in chunks if len(chunk[0])]
         if not chunks:
-            return self, None
-        slotted = chunks[0][2] is not None
-        if slotted and self.keys is not None and len(self):
-            raise SlotConflict("a slotted table keeps its first keys' form")
+            return self
         old = self.entries
         stored = self._as_dict()
-        stored_slots = None
-        if slotted:
-            stored_slots = self.slots if self.keys is None else {}
         running = _continue_generic(stored, chunks)
         untouched = np.fromiter(
             (key not in running for key in old.keys.tolist()),
@@ -383,34 +361,12 @@ class ShardState:
         live = np.flatnonzero(sums > 0.0)
         ranked, weights = as_key_array(list(running))[live], sums[live]
         seeds = hasher.hash_array(ranked)
-        slot_rows = arrived = None
-        if slotted:
-            slots = _generic_slots(stored_slots, chunks)
-            arrived = np.fromiter(
-                slots.values(), dtype=_SLOT, count=len(slots)
-            )
-            fresh = np.fromiter(
-                (key not in stored for key in running), dtype=bool,
-                count=len(running),
-            )
-            slot_rows = np.bincount(
-                arrived[fresh], minlength=n_slots
-            ) - np.bincount(
-                np.concatenate([chunk[2] for chunk in chunks]),
-                minlength=n_slots,
-            )
-            arrived = arrived[live]
         entries = _select(
             old, untouched, ranked.astype(object), weights, seeds, k, family,
-            by_key=False, slots=arrived,
+            by_key=False,
         )
         stored.update(running)
-        if not slotted:
-            return ShardState(None, stored, entries), None
-        stored_slots.update(slots)
-        return ShardState(
-            None, stored, entries, slots=(stored_slots, None)
-        ), slot_rows
+        return ShardState(None, stored, entries)
 
 
 def _continue_generic(stored: dict, chunks) -> dict:
@@ -426,25 +382,14 @@ def _continue_generic(stored: dict, chunks) -> dict:
     return running
 
 
-def _generic_slots(stored_slots: dict, chunks) -> dict:
-    """Touched key -> slot, in first-arrival order, each checked against
-    the slot it is stored under and every slot it arrives in."""
-    slots: dict = {}
-    for chunk_keys, _, chunk_slots in chunks:
-        for key, slot in zip(chunk_keys.tolist(), chunk_slots.tolist()):
-            if slots.setdefault(key, stored_slots.get(key, slot)) != slot:
-                raise SlotConflict("a key arrived in two slots")
-    return slots
-
-
 def _select(
     old, untouched, keys, weights, seeds, k, family, by_key, slots=None
 ):
     """The new bottom-(k+1): the ``old`` entries not touched plus the
     touched ``keys`` of positive total (with their ``weights`` and
     ``seeds``), ties in rank broken by key (``by_key``) or by seed, then
-    :func:`tie_order`; given the touched keys' ``slots``, the new
-    bottom-(k+1) of every slot."""
+    :func:`tie_order`; given the touched (numeric) keys' ``slots``, the
+    new bottom-(k+1) of every slot."""
     # No concatenation with an empty array of another dtype: int64 beside
     # uint64 would promote the keys to float64.
     kept = old.keys[untouched]
@@ -457,10 +402,7 @@ def _select(
     if slots is not None:
         if old.slots is not None:
             slots = np.concatenate([old.slots[untouched], slots])
-        best = (
-            _smallest_per_slot(ranks, keys, slots, k + 1) if by_key
-            else _smallest_per_slot(ranks, seeds, slots, k + 1, keys)
-        )
+        best = _smallest_per_slot(ranks, keys, slots, k + 1)
         return ShardEntries(
             keys[best], ranks[best], weights[best], seeds[best], slots[best]
         )
@@ -768,20 +710,17 @@ class _Shard:
         k: int,
         family: RankFamily,
         hasher: KeyHasher,
-        n_slots: int = 0,
-    ) -> "tuple[int, np.ndarray | None]":
+    ) -> int:
         """Fold the leading ``count`` pending chunks, whose key side is
         ``plan``, into the state; returns the change in rows held (table
-        keys + pending events), in all and, in a slotted table, per slot.
-        A fold that raises leaves state and pending chunks as they were."""
+        keys + pending events).  A fold that raises leaves state and
+        pending chunks as they were."""
         chunks = self.pending[:count]
         rows = sum(len(chunk[0]) for chunk in chunks)
         distinct = len(self.state)
-        self.state, slot_rows = self.state.fold(
-            chunks, plan, k, family, hasher, n_slots
-        )
+        self.state = self.state.fold(chunks, plan, k, family, hasher)
         del self.pending[:count]
-        return len(self.state) - distinct - rows, slot_rows
+        return len(self.state) - distinct - rows
 
 
 def _table_id(state: ShardState) -> tuple:
@@ -888,13 +827,20 @@ class ShardedSummarizer:
                 f"unknown assignment {assignment!r}; known: {known}"
             ) from None
 
-    def _checked_weights(self, keys: np.ndarray, weights) -> np.ndarray:
+    @staticmethod
+    def _shaped(keys: np.ndarray, weights) -> np.ndarray:
+        """``weights`` as floats, checked to be 1-D and as long as
+        ``keys``."""
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or len(weights) != len(keys):
             raise ValueError(
                 f"keys and weights must be 1-D of equal length, got "
                 f"{len(keys)} keys and shape {weights.shape} weights"
             )
+        return weights
+
+    def _checked_weights(self, keys: np.ndarray, weights) -> np.ndarray:
+        weights = self._shaped(keys, weights)
         valid = np.isfinite(weights) & (weights >= 0.0)
         if not valid.all():
             bad = int(np.flatnonzero(~valid)[0])
@@ -932,15 +878,10 @@ class ShardedSummarizer:
         return slot
 
     def fits(self, keys: np.ndarray) -> bool:
-        """Can a slotted summarizer take this key array?  Its table keeps
-        the form its first keys gave it — numeric of one dtype, or generic
-        — so every slot's table has the form one summarizer per slot
-        would give it."""
-        if self._dtype is None:
-            return True
-        if keys.dtype.kind in "biuf":
-            return keys.dtype == self._dtype
-        return self._dtype.kind not in "biuf"
+        """Can a slotted summarizer take this key array?  Its table is
+        numeric of the dtype its first keys gave it, so every slot's
+        table has the form one summarizer per slot would give it."""
+        return keys.dtype.kind in "biuf" and self._dtype in (None, keys.dtype)
 
     def ingest_multi(self, keys, weights_by_assignment, slots=None) -> None:
         """Feed one key batch carrying weights for several assignments.
@@ -1092,13 +1033,11 @@ class ShardedSummarizer:
             lead.state, lead.pending[:count], self.hasher, self.slots or 0
         )
         for shard in group:
-            rows, slot_rows = shard.fold(
-                count, plan, self.k, self.family, self.hasher,
-                self.slots or 0,
+            self._rows += shard.fold(
+                count, plan, self.k, self.family, self.hasher
             )
-            self._rows += rows
-            if slot_rows is not None:
-                self._slot_rows += slot_rows
+            if plan is not None and plan.slot_rows is not None:
+                self._slot_rows += plan.slot_rows
 
     def sketches(self, slot: "int | None" = None) -> dict[str, BottomKSketch]:
         """Aggregate and sample: one bottom-k sketch per assignment.
@@ -1217,11 +1156,12 @@ class ShardedSummarizer:
             or state.hasher_salt != self.hasher.salt
         ):
             raise ValueError("the checkpoint's configuration differs")
-        arrays = [
-            keys for name in self.assignments for keys, _ in state.chunks[name]
-        ]
-        if self._slot_rows[slot] or not _one_form(
-            arrays + [np.empty(0, self._dtype)] * (self._dtype is not None)
+        dtypes = {
+            keys.dtype for name in self.assignments
+            for keys, _ in state.chunks[name]
+        } | ({self._dtype} - {None})
+        if self._slot_rows[slot] or len(dtypes) > 1 or any(
+            dtype.kind not in "biuf" for dtype in dtypes
         ):
             raise ValueError("the checkpoint does not fit this summarizer")
         seen: dict[int, list[np.ndarray]] = {}
@@ -1297,28 +1237,19 @@ class ShardedSummarizer:
         )
 
 
-def _one_form(arrays: "list[np.ndarray]") -> bool:
-    """Do the key arrays give a table one form: all numeric of one dtype,
-    or none numeric?"""
-    numeric = {keys.dtype for keys in arrays if keys.dtype.kind in "biuf"}
-    return not numeric or (
-        len(numeric) == 1 and all(keys.dtype.kind in "biuf" for keys in arrays)
-    )
-
-
 class SlotSummarizers:
     """The summarizers of one namespace's key-disjoint slots, read and fed
     per slot exactly as ``n_slots`` separate summarizers would be.
 
     They are held as one slotted :class:`ShardedSummarizer` — one fold,
     one key plan per batch for every slot — while that table can hold
-    them: keys of the form its first keys set (numeric of one dtype, or
-    none numeric), each key in one slot.  The first batch or fold it
-    cannot hold (keys of another form, a key in a second slot) splits
-    it, through each slot's checkpoint, into one summarizer per slot,
-    which is exact by the checkpoint's contract.  One slot is one plain
-    summarizer from the start.  ``make(slots)`` builds an empty
-    summarizer (``slots=None``: unslotted).
+    them: numeric keys of the one dtype its first keys set, each key in
+    one slot.  The first batch or fold it cannot hold (generic keys, keys
+    of another dtype, a key in a second slot) splits it, through each
+    slot's checkpoint, into one summarizer per slot, which is exact by
+    the checkpoint's contract.  One slot is one plain summarizer from
+    the start.  ``make(slots)`` builds an empty summarizer
+    (``slots=None``: unslotted).
     """
 
     def __init__(self, make: Callable, n_slots: int) -> None:
@@ -1356,24 +1287,35 @@ class SlotSummarizers:
     def ingest(self, sections: "Sequence[tuple[int, object, dict]]") -> None:
         """Feed ``(slot, keys, weights_by_assignment)`` sections, each
         slot at most once: one slotted batch per set of assignment names
-        and key dtype (a concatenation keeps every section's dtype) while
-        the table holds them, one batch per section after.  Every section
-        is checked before any is applied."""
+        while the table holds them, one batch per section after.  Every
+        section is checked before any is applied."""
         if self._table is not None:
+            table = self._table
             arrays = [as_key_array(keys) for _, keys, _ in sections]
-            if _one_form(arrays) and self._table.fits(arrays[0]):
+            filled = [keys for keys in arrays if len(keys)]
+            if all(table.fits(keys) for keys in filled) and len(
+                {keys.dtype for keys in filled}
+            ) <= 1:
+                # each section's weights shaped against its own keys
+                # before any are concatenated; prepare checks the values
                 batches: dict = {}
                 for (slot, _, weights), keys in zip(sections, arrays):
-                    batches.setdefault(
-                        (tuple(weights), keys.dtype), []
-                    ).append((slot, keys, weights))
+                    for name in weights:
+                        table._shard_for(name)  # raises on an unknown name
+                    checked = {
+                        name: table._shaped(keys, weights[name])
+                        for name in weights
+                    }
+                    if len(keys):
+                        batches.setdefault(tuple(checked), []).append(
+                            (slot, keys, checked)
+                        )
                 applies = [
-                    self._table.prepare(
+                    table.prepare(
                         np.concatenate([keys for _, keys, _ in parts]),
                         {name: np.concatenate([
-                            np.asarray(weights[name], dtype=float)
-                            for _, _, weights in parts
-                        ]) for name in names[0]},
+                            weights[name] for _, _, weights in parts
+                        ]) for name in names},
                         np.concatenate([
                             np.full(len(keys), slot, dtype=_SLOT)
                             for slot, keys, _ in parts
@@ -1385,6 +1327,10 @@ class SlotSummarizers:
                     apply()
                 return
             self._split_up()
+        if len(sections) == 1:  # a plain summarizer's own ingest
+            slot, keys, weights = sections[0]
+            self._split[slot].ingest_multi(keys, weights)
+            return
         applies = [
             self._split[slot].prepare(keys, weights)
             for slot, keys, weights in sections

@@ -473,9 +473,10 @@ class LiveWindowManager:
 
         Rotates first when the clock has crossed a bucket boundary, so the
         batch always lands in the bucket of its arrival time.  Unknown
-        assignment names and malformed weights raise ``ValueError`` before
-        any state changes.  Returns the batch's event count and the last
-        section's bucket and version.
+        assignment names and malformed weights (each section's checked
+        against its own keys) raise ``ValueError`` before the state of
+        their window group changes.  Returns the batch's event count and
+        the last section's bucket and version.
         """
         started = time.perf_counter()
         with self._lock:
@@ -491,7 +492,9 @@ class LiveWindowManager:
             for group, *group_parts in parts.values():
                 group.summarizers.ingest(group_parts)
             elapsed = time.perf_counter() - started
-            with self.store.transaction():
+            # the runtime tier's own transaction: no stored artifact
+            # changes, so the store's manifest cache is not re-read
+            with self.store.runtime.transaction():
                 for namespace, keys, _ in sections:
                     self._ingest_events.inc(len(keys), namespace=namespace)
                     self._ingest_seconds.observe(elapsed, namespace=namespace)

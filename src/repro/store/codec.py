@@ -1046,9 +1046,23 @@ def _flat_buffers(meta: dict) -> Iterable[tuple[str, _Buf]]:
     yield "lease_s", _LEASE
 
 
-def _flat_keys(keys: np.ndarray) -> np.ndarray:
-    """A sketch's key column as its own blob would read back: integers
-    that fit int64 as int64, anything else as Python objects."""
+def _flat_keys(columns: "list[np.ndarray]") -> np.ndarray:
+    """The parts' key columns as one, each part's slice reading back as
+    its own blob would: raw when every non-empty part shares one raw,
+    non-integer dtype (float or bool keys); else integers that fit int64
+    as int64 and anything else as Python objects."""
+    filled = [keys for keys in columns if len(keys)]
+    dtypes = {keys.dtype for keys in filled}
+    if len(dtypes) == 1:
+        dtype = dtypes.pop()
+        if dtype.kind in _RAW_KINDS and dtype.kind not in "iu":
+            return np.concatenate(filled)
+    return np.concatenate([_int_keys(keys) for keys in columns])
+
+
+def _int_keys(keys: np.ndarray) -> np.ndarray:
+    """Integers that fit int64 as int64, anything else as Python
+    objects."""
     if keys.dtype.kind == "i" or (
         keys.dtype.kind == "u" and not (len(keys) and keys.max() > _INT64_MAX)
     ):
@@ -1059,7 +1073,7 @@ def _flat_keys(keys: np.ndarray) -> np.ndarray:
 def _part_keys(keys: np.ndarray) -> np.ndarray:
     """A copy of one part's slice of a decoded key column, as the part's
     own blob would read back: int64 when every key was ``b"i"``-tagged."""
-    if keys.dtype != np.int64 and all(
+    if keys.dtype == object and all(
         type(key) is int and _INT64_MIN <= key <= _INT64_MAX for key in keys
     ):
         return keys.astype(np.int64)
@@ -1096,8 +1110,7 @@ def _bundle_batch_parts(frame) -> tuple[dict, dict]:
     ]
     bottomk = lead.kind == "bottomk"
     values.update(
-        # int64 while every part's keys are; else Python objects
-        keys=np.concatenate([_flat_keys(part.keys) for part in parts]),
+        keys=_flat_keys([part.keys for part in parts]),
         lens=np.array([len(part.keys) for part in parts], dtype=np.int64),
         scalars=[
             (part.kth_rank, part.threshold) if bottomk else (part.tau,)

@@ -24,6 +24,7 @@ Four contracts:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import threading
@@ -923,6 +924,39 @@ class TestBundleBatchCodec:
                 ("web--s000", "bundle", "t", bundle_of()),
                 ("web--s001", "bundle", "t", summarizer.sketch_bundle()),
             ])
+
+    @pytest.mark.parametrize("form", [
+        lambda ids: ids + 0.5,
+        lambda ids: ids % 2 == 0,
+        lambda ids: np.array([f"k{i}" for i in ids], dtype=object),
+        lambda ids: ids.astype(np.uint64) + np.uint64(2**63),
+    ], ids=["float64", "bool", "str", "uint64"])
+    def test_every_part_reads_back_as_its_own_blob(self, form):
+        def keyed(lo, n):
+            bundle = bundle_of(lo)
+            sketches = {
+                name: dataclasses.replace(
+                    sketch, keys=form(np.arange(lo, lo + len(sketch.keys)))[:n],
+                    ranks=sketch.ranks[:n], weights=sketch.weights[:n],
+                    seeds=sketch.seeds[:n],
+                )
+                for name, sketch in bundle.sketches.items()
+            }
+            return dataclasses.replace(bundle, sketches=sketches)
+
+        # one full part, one cut short, one empty
+        bundles = [keyed(0, 99), keyed(40, 3), keyed(80, 0)]
+        sections = decode_bundle_batch(encode_bundle_batch([
+            (f"web--s00{at}", "bundle", "t", bundle)
+            for at, bundle in enumerate(bundles)
+        ]))
+        for section, bundle in zip(sections, bundles):
+            own = decode(encode(bundle))
+            for name, sketch in own.sketches.items():
+                got = section.bundle.sketches[name]
+                assert got.equals(sketch)
+                assert got.keys.dtype == sketch.keys.dtype
+                assert got.keys.tolist() == sketch.keys.tolist()
 
     def test_a_kept_bundle_keeps_no_frame_alive(self):
         sections = decode_bundle_batch(good_frame())

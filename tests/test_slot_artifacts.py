@@ -21,6 +21,7 @@ import pathlib
 
 import numpy as np
 
+from repro.engine.sharded import ShardedSummarizer
 from repro.service import (
     NamespaceConfig,
     ServiceClient,
@@ -32,7 +33,12 @@ from repro.service.cluster import (
     CoordinatorThread,
     slot_namespace_configs,
 )
-from repro.service.windows import CHECKPOINT_PART, LIVE_PART
+from repro.service.windows import (
+    CHECKPOINT_PART,
+    LIVE_PART,
+    LiveWindowManager,
+)
+from repro.store.codec import decode, encode
 from repro.store.store import SummaryStore
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "slot_artifacts.json"
@@ -138,3 +144,41 @@ def slot_artifact_digests(root: pathlib.Path) -> dict[str, str]:
 def test_every_per_slot_artifact_keeps_its_bytes(tmp_path):
     pinned = json.loads(FIXTURE.read_text())
     assert slot_artifact_digests(tmp_path) == pinned
+
+
+def test_a_read_of_one_slot_stores_its_unread_sibling_folded(tmp_path):
+    """The one stored-byte change of the shared slot table: a read of any
+    slot folds the whole group, so a flush after it stores an unread
+    sibling's checkpoint as its folded table, where a summarizer of that
+    slot alone would still hold its raw events.  Both forms restore to
+    the same state; the stored one is exactly what that summarizer
+    stores after a read of its own."""
+    configs = slot_namespace_configs(WEB, 2)
+    manager = LiveWindowManager(SummaryStore(tmp_path), configs, clock=Clock())
+    alone = [WEB.make_summarizer() for _ in configs]
+    rng = np.random.default_rng(49)
+    for slot, config in enumerate(configs):
+        keys = (rng.integers(0, 50, size=200) * 2 + slot).tolist()
+        h1 = rng.exponential(3.0, size=200)
+        weights = {"h1": h1, "h2": h1 * 0.5}
+        manager.ingest(config.name, keys, weights)
+        alone[slot].ingest_multi(keys, weights)
+    manager.live_view(configs[0].name)  # slot 1 is never read
+    alone[0].finalize()  # what the read does to slot 0 alone
+    manager.rotate(force=True)  # a flush: checkpoints and bundles
+    bucket = manager.live_info(configs[1].name)["bucket"]
+    for slot, config in enumerate(configs):
+        stored = manager.store.read_blob(config.name, bucket, CHECKPOINT_PART)
+        unshared = encode(alone[slot].checkpoint_state())
+        assert (stored == unshared) == (slot == 0)
+        alone[slot].finalize()
+        assert stored == encode(alone[slot].checkpoint_state())
+        assert decode(stored).buffered_events == (
+            alone[slot].buffered_events
+        )
+        raw, held = (
+            ShardedSummarizer.from_checkpoint(decode(blob)).sketches()
+            for blob in (unshared, stored)
+        )
+        for name, sketch in raw.items():
+            assert sketch.equals(held[name])

@@ -235,3 +235,42 @@ def test_a_slotted_summarizer_refuses_what_it_cannot_hold():
         engine.summary()
     with pytest.raises(ValueError, match="no slots"):
         ShardedSummarizer(2, NAMES).ingest_multi([1], {"h1": [1.0]}, slots=0)
+
+
+def test_generic_keys_hold_the_slots_one_summarizer_each():
+    group = SlotSummarizers(
+        lambda slots=None: ShardedSummarizer(2, NAMES, slots=slots), 2
+    )
+    group.ingest([(0, ["a"], {"h1": [1.0]}), (1, ["b"], {"h1": [2.0]})])
+    assert not group.shared
+    run("str", IppsRanks(), 2, 2, [
+        ("ingest", [(0, [0, 2], {"h1": [1.0, 2.0]}),
+                    (1, [1], {"h1": [3.0]})]),
+        ("fold", 1),
+    ])
+
+
+@pytest.mark.parametrize("weights", [
+    # equal totals, unequal sections: one key short, one key over
+    ([1.0], [2.0, 3.0]),
+    # a section's weights not 1-D
+    ([[1.0], [2.0]], [3.0]),
+])
+def test_each_section_is_checked_against_its_own_keys(weights):
+    group = SlotSummarizers(
+        lambda slots=None: ShardedSummarizer(2, NAMES, slots=slots), 2
+    )
+    with pytest.raises(ValueError, match="equal length"):
+        group.ingest([
+            (0, [0, 2], {"h1": weights[0]}), (1, [1], {"h1": weights[1]}),
+        ])
+    assert group.shared and group.events(0) == group.events(1) == 0
+
+
+def test_an_empty_section_is_checked_too():
+    group = SlotSummarizers(
+        lambda slots=None: ShardedSummarizer(2, NAMES, slots=slots), 2
+    )
+    with pytest.raises(ValueError, match="unknown assignment"):
+        group.ingest([(0, [0], {"h1": [1.0]}), (1, [], {"h9": []})])
+    assert group.events(0) == 0
